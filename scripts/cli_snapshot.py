@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI calls in-process and write their canonical JSON.
+
+Each call contributes one line to the output file: the document the CLI
+printed, or, when the call exited non-zero, a canonical JSON object with
+its argv, exit code and stderr lines.  The package is imported from the src
+directory of the checkout this script sits in, so a refactor is checked
+by running the script in two checkouts and diffing the files:
+
+    python3 scripts/cli_snapshot.py before.jsonl     # in the old checkout
+    python3 scripts/cli_snapshot.py after.jsonl      # in the new checkout
+    diff before.jsonl after.jsonl
+"""
+
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from torusgreen import cli  # noqa: E402
+
+HEX = "0.5+0.8660254037844386i"
+
+CALLS = (
+    # critical: square, hex, rhombic below b0, between b0 and b1, above b1,
+    # and a generic modulus
+    ("critical", "--tau=i"),
+    ("critical", f"--tau={HEX}"),
+    ("critical", "--tau=0.5+0.3i"),
+    ("critical", "--tau=0.5+0.5i"),
+    ("critical", "--tau=0.5+0.8i"),
+    ("critical", "--tau=0.13+0.92i"),
+    ("eval", "--tau=i", "--z=0.21+0.13i"),
+    ("eval", f"--tau={HEX}", "--z=0.1+0.2i"),
+    ("eval", "--tau=0.5+0.8i", "--z=0.3+0.2i"),
+    ("eval", "--tau=0.13+0.92i", "--z=-0.32+0.27i"),
+    ("scan", "--region=0,0.1,0.5,2.0", "--grid=8x8"),
+    ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
+    ("thresholds",),
+    ("inequalities", "--b=0.7"),
+    ("selftest", "--samples=40"),
+)
+
+
+def snapshot_line(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    if code == cli.EXIT_OK:
+        return out.getvalue()
+    return cli.canonical_json({"argv": list(argv), "exit_code": code,
+                               "stderr": err.getvalue().splitlines()}) + "\n"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out", help="file to write, one JSON document per line")
+    args = ap.parse_args()
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        for argv in CALLS:
+            fh.write(snapshot_line(argv))
+
+
+if __name__ == "__main__":
+    main()

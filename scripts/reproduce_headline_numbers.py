@@ -69,8 +69,8 @@ def main():
     section(f"Mean field equation at rho = 4 pi ({grid_n}^2 grid)")
     for tau in (1j, 0.5 + 0.9j, 0.5 + 0.4j):
         T = lattice.make_torus(tau)
-        rep = mfe.verify_solution(mfe.solution_4pi(T), grid_n=grid_n)
-        diag = mfe.four_pi_diagnostics(T)
+        sol, diag = mfe.solution_4pi(T)
+        rep = mfe.verify_solution(sol, grid_n=grid_n)
         print(f"  tau = {tau}: residual {rep.max_residual:.2e}, "
               f"integral of g = {diag.period_integral:.6f}, "
               f"c' = {diag.c_prime:.6f}")

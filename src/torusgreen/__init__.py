@@ -33,7 +33,6 @@ from .mfe import (
     ResidualReport,
     developing_map_8pi,
     extra_branch_point,
-    four_pi_diagnostics,
     solution_4pi,
     solution_8pi,
     verify_solution,
@@ -73,7 +72,6 @@ __all__ = [
     "extra_branch_point",
     "find_critical_points",
     "flip_edges",
-    "four_pi_diagnostics",
     "functional_equation_residual",
     "green_constant",
     "green_grad",

@@ -36,12 +36,11 @@ from .errors import (
     NotACriticalPoint,
     NotInExtraRegime,
     PoleAtLattice,
-    QuadratureNotConverged,
     Unconverged,
 )
 from .lattice import make_torus
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -64,7 +63,6 @@ _CONSISTENCY_ERRORS = (
     NoConvergence,
     ConstructionInconsistent,
     BracketFailure,
-    QuadratureNotConverged,
     Unconverged,
 )
 
@@ -240,21 +238,17 @@ def _point_dict(p) -> dict:
 def _cmd_eval(args) -> tuple[dict, dict]:
     torus = make_torus(args.tau)
     ev = green.evaluate(args.z, torus)
-    detail = green.green_constant_detail(torus)
+    constant = green.green_constant(torus)
     results = {
         "z": args.z,
         "green_rel": ev.value_rel,
-        "green_abs": ev.value_rel + detail.value,
-        "constant": detail.value,
+        "green_abs": ev.value_rel + constant,
+        "constant": constant,
         "grad": {"gx": ev.grad[0], "gy": ev.grad[1]},
         "hessian": _hessian_dict(ev.hessian),
         "gradient_norm": math.hypot(ev.grad[0], ev.grad[1]),
     }
-    diagnostics = {
-        "constant_error_bound": detail.error_bound,
-        "constant_nodes": detail.nodes,
-    }
-    return results, diagnostics
+    return results, {}
 
 
 def _cmd_critical(args) -> tuple[dict, dict]:
@@ -363,8 +357,7 @@ def _cmd_mfe(args) -> tuple[dict, dict]:
         sol = mfe.solution_8pi(torus, z0, lam=args.lam)
         diag_extra = {}
     else:
-        sol = mfe.solution_4pi(torus)
-        d = mfe.four_pi_diagnostics(torus)
+        sol, d = mfe.solution_4pi(torus)
         diag_extra = {
             "period_integral_g": d.period_integral,
             "c_prime": d.c_prime,

@@ -20,7 +20,7 @@ import numpy as np
 from . import green, theta, weier
 from .errors import CountViolation, InconsistentComparison, NoConvergence, NotInExtraRegime
 from .green import Hessian2
-from .lattice import LatticeCoords, Torus, make_torus, wrap_unit
+from .lattice import LatticeCoords, Torus, lattice_gap, make_torus, wrap_unit
 
 EXCLUSION_RADIUS = 0.05   # seed free disk around the lattice point
 DEDUP_TOL = 1e-8
@@ -99,14 +99,8 @@ def _newton_sweep(torus: Torus, n_grid: int, r_target: float):
     tau = torus.tau
     g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
     t, s = [a.ravel() for a in np.meshgrid(g, g)]
-    # prune seeds whose Euclidean distance to the nearest lattice point is
-    # below the exclusion radius (check the 3x3 block of translates)
-    z = t + s * tau
-    dist = np.full(t.shape, np.inf)
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            dist = np.minimum(dist, np.abs(z - (m + n * tau)))
-    keep = dist > EXCLUSION_RADIUS
+    # prune seeds within the exclusion radius of a lattice point
+    keep = lattice_gap(t + s * tau, tau) > EXCLUSION_RADIUS
     t, s = t[keep], s[keep]
 
     r, rt, rs = green.residual_and_jacobian(t, s, torus)

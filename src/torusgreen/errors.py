@@ -21,10 +21,6 @@ class HalfPeriodInput(TorusGreenError):
     """The duplication identity degenerates where p'(z) vanishes."""
 
 
-class QuadratureNotConverged(TorusGreenError):
-    """Mesh refinement did not stabilize the cell integral."""
-
-
 class BracketFailure(TorusGreenError):
     """A root bracket did not enclose a sign change."""
 

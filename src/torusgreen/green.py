@@ -9,6 +9,11 @@ This module evaluates the z dependent part (green_rel), its gradient and
 Hessian, the critical point residual used by the solver, the period
 integrals attached to a point, and the constant C(tau).
 
+C(tau) has the closed form (1/2 pi) log|eta(tau)| (Kronecker limit
+formula), with eta the Dedekind eta function.  It is summed at the
+SL(2, Z) reduced modulus, so it holds on all of the upper half plane,
+the cusp included.
+
 Everything is expressed through logarithmic derivatives of theta1: with
 L1 = (log theta1)_z and L2 = (log theta1)_zz at the canonical
 representative z = t + s*tau,
@@ -26,15 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import theta, weier
-from .errors import PoleAtLattice, QuadratureNotConverged
-from .lattice import Torus, make_torus, split_coords, wrap_unit
-
-_LOG2 = math.log(2.0)
+from .errors import PoleAtLattice
+from .lattice import Torus, reduce_modulus, split_coords, wrap_unit
 
 
 @dataclass(frozen=True)
@@ -170,65 +172,18 @@ def evaluate(z, torus: Torus) -> GreenEval:
 # the additive constant C(tau)
 
 
-@dataclass(frozen=True)
-class GreenConstantDetail:
-    """C(tau) plus the observed quadrature error bound."""
-
-    value: float
-    error_bound: float
-    nodes: int
-
-
-def _log_abs_sin_pi(z):
-    """log |sin(pi z)|, overflow safe for any |Im z|."""
-    x = np.asarray(z).real
-    y = np.asarray(z).imag
-    w = np.pi * np.abs(y)
-    u = np.exp(-2.0 * w)
-    return w - _LOG2 + 0.5 * np.log1p(u * (u - 2.0 * np.cos(2.0 * np.pi * x)))
-
-
-def _mean_smooth_part(tau: complex, n: int) -> float:
-    """Mean over the cell of -(1/2 pi) log|theta1(z)/sin(pi z)|.
-
-    The ratio theta1/sin has neither zeros nor poles on the closed cell, so
-    its log modulus is smooth and tensor Gauss-Legendre converges
-    geometrically.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * x
-    w = 0.5 * w
-    torus = make_torus(tau)
-    zz = x[:, None] + x[None, :] * tau
-    lc = theta.theta1(zz, torus)
-    psi = -(np.asarray(lc.log_mag) - _log_abs_sin_pi(zz)) / (2.0 * np.pi)
-    return float(w @ psi @ w)
-
-
-@lru_cache(maxsize=256)
-def _constant_cached(tau: complex) -> GreenConstantDetail:
-    # mean of green_rel = mean(psi) + the split off pieces, both exact:
-    #   mean(-(1/2 pi) log|sin pi z|) = -(1/2 pi)(pi b/4 - log 2)   (strip integral
-    #       int_0^1 log|sin pi(t + i c)| dt = pi |c| - log 2, averaged in s)
-    #   mean(s^2 b / 2) = b/24
-    # so C = -mean(psi) + b/8 - log2/(2 pi) - b/24 = -mean(psi) + b/12 - log2/(2 pi).
-    coarse = _mean_smooth_part(tau, 128)
-    fine = _mean_smooth_part(tau, 256)
-    err = abs(fine - coarse)
-    if err > 1e-10:
-        raise QuadratureNotConverged(
-            f"cell quadrature for C(tau) stalled at {err:.3e} for tau = {tau}"
-        )
-    b = tau.imag
-    value = -fine + b / 12.0 - _LOG2 / (2.0 * np.pi)
-    return GreenConstantDetail(value=value, error_bound=err, nodes=256)
-
-
-def green_constant_detail(torus: Torus) -> GreenConstantDetail:
-    """C(tau) with its quadrature error bound, cached per modulus."""
-    return _constant_cached(torus.tau)
-
-
 def green_constant(torus: Torus) -> float:
-    """The constant making the cell average of G vanish."""
-    return _constant_cached(torus.tau).value
+    """C(tau) = (1/2 pi) log|eta(tau)|, which makes the cell average of G vanish.
+
+    In the product form of theta1 every factor that depends on z averages
+    to zero over the cell except prod(1 - q^2n), which is the Kronecker
+    limit formula.  The eta product is summed at the reduced modulus
+    tau_r = (a tau + b) / (c tau + d), where |q_r^2| <= e^(-pi sqrt 3), and
+    carried back by the weight 1/2 law |eta(tau_r)| = |c tau + d|^(1/2) |eta(tau)|.
+    """
+    tau_r, (_, (c, d)) = reduce_modulus(torus.tau)
+    q2n = np.exp(2j * np.pi * tau_r * np.arange(1, 9))    # |q2n[-1]| < 1e-18
+    # log|1 - w| = (1/2) log1p(|w|^2 - 2 Re w), exact to rounding for tiny w
+    tail = 0.5 * np.sum(np.log1p(np.abs(q2n) ** 2 - 2.0 * q2n.real))
+    log_eta = -np.pi * tau_r.imag / 12.0 + tail - 0.5 * math.log(abs(c * torus.tau + d))
+    return float(log_eta) / (2.0 * np.pi)

@@ -73,6 +73,21 @@ def split_coords(z, tau: complex):
     return t, s, m, n
 
 
+def lattice_gap(z, tau: complex) -> np.ndarray:
+    """Euclidean distance from z to the nearest point of Z + tau Z.
+
+    Vectorized; the nearest point to a canonical cell representative is
+    among the 3x3 block of lattice points around the origin.
+    """
+    t, s, _, _ = split_coords(z, tau)
+    zc = t + s * tau
+    d = np.full(zc.shape, np.inf)
+    for m in (-1, 0, 1):
+        for n in (-1, 0, 1):
+            d = np.minimum(d, np.abs(zc - (m + n * tau)))
+    return d
+
+
 def wrap_point(z: complex, torus: Torus) -> LatticeCoords:
     """Reduce a point to its canonical cell representative."""
     t, s, _, _ = split_coords(complex(z), torus.tau)

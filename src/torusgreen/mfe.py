@@ -17,8 +17,6 @@ the source lattice and finite elsewhere.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +29,7 @@ from .errors import (
     NoExtraCriticalPoint,
     NotACriticalPoint,
 )
-from .lattice import Torus, make_torus, split_coords
+from .lattice import Torus, lattice_gap, make_torus, split_coords
 
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
@@ -50,17 +48,6 @@ def _polar(log_mag: float, arg: float) -> complex:
 
 def _sigma_logmag(z, torus: Torus) -> np.ndarray:
     return np.asarray(weier.sigma(z, torus).log_mag, dtype=float)
-
-
-def _lattice_gap(z, tau: complex) -> np.ndarray:
-    """Euclidean distance from z to the nearest point of Z + tau Z."""
-    t, s, _, _ = split_coords(z, tau)
-    zc = np.asarray(t) + np.asarray(s) * tau
-    d = np.full(zc.shape, np.inf)
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            d = np.minimum(d, np.abs(zc - (m + n * tau)))
-    return d
 
 
 @dataclass(frozen=True)
@@ -106,7 +93,7 @@ class DevelopingMap8pi:
         """
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(z).ravel()
-        on_lattice = _lattice_gap(flat, self.torus.tau) < _LATTICE_HIT_TOL
+        on_lattice = lattice_gap(flat, self.torus.tau) < _LATTICE_HIT_TOL
         out = np.zeros(flat.shape, dtype=complex)
         if np.any(~on_lattice):
             p = np.atleast_1d(weier.wp(flat[~on_lattice], self.torus))
@@ -221,9 +208,9 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
         scalar = z.ndim == 0
         flat = np.atleast_1d(z).ravel()
         u = np.empty(flat.shape, dtype=float)
-        on_source = _lattice_gap(flat, tau) < _LATTICE_HIT_TOL
-        on_branch = (_lattice_gap(flat - z0p, tau) < 1e-9) | (
-            _lattice_gap(flat + z0p, tau) < 1e-9)
+        on_source = lattice_gap(flat, tau) < _LATTICE_HIT_TOL
+        on_branch = (lattice_gap(flat - z0p, tau) < 1e-9) | (
+            lattice_gap(flat + z0p, tau) < 1e-9)
         u[on_source] = -np.inf
         u[on_branch] = u_branch
         rest = ~(on_source | on_branch)
@@ -291,8 +278,9 @@ class FourPiDiagnostics:
     kappa: complex
 
 
-def solution_4pi(torus: Torus) -> MfeSolution:
-    """The unique solution at rho = 4 pi, via the doubled torus.
+def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
+    """The unique solution at rho = 4 pi, via the doubled torus, with the
+    cross check values of its construction.
 
     On C/(Z + 2 tau Z) the logarithmic derivative g of the map is a
     difference of two zeta functions with residues -1 at a = -1/2 and +1
@@ -303,17 +291,6 @@ def solution_4pi(torus: Torus) -> MfeSolution:
     -1, and the tau multiplier must be constant in z (its modulus is then
     normalized to 1, which is what makes u doubly periodic).
     """
-    sol, _ = _construct_4pi(torus)
-    return sol
-
-
-def four_pi_diagnostics(torus: Torus) -> FourPiDiagnostics:
-    """The rho = 4 pi cross check values, without keeping the solution."""
-    _, diag = _construct_4pi(torus)
-    return diag
-
-
-def _construct_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     tau = torus.tau
     doubled = make_torus(2.0 * tau)
     a = -0.5
@@ -387,7 +364,7 @@ def _construct_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         # displaced symmetrically; the average cancels the linear term
         hit = np.zeros(flat.shape, dtype=bool)
         for cls in pole_classes:
-            hit |= _lattice_gap(flat - cls, 2.0 * tau) < _LATTICE_HIT_TOL
+            hit |= lattice_gap(flat - cls, 2.0 * tau) < _LATTICE_HIT_TOL
         u = np.empty(flat.shape, dtype=float)
         if np.any(~hit):
             u[~hit] = core(flat[~hit])
@@ -428,17 +405,6 @@ class ResidualReport:
     n_points: int
 
 
-def _verify_threads() -> int:
-    raw = os.environ.get("TORUS_GREEN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def verify_solution(sol: MfeSolution, grid_n: int = 64,
                     excl_radius: float = 0.05) -> ResidualReport:
     """Five point stencil check of Delta u + rho e^u = 0 away from 0.
@@ -468,12 +434,11 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     u = sol.evaluator
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
-    rows = [gg + s * tau for s in gg]
 
     def row_stats(row_z):
         u_full = u(row_z)
         mass_sum = float(np.sum(np.exp(u_full)))
-        keep = _lattice_gap(row_z, tau) > excl_radius
+        keep = lattice_gap(row_z, tau) > excl_radius
         z = row_z[keep]
         if z.size == 0:
             return (0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum)
@@ -494,8 +459,7 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
         return (float(np.max(res)), float(np.sum(res)), int(res.size),
                 float(np.max(lit)), per1, pert, mass_sum)
 
-    with ThreadPoolExecutor(max_workers=_verify_threads()) as pool:
-        stats = list(pool.map(row_stats, rows))
+    stats = [row_stats(gg + s * tau) for s in gg]
     n_pts = sum(s[2] for s in stats)
     cell = area / (grid_n * grid_n)
     return ResidualReport(

@@ -10,13 +10,11 @@ empirical boundary as the set of grid edges where the count flips.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import critical, green, theta, weier
-from .errors import BracketFailure
+from .errors import BracketFailure, TorusGreenError
 from .lattice import LatticeCoords, make_torus
 
 BRACKET_LO = 0.05
@@ -222,17 +220,6 @@ def lambda_circle_residual(tau: complex) -> float:
     return abs(abs(lam - 1.0) - 1.0)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("TORUS_GREEN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def _classify_cell(tau: complex) -> ScanCell:
     start = time.perf_counter()
     try:
@@ -241,7 +228,7 @@ def _classify_cell(tau: complex) -> ScanCell:
         coords = extra.coords if extra is not None else None
         return ScanCell(tau=tau, count=cs.total_count, extra_point=coords,
                         wall_clock=time.perf_counter() - start)
-    except Exception as exc:
+    except TorusGreenError as exc:
         return ScanCell(tau=tau, count=0, extra_point=None,
                         wall_clock=time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}")
@@ -252,8 +239,9 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
 
     region is (re_min, im_min, re_max, im_max); cells are ordered row
     major from the bottom row up, left to right, so output is byte stable
-    across runs apart from the wall_clock fields.  Per cell failures are
-    recorded in the cell rather than aborting the scan.
+    across runs apart from the wall_clock fields.  A package failure
+    (TorusGreenError) is recorded in its cell and the scan goes on; any
+    other exception is a bug and propagates.
     """
     re0, im0, re1, im1 = region
     if not (im0 > 0.0 and im1 > im0 and re1 > re0):
@@ -262,14 +250,8 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
         raise ValueError(f"grid {nx}x{ny} outside [1, 512]^2")
     dx = (re1 - re0) / nx
     dy = (im1 - im0) / ny
-
-    def run_row(j: int) -> list[ScanCell]:
-        im = im0 + (j + 0.5) * dy
-        return [_classify_cell(complex(re0 + (i + 0.5) * dx, im)) for i in range(nx)]
-
-    with ThreadPoolExecutor(max_workers=_n_threads()) as pool:
-        rows = list(pool.map(run_row, range(ny)))
-    return [cell for row in rows for cell in row]
+    return [_classify_cell(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))
+            for j in range(ny) for i in range(nx)]
 
 
 def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:

@@ -234,8 +234,7 @@ def test_criterion_09_mfe_4pi():
     ok = True
     for tau in (1j, 0.5 + 0.9j, 0.5 + 0.4j):
         T = lattice.make_torus(tau)
-        sol = mfe.solution_4pi(T)
-        diag = mfe.four_pi_diagnostics(T)
+        sol, diag = mfe.solution_4pi(T)
         rep = mfe.verify_solution(sol, grid_n=64)
         period_dev = min(abs(diag.period_integral - 1j * math.pi),
                          abs(diag.period_integral + 1j * math.pi))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import oracles
 from torusgreen import cli
 from torusgreen.errors import CountViolation
 
@@ -101,13 +102,24 @@ def test_eval_subcommand(capsys):
     code, out, err = run_cli(capsys, "eval", "--tau", "i", "--z", "0.21+0.13i")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "eval"
     assert doc["inputs"]["tau"] == {"re": 0.0, "im": 1.0}
     res = doc["results"]
     assert abs(res["green_abs"] - (res["green_rel"] + res["constant"])) < 1e-15
     assert res["hessian"]["trace"] == pytest.approx(1.0, rel=1e-12)
-    assert doc["diagnostics"]["constant_nodes"] == 256
+    # C(i) = (1/2 pi) log eta(i), eta(i) = Gamma(1/4) / (2 pi^(3/4))
+    eta_i = math.gamma(0.25) / (2.0 * math.pi ** 0.75)
+    assert abs(res["constant"] - math.log(eta_i) / (2.0 * math.pi)) < 1e-15
+    assert doc["diagnostics"] == {}
+
+
+@pytest.mark.parametrize("tau", ["0.05i", "0.5+0.03i"])
+def test_eval_near_the_cusp(capsys, tau):
+    code, out, err = run_cli(capsys, "eval", f"--tau={tau}", "--z=0.01+0.01i")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert abs(res["constant"] - oracles.mp_green_constant(cli.parse_complex(tau))) < 1e-13
 
 
 def test_critical_subcommand_hex(capsys):

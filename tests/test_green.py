@@ -9,8 +9,10 @@ import oracles
 from torusgreen import green, lattice
 from torusgreen.errors import PoleAtLattice
 
-# frozen from the disk patch quadrature oracle (green_constant_quadrature,
-# n = 400, r = 0.05), which agrees with the smooth split route to ~2e-5
+# C(i) = (1/2 pi) log eta(i) with eta(i) = Gamma(1/4) / (2 pi^(3/4)); the
+# smooth split quadrature (oracles.green_constant_smooth_split) reproduces it
+# to ~1e-17 and the disk patch quadrature (green_constant_quadrature, n = 400,
+# r = 0.05) to ~2e-5
 GREEN_CONSTANT_SQUARE = -0.04196471333538877
 
 grid64 = st.integers(min_value=-31, max_value=31)
@@ -136,12 +138,26 @@ def test_period_integrals_at_critical_point_are_imaginary():
 
 
 def test_green_constant_square_torus_frozen():
-    T = lattice.make_torus(1j)
-    detail = green.green_constant_detail(T)
-    assert abs(detail.value - GREEN_CONSTANT_SQUARE) < 1e-12
-    assert detail.error_bound < 1e-10
-    assert detail.nodes == 256
-    assert green.green_constant(T) == detail.value
+    c = green.green_constant(lattice.make_torus(1j))
+    assert abs(c - GREEN_CONSTANT_SQUARE) < 1e-12
+    # eta(i) = Gamma(1/4) / (2 pi^(3/4))
+    eta_i = math.gamma(0.25) / (2.0 * math.pi ** 0.75)
+    assert abs(c - math.log(eta_i) / (2.0 * math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.3j, 0.1 + 0.45j, 0.5 + 0.8660254037844386j,
+                                 -0.37 + 1.3j, 0.21 + 2.5j])
+def test_green_constant_matches_smooth_split_quadrature(tau):
+    got = green.green_constant(lattice.make_torus(tau))
+    assert abs(got - oracles.green_constant_smooth_split(tau)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.05j, 0.5 + 0.03j, 0.5 + 8j, 3.2 + 0.2j])
+def test_green_constant_matches_mpmath_eta(tau):
+    # near the cusp and far from the fundamental domain: 3.2 + 0.2i reduces
+    # through a matrix with c != 0, so the weight 1/2 factor is exercised
+    got = green.green_constant(lattice.make_torus(tau))
+    assert abs(got - oracles.mp_green_constant(tau)) < 1e-13
 
 
 def test_green_constant_matches_disk_patch_quadrature():

@@ -192,7 +192,7 @@ def test_verify_solution_validates_inputs(hex_solution):
 @pytest.mark.parametrize("tau", [1j, HEX_TAU, 0.5 + 0.8j])
 def test_rho_4pi_residual_and_mass(tau):
     T = lattice.make_torus(tau)
-    sol = mfe.solution_4pi(T)
+    sol, _ = mfe.solution_4pi(T)
     assert sol.rho == RHO_4PI
     assert sol.branch is None
     assert sol.c1 == math.log(2.0 / math.pi)
@@ -205,7 +205,7 @@ def test_rho_4pi_residual_and_mass(tau):
 
 def test_rho_4pi_diagnostics():
     for tau in (1j, 0.5 + 0.8j):
-        diag = mfe.four_pi_diagnostics(lattice.make_torus(tau))
+        _, diag = mfe.solution_4pi(lattice.make_torus(tau))
         dev = min(abs(diag.period_integral - 1j * math.pi),
                   abs(diag.period_integral + 1j * math.pi))
         assert dev < 1e-10
@@ -215,7 +215,7 @@ def test_rho_4pi_diagnostics():
 
 def test_rho_4pi_u_properties():
     T = lattice.make_torus(1j)
-    sol = mfe.solution_4pi(T)
+    sol, _ = mfe.solution_4pi(T)
     u = sol.evaluator
     # two log singularity at the source instead of four
     r1, r2 = 1e-3, 1e-4

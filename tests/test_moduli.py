@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from torusgreen import lattice, moduli, weier
+from torusgreen import critical, lattice, moduli, weier
+from torusgreen.errors import NoConvergence
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
 # hessian determinant degeneracy of the half period 1/2 on the rhombic line
@@ -139,3 +140,22 @@ def test_flip_edges_straddle_thresholds():
     fine_edges = moduli.flip_edges(fine, 1, 2)
     assert len(fine_edges) == 1
     assert fine_edges[0].min_abs_det < 0.02
+
+
+def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
+    region = (0.1, 0.6, 0.45, 1.0)
+
+    def no_convergence(torus):
+        raise NoConvergence("synthetic sweep disagreement")
+
+    monkeypatch.setattr(critical, "find_critical_points", no_convergence)
+    cells = moduli.scan(region, 2, 1)
+    assert [c.count for c in cells] == [0, 0]
+    assert all(c.error == "NoConvergence: synthetic sweep disagreement" for c in cells)
+
+    def bug(torus):
+        return 1 / 0
+
+    monkeypatch.setattr(critical, "find_critical_points", bug)
+    with pytest.raises(ZeroDivisionError):
+        moduli.scan(region, 2, 1)
