@@ -8,9 +8,10 @@ numbers as {re, im} objects.  Identical inputs produce byte identical
 output; nothing time or machine dependent enters the envelope.
 
 Exit codes: 0 success, 2 domain errors (bad modulus, no extra critical
-point, off-lattice requests), 3 internal consistency violations (count
-bound broken, comparison routes disagree, construction cross checks
-fail) which are the loud falsifiers, 64 usage errors.
+point, off-lattice requests, out of range arguments), 3 internal
+consistency violations (count bound broken, comparison routes disagree,
+construction cross checks fail) which are the loud falsifiers, 64 usage
+errors.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import critical, green, mfe, moduli, selftest
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     HalfPeriodBranch,
     HalfPeriodInput,
     InconsistentComparison,
+    InvalidInput,
     NoConvergence,
     NoExtraCriticalPoint,
     NonPositiveImaginaryPart,
@@ -55,7 +56,7 @@ _DOMAIN_ERRORS = (
     HalfPeriodBranch,
     NoExtraCriticalPoint,
     NotInExtraRegime,
-    ValueError,
+    InvalidInput,
 )
 _CONSISTENCY_ERRORS = (
     CountViolation,
@@ -167,55 +168,6 @@ def canonical_json(obj) -> str:
     buf = io.StringIO()
     _canonical(obj, buf)
     return buf.getvalue()
-
-
-_CONFIG_FIELDS = ("command", "tau", "tolerances", "grid", "output_format", "output_path")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The resolved inputs of one CLI invocation.
-
-    Serializes round trip stable through to_dict/from_dict; from_dict
-    rejects unknown fields so stored configs cannot silently drift.
-    """
-
-    command: str
-    tau: complex | None = None
-    tolerances: dict | None = None
-    grid: tuple[int, int] | None = None
-    output_format: str = "json"
-    output_path: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tau": None if self.tau is None else {"re": self.tau.real, "im": self.tau.imag},
-            "tolerances": self.tolerances,
-            "grid": None if self.grid is None else [self.grid[0], self.grid[1]],
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown RunConfig fields: {sorted(unknown)}")
-        tau = data.get("tau")
-        if isinstance(tau, dict):
-            tau = complex(tau["re"], tau["im"])
-        grid = data.get("grid")
-        if grid is not None:
-            grid = (int(grid[0]), int(grid[1]))
-        return cls(
-            command=data["command"],
-            tau=tau,
-            tolerances=data.get("tolerances"),
-            grid=grid,
-            output_format=data.get("output_format", "json"),
-            output_path=data.get("output_path"),
-        )
 
 
 def _hessian_dict(h) -> dict:
@@ -331,6 +283,8 @@ def _cmd_thresholds(args) -> tuple[dict, dict]:
 
 def _cmd_inequalities(args) -> tuple[dict, dict]:
     if args.b is not None:
+        if not args.b > 0.0:
+            raise InvalidInput(f"b = {args.b} must be positive")
         grid = [args.b]
     else:
         grid = [0.1 + 0.05 * k for k in range(59)]
@@ -479,33 +433,21 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    tolerances = {}
-    if hasattr(args, "tol"):
-        tolerances["tol"] = args.tol
-    if hasattr(args, "exclusion_radius"):
-        tolerances["exclusion_radius"] = args.exclusion_radius
-    grid = getattr(args, "grid", None)
-    return RunConfig(
-        command=args.command,
-        tau=getattr(args, "tau", None),
-        tolerances=tolerances or None,
-        grid=grid,
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
 def _inputs_dict(args) -> dict:
-    cfg = _config_from_args(args)
-    inputs = cfg.to_dict()
-    for extra in ("z", "b", "region", "rho", "lam", "samples"):
-        if hasattr(args, extra):
-            val = getattr(args, extra)
-            key = "lambda" if extra == "lam" else extra
-            if isinstance(val, tuple):
-                val = list(val)
-            inputs[key] = val
+    """The resolved inputs of one invocation, for the report envelope."""
+    tolerances = {name: getattr(args, name)
+                  for name in ("tol", "exclusion_radius") if hasattr(args, name)}
+    inputs = {
+        "command": args.command,
+        "tau": getattr(args, "tau", None),
+        "tolerances": tolerances or None,
+        "grid": getattr(args, "grid", None),
+        "output_format": args.format,
+        "output_path": args.out,
+    }
+    for name in ("z", "b", "region", "rho", "lam", "samples"):
+        if hasattr(args, name):
+            inputs["lambda" if name == "lam" else name] = getattr(args, name)
     return inputs
 
 

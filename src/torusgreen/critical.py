@@ -5,8 +5,13 @@ r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2, which collapses to
 (log theta1)_z + 2 pi i s, so the multi start Newton iteration below needs
 one theta series pass per step for the whole seed batch.  Every torus has
 the three half periods as critical points; at most one extra pair +-z0 can
-appear, and more than that is reported as CountViolation because it can
-only mean an evaluation bug.
+appear (Lin and Wang), so the census only has to pick one orbit out of
+the converged roots.  One array pass does it: roots near a half period
+are dropped, the rest are folded modulo z ~ -z, sorted, and merged at the
+single tolerance EXTRA_MERGE_TOL.  More than one surviving orbit is
+reported as CountViolation because it can only mean an evaluation bug.
+The damped Newton kernel here also polishes the seed of the 8 pi mean
+field construction.
 """
 
 from __future__ import annotations
@@ -17,19 +22,26 @@ from enum import Enum
 
 import numpy as np
 
-from . import green, theta, weier
-from .errors import CountViolation, InconsistentComparison, NoConvergence, NotInExtraRegime
+from . import green, weier
+from .errors import (
+    CountViolation,
+    InconsistentComparison,
+    InvalidInput,
+    NoConvergence,
+    NotInExtraRegime,
+    Unconverged,
+)
 from .green import Hessian2
 from .lattice import LatticeCoords, Torus, lattice_gap, make_torus, wrap_unit
 
 EXCLUSION_RADIUS = 0.05   # seed free disk around the lattice point
-DEDUP_TOL = 1e-8
 HP_MERGE_TOL = 1e-5       # roots this close to a half period collapse into it;
                           # near a degeneracy threshold the residual vanishes
                           # quadratically, so spurious roots can sit ~1e-6 out
-EXTRA_MERGE_TOL = 1e-6    # second stage merge among extra roots: right at a
-                          # threshold the residual valley is flat enough that
-                          # machine precision roots spread wider than DEDUP_TOL
+EXTRA_MERGE_TOL = 1e-6    # the one merge tolerance among extra roots: right at
+                          # a threshold the residual valley is flat enough that
+                          # machine precision roots of one point can spread
+                          # wider than 1e-8
 PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # its Hessian determinant clears this bar; on extreme
                           # aspect ratios the gradient has e^(-pi b') plateaus
@@ -85,33 +97,21 @@ class CriticalSet:
         return None
 
 
-def _toroidal_gap(a, b):
-    d, _ = wrap_unit(a - b)
-    return d
+def damped_newton(t, s, torus: Torus, r_stop: float):
+    """Damped Newton on the critical residual from the seeds (t, s).
 
-
-def _newton_sweep(torus: Torus, n_grid: int, r_target: float):
-    """Damped Newton from an n_grid^2 seed lattice; returns (roots, failures).
-
-    roots is a list of wrapped (t, s) pairs, failures the number of seeds
-    that neither converged nor were pruned by the exclusion disk.
+    Each step is halved up to 12 times until it lowers |r|; a seed that
+    cannot improve even then is retired, and a seed stops once |r| <= r_stop.
+    Returns the final (t, s, |r|) arrays, unwrapped; lattice hits show up
+    as non finite |r|.
     """
-    tau = torus.tau
-    g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
-    t, s = [a.ravel() for a in np.meshgrid(g, g)]
-    # prune seeds within the exclusion radius of a lattice point
-    keep = lattice_gap(t + s * tau, tau) > EXCLUSION_RADIUS
-    t, s = t[keep], s[keep]
-
+    t = np.array(t, dtype=float)
+    s = np.array(s, dtype=float)
     r, rt, rs = green.residual_and_jacobian(t, s, torus)
     rn = np.abs(r)
     active = np.isfinite(rn)
-    # polish three decades past the acceptance target: near a degeneracy
-    # threshold the residual valley is flat enough that stopping exactly at
-    # the target scatters one root across several dedup cells
-    r_polish = r_target * 1e-3
     for _ in range(60):
-        live = np.flatnonzero(active & (rn > r_polish))
+        live = np.flatnonzero(active & (rn > r_stop))
         if live.size == 0:
             break
         det = rt.real[live] * rs.imag[live] - rs.real[live] * rt.imag[live]
@@ -145,34 +145,61 @@ def _newton_sweep(torus: Torus, n_grid: int, r_target: float):
         # on a ridge; retire them so they stop costing evaluations (final
         # convergence is judged from rn alone, so nothing is lost)
         active[live[pending]] = False
+    return t, s, rn
+
+
+def _newton_sweep(torus: Torus, n_grid: int, r_target: float):
+    """Damped Newton from an n_grid^2 seed lattice; returns (t, s, failures).
+
+    t and s hold the wrapped coordinates of the converged roots in seed
+    order, failures the number of seeds that neither converged nor were
+    pruned by the exclusion disk.
+    """
+    tau = torus.tau
+    g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
+    t, s = [a.ravel() for a in np.meshgrid(g, g)]
+    # prune seeds within the exclusion radius of a lattice point
+    keep = lattice_gap(t + s * tau, tau) > EXCLUSION_RADIUS
+    # polish three decades past the acceptance target: near a degeneracy
+    # threshold the residual valley is flat enough that stopping exactly at
+    # the target scatters one root across several merge cells
+    t, s, rn = damped_newton(t[keep], s[keep], torus, r_target * 1e-3)
     converged = np.isfinite(rn) & (rn <= r_target)
-    failures = int(np.count_nonzero(~converged))
     tw, _ = wrap_unit(t[converged])
     sw, _ = wrap_unit(s[converged])
-    return list(zip(tw.tolist(), sw.tolist())), failures
+    return tw, sw, int(np.count_nonzero(~converged))
 
 
-def _mirror_rep(t: float, s: float) -> tuple[float, float]:
-    """Canonical representative of the orbit {(t,s), (-t,-s)} mod 1."""
-    tn, _ = wrap_unit(-t)
-    sn, _ = wrap_unit(-s)
-    for cand in ((t, s), (float(tn), float(sn))):
-        if cand[1] > DEDUP_TOL or (abs(cand[1]) <= DEDUP_TOL and cand[0] >= -DEDUP_TOL):
-            return cand
-    return (t, s)
+def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per extra orbit {z, -z} among the wrapped roots.
 
+    Roots within HP_MERGE_TOL of a half period are dropped.  The rest are
+    folded onto the half cell s > 0 (t >= 0 on the lines s = 0 and
+    s = 1/2, which z -> -z maps to themselves), sorted by (t, s) and merged
+    greedily: the first root stands for every root within EXTRA_MERGE_TOL
+    of it in both wrapped coordinates.
+    """
+    def gap(a, b):
+        return np.abs(wrap_unit(a - b)[0])
 
-def _dedup(pairs: list[tuple[float, float]], tol: float = DEDUP_TOL) -> list[tuple[float, float]]:
-    reps = [_mirror_rep(t, s) for t, s in pairs]
-    reps.sort()
-    out: list[tuple[float, float]] = []
-    for t, s in reps:
-        for u, v in out:
-            if abs(_toroidal_gap(t, u)) < tol and abs(_toroidal_gap(s, v)) < tol:
-                break
-        else:
-            out.append((t, s))
-    return out
+    near_hp = np.zeros(t.shape, dtype=bool)
+    for tc, sc in _HP_COORDS:
+        near_hp |= (gap(t, tc) < HP_MERGE_TOL) & (gap(s, sc) < HP_MERGE_TOL)
+    t, s = t[~near_hp], s[~near_hp]
+    tol = EXTRA_MERGE_TOL
+    on_line = (np.abs(s) <= tol) | (gap(s, 0.5) <= tol)
+    flip = np.where(on_line, t < -tol, s < 0.0)
+    t = np.where(flip, wrap_unit(-t)[0], t)
+    s = np.where(flip, wrap_unit(-s)[0], s)
+    order = np.lexsort((s, t))
+    t, s = t[order], s[order]
+    reps_t, reps_s = [], []
+    while t.size:
+        reps_t.append(t[0])
+        reps_s.append(s[0])
+        rest = (gap(t, t[0]) >= tol) | (gap(s, s[0]) >= tol)
+        t, s = t[rest], s[rest]
+    return np.array(reps_t), np.array(reps_s)
 
 
 def _classify_hessian(h: Hessian2, b: float, degeneracy_eps: float) -> Morse:
@@ -193,80 +220,67 @@ def classify(point: CriticalPoint, degeneracy_eps: float = DEGENERACY_EPS) -> Mo
     return _classify_hessian(point.hessian, b, degeneracy_eps)
 
 
-def _build_point(torus: Torus, t: float, s: float, kind: Kind,
-                 degeneracy_eps: float) -> CriticalPoint:
+def _build_point(torus: Torus, t: float, s: float, kind: Kind) -> CriticalPoint:
     z = t + s * torus.tau
     h = green.green_hessian(z, torus)
     return CriticalPoint(
         coords=LatticeCoords(t, s),
         z=z,
         kind=kind,
-        morse=_classify_hessian(h, torus.b, degeneracy_eps),
+        morse=_classify_hessian(h, torus.b, DEGENERACY_EPS),
         hessian=h,
         g_rel=float(green.green_rel(z, torus)),
     )
 
 
 def _solve(torus: Torus, tol: float, n_grid: int):
+    """Representatives (t, s) of the extra orbits, plus the failed seed count."""
     r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
-    roots, failures = _newton_sweep(torus, n_grid, r_target)
-    # the half periods are critical for every torus; pin them exactly so a
-    # solver miss can never drop them
-    for tc, sc in _HP_COORDS:
-        roots.append((tc, sc))
-    extras = []
-    for t, s in _dedup(roots):
-        for tc, sc in _HP_COORDS:
-            if (abs(_toroidal_gap(t, tc)) < HP_MERGE_TOL
-                    and abs(_toroidal_gap(s, sc)) < HP_MERGE_TOL):
-                break
-        else:
-            extras.append((t, s))
-    extras = _dedup(extras, EXTRA_MERGE_TOL)
-    if extras:
-        ts = np.array([p[0] for p in extras])
-        ss = np.array([p[1] for p in extras])
-        _, L2 = theta.theta1_logderivs(ts + ss * torus.tau, torus)
-        pole = np.pi / torus.b
-        det = -(np.abs(L2 + pole) ** 2 - pole * pole) / (4.0 * np.pi ** 2)
-        floor = PLATEAU_MIN_DET / (torus.b * torus.b)
-        extras = [p for p, d in zip(extras, np.abs(det)) if d > floor]
-    return extras, failures
+    t, s, failures = _newton_sweep(torus, n_grid, r_target)
+    t, s = _orbit_reps(t, s)
+    if t.size:
+        det = green.green_hessian(t + s * torus.tau, torus).det
+        keep = np.abs(det) > PLATEAU_MIN_DET / (torus.b * torus.b)
+        t, s = t[keep], s[keep]
+    return t, s, failures
 
 
 def find_critical_points(torus: Torus, tol: float = 1e-12) -> CriticalSet:
     """All critical points: the three half periods plus any extra pair.
 
     Multi start damped Newton on a 24x24 seed grid (minus the exclusion
-    disk around the lattice point), deduplicated modulo the lattice and
-    modulo z ~ -z.  More than five distinct points raises CountViolation.
-    A failed seed alone is tolerated; NoConvergence fires only when a
-    verification sweep at 48x48 also disagrees on the count.
+    disk around the lattice point).  The half periods are known critical
+    points, so one array pass reduces the converged roots to the extra
+    orbits: roots near a half period go, the rest are folded modulo
+    z ~ -z and merged at the single tolerance EXTRA_MERGE_TOL.  More than
+    five distinct points raises CountViolation.  A failed seed alone is
+    tolerated; NoConvergence fires only when a verification sweep at 48x48
+    also disagrees on the count.
     """
     if not 1e-14 <= tol <= 1e-6:
-        raise ValueError(f"tol {tol} outside [1e-14, 1e-6]")
-    extras, failures = _solve(torus, tol, 24)
+        raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
+    ts, ss, failures = _solve(torus, tol, 24)
     if failures:
-        extras_fine, _ = _solve(torus, tol, 48)
-        if len(extras_fine) != len(extras):
+        ts_fine, _, _ = _solve(torus, tol, 48)
+        if ts_fine.size != ts.size:
             raise NoConvergence(
                 f"{failures} seeds failed and the 24/48 sweeps disagree "
-                f"({len(extras)} vs {len(extras_fine)} extra orbits) at tau = {torus.tau}"
+                f"({ts.size} vs {ts_fine.size} extra orbits) at tau = {torus.tau}"
             )
-    total = 3 + 2 * len(extras)
+    total = 3 + 2 * ts.size
     if total > 5:
         raise CountViolation(
             f"{total} critical points survived dedup at tau = {torus.tau}; "
             "more than five is impossible and indicates an evaluation bug"
         )
     points = [
-        _build_point(torus, tc, sc, kind, DEGENERACY_EPS)
+        _build_point(torus, tc, sc, kind)
         for (tc, sc), kind in zip(
             _HP_COORDS, (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
         )
     ]
-    for t, s in sorted(extras, key=lambda p: (p[1], p[0])):
-        points.append(_build_point(torus, t, s, Kind.EXTRA_PAIR, DEGENERACY_EPS))
+    for s, t in sorted(zip(ss.tolist(), ts.tolist())):
+        points.append(_build_point(torus, t, s, Kind.EXTRA_PAIR))
     return CriticalSet(points=tuple(points), total_count=total)
 
 
@@ -308,6 +322,14 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
     inv = weier.invariants(torus)
     g = tuple(float(green.green_rel(h, torus)) for h in torus.half_periods)
     e = (inv.e1, inv.e2, inv.e3)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if e[i] - e[j] == 0.0:
+            # near the cusp two roots can agree to every float64 digit; the
+            # cross ratios below would then divide by zero or take log(0)
+            raise Unconverged(
+                f"e{i + 1} - e{j + 1} is exactly 0.0 in float64 at tau = {torus.tau}; "
+                "the log-ratio formula cannot order the half periods"
+            )
     formula = {
         (0, 2): math.log(abs((e[0] - e[1]) / (e[2] - e[1]))) / (8 * math.pi),
         (1, 2): math.log(abs((e[1] - e[0]) / (e[2] - e[0]))) / (8 * math.pi),
@@ -429,7 +451,7 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
         if not roots:
             raise NoConvergence(f"no root of G_x on the real axis for b = {b}")
         t, s = min(roots), 0.0
-    point = _build_point(torus, t, s, Kind.EXTRA_PAIR, DEGENERACY_EPS)
+    point = _build_point(torus, t, s, Kind.EXTRA_PAIR)
     gx, gy = green.green_grad(point.z, torus)
     if math.hypot(gx, gy) > tol:
         raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")

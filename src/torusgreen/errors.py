@@ -5,6 +5,10 @@ class TorusGreenError(Exception):
     """Base class for all package-specific failures."""
 
 
+class InvalidInput(TorusGreenError, ValueError):
+    """A user supplied argument (tolerance, grid, region, b) is out of range."""
+
+
 class NonPositiveImaginaryPart(TorusGreenError):
     """The torus modulus must lie in the open upper half plane."""
 

@@ -118,21 +118,22 @@ def green_hessian(z, torus: Torus) -> Hessian2:
 def critical_residual(t, s, torus: Torus):
     """zeta(t + s tau) - t eta1 - s eta2; zero iff (t, s) is critical.
 
-    Invariant under integer shifts of (t, s), so both arguments are
-    wrapped first; equals (log theta1)_z + 2 pi i s on the canonical cell.
+    The residual of residual_and_jacobian, with PoleAtLattice where it is
+    not finite (at a lattice point).
     """
-    tw, _ = wrap_unit(t)
-    sw, _ = wrap_unit(s)
-    z = tw + sw * torus.tau
-    L1 = theta.theta1_logderiv_z(z, torus, 1)
-    return theta._scalarize(np.asarray(L1) + (2j * np.pi) * sw)
+    r, _, _ = residual_and_jacobian(t, s, torus)
+    if not np.all(np.isfinite(r)):
+        raise PoleAtLattice("critical residual requested at a lattice point")
+    return theta._scalarize(r)
 
 
 def residual_and_jacobian(t, s, torus: Torus):
     """Vectorized critical residual plus its (t, s) Jacobian.
 
-    Returns (r, dr_dt, dr_ds) with dr_dt = L2 and dr_ds = L2*tau + 2 pi i.
-    Lattice hits yield non finite entries rather than an exception; the
+    The residual is invariant under integer shifts of (t, s), so both
+    arguments are wrapped first; it equals (log theta1)_z + 2 pi i s on
+    the canonical cell.  Returns (r, dr_dt, dr_ds) with dr_dt = L2 and
+    dr_ds = L2*tau + 2 pi i.  Lattice hits yield non finite entries rather than an exception; the
     Newton driver treats those as rejected steps.
     """
     tw, _ = wrap_unit(t)

@@ -22,10 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import green, weier
+from . import critical, green, weier
 from .errors import (
     ConstructionInconsistent,
     HalfPeriodBranch,
+    InvalidInput,
     NoExtraCriticalPoint,
     NotACriticalPoint,
 )
@@ -110,18 +111,8 @@ class DevelopingMap8pi:
 
 def _polish_z0(torus: Torus, z0: complex) -> complex:
     t, s, _, _ = split_coords(z0, torus.tau)
-    t, s = float(t), float(s)
-    for _ in range(8):
-        r, rt, rs = green.residual_and_jacobian(np.array([t]), np.array([s]), torus)
-        r, rt, rs = complex(r[0]), complex(rt[0]), complex(rs[0])
-        if abs(r) < 1e-13:
-            break
-        det = rt.real * rs.imag - rs.real * rt.imag
-        if det == 0.0 or not math.isfinite(det):
-            break
-        t -= (r.real * rs.imag - rs.real * r.imag) / det
-        s -= (rt.real * r.imag - r.real * rt.imag) / det
-    return t + s * torus.tau
+    t, s, _ = critical.damped_newton([t], [s], torus, 1e-13)
+    return float(t[0]) + float(s[0]) * torus.tau
 
 
 def developing_map_8pi(torus: Torus, z0: complex) -> DevelopingMap8pi:
@@ -231,9 +222,7 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
 
 def extra_branch_point(torus: Torus) -> complex:
     """The representative extra critical point, or NoExtraCriticalPoint."""
-    from . import critical as _critical
-
-    cs = _critical.find_critical_points(torus)
+    cs = critical.find_critical_points(torus)
     extra = cs.extra
     if extra is None:
         raise NoExtraCriticalPoint(
@@ -424,9 +413,9 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     is needed) and should come out near rho.
     """
     if grid_n < 32:
-        raise ValueError(f"grid_n {grid_n} below 32")
+        raise InvalidInput(f"grid_n {grid_n} below 32")
     if excl_radius < 0.02:
-        raise ValueError(f"excl_radius {excl_radius} below 0.02")
+        raise InvalidInput(f"excl_radius {excl_radius} below 0.02")
     torus = sol.torus
     tau = torus.tau
     area = torus.area

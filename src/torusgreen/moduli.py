@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import critical, green, theta, weier
-from .errors import BracketFailure, TorusGreenError
+from .errors import BracketFailure, InvalidInput, TorusGreenError
 from .lattice import LatticeCoords, make_torus
 
 BRACKET_LO = 0.05
@@ -133,7 +133,7 @@ def thresholds(tol: float = 1e-12) -> ThresholdReport:
     bisection from a coarse sample bracket cannot miss.
     """
     if tol < 1e-12:
-        raise ValueError(f"tol {tol} below the 1e-12 floor")
+        raise InvalidInput(f"tol {tol} below the 1e-12 floor")
     width = 0.0
     roots = []
     for fun in (_q_lower, _q_upper):
@@ -208,7 +208,7 @@ def functional_equation_residual(b: float) -> float:
     b = 1/2, so it exercises both evaluation branches at once.
     """
     if not b > 0.0:
-        raise ValueError(f"b = {b} must be positive")
+        raise InvalidInput(f"b = {b} must be positive")
     f_b, _ = theta.log_theta1_b_derivs(0.5, b)
     f_dual, _ = theta.log_theta1_b_derivs(0.5, 1.0 / (4.0 * b))
     return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
@@ -245,9 +245,9 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
     """
     re0, im0, re1, im1 = region
     if not (im0 > 0.0 and im1 > im0 and re1 > re0):
-        raise ValueError(f"region {region} is not a rectangle in the upper half plane")
+        raise InvalidInput(f"region {region} is not a rectangle in the upper half plane")
     if not (1 <= nx <= 512 and 1 <= ny <= 512):
-        raise ValueError(f"grid {nx}x{ny} outside [1, 512]^2")
+        raise InvalidInput(f"grid {nx}x{ny} outside [1, 512]^2")
     dx = (re1 - re0) / nx
     dy = (im1 - im0) / ny
     return [_classify_cell(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))

@@ -1,12 +1,16 @@
 import argparse
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import oracles
 from torusgreen import cli
 from torusgreen.errors import CountViolation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -80,19 +84,6 @@ def test_canonical_json_sorts_keys_and_is_parseable():
     parsed = json.loads(txt)
     assert parsed == {"z": 1, "a": {"q": 2.0, "b": [True, None]}}
     assert txt.index('"a"') < txt.index('"z"')
-
-
-def test_run_config_round_trip():
-    cfg = cli.RunConfig(command="eval", tau=0.5 + 0.8j,
-                        tolerances={"tol": 1e-12}, grid=(40, 40),
-                        output_format="json", output_path=None)
-    again = cli.RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-
-
-def test_run_config_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        cli.RunConfig.from_dict({"command": "eval", "mystery": 1})
 
 
 # -------------------------------------------------------------- subcommands
@@ -235,6 +226,41 @@ def test_domain_error_exit(capsys):
     assert "NoExtraCriticalPoint" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=16x16"),
+    ("mfe", "--rho=4pi", "--tau=i", "--exclusion-radius=0.01"),
+    ("critical", "--tau=i", "--tol=1e-3"),
+    ("thresholds", "--tol=1e-13"),
+    ("scan", "--region=0,0.5,0.4,0.2", "--grid=2x2"),
+    ("scan", "--region=0,0.1,0.5,2.0", "--grid=0x4"),
+    ("inequalities", "--b=-1"),
+], ids=" ".join)
+def test_out_of_range_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "domain error (InvalidInput)" in err
+
+
+def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):
+    # only InvalidInput is a domain error; any other ValueError escapes run
+    def boom(args):
+        raise ValueError("math domain error")
+
+    monkeypatch.setitem(cli._HANDLERS, "critical", boom)
+    with pytest.raises(ValueError, match="math domain error"):
+        cli.run(["critical", "--tau=i"])
+
+
+def test_coincident_half_period_values_exit_3(capsys):
+    # at tau = 0.065i the float64 gap e1 - e3 is exactly zero, which used to
+    # crash compare_half_periods with ZeroDivisionError
+    code, out, err = run_cli(capsys, "critical", "--tau=0.065i")
+    assert code == 3
+    assert out == ""
+    assert "CONSISTENCY VIOLATION (Unconverged): e1 - e3 is exactly 0.0" in err
+
+
 def test_consistency_error_exit(capsys, monkeypatch):
     def boom(args):
         raise CountViolation("synthetic count explosion")
@@ -258,6 +284,20 @@ def test_output_is_byte_stable(capsys, tmp_path):
     assert code == 0
     assert path.read_bytes() == first
     assert first.endswith(b"\n")
+
+
+def test_cli_snapshot_matches_golden_file():
+    # scripts/cli_snapshot.py rebuilt in-process; a change that alters CLI
+    # output on purpose regenerates tests/data/cli_snapshot.jsonl with it
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    golden = (ROOT / "tests" / "data" / "cli_snapshot.jsonl").read_bytes().decode("utf-8")
+    lines = golden.splitlines(keepends=True)
+    assert len(lines) == len(snapshot.CALLS)
+    for argv, want in zip(snapshot.CALLS, lines):
+        assert snapshot.snapshot_line(argv) == want, argv
 
 
 def test_out_writes_unix_newlines(capsys, tmp_path):

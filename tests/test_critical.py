@@ -113,6 +113,39 @@ def test_tol_validation():
         critical.find_critical_points(T, tol=1e-15)
 
 
+_E = critical.EXTRA_MERGE_TOL
+ORBIT_CASES = {
+    "mirror pair": ([(-0.21, -0.13), (0.21, 0.13)], [(0.21, 0.13)]),
+    "real axis mirror": ([(0.3, 1e-9), (-0.3, -1e-9), (-0.3, 2e-9)], [(0.3, -2e-9)]),
+    "t seam": ([(0.5 - 1e-9, 0.2), (-0.5 + 1e-9, 0.2)], [(-0.5 + 1e-9, 0.2)]),
+    "s seam": ([(0.3, 0.5 - 1e-9), (0.3, -0.5 + 1e-9), (-0.3, 0.5 - 1e-9)],
+               [(0.3, -0.5 + 1e-9)]),
+    "5e-7 apart": ([(0.1 + 5e-7, 0.3), (0.1, 0.3)], [(0.1, 0.3)]),
+    "2e-6 apart": ([(0.1, 0.3 + 2 * _E), (0.1, 0.3)], [(0.1, 0.3), (0.1, 0.3 + 2 * _E)]),
+    "near the half periods": (
+        [(0.5 - 5e-6, 3e-6), (-0.5, -4e-6), (2e-6, 0.5 - 4e-6),
+         (-3e-6, -0.5 + 1e-6), (0.5 - 9e-6, 0.5 - 9e-6), (-0.5 + 2e-6, -0.5)], []),
+    "just outside a half period": ([(0.5 - 2e-5, 0.0)], [(0.5 - 2e-5, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("roots, reps", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
+def test_orbit_reps_on_synthetic_roots(roots, reps):
+    # one representative per orbit {z, -z}, the first of its cluster in
+    # (t, s) order; roots near a half period are not extras
+    t, s = (np.array(c, dtype=float) for c in zip(*roots))
+    rt, rs = critical._orbit_reps(t, s)
+    assert list(zip(rt.tolist(), rs.tolist())) == reps
+
+
+def test_rhombic_census_near_the_cusp_merges_across_the_real_axis():
+    # below b0 the extra pair sits on the real axis; at b = 0.06 its roots
+    # scatter to s = +-3e-8, which must still fold into one orbit
+    cs = critical.find_critical_points(lattice.make_torus(0.5 + 0.06j))
+    assert cs.total_count == 5
+    assert abs(cs.extra.coords.s) < critical.EXTRA_MERGE_TOL
+
+
 def test_compare_half_periods_square():
     cmpr = critical.compare_half_periods(lattice.make_torus(1j))
     # G(w1/2) = G(w2/2) > G(w3/2) by the quarter turn symmetry

@@ -112,6 +112,17 @@ def test_critical_residual_consistent_with_gradient():
     assert abs(r - rebuilt) < 1e-12
 
 
+def test_critical_residual_is_the_solver_residual_and_raises_at_the_lattice():
+    T = lattice.make_torus(0.13 + 0.92j)
+    t = np.array([0.27, -0.41, 1.12])
+    s = np.array([0.31, 0.05, -2.3])
+    r, _, _ = green.residual_and_jacobian(t, s, T)
+    assert np.array_equal(green.critical_residual(t, s, T), r)
+    for tl, sl in ((0.0, 0.0), (1.0, -2.0)):
+        with pytest.raises(PoleAtLattice):
+            green.critical_residual(tl, sl, T)
+
+
 def test_residual_and_jacobian_matches_difference_quotient():
     T = lattice.make_torus(0.5 + 0.8j)
     t, s = 0.17, 0.23

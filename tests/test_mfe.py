@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import critical, lattice, mfe, weier
+from torusgreen import critical, green, lattice, mfe, weier
 from torusgreen.errors import (
     HalfPeriodBranch,
     NoExtraCriticalPoint,
@@ -98,6 +98,17 @@ def test_rejects_non_critical_seed():
     T = lattice.make_torus(HEX_TAU)
     with pytest.raises(NotACriticalPoint):
         mfe.developing_map_8pi(T, 0.2 + 0.1j)
+
+
+@pytest.mark.parametrize("dz", [1e-7, 1e-7j])
+def test_polish_recovers_the_census_z0(dz):
+    # a seed 1e-7 off passes the 1e-6 residual check and is polished back
+    T = lattice.make_torus(HEX_TAU)
+    z0 = critical.find_critical_points(T).extra.z
+    dm = mfe.developing_map_8pi(T, z0 + dz)
+    assert abs(dm.z0 - z0) < 1e-12
+    t, s, _, _ = lattice.split_coords(dm.z0, T.tau)
+    assert abs(green.critical_residual(float(t), float(s), T)) <= 1e-13
 
 
 def test_rejects_half_period_seed():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from torusgreen import critical, lattice, moduli, weier
-from torusgreen.errors import NoConvergence
+from torusgreen.errors import InvalidInput, NoConvergence, TorusGreenError
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
 # hessian determinant degeneracy of the half period 1/2 on the rhombic line
@@ -122,6 +122,20 @@ def test_scan_validates_inputs():
         moduli.scan((0.0, 0.1, 0.4, 0.5), 0, 4)
     with pytest.raises(ValueError):
         moduli.scan((0.0, 0.1, 0.4, 0.5), 4, 1024)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moduli.thresholds(tol=1e-13),
+    lambda: moduli.functional_equation_residual(0.0),
+    lambda: moduli.scan((0.0, 0.5, 0.4, 0.2), 4, 4),
+    lambda: moduli.scan((0.0, 0.1, 0.4, 0.5), 0, 4),
+], ids=["thresholds tol", "functional equation b", "scan region", "scan grid"])
+def test_input_checks_raise_invalid_input(call):
+    # a typed domain error that is still a ValueError for older callers
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert isinstance(info.value, TorusGreenError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_flip_edges_straddle_thresholds():
