@@ -31,11 +31,12 @@ def main():
     edges = moduli.flip_edges(cells, args.nx, args.ny)
     elapsed = time.perf_counter() - t0
 
-    counts = {}
+    counts, routes = {}, {}
     for c in cells:
         counts[c.count] = counts.get(c.count, 0) + 1
+        routes[c.route] = routes.get(c.route, 0) + 1
     errors = [c for c in cells if c.error is not None]
-    print(f"{len(cells)} cells in {elapsed:.1f}s; counts {counts}")
+    print(f"{len(cells)} cells in {elapsed:.1f}s; counts {counts}; routes {routes}")
     if errors:
         print(f"WARNING: {len(errors)} cells failed to classify", file=sys.stderr)
         for c in errors[:5]:

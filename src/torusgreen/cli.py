@@ -252,8 +252,18 @@ def _cmd_scan(args) -> tuple[dict, dict]:
             for e in edges
         ],
     }
-    n_err = sum(1 for c in cells if c.error is not None)
-    diagnostics = {"error_cells": n_err, "counts_seen": sorted({c.count for c in cells if c.error is None})}
+    routes = {"census": 0, "morse": 0, "warm_start": 0}
+    errors: dict[str, list[int]] = {}
+    for k, c in enumerate(cells):
+        routes[c.route] += 1
+        if c.error is not None:
+            errors.setdefault(c.error.partition(":")[0], []).append(k)
+    diagnostics = {
+        "error_cells": sum(len(v) for v in errors.values()),
+        "error_cells_by_type": errors,
+        "counts_seen": sorted({c.count for c in cells if c.error is None}),
+        "routes": routes,
+    }
     return results, diagnostics
 
 

@@ -233,16 +233,41 @@ def _build_point(torus: Torus, t: float, s: float, kind: Kind) -> CriticalPoint:
     )
 
 
-def _solve(torus: Torus, tol: float, n_grid: int):
-    """Representatives (t, s) of the extra orbits, plus the failed seed count."""
-    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
-    t, s, failures = _newton_sweep(torus, n_grid, r_target)
+def _extra_reps(t: np.ndarray, s: np.ndarray, torus: Torus):
+    """_orbit_reps of the wrapped roots, minus the gradient plateau roots."""
     t, s = _orbit_reps(t, s)
     if t.size:
         det = green.green_hessian(t + s * torus.tau, torus).det
         keep = np.abs(det) > PLATEAU_MIN_DET / (torus.b * torus.b)
         t, s = t[keep], s[keep]
+    return t, s
+
+
+def _solve(torus: Torus, tol: float, n_grid: int):
+    """Representatives (t, s) of the extra orbits, plus the failed seed count."""
+    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
+    t, s, failures = _newton_sweep(torus, n_grid, r_target)
+    t, s = _extra_reps(t, s, torus)
     return t, s, failures
+
+
+def extra_from_seed(torus: Torus, t: float, s: float,
+                    tol: float = 1e-12) -> LatticeCoords | None:
+    """The extra orbit representative that damped Newton reaches from (t, s).
+
+    One seed under the census convention (target pi * tol, polished three
+    decades past it), folded by the same array pass, so a root the census
+    would report comes back as the same representative.  None when the
+    seed does not converge or lands on a half period or a plateau.
+    """
+    r_target = np.pi * tol
+    t, s, rn = damped_newton([t], [s], torus, r_target * 1e-3)
+    if not (np.isfinite(rn[0]) and rn[0] <= r_target):
+        return None
+    t, s = _extra_reps(wrap_unit(t)[0], wrap_unit(s)[0], torus)
+    if not t.size:
+        return None
+    return LatticeCoords(float(t[0]), float(s[0]))
 
 
 def find_critical_points(torus: Torus, tol: float = 1e-12) -> CriticalSet:

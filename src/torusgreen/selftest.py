@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta, weier
+from .errors import InvalidInput
 from .lattice import Torus, random_tori
 
 
@@ -164,6 +165,8 @@ _TORUS_FUNS = {
 
 def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
     """Evaluate every identity over n_samples randomized (z, tau)."""
+    if n_samples < 1:
+        raise InvalidInput(f"sample count {n_samples} below 1")
     n_tori = max(8, n_samples // 8)
     tori = random_tori(n_tori, seed)
     rng = np.random.default_rng(seed + 1)

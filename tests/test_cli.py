@@ -145,6 +145,27 @@ def test_scan_json_and_csv_agree(capsys, tmp_path):
             assert fields[3] == "" and fields[4] == ""
 
 
+def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypatch):
+    from torusgreen import green
+    from torusgreen.errors import NoConvergence
+
+    real = green.green_hessian
+
+    def failing_at_first_cell(z, torus):
+        if abs(torus.tau - (0.475 + 0.65j)) < 1e-12:
+            raise NoConvergence("synthetic")
+        return real(z, torus)
+
+    monkeypatch.setattr(green, "green_hessian", failing_at_first_cell)
+    code, out, _ = run_cli(capsys, "scan", "--region=0.45,0.6,0.55,0.8", "--grid=2x2")
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["error_cells"] == 1
+    assert diag["error_cells_by_type"] == {"NoConvergence": [0]}
+    assert sorted(diag["routes"]) == ["census", "morse", "warm_start"]
+    assert sum(diag["routes"].values()) == 4
+
+
 def test_csv_only_for_scan(capsys):
     code, _, err = run_cli(capsys, "eval", "--tau", "i", "--z", "0.2",
                            "--format", "csv")
@@ -234,6 +255,8 @@ def test_domain_error_exit(capsys):
     ("scan", "--region=0,0.5,0.4,0.2", "--grid=2x2"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=0x4"),
     ("inequalities", "--b=-1"),
+    ("selftest", "--samples=0"),
+    ("selftest", "--samples=-3"),
 ], ids=" ".join)
 def test_out_of_range_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

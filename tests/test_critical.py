@@ -146,6 +146,19 @@ def test_rhombic_census_near_the_cusp_merges_across_the_real_axis():
     assert abs(cs.extra.coords.s) < critical.EXTRA_MERGE_TOL
 
 
+def test_extra_from_seed_returns_the_census_representative(hex_torus, square_torus):
+    T = hex_torus
+    z0 = critical.find_critical_points(T).extra.coords
+    # a seed near either member of the pair folds to the same representative
+    for t, s in ((z0.t + 0.01, z0.s - 0.02), (-z0.t + 0.02, -z0.s + 0.01)):
+        got = critical.extra_from_seed(T, t, s)
+        assert abs(got.t - z0.t) <= 1e-12
+        assert abs(got.s - z0.s) <= 1e-12
+    # a seed that converges to a half period reports no extra point
+    assert critical.extra_from_seed(T, 0.49, 0.01) is None
+    assert critical.extra_from_seed(square_torus, 0.3, 0.2) is None
+
+
 def test_compare_half_periods_square():
     cmpr = critical.compare_half_periods(lattice.make_torus(1j))
     # G(w1/2) = G(w2/2) > G(w3/2) by the quarter turn symmetry

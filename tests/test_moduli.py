@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from torusgreen import critical, lattice, moduli, weier
+from torusgreen import critical, green, lattice, moduli, weier
 from torusgreen.errors import InvalidInput, NoConvergence, TorusGreenError
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
@@ -157,19 +157,76 @@ def test_flip_edges_straddle_thresholds():
 
 
 def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
+    # every cell starts from the half period determinants, so a failure
+    # there reaches each cell whatever its count
     region = (0.1, 0.6, 0.45, 1.0)
 
-    def no_convergence(torus):
-        raise NoConvergence("synthetic sweep disagreement")
+    def no_convergence(z, torus):
+        raise NoConvergence("synthetic series failure")
 
-    monkeypatch.setattr(critical, "find_critical_points", no_convergence)
+    monkeypatch.setattr(green, "green_hessian", no_convergence)
     cells = moduli.scan(region, 2, 1)
     assert [c.count for c in cells] == [0, 0]
-    assert all(c.error == "NoConvergence: synthetic sweep disagreement" for c in cells)
+    assert all(c.error == "NoConvergence: synthetic series failure" for c in cells)
 
-    def bug(torus):
+    def bug(z, torus):
         return 1 / 0
 
-    monkeypatch.setattr(critical, "find_critical_points", bug)
+    monkeypatch.setattr(green, "green_hessian", bug)
     with pytest.raises(ZeroDivisionError):
         moduli.scan(region, 2, 1)
+
+
+@pytest.mark.parametrize("region, nx, ny", [
+    ((0.0, 0.1, 0.5, 2.0), 12, 12),
+    ((0.4995, 0.2, 0.5005, 0.9), 1, 14),     # the rhombic column across b0 and b1
+], ids=["criterion 7 rectangle 12x12", "rhombic column"])
+def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
+    cells = moduli.scan(region, nx, ny)
+    for c in cells:
+        torus = lattice.make_torus(c.tau)
+        cs = critical.find_critical_points(torus)
+        assert c.error is None
+        assert c.count == cs.total_count, c.tau
+        if cs.extra is None:
+            assert c.extra_point is None
+            continue
+        assert abs(c.extra_point.t - cs.extra.coords.t) <= 1e-12, c.tau
+        assert abs(c.extra_point.s - cs.extra.coords.s) <= 1e-12, c.tau
+        gx, gy = green.green_grad(c.extra_point.t + c.extra_point.s * c.tau, torus)
+        assert math.hypot(gx, gy) <= 1e-12
+    routes = {c.route for c in cells}
+    assert routes <= {"morse", "warm_start", "census"}
+    assert {"morse", "warm_start"} <= routes
+
+
+def test_scan_routes_on_the_rhombic_column():
+    # b = 0.3 is below b0 and seedless, so the census locates z0; b = 0.4
+    # and b = 0.6 sit between the thresholds, where the signs decide 3
+    cells = moduli.scan((0.4995, 0.25, 0.5005, 0.65), 1, 4)
+    assert [c.count for c in cells] == [5, 3, 3, 3]
+    assert [c.route for c in cells] == ["census", "morse", "morse", "morse"]
+
+
+def test_seedless_five_cell_with_a_three_point_census_is_a_count_violation(monkeypatch):
+    square = critical.find_critical_points(lattice.make_torus(1j))
+    assert square.total_count == 3
+    monkeypatch.setattr(critical, "find_critical_points", lambda torus: square)
+    # one cell around the hexagonal torus: all half periods are saddles
+    hex_b = math.sqrt(3) / 2
+    cells = moduli.scan((0.4995, hex_b - 0.001, 0.5005, hex_b + 0.001), 1, 1)
+    assert cells[0].count == 0
+    assert cells[0].route == "census"
+    assert cells[0].error.startswith("CountViolation: census found 3 critical points")
+
+
+def test_flip_edges_batched_determinants_match_scalar_calls():
+    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 6, 6)
+    edges = moduli.flip_edges(cells, 6, 6)
+    assert edges
+    for e in edges:
+        torus = lattice.make_torus(e.midpoint)
+        dets = [abs(green.green_hessian(h, torus).det) for h in torus.half_periods]
+        k = min(range(3), key=dets.__getitem__)
+        assert e.degenerate_half_period == k + 1
+        assert abs(e.min_abs_det - dets[k]) <= 1e-13 * dets[k]
