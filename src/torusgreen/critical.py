@@ -49,6 +49,7 @@ PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # those fake roots carry determinants ~1e-12 while
                           # genuine extras sit at O(1)
 DEGENERACY_EPS = 1e-8     # default scale factor for the Morse tie band
+DEFAULT_TOL = 1e-12       # census gradient tolerance, shared by extra_from_seed
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 
 
@@ -251,16 +252,16 @@ def _solve(torus: Torus, tol: float, n_grid: int):
     return t, s, failures
 
 
-def extra_from_seed(torus: Torus, t: float, s: float,
-                    tol: float = 1e-12) -> LatticeCoords | None:
+def extra_from_seed(torus: Torus, t: float, s: float) -> LatticeCoords | None:
     """The extra orbit representative that damped Newton reaches from (t, s).
 
-    One seed under the census convention (target pi * tol, polished three
-    decades past it), folded by the same array pass, so a root the census
-    would report comes back as the same representative.  None when the
-    seed does not converge or lands on a half period or a plateau.
+    One seed under the default census convention (target pi * DEFAULT_TOL,
+    polished three decades past it), folded by the same array pass, so a
+    root the census would report comes back as the same representative.
+    None when the seed does not converge or lands on a half period or a
+    plateau.
     """
-    r_target = np.pi * tol
+    r_target = np.pi * DEFAULT_TOL
     t, s, rn = damped_newton([t], [s], torus, r_target * 1e-3)
     if not (np.isfinite(rn[0]) and rn[0] <= r_target):
         return None
@@ -270,7 +271,7 @@ def extra_from_seed(torus: Torus, t: float, s: float,
     return LatticeCoords(float(t[0]), float(s[0]))
 
 
-def find_critical_points(torus: Torus, tol: float = 1e-12) -> CriticalSet:
+def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     """All critical points: the three half periods plus any extra pair.
 
     Multi start damped Newton on a 24x24 seed grid (minus the exclusion
