@@ -32,11 +32,13 @@ def main():
     elapsed = time.perf_counter() - t0
 
     counts, routes = {}, {}
+    errors = [c for c in cells if c.error is not None]
     for c in cells:
         counts[c.count] = counts.get(c.count, 0) + 1
-        routes[c.route] = routes.get(c.route, 0) + 1
-    errors = [c for c in cells if c.error is not None]
-    print(f"{len(cells)} cells in {elapsed:.1f}s; counts {counts}; routes {routes}")
+        if c.error is None:
+            routes[c.route] = routes.get(c.route, 0) + 1
+    print(f"{len(cells)} cells in {elapsed:.1f}s; counts {counts}; "
+          f"routes {routes}; {len(errors)} errors")
     if errors:
         print(f"WARNING: {len(errors)} cells failed to classify", file=sys.stderr)
         for c in errors[:5]:

@@ -217,6 +217,7 @@ def _cmd_critical(args) -> tuple[dict, dict]:
         "ranking_ties": list(comparison.ties),
         "formula_deviation": comparison.max_formula_deviation,
         "tie_tolerance": comparison.tie_tol,
+        "route": cs.route,
     }
     return results, diagnostics
 
@@ -252,11 +253,12 @@ def _cmd_scan(args) -> tuple[dict, dict]:
             for e in edges
         ],
     }
-    routes = {"census": 0, "morse": 0, "warm_start": 0}
+    routes = {"census": 0, "morse": 0, "seeds": 0}
     errors: dict[str, list[int]] = {}
     for k, c in enumerate(cells):
-        routes[c.route] += 1
-        if c.error is not None:
+        if c.error is None:
+            routes[c.route] += 1
+        else:
             errors.setdefault(c.error.partition(":")[0], []).append(k)
     diagnostics = {
         "error_cells": sum(len(v) for v in errors.values()),

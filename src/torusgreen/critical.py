@@ -1,17 +1,26 @@
 """Critical points of the torus Green function.
 
-The critical equation is the vanishing of the residual
-r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2, which collapses to
-(log theta1)_z + 2 pi i s, so the multi start Newton iteration below needs
-one theta series pass per step for the whole seed batch.  Every torus has
-the three half periods as critical points; at most one extra pair +-z0 can
-appear (Lin and Wang), so the census only has to pick one orbit out of
-the converged roots.  One array pass does it: roots near a half period
-are dropped, the rest are folded modulo z ~ -z, sorted, and merged at the
-single tolerance EXTRA_MERGE_TOL.  More than one surviving orbit is
-reported as CountViolation because it can only mean an evaluation bug.
-The damped Newton kernel here also polishes the seed of the 8 pi mean
-field construction.
+Every torus has the three half periods as critical points and at most one
+extra pair +-z0 (Lin and Wang); the pair are minima and
+#min - #saddle = -1, so there are five points exactly when all three half
+periods are saddles.  find_critical_points reads the half period Hessian
+determinants first and takes one of three routes, kept in CriticalSet.route:
+
+- "morse": every |det| * b^2 clears MORSE_MARGIN and some det is
+  positive: three points, no Newton;
+- "seeds": all three dets are negative: one damped Newton call from the
+  55 fixed seeds below locates z0;
+- "census": a det within the margin, or seeds that do not leave exactly
+  one extra orbit: multi start Newton from a 24x24 seed grid decides.
+
+The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
+collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
+series pass for all seeds.  One array pass reduces the converged roots to
+extra orbits: roots near a half period go, the rest are folded modulo
+z ~ -z and merged at EXTRA_MERGE_TOL.  CountViolation marks an evaluation
+bug: a second orbit, fewer than five points where the signs force five,
+or, on the morse and seeds routes, unbalanced Morse labels.  The damped
+Newton kernel also polishes the seed of the 8 pi mean field construction.
 """
 
 from __future__ import annotations
@@ -49,8 +58,20 @@ PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # those fake roots carry determinants ~1e-12 while
                           # genuine extras sit at O(1)
 DEGENERACY_EPS = 1e-8     # default scale factor for the Morse tie band
-DEFAULT_TOL = 1e-12       # census gradient tolerance, shared by extra_from_seed
+DEFAULT_TOL = 1e-12       # default gradient tolerance of the Newton routes
+MORSE_MARGIN = 1e-6       # a torus with min |det Hess G(w_k/2)| * b^2 below this
+                          # is too close to a degeneracy for the signs to decide
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+# seeds route: the hexagonal z0 and its images, the midpoints between half
+# periods, and offsets of 0.05 and 0.15 along the axes and diagonals around
+# each half period, where z0 is born
+_AROUND = [(dt, ds) for dt in (-1, 0, 1) for ds in (-1, 0, 1) if dt or ds]
+_SEED_T, _SEED_S = np.array(
+    [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3),
+     (0.25, 0.5), (0.5, 0.25), (0.75, 0.5), (0.5, 0.75)]
+    + [(tc + r * dt, sc + r * ds)
+       for tc, sc in _HP_COORDS for r in (0.05, 0.15) for dt, ds in _AROUND]
+).T
 
 
 class Kind(Enum):
@@ -89,6 +110,7 @@ class CriticalSet:
 
     points: tuple[CriticalPoint, ...]
     total_count: int
+    route: str                     # "morse", "seeds" or "census"
 
     @property
     def extra(self) -> CriticalPoint | None:
@@ -123,13 +145,16 @@ def damped_newton(t, s, torus: Torus, r_stop: float):
         step = np.ones(live.size)
         pending = np.ones(live.size, dtype=bool)
         for _halving in range(12):
-            # evaluate only the seeds still waiting for an accepted step
+            # evaluate only the seeds still waiting for an accepted step whose
+            # trial point moved: a step under the float spacing cannot lower |r|
             sub = np.flatnonzero(pending)
-            if sub.size == 0:
-                break
             idx = live[sub]
             t_try = t[idx] - step[sub] * dt[sub]
             s_try = s[idx] - step[sub] * ds[sub]
+            moved = (t_try != t[idx]) | (s_try != s[idx])
+            sub, idx, t_try, s_try = sub[moved], idx[moved], t_try[moved], s_try[moved]
+            if sub.size == 0:
+                break
             r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, torus)
             rn2 = np.abs(r2)
             ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
@@ -149,26 +174,24 @@ def damped_newton(t, s, torus: Torus, r_stop: float):
     return t, s, rn
 
 
-def _newton_sweep(torus: Torus, n_grid: int, r_target: float):
-    """Damped Newton from an n_grid^2 seed lattice; returns (t, s, failures).
-
-    t and s hold the wrapped coordinates of the converged roots in seed
-    order, failures the number of seeds that neither converged nor were
-    pruned by the exclusion disk.
-    """
-    tau = torus.tau
+def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
-    t, s = [a.ravel() for a in np.meshgrid(g, g)]
-    # prune seeds within the exclusion radius of a lattice point
-    keep = lattice_gap(t + s * tau, tau) > EXCLUSION_RADIUS
+    t, s = np.meshgrid(g, g)
+    return t.ravel(), s.ravel()
+
+
+def _solve(torus: Torus, t: np.ndarray, s: np.ndarray, tol: float):
+    """Extra orbit representatives (t, s) reached from the given seeds,
+    plus the number of seeds that neither converged nor were pruned."""
+    keep = lattice_gap(t + s * torus.tau, torus.tau) > EXCLUSION_RADIUS
+    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
     # polish three decades past the acceptance target: near a degeneracy
     # threshold the residual valley is flat enough that stopping exactly at
     # the target scatters one root across several merge cells
     t, s, rn = damped_newton(t[keep], s[keep], torus, r_target * 1e-3)
     converged = np.isfinite(rn) & (rn <= r_target)
-    tw, _ = wrap_unit(t[converged])
-    sw, _ = wrap_unit(s[converged])
-    return tw, sw, int(np.count_nonzero(~converged))
+    ts, ss = _extra_reps(wrap_unit(t[converged])[0], wrap_unit(s[converged])[0], torus)
+    return ts, ss, int(np.count_nonzero(~converged))
 
 
 def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,17 +244,21 @@ def classify(point: CriticalPoint, degeneracy_eps: float = DEGENERACY_EPS) -> Mo
     return _classify_hessian(point.hessian, b, degeneracy_eps)
 
 
-def _build_point(torus: Torus, t: float, s: float, kind: Kind) -> CriticalPoint:
-    z = t + s * torus.tau
-    h = green.green_hessian(z, torus)
+def _point(torus: Torus, t: float, s: float, kind: Kind, h: Hessian2, g_rel: float):
     return CriticalPoint(
         coords=LatticeCoords(t, s),
-        z=z,
+        z=t + s * torus.tau,
         kind=kind,
         morse=_classify_hessian(h, torus.b, DEGENERACY_EPS),
         hessian=h,
-        g_rel=float(green.green_rel(z, torus)),
+        g_rel=g_rel,
     )
+
+
+def _build_point(torus: Torus, t: float, s: float, kind: Kind) -> CriticalPoint:
+    z = t + s * torus.tau
+    return _point(torus, t, s, kind, green.green_hessian(z, torus),
+                  float(green.green_rel(z, torus)))
 
 
 def _extra_reps(t: np.ndarray, s: np.ndarray, torus: Torus):
@@ -244,70 +271,89 @@ def _extra_reps(t: np.ndarray, s: np.ndarray, torus: Torus):
     return t, s
 
 
-def _solve(torus: Torus, tol: float, n_grid: int):
-    """Representatives (t, s) of the extra orbits, plus the failed seed count."""
-    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
-    t, s, failures = _newton_sweep(torus, n_grid, r_target)
-    t, s = _extra_reps(t, s, torus)
-    return t, s, failures
+def half_period_hessians(torus: Torus) -> Hessian2:
+    """Hessians of G at w1/2, w2/2, w3/2, as arrays from one series pass."""
+    return green.green_hessian(np.array(torus.half_periods), torus)
 
 
-def extra_from_seed(torus: Torus, t: float, s: float) -> LatticeCoords | None:
-    """The extra orbit representative that damped Newton reaches from (t, s).
+def _critical_set(torus: Torus, route: str, hp: Hessian2, ts=(), ss=()) -> CriticalSet:
+    """The half periods, with Hessians hp, plus the extra orbits (ts, ss)."""
+    kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
+    hessians = zip(hp.xx.tolist(), hp.xy.tolist(), hp.yy.tolist(), hp.det.tolist())
+    g_rel = green.green_rel(np.array(torus.half_periods), torus).tolist()
+    points = [_point(torus, t, s, kind, Hessian2(*h), g)
+              for (t, s), kind, h, g in zip(_HP_COORDS, kinds, hessians, g_rel)]
+    points += [_build_point(torus, float(t), float(s), Kind.EXTRA_PAIR) for t, s in zip(ts, ss)]
+    return CriticalSet(points=tuple(points), total_count=3 + 2 * len(ts), route=route)
 
-    One seed under the default census convention (target pi * DEFAULT_TOL,
-    polished three decades past it), folded by the same array pass, so a
-    root the census would report comes back as the same representative.
-    None when the seed does not converge or lands on a half period or a
-    plateau.
+
+def _checked(cs: CriticalSet, torus: Torus, tol: float) -> CriticalSet:
+    """cs, once |grad G| <= tol at each point and #min - #saddle = -1."""
+    t = np.array([p.coords.t for p in cs.points])
+    s = np.array([p.coords.s for p in cs.points])
+    r, _, _ = green.residual_and_jacobian(t, s, torus)
+    grad = float(np.max(np.abs(r))) / (2.0 * np.pi)
+    if not grad <= tol:
+        raise Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
+                          f"{cs.route} route at tau = {torus.tau}")
+    balance = sum((2 if p.kind is Kind.EXTRA_PAIR else 1)
+                  * ((p.morse is Morse.MIN) - (p.morse is Morse.SADDLE)) for p in cs.points)
+    if balance != -1:
+        raise CountViolation(
+            f"#min - #saddle = {balance} among the {cs.total_count} critical points "
+            f"of the {cs.route} route at tau = {torus.tau}; the Euler count forces -1"
+        )
+    return cs
+
+
+def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
+    """The critical set from a 24x24 seed grid (minus the exclusion disk).
+
+    More than one extra orbit raises CountViolation.  A failed seed alone
+    is tolerated; NoConvergence fires only when a verification sweep at
+    48x48 also disagrees on the count.
     """
-    r_target = np.pi * DEFAULT_TOL
-    t, s, rn = damped_newton([t], [s], torus, r_target * 1e-3)
-    if not (np.isfinite(rn[0]) and rn[0] <= r_target):
-        return None
-    t, s = _extra_reps(wrap_unit(t)[0], wrap_unit(s)[0], torus)
-    if not t.size:
-        return None
-    return LatticeCoords(float(t[0]), float(s[0]))
-
-
-def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
-    """All critical points: the three half periods plus any extra pair.
-
-    Multi start damped Newton on a 24x24 seed grid (minus the exclusion
-    disk around the lattice point).  The half periods are known critical
-    points, so one array pass reduces the converged roots to the extra
-    orbits: roots near a half period go, the rest are folded modulo
-    z ~ -z and merged at the single tolerance EXTRA_MERGE_TOL.  More than
-    five distinct points raises CountViolation.  A failed seed alone is
-    tolerated; NoConvergence fires only when a verification sweep at 48x48
-    also disagrees on the count.
-    """
-    if not 1e-14 <= tol <= 1e-6:
-        raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
-    ts, ss, failures = _solve(torus, tol, 24)
+    ts, ss, failures = _solve(torus, *_grid_seeds(24), tol)
     if failures:
-        ts_fine, _, _ = _solve(torus, tol, 48)
+        ts_fine, _, _ = _solve(torus, *_grid_seeds(48), tol)
         if ts_fine.size != ts.size:
             raise NoConvergence(
                 f"{failures} seeds failed and the 24/48 sweeps disagree "
                 f"({ts.size} vs {ts_fine.size} extra orbits) at tau = {torus.tau}"
             )
-    total = 3 + 2 * ts.size
-    if total > 5:
+    if ts.size > 1:
         raise CountViolation(
-            f"{total} critical points survived dedup at tau = {torus.tau}; "
+            f"{3 + 2 * ts.size} critical points survived dedup at tau = {torus.tau}; "
             "more than five is impossible and indicates an evaluation bug"
         )
-    points = [
-        _build_point(torus, tc, sc, kind)
-        for (tc, sc), kind in zip(
-            _HP_COORDS, (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
+    return _critical_set(torus, "census", half_period_hessians(torus), ts, ss)
+
+
+def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
+    """All critical points: the three half periods plus any extra pair.
+
+    The route (see the module docstring) is recorded in the result.  The
+    morse and seeds routes check |grad G| <= tol at every point and the
+    Morse balance; where all three half periods are saddles, a count
+    other than five raises CountViolation.
+    """
+    if not 1e-14 <= tol <= 1e-6:
+        raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
+    hp = half_period_hessians(torus)
+    if np.min(np.abs(hp.det)) * torus.b ** 2 < MORSE_MARGIN:
+        return _census(torus, tol)
+    if np.any(hp.det > 0.0):
+        return _checked(_critical_set(torus, "morse", hp), torus, tol)
+    ts, ss, _ = _solve(torus, _SEED_T, _SEED_S, tol)
+    if ts.size == 1:
+        return _checked(_critical_set(torus, "seeds", hp, ts, ss), torus, tol)
+    cs = _census(torus, tol)
+    if cs.total_count != 5:
+        raise CountViolation(
+            f"census found {cs.total_count} critical points at tau = {torus.tau}, but "
+            "all three half periods are saddles, which forces 5"
         )
-    ]
-    for s, t in sorted(zip(ss.tolist(), ts.tolist())):
-        points.append(_build_point(torus, t, s, Kind.EXTRA_PAIR))
-    return CriticalSet(points=tuple(points), total_count=total)
+    return cs
 
 
 # ---------------------------------------------------------------------------

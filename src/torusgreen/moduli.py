@@ -3,15 +3,9 @@
 Thresholds b0 and b1 are the roots of e1 + eta1 and e1 + eta1 - 2 pi / b
 on tau = 1/2 + i b; between them the half period 1/2 is a local minimum
 of the Green function and no extra pair exists.  The scan classifies a
-rectangle of moduli into three point and five point tori and reports the
-empirical boundary as the set of grid edges where the count flips.
-
-A torus has five critical points exactly when all three half periods are
-saddles, so the scan reads the count off the signs of the half period
-Hessian determinants ("morse" route), locates the extra point of a
-5-cell by Newton from a neighbour's ("warm_start"), and runs the full
-Newton census only where those determinants are nearly degenerate or no
-neighbour seed converges ("census").
+rectangle of moduli into three point and five point tori, one
+critical.find_critical_points call per cell, and reports the empirical
+boundary as the set of grid edges where the count flips.
 """
 
 from __future__ import annotations
@@ -21,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import critical, green, theta, weier
-from .errors import BracketFailure, CountViolation, InvalidInput, TorusGreenError
+from . import critical, theta, weier
+from .errors import BracketFailure, InvalidInput, TorusGreenError
 from .lattice import LatticeCoords, make_torus
 
 BRACKET_LO = 0.05
 BRACKET_HI = 2.0
-MORSE_MARGIN = 1e-6       # a cell with min |det Hess G(w_k/2)| * b^2 below this
-                          # is too close to a degeneracy for the signs to decide
 _TWO_PI = 2.0 * math.pi
 
 
@@ -43,13 +35,16 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class ScanCell:
-    """One classified modulus; error holds "ExceptionName: message" if the
-    cell could not be classified, in which case count is 0."""
+    """One classified modulus and the critical point route that decided it.
+
+    error holds "ExceptionName: message" if the cell could not be
+    classified, in which case count is 0 and route is None.
+    """
 
     tau: complex
     count: int
     extra_point: LatticeCoords | None
-    route: str                     # "morse", "warm_start" or "census"
+    route: str | None              # CriticalSet.route: "morse", "seeds" or "census"
     error: str | None = None
 
 
@@ -230,37 +225,14 @@ def lambda_circle_residual(tau: complex) -> float:
     return abs(abs(lam - 1.0) - 1.0)
 
 
-def _half_period_dets(torus) -> np.ndarray:
-    """Hessian determinants of G at w1/2, w2/2, w3/2, one series pass."""
-    return green.green_hessian(np.array(torus.half_periods), torus).det
-
-
-def _classify_cell(tau: complex, seeds: list[LatticeCoords]) -> ScanCell:
-    route = "morse"
+def _classify(tau: complex) -> ScanCell:
     try:
-        torus = make_torus(tau)
-        det = _half_period_dets(torus)
-        fragile = np.min(np.abs(det)) * torus.b ** 2 < MORSE_MARGIN
-        if not fragile:
-            if np.any(det > 0.0):
-                return ScanCell(tau=tau, count=3, extra_point=None, route=route)
-            route = "warm_start"
-            for seed in seeds:
-                extra = critical.extra_from_seed(torus, seed.t, seed.s)
-                if extra is not None:
-                    return ScanCell(tau=tau, count=5, extra_point=extra, route=route)
-        route = "census"
-        cs = critical.find_critical_points(torus)
-        if not fragile and cs.total_count != 5:
-            raise CountViolation(
-                f"census found {cs.total_count} critical points at tau = {tau}, but "
-                "all three half periods are saddles, which forces 5"
-            )
-        coords = None if cs.extra is None else cs.extra.coords
-        return ScanCell(tau=tau, count=cs.total_count, extra_point=coords, route=route)
+        cs = critical.find_critical_points(make_torus(tau))
     except TorusGreenError as exc:
-        return ScanCell(tau=tau, count=0, extra_point=None, route=route,
+        return ScanCell(tau=tau, count=0, extra_point=None, route=None,
                         error=f"{type(exc).__name__}: {exc}")
+    coords = None if cs.extra is None else cs.extra.coords
+    return ScanCell(tau=tau, count=cs.total_count, extra_point=coords, route=cs.route)
 
 
 def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[ScanCell]:
@@ -268,22 +240,8 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
 
     region is (re_min, im_min, re_max, im_max); cells are ordered row
     major from the bottom row up, left to right, so output is byte stable
-    across runs.  Each cell takes one of three routes, recorded in its
-    route field:
-
-    - "morse": the half period Hessian determinants decide.  Lin and Wang
-      allow 3 or 5 critical points, the extra pair are minima and
-      #min - #saddle = -1, so a torus has 5 exactly when all three half
-      periods are saddles.  A cell with a positive determinant is a
-      3-cell with no extra point.
-    - "warm_start": in a 5-cell, damped Newton from the extra point of an
-      already classified neighbour (left, below, below right, below left)
-      locates z0.
-    - "census": the full Newton census decides when some determinant is
-      within MORSE_MARGIN / b^2 of zero, and locates z0 in a 5-cell that
-      no neighbour seed reaches.  A seedless 5-cell whose census does not
-      find 5 points records CountViolation.
-
+    across runs.  Each cell is classified on its own by
+    critical.find_critical_points, and records the route that decided it.
     A package failure (TorusGreenError) is recorded in its cell and the
     scan goes on; any other exception is a bug and propagates.
     """
@@ -294,16 +252,8 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
         raise InvalidInput(f"grid {nx}x{ny} outside [1, 512]^2")
     dx = (re1 - re0) / nx
     dy = (im1 - im0) / ny
-    cells: list[ScanCell] = []
-    for j in range(ny):
-        for i in range(nx):
-            # classified neighbours: left, below, below right, below left
-            near = [cells[j2 * nx + i2].extra_point
-                    for i2, j2 in ((i - 1, j), (i, j - 1), (i + 1, j - 1), (i - 1, j - 1))
-                    if 0 <= i2 < nx and j2 >= 0]
-            tau = complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy)
-            cells.append(_classify_cell(tau, [p for p in near if p is not None]))
-    return cells
+    return [_classify(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))
+            for j in range(ny) for i in range(nx)]
 
 
 def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
@@ -324,7 +274,7 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
                 if a.count == 0 or bcell.count == 0 or a.count == bcell.count:
                     continue
                 mid = 0.5 * (a.tau + bcell.tau)
-                dets = np.abs(_half_period_dets(make_torus(mid)))
+                dets = np.abs(critical.half_period_hessians(make_torus(mid)).det)
                 k = int(np.argmin(dets))
                 out.append(FlipEdge(
                     tau_low=a.tau,

@@ -121,6 +121,7 @@ def test_critical_subcommand_hex(capsys):
     kinds = [p["kind"] for p in doc["results"]["points"]]
     assert kinds.count("ExtraPair") == 1
     assert len(doc["diagnostics"]["half_period_ranking"][0]) == 3
+    assert doc["diagnostics"]["route"] == "seeds"
 
 
 def test_scan_json_and_csv_agree(capsys, tmp_path):
@@ -162,10 +163,10 @@ def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypa
     diag = json.loads(out)["diagnostics"]
     assert diag["error_cells"] == 1
     assert diag["error_cells_by_type"] == {"NoConvergence": [0]}
-    # The errored cell stays on "morse", where it failed; (0.525, 0.65) is a
-    # 3-cell; (0.475, 0.75) is a 5-cell with no classified neighbour, so the
-    # census runs; (0.525, 0.75) warm starts from its left neighbour.
-    assert diag["routes"] == {"census": 1, "morse": 2, "warm_start": 1}
+    # The errored cell has no route; (0.525, 0.65) is a 3-cell and the two
+    # cells of the upper row are 5-cells whose z0 the seeds locate.
+    assert diag["routes"] == {"census": 0, "morse": 1, "seeds": 2}
+    assert sum(diag["routes"].values()) + diag["error_cells"] == 4
 
 
 def test_csv_only_for_scan(capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from torusgreen import critical, green, lattice
 from torusgreen.critical import Kind, Morse
-from torusgreen.errors import NotInExtraRegime
+from torusgreen.errors import CountViolation, NotInExtraRegime, Unconverged
+from torusgreen.green import Hessian2
 
 # frozen threshold digits (see test_moduli.py for their defining equations)
 B_LOWER = 0.35472989252248
@@ -146,17 +147,59 @@ def test_rhombic_census_near_the_cusp_merges_across_the_real_axis():
     assert abs(cs.extra.coords.s) < critical.EXTRA_MERGE_TOL
 
 
-def test_extra_from_seed_returns_the_census_representative(hex_torus, square_torus):
-    T = hex_torus
-    z0 = critical.find_critical_points(T).extra.coords
-    # a seed near either member of the pair folds to the same representative
-    for t, s in ((z0.t + 0.01, z0.s - 0.02), (-z0.t + 0.02, -z0.s + 0.01)):
-        got = critical.extra_from_seed(T, t, s)
-        assert abs(got.t - z0.t) <= 1e-12
-        assert abs(got.s - z0.s) <= 1e-12
-    # a seed that converges to a half period reports no extra point
-    assert critical.extra_from_seed(T, 0.49, 0.01) is None
-    assert critical.extra_from_seed(square_torus, 0.3, 0.2) is None
+def test_find_critical_points_routes_on_the_square_and_hex_tori(hex_torus, square_torus):
+    cs = critical.find_critical_points(hex_torus)
+    assert cs.route == "seeds"
+    z0 = critical._census(hex_torus).extra.coords
+    assert abs(cs.extra.coords.t - z0.t) <= 1e-12
+    assert abs(cs.extra.coords.s - z0.s) <= 1e-12
+    assert critical.find_critical_points(square_torus).route == "morse"
+
+
+def test_find_critical_points_matches_the_census_on_random_tori():
+    routes = set()
+    for T in lattice.random_tori(60, seed=11):
+        cs = critical.find_critical_points(T)
+        ref = critical._census(T)
+        routes.add(cs.route)
+        assert cs.total_count == ref.total_count, T.tau
+        if ref.extra is None:
+            assert cs.extra is None
+            continue
+        assert abs(cs.extra.coords.t - ref.extra.coords.t) <= 1e-12, T.tau
+        assert abs(cs.extra.coords.s - ref.extra.coords.s) <= 1e-12, T.tau
+    assert {"morse", "seeds"} <= routes
+
+
+@pytest.mark.parametrize("tau, batched", [(1j, True), (complex(0.5, math.sqrt(3) / 2), False)],
+                         ids=["morse", "seeds"])
+def test_a_wrong_hessian_sign_is_a_count_violation(tau, batched, monkeypatch):
+    real = green.green_hessian
+
+    def flipped(z, torus):
+        # wrong determinant signs: at the three half periods on the square
+        # torus (the morse route then reads two minima), or at the extra
+        # point alone on the hexagonal one (seeds route, a saddle pair)
+        h = real(z, torus)
+        if (np.ndim(z) > 0) != batched:
+            return h
+        return Hessian2(h.xx, h.xy, h.yy, -h.det)
+
+    monkeypatch.setattr(green, "green_hessian", flipped)
+    with pytest.raises(CountViolation, match="the Euler count forces -1"):
+        critical.find_critical_points(lattice.make_torus(tau))
+
+
+def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypatch):
+    real = green.residual_and_jacobian
+
+    def off(t, s, torus):
+        r, rt, rs = real(t, s, torus)
+        return r + 1e-9, rt, rs
+
+    monkeypatch.setattr(green, "residual_and_jacobian", off)
+    with pytest.raises(Unconverged, match="grad G"):
+        critical.find_critical_points(square_torus)
 
 
 def test_compare_half_periods_square():

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from torusgreen import critical, green, lattice, moduli, weier
-from torusgreen.errors import InvalidInput, NoConvergence, TorusGreenError
+from torusgreen.errors import CountViolation, InvalidInput, NoConvergence, TorusGreenError
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
 # hessian determinant degeneracy of the half period 1/2 on the rhombic line
@@ -168,6 +169,7 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     cells = moduli.scan(region, 2, 1)
     assert [c.count for c in cells] == [0, 0]
     assert all(c.error == "NoConvergence: synthetic series failure" for c in cells)
+    assert all(c.route is None for c in cells)
 
     def bug(z, torus):
         return 1 / 0
@@ -185,7 +187,7 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
     cells = moduli.scan(region, nx, ny)
     for c in cells:
         torus = lattice.make_torus(c.tau)
-        cs = critical.find_critical_points(torus)
+        cs = critical._census(torus)
         assert c.error is None
         assert c.count == cs.total_count, c.tau
         if cs.extra is None:
@@ -196,27 +198,35 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
         gx, gy = green.green_grad(c.extra_point.t + c.extra_point.s * c.tau, torus)
         assert math.hypot(gx, gy) <= 1e-12
     routes = {c.route for c in cells}
-    assert routes <= {"morse", "warm_start", "census"}
-    assert {"morse", "warm_start"} <= routes
+    assert routes <= {"morse", "seeds", "census"}
+    assert {"morse", "seeds"} <= routes
 
 
 def test_scan_routes_on_the_rhombic_column():
-    # b = 0.3 is below b0 and seedless, so the census locates z0; b = 0.4
-    # and b = 0.6 sit between the thresholds, where the signs decide 3
+    # b = 0.3 is below b0, so all half periods are saddles and the seeds
+    # locate z0; b = 0.4 and b = 0.6 sit between the thresholds, where the
+    # signs decide 3
     cells = moduli.scan((0.4995, 0.25, 0.5005, 0.65), 1, 4)
     assert [c.count for c in cells] == [5, 3, 3, 3]
-    assert [c.route for c in cells] == ["census", "morse", "morse", "morse"]
+    assert [c.route for c in cells] == ["seeds", "morse", "morse", "morse"]
 
 
 def test_seedless_five_cell_with_a_three_point_census_is_a_count_violation(monkeypatch):
-    square = critical.find_critical_points(lattice.make_torus(1j))
+    square = critical._census(lattice.make_torus(1j))
     assert square.total_count == 3
-    monkeypatch.setattr(critical, "find_critical_points", lambda torus: square)
-    # one cell around the hexagonal torus: all half periods are saddles
-    hex_b = math.sqrt(3) / 2
-    cells = moduli.scan((0.4995, hex_b - 0.001, 0.5005, hex_b + 0.001), 1, 1)
+
+    def no_root(t, s, torus, r_stop):
+        return t, s, np.full(np.shape(t), np.inf)
+
+    # the hexagonal torus: all half periods are saddles, so the count is 5
+    hex_tau = complex(0.5, math.sqrt(3) / 2)
+    monkeypatch.setattr(critical, "damped_newton", no_root)
+    monkeypatch.setattr(critical, "_census", lambda torus, tol: square)
+    with pytest.raises(CountViolation, match="census found 3 critical points"):
+        critical.find_critical_points(lattice.make_torus(hex_tau))
+    cells = moduli.scan((0.4995, hex_tau.imag - 0.001, 0.5005, hex_tau.imag + 0.001), 1, 1)
     assert cells[0].count == 0
-    assert cells[0].route == "census"
+    assert cells[0].route is None
     assert cells[0].error.startswith("CountViolation: census found 3 critical points")
 
 
