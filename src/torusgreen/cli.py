@@ -317,6 +317,9 @@ def _cmd_inequalities(args) -> tuple[dict, dict]:
 
 
 def _cmd_mfe(args) -> tuple[dict, dict]:
+    nx, ny = args.grid or (64, 64)
+    if nx != ny:
+        raise InvalidInput(f"verification grid {nx}x{ny} is not square")
     torus = make_torus(args.tau)
     if args.rho == "8pi":
         z0 = mfe.extra_branch_point(torus)
@@ -329,7 +332,6 @@ def _cmd_mfe(args) -> tuple[dict, dict]:
             "c_prime": d.c_prime,
             "c_tau": d.c_tau,
         }
-    nx = args.grid[0] if args.grid else 64
     rep = mfe.verify_solution(sol, grid_n=nx, excl_radius=args.exclusion_radius)
     results = {
         "rho": sol.rho,

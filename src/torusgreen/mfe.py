@@ -414,8 +414,8 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     """
     if grid_n < 32:
         raise InvalidInput(f"grid_n {grid_n} below 32")
-    if excl_radius < 0.02:
-        raise InvalidInput(f"excl_radius {excl_radius} below 0.02")
+    if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
+        raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
     torus = sol.torus
     tau = torus.tau
     area = torus.area
@@ -450,6 +450,8 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
 
     stats = [row_stats(gg + s * tau) for s in gg]
     n_pts = sum(s[2] for s in stats)
+    if n_pts == 0:
+        raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
     cell = area / (grid_n * grid_n)
     return ResidualReport(
         max_residual=max(s[0] for s in stats),

@@ -246,7 +246,7 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
     scan goes on; any other exception is a bug and propagates.
     """
     re0, im0, re1, im1 = region
-    if not (im0 > 0.0 and im1 > im0 and re1 > re0):
+    if not (all(map(math.isfinite, region)) and im0 > 0.0 and im1 > im0 and re1 > re0):
         raise InvalidInput(f"region {region} is not a rectangle in the upper half plane")
     if not (1 <= nx <= 512 and 1 <= ny <= 512):
         raise InvalidInput(f"grid {nx}x{ny} outside [1, 512]^2")

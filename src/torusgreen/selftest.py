@@ -59,9 +59,14 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def legendre_residual(torus: Torus) -> float:
-    """|eta1 tau - eta2 - 2 pi i|."""
+    """|eta1 tau - eta2 - 2 pi i| with eta2 = 2 zeta(tau/2) from its definition.
+
+    The invariants define eta2 through this very relation, so their eta2
+    would make the check an identity.
+    """
     inv = weier.invariants(torus)
-    return abs(inv.eta1 * torus.tau - inv.eta2 - 2j * math.pi)
+    eta2 = 2.0 * weier.zeta(torus.tau / 2.0, torus)
+    return abs(inv.eta1 * torus.tau - eta2 - 2j * math.pi)
 
 
 def e_sum_residual(torus: Torus) -> float:

@@ -158,9 +158,12 @@ def _eval_jacobi(z, tau: complex):
 
 
 def _eval(z, tau: complex):
-    if tau.imag >= JACOBI_CUTOFF:
-        return _eval_direct(z, tau)
-    return _eval_jacobi(z, tau)
+    # always evaluate a 1-D array: numpy's scalar complex products round
+    # differently from its array loops, and a point must give the same bits
+    # alone as inside a batch
+    z = np.asarray(z, dtype=complex)
+    route = _eval_direct if tau.imag >= JACOBI_CUTOFF else _eval_jacobi
+    return tuple(out.reshape(z.shape) for out in route(z.reshape(-1), tau))
 
 
 def _check_tau(tau: complex) -> complex:

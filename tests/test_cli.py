@@ -253,10 +253,15 @@ def test_domain_error_exit(capsys):
 @pytest.mark.parametrize("argv", [
     ("mfe", "--rho=4pi", "--tau=i", "--grid=16x16"),
     ("mfe", "--rho=4pi", "--tau=i", "--exclusion-radius=0.01"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
+     "--exclusion-radius=nan"),
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32", "--exclusion-radius=5"),
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=32x64"),
     ("critical", "--tau=i", "--tol=1e-3"),
     ("thresholds", "--tol=1e-13"),
     ("scan", "--region=0,0.5,0.4,0.2", "--grid=2x2"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=0x4"),
+    ("scan", "--region=0,0.1,inf,2.0", "--grid=2x2"),
     ("inequalities", "--b=-1"),
     ("selftest", "--samples=0"),
     ("selftest", "--samples=-3"),

@@ -239,4 +239,4 @@ def test_flip_edges_batched_determinants_match_scalar_calls():
         dets = [abs(green.green_hessian(h, torus).det) for h in torus.half_periods]
         k = min(range(3), key=dets.__getitem__)
         assert e.degenerate_half_period == k + 1
-        assert abs(e.min_abs_det - dets[k]) <= 1e-13 * dets[k]
+        assert e.min_abs_det == dets[k]

@@ -1,0 +1,21 @@
+"""The scripts under scripts/ run against the current package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce_headline_numbers.py", "--quick"),
+    ("run_moduli_scan.py", "--region", "0", "0.1", "0.5", "2.0", "--nx", "8", "--ny", "8"),
+], ids=lambda argv: argv[0])
+def test_script_exits_0(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -116,6 +116,16 @@ def test_logderiv_raises_on_lattice_point():
         theta.theta1_logderiv_z(2.0 + 3.0 * T.tau, T, order=2)
 
 
+def test_eval_gives_the_same_bits_whatever_the_batch_shape():
+    # numpy rounds scalar complex products differently from its array loops;
+    # the half periods cover both the direct and the Jacobi branch
+    for T in lattice.random_tori(300, 11):
+        batched = theta._eval(np.array(T.half_periods), T.tau)
+        for k, h in enumerate(T.half_periods):
+            for b, s in zip(batched, theta._eval(h, T.tau)):
+                assert b[k] == s, (T.tau, k)
+
+
 def test_jacobi_route_agrees_with_direct():
     rng = np.random.default_rng(29)
     for tau in (1j, 0.5 + 0.8j, -0.2 + 1.4j):
