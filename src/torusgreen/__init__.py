@@ -23,8 +23,6 @@ from .green import (
     Hessian2,
     evaluate,
     green_constant,
-    green_grad,
-    green_hessian,
     green_rel,
 )
 from .lattice import LatticeCoords, Torus, make_torus, reduce_modulus, wrap_point
@@ -74,8 +72,6 @@ __all__ = [
     "flip_edges",
     "functional_equation_residual",
     "green_constant",
-    "green_grad",
-    "green_hessian",
     "green_rel",
     "lambda_circle_residual",
     "locate_z0_on_rhombus_line",

@@ -3,8 +3,10 @@
 Every torus has the three half periods as critical points and at most one
 extra pair +-z0 (Lin and Wang); the pair are minima and
 #min - #saddle = -1, so there are five points exactly when all three half
-periods are saddles.  find_critical_points reads the half period Hessian
-determinants first and takes one of three routes, kept in CriticalSet.route:
+periods are saddles.  find_critical_points evaluates G at the three half
+periods in one theta series pass (green.evaluate), builds their points
+from that result, and takes one of three routes from its Hessian
+determinants, kept in CriticalSet.route:
 
 - "morse": every |det| * b^2 clears MORSE_MARGIN and some det is
   positive: three points, no Newton;
@@ -244,47 +246,37 @@ def classify(point: CriticalPoint, degeneracy_eps: float = DEGENERACY_EPS) -> Mo
     return _classify_hessian(point.hessian, b, degeneracy_eps)
 
 
-def _point(torus: Torus, t: float, s: float, kind: Kind, h: Hessian2, g_rel: float):
-    return CriticalPoint(
-        coords=LatticeCoords(t, s),
-        z=t + s * torus.tau,
-        kind=kind,
-        morse=_classify_hessian(h, torus.b, DEGENERACY_EPS),
-        hessian=h,
-        g_rel=g_rel,
-    )
-
-
-def _build_point(torus: Torus, t: float, s: float, kind: Kind) -> CriticalPoint:
-    z = t + s * torus.tau
-    return _point(torus, t, s, kind, green.green_hessian(z, torus),
-                  float(green.green_rel(z, torus)))
-
-
 def _extra_reps(t: np.ndarray, s: np.ndarray, torus: Torus):
     """_orbit_reps of the wrapped roots, minus the gradient plateau roots."""
     t, s = _orbit_reps(t, s)
     if t.size:
-        det = green.green_hessian(t + s * torus.tau, torus).det
+        det = green.evaluate(t + s * torus.tau, torus).hessian.det
         keep = np.abs(det) > PLATEAU_MIN_DET / (torus.b * torus.b)
         t, s = t[keep], s[keep]
     return t, s
 
 
-def half_period_hessians(torus: Torus) -> Hessian2:
-    """Hessians of G at w1/2, w2/2, w3/2, as arrays from one series pass."""
-    return green.green_hessian(np.array(torus.half_periods), torus)
+def _points(torus: Torus, coords, kinds, ev: green.GreenEval) -> list[CriticalPoint]:
+    """The critical points at coords, classified from ev, the evaluate
+    over their z as one array in the same order."""
+    h = ev.hessian
+    hessians = [Hessian2(*e) for e in zip(h.xx.tolist(), h.xy.tolist(),
+                                           h.yy.tolist(), h.det.tolist())]
+    return [CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
+                          morse=_classify_hessian(hk, torus.b, DEGENERACY_EPS),
+                          hessian=hk, g_rel=g)
+            for (t, s), kind, hk, g in zip(coords, kinds, hessians, ev.value_rel.tolist())]
 
 
-def _critical_set(torus: Torus, route: str, hp: Hessian2, ts=(), ss=()) -> CriticalSet:
-    """The half periods, with Hessians hp, plus the extra orbits (ts, ss)."""
+def _critical_set(torus: Torus, route: str, hp: green.GreenEval, ts=(), ss=()) -> CriticalSet:
+    """The half periods, evaluated in hp, plus the extra orbits (ts, ss)."""
     kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
-    hessians = zip(hp.xx.tolist(), hp.xy.tolist(), hp.yy.tolist(), hp.det.tolist())
-    g_rel = green.green_rel(np.array(torus.half_periods), torus).tolist()
-    points = [_point(torus, t, s, kind, Hessian2(*h), g)
-              for (t, s), kind, h, g in zip(_HP_COORDS, kinds, hessians, g_rel)]
-    points += [_build_point(torus, float(t), float(s), Kind.EXTRA_PAIR) for t, s in zip(ts, ss)]
-    return CriticalSet(points=tuple(points), total_count=3 + 2 * len(ts), route=route)
+    points = _points(torus, _HP_COORDS, kinds, hp)
+    extras = [(float(t), float(s)) for t, s in zip(ts, ss)]
+    if extras:
+        ev = green.evaluate(np.array([t + s * torus.tau for t, s in extras]), torus)
+        points += _points(torus, extras, [Kind.EXTRA_PAIR] * len(extras), ev)
+    return CriticalSet(points=tuple(points), total_count=3 + 2 * len(extras), route=route)
 
 
 def _checked(cs: CriticalSet, torus: Torus, tol: float) -> CriticalSet:
@@ -326,7 +318,8 @@ def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
             f"{3 + 2 * ts.size} critical points survived dedup at tau = {torus.tau}; "
             "more than five is impossible and indicates an evaluation bug"
         )
-    return _critical_set(torus, "census", half_period_hessians(torus), ts, ss)
+    hp = green.evaluate(np.array(torus.half_periods), torus)
+    return _critical_set(torus, "census", hp, ts, ss)
 
 
 def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
@@ -339,10 +332,11 @@ def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
-    hp = half_period_hessians(torus)
-    if np.min(np.abs(hp.det)) * torus.b ** 2 < MORSE_MARGIN:
+    hp = green.evaluate(np.array(torus.half_periods), torus)
+    det = hp.hessian.det
+    if np.min(np.abs(det)) * torus.b ** 2 < MORSE_MARGIN:
         return _census(torus, tol)
-    if np.any(hp.det > 0.0):
+    if np.any(det > 0.0):
         return _checked(_critical_set(torus, "morse", hp), torus, tol)
     ts, ss, _ = _solve(torus, _SEED_T, _SEED_S, tol)
     if ts.size == 1:
@@ -392,7 +386,7 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
     InconsistentComparison.
     """
     inv = weier.invariants(torus)
-    g = tuple(float(green.green_rel(h, torus)) for h in torus.half_periods)
+    g = tuple(green.evaluate(np.array(torus.half_periods), torus).value_rel.tolist())
     e = (inv.e1, inv.e2, inv.e3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if e[i] - e[j] == 0.0:
@@ -495,9 +489,8 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
     grad_target = 0.5 * tol
     if above:
         def fy(y):
-            z = 0.5 + 1j * y
-            _, gy = green.green_grad(z, torus)
-            return gy, green.green_hessian(z, torus).yy
+            ev = green.evaluate(0.5 + 1j * y, torus)
+            return ev.grad[1], ev.hessian.yy
 
         roots = []
         for frac in (0.12, 0.2, 0.3, 0.38, 0.46):
@@ -511,9 +504,8 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
         t = 0.5 - 0.5 * s
     else:
         def fx(x):
-            z = complex(x, 0.0)
-            gx, _ = green.green_grad(z, torus)
-            return gx, green.green_hessian(z, torus).xx
+            ev = green.evaluate(complex(x, 0.0), torus)
+            return ev.grad[0], ev.hessian.xx
 
         roots = []
         for frac in (0.1, 0.2, 0.3, 0.4, 0.45):
@@ -523,8 +515,7 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
         if not roots:
             raise NoConvergence(f"no root of G_x on the real axis for b = {b}")
         t, s = min(roots), 0.0
-    point = _build_point(torus, t, s, Kind.EXTRA_PAIR)
-    gx, gy = green.green_grad(point.z, torus)
-    if math.hypot(gx, gy) > tol:
+    ev = green.evaluate(np.array([t + s * torus.tau]), torus)
+    if np.hypot(*ev.grad).item() > tol:
         raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")
-    return point
+    return _points(torus, [(t, s)], [Kind.EXTRA_PAIR], ev)[0]

@@ -5,8 +5,9 @@ The mean zero Green function of -Laplace on C/(Z + Z tau) splits as
     G(z) = -(1/2 pi) log|theta1(z)| + y^2/(2 b) + C(tau),
 
 with y the height of the canonical cell representative and b = Im tau.
-This module evaluates the z dependent part (green_rel), its gradient and
-Hessian, the critical point residual used by the solver, the period
+evaluate gives the z dependent part G - C(tau), its gradient and its
+Hessian from one theta series pass (green_rel is its value).  The module
+also holds the critical point residual used by the solver, the period
 integrals attached to a point, and the constant C(tau).
 
 C(tau) has the closed form (1/2 pi) log|eta(tau)| (Kronecker limit
@@ -55,64 +56,51 @@ class Hessian2:
 
 @dataclass(frozen=True)
 class GreenEval:
-    """Value, gradient and Hessian of G - C(tau) at one point."""
+    """Value, gradient and Hessian of G - C(tau); floats for one point,
+    arrays shaped like z for a batch."""
 
     value_rel: float
     grad: tuple[float, float]
     hessian: Hessian2
 
-    @property
-    def det_hessian(self) -> float:
-        return self.hessian.det
 
+def evaluate(z, torus: Torus) -> GreenEval:
+    """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
-def _canonical(z, tau: complex):
-    t, s, _, _ = split_coords(z, tau)
-    return t + s * tau, t, s
-
-
-def green_rel(z, torus: Torus):
-    """G(z) - C(tau), doubly periodic by construction.
-
-    Both log|theta1| and the y^2/(2b) term are taken at the canonical cell
-    representative, so translates of z give bitwise identical values.
-    """
-    zc, _, s = _canonical(z, torus.tau)
-    lc = theta.theta1(zc, torus)
-    if np.any(lc.is_zero):
-        raise PoleAtLattice("Green function diverges at lattice points")
-    b = torus.b
-    out = -np.asarray(lc.log_mag) / (2.0 * np.pi) + np.asarray(s) ** 2 * (b / 2.0)
-    return theta._scalarize(out)
-
-
-def green_grad(z, torus: Torus):
-    """(G_x, G_y) at z; zero exactly at critical points."""
-    zc, _, s = _canonical(z, torus.tau)
-    L1 = theta.theta1_logderiv_z(zc, torus, 1)
-    L1 = np.asarray(L1)
-    gx = -L1.real / (2.0 * np.pi)
-    gy = L1.imag / (2.0 * np.pi) + s
-    return theta._scalarize(gx), theta._scalarize(gy)
-
-
-def green_hessian(z, torus: Torus) -> Hessian2:
-    """Hessian entries and determinant from (log theta1)_zz.
-
+    Everything is taken at the canonical cell representative, so
+    translates of z give bitwise identical values, and is computed on a
+    flat array, so a point gives the same bits alone as inside a batch.
     The determinant uses the closed form
         4 pi^2 det = -(|L2 + pi/b|^2 - (pi/b)^2),
     algebraically identical to xx*yy - xy^2 but cheaper and stabler.
+    Raises PoleAtLattice at lattice points.
     """
-    zc, _, _ = _canonical(z, torus.tau)
-    L2 = np.asarray(theta.theta1_logderiv_z(zc, torus, 2))
+    z = np.asarray(z, dtype=complex)
     b = torus.b
-    gxx = -L2.real / (2.0 * np.pi)
-    gxy = L2.imag / (2.0 * np.pi)
-    gyy = L2.real / (2.0 * np.pi) + 1.0 / b
+    t, s, _, _ = split_coords(z.reshape(-1), torus.tau)
+    lm, _, L1, L2, _ = theta._eval(t + s * torus.tau, torus.tau)
+    if np.any(np.isneginf(lm)):
+        raise PoleAtLattice("Green function diverges at lattice points")
     pb = np.pi / b
-    det = -(np.abs(L2 + pb) ** 2 - pb * pb) / (4.0 * np.pi**2)
-    s = theta._scalarize
-    return Hessian2(s(gxx), s(gxy), s(gyy), s(det))
+
+    def out(x):
+        return theta._scalarize(x.reshape(z.shape))
+
+    return GreenEval(
+        value_rel=out(-lm / (2.0 * np.pi) + s ** 2 * (b / 2.0)),
+        grad=(out(-L1.real / (2.0 * np.pi)), out(L1.imag / (2.0 * np.pi) + s)),
+        hessian=Hessian2(
+            xx=out(-L2.real / (2.0 * np.pi)),
+            xy=out(L2.imag / (2.0 * np.pi)),
+            yy=out(L2.real / (2.0 * np.pi) + 1.0 / b),
+            det=out(-(np.abs(L2 + pb) ** 2 - pb * pb) / (4.0 * np.pi**2)),
+        ),
+    )
+
+
+def green_rel(z, torus: Torus):
+    """G(z) - C(tau), doubly periodic by construction; the value of evaluate."""
+    return evaluate(z, torus).value_rel
 
 
 def critical_residual(t, s, torus: Torus):
@@ -138,10 +126,7 @@ def residual_and_jacobian(t, s, torus: Torus):
     """
     tw, _ = wrap_unit(t)
     sw, _ = wrap_unit(s)
-    z = tw + sw * torus.tau
-    L1, L2 = theta.theta1_logderivs(z, torus)
-    L1 = np.asarray(L1)
-    L2 = np.asarray(L2)
+    _, _, L1, L2, _ = theta._eval(tw + sw * torus.tau, torus.tau)
     r = L1 + (2j * np.pi) * sw
     return r, L2, L2 * torus.tau + 2j * np.pi
 
@@ -152,21 +137,13 @@ def period_integrals(z, torus: Torus):
     Evaluated at the canonical representative; at a critical point t + s*tau
     they collapse to F1 = -4 pi i s and F2 = 4 pi i t, both purely imaginary.
     """
-    zc, _, _ = _canonical(z, torus.tau)
+    t, s, _, _ = split_coords(z, torus.tau)
+    zc = t + s * torus.tau
     inv = weier.invariants(torus)
     zv = weier.zeta(zc, torus)
     f1 = 2.0 * (zv - inv.eta1 * zc)
     f2 = 2.0 * (torus.tau * zv - inv.eta2 * zc)
     return f1, f2
-
-
-def evaluate(z, torus: Torus) -> GreenEval:
-    """Bundle of value, gradient and Hessian at one point."""
-    return GreenEval(
-        value_rel=float(green_rel(z, torus)),
-        grad=green_grad(z, torus),
-        hessian=green_hessian(z, torus),
-    )
 
 
 # ---------------------------------------------------------------------------

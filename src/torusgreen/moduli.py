@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import critical, theta, weier
+from . import critical, green, theta, weier
 from .errors import BracketFailure, InvalidInput, TorusGreenError
 from .lattice import LatticeCoords, make_torus
 
@@ -274,7 +274,8 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
                 if a.count == 0 or bcell.count == 0 or a.count == bcell.count:
                     continue
                 mid = 0.5 * (a.tau + bcell.tau)
-                dets = np.abs(critical.half_period_hessians(make_torus(mid)).det)
+                torus = make_torus(mid)
+                dets = np.abs(green.evaluate(np.array(torus.half_periods), torus).hessian.det)
                 k = int(np.argmin(dets))
                 out.append(FlipEdge(
                     tau_low=a.tau,

@@ -16,6 +16,12 @@ assembled before exponentiation, so no intermediate under- or overflows.
 For Im tau < 1/2 the evaluation is routed through the imaginary
 transformation (one T shift plus one S inversion) where the effective nome
 is small again.  Derivative series are termwise derivatives of the sum.
+
+One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
+derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
+layer and the Green function (green.evaluate, green.residual_and_jacobian)
+all read from it.  It always sums a flat array, so a point gives the same
+bits alone as inside a batch.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveImaginaryPart, PoleAtLattice, Unconverged
+from .errors import NonPositiveImaginaryPart, Unconverged
 from .lattice import Torus, split_coords
 
 TERM_CAP = 64
@@ -182,32 +188,6 @@ def theta1(z, torus: Torus) -> LogComplex:
     """theta1(z; tau) in log form; exact zeros become the -inf sentinel."""
     lm, ar, *_ = _eval(z, torus.tau)
     return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
-
-
-def theta1_logderiv_z(z, torus: Torus, order: int = 1):
-    """(log theta1)' or (log theta1)'' at z.
-
-    The first derivative picks up -2 pi i per tau translation, the second
-    is fully elliptic; both corrections are handled here.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    lm, _, L1, L2, L3 = _eval(z, torus.tau)
-    if np.any(np.isneginf(lm)):
-        raise PoleAtLattice("logarithmic derivative of theta1 at a lattice point")
-    out = {1: L1, 2: L2, 3: L3}[order]
-    return _scalarize(out)
-
-
-def theta1_logderivs(z, torus: Torus):
-    """(log theta1)' and (log theta1)'' from one series pass.
-
-    Hot path for the critical point solver: no pole check, lattice hits
-    simply produce non finite entries, which the solver treats as a
-    rejected step.
-    """
-    _, _, L1, L2, _ = _eval(z, torus.tau)
-    return _scalarize(L1), _scalarize(L2)
 
 
 def jacobi_imaginary(z, tau: complex) -> LogComplex:

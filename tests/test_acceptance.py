@@ -39,7 +39,7 @@ def test_criterion_01_square_torus_three_points(capsys):
     grads = []
     if doc is not None:
         for p in doc["results"]["points"]:
-            gx, gy = green.green_grad(complex(p["z"]["re"], p["z"]["im"]), T)
+            gx, gy = green.evaluate(complex(p["z"]["re"], p["z"]["im"]), T).grad
             grads.append(math.hypot(gx, gy))
     ok = (
         code == 0

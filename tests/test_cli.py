@@ -150,14 +150,14 @@ def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypa
     from torusgreen import green
     from torusgreen.errors import NoConvergence
 
-    real = green.green_hessian
+    real = green.evaluate
 
     def failing_at_first_cell(z, torus):
         if abs(torus.tau - (0.475 + 0.65j)) < 1e-12:
             raise NoConvergence("synthetic")
         return real(z, torus)
 
-    monkeypatch.setattr(green, "green_hessian", failing_at_first_cell)
+    monkeypatch.setattr(green, "evaluate", failing_at_first_cell)
     code, out, _ = run_cli(capsys, "scan", "--region=0.45,0.6,0.55,0.8", "--grid=2x2")
     assert code == 0
     diag = json.loads(out)["diagnostics"]

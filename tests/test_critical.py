@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ RANDOM_TORI = lattice.random_tori(30, seed=9)
 
 
 def _grad_norm(p, torus):
-    gx, gy = green.green_grad(p.z, torus)
+    gx, gy = green.evaluate(p.z, torus).grad
     return math.hypot(gx, gy)
 
 
@@ -73,7 +74,7 @@ def test_all_reported_points_are_critical():
             assert _grad_norm(p, T) < 1e-10
         if cs.extra is not None:
             # the mirror -z0 is critical too; the set stores one representative
-            gx, gy = green.green_grad(-cs.extra.z, T)
+            gx, gy = green.evaluate(-cs.extra.z, T).grad
             assert math.hypot(gx, gy) < 1e-10
 
 
@@ -171,21 +172,24 @@ def test_find_critical_points_matches_the_census_on_random_tori():
     assert {"morse", "seeds"} <= routes
 
 
-@pytest.mark.parametrize("tau, batched", [(1j, True), (complex(0.5, math.sqrt(3) / 2), False)],
+@pytest.mark.parametrize("tau, at_half_periods",
+                         [(1j, True), (complex(0.5, math.sqrt(3) / 2), False)],
                          ids=["morse", "seeds"])
-def test_a_wrong_hessian_sign_is_a_count_violation(tau, batched, monkeypatch):
-    real = green.green_hessian
+def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeypatch):
+    real = green.evaluate
 
     def flipped(z, torus):
         # wrong determinant signs: at the three half periods on the square
-        # torus (the morse route then reads two minima), or at the extra
-        # point alone on the hexagonal one (seeds route, a saddle pair)
-        h = real(z, torus)
-        if (np.ndim(z) > 0) != batched:
-            return h
-        return Hessian2(h.xx, h.xy, h.yy, -h.det)
+        # torus (the morse route then reads two minima), or away from them
+        # on the hexagonal one (seeds route, a saddle pair; the plateau
+        # filter reads |det| only)
+        ev = real(z, torus)
+        if np.array_equal(z, torus.half_periods) != at_half_periods:
+            return ev
+        h = ev.hessian
+        return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, -h.det))
 
-    monkeypatch.setattr(green, "green_hessian", flipped)
+    monkeypatch.setattr(green, "evaluate", flipped)
     with pytest.raises(CountViolation, match="the Euler count forces -1"):
         critical.find_critical_points(lattice.make_torus(tau))
 

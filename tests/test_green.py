@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from torusgreen import green, lattice
 from torusgreen.errors import PoleAtLattice
+from torusgreen.green import Hessian2
 
 # C(i) = (1/2 pi) log eta(i) with eta(i) = Gamma(1/4) / (2 pi^(3/4)); the
 # smooth split quadrature (oracles.green_constant_smooth_split) reproduces it
@@ -71,7 +72,7 @@ def test_gradient_matches_difference_quotient():
     for tau in (1j, 0.5 + 0.8j):
         T = lattice.make_torus(tau)
         for z in (0.21 + 0.13j, -0.17 + 0.31j):
-            gx, gy = green.green_grad(z, T)
+            gx, gy = green.evaluate(z, T).grad
             fx, fy = oracles.fd_gradient(
                 lambda x, y: green.green_rel(complex(x, y), T), z.real, z.imag
             )
@@ -82,7 +83,7 @@ def test_gradient_matches_difference_quotient():
 def test_hessian_matches_difference_quotient():
     T = lattice.make_torus(0.5 + 0.8j)
     z = 0.23 + 0.11j
-    h = green.green_hessian(z, T)
+    h = green.evaluate(z, T).hessian
     fxx, fxy, fyy = oracles.fd_hessian(
         lambda x, y: green.green_rel(complex(x, y), T), z.real, z.imag
     )
@@ -97,7 +98,7 @@ def test_hessian_trace_is_inverse_area():
     for tau in (1j, 0.5 + 0.8j, 0.13 + 0.92j):
         T = lattice.make_torus(tau)
         for z in (0.21 + 0.13j, 0.4 - 0.22j):
-            h = green.green_hessian(z, T)
+            h = green.evaluate(z, T).hessian
             assert abs(h.trace - 1.0 / T.b) < 1e-13 / T.b
 
 
@@ -107,7 +108,7 @@ def test_critical_residual_consistent_with_gradient():
     T = lattice.make_torus(0.13 + 0.92j)
     t, s = 0.27, 0.31
     r = green.critical_residual(t, s, T)
-    gx, gy = green.green_grad(t + s * T.tau, T)
+    gx, gy = green.evaluate(t + s * T.tau, T).grad
     rebuilt = complex(-2.0 * np.pi * gx, 2.0 * np.pi * gy)
     assert abs(r - rebuilt) < 1e-12
 
@@ -187,9 +188,15 @@ def test_green_constant_modular_invariant_under_t_shift():
 
 
 def test_evaluate_bundles_fields():
-    T = lattice.make_torus(0.5 + 0.8j)
-    z = 0.21 + 0.13j
-    ev = green.evaluate(z, T)
-    assert ev.value_rel == green.green_rel(z, T)
-    assert ev.grad == green.green_grad(z, T)
-    assert ev.det_hessian == ev.hessian.det
+    # a point gives the same bits alone as inside a batch, on the direct
+    # (Im tau >= 1/2) and on the Jacobi branch
+    zs = np.array([0.21 + 0.13j, -0.32 + 0.27j, 0.05 - 0.41j])
+    for tau in (0.5 + 0.8j, 0.2 + 0.35j):
+        T = lattice.make_torus(tau)
+        batch = green.evaluate(zs, T)
+        hb = batch.hessian
+        for k, z in enumerate(zs):
+            ev = green.evaluate(z, T)
+            assert ev.value_rel == batch.value_rel[k] == green.green_rel(z, T)
+            assert ev.grad == (batch.grad[0][k], batch.grad[1][k])
+            assert ev.hessian == Hessian2(hb.xx[k], hb.xy[k], hb.yy[k], hb.det[k])

@@ -165,7 +165,7 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     def no_convergence(z, torus):
         raise NoConvergence("synthetic series failure")
 
-    monkeypatch.setattr(green, "green_hessian", no_convergence)
+    monkeypatch.setattr(green, "evaluate", no_convergence)
     cells = moduli.scan(region, 2, 1)
     assert [c.count for c in cells] == [0, 0]
     assert all(c.error == "NoConvergence: synthetic series failure" for c in cells)
@@ -174,7 +174,7 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     def bug(z, torus):
         return 1 / 0
 
-    monkeypatch.setattr(green, "green_hessian", bug)
+    monkeypatch.setattr(green, "evaluate", bug)
     with pytest.raises(ZeroDivisionError):
         moduli.scan(region, 2, 1)
 
@@ -195,7 +195,7 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
             continue
         assert abs(c.extra_point.t - cs.extra.coords.t) <= 1e-12, c.tau
         assert abs(c.extra_point.s - cs.extra.coords.s) <= 1e-12, c.tau
-        gx, gy = green.green_grad(c.extra_point.t + c.extra_point.s * c.tau, torus)
+        gx, gy = green.evaluate(c.extra_point.t + c.extra_point.s * c.tau, torus).grad
         assert math.hypot(gx, gy) <= 1e-12
     routes = {c.route for c in cells}
     assert routes <= {"morse", "seeds", "census"}
@@ -236,7 +236,7 @@ def test_flip_edges_batched_determinants_match_scalar_calls():
     assert edges
     for e in edges:
         torus = lattice.make_torus(e.midpoint)
-        dets = [abs(green.green_hessian(h, torus).det) for h in torus.half_periods]
+        dets = [abs(green.evaluate(h, torus).hessian.det) for h in torus.half_periods]
         k = min(range(3), key=dets.__getitem__)
         assert e.degenerate_half_period == k + 1
         assert e.min_abs_det == dets[k]

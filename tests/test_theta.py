@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import lattice, theta
+from torusgreen import green, lattice, theta
 from torusgreen.errors import NonPositiveImaginaryPart, PoleAtLattice
 
 TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, -0.31 + 1.7j, 0.2 + 0.35j]
@@ -89,31 +89,32 @@ def test_logderivs_match_mpmath():
         T = lattice.make_torus(tau)
         for z in _sample(rng, 4):
             z = complex(z)
-            L1, L2 = theta.theta1_logderivs(z, T)
+            _, _, L1, L2, _ = theta._eval(z, T.tau)
             r1 = oracles.mp_theta1_logderiv(z, tau, 1)
             r2 = oracles.mp_theta1_logderiv(z, tau, 2)
             assert abs(L1 - r1) < 1e-11 * max(1.0, abs(r1))
             assert abs(L2 - r2) < 1e-11 * max(1.0, abs(r2))
-            assert theta.theta1_logderiv_z(z, T, order=1) == L1
 
 
 def test_logderiv_order3_consistent_with_order2():
     T = lattice.make_torus(0.5 + 0.8j)
     z = 0.21 + 0.13j
     h = 1e-5
-    L3 = theta.theta1_logderiv_z(z, T, order=3)
-    fd = (theta.theta1_logderiv_z(z + h, T, 2) - theta.theta1_logderiv_z(z - h, T, 2)) / (2 * h)
+    L3 = theta._eval(z, T.tau)[4]
+    fd = (theta._eval(z + h, T.tau)[3] - theta._eval(z - h, T.tau)[3]) / (2 * h)
     assert abs(L3 - fd) < 1e-6 * max(1.0, abs(L3))
-    with pytest.raises(ValueError):
-        theta.theta1_logderiv_z(z, T, order=4)
 
 
 def test_logderiv_raises_on_lattice_point():
+    # the kernel marks the log derivatives non finite; green.evaluate, which
+    # reads its gradient and Hessian from them, raises
     T = lattice.make_torus(1j)
-    with pytest.raises(PoleAtLattice):
-        theta.theta1_logderiv_z(0.0, T, order=1)
-    with pytest.raises(PoleAtLattice):
-        theta.theta1_logderiv_z(2.0 + 3.0 * T.tau, T, order=2)
+    for z in (0.0, 2.0 + 3.0 * T.tau):
+        lm, _, L1, L2, L3 = theta._eval(z, T.tau)
+        assert np.isneginf(lm)
+        assert not np.isfinite(L1) and not np.isfinite(L2) and not np.isfinite(L3)
+        with pytest.raises(PoleAtLattice):
+            green.evaluate(z, T)
 
 
 def test_eval_gives_the_same_bits_whatever_the_batch_shape():
