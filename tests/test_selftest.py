@@ -1,6 +1,6 @@
 import numpy as np
 
-from torusgreen import lattice, selftest
+from torusgreen import lattice, selftest, weier
 
 EXPECTED_NAMES = [
     "legendre_relation",
@@ -50,3 +50,12 @@ def test_individual_residuals_small_on_fresh_samples():
     assert np.max(selftest.triple_product_residual(z, T)) < 1e-10
     assert np.max(selftest.jacobi_cross_residual(z, T)) < 1e-10
     assert np.max(selftest.zeta_addition_residual(z, T)) < 1e-9
+
+
+def test_legendre_residual_reads_eta2_from_zeta(monkeypatch):
+    # the invariants define eta2 through the Legendre relation itself, so
+    # only an eta2 taken from zeta(tau/2) lets the check fail
+    T = lattice.make_torus(0.21 + 1.13j)
+    real = weier.zeta
+    monkeypatch.setattr(weier, "zeta", lambda z, torus: real(z, torus) + 1e-6)
+    assert selftest.legendre_residual(T) > 1e-7
