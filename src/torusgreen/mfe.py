@@ -12,6 +12,13 @@ of f never overflow.  Evaluators do not wrap their argument: the formulas
 are evaluated as written, which makes the double periodicity of u a
 measurable property instead of an artifact of reduction.  u(z) is -inf on
 the source lattice and finite elsewhere.
+
+A u call makes one Weierstrass pass (weier.evaluate) over the
+concatenation of the point sets it needs: sigma(z - (1/2 + tau)),
+sigma(z + 1/2) and the two zetas on the doubled torus at 4 pi, and
+sigma(z0 - z), sigma(z0 + z) and p(z) at 8 pi.  verify_solution hands u
+a grid row, its stencil offsets and its period shifts as one array, so a
+row costs two theta passes: one for u and one for the Green function.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ def _polar(log_mag: float, arg: float) -> complex:
     return math.exp(log_mag) * complex(math.cos(arg), math.sin(arg))
 
 
-def _sigma_logmag(z, torus: Torus) -> np.ndarray:
-    return np.asarray(weier.sigma(z, torus).log_mag, dtype=float)
-
-
 @dataclass(frozen=True)
 class DevelopingMap8pi:
     """The map f(z) = e^{2 zeta(z0) z} sigma(z0 - z) / sigma(z0 + z).
@@ -69,18 +72,19 @@ class DevelopingMap8pi:
     multiplier_1: complex
     multiplier_tau: complex
 
-    def log_abs_f(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return (2.0 * (self.zeta_z0 * z).real
-                + _sigma_logmag(self.z0 - z, self.torus)
-                - _sigma_logmag(self.z0 + z, self.torus))
+    def log_abs_f_and_wp(self, z):
+        """log|f(z)| and p(z) for a flat array z from one Weierstrass pass
+        over sigma(z0 - z), sigma(z0 + z) and p(z)."""
+        n = z.size
+        ev = weier.evaluate(np.concatenate([self.z0 - z, self.z0 + z, z]), self.torus)
+        lm = ev.sigma.log_mag
+        return 2.0 * (self.zeta_z0 * z).real + lm[:n] - lm[n:2 * n], ev.p[2 * n:]
 
     def f(self, z):
         z = np.asarray(z, dtype=complex)
-        num = weier.sigma(self.z0 - z, self.torus)
-        den = weier.sigma(self.z0 + z, self.torus)
-        log_mag = 2.0 * (self.zeta_z0 * z).real + np.asarray(num.log_mag) - np.asarray(den.log_mag)
-        arg = 2.0 * (self.zeta_z0 * z).imag + np.asarray(num.arg) - np.asarray(den.arg)
+        s = weier.evaluate(np.stack([self.z0 - z, self.z0 + z]), self.torus).sigma
+        log_mag = 2.0 * (self.zeta_z0 * z).real + s.log_mag[0] - s.log_mag[1]
+        arg = 2.0 * (self.zeta_z0 * z).imag + s.arg[0] - s.arg[1]
         out = np.exp(log_mag + 1j * arg)
         if out.ndim == 0:
             return complex(out)
@@ -130,13 +134,14 @@ def developing_map_8pi(torus: Torus, z0: complex) -> DevelopingMap8pi:
             f"z0 = {z0} has critical residual {abs(r):.3e} on tau = {torus.tau}"
         )
     z0 = _polish_z0(torus, z0)
-    wp_prime = complex(weier.wp(z0, torus, order=1))
+    ev = weier.evaluate(z0, torus)
+    wp_prime = complex(ev.p_prime)
     if abs(wp_prime) < 1e-8:
         raise HalfPeriodBranch(
             f"wp'(z0) = {abs(wp_prime):.3e} at z0 = {z0}: a half period "
             "cannot seed the developing map"
         )
-    zeta_z0 = complex(weier.zeta(z0, torus))
+    zeta_z0 = complex(ev.zeta)
     inv = weier.invariants(torus)
     # quasi period combinations 2(zeta(z0) - eta_j z0); purely imaginary
     # exactly when z0 is critical, so the multipliers land on the circle
@@ -146,7 +151,7 @@ def developing_map_8pi(torus: Torus, z0: complex) -> DevelopingMap8pi:
         torus=torus,
         z0=z0,
         zeta_z0=zeta_z0,
-        wp_z0=complex(weier.wp(z0, torus)),
+        wp_z0=complex(ev.p),
         wp_prime_z0=wp_prime,
         multiplier_1=complex(np.exp(f1)),
         multiplier_tau=complex(np.exp(f2)),
@@ -192,7 +197,7 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
     # zero, f'(z0) = -e^{2 zeta(z0) z0} / sigma(2 z0), and evenness of u
     # transfers the value to -z0
     u_branch = (c1 + 2.0 * lam
-                + 2.0 * (2.0 * (dm.zeta_z0 * z0p).real - float(_sigma_logmag(2.0 * z0p, torus))))
+                + 2.0 * (2.0 * (dm.zeta_z0 * z0p).real - weier.sigma(2.0 * z0p, torus).log_mag))
 
     def evaluator(z):
         z = np.asarray(z, dtype=complex)
@@ -206,9 +211,7 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
         u[on_branch] = u_branch
         rest = ~(on_source | on_branch)
         if np.any(rest):
-            zr = flat[rest]
-            la_f = dm.log_abs_f(zr)
-            p = np.atleast_1d(weier.wp(zr, torus))
+            la_f, p = dm.log_abs_f_and_wp(flat[rest])
             la_gamma = log_wp_prime - _log_abs(p - dm.wp_z0)
             u[rest] = _u_from_logs(c1, lam, la_gamma + la_f, la_f)
         u = u.reshape(np.atleast_1d(z).shape)
@@ -238,9 +241,9 @@ def _gauss_segment(fun, a: complex, b: complex, n: int = 48) -> complex:
     return complex(half * np.sum(w * np.atleast_1d(fun(mid + half * x))))
 
 
-def _integral_g_over_period(g, radius: float = 0.25) -> complex:
+def _integral_g_over_period(g, radius: float) -> complex:
     """Integral of g from 0 to 1, detouring over the pole at 1/2 along a
-    semicircle through the upper half plane."""
+    semicircle of the given radius through the upper half plane."""
     total = _gauss_segment(g, 0.0, 0.5 - radius)
     x, w = np.polynomial.legendre.leggauss(64)
     ang = 0.5 * math.pi * (1.0 - x)    # [-1, 1] -> [pi, 0]
@@ -284,17 +287,20 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     doubled = make_torus(2.0 * tau)
     a = -0.5
     bp = 0.5 + tau
-    eta1_d = 2.0 * complex(weier.zeta(0.5, doubled))
-    eta2_d = 2.0 * complex(weier.zeta(tau, doubled))
-    kappa = eta1_d + 0.5 * eta2_d
+    eta1_d, eta2_d = 2.0 * weier.evaluate(np.array([0.5, tau]), doubled).zeta
+    kappa = complex(eta1_d + 0.5 * eta2_d)
 
-    def g(z):
-        z = np.asarray(z, dtype=complex)
-        return (-np.atleast_1d(weier.zeta(z - a, doubled))
-                + np.atleast_1d(weier.zeta(z - bp, doubled))
-                + kappa).reshape(np.atleast_1d(z).shape)
+    def parts(z):
+        """(log|f|, arg f) before the f0 normalization, and g, at a flat
+        array z from one Weierstrass pass over z - bp and z - a."""
+        n = z.size
+        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled)
+        lm, ar = ev.sigma.log_mag, ev.sigma.arg
+        log_mag = (kappa * z).real + lm[:n] - lm[n:]
+        arg = (kappa * z).imag + ar[:n] - ar[n:]
+        return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
 
-    period_integral = _integral_g_over_period(g)
+    period_integral = _integral_g_over_period(lambda z: parts(z)[2], 0.25)
     dev = min(abs(period_integral - 1j * math.pi), abs(period_integral + 1j * math.pi))
     if dev > 1e-8:
         raise ConstructionInconsistent(
@@ -302,33 +308,20 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
             f"(off by {dev:.3e}) at tau = {tau}"
         )
 
-    def log_f_parts(z):
-        """(log|f|, arg f) before the f0 normalization."""
-        z = np.asarray(z, dtype=complex)
-        num = weier.sigma(z - bp, doubled)
-        den = weier.sigma(z - a, doubled)
-        log_mag = (kappa * z).real + np.asarray(num.log_mag) - np.asarray(den.log_mag)
-        arg = (kappa * z).imag + np.asarray(num.arg) - np.asarray(den.arg)
-        return log_mag, arg
-
-    # normalize the tau multiplier c = f(z + tau) f(z) to the unit circle
+    # normalize the tau multiplier c = f(z + tau) f(z) to the unit circle at
+    # one probe, check that c is z independent at a second, and take the
+    # period-1 multiplier (independent of f0) from sigma shifts
     probe = 0.231 + 0.413 * tau
-    lm1, ar1 = log_f_parts(probe)
-    lm2, ar2 = log_f_parts(probe + tau)
-    log_f0 = -0.5 * float(lm1 + lm2)
-    c_mult = _polar(float(lm1 + lm2) + 2.0 * log_f0, float(ar1 + ar2))
-    # z independence of c, checked at a second probe point
     probe2 = -0.127 + 0.291 * tau
-    lm3, ar3 = log_f_parts(probe2)
-    lm4, ar4 = log_f_parts(probe2 + tau)
-    c_check = _polar(float(lm3 + lm4) + 2.0 * log_f0, float(ar3 + ar4))
+    lm, ar, _ = parts(np.array([probe, probe + tau, probe2, probe2 + tau, probe + 1.0]))
+    log_f0 = -0.5 * float(lm[0] + lm[1])
+    c_mult = _polar(float(lm[0] + lm[1]) + 2.0 * log_f0, float(ar[0] + ar[1]))
+    c_check = _polar(float(lm[2] + lm[3]) + 2.0 * log_f0, float(ar[2] + ar[3]))
     if abs(c_mult - c_check) > 1e-9:
         raise ConstructionInconsistent(
             f"tau multiplier is not constant in z: {c_mult} vs {c_check} at tau = {tau}"
         )
-    # period-1 multiplier, from sigma shifts; independent of f0
-    lm5, ar5 = log_f_parts(probe + 1.0)
-    c_prime = _polar(float(lm5 - lm1), float(ar5 - ar1))
+    c_prime = _polar(float(lm[4] - lm[0]), float(ar[4] - ar[0]))
     if abs(c_prime + 1.0) > 1e-10:
         raise ConstructionInconsistent(
             f"period-1 multiplier is {c_prime}, not -1, at tau = {tau}"
@@ -338,9 +331,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     pole_classes = (a, bp)
 
     def core(flat):
-        la_f, _ = log_f_parts(flat)
-        la_f = np.atleast_1d(la_f) + log_f0
-        gv = np.atleast_1d(g(flat))
+        la_f, _, gv = parts(flat)
+        la_f = la_f + log_f0
         la_fp = _log_abs(gv) + la_f
         return _u_from_logs(c1, 0.0, la_fp, la_f)
 
@@ -354,12 +346,12 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         hit = np.zeros(flat.shape, dtype=bool)
         for cls in pole_classes:
             hit |= lattice_gap(flat - cls, 2.0 * tau) < _LATTICE_HIT_TOL
+        delta = 1e-7
+        k = int(np.count_nonzero(hit))
+        vals = core(np.concatenate([flat[~hit], flat[hit] + delta, flat[hit] - delta]))
         u = np.empty(flat.shape, dtype=float)
-        if np.any(~hit):
-            u[~hit] = core(flat[~hit])
-        if np.any(hit):
-            delta = 1e-7
-            u[hit] = 0.5 * (core(flat[hit] + delta) + core(flat[hit] - delta))
+        u[~hit] = vals[:flat.size - k]
+        u[hit] = 0.5 * (vals[flat.size - k:flat.size] + vals[flat.size:])
         u = u.reshape(np.atleast_1d(z).shape)
         if scalar:
             return float(u[0])
@@ -425,15 +417,18 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 
     def row_stats(row_z):
-        u_full = u(row_z)
-        mass_sum = float(np.sum(np.exp(u_full)))
+        # one u call on the row, its stencil offsets and its period shifts
         keep = lattice_gap(row_z, tau) > excl_radius
         z = row_z[keep]
-        if z.size == 0:
-            return (0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum)
-        uc = u_full[keep]
         offsets = np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])
-        u_off = u(offsets).reshape(4, z.size)
+        u_all = u(np.concatenate([row_z, offsets, z + 1.0, z + tau]))
+        n, m = row_z.size, z.size
+        mass_sum = float(np.sum(np.exp(u_all[:n])))
+        if m == 0:
+            return (0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum)
+        uc = u_all[:n][keep]
+        u_off = u_all[n:n + 4 * m].reshape(4, m)
+        shifted = u_all[n + 4 * m:].reshape(2, m)
         g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, z.size)
         w_off = u_off + rho * g[:4]
         w_c = uc + rho * g[4]
@@ -441,7 +436,6 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
         res = np.abs(lap_w - rho / area + rho * np.exp(uc))
         lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
         lit = np.abs(lap_u + rho * np.exp(uc))
-        shifted = u(np.concatenate([z + 1.0, z + tau])).reshape(2, z.size)
         per1 = float(np.max(np.abs(shifted[0] - uc)))
         pert = float(np.max(np.abs(shifted[1] - uc)))
         return (float(np.max(res)), float(np.sum(res)), int(res.size),

@@ -2,10 +2,12 @@
 
 eta1 comes from the third logarithmic derivative of theta1 at the origin,
 eta2 from the Legendre relation, and the half period values e_i from
-p(z) = -(log theta1)''(z) - eta1.  The classical lattice sum is kept out of
-the library on purpose: at the accuracy this package works to it converges
-hopelessly slowly, and it survives only as an independent oracle in the
-test suite.
+p(z) = -(log theta1)''(z) - eta1.  evaluate gives sigma, zeta, p and p'
+from one theta1 series pass; sigma, zeta and wp read from it, and zeta
+and wp raise PoleAtLattice where it has a pole.  The classical lattice
+sum is kept out of the library on purpose: at the accuracy this package
+works to it converges hopelessly slowly, and it survives only as an
+independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -68,52 +70,81 @@ def invariants(torus: Torus) -> EllipticInvariants:
     return _invariants_cached(torus.tau)
 
 
-def _guard_pole(lm, what: str):
-    if np.any(np.isneginf(lm)):
-        raise PoleAtLattice(f"{what} requested at a lattice point")
+@dataclass(frozen=True)
+class WeierEval:
+    """sigma (log form), zeta, p and p' at z; scalars for one point,
+    arrays shaped like z for a batch."""
+
+    sigma: LogComplex
+    zeta: complex
+    p: complex
+    p_prime: complex
 
 
-def zeta(z, torus: Torus):
-    """Weierstrass zeta via zeta(z) = (log theta1)'(z) + eta1 * z.
+def evaluate(z, torus: Torus) -> WeierEval:
+    """sigma, zeta, p and p' at z from one theta series pass.
 
-    The identity already carries the right quasi periods, so it holds for
-    unreduced z as well.
-    """
-    inv = invariants(torus)
-    lm, _, L1, _, _ = _eval(z, torus.tau)
-    _guard_pole(lm, "zeta")
-    return _scalarize(L1 + inv.eta1 * np.asarray(z, dtype=complex))
+    With Lk the k-th logarithmic derivative of theta1,
 
+        sigma(z) = e^(eta1 z^2 / 2) theta1(z) / theta1'(0)
+        zeta(z) = L1 + eta1 z,   p(z) = -L2 - eta1,   p'(z) = -L3.
 
-def wp(z, torus: Torus, order: int = 0):
-    """Weierstrass p (order 0), p' (order 1) or p'' (order 2)."""
-    inv = invariants(torus)
-    lm, _, _, L2, L3 = _eval(z, torus.tau)
-    _guard_pole(lm, "wp")
-    if order == 0:
-        return _scalarize(-L2 - inv.eta1)
-    if order == 1:
-        return _scalarize(-L3)
-    if order == 2:
-        p = -L2 - inv.eta1
-        return _scalarize(6.0 * p * p - inv.g2 / 2.0)
-    raise ValueError(f"order must be 0, 1 or 2, got {order}")
-
-
-def sigma(z, torus: Torus) -> LogComplex:
-    """Weierstrass sigma in log form: e^(eta1 z^2 / 2) theta1(z) / theta1'(0).
-
-    Zeros at lattice points surface as the log_mag = -inf sentinel.
+    These identities carry the right quasi periods, so they hold for
+    unreduced z as well.  Everything is computed on a flat array, so a
+    point gives the same bits alone as inside a batch.  At a lattice
+    point sigma is the log_mag = -inf sentinel and the rest is NaN; the
+    single-quantity readers below raise PoleAtLattice there instead.
     """
     inv = invariants(torus)
     sp = theta.theta_specials(torus)
     z = np.asarray(z, dtype=complex)
-    lt = theta.theta1(z, torus)
-    quad = 0.5 * inv.eta1 * z * z
+    flat = z.reshape(-1)
+    lm, ar, L1, L2, L3 = _eval(flat, torus.tau)
+    quad = 0.5 * inv.eta1 * flat * flat
     lp = np.log(complex(sp.th1p_0))
-    lm = np.asarray(lt.log_mag) + np.asarray(quad).real - lp.real
-    ar = np.asarray(lt.arg) + np.asarray(quad).imag - lp.imag
-    return LogComplex(_scalarize(lm), _scalarize(ar))
+    ar = np.where(np.isneginf(lm), 0.0, ar)
+
+    def out(x):
+        return _scalarize(x.reshape(z.shape))
+
+    return WeierEval(
+        sigma=LogComplex(out(lm + quad.real - lp.real), out(ar + quad.imag - lp.imag)),
+        zeta=out(L1 + inv.eta1 * flat),
+        p=out(-L2 - inv.eta1),
+        p_prime=out(-L3),
+    )
+
+
+def _guarded(z, torus: Torus, what: str) -> WeierEval:
+    ev = evaluate(z, torus)
+    if np.any(ev.sigma.is_zero):
+        raise PoleAtLattice(f"{what} requested at a lattice point")
+    return ev
+
+
+def zeta(z, torus: Torus):
+    """Weierstrass zeta; the zeta of evaluate."""
+    return _guarded(z, torus, "zeta").zeta
+
+
+def wp(z, torus: Torus, order: int = 0):
+    """Weierstrass p (order 0), p' (order 1) or p'' (order 2)."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    ev = _guarded(z, torus, "wp")
+    if order == 0:
+        return ev.p
+    if order == 1:
+        return ev.p_prime
+    return 6.0 * ev.p * ev.p - invariants(torus).g2 / 2.0
+
+
+def sigma(z, torus: Torus) -> LogComplex:
+    """Weierstrass sigma in log form; the sigma of evaluate.
+
+    Zeros at lattice points surface as the log_mag = -inf sentinel.
+    """
+    return evaluate(z, torus).sigma
 
 
 def addition_zeta_residual(z, torus: Torus) -> float:

@@ -255,3 +255,45 @@ def test_evaluator_accepts_arrays(hex_solution):
     assert vals.shape == zs.shape
     assert vals[1, 0] == -math.inf
     assert vals[0, 1] == u(0.2 + 0.1j)
+
+
+def _solution(rho, tau):
+    T = lattice.make_torus(tau)
+    if rho == "4pi":
+        return mfe.solution_4pi(T)[0]
+    return mfe.solution_8pi(T, mfe.extra_branch_point(T))
+
+
+# the Jacobi branch of the theta kernel serves Im tau < 1/2, and at 4 pi the
+# kernel runs on the doubled torus 2 tau
+@pytest.mark.parametrize("rho,tau", [
+    ("4pi", 0.13 + 0.92j), ("4pi", 0.5 + 0.2j), ("8pi", HEX_TAU), ("8pi", 0.5 + 0.3j),
+], ids=["4pi-direct", "4pi-jacobi", "8pi-direct", "8pi-jacobi"])
+def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
+    sol = _solution(rho, tau)
+    rng = np.random.default_rng(17)
+    pieces = [rng.uniform(-0.5, 0.5, n) + tau * rng.uniform(-0.5, 0.5, n) for n in (1, 7, 30)]
+    pieces.append(np.array([0.0, 1.0 + tau, 0.5 + 1e-3j]))
+    if sol.branch is not None:
+        pieces.append(np.array([sol.branch, -sol.branch + tau]))
+    whole = sol.evaluator(np.concatenate(pieces))
+    np.testing.assert_array_equal(whole, np.concatenate([sol.evaluator(p) for p in pieces]))
+    assert sol.evaluator(complex(pieces[1][3])) == whole[4]
+
+
+@pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
+def test_verification_costs_two_theta_passes_per_row(monkeypatch, rho, tau):
+    from torusgreen import theta
+    sol = _solution(rho, tau)
+    passes = []
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            passes.append(1)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(theta, "_eval", counted(theta._eval))
+    monkeypatch.setattr(weier, "_eval", counted(weier._eval))
+    mfe.verify_solution(sol, grid_n=32)
+    assert len(passes) == 2 * 32

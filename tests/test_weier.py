@@ -180,3 +180,28 @@ def test_wp_vectorized_matches_scalar():
     for k, z in enumerate(zs):
         one = weier.wp(complex(z), T)
         assert abs(vec[k] - one) < 1e-14 * abs(one)
+
+
+@pytest.mark.parametrize("tau", [0.13 + 0.92j, 0.2 + 0.35j], ids=["direct", "jacobi"])
+def test_evaluate_matches_the_single_quantity_readers_bitwise(tau):
+    T = lattice.make_torus(tau)
+    zs = np.array([0.21 + 0.13j, -0.32 + 0.27j, 1.05 - 0.41j, 0.5, 2.3 + 1.7 * tau])
+    ev = weier.evaluate(zs, T)
+    np.testing.assert_array_equal(ev.sigma.log_mag, weier.sigma(zs, T).log_mag)
+    np.testing.assert_array_equal(ev.sigma.arg, weier.sigma(zs, T).arg)
+    np.testing.assert_array_equal(ev.zeta, weier.zeta(zs, T))
+    np.testing.assert_array_equal(ev.p, weier.wp(zs, T, order=0))
+    np.testing.assert_array_equal(ev.p_prime, weier.wp(zs, T, order=1))
+    # a point alone gives the same bits as inside the batch
+    for k, z in enumerate(zs):
+        one = weier.evaluate(complex(z), T)
+        assert (one.sigma.log_mag, one.sigma.arg, one.zeta, one.p, one.p_prime) == (
+            ev.sigma.log_mag[k], ev.sigma.arg[k], ev.zeta[k], ev.p[k], ev.p_prime[k])
+
+
+def test_evaluate_keeps_the_lattice_sentinel():
+    T = lattice.make_torus(0.5 + 0.8j)
+    ev = weier.evaluate(np.array([0.0, 1.0 + T.tau, 0.3]), T)
+    assert ev.sigma.log_mag[0] == -math.inf
+    assert ev.sigma.log_mag[1] == -math.inf
+    assert np.isnan(ev.p[:2]).all() and np.isfinite(ev.p[2])
