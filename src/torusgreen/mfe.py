@@ -185,8 +185,10 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
 
     c1 = log(8 / rho) = -log(pi).  u blows up like 4 log|z| at the source
     and, as lam grows, concentrates its mass near z0 while staying exactly
-    doubly periodic for every lam.
+    doubly periodic for every lam.  A non-finite lam is InvalidInput.
     """
+    if not math.isfinite(lam):
+        raise InvalidInput(f"lambda {lam} is not finite")
     dm = developing_map_8pi(torus, z0)
     c1 = math.log(8.0 / RHO_8PI)
     z0p = dm.z0
@@ -300,7 +302,9 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         arg = (kappa * z).imag + ar[:n] - ar[n:]
         return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
 
-    period_integral = _integral_g_over_period(lambda z: parts(z)[2], 0.25)
+    # the semicircle keeps a third of Im tau clear of the pole at 1/2 + tau
+    period_integral = _integral_g_over_period(lambda z: parts(z)[2],
+                                              min(0.25, tau.imag / 3.0))
     dev = min(abs(period_integral - 1j * math.pi), abs(period_integral + 1j * math.pi))
     if dev > 1e-8:
         raise ConstructionInconsistent(

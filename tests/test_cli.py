@@ -255,6 +255,10 @@ def test_domain_error_exit(capsys):
     ("mfe", "--rho=4pi", "--tau=i", "--exclusion-radius=0.01"),
     ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
      "--exclusion-radius=nan"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
+     "--lambda=nan"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
+     "--lambda=inf"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32", "--exclusion-radius=5"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x64"),
     ("critical", "--tau=i", "--tol=1e-3"),

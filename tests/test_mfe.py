@@ -8,6 +8,7 @@ import oracles
 from torusgreen import critical, green, lattice, mfe, weier
 from torusgreen.errors import (
     HalfPeriodBranch,
+    InvalidInput,
     NoExtraCriticalPoint,
     NotACriticalPoint,
 )
@@ -222,6 +223,24 @@ def test_rho_4pi_diagnostics():
         assert dev < 1e-10
         assert abs(diag.c_prime + 1.0) < 1e-12
         assert abs(abs(diag.c_tau) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.02 + 0.2j, 0.02 + 0.3j])
+def test_rho_4pi_contour_clears_the_pole_at_half_plus_tau(tau):
+    # a fixed radius-0.25 semicircle passed within 0.05 of the pole at
+    # 1/2 + tau here, and the period integral missed pi i by 1e-7 to 2e-6
+    _, diag = mfe.solution_4pi(lattice.make_torus(tau))
+    dev = min(abs(diag.period_integral - 1j * math.pi),
+              abs(diag.period_integral + 1j * math.pi))
+    assert dev < 1e-13
+    assert abs(diag.c_prime + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_scaling_parameter_must_be_finite(lam):
+    T = lattice.make_torus(HEX_TAU)
+    with pytest.raises(InvalidInput):
+        mfe.solution_8pi(T, mfe.extra_branch_point(T), lam=lam)
 
 
 def test_rho_4pi_u_properties():
