@@ -302,7 +302,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         arg = (kappa * z).imag + ar[:n] - ar[n:]
         return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
 
-    # the semicircle keeps a third of Im tau clear of the pole at 1/2 + tau
+    # a radius of at most Im tau / 3 keeps the semicircle at least
+    # 2 Im tau / 3 from the pole at 1/2 + tau
     period_integral = _integral_g_over_period(lambda z: parts(z)[2],
                                               min(0.25, tau.imag / 3.0))
     dev = min(abs(period_integral - 1j * math.pi), abs(period_integral + 1j * math.pi))

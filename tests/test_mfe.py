@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import critical, green, lattice, mfe, weier
+from torusgreen import critical, green, lattice, mfe, theta, weier
 from torusgreen.errors import (
     HalfPeriodBranch,
     InvalidInput,
@@ -227,8 +227,8 @@ def test_rho_4pi_diagnostics():
 
 @pytest.mark.parametrize("tau", [0.02 + 0.2j, 0.02 + 0.3j])
 def test_rho_4pi_contour_clears_the_pole_at_half_plus_tau(tau):
-    # a fixed radius-0.25 semicircle passed within 0.05 of the pole at
-    # 1/2 + tau here, and the period integral missed pi i by 1e-7 to 2e-6
+    # on these tori a radius-0.25 semicircle passes within 0.05 of the pole
+    # at 1/2 + tau and its period integral misses pi i by 1e-7 to 2e-6
     _, diag = mfe.solution_4pi(lattice.make_torus(tau))
     dev = min(abs(diag.period_integral - 1j * math.pi),
               abs(diag.period_integral + 1j * math.pi))
@@ -292,7 +292,7 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
     sol = _solution(rho, tau)
     rng = np.random.default_rng(17)
     pieces = [rng.uniform(-0.5, 0.5, n) + tau * rng.uniform(-0.5, 0.5, n) for n in (1, 7, 30)]
-    pieces.append(np.array([0.0, 1.0 + tau, 0.5 + 1e-3j]))
+    pieces.append(np.array([0.0, 1.0 + tau, 0.5, 0.5 + 1e-3j]))
     if sol.branch is not None:
         pieces.append(np.array([sol.branch, -sol.branch + tau]))
     whole = sol.evaluator(np.concatenate(pieces))
@@ -302,7 +302,6 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
 def test_verification_costs_two_theta_passes_per_row(monkeypatch, rho, tau):
-    from torusgreen import theta
     sol = _solution(rho, tau)
     passes = []
 
