@@ -209,8 +209,10 @@ def verify_fundamental_inequalities(b_grid) -> InequalityReport:
 def functional_equation_residual(b: float) -> float:
     """|f(1/4b) + 2b + 4 b^2 f(b)| for f(b) = (log|theta1|)_b at z = 1/2.
 
-    The identity couples each b with 1/(4b) across the self dual point
-    b = 1/2, so it exercises both evaluation branches at once.
+    The identity lives on the rhombic line Re tau = 1/2 and couples each
+    b with 1/(4b) across the self dual point b = 1/2.  Both sides come
+    from the one real series of theta.log_theta1_b_derivs, which has no
+    branch, so it checks that series at two moduli, not two routes.
     """
     if not b > 0.0:
         raise InvalidInput(f"b = {b} must be positive")

@@ -69,11 +69,27 @@ def legendre_residual(torus: Torus) -> float:
     return abs(inv.eta1 * torus.tau - eta2 - 2j * math.pi)
 
 
+def eta1_lambert(tau: complex) -> complex:
+    """eta1 = (pi^2 / 3) E2(tau) from the Lambert series of E2 in q^2,
+    q = e^(i pi tau); it never reads a theta value."""
+    n = np.arange(1, math.ceil(7.0 / tau.imag) + 2)
+    x = np.exp((2j * math.pi * tau) * n)
+    return complex(math.pi ** 2 / 3.0 * (1.0 - 24.0 * np.sum(n * x / (1.0 - x))))
+
+
 def e_sum_residual(torus: Torus) -> float:
-    """|e1 + e2 + e3| relative to the largest root."""
+    """|e1 + e2 + e3| relative to the largest root, with eta1 from E2.
+
+    The invariants take eta1 as minus the mean of (log theta1)'' at the
+    half periods, so their own roots sum to zero by construction.  The
+    roots e_k + eta1 - eta1_lambert keep the series values and swap in the
+    independent eta1; they must sum to zero and equal the reported e_k.
+    """
     inv = weier.invariants(torus)
-    scale = max(abs(inv.e1), abs(inv.e2), abs(inv.e3), 1.0)
-    return abs(inv.e1 + inv.e2 + inv.e3) / scale
+    shift = inv.eta1 - eta1_lambert(torus.tau)
+    roots = np.array([inv.e1, inv.e2, inv.e3]) + shift
+    scale = max(np.max(np.abs(roots)), 1.0)
+    return max(abs(roots.sum()), abs(shift)) / scale
 
 
 def wp_de_residual(z, torus: Torus) -> np.ndarray:

@@ -21,7 +21,14 @@ One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
 layer and the Green function (green.evaluate, green.residual_and_jacobian)
 all read from it.  It always sums a flat array, so a point gives the same
-bits alone as inside a batch.
+bits alone as inside a batch.  There is no separate series for the theta
+nulls: theta2, theta3 and theta4 at 0 are theta1 at the half periods up
+to exact factors, and the Weierstrass layer reads them, theta1'(0) and
+eta1 from one _eval pass there.
+
+The two real series on the rhombic line Re tau = 1/2
+(log_theta1_b_derivs, log_theta3_b_derivs) give b derivatives for the
+threshold and inequality checks of the moduli layer.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,17 +67,6 @@ class LogComplex:
     @property
     def is_zero(self):
         return np.isneginf(self.log_mag)
-
-
-@dataclass(frozen=True)
-class ThetaSpecials:
-    """Null values: theta2/3/4 at z = 0 plus theta1' and theta1''' at 0."""
-
-    th2_0: complex
-    th3_0: complex
-    th4_0: complex
-    th1p_0: complex
-    th1ppp_0: complex
 
 
 def _term_count_z(b: float) -> int:
@@ -196,40 +191,6 @@ def jacobi_imaginary(z, tau: complex) -> LogComplex:
     tau = _check_tau(tau)
     lm, ar, *_ = _eval_jacobi(z, tau)
     return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
-
-
-@lru_cache(maxsize=512)
-def _specials_cached(tau: complex) -> ThetaSpecials:
-    b = tau.imag
-    nt = _term_count_null(b)
-    n = np.arange(0, nt)
-    sgn = np.where(n & 1, -1.0, 1.0)
-    a14 = np.exp((1j * np.pi * tau) * (n + 0.5) ** 2)
-    odd = (2 * n + 1).astype(float)
-    th1p = 2.0 * np.pi * np.sum(sgn * odd * a14)
-    th1ppp = -2.0 * np.sum(sgn * (odd * np.pi) ** 3 * a14)
-    th2 = 2.0 * np.sum(a14)
-    mm = np.arange(1, nt)
-    qm2 = np.exp((1j * np.pi * tau) * mm ** 2)
-    th3 = 1.0 + 2.0 * np.sum(qm2)
-    th4 = 1.0 + 2.0 * np.sum(np.where(mm & 1, -1.0, 1.0) * qm2)
-    triple = np.pi * th2 * th3 * th4
-    if abs(th1p - triple) > 1e-12 * abs(th1p):
-        raise Unconverged(
-            f"triple product residual {abs(th1p - triple):.3e} at tau = {tau}"
-        )
-    return ThetaSpecials(
-        th2_0=complex(th2),
-        th3_0=complex(th3),
-        th4_0=complex(th4),
-        th1p_0=complex(th1p),
-        th1ppp_0=complex(th1ppp),
-    )
-
-
-def theta_specials(torus: Torus) -> ThetaSpecials:
-    """Null values from the direct q series, cached per modulus."""
-    return _specials_cached(torus.tau)
 
 
 def log_theta1_b_derivs(z: float, b: float) -> tuple[float, float]:

@@ -1,23 +1,31 @@
 """Weierstrass layer, derived entirely from theta1.
 
-eta1 comes from the third logarithmic derivative of theta1 at the origin,
-eta2 from the Legendre relation, and the half period values e_i from
-p(z) = -(log theta1)''(z) - eta1.  evaluate gives sigma, zeta, p and p'
-from one theta1 series pass; sigma, zeta and wp read from it, and zeta
-and wp raise PoleAtLattice where it has a pole.  The classical lattice
-sum is kept out of the library on purpose: at the accuracy this package
-works to it converges hopelessly slowly, and it survives only as an
-independent oracle in the test suite.
+The constants come from one theta1 series pass at the three half periods
+1/2, tau/2 and (1+tau)/2, where theta1 equals theta2(0),
+i q^(-1/4) theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau).  With
+e_k = p(omega_k) = -(log theta1)''(omega_k) - eta1, the sum
+e1 + e2 + e3 = 0 gives eta1 as minus the mean of those second
+logarithmic derivatives, and eta2 follows from the Legendre relation.
+theta1'(0) = pi theta2(0) theta3(0) theta4(0) is summed in log form and
+normalizes sigma.  Jacobi's gap identities, e1 - e2 = pi^2 theta3(0)^4
+and its two companions, compare the second derivatives with the values
+of the same pass at run time.
+
+evaluate gives sigma, zeta, p and p' from one theta1 series pass; sigma,
+zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
+has a pole.  The classical lattice sum is kept out of the library on
+purpose: at the accuracy this package works to it converges hopelessly
+slowly, and it survives only as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import theta
 from .errors import HalfPeriodInput, PoleAtLattice, Unconverged
 from .lattice import Torus
 from .theta import LogComplex, _eval, _scalarize
@@ -30,7 +38,9 @@ class EllipticInvariants:
     """Half period values, quasi periods and derived invariants.
 
     lam is the modular lambda in the convention (e3 - e2) / (e1 - e2),
-    which sends the square torus to 1/2.
+    which sends the square torus to 1/2.  log_theta1_prime is
+    log theta1'(0), the normalization of sigma; its imaginary part is
+    not reduced mod 2 pi.
     """
 
     e1: complex
@@ -41,28 +51,32 @@ class EllipticInvariants:
     g2: complex
     g3: complex
     lam: complex
+    log_theta1_prime: complex
 
 
 @lru_cache(maxsize=512)
 def _invariants_cached(tau: complex) -> EllipticInvariants:
-    torus = Torus(tau)
-    sp = theta.theta_specials(torus)
-    eta1 = -sp.th1ppp_0 / (3.0 * sp.th1p_0)
+    zs = np.array((0.5, tau / 2.0, (1.0 + tau) / 2.0), dtype=complex)
+    lm, ar, _, L2, _ = _eval(zs, tau)
+    eta1 = complex(-L2.sum() / 3.0)
     eta2 = eta1 * tau - TWO_PI_I
-    halves = (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0)
-    zs = np.array(halves, dtype=complex)
-    _, _, _, L2, _ = _eval(zs, tau)
     e1, e2, e3 = (-L2 - eta1).tolist()
+    # log theta2(0), log theta4(0), log theta3(0) from theta1 at the half periods
+    quarter = 0.25j * math.pi * tau
+    log_nulls = lm + 1j * ar + np.array([0.0, quarter - 0.5j * math.pi, quarter])
+    log_theta1_prime = complex(math.log(math.pi) + log_nulls.sum())
+    th2_4, th4_4, th3_4 = (math.pi * math.pi) * np.exp(4.0 * log_nulls)
+    gap = max(abs(e1 - e2 - th3_4), abs(e1 - e3 - th4_4), abs(e3 - e2 - th2_4))
     scale = max(abs(e1), abs(e2), abs(e3))
-    if abs(e1 + e2 + e3) > 1e-11 * scale:
+    if gap > 1e-11 * scale:
         raise Unconverged(
-            f"half period values at tau = {tau} do not sum to zero: "
-            f"{abs(e1 + e2 + e3):.3e} vs scale {scale:.3e}"
+            f"half period values at tau = {tau} miss Jacobi's gap identities: "
+            f"{gap:.3e} vs scale {scale:.3e}"
         )
     g2 = -4.0 * (e1 * e2 + e2 * e3 + e3 * e1)
     g3 = 4.0 * e1 * e2 * e3
     lam = (e3 - e2) / (e1 - e2)
-    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, lam)
+    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, lam, log_theta1_prime)
 
 
 def invariants(torus: Torus) -> EllipticInvariants:
@@ -96,12 +110,11 @@ def evaluate(z, torus: Torus) -> WeierEval:
     single-quantity readers below raise PoleAtLattice there instead.
     """
     inv = invariants(torus)
-    sp = theta.theta_specials(torus)
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     lm, ar, L1, L2, L3 = _eval(flat, torus.tau)
     quad = 0.5 * inv.eta1 * flat * flat
-    lp = np.log(complex(sp.th1p_0))
+    lp = inv.log_theta1_prime
     ar = np.where(np.isneginf(lm), 0.0, ar)
 
     def out(x):

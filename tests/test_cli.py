@@ -287,6 +287,13 @@ def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):
         cli.run(["critical", "--tau=i"])
 
 
+def test_critical_at_the_cusp_on_the_imaginary_axis(capsys):
+    # deep in the cusp the invariants come from the reduced theta pass
+    code, out, err = run_cli(capsys, "critical", "--tau=0.05i")
+    assert code == 0, err
+    assert json.loads(out)["results"]["count"] == 3
+
+
 def test_coincident_half_period_values_exit_3(capsys):
     # at tau = 0.065i the float64 gap e1 - e3 is exactly zero, which used to
     # crash compare_half_periods with ZeroDivisionError

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 
+import oracles
 from torusgreen import lattice, selftest, weier
 
 EXPECTED_NAMES = [
@@ -59,3 +62,22 @@ def test_legendre_residual_reads_eta2_from_zeta(monkeypatch):
     real = weier.zeta
     monkeypatch.setattr(weier, "zeta", lambda z, torus: real(z, torus) + 1e-6)
     assert selftest.legendre_residual(T) > 1e-7
+
+
+def test_e_sum_catches_an_eta1_shift_that_keeps_the_series_values(monkeypatch):
+    # e_k + d and eta1 - d leave every (log theta1)'' = -(e_k + eta1) as it
+    # was, so only an eta1 from outside the theta series can see the shift
+    T = lattice.make_torus(0.21 + 1.13j)
+    inv = weier.invariants(T)
+    d = 1e-6
+    shifted = dataclasses.replace(inv, e1=inv.e1 + d, e2=inv.e2 + d, e3=inv.e3 + d,
+                                  eta1=inv.eta1 - d)
+    assert selftest.e_sum_residual(T) < 1e-12
+    monkeypatch.setattr(weier, "invariants", lambda torus: shifted)
+    assert selftest.e_sum_residual(T) > 1e-7
+
+
+def test_eta1_lambert_matches_mpmath():
+    for tau in (1j, 0.5 + 0.8j, -0.31 + 0.3j, 0.05j):
+        ref = oracles.mp_eta1(tau)
+        assert abs(selftest.eta1_lambert(tau) - ref) < 1e-13 * abs(ref)

@@ -150,18 +150,6 @@ def test_small_imag_tau_routes_accurately():
         assert abs(cmath.exp(1j * (got.arg - ar_ref)) - 1.0) < 1e-10
 
 
-def test_theta_specials_match_mpmath():
-    for tau in TAUS:
-        T = lattice.make_torus(tau)
-        sp = theta.theta_specials(T)
-        q = mp.exp(1j * mp.pi * mp.mpc(tau))
-        assert abs(sp.th2_0 - complex(mp.jtheta(2, 0, q))) < 1e-13 * abs(sp.th2_0)
-        assert abs(sp.th3_0 - complex(mp.jtheta(3, 0, q))) < 1e-13 * abs(sp.th3_0)
-        assert abs(sp.th4_0 - complex(mp.jtheta(4, 0, q))) < 1e-13 * abs(sp.th4_0)
-        assert abs(sp.th1p_0 - complex(oracles.mp_theta1_dz(0.0, tau, 1))) < 1e-12 * abs(sp.th1p_0)
-        assert abs(sp.th1ppp_0 - complex(oracles.mp_theta1_dz(0.0, tau, 3))) < 1e-12 * abs(sp.th1ppp_0)
-
-
 def test_rhombic_line_b_derivs_match_mpmath():
     def logmag(z, b):
         return mp.log(abs(oracles.mp_theta1(z, mp.mpc(0.5, b))))

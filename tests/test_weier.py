@@ -6,9 +6,11 @@ import pytest
 
 import oracles
 from torusgreen import lattice, theta, weier
-from torusgreen.errors import HalfPeriodInput, PoleAtLattice
+from torusgreen.errors import HalfPeriodInput, PoleAtLattice, Unconverged
 
 TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, 0.2 + 0.35j]
+# near the cusp on Re tau = 0 and Re tau = 1/2, on both sides of Im tau = 1
+CUSP_TAUS = [0.05j, 0.02j, 0.065j, 0.5 + 0.03j, 0.5 + 8j, 12j]
 
 
 def test_invariants_sum_and_symmetric_functions():
@@ -47,10 +49,31 @@ def test_hex_torus_lambda_satisfies_sextic_fixed_point():
 
 
 def test_eta1_matches_mpmath():
-    for tau in TAUS:
+    for tau in TAUS + CUSP_TAUS:
         inv = weier.invariants(lattice.make_torus(tau))
         ref = oracles.mp_eta1(tau)
         assert abs(inv.eta1 - ref) < 1e-12 * max(1.0, abs(ref))
+        # theta1'(0), phase included, from the nulls of the same pass
+        th1p = complex(oracles.mp_theta1_dz(0.0, tau, 1))
+        assert abs(cmath.exp(inv.log_theta1_prime) - th1p) < 1e-12 * abs(th1p)
+
+
+def test_gap_check_catches_a_corrupted_half_period(monkeypatch):
+    # e1 + e2 + e3 = 0 holds by construction, so only the gap identities
+    # e1 - e2 = pi^2 theta3(0)^4 etc. can see a wrong (log theta1)''
+    real = weier._eval
+
+    def corrupted(z, tau):
+        lm, ar, L1, L2, L3 = real(z, tau)
+        return lm, ar, L1, L2 * np.array([1.0, 1.0 + 1e-9, 1.0]), L3
+
+    monkeypatch.setattr(weier, "_eval", corrupted)
+    weier._invariants_cached.cache_clear()
+    try:
+        with pytest.raises(Unconverged, match="gap identities"):
+            weier.invariants(lattice.make_torus(0.13 + 0.92j))
+    finally:
+        weier._invariants_cached.cache_clear()
 
 
 def test_wp_matches_lattice_row_sum():
@@ -130,11 +153,12 @@ def test_zeta_simple_pole_at_origin():
 
 
 def test_sigma_behaves_like_z_at_origin():
-    T = lattice.make_torus(0.13 + 0.92j)
-    z = 1e-5 + 2e-5j
-    s = weier.sigma(z, T)
-    assert abs(s.value / z - 1.0) < 1e-8
-    assert weier.sigma(0.0, T).is_zero
+    for tau in [0.13 + 0.92j] + CUSP_TAUS:
+        T = lattice.make_torus(tau)
+        z = 1e-5 + 2e-5j
+        s = weier.sigma(z, T)
+        assert abs(s.value / z - 1.0) < 1e-8
+        assert weier.sigma(0.0, T).is_zero
 
 
 def test_sigma_quasi_periodicity():
