@@ -381,26 +381,20 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
     """Order G over the three half periods, three independent ways.
 
     (a) direct green_rel values, (b) the closed form pairwise differences
-    (1/8 pi) log of cross ratios of e_i gaps, (c) the ordering of |wp| at
-    the half periods.  Disagreement beyond the tie tolerance raises
-    InconsistentComparison.
+    G(w_i/2) - G(w_j/2) = (log|theta_j(0)| - log|theta_i(0)|) / 2 pi of
+    the theta nulls that belong to the half periods, which Jacobi's gap
+    identities make the (1/8 pi) log of cross ratios of e gaps, (c) the
+    ordering of |wp| at the half periods.  The nulls are summed in log
+    form, so (b) keeps its relative precision at the cusp, where two
+    roots e_k agree to every float64 digit.  Disagreement beyond the tie
+    tolerance raises InconsistentComparison.
     """
     inv = weier.invariants(torus)
     g = tuple(green.evaluate(np.array(torus.half_periods), torus).value_rel.tolist())
     e = (inv.e1, inv.e2, inv.e3)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if e[i] - e[j] == 0.0:
-            # near the cusp two roots can agree to every float64 digit; the
-            # cross ratios below would then divide by zero or take log(0)
-            raise Unconverged(
-                f"e{i + 1} - e{j + 1} is exactly 0.0 in float64 at tau = {torus.tau}; "
-                "the log-ratio formula cannot order the half periods"
-            )
-    formula = {
-        (0, 2): math.log(abs((e[0] - e[1]) / (e[2] - e[1]))) / (8 * math.pi),
-        (1, 2): math.log(abs((e[1] - e[0]) / (e[2] - e[0]))) / (8 * math.pi),
-        (0, 1): math.log(abs((e[0] - e[2]) / (e[1] - e[2]))) / (8 * math.pi),
-    }
+    nulls = inv.log_abs_nulls
+    formula = {(i, j): (nulls[j] - nulls[i]) / (2 * math.pi)
+               for i, j in ((0, 2), (1, 2), (0, 1))}
     m = tuple(abs(x) for x in e)
     scale = max(m)
     dev = 0.0

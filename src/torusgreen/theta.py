@@ -11,11 +11,17 @@ theta1 is summed in exponential form,
     q = e^(pi i tau),
 
 after reducing z modulo the lattice so |Im z| <= Im(tau)/2; the discarded
-translation comes back as an exact log space factor.  Term exponents are
-assembled before exponentiation, so no intermediate under- or overflows.
-For Im tau < 1/2 the evaluation is routed through the imaginary
-transformation (one T shift plus one S inversion) where the effective nome
-is small again.  Derivative series are termwise derivatives of the sum.
+translation comes back as an exact log space factor.  The terms n >= 0
+and n < 0 are two running products of ratios, so a point costs four
+complex exps whatever the number of terms; no factor that can overflow
+(e^(i pi z) itself) is ever formed, and no value built exceeds
+e^(pi Im tau / 4).  For Im tau < 1/2 the evaluation is routed through the
+imaginary transformation (one T shift plus one S inversion) where the
+effective nome is small again.  Derivative series are weighted sums over
+the same terms, taken about the log derivative i pi of the largest term,
+so the second and third logarithmic derivatives keep their relative
+precision where that term dominates (the half periods tau/2 and
+(1+tau)/2 at large Im tau, where L2 is O(e^(-pi Im tau))).
 
 One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
@@ -45,6 +51,19 @@ from .lattice import Torus, split_coords
 TERM_CAP = 64
 # Im tau below this routes through the imaginary transformation
 JACOBI_CUTOFF = 0.5
+# exponents of u_0, d_0 and the first ratios of both halves, per z0 and tau
+_LEAD_Z = (1j * np.pi) * np.array([[1.0], [-1.0], [2.0], [-2.0]])
+_LEAD_TAU = (1j * np.pi) * np.array([[0.25], [0.25], [2.0], [2.0]])
+_K = np.arange(TERM_CAP)
+# real weights (half, moment, k) of the moments about i pi: the term n = k
+# has z derivative factor i pi (2k + 1), i pi + 2 pi i k; the term n = -1-k,
+# which enters the sum as -d_k, has -i pi (2k + 1), i pi - pi i (2k + 2)
+_U = 2.0 * np.pi * _K
+_D = np.pi * (2.0 * _K + 2.0)
+_WEIGHTS = np.array([[np.ones(TERM_CAP), _U, _U ** 2, _U ** 3],
+                     [-np.ones(TERM_CAP), _D, -_D ** 2, _D ** 3]])
+# the powers of i that the real weights leave out, times the -i of theta1
+_PHASES = np.array([[-1j], [1.0], [1j], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -82,25 +101,46 @@ def _term_count_null(b: float) -> int:
 
 
 def _series(z0, tau: complex, nterms: int):
-    """theta1 and its first three z derivatives at reduced arguments.
+    """theta1 at reduced arguments and its z derivative moments about i pi.
 
-    z0 is an array with |Im z0| <= Im(tau)/2.  Returns (th0, th1, th2, th3).
+    z0 is a 1-D array with |Im z0| <= Im(tau)/2.  Returns the rows
+    (th0, s1, s2, s3) of one array: th0 = theta1(z0) and
+    sj = e^(i pi z) d^j/dz^j (e^(-i pi z) theta1(z)) at z0, the termwise
+    sums -i sum_n a_n ((2n+1) pi i - pi i)^j.  The term n = 0, the largest
+    wherever Im z0 <= 0, drops out of every sj, so the logarithmic
+    derivatives built from them do not cancel it against itself: at
+    tau/2, where L2 is O(e^(-pi Im tau)), th2/th0 - (th1/th0)^2 from plain
+    derivatives is a difference of two O(1) numbers.
+
+    With m = 2k + 1 the terms n = k and n = -1-k of the sum are u_k and
+    -d_k, where u_k = (-1)^k q^((k+1/2)^2) e^(i pi m z0) and d_k is u_k
+    at -z0.  Each half is a running product of ratios:
+
+        u_0 = e^(i pi (z0 + tau/4)),   u_(k+1) = u_k r q^(2k),
+        r = -e^(2 i pi (tau + z0)),
+
+    and likewise for d with -z0, so a point costs four exps.  Neither
+    e^(i pi z0) nor its square is formed on its own (they overflow near
+    Im tau = 450 and 225): |r q^(2k)| <= e^(-pi Im tau) and no value
+    built exceeds e^(pi Im tau / 4), the bound of the terms themselves.
+    The terms sit as (half, k, point) and the products run along k in
+    order; the moments are summed over both halves and k with signed
+    real weights on the float view (half, k, 2 point).  Every product and
+    sum keeps its order for every point, so a point gives the same bits
+    alone as inside a batch.
     """
-    n = np.arange(-nterms, nterms)
-    half = n + 0.5
-    w = (2 * n + 1) * (1j * np.pi)
     z0 = np.asarray(z0, dtype=complex)
-    expo = (1j * np.pi * tau) * half * half + w * z0[..., None]
-    amp = np.exp(expo)
-    amp *= np.where(n & 1, -1.0, 1.0)
-    th0 = -1j * amp.sum(axis=-1)
-    amp = amp * w
-    th1 = -1j * amp.sum(axis=-1)
-    amp = amp * w
-    th2 = -1j * amp.sum(axis=-1)
-    amp = amp * w
-    th3 = -1j * amp.sum(axis=-1)
-    return th0, th1, th2, th3
+    # u_0, d_0 and the first ratios of both halves, from one exp call
+    lead = np.exp(_LEAD_Z * z0 + _LEAD_TAU * tau)
+    terms = np.empty((2, nterms, z0.size), dtype=complex)
+    terms[:, 0] = lead[:2]
+    q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1])
+    np.multiply(lead[2:, None], q2k[:, None], out=terms[:, 1:])
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    # np.einsum without optimize runs its own loops, never BLAS, and
+    # accumulates along k in order for every point
+    moments = np.einsum("hik,hkj->ij", _WEIGHTS[:, :, :nterms], terms.view(float))
+    return moments.view(complex) * _PHASES
 
 
 def _eval_direct(z, tau: complex):
@@ -112,22 +152,26 @@ def _eval_direct(z, tau: complex):
     b = tau.imag
     t, s, m, n = split_coords(z, tau)
     z0 = t + s * tau
-    th0, th1, th2, th3 = _series(z0, tau, _term_count_z(b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.log(np.abs(th0)) + (np.pi * b) * n * n + (2.0 * np.pi) * n * (s * b)
-        arg = (
-            np.angle(th0)
-            + np.pi * (m + n)
-            - (np.pi * tau.real) * n * n
-            - (2.0 * np.pi) * n * z0.real
-        )
-        r1 = th1 / th0
-        r2 = th2 / th0
-        r3 = th3 / th0
-        L1 = r1 - (2j * np.pi) * n
+    # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
+    # series at the summed point is always n = 0
+    flip = s > 0.0
+    th = _series(np.where(flip, -z0, z0), tau, _term_count_z(b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1, r2, r3 = th[1:] / th[0]
         L2 = r2 - r1 * r1
-        L3 = r3 - 3.0 * r2 * r1 + 2.0 * r1 * r1 * r1
-    hit = (t == 0.0) & (s == 0.0)
+        L3 = r3 - r1 * (r2 + 2.0 * L2)
+        L1 = r1 + 1j * np.pi
+        L1 = np.where(flip, -L1, L1)
+        L3 = np.where(flip, -L3, L3)
+        log_mag = np.log(np.abs(th[0]))
+        arg = np.angle(th[0]) + np.pi * (m + flip)
+    if np.any(n):
+        # the translation factor; where n == 0 it adds exact zeros, so a
+        # point gets the same bits whichever branch its batch takes
+        log_mag = log_mag + (np.pi * b) * n * (n + 2.0 * s)
+        arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * z0.real))
+        L1 = L1 - (2j * np.pi) * n
+    hit = z0 == 0.0
     if np.any(hit):
         # exactly reduced lattice points: the sum is an exact zero in theory
         # but roundoff leaves ~1e-16 debris, so snap to the sentinel
@@ -158,13 +202,16 @@ def _eval_jacobi(z, tau: complex):
     return log_mag, arg, L1, L2, L3
 
 
-def _eval(z, tau: complex):
+def _on_flat(route, z, tau: complex):
     # always evaluate a 1-D array: numpy's scalar complex products round
     # differently from its array loops, and a point must give the same bits
     # alone as inside a batch
     z = np.asarray(z, dtype=complex)
-    route = _eval_direct if tau.imag >= JACOBI_CUTOFF else _eval_jacobi
     return tuple(out.reshape(z.shape) for out in route(z.reshape(-1), tau))
+
+
+def _eval(z, tau: complex):
+    return _on_flat(_eval_direct if tau.imag >= JACOBI_CUTOFF else _eval_jacobi, z, tau)
 
 
 def _check_tau(tau: complex) -> complex:
@@ -189,7 +236,7 @@ def jacobi_imaginary(z, tau: complex) -> LogComplex:
     """theta1(z; tau) evaluated through tau' = -1/tau with the principal
     square root branch.  Public mostly so the two routes can be compared."""
     tau = _check_tau(tau)
-    lm, ar, *_ = _eval_jacobi(z, tau)
+    lm, ar, *_ = _on_flat(_eval_jacobi, z, tau)
     return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
 
 

@@ -40,7 +40,9 @@ class EllipticInvariants:
     lam is the modular lambda in the convention (e3 - e2) / (e1 - e2),
     which sends the square torus to 1/2.  log_theta1_prime is
     log theta1'(0), the normalization of sigma; its imaginary part is
-    not reduced mod 2 pi.
+    not reduced mod 2 pi.  log_abs_nulls holds log|theta2(0)|,
+    log|theta4(0)| and log|theta3(0)|, in the order of the half periods
+    1/2, tau/2 and (1+tau)/2.
     """
 
     e1: complex
@@ -52,6 +54,7 @@ class EllipticInvariants:
     g3: complex
     lam: complex
     log_theta1_prime: complex
+    log_abs_nulls: tuple[float, float, float]
 
 
 @lru_cache(maxsize=512)
@@ -76,7 +79,8 @@ def _invariants_cached(tau: complex) -> EllipticInvariants:
     g2 = -4.0 * (e1 * e2 + e2 * e3 + e3 * e1)
     g3 = 4.0 * e1 * e2 * e3
     lam = (e3 - e2) / (e1 - e2)
-    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, lam, log_theta1_prime)
+    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, lam, log_theta1_prime,
+                              tuple(log_nulls.real.tolist()))
 
 
 def invariants(torus: Torus) -> EllipticInvariants:

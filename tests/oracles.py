@@ -2,10 +2,11 @@
 
 Most references here never import the package's theta or Weierstrass
 kernels: the theta reference goes through mpmath at 40 digits, the wp
-reference is a row grouped lattice sum over cotangent rows, and the
-Kronecker limit reference for C(tau) is mpmath's eta product.  Three
-routes do call the package, to check its closed forms by a different
-method: the two Green constant quadratures average the package's theta1
+reference is a row grouped lattice sum over cotangent rows, the Kronecker
+limit reference for C(tau) is mpmath's eta product, and the theta series
+with one exp per term is the package's kernel before its term
+recurrence.  Three routes do call the package, to check its closed forms
+by a different method: the two Green constant quadratures average the package's theta1
 or G over the cell (one splits off log|sin|, the other patches a disk
 over the singularity), and the developing map reference integrates the
 package's wp along an adaptive contour.  Tests compare the fast float
@@ -88,6 +89,51 @@ def mp_root_ratio(b):
     e1 = -_mp_log_theta1_dz2(0.5, tau) - eta1
     e2 = -_mp_log_theta1_dz2(tau / 2, tau) - eta1
     return abs(e2 / e1) ** 2
+
+
+def _theta_terms(z0, tau: complex, nterms: int):
+    """Terms -i (-1)^n q^((n+1/2)^2) e^((2n+1) pi i z0), n = -K .. K-1, one
+    complex exp each, and their z derivative factors (2n+1) pi i."""
+    n = np.arange(-nterms, nterms)
+    half = n + 0.5
+    w = (2 * n + 1) * (1j * np.pi)
+    z0 = np.asarray(z0, dtype=complex)
+    expo = (1j * np.pi * tau) * half * half + w * z0[..., None]
+    amp = np.exp(expo)
+    amp *= np.where(n & 1, -1.0, 1.0)
+    return -1j * amp, w
+
+
+def theta_series_exp_per_term(z0, tau: complex, nterms: int, center: complex = 0.0):
+    """theta1 and the moments of its terms about center at reduced
+    arguments z0, with one complex exp per term of
+
+        theta1(z) = -i sum_{n=-K}^{K-1} (-1)^n q^((n+1/2)^2) e^((2n+1) pi i z):
+
+    (th0, s1, s2, s3) with sj = -i sum (-1)^n q^(..) e^(..) ((2n+1) pi i - center)^j.
+    At center 0 these are theta1 and its first three z derivatives, which
+    the package's series kernel returned before its term recurrence; it
+    now returns them at center i pi.  Kept to check that kernel: every term
+    exponent assembled before exponentiation, nothing shared between terms.
+    """
+    amp, w = _theta_terms(z0, tau, nterms)
+    w = w - center
+    th0 = amp.sum(axis=-1)
+    amp = amp * w
+    s1 = amp.sum(axis=-1)
+    amp = amp * w
+    s2 = amp.sum(axis=-1)
+    amp = amp * w
+    s3 = amp.sum(axis=-1)
+    return th0, s1, s2, s3
+
+
+def theta_series_gross(z0, tau: complex, nterms: int, center: complex = 0.0):
+    """sum |term| |(2n+1) pi i - center|^j for j = 0..3, the scale of the
+    rounding in each of the four sums of theta_series_exp_per_term."""
+    amp, w = _theta_terms(z0, tau, nterms)
+    mag = np.abs(amp)
+    return tuple((mag * np.abs(w - center) ** j).sum(axis=-1) for j in range(4))
 
 
 def wp_rowsum(z: complex, tau: complex, n_rows: int = 0) -> complex:

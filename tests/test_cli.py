@@ -294,13 +294,13 @@ def test_critical_at_the_cusp_on_the_imaginary_axis(capsys):
     assert json.loads(out)["results"]["count"] == 3
 
 
-def test_coincident_half_period_values_exit_3(capsys):
-    # at tau = 0.065i the float64 gap e1 - e3 is exactly zero, which used to
-    # crash compare_half_periods with ZeroDivisionError
-    code, out, err = run_cli(capsys, "critical", "--tau=0.065i")
-    assert code == 3
-    assert out == ""
-    assert "CONSISTENCY VIOLATION (Unconverged): e1 - e3 is exactly 0.0" in err
+@pytest.mark.parametrize("tau", ["0.02i", "0.0608i", "0.065i", "0.0756i"])
+def test_coincident_half_period_roots_give_three_critical_points(capsys, tau):
+    # here the float64 gap e1 - e3 is exactly zero; the half periods are
+    # ordered from the theta nulls, and on Re tau = 0 the count is 3
+    code, out, err = run_cli(capsys, "critical", f"--tau={tau}")
+    assert code == 0, err
+    assert json.loads(out)["results"]["count"] == 3
 
 
 def test_consistency_error_exit(capsys, monkeypatch):

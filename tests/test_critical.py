@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from torusgreen import critical, green, lattice
 from torusgreen.critical import Kind, Morse
-from torusgreen.errors import CountViolation, NotInExtraRegime, Unconverged
+from torusgreen.errors import (
+    CountViolation,
+    InconsistentComparison,
+    NotInExtraRegime,
+    Unconverged,
+)
 from torusgreen.green import Hessian2
 
 # frozen threshold digits (see test_moduli.py for their defining equations)
@@ -237,6 +242,23 @@ def test_compare_half_periods_formula_agreement_random():
         vals = cmpr.values
         for a, b in zip(flat, flat[1:]):
             assert vals[a] >= vals[b] - cmpr.tie_tol
+
+
+def test_compare_half_periods_catches_a_wrong_direct_value(monkeypatch):
+    # the direct G values and the theta null differences are two routes; a
+    # direct value moved at one half period must break the comparison
+    torus = lattice.make_torus(0.13 + 0.92j)
+    real = green.evaluate
+
+    def moved(z, t):
+        ev = real(z, t)
+        if np.ndim(ev.value_rel) == 1 and len(ev.value_rel) == 3:
+            ev = dataclasses.replace(ev, value_rel=ev.value_rel + np.array([0.0, -0.05, 0.0]))
+        return ev
+
+    monkeypatch.setattr(green, "evaluate", moved)
+    with pytest.raises(InconsistentComparison, match="log-ratio formula"):
+        critical.compare_half_periods(torus)
 
 
 def test_locate_z0_matches_full_solver_above():

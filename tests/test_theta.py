@@ -96,6 +96,18 @@ def test_logderivs_match_mpmath():
             assert abs(L2 - r2) < 1e-11 * max(1.0, abs(r2))
 
 
+def test_logderiv2_keeps_relative_precision_at_the_half_periods():
+    # at tau/2 and (1+tau)/2 the leading term dominates and L2 is
+    # O(e^(-pi Im tau)); summed from plain derivatives it cancelled to
+    # relative errors of 1 at 12i and 4e-6 at 0.5+8i
+    for tau in (2j, 0.5 + 3j, 0.5 + 8j, 12j):
+        T = lattice.make_torus(tau)
+        L2 = theta._eval(np.array(T.half_periods), tau)[3]
+        for got, h in zip(L2, T.half_periods):
+            ref = oracles.mp_theta1_logderiv(h, tau, 2)
+            assert abs(got - ref) < 1e-13 * abs(ref), (tau, h)
+
+
 def test_logderiv_order3_consistent_with_order2():
     T = lattice.make_torus(0.5 + 0.8j)
     z = 0.21 + 0.13j
@@ -118,13 +130,57 @@ def test_logderiv_raises_on_lattice_point():
 
 
 def test_eval_gives_the_same_bits_whatever_the_batch_shape():
-    # numpy rounds scalar complex products differently from its array loops;
-    # the half periods cover both the direct and the Jacobi branch
+    # numpy rounds scalar complex products differently from its array loops,
+    # and reduces and multiplies along the contiguous term axis of a batch of
+    # one point with other loops than across a batch; the half periods and
+    # the two moduli cover both the direct and the Jacobi branch
     for T in lattice.random_tori(300, 11):
         batched = theta._eval(np.array(T.half_periods), T.tau)
         for k, h in enumerate(T.half_periods):
             for b, s in zip(batched, theta._eval(h, T.tau)):
                 assert b[k] == s, (T.tau, k)
+    rng = np.random.default_rng(41)
+    for tau in (0.31 + 1.07j, -0.2 + 0.3j):
+        z = rng.uniform(-1.5, 1.5, 1000) + rng.uniform(-1.5, 1.5, 1000) * tau
+        whole = theta._eval(z, tau)
+        for size in (1, 2, 3, 7, 8, 9, 55):
+            for start in range(0, z.size - size + 1, size):
+                part = theta._eval(z[start:start + size], tau)
+                for w, p in zip(whole, part):
+                    assert np.array_equal(w[start:start + size], p), (tau, size, start)
+
+
+def test_series_matches_the_exp_per_term_oracle(monkeypatch):
+    # every call _eval makes to the term recurrence is checked against the
+    # exp-per-term sum, to 1e-13 of the sum of the moduli of its terms: a
+    # sum that cancels, as theta1 does near a lattice point, has no
+    # relative error to hold it to
+    series = theta._series
+    checked = []
+
+    def compared(z0, tau, nterms):
+        out = series(z0, tau, nterms)
+        ref = oracles.theta_series_exp_per_term(z0, tau, nterms, center=1j * np.pi)
+        gross = oracles.theta_series_gross(z0, tau, nterms, center=1j * np.pi)
+        for j, (a, r, g) in enumerate(zip(out, ref, gross)):
+            assert np.all(np.isfinite(a)), (tau, j)
+            assert np.all(np.abs(a - r) <= 1e-13 * g), (tau, j)
+        checked.append(tau)
+        return out
+
+    monkeypatch.setattr(theta, "_series", compared)
+    rng = np.random.default_rng(43)
+    tori = lattice.random_tori(300, 11) + [
+        lattice.make_torus(tau) for tau in (0.5 + 8j, 12j, 100j, 0.3 + 600j, 1 / 3 + 0.01j)
+    ]
+    for T in tori:
+        z = rng.uniform(-0.5, 0.5, 6) + rng.uniform(-0.5, 0.5, 6) * T.tau
+        z = np.concatenate([T.half_periods, z, [0.3 + 0.5 * T.tau, 3.1 - 2.5 * T.tau]])
+        for out in theta._eval(z, T.tau):
+            assert np.all(np.isfinite(out)), T.tau
+    assert len(checked) == len(tori)
+    # 1/3 + 0.01i is summed at tau' = -1/tau with a long series
+    assert checked[-1].imag < 0.1 and theta._term_count_z(checked[-1].imag) >= 15
 
 
 def test_jacobi_route_agrees_with_direct():

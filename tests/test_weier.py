@@ -56,6 +56,12 @@ def test_eta1_matches_mpmath():
         # theta1'(0), phase included, from the nulls of the same pass
         th1p = complex(oracles.mp_theta1_dz(0.0, tau, 1))
         assert abs(cmath.exp(inv.log_theta1_prime) - th1p) < 1e-12 * abs(th1p)
+        # log|theta2(0)|, log|theta4(0)|, log|theta3(0)|, which order the
+        # half periods in compare_half_periods
+        q = oracles.mp.exp(1j * oracles.mp.pi * oracles.mp.mpc(tau))
+        for got, j in zip(inv.log_abs_nulls, (2, 4, 3)):
+            ref = float(oracles.mp.log(abs(oracles.mp.jtheta(j, 0, q))))
+            assert abs(got - ref) < 1e-13 * max(1.0, abs(ref)), (tau, j)
 
 
 def test_gap_check_catches_a_corrupted_half_period(monkeypatch):
