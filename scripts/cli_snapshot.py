@@ -26,17 +26,20 @@ HEX = "0.5+0.8660254037844386i"
 
 CALLS = (
     # critical: square, hex, rhombic below b0, between b0 and b1, above b1,
-    # and a generic modulus
+    # a generic modulus, and one near the cusp at 1/3, reduced by a matrix
+    # with c = 3
     ("critical", "--tau=i"),
     ("critical", f"--tau={HEX}"),
     ("critical", "--tau=0.5+0.3i"),
     ("critical", "--tau=0.5+0.5i"),
     ("critical", "--tau=0.5+0.8i"),
     ("critical", "--tau=0.13+0.92i"),
+    ("critical", "--tau=0.3333333333333333+0.003i"),
     ("eval", "--tau=i", "--z=0.21+0.13i"),
     ("eval", f"--tau={HEX}", "--z=0.1+0.2i"),
     ("eval", "--tau=0.5+0.8i", "--z=0.3+0.2i"),
     ("eval", "--tau=0.13+0.92i", "--z=-0.32+0.27i"),
+    ("eval", "--tau=3.2+0.9i", "--z=0.3+0.2i"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=8x8"),
     ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),

@@ -25,7 +25,7 @@ from .green import (
     green_constant,
     green_rel,
 )
-from .lattice import LatticeCoords, Torus, make_torus, reduce_modulus, wrap_point
+from .lattice import LatticeCoords, Torus, make_torus, reduce_modulus
 from .mfe import (
     MfeSolution,
     ResidualReport,
@@ -41,7 +41,6 @@ from .moduli import (
     ThresholdReport,
     flip_edges,
     functional_equation_residual,
-    lambda_circle_residual,
     scan,
     thresholds,
     verify_fundamental_inequalities,
@@ -73,7 +72,6 @@ __all__ = [
     "functional_equation_residual",
     "green_constant",
     "green_rel",
-    "lambda_circle_residual",
     "locate_z0_on_rhombus_line",
     "make_torus",
     "reduce_modulus",
@@ -83,7 +81,6 @@ __all__ = [
     "thresholds",
     "verify_fundamental_inequalities",
     "verify_solution",
-    "wrap_point",
 ]
 
 __version__ = "0.1.0"

@@ -359,8 +359,9 @@ class HalfPeriodComparison:
     """Total order of G over the half periods, cross checked three ways.
 
     ranking lists half period indices (0, 1, 2) from largest G downward,
-    grouped so that tied points share a group: ((0,), (1, 2)) means
-    G(w1/2) > G(w2/2) = G(w3/2).
+    grouped so that tied points share a group, in index order:
+    ((0,), (1, 2)) means G(w1/2) > G(w2/2) = G(w3/2).  ties holds the
+    consecutive pairs of each group.
     """
 
     values: tuple[float, float, float]
@@ -416,20 +417,19 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
                     f"status disagrees with the {name}"
                 )
     order = sorted(range(3), key=lambda k: -g[k])
-    ranking: list[tuple[int, ...]] = [(order[0],)]
-    ties = []
+    groups = [[order[0]]]
     for k in order[1:]:
-        head = ranking[-1][-1]
-        if abs(g[head] - g[k]) <= tie_tol:
-            ranking[-1] = ranking[-1] + (k,)
-            ties.append((head, k))
+        if abs(g[groups[-1][-1]] - g[k]) <= tie_tol:
+            groups[-1].append(k)
         else:
-            ranking.append((k,))
+            groups.append([k])
+    # a tie group in index order, so roundoff inside it cannot reorder it
+    ranking = tuple(tuple(sorted(grp)) for grp in groups)
     return HalfPeriodComparison(
         values=g,
         wp_moduli=m,
-        ranking=tuple(ranking),
-        ties=tuple(ties),
+        ranking=ranking,
+        ties=tuple(pair for grp in ranking for pair in zip(grp, grp[1:])),
         max_formula_deviation=dev,
         tie_tol=tie_tol,
     )

@@ -59,3 +59,7 @@ class NoExtraCriticalPoint(TorusGreenError):
 
 class ConstructionInconsistent(TorusGreenError):
     """An internal identity of the mean field construction failed numerically."""
+
+
+class UnreducedModulus(TorusGreenError):
+    """A theta series was asked for below Im tau = 1/2, outside any reduced frame."""

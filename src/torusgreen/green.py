@@ -5,27 +5,26 @@ The mean zero Green function of -Laplace on C/(Z + Z tau) splits as
     G(z) = -(1/2 pi) log|theta1(z)| + y^2/(2 b) + C(tau),
 
 with y the height of the canonical cell representative and b = Im tau.
-evaluate gives the z dependent part G - C(tau), its gradient and its
-Hessian from one theta series pass (green_rel is its value).  The module
-also holds the critical point residual used by the solver, the period
-integrals attached to a point, and the constant C(tau).
+evaluate gives G - C(tau), its gradient and its Hessian from one theta
+series pass (green_rel is its value); the module also holds the critical
+point residual of the solver and the constant C(tau) = (1/2 pi)
+log|eta(tau)| (Kronecker limit formula).
 
-C(tau) has the closed form (1/2 pi) log|eta(tau)| (Kronecker limit
-formula), with eta the Dedekind eta function.  It is summed at the
-SL(2, Z) reduced modulus, so it holds on all of the upper half plane,
-the cusp included.
+G depends on the lattice only: with the reduced frame of lattice.Torus,
+G_tau(z) = G_tau_r(z / lam), and z = t + s tau sits at z / lam =
+t' + s' tau_r.  So every pass runs at tau_r.  With L1, L2 the log
+derivatives of theta1 there and A1 = L1 + 2 pi i s',
 
-Everything is expressed through logarithmic derivatives of theta1: with
-L1 = (log theta1)_z and L2 = (log theta1)_zz at the canonical
-representative z = t + s*tau,
+    G - C(tau) = (G_r - C(tau_r)) + log|lam| / (4 pi),
+    2 pi (G_x - i G_y) = -A1 / lam,   G_xx + G_yy = 1/b,
+    2 pi (G_xx - G_yy - 2 i G_xy) = -2 (L2 + pi/b_r) / lam^2,
+    det = det_r / |lam|^4,   4 pi^2 det_r = 2 (pi/b_r) Re(-L2) - |L2|^2,
 
-    2 pi G_x = -Re L1            2 pi G_y = Im L1 + 2 pi s
-    2 pi G_xx = -Re L2           2 pi G_xy = Im L2
-    2 pi G_yy = Re L2 + 2 pi/b
-
-and the critical point residual zeta(z) - t eta1 - s eta2 collapses to
-L1 + 2 pi i s by the Legendre relation, so no quasi period values are
-needed in the solver loop.
+the last form free of cancellation where L2 is small (half periods near
+the cusp).  By the Legendre relation the critical residual
+zeta(z) - t eta1 - s eta2 is A1 / lam, so the solver needs no quasi
+periods.  C(tau) is summed at tau_r and carried back by the weight 1/2
+law of eta, so everything holds on all of the upper half plane.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theta, weier
+from . import theta
 from .errors import PoleAtLattice
-from .lattice import Torus, reduce_modulus, split_coords, wrap_unit
+from .lattice import Torus, wrap_unit
 
 
 @dataclass(frozen=True)
@@ -64,36 +63,53 @@ class GreenEval:
     hessian: Hessian2
 
 
+def _reduced_pass(t, s, torus: Torus):
+    """s' and (log|theta1|, L1, L2) at z / lam on tau_r, z = t + s tau."""
+    (a, b), (c, d) = torus.mat
+    tr, _ = wrap_unit(a * t - b * s)
+    sr, _ = wrap_unit(d * s - c * t)
+    lm, _, L1, L2, _ = theta._eval(tr + sr * torus.tau_r, torus.tau_r)
+    return sr, lm, L1, L2
+
+
 def evaluate(z, torus: Torus) -> GreenEval:
     """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
-    Everything is taken at the canonical cell representative, so
-    translates of z give bitwise identical values, and is computed on a
-    flat array, so a point gives the same bits alone as inside a batch.
-    The determinant uses the closed form
-        4 pi^2 det = -(|L2 + pi/b|^2 - (pi/b)^2),
-    algebraically identical to xx*yy - xy^2 but cheaper and stabler.
-    Raises PoleAtLattice at lattice points.
+    Everything is taken at the canonical cell representative of the
+    reduced frame and computed on a flat array, so a point gives the same
+    bits alone as inside a batch.  The gradient and Hessian are those of
+    log|theta1| (L1 / lam, L2 / lam^2) plus those of y_r^2 / (2 b_r),
+    y_r = Im(z / lam), so where lam = 1 they are the identity frame
+    formulas bit for bit.  Raises PoleAtLattice at lattice points.
     """
     z = np.asarray(z, dtype=complex)
-    b = torus.b
-    t, s, _, _ = split_coords(z.reshape(-1), torus.tau)
-    lm, _, L1, L2, _ = theta._eval(t + s * torus.tau, torus.tau)
-    if np.any(np.isneginf(lm)):
+    s = z.imag.reshape(-1) / torus.b
+    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * torus.tau.real, s, torus)
+    if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
-    pb = np.pi / b
+    lam, b, b_r = torus.lam, torus.b, torus.tau_r.imag
+    k1 = 1.0 / lam
+    rot1 = L1 * k1
+    rot = L2 * (k1 * k1)
+    # y_r^2 / (2 b_r) has gradient s' grad y_r, grad y_r = (Im k1, Re k1),
+    # and Hessian grad y_r grad y_r^T / b_r
+    scale = 1.0 / (b * abs(lam) ** 2)
+    q_xx, q_xy, q_yy = lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale
+    det_r = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
 
     def out(x):
         return theta._scalarize(x.reshape(z.shape))
 
     return GreenEval(
-        value_rel=out(-lm / (2.0 * np.pi) + s ** 2 * (b / 2.0)),
-        grad=(out(-L1.real / (2.0 * np.pi)), out(L1.imag / (2.0 * np.pi) + s)),
+        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)
+                      + math.log(abs(lam)) / (4.0 * np.pi)),
+        grad=(out(-rot1.real / (2.0 * np.pi) + sr * k1.imag),
+              out(rot1.imag / (2.0 * np.pi) + sr * k1.real)),
         hessian=Hessian2(
-            xx=out(-L2.real / (2.0 * np.pi)),
-            xy=out(L2.imag / (2.0 * np.pi)),
-            yy=out(L2.real / (2.0 * np.pi) + 1.0 / b),
-            det=out(-(np.abs(L2 + pb) ** 2 - pb * pb) / (4.0 * np.pi**2)),
+            xx=out(q_xx - rot.real / (2.0 * np.pi)),
+            xy=out(rot.imag / (2.0 * np.pi) + q_xy),
+            yy=out(q_yy + rot.real / (2.0 * np.pi)),
+            det=out(det_r / (4.0 * np.pi ** 2 * abs(lam) ** 4)),
         ),
     )
 
@@ -118,32 +134,20 @@ def critical_residual(t, s, torus: Torus):
 def residual_and_jacobian(t, s, torus: Torus):
     """Vectorized critical residual plus its (t, s) Jacobian.
 
-    The residual is invariant under integer shifts of (t, s), so both
-    arguments are wrapped first; it equals (log theta1)_z + 2 pi i s on
-    the canonical cell.  Returns (r, dr_dt, dr_ds) with dr_dt = L2 and
-    dr_ds = L2*tau + 2 pi i.  Lattice hits yield non finite entries rather than an exception; the
-    Newton driver treats those as rejected steps.
+    The residual is invariant under integer shifts of (t, s), so the
+    reduced coordinates are wrapped first; it equals A1 / lam with
+    A1 = L1 + 2 pi i s' in the reduced frame.  Returns (r, dr_dt, dr_ds)
+    with dr_dt = L2 / lam^2 - 2 pi i c / lam and
+    dr_ds = tau L2 / lam^2 + 2 pi i d / lam.  Lattice hits yield non
+    finite entries rather than an exception; the Newton loop treats
+    those as rejected steps.
     """
-    tw, _ = wrap_unit(t)
-    sw, _ = wrap_unit(s)
-    _, _, L1, L2, _ = theta._eval(tw + sw * torus.tau, torus.tau)
-    r = L1 + (2j * np.pi) * sw
-    return r, L2, L2 * torus.tau + 2j * np.pi
-
-
-def period_integrals(z, torus: Torus):
-    """The pair F1 = 2(zeta(z) - eta1 z), F2 = 2(tau zeta(z) - eta2 z).
-
-    Evaluated at the canonical representative; at a critical point t + s*tau
-    they collapse to F1 = -4 pi i s and F2 = 4 pi i t, both purely imaginary.
-    """
-    t, s, _, _ = split_coords(z, torus.tau)
-    zc = t + s * torus.tau
-    inv = weier.invariants(torus)
-    zv = weier.zeta(zc, torus)
-    f1 = 2.0 * (zv - inv.eta1 * zc)
-    f2 = 2.0 * (torus.tau * zv - inv.eta2 * zc)
-    return f1, f2
+    sr, _, L1, L2 = _reduced_pass(t, s, torus)
+    (_, _), (c, d) = torus.mat
+    k1 = 1.0 / torus.lam
+    rot = L2 * (k1 * k1)
+    return ((L1 + (2j * np.pi) * sr) * k1, rot - (2j * np.pi * c) * k1,
+            rot * torus.tau + (2j * np.pi * d) * k1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +161,11 @@ def green_constant(torus: Torus) -> float:
     to zero over the cell except prod(1 - q^2n), which is the Kronecker
     limit formula.  The eta product is summed at the reduced modulus
     tau_r = (a tau + b) / (c tau + d), where |q_r^2| <= e^(-pi sqrt 3), and
-    carried back by the weight 1/2 law |eta(tau_r)| = |c tau + d|^(1/2) |eta(tau)|.
+    carried back by the weight 1/2 law |eta(tau_r)| = |lam|^(1/2) |eta(tau)|.
     """
-    tau_r, (_, (c, d)) = reduce_modulus(torus.tau)
+    tau_r = torus.tau_r
     q2n = np.exp(2j * np.pi * tau_r * np.arange(1, 9))    # |q2n[-1]| < 1e-18
     # log|1 - w| = (1/2) log1p(|w|^2 - 2 Re w), exact to rounding for tiny w
     tail = 0.5 * np.sum(np.log1p(np.abs(q2n) ** 2 - 2.0 * q2n.real))
-    log_eta = -np.pi * tau_r.imag / 12.0 + tail - 0.5 * math.log(abs(c * torus.tau + d))
+    log_eta = -np.pi * tau_r.imag / 12.0 + tail - 0.5 * math.log(abs(torus.lam))
     return float(log_eta) / (2.0 * np.pi)

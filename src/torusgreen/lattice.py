@@ -3,7 +3,8 @@
 A torus is the quotient of the plane by the lattice spanned by 1 and a
 modulus tau in the upper half plane.  Points are tracked either as complex
 numbers or as lattice coordinates (t, s) with z = t + s*tau; the canonical
-cell is the half open square [-1/2, 1/2)^2 in (t, s).
+cell is the half open square [-1/2, 1/2)^2 in (t, s).  make_torus also
+fixes the reduced frame in which every theta pass runs.
 """
 
 from __future__ import annotations
@@ -18,9 +19,17 @@ from .errors import NonPositiveImaginaryPart
 
 @dataclass(frozen=True)
 class Torus:
-    """Normalized flat torus with periods 1 and tau."""
+    """Flat torus with periods 1 and tau, and its reduced frame (make_torus).
+
+    tau_r = (a tau + b) / lam in the fundamental domain, with
+    mat = ((a, b), (c, d)) and lam = c tau + d: Z + tau Z = lam (Z + tau_r Z),
+    and z = t + s tau is z / lam = t' + s' tau_r, t' = a t - b s, s' = d s - c t.
+    """
 
     tau: complex
+    tau_r: complex
+    mat: tuple[tuple[int, int], tuple[int, int]]
+    lam: complex
 
     @property
     def b(self) -> float:
@@ -42,15 +51,14 @@ class LatticeCoords:
     t: float
     s: float
 
-    def z(self, torus: Torus) -> complex:
-        return self.t + self.s * torus.tau
-
 
 def make_torus(tau: complex) -> Torus:
     tau = complex(tau)
     if not (tau.imag > 0.0) or not math.isfinite(tau.imag) or not math.isfinite(tau.real):
         raise NonPositiveImaginaryPart(f"modulus {tau!r} is not in the upper half plane")
-    return Torus(tau)
+    tau_r, mat = reduce_modulus(tau)
+    (_, _), (c, d) = mat
+    return Torus(tau, tau_r, mat, c * tau + d)
 
 
 def wrap_unit(x):
@@ -88,12 +96,6 @@ def lattice_gap(z, tau: complex) -> np.ndarray:
     return d
 
 
-def wrap_point(z: complex, torus: Torus) -> LatticeCoords:
-    """Reduce a point to its canonical cell representative."""
-    t, s, _, _ = split_coords(complex(z), torus.tau)
-    return LatticeCoords(float(t), float(s))
-
-
 def reduce_modulus(tau: complex) -> tuple[complex, tuple[tuple[int, int], tuple[int, int]]]:
     """Map tau to the standard fundamental domain |Re| <= 1/2, |tau| >= 1.
 
@@ -126,12 +128,6 @@ def reduce_modulus(tau: complex) -> tuple[complex, tuple[tuple[int, int], tuple[
         a, b, c, d = -c, -d, a, b
     assert a * d - b * c == 1
     return tau, ((a, b), (c, d))
-
-
-def apply_transform(tau: complex, mat: tuple[tuple[int, int], tuple[int, int]]) -> complex:
-    """Evaluate the fractional linear action of an integer matrix on tau."""
-    (a, b), (c, d) = mat
-    return (a * tau + b) / (c * tau + d)
 
 
 def random_tori(count: int, seed: int, b_range=(0.3, 2.5)) -> list[Torus]:

@@ -221,12 +221,6 @@ def functional_equation_residual(b: float) -> float:
     return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
 
 
-def lambda_circle_residual(tau: complex) -> float:
-    """| |lambda(tau) - 1| - 1 |, zero exactly on the line Re tau = 1/2."""
-    lam = weier.invariants(make_torus(tau)).lam
-    return abs(abs(lam - 1.0) - 1.0)
-
-
 def _classify(tau: complex) -> ScanCell:
     try:
         cs = critical.find_critical_points(make_torus(tau))

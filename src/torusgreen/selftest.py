@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theta, weier
+from . import green, theta, weier
 from .errors import InvalidInput
-from .lattice import Torus, random_tori
+from .lattice import Torus, make_torus, random_tori, split_coords
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,12 @@ def wp_de_residual(z, torus: Torus) -> np.ndarray:
 def heat_equation_residual(z, torus: Torus, h: float = 1e-5) -> np.ndarray:
     """theta1_zz / theta1 = 4 pi i (d/dtau log theta1), by central FD.
 
-    The z side comes from the series ((log theta)'' + ((log theta)')^2);
-    the tau derivative is a finite difference of the log in tau, with the
-    argument difference wrapped to kill branch jumps.
+    Checked where the package sums theta, at (z / lam, tau_r).  The z side
+    comes from the series ((log theta)'' + ((log theta)')^2); the tau side
+    is a finite difference of the log, with the argument difference wrapped.
     """
-    tau = torus.tau
+    tau = torus.tau_r
+    z = np.asarray(z) / torus.lam
     lm0, ar0, L1, L2, _ = theta._eval(z, tau)
     lhs = L2 + L1 * L1
     lm_p, ar_p, *_ = theta._eval(z, tau + h)
@@ -123,12 +124,12 @@ def heat_equation_residual(z, torus: Torus, h: float = 1e-5) -> np.ndarray:
 def triple_product_residual(z, torus: Torus) -> np.ndarray:
     """theta1 against 2 q^{1/4} sin(pi z) prod (1-q^{2n})(1-q^{2n}e^{2 pi i z})(1-q^{2n}e^{-2 pi i z}).
 
-    Compared in log form: magnitude difference plus wrapped phase
-    difference, so the check is meaningful even deep in the cusp where
-    theta1 underflows as a plain float.
+    Checked where the package sums theta, at (z / lam, tau_r).  Compared in
+    log form: magnitude difference plus wrapped phase difference, so the
+    check is meaningful even where theta1 underflows as a plain float.
     """
-    tau = torus.tau
-    z = np.asarray(z, dtype=complex)
+    tau = torus.tau_r
+    z = np.asarray(z, dtype=complex) / torus.lam
     q = np.exp(1j * math.pi * tau)
     nterms = max(8, int(40.0 / tau.imag) + 4)
     n = np.arange(1, nterms + 1)
@@ -139,19 +140,30 @@ def triple_product_residual(z, torus: Torus) -> np.ndarray:
                 + np.sum(np.log1p(-q2n / e_plus), axis=-1))
     log_sin = np.log(np.sin(math.pi * z))
     log_rhs = math.log(2.0) + 1j * math.pi * tau / 4.0 + log_sin + log_prod
-    lt = theta.theta1(z, torus)
-    d_mag = np.asarray(lt.log_mag) - log_rhs.real
-    d_arg = _wrap_angle(np.asarray(lt.arg) - log_rhs.imag)
+    lm, ar, *_ = theta._eval(z, tau)
+    d_mag = lm - log_rhs.real
+    d_arg = _wrap_angle(ar - log_rhs.imag)
     return np.abs(d_mag) + np.abs(d_arg)
 
 
-def jacobi_cross_residual(z, torus: Torus) -> np.ndarray:
-    """Direct q series against the -1/tau imaginary transformation."""
-    direct = theta.theta1(z, torus)
-    other = theta.jacobi_imaginary(z, torus.tau)
-    d_mag = np.asarray(direct.log_mag) - np.asarray(other.log_mag)
-    d_arg = _wrap_angle(np.asarray(direct.arg) - np.asarray(other.arg))
-    return np.abs(d_mag) + np.abs(d_arg)
+def frame_cross_residual(z, torus: Torus) -> np.ndarray:
+    """green.evaluate, carried back from the reduced frame, against the
+    identity frame formulas on the direct series at tau (Im tau >= 1/2).
+
+    The worst difference among value, gradient, Hessian and determinant,
+    each relative to max(1, |direct value|).
+    """
+    tau, b, k = torus.tau, torus.b, 0.5 / np.pi
+    t, s, _, _ = split_coords(z, tau)
+    lm, _, L1, L2, _ = theta._eval(t + s * tau, tau)
+    xx, xy, yy = -k * L2.real, k * L2.imag, k * L2.real + 1.0 / b
+    direct = (-k * lm + s * s * (b / 2.0), -k * L1.real, k * L1.imag + s,
+              xx, xy, yy, xx * yy - xy * xy)
+    ev = green.evaluate(z, torus)
+    h = ev.hessian
+    carried = (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det)
+    return np.max([np.abs(c - d) / np.maximum(np.abs(d), 1.0)
+                   for c, d in zip(carried, direct)], axis=0)
 
 
 def zeta_addition_residual(z, torus: Torus) -> np.ndarray:
@@ -167,7 +179,7 @@ _CHECKS = (
     ("zeta_addition", 1e-8, "point"),
     ("heat_equation", 1e-6, "point"),
     ("triple_product", 1e-9, "point"),
-    ("jacobi_imaginary_cross", 1e-9, "point"),
+    ("reduced_frame_cross", 1e-9, "frame"),
 )
 
 _POINT_FUNS = {
@@ -175,7 +187,7 @@ _POINT_FUNS = {
     "zeta_addition": zeta_addition_residual,
     "heat_equation": heat_equation_residual,
     "triple_product": triple_product_residual,
-    "jacobi_imaginary_cross": jacobi_cross_residual,
+    "reduced_frame_cross": frame_cross_residual,
 }
 
 _TORUS_FUNS = {
@@ -190,6 +202,11 @@ def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
         raise InvalidInput(f"sample count {n_samples} below 1")
     n_tori = max(8, n_samples // 8)
     tori = random_tori(n_tori, seed)
+    # the frame check runs outside the fundamental domain: at -1/tau_r where
+    # its Im = Im tau_r / |tau_r|^2 is at least 1/2, else at tau_r + 2
+    frame_tori = [make_torus(-1.0 / T.tau_r if abs(T.tau_r) ** 2 <= 2.0 * T.tau_r.imag
+                             else T.tau_r + 2.0) for T in tori]
+    frame_tori += [make_torus(3.2 + 0.9j), make_torus(0.5 + 0.8j)]
     rng = np.random.default_rng(seed + 1)
     per_torus = max(1, n_samples // n_tori)
     results = []
@@ -203,7 +220,7 @@ def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
                 count += 1
         else:
             fun = _POINT_FUNS[name]
-            for torus in tori:
+            for torus in (frame_tori if kind == "frame" else tori):
                 z = _sample_points(torus, rng, per_torus)
                 vals = np.atleast_1d(fun(z, torus))
                 worst = max(worst, float(np.max(vals)))

@@ -15,13 +15,18 @@ translation comes back as an exact log space factor.  The terms n >= 0
 and n < 0 are two running products of ratios, so a point costs four
 complex exps whatever the number of terms; no factor that can overflow
 (e^(i pi z) itself) is ever formed, and no value built exceeds
-e^(pi Im tau / 4).  For Im tau < 1/2 the evaluation is routed through the
-imaginary transformation (one T shift plus one S inversion) where the
-effective nome is small again.  Derivative series are weighted sums over
-the same terms, taken about the log derivative i pi of the largest term,
-so the second and third logarithmic derivatives keep their relative
-precision where that term dominates (the half periods tau/2 and
-(1+tau)/2 at large Im tau, where L2 is O(e^(-pi Im tau))).
+e^(pi Im tau / 4).  Derivative series are weighted sums over the same
+terms, taken about the log derivative i pi of the largest term, so the
+second and third logarithmic derivatives keep their relative precision
+where that term dominates (the half periods tau/2 and (1+tau)/2 at large
+Im tau, where L2 is O(e^(-pi Im tau))).
+
+The series is summed only for Im tau >= 1/2 (at most 8 terms a side);
+below that _eval raises UnreducedModulus.  The Green function and the
+Weierstrass layer run every pass in the reduced frame of lattice.Torus,
+at Im tau_r >= sqrt(3)/2 (6 or 7 terms), and carry the results back by
+exact laws.  theta1 is not a function of the lattice alone, so
+theta1(z, torus) sums at the torus's own tau.
 
 One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
@@ -45,23 +50,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveImaginaryPart, Unconverged
+from .errors import NonPositiveImaginaryPart, UnreducedModulus, Unconverged
 from .lattice import Torus, split_coords
 
-TERM_CAP = 64
-# Im tau below this routes through the imaginary transformation
-JACOBI_CUTOFF = 0.5
+
+def _term_count_z(b: float) -> int:
+    """Terms needed by the z series at the worst reduced argument |Im z| = b/2."""
+    n = math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5
+    return max(6, math.ceil(n) + 2)
+
+
+def _term_count_null(b: float) -> int:
+    """Terms needed by the q-only series at z = 0."""
+    n = math.sqrt(43.8 / (math.pi * b))
+    return max(6, math.ceil(n) + 2)
+
+
 # exponents of u_0, d_0 and the first ratios of both halves, per z0 and tau
 _LEAD_Z = (1j * np.pi) * np.array([[1.0], [-1.0], [2.0], [-2.0]])
 _LEAD_TAU = (1j * np.pi) * np.array([[0.25], [0.25], [2.0], [2.0]])
-_K = np.arange(TERM_CAP)
+# the term count at Im tau = 1/2 (8) bounds every pass of _eval
+_K = np.arange(_term_count_z(0.5))
 # real weights (half, moment, k) of the moments about i pi: the term n = k
 # has z derivative factor i pi (2k + 1), i pi + 2 pi i k; the term n = -1-k,
 # which enters the sum as -d_k, has -i pi (2k + 1), i pi - pi i (2k + 2)
 _U = 2.0 * np.pi * _K
 _D = np.pi * (2.0 * _K + 2.0)
-_WEIGHTS = np.array([[np.ones(TERM_CAP), _U, _U ** 2, _U ** 3],
-                     [-np.ones(TERM_CAP), _D, -_D ** 2, _D ** 3]])
+_WEIGHTS = np.array([[np.ones(_K.size), _U, _U ** 2, _U ** 3],
+                     [-np.ones(_K.size), _D, -_D ** 2, _D ** 3]])
 # the powers of i that the real weights leave out, times the -i of theta1
 _PHASES = np.array([[-1j], [1.0], [1j], [-1.0]])
 
@@ -86,18 +102,6 @@ class LogComplex:
     @property
     def is_zero(self):
         return np.isneginf(self.log_mag)
-
-
-def _term_count_z(b: float) -> int:
-    """Terms needed by the z series at the worst reduced argument |Im z| = b/2."""
-    n = math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5
-    return int(min(TERM_CAP, max(6, math.ceil(n) + 2)))
-
-
-def _term_count_null(b: float) -> int:
-    """Terms needed by the q-only series at z = 0."""
-    n = math.sqrt(43.8 / (math.pi * b))
-    return int(min(TERM_CAP, max(6, math.ceil(n) + 2)))
 
 
 def _series(z0, tau: complex, nterms: int):
@@ -143,14 +147,21 @@ def _series(z0, tau: complex, nterms: int):
     return moments.view(complex) * _PHASES
 
 
-def _eval_direct(z, tau: complex):
+def _eval(z, tau: complex):
     """Wrap z, run the series, reattach the translation factor in log space.
 
     Returns (log_mag, arg, L1, L2, L3) where Lk is the k-th logarithmic
-    z derivative of theta1 at z.  Arrays follow the shape of z.
+    z derivative of theta1 at z; arrays follow the shape of z.  Raises
+    UnreducedModulus for Im tau < 1/2: callers sum in a reduced frame.
     """
     b = tau.imag
-    t, s, m, n = split_coords(z, tau)
+    if not b >= 0.5:
+        raise UnreducedModulus(f"theta series asked for at tau = {tau}, below Im tau = 1/2")
+    # always evaluate a 1-D array: numpy's scalar complex products round
+    # differently from its array loops, and a point must give the same bits
+    # alone as inside a batch
+    shape = np.shape(z)
+    t, s, m, n = split_coords(np.reshape(z, -1), tau)
     z0 = t + s * tau
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
     # series at the summed point is always n = 0
@@ -165,14 +176,14 @@ def _eval_direct(z, tau: complex):
         L3 = np.where(flip, -L3, L3)
         log_mag = np.log(np.abs(th[0]))
         arg = np.angle(th[0]) + np.pi * (m + flip)
-    if np.any(n):
+    if n.any():
         # the translation factor; where n == 0 it adds exact zeros, so a
         # point gets the same bits whichever branch its batch takes
         log_mag = log_mag + (np.pi * b) * n * (n + 2.0 * s)
         arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * z0.real))
         L1 = L1 - (2j * np.pi) * n
     hit = z0 == 0.0
-    if np.any(hit):
+    if hit.any():
         # exactly reduced lattice points: the sum is an exact zero in theory
         # but roundoff leaves ~1e-16 debris, so snap to the sentinel
         log_mag = np.where(hit, -np.inf, log_mag)
@@ -180,45 +191,7 @@ def _eval_direct(z, tau: complex):
         L1 = np.where(hit, complex(np.nan, np.nan), L1)
         L2 = np.where(hit, complex(np.nan, np.nan), L2)
         L3 = np.where(hit, complex(np.nan, np.nan), L3)
-    return log_mag, arg, L1, L2, L3
-
-
-def _eval_jacobi(z, tau: complex):
-    """Same contract as _eval_direct, through the imaginary transformation."""
-    k = math.floor(tau.real + 0.5)
-    tau_r = tau - k
-    tp = -1.0 / tau_r
-    z = np.asarray(z, dtype=complex)
-    lm_i, ar_i, L1i, L2i, L3i = _eval_direct(z * tp, tp)
-    # prefactor -i * sqrt(-i*tau'); the radicand has positive real part for
-    # any tau' in the upper half plane, so the principal branch never jumps
-    pref = 0.5 * cmath.log(-1j * tp)
-    quad = (1j * np.pi * tp) * z * z
-    log_mag = lm_i + pref.real + quad.real
-    arg = ar_i + pref.imag + quad.imag + k * np.pi / 4.0 - np.pi / 2.0
-    L1 = (2j * np.pi * tp) * z + tp * L1i
-    L2 = (2j * np.pi * tp) + (tp * tp) * L2i
-    L3 = (tp * tp * tp) * L3i
-    return log_mag, arg, L1, L2, L3
-
-
-def _on_flat(route, z, tau: complex):
-    # always evaluate a 1-D array: numpy's scalar complex products round
-    # differently from its array loops, and a point must give the same bits
-    # alone as inside a batch
-    z = np.asarray(z, dtype=complex)
-    return tuple(out.reshape(z.shape) for out in route(z.reshape(-1), tau))
-
-
-def _eval(z, tau: complex):
-    return _on_flat(_eval_direct if tau.imag >= JACOBI_CUTOFF else _eval_jacobi, z, tau)
-
-
-def _check_tau(tau: complex) -> complex:
-    tau = complex(tau)
-    if not tau.imag > 0.0:
-        raise NonPositiveImaginaryPart(f"modulus {tau!r} is not in the upper half plane")
-    return tau
+    return tuple(out.reshape(shape) for out in (log_mag, arg, L1, L2, L3))
 
 
 def _scalarize(x):
@@ -227,16 +200,9 @@ def _scalarize(x):
 
 
 def theta1(z, torus: Torus) -> LogComplex:
-    """theta1(z; tau) in log form; exact zeros become the -inf sentinel."""
+    """theta1(z; tau) in log form at the torus's own tau (Im tau >= 1/2);
+    exact zeros become the -inf sentinel."""
     lm, ar, *_ = _eval(z, torus.tau)
-    return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
-
-
-def jacobi_imaginary(z, tau: complex) -> LogComplex:
-    """theta1(z; tau) evaluated through tau' = -1/tau with the principal
-    square root branch.  Public mostly so the two routes can be compared."""
-    tau = _check_tau(tau)
-    lm, ar, *_ = _on_flat(_eval_jacobi, z, tau)
     return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
 
 
@@ -256,7 +222,7 @@ def log_theta1_b_derivs(z: float, b: float) -> tuple[float, float]:
         raise NonPositiveImaginaryPart(f"b = {b} must be positive")
     z = float(z)
     nt = _term_count_z(b) + 4
-    n = np.arange(0, min(nt, 2 * TERM_CAP))
+    n = np.arange(nt)
     tri = (n * (n + 1)) // 2
     sgn = np.where((n + tri) & 1, -1.0, 1.0)
     lam = np.pi * (n + 0.5) ** 2

@@ -1,15 +1,20 @@
 """Weierstrass layer, derived entirely from theta1.
 
-The constants come from one theta1 series pass at the three half periods
-1/2, tau/2 and (1+tau)/2, where theta1 equals theta2(0),
-i q^(-1/4) theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau).  With
-e_k = p(omega_k) = -(log theta1)''(omega_k) - eta1, the sum
-e1 + e2 + e3 = 0 gives eta1 as minus the mean of those second
-logarithmic derivatives, and eta2 follows from the Legendre relation.
-theta1'(0) = pi theta2(0) theta3(0) theta4(0) is summed in log form and
-normalizes sigma.  Jacobi's gap identities, e1 - e2 = pi^2 theta3(0)^4
-and its two companions, compare the second derivatives with the values
-of the same pass at run time.
+Every theta pass runs in the reduced frame of lattice.Torus,
+Z + tau Z = lam (Z + tau_r Z), and is carried back by homogeneity:
+sigma = lam sigma_r(z / lam), zeta = zeta_r / lam, p = p_r / lam^2 and
+p' = p'_r / lam^3, with r marking the lattice Z + tau_r Z.
+
+The constants come from one theta1 series pass at the half periods 1/2,
+tau_r/2 and (1+tau_r)/2, where theta1 equals theta2(0), i q^(-1/4)
+theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau_r).  With
+e_k = -(log theta1)''(omega_k) - eta1, e1 + e2 + e3 = 0 gives eta1 as
+minus the mean of those second derivatives, and theta1'(0) =
+pi theta2(0) theta3(0) theta4(0) normalizes sigma_r.  Jacobi's gap
+identities, e1 - e2 = pi^2 theta3(0)^4 and its two companions, check the
+pass at run time.  The roots carry back as e_r / lam^2, permuted as the
+matrix permutes the half periods mod 2, the nulls with weight 1/2, and
+eta1 by linearity of the quasi period map; eta2 is the Legendre relation.
 
 evaluate gives sigma, zeta, p and p' from one theta1 series pass; sigma,
 zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
@@ -20,6 +25,7 @@ slowly, and it survives only as an independent oracle in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,12 +43,11 @@ TWO_PI_I = 2j * np.pi
 class EllipticInvariants:
     """Half period values, quasi periods and derived invariants.
 
-    lam is the modular lambda in the convention (e3 - e2) / (e1 - e2),
-    which sends the square torus to 1/2.  log_theta1_prime is
-    log theta1'(0), the normalization of sigma; its imaginary part is
-    not reduced mod 2 pi.  log_abs_nulls holds log|theta2(0)|,
-    log|theta4(0)| and log|theta3(0)|, in the order of the half periods
-    1/2, tau/2 and (1+tau)/2.
+    log_theta1_prime is log theta1'(0) at the reduced modulus tau_r, the
+    normalization of sigma_r; its imaginary part is not reduced mod 2 pi.
+    log_abs_nulls holds log|theta2(0)|, log|theta4(0)| and
+    log|theta3(0)| at tau, in the order of the half periods 1/2, tau/2
+    and (1+tau)/2.
     """
 
     e1: complex
@@ -52,40 +57,49 @@ class EllipticInvariants:
     eta2: complex
     g2: complex
     g3: complex
-    lam: complex
     log_theta1_prime: complex
     log_abs_nulls: tuple[float, float, float]
 
 
 @lru_cache(maxsize=512)
-def _invariants_cached(tau: complex) -> EllipticInvariants:
-    zs = np.array((0.5, tau / 2.0, (1.0 + tau) / 2.0), dtype=complex)
-    lm, ar, _, L2, _ = _eval(zs, tau)
-    eta1 = complex(-L2.sum() / 3.0)
-    eta2 = eta1 * tau - TWO_PI_I
-    e1, e2, e3 = (-L2 - eta1).tolist()
+def _invariants_cached(torus: Torus) -> EllipticInvariants:
+    tau_r = torus.tau_r
+    zs = np.array((0.5, tau_r / 2.0, (1.0 + tau_r) / 2.0), dtype=complex)
+    lm, ar, _, L2, _ = _eval(zs, tau_r)
+    eta1_r = complex(-L2.sum() / 3.0)
+    e_r = -L2 - eta1_r
     # log theta2(0), log theta4(0), log theta3(0) from theta1 at the half periods
-    quarter = 0.25j * math.pi * tau
+    quarter = 0.25j * math.pi * tau_r
     log_nulls = lm + 1j * ar + np.array([0.0, quarter - 0.5j * math.pi, quarter])
     log_theta1_prime = complex(math.log(math.pi) + log_nulls.sum())
     th2_4, th4_4, th3_4 = (math.pi * math.pi) * np.exp(4.0 * log_nulls)
+    e1, e2, e3 = e_r
     gap = max(abs(e1 - e2 - th3_4), abs(e1 - e3 - th4_4), abs(e3 - e2 - th2_4))
-    scale = max(abs(e1), abs(e2), abs(e3))
+    scale = np.max(np.abs(e_r))
     if gap > 1e-11 * scale:
         raise Unconverged(
-            f"half period values at tau = {tau} miss Jacobi's gap identities: "
-            f"{gap:.3e} vs scale {scale:.3e}"
+            f"half period values at tau_r = {tau_r} (tau = {torus.tau}) miss Jacobi's "
+            f"gap identities: {gap:.3e} vs scale {scale:.3e}"
         )
+    (a, b), (c, d) = torus.mat
+    lam = torus.lam
+    # (t, s) = (1/2, 0), (0, 1/2), (1/2, 1/2) sit at (a, -c)/2, (-b, d)/2 and
+    # (a - b, d - c)/2; the parities (1, 0), (0, 1), (1, 1) index e_r
+    perm = [pt + 2 * ps - 1 for pt, ps in ((a % 2, c % 2), (b % 2, d % 2),
+                                           ((a + b) % 2, (c + d) % 2))]
+    e1, e2, e3 = (e_r[perm] / (lam * lam)).tolist()
+    eta1 = (a * eta1_r - c * (eta1_r * tau_r - TWO_PI_I)) / lam
+    eta2 = eta1 * torus.tau - TWO_PI_I
     g2 = -4.0 * (e1 * e2 + e2 * e3 + e3 * e1)
     g3 = 4.0 * e1 * e2 * e3
-    lam = (e3 - e2) / (e1 - e2)
-    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, lam, log_theta1_prime,
-                              tuple(log_nulls.real.tolist()))
+    log_abs_nulls = log_nulls.real[perm] - 0.5 * math.log(abs(lam))
+    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, log_theta1_prime,
+                              tuple(log_abs_nulls.tolist()))
 
 
 def invariants(torus: Torus) -> EllipticInvariants:
-    """Invariants of the torus, cached per modulus."""
-    return _invariants_cached(torus.tau)
+    """Invariants of the torus, cached per torus."""
+    return _invariants_cached(torus)
 
 
 @dataclass(frozen=True)
@@ -102,23 +116,29 @@ class WeierEval:
 def evaluate(z, torus: Torus) -> WeierEval:
     """sigma, zeta, p and p' at z from one theta series pass.
 
-    With Lk the k-th logarithmic derivative of theta1,
+    With Lk the k-th log derivative of theta1 at w = z / lam on tau_r and
+    eta1_r = lam^2 eta1 - 2 pi i c lam the eta1 of Z + tau_r Z,
 
-        sigma(z) = e^(eta1 z^2 / 2) theta1(z) / theta1'(0)
-        zeta(z) = L1 + eta1 z,   p(z) = -L2 - eta1,   p'(z) = -L3.
+        sigma(z) = lam e^(eta1_r w^2 / 2) theta1(w) / theta1'(0),
+        zeta(z) = (L1 + eta1_r w) / lam,   p(z) = -(L2 + eta1_r) / lam^2,
+        p'(z) = -L3 / lam^3.
 
     These identities carry the right quasi periods, so they hold for
     unreduced z as well.  Everything is computed on a flat array, so a
-    point gives the same bits alone as inside a batch.  At a lattice
-    point sigma is the log_mag = -inf sentinel and the rest is NaN; the
-    single-quantity readers below raise PoleAtLattice there instead.
+    point gives the same bits alone as inside a batch.  Where z / lam is
+    exactly a lattice point sigma is the log_mag = -inf sentinel and the
+    rest is NaN; the single-quantity readers below raise PoleAtLattice
+    there instead.
     """
     inv = invariants(torus)
+    lam = torus.lam
+    k1 = 1.0 / lam
+    eta1_r = lam * (lam * inv.eta1 - TWO_PI_I * torus.mat[1][0])
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    lm, ar, L1, L2, L3 = _eval(flat, torus.tau)
-    quad = 0.5 * inv.eta1 * flat * flat
-    lp = inv.log_theta1_prime
+    w = z.reshape(-1) * k1
+    lm, ar, L1, L2, L3 = _eval(w, torus.tau_r)
+    quad = 0.5 * eta1_r * w * w
+    lp = inv.log_theta1_prime - cmath.log(lam)
     ar = np.where(np.isneginf(lm), 0.0, ar)
 
     def out(x):
@@ -126,9 +146,9 @@ def evaluate(z, torus: Torus) -> WeierEval:
 
     return WeierEval(
         sigma=LogComplex(out(lm + quad.real - lp.real), out(ar + quad.imag - lp.imag)),
-        zeta=out(L1 + inv.eta1 * flat),
-        p=out(-L2 - inv.eta1),
-        p_prime=out(-L3),
+        zeta=out((L1 + eta1_r * w) * k1),
+        p=out((-L2 - eta1_r) * (k1 * k1)),
+        p_prime=out(-L3 * (k1 * k1 * k1)),
     )
 
 

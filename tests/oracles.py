@@ -6,8 +6,8 @@ reference is a row grouped lattice sum over cotangent rows, the Kronecker
 limit reference for C(tau) is mpmath's eta product, and the theta series
 with one exp per term is the package's kernel before its term
 recurrence.  Three routes do call the package, to check its closed forms
-by a different method: the two Green constant quadratures average the package's theta1
-or G over the cell (one splits off log|sin|, the other patches a disk
+by a different method: the two Green constant quadratures average the
+package's G over the cell (one splits off log|sin|, the other patches a disk
 over the singularity), and the developing map reference integrates the
 package's wp along an adaptive contour.  Tests compare the fast float
 kernels against these and against values frozen from them.
@@ -56,6 +56,16 @@ def mp_theta1_logderiv(z: complex, tau: complex, order: int = 1) -> complex:
     if order == 1:
         return complex(mp_theta1_dz(z, tau, 1) / mp_theta1(z, tau))
     return complex(_mp_log_theta1_dz2(z, tau))
+
+
+def mp_hessian_det(z: complex, tau: complex, dps: int = 60) -> float:
+    """det Hess G at z from mpmath theta at dps digits, with no reduction:
+    4 pi^2 det = (pi/b)^2 - |L2 + pi/b|^2, L2 = (log theta1)''(z; tau),
+    where the working precision absorbs the cancellation of the two terms."""
+    with mp.workdps(dps):
+        pb = mp.pi / mp.mpf(tau.imag)
+        L2 = _mp_log_theta1_dz2(z, tau)
+        return float((pb ** 2 - abs(L2 + pb) ** 2) / (4 * mp.pi ** 2))
 
 
 def mp_eta1(tau: complex) -> complex:
@@ -210,18 +220,21 @@ def green_constant_smooth_split(tau: complex, n: int = 256) -> float:
         mean(-(1/2pi) log|sin pi z|) = -(1/2pi)(pi b/4 - log 2), from
         int_0^1 log|sin pi(t + i c)| dt = pi |c| - log 2 averaged in s;
         mean(b s^2 / 2) = b/24;
-    so C = -mean(psi) + b/12 - log 2 / (2 pi).  Accurate to ~1e-16 at
-    n = 256 for Im tau in [0.3, 2.5]; near the cusp it loses digits (the
-    n = 128 and n = 256 values differ by 4e-10 at tau = 0.05i).
+    so C = -mean(psi) + b/12 - log 2 / (2 pi).  -(1/2pi) log|theta1| is
+    read as G - C - b s^2 / 2 from the package's green_rel, which sums it
+    in the reduced frame and carries it back, so below Im tau = 1/2 this
+    checks the carried value against C.  Accurate to ~1e-16 at n = 256
+    for Im tau in [0.3, 2.5]; near the cusp it loses digits (the n = 128
+    and n = 256 values differ by 4e-10 at tau = 0.05i).
     """
-    from torusgreen import lattice, theta
+    from torusgreen import green, lattice
 
     x, w = np.polynomial.legendre.leggauss(n)
     x = 0.5 * x
     w = 0.5 * w
     zz = x[:, None] + x[None, :] * tau
-    lc = theta.theta1(zz, lattice.make_torus(tau))
-    psi = -(np.asarray(lc.log_mag) - _log_abs_sin_pi(zz)) / (2.0 * np.pi)
+    psi = (green.green_rel(zz, lattice.make_torus(tau)) - tau.imag * x[None, :] ** 2 / 2.0
+           + _log_abs_sin_pi(zz) / (2.0 * np.pi))
     return -float(w @ psi @ w) + tau.imag / 12.0 - math.log(2.0) / (2.0 * np.pi)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from torusgreen import cli
+from torusgreen import cli, critical, lattice
 from torusgreen.errors import CountViolation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -301,6 +301,18 @@ def test_coincident_half_period_roots_give_three_critical_points(capsys, tau):
     code, out, err = run_cli(capsys, "critical", f"--tau={tau}")
     assert code == 0, err
     assert json.loads(out)["results"]["count"] == 3
+
+
+@pytest.mark.parametrize("tau", [1 / 3 + 0.003j, 0.25 + 0.004j, 0.4 + 0.002j])
+def test_farey_cusps_count_at_the_reduced_modulus(capsys, tau):
+    # near a rational other than 0 and 1/2 the one S inversion of the old
+    # route left a nome near 1 and Jacobi's gap check failed (exit 3)
+    code, out, err = run_cli(capsys, "critical", f"--tau={tau.real!r}+{tau.imag!r}i")
+    assert code == 0, err
+    T = lattice.make_torus(tau)
+    assert T.tau_r.imag > 15.0
+    ref = critical.find_critical_points(lattice.make_torus(lattice.reduce_modulus(tau)[0]))
+    assert json.loads(out)["results"]["count"] == ref.total_count
 
 
 def test_consistency_error_exit(capsys, monkeypatch):

@@ -102,6 +102,43 @@ def test_count_is_three_or_five_and_morse_balances(T):
     assert minima - saddles + 1 == 0
 
 
+def _moebius(tau, gamma):
+    (a, b), (c, d) = gamma
+    return (a * tau + b) / (c * tau + d)
+
+
+def test_count_is_invariant_under_sl2z():
+    # the count belongs to the lattice, not to the basis chosen for it;
+    # ((1, -1), (2, -1)) maps 1/2 + ib to 1/2 + i/(4b)
+    rng = np.random.default_rng(5)
+    gammas = []
+    while len(gammas) < 12:
+        a, b, c, d = (int(v) for v in rng.integers(-3, 4, 4))
+        if a * d - b * c == 1:
+            gammas.append(((a, b), (c, d)))
+    dual = ((1, -1), (2, -1))
+    pairs = [(T, gammas[k % 12]) for k, T in enumerate(lattice.random_tori(24, seed=17))]
+    pairs += [(lattice.make_torus(complex(0.5, b)), dual) for b in (0.3, 0.4, 0.8)]
+    for T, gamma in pairs:
+        image = lattice.make_torus(_moebius(T.tau, gamma))
+        assert (critical.find_critical_points(image).total_count
+                == critical.find_critical_points(T).total_count), (T.tau, gamma)
+    assert abs(_moebius(0.5 + 0.8j, dual) - (0.5 + 1j / 3.2)) < 1e-15
+
+
+def test_small_imag_sample_counts_at_the_reduced_modulus():
+    # Im tau log uniform in [0.001, 0.01]: the one S inversion of the old
+    # route left a nome near 1 here and failed on 2 of these 150 tori
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        a = rng.uniform(-0.5, 0.5)
+        b = math.exp(rng.uniform(math.log(0.001), math.log(0.01)))
+        T = lattice.make_torus(complex(a, b))
+        count = critical.find_critical_points(T).total_count
+        assert count == critical.find_critical_points(
+            lattice.make_torus(T.tau_r)).total_count, T.tau
+
+
 def test_classify_matches_stored_class():
     for T in RANDOM_TORI[:8]:
         cs = critical.find_critical_points(T)
@@ -231,6 +268,15 @@ def test_compare_half_periods_rhombic_above_upper_threshold():
     # the two slanted half periods tie by the rhombic reflection; both beat w1/2
     assert set(cmpr.ranking[0]) == {1, 2}
     assert cmpr.ranking[1] == (0,)
+
+
+@pytest.mark.parametrize("tau", [0.5 + 0.3j, 0.5 + 0.5j])
+def test_compare_half_periods_lists_a_tie_in_index_order(tau):
+    # on Re tau = 1/2, G(tau/2) = G((1+tau)/2) exactly; roundoff decides
+    # which of the two reads larger, and must not reorder the output
+    for im in (tau.imag, np.nextafter(tau.imag, 1.0), np.nextafter(tau.imag, 0.0)):
+        cmp = critical.compare_half_periods(lattice.make_torus(complex(0.5, im)))
+        assert (1, 2) in cmp.ranking and cmp.ties == ((1, 2),), (im, cmp.ranking)
 
 
 def test_compare_half_periods_formula_agreement_random():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from torusgreen import green, lattice
+from torusgreen import green, lattice, weier
 from torusgreen.errors import PoleAtLattice
 from torusgreen.green import Hessian2
 
@@ -143,10 +143,30 @@ def test_period_integrals_at_critical_point_are_imaginary():
 
     cs = critical.find_critical_points(T)
     p = cs.extra
-    f1, f2 = green.period_integrals(p.z, T)
+    # F1 = 2(zeta(z) - eta1 z) and F2 = 2(tau zeta(z) - eta2 z) at the
+    # canonical representative
+    t, s, _, _ = lattice.split_coords(p.z, T.tau)
+    zc = complex(t + s * T.tau)
+    inv = weier.invariants(T)
+    zv = weier.zeta(zc, T)
+    f1 = 2.0 * (zv - inv.eta1 * zc)
+    f2 = 2.0 * (T.tau * zv - inv.eta2 * zc)
     assert abs(f1.real) < 1e-10 and abs(f2.real) < 1e-10
     assert abs(f1 - (-4j * np.pi * p.coords.s)) < 1e-10
     assert abs(f2 - (4j * np.pi * p.coords.t)) < 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.5 + 8j, 12j, 0.0608j, 1 / 3 + 0.01j, 0.5 + 3j])
+def test_half_period_determinants_match_mpmath(tau):
+    # near the cusp two of the determinants are O(e^(-pi b_r)); the form
+    # 2 (pi/b_r) Re(-L2) - |L2|^2 keeps them, where -(|L2 + pi/b|^2 - (pi/b)^2)
+    # cancelled to -0.0 at 0.5 + 8i and to 3e-14 of the wrong sign at 0.0608i
+    T = lattice.make_torus(tau)
+    got = green.evaluate(np.array(T.half_periods), T).hessian.det
+    for g, h in zip(got, T.half_periods):
+        ref = oracles.mp_hessian_det(h, tau)
+        assert g * ref > 0.0, (tau, h, g, ref)
+        assert abs(g - ref) <= 1e-6 * abs(ref), (tau, h, g, ref)
 
 
 def test_green_constant_square_torus_frozen():

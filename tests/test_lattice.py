@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -39,12 +40,12 @@ def test_split_coords_reconstructs_point(x, y, a, b):
 
 
 @given(x=finite, y=finite, a=tau_re, b=tau_im)
-def test_wrap_point_is_idempotent(x, y, a, b):
-    T = lattice.make_torus(complex(a, b))
-    c = lattice.wrap_point(complex(x, y), T)
-    again = lattice.wrap_point(c.z(T), T)
-    assert abs(again.t - c.t) < 1e-12
-    assert abs(again.s - c.s) < 1e-12
+def test_canonical_cell_is_idempotent(x, y, a, b):
+    tau = complex(a, b)
+    t, s, _, _ = lattice.split_coords(complex(x, y), tau)
+    t2, s2, _, _ = lattice.split_coords(t + s * tau, tau)
+    assert abs(t2 - t) < 1e-12
+    assert abs(s2 - s) < 1e-12
 
 
 def test_split_coords_vectorized_matches_scalar():
@@ -63,9 +64,21 @@ def test_reduce_modulus_lands_in_fundamental_domain(a, b):
     red, mat = lattice.reduce_modulus(tau)
     (pa, pb), (pc, pd) = mat
     assert pa * pd - pb * pc == 1
-    assert abs(lattice.apply_transform(tau, mat) - red) < 1e-10 * max(1.0, abs(red))
+    assert abs((pa * tau + pb) / (pc * tau + pd) - red) < 1e-10 * max(1.0, abs(red))
     assert -0.5 - 1e-12 <= red.real <= 0.5 + 1e-12
     assert abs(red) >= 1.0 - 1e-12
+
+
+@given(a=tau_re, b=tau_im)
+def test_torus_frame_spans_the_same_lattice(a, b):
+    # Z + tau Z = lam (Z + tau_r Z): lam and lam tau_r are c tau + d and
+    # a tau + b, a unimodular integral basis of Z + tau Z
+    T = lattice.make_torus(complex(a, b))
+    (pa, pb), (pc, pd) = T.mat
+    assert T.lam == pc * T.tau + pd
+    assert abs(T.lam * T.tau_r - (pa * T.tau + pb)) < 1e-10 * max(1.0, abs(T.tau))
+    assert T.tau_r.imag >= math.sqrt(3) / 2 - 1e-12
+    assert abs(T.tau_r.imag - T.b / abs(T.lam) ** 2) < 1e-10 * T.tau_r.imag
 
 
 def test_reduce_modulus_fixed_points():

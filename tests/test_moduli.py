@@ -82,10 +82,17 @@ def test_functional_equation_self_dual_point():
 
 
 def test_lambda_circle_residual_on_and_off_the_line():
+    # | |lambda - 1| - 1 | with lambda = (e3 - e2) / (e1 - e2) vanishes
+    # exactly on the rhombic line Re tau = 1/2
+    def residual(tau):
+        inv = weier.invariants(lattice.make_torus(tau))
+        lam = (inv.e3 - inv.e2) / (inv.e1 - inv.e2)
+        return abs(abs(lam - 1.0) - 1.0)
+
     for b in (0.4, 0.8660254, 1.3):
-        assert moduli.lambda_circle_residual(complex(0.5, b)) < 1e-10
-    assert moduli.lambda_circle_residual(0.3 + 0.9j) > 1e-3
-    assert moduli.lambda_circle_residual(1j) > 0.4
+        assert residual(complex(0.5, b)) < 1e-10
+    assert residual(0.3 + 0.9j) > 1e-3
+    assert residual(1j) > 0.4
 
 
 def test_scan_classifies_rhombic_strip():

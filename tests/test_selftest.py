@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 
 import oracles
-from torusgreen import lattice, selftest, weier
+from torusgreen import green, lattice, selftest, weier
 
 EXPECTED_NAMES = [
     "legendre_relation",
@@ -12,7 +14,7 @@ EXPECTED_NAMES = [
     "zeta_addition",
     "heat_equation",
     "triple_product",
-    "jacobi_imaginary_cross",
+    "reduced_frame_cross",
 ]
 
 
@@ -51,8 +53,39 @@ def test_individual_residuals_small_on_fresh_samples():
     assert np.max(selftest.wp_de_residual(z, T)) < 1e-9
     assert np.max(selftest.heat_equation_residual(z, T)) < 1e-7
     assert np.max(selftest.triple_product_residual(z, T)) < 1e-10
-    assert np.max(selftest.jacobi_cross_residual(z, T)) < 1e-10
+    for tau in (3.2 + 0.9j, 0.5 + 0.8j, -1.0 / T.tau):
+        assert np.max(selftest.frame_cross_residual(z, lattice.make_torus(tau))) < 1e-10
     assert np.max(selftest.zeta_addition_residual(z, T)) < 1e-9
+
+
+def _drop_value_weight(ev, torus):
+    # the weight 1/2 shift C(tau_r) - C(tau) of the value
+    return dataclasses.replace(
+        ev, value_rel=ev.value_rel - math.log(abs(torus.lam)) / (4.0 * math.pi))
+
+
+def _hessian_weight_2(ev, torus):
+    # det Hess G carried with |lam|^-2 in place of |lam|^-4
+    return dataclasses.replace(ev, hessian=dataclasses.replace(
+        ev.hessian, det=ev.hessian.det * abs(torus.lam) ** 2))
+
+
+def _gradient_unrotated(ev, torus):
+    # the gradient scaled by 1/|lam| but not rotated by arg lam
+    gx, gy = ev.grad
+    g = (np.asarray(gx) - 1j * np.asarray(gy)) * torus.lam / abs(torus.lam)
+    return dataclasses.replace(ev, grad=(g.real, -g.imag))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_value_weight, _hessian_weight_2, _gradient_unrotated])
+def test_frame_cross_catches_a_wrong_weight_law(corrupt, monkeypatch):
+    real = green.evaluate
+    monkeypatch.setattr(green, "evaluate", lambda z, torus: corrupt(real(z, torus), torus))
+    rep = selftest.run_all(n_samples=48)
+    failed = [c.name for c in rep.checks if not c.ok]
+    assert failed == ["reduced_frame_cross"]
+    T = lattice.make_torus(0.5 + 0.8j)
+    assert np.max(selftest.frame_cross_residual(np.array([0.23 + 0.11j]), T)) > 1e-3
 
 
 def test_legendre_residual_reads_eta2_from_zeta(monkeypatch):

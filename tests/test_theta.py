@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import green, lattice, theta
-from torusgreen.errors import NonPositiveImaginaryPart, PoleAtLattice
+from torusgreen import green, lattice, theta, weier
+from torusgreen.errors import NonPositiveImaginaryPart, PoleAtLattice, UnreducedModulus
 
-TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, -0.31 + 1.7j, 0.2 + 0.35j]
+# the series is summed only for Im tau >= 1/2, so 0.2 + 0.35i enters as its
+# reduced modulus; test_small_imag_tau_routes_accurately checks the values
+# carried back to such a modulus against mpmath
+TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, -0.31 + 1.7j,
+        lattice.reduce_modulus(0.2 + 0.35j)[0]]
 
 
 def _sample(rng, n=6):
@@ -132,15 +136,17 @@ def test_logderiv_raises_on_lattice_point():
 def test_eval_gives_the_same_bits_whatever_the_batch_shape():
     # numpy rounds scalar complex products differently from its array loops,
     # and reduces and multiplies along the contiguous term axis of a batch of
-    # one point with other loops than across a batch; the half periods and
-    # the two moduli cover both the direct and the Jacobi branch
+    # one point with other loops than across a batch; the half periods run
+    # at the reduced moduli the package sums at, and 0.31 + 1.07i and
+    # 0.2 + 0.55i at 6 and 8 terms
     for T in lattice.random_tori(300, 11):
-        batched = theta._eval(np.array(T.half_periods), T.tau)
-        for k, h in enumerate(T.half_periods):
-            for b, s in zip(batched, theta._eval(h, T.tau)):
-                assert b[k] == s, (T.tau, k)
+        hp = (0.5, T.tau_r / 2.0, (1.0 + T.tau_r) / 2.0)
+        batched = theta._eval(np.array(hp), T.tau_r)
+        for k, h in enumerate(hp):
+            for b, s in zip(batched, theta._eval(h, T.tau_r)):
+                assert b[k] == s, (T.tau_r, k)
     rng = np.random.default_rng(41)
-    for tau in (0.31 + 1.07j, -0.2 + 0.3j):
+    for tau in (0.31 + 1.07j, 0.2 + 0.55j):
         z = rng.uniform(-1.5, 1.5, 1000) + rng.uniform(-1.5, 1.5, 1000) * tau
         whole = theta._eval(z, tau)
         for size in (1, 2, 3, 7, 8, 9, 55):
@@ -170,40 +176,33 @@ def test_series_matches_the_exp_per_term_oracle(monkeypatch):
 
     monkeypatch.setattr(theta, "_series", compared)
     rng = np.random.default_rng(43)
-    tori = lattice.random_tori(300, 11) + [
-        lattice.make_torus(tau) for tau in (0.5 + 8j, 12j, 100j, 0.3 + 600j, 1 / 3 + 0.01j)
-    ]
-    for T in tori:
-        z = rng.uniform(-0.5, 0.5, 6) + rng.uniform(-0.5, 0.5, 6) * T.tau
-        z = np.concatenate([T.half_periods, z, [0.3 + 0.5 * T.tau, 3.1 - 2.5 * T.tau]])
-        for out in theta._eval(z, T.tau):
-            assert np.all(np.isfinite(out)), T.tau
-    assert len(checked) == len(tori)
-    # 1/3 + 0.01i is summed at tau' = -1/tau with a long series
-    assert checked[-1].imag < 0.1 and theta._term_count_z(checked[-1].imag) >= 15
-
-
-def test_jacobi_route_agrees_with_direct():
-    rng = np.random.default_rng(29)
-    for tau in (1j, 0.5 + 0.8j, -0.2 + 1.4j):
-        for z in _sample(rng, 4):
-            z = complex(z)
-            a = theta.theta1(z, lattice.make_torus(tau))
-            b = theta.jacobi_imaginary(z, tau)
-            assert abs(a.log_mag - b.log_mag) < 2e-12 * max(1.0, abs(a.log_mag))
-            assert abs(cmath.exp(1j * (a.arg - b.arg)) - 1.0) < 2e-11
+    # every modulus is summed at its reduced frame, as the package does;
+    # 1/3 + 0.01i reduces to about -1/3 + 11.1i, and 0.2 + 0.5i is the
+    # smallest Im tau the series takes, at 8 terms
+    taus = [T.tau_r for T in lattice.random_tori(300, 11)] + [
+        lattice.reduce_modulus(tau)[0] for tau in (0.5 + 8j, 12j, 100j, 0.3 + 600j, 1 / 3 + 0.01j)
+    ] + [0.2 + 0.5j]
+    for tau in taus:
+        z = rng.uniform(-0.5, 0.5, 6) + rng.uniform(-0.5, 0.5, 6) * tau
+        z = np.concatenate([[0.5, tau / 2, (1 + tau) / 2], z, [0.3 + 0.5 * tau, 3.1 - 2.5 * tau]])
+        for out in theta._eval(z, tau):
+            assert np.all(np.isfinite(out)), tau
+    assert checked == taus
+    assert checked[-2].imag > 11.0 and theta._term_count_z(checked[-1].imag) == 8
 
 
 def test_small_imag_tau_routes_accurately():
-    # below the cutoff the direct series would need many terms; the
-    # transformed series must still match mpmath
+    # below Im tau = 1/2 the series is summed at the reduced modulus only;
+    # the Green function and zeta carried back from there must still match
+    # mpmath's theta at tau itself
     tau = 0.1 + 0.08j
     T = lattice.make_torus(tau)
+    eta1 = oracles.mp_eta1(tau)
     for z in (0.23 + 0.017j, -0.41 + 0.02j, 0.05 - 0.03j):
-        got = theta.theta1(z, T)
-        lm_ref, ar_ref = oracles.mp_log_theta1(z, tau)
-        assert abs(got.log_mag - lm_ref) < 1e-11 * max(1.0, abs(lm_ref))
-        assert abs(cmath.exp(1j * (got.arg - ar_ref)) - 1.0) < 1e-10
+        ref = oracles.green_value_slow(z, tau)
+        assert abs(green.green_rel(z, T) - ref) < 1e-11 * max(1.0, abs(ref))
+        ref = oracles.mp_theta1_logderiv(z, tau, 1) + eta1 * z
+        assert abs(weier.zeta(z, T) - ref) < 1e-11 * max(1.0, abs(ref))
 
 
 def test_rhombic_line_b_derivs_match_mpmath():
@@ -232,9 +231,20 @@ def test_theta3_b_derivs_match_mpmath():
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(NonPositiveImaginaryPart):
-        theta.jacobi_imaginary(0.2, 1.0 - 0.5j)
+    with pytest.raises(UnreducedModulus):
+        theta._eval(0.2, 1.0 - 0.5j)
     with pytest.raises(NonPositiveImaginaryPart):
         theta.log_theta1_b_derivs(0.2, -0.3)
     with pytest.raises(NonPositiveImaginaryPart):
         theta.log_theta3_b_derivs(0.0)
+
+
+def test_eval_below_half_raises_unreduced_modulus():
+    # the direct series was never trusted below Im tau = 1/2; the Green
+    # function and the Weierstrass layer sum at the reduced modulus instead
+    with pytest.raises(UnreducedModulus):
+        theta._eval(0.2, 0.2 + 0.35j)
+    with pytest.raises(UnreducedModulus):
+        theta.theta1(0.2, lattice.make_torus(0.2 + 0.4999j))
+    assert np.isfinite(theta._eval(0.2, 0.2 + 0.5j)[0])
+    assert np.isfinite(green.green_rel(0.2, lattice.make_torus(0.2 + 0.35j)))

@@ -31,11 +31,15 @@ def test_legendre_relation():
         assert abs(inv.eta1 * tau - inv.eta2 - 2j * np.pi) < 1e-13
 
 
+def _modular_lambda(inv):
+    return (inv.e3 - inv.e2) / (inv.e1 - inv.e2)
+
+
 def test_square_torus_closed_forms():
     inv = weier.invariants(lattice.make_torus(1j))
-    # eta1(i) = pi and the modular lambda convention sends i to 1/2
+    # eta1(i) = pi and the modular lambda (e3 - e2) / (e1 - e2) sends i to 1/2
     assert abs(inv.eta1 - np.pi) < 1e-13
-    assert abs(inv.lam - 0.5) < 1e-13
+    assert abs(_modular_lambda(inv) - 0.5) < 1e-13
     assert abs(inv.g3) < 1e-13 * abs(inv.g2)
     # e2 = -e1 on the square torus, e3 = 0 in this labeling
     assert abs(inv.e3) < 1e-13 * abs(inv.e1)
@@ -44,7 +48,8 @@ def test_square_torus_closed_forms():
 def test_hex_torus_lambda_satisfies_sextic_fixed_point():
     inv = weier.invariants(lattice.make_torus(complex(0.5, math.sqrt(3) / 2)))
     # j = 0 forces lam^2 - lam + 1 = 0, whichever of the two roots shows up
-    assert abs(inv.lam ** 2 - inv.lam + 1.0) < 1e-12
+    lam = _modular_lambda(inv)
+    assert abs(lam ** 2 - lam + 1.0) < 1e-12
     assert abs(inv.g2) < 1e-12 * abs(inv.g3) ** (2.0 / 3.0)
 
 
@@ -53,8 +58,9 @@ def test_eta1_matches_mpmath():
         inv = weier.invariants(lattice.make_torus(tau))
         ref = oracles.mp_eta1(tau)
         assert abs(inv.eta1 - ref) < 1e-12 * max(1.0, abs(ref))
-        # theta1'(0), phase included, from the nulls of the same pass
-        th1p = complex(oracles.mp_theta1_dz(0.0, tau, 1))
+        # theta1'(0) at the reduced modulus, phase included, from the nulls
+        # of the same pass
+        th1p = complex(oracles.mp_theta1_dz(0.0, lattice.reduce_modulus(tau)[0], 1))
         assert abs(cmath.exp(inv.log_theta1_prime) - th1p) < 1e-12 * abs(th1p)
         # log|theta2(0)|, log|theta4(0)|, log|theta3(0)|, which order the
         # half periods in compare_half_periods
