@@ -41,6 +41,9 @@ CALLS = (
     ("eval", "--tau=0.13+0.92i", "--z=-0.32+0.27i"),
     ("eval", "--tau=3.2+0.9i", "--z=0.3+0.2i"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=8x8"),
+    # a shifted scan with cells at Re tau < 0 and one census cell
+    ("scan", "--region=-0.01477138761073364,0.072105648501117,"
+     "0.48522861238926634,1.972105648501117", "--grid=8x8"),
     ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
     ("thresholds",),

@@ -15,6 +15,7 @@ from .critical import (
     classify,
     compare_half_periods,
     find_critical_points,
+    find_critical_sets,
     locate_z0_on_rhombus_line,
 )
 from .errors import TorusGreenError
@@ -68,6 +69,7 @@ __all__ = [
     "evaluate",
     "extra_branch_point",
     "find_critical_points",
+    "find_critical_sets",
     "flip_edges",
     "functional_equation_residual",
     "green_constant",

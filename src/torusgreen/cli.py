@@ -17,6 +17,7 @@ errors.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import re
@@ -473,8 +474,14 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -3,26 +3,34 @@
 Every torus has the three half periods as critical points and at most one
 extra pair +-z0 (Lin and Wang); the pair are minima and
 #min - #saddle = -1, so there are five points exactly when all three half
-periods are saddles.  find_critical_points evaluates G at the three half
-periods in one theta series pass (green.evaluate), builds their points
-from that result, and takes one of three routes from its Hessian
-determinants, kept in CriticalSet.route:
+periods are saddles.  find_critical_sets evaluates G at the three half
+periods of every torus in one theta series pass (green.evaluate), builds
+their points from that result, and takes one of three routes per torus
+from its Hessian determinants, kept in CriticalSet.route:
 
 - "morse": every |det| * b^2 clears MORSE_MARGIN and some det is
   positive: three points, no Newton;
-- "seeds": all three dets are negative: one damped Newton call from the
-  55 fixed seeds below locates z0;
+- "seeds": all three dets are negative: damped Newton from the 55 fixed
+  seeds below locates z0;
 - "census": a det within the margin, or seeds that do not leave exactly
   one extra orbit: multi start Newton from a 24x24 seed grid decides.
 
 The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
 collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
-series pass for all seeds.  One array pass reduces the converged roots to
-extra orbits: roots near a half period go, the rest are folded modulo
-z ~ -z and merged at EXTRA_MERGE_TOL.  CountViolation marks an evaluation
-bug: a second orbit, fewer than five points where the signs force five,
-or, on the morse and seeds routes, unbalanced Morse labels.  The damped
-Newton kernel also polishes the seed of the 8 pi mean field construction.
+series pass for all seeds, of every seeds torus at once.  The plateau
+filter, the extra points and the residual check of the morse and seeds
+routes are one pass each for all tori; the census runs torus by torus.
+A torus gets the same bits in a batch as alone: the kernel sums each
+point at its own tau, the reduced frame constants are formed per torus
+and then gathered (green.Frame), and each Newton seed keeps its own
+count of steps.  find_critical_points is the batch of one torus.
+
+One array pass reduces the converged roots to extra orbits: roots near a
+half period go, the rest are folded modulo z ~ -z and merged at
+EXTRA_MERGE_TOL.  CountViolation marks an evaluation bug: a second
+orbit, fewer than five points where the signs force five, or, on the
+morse and seeds routes, unbalanced Morse labels.  The damped Newton
+kernel also polishes the seed of the 8 pi mean field construction.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .errors import (
     InvalidInput,
     NoConvergence,
     NotInExtraRegime,
+    TorusGreenError,
     Unconverged,
 )
 from .green import Hessian2
@@ -122,58 +131,66 @@ class CriticalSet:
         return None
 
 
-def damped_newton(t, s, torus: Torus, r_stop: float):
+def damped_newton(t, s, torus: Torus | green.Frame, r_stop: float):
     """Damped Newton on the critical residual from the seeds (t, s).
 
-    Each step is halved up to 12 times until it lowers |r|; a seed that
-    cannot improve even then is retired, and a seed stops once |r| <= r_stop.
-    Returns the final (t, s, |r|) arrays, unwrapped; lattice hits show up
-    as non finite |r|.
+    torus is a Torus or a Frame, one entry per seed for seeds on several
+    tori (green.take).  Each step is halved up to 12 times until it
+    lowers |r|; a seed that cannot improve even then is retired, and a
+    seed stops once |r| <= r_stop or after 60 steps.  Every seed keeps
+    its own count of steps and halvings, and one residual pass serves the
+    next trial point of every seed, so a seed's path does not depend on
+    the others and the passes are as many as the trials of the longest
+    path.  Returns the final (t, s, |r|) arrays, unwrapped; lattice hits
+    show up as non finite |r|.
     """
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
     r, rt, rs = green.residual_and_jacobian(t, s, torus)
     rn = np.abs(r)
-    active = np.isfinite(rn)
-    for _ in range(60):
-        live = np.flatnonzero(active & (rn > r_stop))
-        if live.size == 0:
-            break
-        det = rt.real[live] * rs.imag[live] - rs.real[live] * rt.imag[live]
+    live = np.isfinite(rn)
+    steps = np.zeros(t.size, dtype=int)      # Newton steps begun
+    tries = np.zeros(t.size, dtype=int)      # rejected trials of the current step
+    scale = np.ones(t.size)
+    dt = np.zeros(t.size)
+    ds = np.zeros(t.size)
+    due = np.flatnonzero(live)               # seeds due a new Newton direction
+    while True:
+        stop = (rn[due] <= r_stop) | (steps[due] == 60)
+        live[due[stop]] = False
+        due = due[~stop]
+        det = rt.real[due] * rs.imag[due] - rs.real[due] * rt.imag[due]
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
         det = np.where(bad, 1.0, det)
-        dt = np.where(bad, 0.0, (r.real[live] * rs.imag[live] - rs.real[live] * r.imag[live]) / det)
-        ds = np.where(bad, 0.0, (rt.real[live] * r.imag[live] - r.real[live] * rt.imag[live]) / det)
-        step = np.ones(live.size)
-        pending = np.ones(live.size, dtype=bool)
-        for _halving in range(12):
-            # evaluate only the seeds still waiting for an accepted step whose
-            # trial point moved: a step under the float spacing cannot lower |r|
-            sub = np.flatnonzero(pending)
-            idx = live[sub]
-            t_try = t[idx] - step[sub] * dt[sub]
-            s_try = s[idx] - step[sub] * ds[sub]
-            moved = (t_try != t[idx]) | (s_try != s[idx])
-            sub, idx, t_try, s_try = sub[moved], idx[moved], t_try[moved], s_try[moved]
-            if sub.size == 0:
-                break
-            r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, torus)
-            rn2 = np.abs(r2)
-            ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
-            good = idx[ok]
-            t[good] = t_try[ok]
-            s[good] = s_try[ok]
-            r[good] = r2[ok]
-            rt[good] = rt2[ok]
-            rs[good] = rs2[ok]
-            rn[good] = rn2[ok]
-            pending[sub[ok]] = False
-            step[sub[~ok]] *= 0.5
-        # seeds that could not improve even at the smallest step are stuck
-        # on a ridge; retire them so they stop costing evaluations (final
-        # convergence is judged from rn alone, so nothing is lost)
-        active[live[pending]] = False
-    return t, s, rn
+        dt[due] = np.where(bad, 0.0, (r.real[due] * rs.imag[due] - rs.real[due] * r.imag[due]) / det)
+        ds[due] = np.where(bad, 0.0, (rt.real[due] * r.imag[due] - r.real[due] * rt.imag[due]) / det)
+        scale[due] = 1.0
+        tries[due] = 0
+        steps[due] += 1
+        idx = np.flatnonzero(live)
+        t_try = t[idx] - scale[idx] * dt[idx]
+        s_try = s[idx] - scale[idx] * ds[idx]
+        # a step under the float spacing cannot lower |r|: the seed is stuck
+        # on a ridge, and convergence is judged from rn alone
+        moved = (t_try != t[idx]) | (s_try != s[idx])
+        live[idx[~moved]] = False
+        idx, t_try, s_try = idx[moved], t_try[moved], s_try[moved]
+        if idx.size == 0:
+            return t, s, rn
+        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, green.take(torus, idx))
+        rn2 = np.abs(r2)
+        ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
+        due = idx[ok]
+        t[due] = t_try[ok]
+        s[due] = s_try[ok]
+        r[due] = r2[ok]
+        rt[due] = rt2[ok]
+        rs[due] = rs2[ok]
+        rn[due] = rn2[ok]
+        poor = idx[~ok]
+        scale[poor] *= 0.5
+        tries[poor] += 1
+        live[poor[tries[poor] == 12]] = False
 
 
 def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,18 +199,40 @@ def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return t.ravel(), s.ravel()
 
 
-def _solve(torus: Torus, t: np.ndarray, s: np.ndarray, tol: float):
-    """Extra orbit representatives (t, s) reached from the given seeds,
-    plus the number of seeds that neither converged nor were pruned."""
-    keep = lattice_gap(t + s * torus.tau, torus.tau) > EXCLUSION_RADIUS
+def _solve(tori: list[Torus], cell: np.ndarray, t: np.ndarray, s: np.ndarray, tol: float):
+    """Extra orbit representatives of each torus, reached from its seeds.
+
+    Seed j lies on tori[cell[j]], with cell sorted.  One damped Newton
+    run serves every seed and one evaluate pass applies the plateau
+    filter to every torus.  Returns, per torus, (ts, ss, failures), the
+    failures being the seeds that neither converged nor were pruned.
+    """
+    batch = green.gather(tori)
+    on = green.take(batch, cell)
+    keep = lattice_gap(t + s * on.tau, on.tau) > EXCLUSION_RADIUS
     r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
     # polish three decades past the acceptance target: near a degeneracy
     # threshold the residual valley is flat enough that stopping exactly at
     # the target scatters one root across several merge cells
-    t, s, rn = damped_newton(t[keep], s[keep], torus, r_target * 1e-3)
+    t, s, rn = damped_newton(t[keep], s[keep], green.take(on, keep), r_target * 1e-3)
+    cell = cell[keep]
     converged = np.isfinite(rn) & (rn <= r_target)
-    ts, ss = _extra_reps(wrap_unit(t[converged])[0], wrap_unit(s[converged])[0], torus)
-    return ts, ss, int(np.count_nonzero(~converged))
+    failures = np.bincount(cell[~converged], minlength=len(tori))
+    bounds = np.searchsorted(cell[converged], np.arange(len(tori) + 1))
+    tw, sw = wrap_unit(t[converged])[0], wrap_unit(s[converged])[0]
+    reps = [_orbit_reps(tw[lo:hi], sw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # drop the gradient plateau roots
+    rcell = np.repeat(np.arange(len(tori)), [ts.size for ts, _ in reps])
+    rt = np.concatenate([ts for ts, _ in reps])
+    rs = np.concatenate([ss for _, ss in reps])
+    keep = np.ones(rt.size, dtype=bool)
+    if rt.size:
+        on = green.take(batch, rcell)
+        det = green.evaluate(rt + rs * on.tau, on).hessian.det
+        floor = np.array([PLATEAU_MIN_DET / (torus.b * torus.b) for torus in tori])
+        keep = np.abs(det) > floor[rcell]
+    return [(rt[(rcell == k) & keep], rs[(rcell == k) & keep], int(failures[k]))
+            for k in range(len(tori))]
 
 
 def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,52 +285,63 @@ def classify(point: CriticalPoint, degeneracy_eps: float = DEGENERACY_EPS) -> Mo
     return _classify_hessian(point.hessian, b, degeneracy_eps)
 
 
-def _extra_reps(t: np.ndarray, s: np.ndarray, torus: Torus):
-    """_orbit_reps of the wrapped roots, minus the gradient plateau roots."""
-    t, s = _orbit_reps(t, s)
-    if t.size:
-        det = green.evaluate(t + s * torus.tau, torus).hessian.det
-        keep = np.abs(det) > PLATEAU_MIN_DET / (torus.b * torus.b)
-        t, s = t[keep], s[keep]
-    return t, s
-
-
-def _points(torus: Torus, coords, kinds, ev: green.GreenEval) -> list[CriticalPoint]:
-    """The critical points at coords, classified from ev, the evaluate
-    over their z as one array in the same order."""
+def _rows(ev: green.GreenEval) -> list[tuple[float, ...]]:
+    """(xx, xy, yy, det, value) per point of an evaluate over a 1-D array."""
     h = ev.hessian
-    hessians = [Hessian2(*e) for e in zip(h.xx.tolist(), h.xy.tolist(),
-                                           h.yy.tolist(), h.det.tolist())]
-    return [CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
-                          morse=_classify_hessian(hk, torus.b, DEGENERACY_EPS),
-                          hessian=hk, g_rel=g)
-            for (t, s), kind, hk, g in zip(coords, kinds, hessians, ev.value_rel.tolist())]
+    return list(zip(h.xx.tolist(), h.xy.tolist(), h.yy.tolist(), h.det.tolist(),
+                    ev.value_rel.tolist()))
 
 
-def _critical_set(torus: Torus, route: str, hp: green.GreenEval, ts=(), ss=()) -> CriticalSet:
-    """The half periods, evaluated in hp, plus the extra orbits (ts, ss)."""
+def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
+    """The critical points at coords, classified from their _rows."""
+    out = []
+    for (t, s), kind, (*h, g) in zip(coords, kinds, rows):
+        hk = Hessian2(*h)
+        out.append(CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
+                                 morse=_classify_hessian(hk, torus.b, DEGENERACY_EPS),
+                                 hessian=hk, g_rel=g))
+    return out
+
+
+def _half_period_rows(tori: list[Torus], batch) -> list[tuple[float, ...]]:
+    """The _rows of the three half periods of every torus, from one pass."""
+    z = np.array([h for torus in tori for h in torus.half_periods])
+    return _rows(green.evaluate(z, green.take(batch, np.repeat(np.arange(len(tori)), 3))))
+
+
+def _critical_sets(tori: list[Torus], batch, hp, found) -> list[CriticalSet]:
+    """The CriticalSet of each (k, route, ts, ss) in found: the half periods
+    of tori[k], whose rows are hp[3k:3k + 3], plus the extra orbits
+    (ts, ss), evaluated for every set in one pass."""
     kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
-    points = _points(torus, _HP_COORDS, kinds, hp)
-    extras = [(float(t), float(s)) for t, s in zip(ts, ss)]
-    if extras:
-        ev = green.evaluate(np.array([t + s * torus.tau for t, s in extras]), torus)
-        points += _points(torus, extras, [Kind.EXTRA_PAIR] * len(extras), ev)
-    return CriticalSet(points=tuple(points), total_count=3 + 2 * len(extras), route=route)
+    extras = [[(float(t), float(s)) for t, s in zip(ts, ss)] for _, _, ts, ss in found]
+    flat = [(k, t, s) for (k, *_), ex in zip(found, extras) for t, s in ex]
+    rows = []
+    if flat:
+        ev = green.evaluate(np.array([t + s * tori[k].tau for k, t, s in flat]),
+                            green.take(batch, [k for k, _, _ in flat]))
+        rows = _rows(ev)
+    out, start = [], 0
+    for (k, route, *_), ex in zip(found, extras):
+        torus = tori[k]
+        points = _points(torus, _HP_COORDS, kinds, hp[3 * k:3 * k + 3])
+        points += _points(torus, ex, [Kind.EXTRA_PAIR] * len(ex), rows[start:start + len(ex)])
+        start += len(ex)
+        out.append(CriticalSet(points=tuple(points), total_count=3 + 2 * len(ex), route=route))
+    return out
 
 
-def _checked(cs: CriticalSet, torus: Torus, tol: float) -> CriticalSet:
-    """cs, once |grad G| <= tol at each point and #min - #saddle = -1."""
-    t = np.array([p.coords.t for p in cs.points])
-    s = np.array([p.coords.s for p in cs.points])
-    r, _, _ = green.residual_and_jacobian(t, s, torus)
-    grad = float(np.max(np.abs(r))) / (2.0 * np.pi)
+def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
+    """cs, or the error it fails with, given r = |residual| at its points:
+    it passes once |grad G| <= tol at each point and #min - #saddle = -1."""
+    grad = float(np.max(r)) / (2.0 * np.pi)
     if not grad <= tol:
-        raise Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
-                          f"{cs.route} route at tau = {torus.tau}")
+        return Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
+                           f"{cs.route} route at tau = {torus.tau}")
     balance = sum((2 if p.kind is Kind.EXTRA_PAIR else 1)
                   * ((p.morse is Morse.MIN) - (p.morse is Morse.SADDLE)) for p in cs.points)
     if balance != -1:
-        raise CountViolation(
+        return CountViolation(
             f"#min - #saddle = {balance} among the {cs.total_count} critical points "
             f"of the {cs.route} route at tau = {torus.tau}; the Euler count forces -1"
         )
@@ -305,9 +355,13 @@ def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     is tolerated; NoConvergence fires only when a verification sweep at
     48x48 also disagrees on the count.
     """
-    ts, ss, failures = _solve(torus, *_grid_seeds(24), tol)
+    def sweep(n_grid):
+        t, s = _grid_seeds(n_grid)
+        return _solve([torus], np.zeros(t.size, dtype=int), t, s, tol)[0]
+
+    ts, ss, failures = sweep(24)
     if failures:
-        ts_fine, _, _ = _solve(torus, *_grid_seeds(48), tol)
+        ts_fine, _, _ = sweep(48)
         if ts_fine.size != ts.size:
             raise NoConvergence(
                 f"{failures} seeds failed and the 24/48 sweeps disagree "
@@ -318,35 +372,85 @@ def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
             f"{3 + 2 * ts.size} critical points survived dedup at tau = {torus.tau}; "
             "more than five is impossible and indicates an evaluation bug"
         )
-    hp = green.evaluate(np.array(torus.half_periods), torus)
-    return _critical_set(torus, "census", hp, ts, ss)
+    return _critical_sets([torus], torus, _half_period_rows([torus], torus),
+                          [(0, "census", ts, ss)])[0]
+
+
+def _census_cell(torus: Torus, tol: float, forced_five: bool):
+    """_census, or the error it fails with; where all three half periods
+    are saddles, a count other than five is a CountViolation."""
+    try:
+        cs = _census(torus, tol)
+    except TorusGreenError as exc:
+        return exc
+    if forced_five and cs.total_count != 5:
+        return CountViolation(
+            f"census found {cs.total_count} critical points at tau = {torus.tau}, but "
+            "all three half periods are saddles, which forces 5"
+        )
+    return cs
+
+
+def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
+    """The critical set of every torus in tori, or the error it fails with.
+
+    Each torus takes its own route (see the module docstring), and every
+    pass serves all of them: one half-period pass decides the routes, one
+    damped Newton run covers the 55 seeds of every seeds torus, one pass
+    each applies the plateau filter and evaluates the extra points, and
+    one residual pass checks |grad G| <= tol at every point of the morse
+    and seeds routes, next to the Morse balance.  The census runs torus
+    by torus.  A torus gets the same result, to the bit, as alone.
+    """
+    if not 1e-14 <= tol <= 1e-6:
+        raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
+    tori = list(tori)
+    if not tori:
+        return []
+    batch = green.gather(tori)
+    hp = _half_period_rows(tori, batch)
+    det = np.array([row[3] for row in hp]).reshape(-1, 3)
+    b2 = np.array([torus.b ** 2 for torus in tori])
+    census = np.abs(det).min(axis=1) * b2 < MORSE_MARGIN
+    morse = ~census & (det > 0.0).any(axis=1)
+    seeds = np.flatnonzero(~census & ~morse)
+    out: list = [None] * len(tori)
+    found = [(k, "morse", (), ()) for k in np.flatnonzero(morse).tolist()]
+    solved = _solve([tori[k] for k in seeds], np.repeat(np.arange(seeds.size), _SEED_T.size),
+                    np.tile(_SEED_T, seeds.size), np.tile(_SEED_S, seeds.size),
+                    tol) if seeds.size else []
+    for k, (ts, ss, _) in zip(seeds.tolist(), solved):
+        if ts.size == 1:
+            found.append((k, "seeds", ts, ss))
+        else:
+            out[k] = _census_cell(tori[k], tol, forced_five=True)
+    for k in np.flatnonzero(census).tolist():
+        out[k] = _census_cell(tori[k], tol, forced_five=False)
+    sets = _critical_sets(tori, batch, hp, found)
+    cell = np.repeat([k for k, *_ in found], [len(cs.points) for cs in sets])
+    t = np.array([p.coords.t for cs in sets for p in cs.points])
+    s = np.array([p.coords.s for cs in sets for p in cs.points])
+    r = np.abs(green.residual_and_jacobian(t, s, green.take(batch, cell))[0]) if t.size else t
+    start = 0
+    for (k, *_), cs in zip(found, sets):
+        stop = start + len(cs.points)
+        out[k] = _checked(cs, tori[k], r[start:stop], tol)
+        start = stop
+    return out
 
 
 def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     """All critical points: the three half periods plus any extra pair.
 
-    The route (see the module docstring) is recorded in the result.  The
-    morse and seeds routes check |grad G| <= tol at every point and the
-    Morse balance; where all three half periods are saddles, a count
-    other than five raises CountViolation.
+    find_critical_sets for one torus: the route (see the module
+    docstring) is recorded in the result; the morse and seeds routes
+    check |grad G| <= tol at every point and the Morse balance, and where
+    all three half periods are saddles, a count other than five raises
+    CountViolation.
     """
-    if not 1e-14 <= tol <= 1e-6:
-        raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
-    hp = green.evaluate(np.array(torus.half_periods), torus)
-    det = hp.hessian.det
-    if np.min(np.abs(det)) * torus.b ** 2 < MORSE_MARGIN:
-        return _census(torus, tol)
-    if np.any(det > 0.0):
-        return _checked(_critical_set(torus, "morse", hp), torus, tol)
-    ts, ss, _ = _solve(torus, _SEED_T, _SEED_S, tol)
-    if ts.size == 1:
-        return _checked(_critical_set(torus, "seeds", hp, ts, ss), torus, tol)
-    cs = _census(torus, tol)
-    if cs.total_count != 5:
-        raise CountViolation(
-            f"census found {cs.total_count} critical points at tau = {torus.tau}, but "
-            "all three half periods are saddles, which forces 5"
-        )
+    cs, = find_critical_sets([torus], tol)
+    if isinstance(cs, TorusGreenError):
+        raise cs
     return cs
 
 
@@ -512,4 +616,4 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
     ev = green.evaluate(np.array([t + s * torus.tau]), torus)
     if np.hypot(*ev.grad).item() > tol:
         raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")
-    return _points(torus, [(t, s)], [Kind.EXTRA_PAIR], ev)[0]
+    return _points(torus, [(t, s)], [Kind.EXTRA_PAIR], _rows(ev))[0]

@@ -25,12 +25,17 @@ the cusp).  By the Legendre relation the critical residual
 zeta(z) - t eta1 - s eta2 is A1 / lam, so the solver needs no quasi
 periods.  C(tau) is summed at tau_r and carried back by the weight 1/2
 law of eta, so everything holds on all of the upper half plane.
+
+evaluate and residual_and_jacobian take a Torus, or a Frame: the
+constants of these laws for one torus, or gathered per point for a batch
+on several tori, which then shares one theta pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,53 +68,109 @@ class GreenEval:
     hessian: Hessian2
 
 
-def _reduced_pass(t, s, torus: Torus):
-    """s' and (log|theta1|, L1, L2) at z / lam on tau_r, z = t + s tau."""
+class Frame(NamedTuple):
+    """The reduced frame of evaluate and residual_and_jacobian.
+
+    frame(torus) holds one torus's constants as Python scalars; gather
+    stacks those of several tori into arrays, and take puts them next to
+    the points of a batch, one entry per point.  Python's complex products
+    round differently from numpy's, so the constants are formed per torus
+    first and only then gathered: a point gets the same bits in a batch
+    of tori as with its own torus alone.
+    """
+
+    tau: complex
+    tau_r: complex
+    a: int                 # mat = ((a, b), (c, d)), lam = c tau + d
+    b: int
+    c: int
+    d: int
+    k1: complex            # 1 / lam
+    k2: complex            # (1 / lam)^2
+    c_term: complex        # 2 pi i c / lam
+    d_term: complex        # 2 pi i d / lam
+    q_xx: float            # grad y_r grad y_r^T / b_r
+    q_xy: float
+    q_yy: float
+    det_scale: float       # 4 pi^2 |lam|^4
+    shift: float           # log|lam| / (4 pi)
+
+
+def frame(torus: Torus) -> Frame:
+    """The reduced frame constants of one torus."""
     (a, b), (c, d) = torus.mat
-    tr, _ = wrap_unit(a * t - b * s)
-    sr, _ = wrap_unit(d * s - c * t)
-    lm, _, L1, L2, _ = theta._eval(tr + sr * torus.tau_r, torus.tau_r)
+    lam = torus.lam
+    k1 = 1.0 / lam
+    scale = 1.0 / (torus.b * abs(lam) ** 2)
+    return Frame(torus.tau, torus.tau_r, a, b, c, d, k1, k1 * k1,
+                 (2j * np.pi * c) * k1, (2j * np.pi * d) * k1,
+                 lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale,
+                 4.0 * np.pi ** 2 * abs(lam) ** 4, math.log(abs(lam)) / (4.0 * np.pi))
+
+
+def gather(tori: list[Torus]) -> Torus | Frame:
+    """The frames of tori as one Frame of arrays, entry k for tori[k];
+    a single torus stands for itself."""
+    if len(tori) == 1:
+        return tori[0]
+    return Frame._make(np.array(col) for col in zip(*map(frame, tori)))
+
+
+def take(batch: Torus | Frame, index) -> Torus | Frame:
+    """The frame of points that lie on the tori index[j] of batch (gather);
+    a torus, or the frame of one, serves every point as it is."""
+    return batch if np.ndim(batch.tau) == 0 else Frame._make(x[index] for x in batch)
+
+
+def _as_frame(torus: Torus | Frame) -> Frame:
+    return torus if isinstance(torus, Frame) else frame(torus)
+
+
+def _reduced_pass(t, s, fr: Frame):
+    """s' and (log|theta1|, L1, L2) at z / lam on tau_r, z = t + s tau."""
+    tr, _ = wrap_unit(fr.a * t - fr.b * s)
+    sr, _ = wrap_unit(fr.d * s - fr.c * t)
+    lm, _, L1, L2, _ = theta._eval(tr + sr * fr.tau_r, fr.tau_r)
     return sr, lm, L1, L2
 
 
-def evaluate(z, torus: Torus) -> GreenEval:
+def evaluate(z, torus: Torus | Frame) -> GreenEval:
     """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
-    Everything is taken at the canonical cell representative of the
-    reduced frame and computed on a flat array, so a point gives the same
-    bits alone as inside a batch.  The gradient and Hessian are those of
-    log|theta1| (L1 / lam, L2 / lam^2) plus those of y_r^2 / (2 b_r),
-    y_r = Im(z / lam), so where lam = 1 they are the identity frame
-    formulas bit for bit.  Raises PoleAtLattice at lattice points.
+    torus is a Torus or a Frame, with one entry per point of z for a
+    batch on several tori (take).  Everything is taken at the canonical cell representative
+    of the reduced frame and computed on a flat array, so a point gives
+    the same bits alone as inside a batch.  The gradient and Hessian are
+    those of log|theta1| (L1 / lam, L2 / lam^2) plus those of
+    y_r^2 / (2 b_r), y_r = Im(z / lam), so where lam = 1 they are the
+    identity frame formulas bit for bit.  Raises PoleAtLattice at lattice
+    points.
     """
+    fr = _as_frame(torus)
     z = np.asarray(z, dtype=complex)
-    s = z.imag.reshape(-1) / torus.b
-    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * torus.tau.real, s, torus)
+    s = z.imag.reshape(-1) / fr.tau.imag
+    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * fr.tau.real, s, fr)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
-    lam, b, b_r = torus.lam, torus.b, torus.tau_r.imag
-    k1 = 1.0 / lam
-    rot1 = L1 * k1
-    rot = L2 * (k1 * k1)
+    b_r = fr.tau_r.imag
+    rot1 = L1 * fr.k1
+    rot = L2 * fr.k2
     # y_r^2 / (2 b_r) has gradient s' grad y_r, grad y_r = (Im k1, Re k1),
     # and Hessian grad y_r grad y_r^T / b_r
-    scale = 1.0 / (b * abs(lam) ** 2)
-    q_xx, q_xy, q_yy = lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale
     det_r = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
 
     def out(x):
         return theta._scalarize(x.reshape(z.shape))
 
     return GreenEval(
-        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)
-                      + math.log(abs(lam)) / (4.0 * np.pi)),
-        grad=(out(-rot1.real / (2.0 * np.pi) + sr * k1.imag),
-              out(rot1.imag / (2.0 * np.pi) + sr * k1.real)),
+        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0) + fr.shift),
+        grad=(out(-rot1.real / (2.0 * np.pi) + sr * fr.k1.imag),
+              out(rot1.imag / (2.0 * np.pi) + sr * fr.k1.real)),
         hessian=Hessian2(
-            xx=out(q_xx - rot.real / (2.0 * np.pi)),
-            xy=out(rot.imag / (2.0 * np.pi) + q_xy),
-            yy=out(q_yy + rot.real / (2.0 * np.pi)),
-            det=out(det_r / (4.0 * np.pi ** 2 * abs(lam) ** 4)),
+            xx=out(fr.q_xx - rot.real / (2.0 * np.pi)),
+            xy=out(rot.imag / (2.0 * np.pi) + fr.q_xy),
+            yy=out(fr.q_yy + rot.real / (2.0 * np.pi)),
+            det=out(det_r / fr.det_scale),
         ),
     )
 
@@ -131,23 +192,22 @@ def critical_residual(t, s, torus: Torus):
     return theta._scalarize(r)
 
 
-def residual_and_jacobian(t, s, torus: Torus):
+def residual_and_jacobian(t, s, torus: Torus | Frame):
     """Vectorized critical residual plus its (t, s) Jacobian.
 
-    The residual is invariant under integer shifts of (t, s), so the
-    reduced coordinates are wrapped first; it equals A1 / lam with
+    torus is a Torus or the Frame of a batch, as in evaluate.  The
+    residual is invariant under integer shifts of (t, s), so the reduced
+    coordinates are wrapped first; it equals A1 / lam with
     A1 = L1 + 2 pi i s' in the reduced frame.  Returns (r, dr_dt, dr_ds)
     with dr_dt = L2 / lam^2 - 2 pi i c / lam and
     dr_ds = tau L2 / lam^2 + 2 pi i d / lam.  Lattice hits yield non
     finite entries rather than an exception; the Newton loop treats
     those as rejected steps.
     """
-    sr, _, L1, L2 = _reduced_pass(t, s, torus)
-    (_, _), (c, d) = torus.mat
-    k1 = 1.0 / torus.lam
-    rot = L2 * (k1 * k1)
-    return ((L1 + (2j * np.pi) * sr) * k1, rot - (2j * np.pi * c) * k1,
-            rot * torus.tau + (2j * np.pi * d) * k1)
+    fr = _as_frame(torus)
+    sr, _, L1, L2 = _reduced_pass(t, s, fr)
+    rot = L2 * fr.k2
+    return ((L1 + (2j * np.pi) * sr) * fr.k1, rot - fr.c_term, rot * fr.tau + fr.d_term)
 
 
 # ---------------------------------------------------------------------------

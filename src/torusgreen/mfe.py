@@ -115,7 +115,7 @@ class DevelopingMap8pi:
 
 def _polish_z0(torus: Torus, z0: complex) -> complex:
     t, s, _, _ = split_coords(z0, torus.tau)
-    t, s, _ = critical.damped_newton([t], [s], torus, 1e-13)
+    t, s, _ = critical.damped_newton([t], [s], green.frame(torus), 1e-13)
     return float(t[0]) + float(s[0]) * torus.tau
 
 

@@ -3,8 +3,9 @@
 Thresholds b0 and b1 are the roots of e1 + eta1 and e1 + eta1 - 2 pi / b
 on tau = 1/2 + i b; between them the half period 1/2 is a local minimum
 of the Green function and no extra pair exists.  The scan classifies a
-rectangle of moduli into three point and five point tori, one
-critical.find_critical_points call per cell, and reports the empirical
+rectangle of moduli into three point and five point tori, with one
+critical.find_critical_sets call per chunk of SCAN_CHUNK cells, so each
+theta series pass serves a whole chunk, and reports the empirical
 boundary as the set of grid edges where the count flips.
 """
 
@@ -21,6 +22,7 @@ from .lattice import LatticeCoords, make_torus
 
 BRACKET_LO = 0.05
 BRACKET_HI = 2.0
+SCAN_CHUNK = 1024      # cells per critical.find_critical_sets call of a scan
 _TWO_PI = 2.0 * math.pi
 
 
@@ -221,25 +223,17 @@ def functional_equation_residual(b: float) -> float:
     return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
 
 
-def _classify(tau: complex) -> ScanCell:
-    try:
-        cs = critical.find_critical_points(make_torus(tau))
-    except TorusGreenError as exc:
-        return ScanCell(tau=tau, count=0, extra_point=None, route=None,
-                        error=f"{type(exc).__name__}: {exc}")
-    coords = None if cs.extra is None else cs.extra.coords
-    return ScanCell(tau=tau, count=cs.total_count, extra_point=coords, route=cs.route)
-
-
 def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[ScanCell]:
     """Classify an nx by ny grid of cell center moduli inside region.
 
     region is (re_min, im_min, re_max, im_max); cells are ordered row
     major from the bottom row up, left to right, so output is byte stable
-    across runs.  Each cell is classified on its own by
-    critical.find_critical_points, and records the route that decided it.
-    A package failure (TorusGreenError) is recorded in its cell and the
-    scan goes on; any other exception is a bug and propagates.
+    across runs.  The cells go to critical.find_critical_sets in chunks
+    of SCAN_CHUNK, so every theta pass serves a whole chunk, and each
+    cell records the route that decided it, with the same result as a
+    find_critical_points call of its own.  A package failure
+    (TorusGreenError) is recorded in its cell and the scan goes on; any
+    other exception is a bug and propagates.
     """
     re0, im0, re1, im1 = region
     if not (all(map(math.isfinite, region)) and im0 > 0.0 and im1 > im0 and re1 > re0):
@@ -248,8 +242,34 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
         raise InvalidInput(f"grid {nx}x{ny} outside [1, 512]^2")
     dx = (re1 - re0) / nx
     dy = (im1 - im0) / ny
-    return [_classify(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))
+    tori = [make_torus(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))
             for j in range(ny) for i in range(nx)]
+    cells = []
+    for lo in range(0, len(tori), SCAN_CHUNK):
+        chunk = tori[lo:lo + SCAN_CHUNK]
+        try:
+            sets = critical.find_critical_sets(chunk)
+        except TorusGreenError:
+            # a pass that serves the whole chunk failed: classify its cells
+            # one by one, so the error lands in the cells it belongs to
+            sets = [_alone(torus) for torus in chunk]
+        cells += [_cell(torus, cs) for torus, cs in zip(chunk, sets)]
+    return cells
+
+
+def _alone(torus):
+    try:
+        return critical.find_critical_points(torus)
+    except TorusGreenError as exc:
+        return exc
+
+
+def _cell(torus, cs) -> ScanCell:
+    if isinstance(cs, TorusGreenError):
+        return ScanCell(tau=torus.tau, count=0, extra_point=None, route=None,
+                        error=f"{type(cs).__name__}: {cs}")
+    coords = None if cs.extra is None else cs.extra.coords
+    return ScanCell(tau=torus.tau, count=cs.total_count, extra_point=coords, route=cs.route)
 
 
 def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
@@ -258,8 +278,9 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     For each edge the nearly degenerate half period is identified at the
     edge midpoint as the one with the smallest Hessian determinant, which
     is the half period the extra pair merges into across the boundary.
+    The half periods of every midpoint are evaluated in one pass.
     """
-    out = []
+    pairs = []
     for j in range(ny):
         for i in range(nx):
             a = cells[j * nx + i]
@@ -269,17 +290,23 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
                 bcell = cells[j2 * nx + i2]
                 if a.count == 0 or bcell.count == 0 or a.count == bcell.count:
                     continue
-                mid = 0.5 * (a.tau + bcell.tau)
-                torus = make_torus(mid)
-                dets = np.abs(green.evaluate(np.array(torus.half_periods), torus).hessian.det)
-                k = int(np.argmin(dets))
-                out.append(FlipEdge(
-                    tau_low=a.tau,
-                    tau_high=bcell.tau,
-                    midpoint=mid,
-                    count_low=a.count,
-                    count_high=bcell.count,
-                    degenerate_half_period=k + 1,
-                    min_abs_det=float(dets[k]),
-                ))
+                pairs.append((a, bcell))
+    if not pairs:
+        return []
+    tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
+    z = np.array([h for torus in tori for h in torus.half_periods])
+    on = green.take(green.gather(tori), np.repeat(np.arange(len(tori)), 3))
+    dets = np.abs(green.evaluate(z, on).hessian.det).reshape(-1, 3)
+    out = []
+    for (a, bcell), torus, d in zip(pairs, tori, dets):
+        k = int(np.argmin(d))
+        out.append(FlipEdge(
+            tau_low=a.tau,
+            tau_high=bcell.tau,
+            midpoint=torus.tau,
+            count_low=a.count,
+            count_high=bcell.count,
+            degenerate_half_period=k + 1,
+            min_abs_det=float(d[k]),
+        ))
     return out

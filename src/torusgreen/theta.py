@@ -32,7 +32,11 @@ One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
 layer and the Green function (green.evaluate, green.residual_and_jacobian)
 all read from it.  It always sums a flat array, so a point gives the same
-bits alone as inside a batch.  There is no separate series for the theta
+bits alone as inside a batch.  A batch may carry one tau per point (the
+tori of a moduli scan): it runs to the largest term count among them,
+each point's terms past its own count are exact zeros, and the powers
+of q are formed once per distinct tau, so a point still gets the bits of
+a pass at its own tau.  There is no separate series for the theta
 nulls: theta2, theta3 and theta4 at 0 are theta1 at the half periods up
 to exact factors, and the Weierstrass layer reads them, theta1'(0) and
 eta1 from one _eval pass there.
@@ -104,10 +108,14 @@ class LogComplex:
         return np.isneginf(self.log_mag)
 
 
-def _series(z0, tau: complex, nterms: int):
+def _series(z0, tau, nterms: int):
     """theta1 at reduced arguments and its z derivative moments about i pi.
 
-    z0 is a 1-D array with |Im z0| <= Im(tau)/2.  Returns the rows
+    z0 is a 1-D array with |Im z0| <= Im(tau)/2, tau one modulus or one
+    per point.  With one per point, nterms is the largest term count of
+    the batch, and the terms of a point past its own count
+    (_term_count_z of its Im tau) are exact zeros, so it gets the same
+    sums as in a pass at its own tau alone.  Returns the rows
     (th0, s1, s2, s3) of one array: th0 = theta1(z0) and
     sj = e^(i pi z) d^j/dz^j (e^(-i pi z) theta1(z)) at z0, the termwise
     sums -i sum_n a_n ((2n+1) pi i - pi i)^j.  The term n = 0, the largest
@@ -138,35 +146,49 @@ def _series(z0, tau: complex, nterms: int):
     lead = np.exp(_LEAD_Z * z0 + _LEAD_TAU * tau)
     terms = np.empty((2, nterms, z0.size), dtype=complex)
     terms[:, 0] = lead[:2]
-    q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1])
-    np.multiply(lead[2:, None], q2k[:, None], out=terms[:, 1:])
+    if np.ndim(tau):
+        # the powers of q and the term count once per distinct modulus
+        taus, inv = np.unique(tau, return_inverse=True)
+        counts = np.array([_term_count_z(x.imag) for x in taus.tolist()])[inv]
+        q2k = -np.exp((2j * np.pi * taus) * _K[:nterms - 1, None])[:, inv]
+    else:
+        q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1, None])
+    np.multiply(lead[2:, None], q2k, out=terms[:, 1:])
     np.multiply.accumulate(terms, axis=1, out=terms)
+    if np.ndim(tau) and counts.min(initial=nterms) < nterms:
+        terms[:, _K[:nterms, None] >= counts] = 0.0
     # np.einsum without optimize runs its own loops, never BLAS, and
     # accumulates along k in order for every point
     moments = np.einsum("hik,hkj->ij", _WEIGHTS[:, :, :nterms], terms.view(float))
     return moments.view(complex) * _PHASES
 
 
-def _eval(z, tau: complex):
+def _eval(z, tau):
     """Wrap z, run the series, reattach the translation factor in log space.
 
-    Returns (log_mag, arg, L1, L2, L3) where Lk is the k-th logarithmic
-    z derivative of theta1 at z; arrays follow the shape of z.  Raises
+    tau is one modulus, or one per point of z (same shape): each point
+    then gets the same bits as in a pass at its own tau.  Returns
+    (log_mag, arg, L1, L2, L3) where Lk is the k-th logarithmic z
+    derivative of theta1 at z; arrays follow the shape of z.  Raises
     UnreducedModulus for Im tau < 1/2: callers sum in a reduced frame.
     """
-    b = tau.imag
-    if not b >= 0.5:
-        raise UnreducedModulus(f"theta series asked for at tau = {tau}, below Im tau = 1/2")
     # always evaluate a 1-D array: numpy's scalar complex products round
     # differently from its array loops, and a point must give the same bits
     # alone as inside a batch
     shape = np.shape(z)
+    low = tau
+    if np.ndim(tau):
+        tau = np.reshape(tau, -1)
+        # the term count falls with Im tau, so the lowest point sets it
+        low = tau[tau.imag.argmin()] if tau.size else 1j
+    if not low.imag >= 0.5:
+        raise UnreducedModulus(f"theta series asked for at tau = {low}, below Im tau = 1/2")
     t, s, m, n = split_coords(np.reshape(z, -1), tau)
     z0 = t + s * tau
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
     # series at the summed point is always n = 0
     flip = s > 0.0
-    th = _series(np.where(flip, -z0, z0), tau, _term_count_z(b))
+    th = _series(np.where(flip, -z0, z0), tau, _term_count_z(low.imag))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1, r2, r3 = th[1:] / th[0]
         L2 = r2 - r1 * r1
@@ -179,7 +201,7 @@ def _eval(z, tau: complex):
     if n.any():
         # the translation factor; where n == 0 it adds exact zeros, so a
         # point gets the same bits whichever branch its batch takes
-        log_mag = log_mag + (np.pi * b) * n * (n + 2.0 * s)
+        log_mag = log_mag + (np.pi * tau.imag) * n * (n + 2.0 * s)
         arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * z0.real))
         L1 = L1 - (2j * np.pi) * n
     hit = z0 == 0.0

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -148,21 +149,21 @@ def test_scan_json_and_csv_agree(capsys, tmp_path):
 
 def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypatch):
     from torusgreen import green
-    from torusgreen.errors import NoConvergence
 
-    real = green.evaluate
+    real = green.residual_and_jacobian
 
-    def failing_at_first_cell(z, torus):
-        if abs(torus.tau - (0.475 + 0.65j)) < 1e-12:
-            raise NoConvergence("synthetic")
-        return real(z, torus)
+    def failing_at_first_cell(t, s, torus):
+        # one residual pass checks every cell of the scan; the points of
+        # the first cell, a 3-cell, read NaN there
+        r, rt, rs = real(t, s, torus)
+        return np.where(np.abs(torus.tau - (0.475 + 0.65j)) < 1e-12, np.nan, r), rt, rs
 
-    monkeypatch.setattr(green, "evaluate", failing_at_first_cell)
+    monkeypatch.setattr(green, "residual_and_jacobian", failing_at_first_cell)
     code, out, _ = run_cli(capsys, "scan", "--region=0.45,0.6,0.55,0.8", "--grid=2x2")
     assert code == 0
     diag = json.loads(out)["diagnostics"]
     assert diag["error_cells"] == 1
-    assert diag["error_cells_by_type"] == {"NoConvergence": [0]}
+    assert diag["error_cells_by_type"] == {"Unconverged": [0]}
     # The errored cell has no route; (0.525, 0.65) is a 3-cell and the two
     # cells of the upper row are 5-cells whose z0 the seeds locate.
     assert diag["routes"] == {"census": 0, "morse": 1, "seeds": 2}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusgreen import critical, green, lattice, moduli, weier
+from torusgreen import critical, green, lattice, moduli, theta, weier
 from torusgreen.errors import CountViolation, InvalidInput, NoConvergence, TorusGreenError
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
@@ -209,6 +209,79 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
     assert {"morse", "seeds"} <= routes
 
 
+# the first scan of the benchmark's seed 21: cells at Re tau < 0 and a census cell
+SHIFTED_REGION = (-0.01477138761073364, 0.072105648501117, 0.48522861238926634, 1.972105648501117)
+
+
+def _same_cell(cell, cs):
+    """A scan cell equals the critical set of its torus, found alone."""
+    if isinstance(cs, TorusGreenError):
+        return (cell.count, cell.route, cell.error) == (0, None, f"{type(cs).__name__}: {cs}")
+    extra = cs.extra
+    return (cell.error is None and cell.count == cs.total_count and cell.route == cs.route
+            and (cell.extra_point is None if extra is None
+                 else (cell.extra_point.t, cell.extra_point.s) == (extra.coords.t, extra.coords.s)))
+
+
+def _alone(tau):
+    try:
+        return critical.find_critical_points(lattice.make_torus(tau))
+    except TorusGreenError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("region, nx, ny, routes", [
+    ((0.0, 0.1, 0.5, 2.0), 12, 12, {"morse", "seeds", "census"}),
+    ((0.4995, 0.2, 0.5005, 0.9), 1, 14, {"morse", "seeds"}),
+    (SHIFTED_REGION, 8, 8, {"morse", "seeds", "census"}),
+], ids=["criterion 7 rectangle 12x12", "rhombic column", "shifted 8x8"])
+def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny, routes):
+    # a scan classifies its cells together, one theta pass serving all of
+    # them; every cell must still be bit for bit the torus alone
+    cells = moduli.scan(region, nx, ny)
+    for c in cells:
+        assert _same_cell(c, _alone(c.tau)), c.tau
+    assert {c.route for c in cells} == routes
+
+
+def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
+    # NaN residuals at one seeds cell's torus, inside the batched Newton run
+    # and the residual check; its error must be its own, and every other
+    # cell must come out as before
+    before = moduli.scan(SHIFTED_REGION, 8, 8)
+    target = next(c.tau for c in before if c.route == "seeds")
+    real = green.residual_and_jacobian
+
+    def broken(t, s, torus):
+        r, rt, rs = real(t, s, torus)
+        return np.where(torus.tau == target, np.nan, r), rt, rs
+
+    monkeypatch.setattr(green, "residual_and_jacobian", broken)
+    cells = moduli.scan(SHIFTED_REGION, 8, 8)
+    failed = [c for c in cells if c.error is not None]
+    assert [c.tau for c in failed] == [target]
+    assert _same_cell(failed[0], _alone(target))
+    assert [c for c in cells if c.tau != target] == [c for c in before if c.tau != target]
+
+
+def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
+    # the cells share every pass: the half periods, each Newton trial of the
+    # seeds cells, the plateau filter, the extra points and the residual
+    # check, then the flip edge midpoints (356 passes one cell at a time)
+    passes = []
+    real = theta._eval
+
+    def counted(z, tau):
+        passes.append(np.size(z))
+        return real(z, tau)
+
+    monkeypatch.setattr(theta, "_eval", counted)
+    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)
+    edges = moduli.flip_edges(cells, 8, 8)
+    assert edges and "census" not in {c.route for c in cells}
+    assert len(passes) <= 64
+
+
 def test_scan_routes_on_the_rhombic_column():
     # b = 0.3 is below b0, so all half periods are saddles and the seeds
     # locate z0; b = 0.4 and b = 0.6 sit between the thresholds, where the
@@ -231,10 +304,13 @@ def test_seedless_five_cell_with_a_three_point_census_is_a_count_violation(monke
     monkeypatch.setattr(critical, "_census", lambda torus, tol: square)
     with pytest.raises(CountViolation, match="census found 3 critical points"):
         critical.find_critical_points(lattice.make_torus(hex_tau))
-    cells = moduli.scan((0.4995, hex_tau.imag - 0.001, 0.5005, hex_tau.imag + 0.001), 1, 1)
-    assert cells[0].count == 0
-    assert cells[0].route is None
-    assert cells[0].error.startswith("CountViolation: census found 3 critical points")
+    # a scan of two cells, classified in one batch: the failure reaches the
+    # hexagonal cell and not the 3-cell below it (b0 < b < b1)
+    cells = moduli.scan((0.4995, hex_tau.imag - 0.3, 0.5005, hex_tau.imag + 0.1), 1, 2)
+    assert (cells[0].count, cells[0].route, cells[0].error) == (3, "morse", None)
+    assert cells[1].count == 0
+    assert cells[1].route is None
+    assert cells[1].error.startswith("CountViolation: census found 3 critical points")
 
 
 def test_flip_edges_batched_determinants_match_scalar_calls():

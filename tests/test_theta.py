@@ -156,6 +156,28 @@ def test_eval_gives_the_same_bits_whatever_the_batch_shape():
                     assert np.array_equal(w[start:start + size], p), (tau, size, start)
 
 
+def test_eval_with_a_modulus_per_point_gives_each_point_its_own_bits():
+    # a batch of several tori sums to the largest term count among them; the
+    # terms past a point's own count must be exact zeros.  The moduli sit on
+    # both sides of the 6/7 term boundary near Im tau = 1.15 and at 8 terms,
+    # and the points include lattice hits and far translates
+    taus = [0.1 + 1.14j, -0.2 + 1.16j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.3 + 2.5j, 0.45 + 0.6j]
+    assert {theta._term_count_z(t.imag) for t in taus} == {6, 7, 8}
+    rng = np.random.default_rng(23)
+    z, tau = [], []
+    for t in taus:
+        pts = list(rng.uniform(-1.5, 1.5, 9) + rng.uniform(-1.5, 1.5, 9) * t) + [0.0, 1.0 + t, t / 2]
+        z += pts
+        tau += [t] * len(pts)
+    order = rng.permutation(len(z))
+    z, tau = np.array(z)[order], np.array(tau)[order]
+    batch = theta._eval(z, tau)
+    for j in range(z.size):
+        alone = theta._eval(z[j], complex(tau[j]))
+        for b, a in zip(batch, alone):
+            assert b[j] == a or (np.isnan(b[j]) and np.isnan(a)), (z[j], tau[j])
+
+
 def test_series_matches_the_exp_per_term_oracle(monkeypatch):
     # every call _eval makes to the term recurrence is checked against the
     # exp-per-term sum, to 1e-13 of the sum of the moduli of its terms: a
