@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Count the theta series passes of a fixed list of CLI calls.
+
+Every theta series pass goes through theta._eval (weier binds it by
+import), so wrapping both bindings counts the passes and the points they
+sum.  Each call runs in-process with the invariants cache emptied first,
+so the counts depend on the code alone, never on the machine or the
+order of the calls.  Prints a Markdown table, e.g. for a CI step summary:
+
+    python3 scripts/pass_counts.py >> "$GITHUB_STEP_SUMMARY"
+
+Exits 1 when a call exits non-zero.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from torusgreen import cli, theta, weier  # noqa: E402
+
+CALLS = (
+    ("critical", "--tau=i"),                          # morse route
+    ("critical", "--tau=0.5+0.8660254037844386i"),    # seeds route
+    ("critical", "--tau=0.3+0.8i"),
+    ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=8x8"),
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
+)
+
+
+def count_passes(argv) -> tuple[int, int, int]:
+    """(exit code, theta passes, points summed) of one CLI call."""
+    passes, points = [], []
+    originals = [(module, module._eval) for module in (theta, weier)]
+
+    def counting(real):
+        def wrapper(*args):
+            passes.append(1)
+            points.append(np.size(args[0]))
+            return real(*args)
+        return wrapper
+
+    weier._invariants_cached.cache_clear()
+    for module, real in originals:
+        module._eval = counting(real)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(list(argv))
+    finally:
+        for module, real in originals:
+            module._eval = real
+    return code, len(passes), sum(points)
+
+
+def main() -> int:
+    print("### Theta series passes per CLI call")
+    print()
+    print("| call | exit | passes | points |")
+    print("|---|---:|---:|---:|")
+    worst = 0
+    for argv in CALLS:
+        code, passes, points = count_passes(argv)
+        worst = max(worst, code)
+        print(f"| `{' '.join(argv)}` | {code} | {passes} | {points} |")
+    return 1 if worst else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from .critical import (
     compare_half_periods,
     find_critical_points,
     find_critical_sets,
-    locate_z0_on_rhombus_line,
 )
 from .errors import TorusGreenError
 from .green import (
@@ -74,7 +73,6 @@ __all__ = [
     "functional_equation_residual",
     "green_constant",
     "green_rel",
-    "locate_z0_on_rhombus_line",
     "make_torus",
     "reduce_modulus",
     "scan",

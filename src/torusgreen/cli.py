@@ -11,14 +11,14 @@ Exit codes: 0 success, 2 domain errors (bad modulus, no extra critical
 point, off-lattice requests, out of range arguments), 3 internal
 consistency violations (count bound broken, comparison routes disagree,
 construction cross checks fail) which are the loud falsifiers, 64 usage
-errors.  Any other exception is a bug and propagates.
+errors (bad arguments, an --out path that cannot be written).  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import re
 import sys
@@ -123,52 +123,78 @@ def parse_region(text: str) -> tuple[float, float, float, float]:
 
 
 def _fmt_float(x: float) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    text = f"{x:.16e}"
+    if text[-1].isdigit():
+        return text
     if math.isnan(x):
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.16e}"
+    return '"inf"' if x > 0 else '"-inf"'
 
 
-def _canonical(obj, out: io.StringIO) -> None:
-    if obj is None:
-        out.write("null")
+def _fmt_str(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dict(obj, out: list) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+        out.append(("," if i else "") + _fmt_str(str(key)) + ":")
+        _canonical(obj[key], out)
+    out.append("}")
+
+
+def _seq(obj, out: list) -> None:
+    out.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            out.append(",")
+        _canonical(item, out)
+    out.append("]")
+
+
+def _canonical(obj, out: list) -> None:
+    """Append the parts of obj's canonical JSON to out.
+
+    The common exact types of a report come first; int, bool and the
+    subclasses of the others (np.float64, ...) take the isinstance chain
+    below.
+    """
+    tp = type(obj)
+    if tp is float:
+        out.append(_fmt_float(obj))
+    elif tp is dict:
+        _dict(obj, out)
+    elif tp is list or tp is tuple:
+        _seq(obj, out)
+    elif tp is str:
+        out.append(_fmt_str(obj))
+    elif tp is complex:
+        out.append(f'{{"im":{_fmt_float(obj.imag)},"re":{_fmt_float(obj.real)}}}')
+    elif obj is None:
+        out.append("null")
     elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
+        out.append("true" if obj else "false")
     elif isinstance(obj, int):
-        out.write(str(obj))
+        out.append(str(obj))
     elif isinstance(obj, float):
-        out.write(_fmt_float(obj))
+        out.append(_fmt_float(obj))
     elif isinstance(obj, complex):
-        _canonical({"re": obj.real, "im": obj.imag}, out)
+        _dict({"re": obj.real, "im": obj.imag}, out)
     elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_fmt_str(obj))
     elif isinstance(obj, dict):
-        out.write("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.write(",")
-            _canonical(str(key), out)
-            out.write(":")
-            _canonical(obj[key], out)
-        out.write("}")
+        _dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.write(",")
-            _canonical(item, out)
-        out.write("]")
+        _seq(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj) -> str:
-    buf = io.StringIO()
-    _canonical(obj, buf)
-    return buf.getvalue()
+    """obj as canonical JSON (see the module docstring), joined once."""
+    out: list[str] = []
+    _canonical(obj, out)
+    return "".join(out)
 
 
 def _hessian_dict(h) -> dict:
@@ -212,7 +238,7 @@ def _cmd_critical(args) -> tuple[dict, dict]:
         "points": [_point_dict(p) for p in cs.points],
         "tolerance": args.tol,
     }
-    comparison = critical.compare_half_periods(torus)
+    comparison = critical.compare_half_periods(torus, cs)
     diagnostics = {
         "half_period_ranking": [list(group) for group in comparison.ranking],
         "ranking_ties": list(comparison.ties),
@@ -467,11 +493,16 @@ def _inputs_dict(args) -> dict:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """text to stdout, or to path; a path that cannot be written is a
+    UsageError."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 @functools.cache
@@ -514,6 +545,9 @@ def run(argv) -> int:
     except _DOMAIN_ERRORS as exc:
         sys.stderr.write(f"domain error ({type(exc).__name__}): {exc}\n")
         return EXIT_DOMAIN
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -17,9 +17,18 @@ from its Hessian determinants, kept in CriticalSet.route:
 
 The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
 collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
-series pass for all seeds, of every seeds torus at once.  The plateau
-filter, the extra points and the residual check of the morse and seeds
-routes are one pass each for all tori; the census runs torus by torus.
+series pass for all seeds, of every seeds torus at once.  Each point set
+is evaluated once: the plateau filter is one evaluate pass for all tori
+and its rows are the extra points, and the residual check of the morse
+and seeds routes is one more pass, at the exact half period coordinates
+through residual_and_jacobian, a second route to the gradient.  So a
+morse torus costs two passes, a seeds torus its Newton passes plus
+three, and the census, which runs torus by torus, its sweeps' Newton
+and plateau passes and a half-period pass of its own.
+compare_half_periods reads G(w_k/2) from the half period points of a
+CriticalSet, so the critical command adds only the theta null pass of
+weier.invariants.
+
 A torus gets the same bits in a batch as alone: the kernel sums each
 point at its own tau, the reduced frame constants are formed per torus
 and then gathered (green.Frame), and each Newton seed keeps its own
@@ -47,12 +56,11 @@ from .errors import (
     InconsistentComparison,
     InvalidInput,
     NoConvergence,
-    NotInExtraRegime,
     TorusGreenError,
     Unconverged,
 )
 from .green import Hessian2
-from .lattice import LatticeCoords, Torus, lattice_gap, make_torus, wrap_unit
+from .lattice import LatticeCoords, Torus, lattice_gap, wrap_unit
 
 EXCLUSION_RADIUS = 0.05   # seed free disk around the lattice point
 HP_MERGE_TOL = 1e-5       # roots this close to a half period collapse into it;
@@ -204,8 +212,9 @@ def _solve(tori: list[Torus], cell: np.ndarray, t: np.ndarray, s: np.ndarray, to
 
     Seed j lies on tori[cell[j]], with cell sorted.  One damped Newton
     run serves every seed and one evaluate pass applies the plateau
-    filter to every torus.  Returns, per torus, (ts, ss, failures), the
-    failures being the seeds that neither converged nor were pruned.
+    filter to every torus.  Returns, per torus, (ts, ss, rows, failures):
+    the representatives kept, their _rows from that pass, and the seeds
+    that neither converged nor were pruned.
     """
     batch = green.gather(tori)
     on = green.take(batch, cell)
@@ -221,18 +230,23 @@ def _solve(tori: list[Torus], cell: np.ndarray, t: np.ndarray, s: np.ndarray, to
     bounds = np.searchsorted(cell[converged], np.arange(len(tori) + 1))
     tw, sw = wrap_unit(t[converged])[0], wrap_unit(s[converged])[0]
     reps = [_orbit_reps(tw[lo:hi], sw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    # drop the gradient plateau roots
+    # drop the gradient plateau roots; the pass's rows serve the points kept
     rcell = np.repeat(np.arange(len(tori)), [ts.size for ts, _ in reps])
     rt = np.concatenate([ts for ts, _ in reps])
     rs = np.concatenate([ss for _, ss in reps])
     keep = np.ones(rt.size, dtype=bool)
+    rows = []
     if rt.size:
         on = green.take(batch, rcell)
-        det = green.evaluate(rt + rs * on.tau, on).hessian.det
+        ev = green.evaluate(rt + rs * on.tau, on)
         floor = np.array([PLATEAU_MIN_DET / (torus.b * torus.b) for torus in tori])
-        keep = np.abs(det) > floor[rcell]
-    return [(rt[(rcell == k) & keep], rs[(rcell == k) & keep], int(failures[k]))
-            for k in range(len(tori))]
+        keep = np.abs(ev.hessian.det) > floor[rcell]
+        rows = _rows(ev)
+    out = []
+    for k, failed in enumerate(failures.tolist()):
+        mine = np.flatnonzero((rcell == k) & keep)
+        out.append((rt[mine], rs[mine], [rows[j] for j in mine.tolist()], failed))
+    return out
 
 
 def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,25 +323,19 @@ def _half_period_rows(tori: list[Torus], batch) -> list[tuple[float, ...]]:
     return _rows(green.evaluate(z, green.take(batch, np.repeat(np.arange(len(tori)), 3))))
 
 
-def _critical_sets(tori: list[Torus], batch, hp, found) -> list[CriticalSet]:
-    """The CriticalSet of each (k, route, ts, ss) in found: the half periods
-    of tori[k], whose rows are hp[3k:3k + 3], plus the extra orbits
-    (ts, ss), evaluated for every set in one pass."""
+def _critical_sets(tori: list[Torus], hp, found) -> list[CriticalSet]:
+    """The CriticalSet of each (k, route, ts, ss, rows) in found: the half
+    periods of tori[k], whose _rows are hp[3k:3k + 3], plus the extra
+    orbits (ts, ss) with their _rows from the plateau pass of _solve."""
     kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
-    extras = [[(float(t), float(s)) for t, s in zip(ts, ss)] for _, _, ts, ss in found]
-    flat = [(k, t, s) for (k, *_), ex in zip(found, extras) for t, s in ex]
-    rows = []
-    if flat:
-        ev = green.evaluate(np.array([t + s * tori[k].tau for k, t, s in flat]),
-                            green.take(batch, [k for k, _, _ in flat]))
-        rows = _rows(ev)
-    out, start = [], 0
-    for (k, route, *_), ex in zip(found, extras):
+    out = []
+    for k, route, ts, ss, rows in found:
         torus = tori[k]
+        extras = list(zip(ts.tolist(), ss.tolist()))
         points = _points(torus, _HP_COORDS, kinds, hp[3 * k:3 * k + 3])
-        points += _points(torus, ex, [Kind.EXTRA_PAIR] * len(ex), rows[start:start + len(ex)])
-        start += len(ex)
-        out.append(CriticalSet(points=tuple(points), total_count=3 + 2 * len(ex), route=route))
+        points += _points(torus, extras, [Kind.EXTRA_PAIR] * len(extras), rows)
+        out.append(CriticalSet(points=tuple(points), total_count=3 + 2 * len(extras),
+                               route=route))
     return out
 
 
@@ -359,9 +367,9 @@ def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
         t, s = _grid_seeds(n_grid)
         return _solve([torus], np.zeros(t.size, dtype=int), t, s, tol)[0]
 
-    ts, ss, failures = sweep(24)
+    ts, ss, rows, failures = sweep(24)
     if failures:
-        ts_fine, _, _ = sweep(48)
+        ts_fine = sweep(48)[0]
         if ts_fine.size != ts.size:
             raise NoConvergence(
                 f"{failures} seeds failed and the 24/48 sweeps disagree "
@@ -372,8 +380,8 @@ def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
             f"{3 + 2 * ts.size} critical points survived dedup at tau = {torus.tau}; "
             "more than five is impossible and indicates an evaluation bug"
         )
-    return _critical_sets([torus], torus, _half_period_rows([torus], torus),
-                          [(0, "census", ts, ss)])[0]
+    return _critical_sets([torus], _half_period_rows([torus], torus),
+                          [(0, "census", ts, ss, rows)])[0]
 
 
 def _census_cell(torus: Torus, tol: float, forced_five: bool):
@@ -397,9 +405,9 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     Each torus takes its own route (see the module docstring), and every
     pass serves all of them: one half-period pass decides the routes, one
     damped Newton run covers the 55 seeds of every seeds torus, one pass
-    each applies the plateau filter and evaluates the extra points, and
-    one residual pass checks |grad G| <= tol at every point of the morse
-    and seeds routes, next to the Morse balance.  The census runs torus
+    applies the plateau filter and gives the extra points, and one
+    residual pass checks |grad G| <= tol at every point of the morse and
+    seeds routes, next to the Morse balance.  The census runs torus
     by torus.  A torus gets the same result, to the bit, as alone.
     """
     if not 1e-14 <= tol <= 1e-6:
@@ -415,18 +423,19 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     morse = ~census & (det > 0.0).any(axis=1)
     seeds = np.flatnonzero(~census & ~morse)
     out: list = [None] * len(tori)
-    found = [(k, "morse", (), ()) for k in np.flatnonzero(morse).tolist()]
+    empty = np.zeros(0)
+    found = [(k, "morse", empty, empty, []) for k in np.flatnonzero(morse).tolist()]
     solved = _solve([tori[k] for k in seeds], np.repeat(np.arange(seeds.size), _SEED_T.size),
                     np.tile(_SEED_T, seeds.size), np.tile(_SEED_S, seeds.size),
                     tol) if seeds.size else []
-    for k, (ts, ss, _) in zip(seeds.tolist(), solved):
+    for k, (ts, ss, rows, _) in zip(seeds.tolist(), solved):
         if ts.size == 1:
-            found.append((k, "seeds", ts, ss))
+            found.append((k, "seeds", ts, ss, rows))
         else:
             out[k] = _census_cell(tori[k], tol, forced_five=True)
     for k in np.flatnonzero(census).tolist():
         out[k] = _census_cell(tori[k], tol, forced_five=False)
-    sets = _critical_sets(tori, batch, hp, found)
+    sets = _critical_sets(tori, hp, found)
     cell = np.repeat([k for k, *_ in found], [len(cs.points) for cs in sets])
     t = np.array([p.coords.t for cs in sets for p in cs.points])
     s = np.array([p.coords.s for cs in sets for p in cs.points])
@@ -482,7 +491,8 @@ def _sign_with_tie(x: float, tol: float) -> int:
     return 1 if x > 0 else -1
 
 
-def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodComparison:
+def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
+                         tie_tol: float = 1e-9) -> HalfPeriodComparison:
     """Order G over the three half periods, three independent ways.
 
     (a) direct green_rel values, (b) the closed form pairwise differences
@@ -493,9 +503,18 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
     form, so (b) keeps its relative precision at the cusp, where two
     roots e_k agree to every float64 digit.  Disagreement beyond the tie
     tolerance raises InconsistentComparison.
+
+    The direct values are the g_rel of the half-period points of cs, the
+    critical set of torus, so a caller that has it makes no Green pass
+    here; without cs they come from the half-period pass that
+    find_critical_sets runs (_half_period_rows), so both give the same
+    bits.  The theta nulls come from weier.invariants.
     """
     inv = weier.invariants(torus)
-    g = tuple(green.evaluate(np.array(torus.half_periods), torus).value_rel.tolist())
+    if cs is None:
+        g = tuple(row[4] for row in _half_period_rows([torus], torus))
+    else:
+        g = tuple(p.g_rel for p in cs.points[:3])
     e = (inv.e1, inv.e2, inv.e3)
     nulls = inv.log_abs_nulls
     formula = {(i, j): (nulls[j] - nulls[i]) / (2 * math.pi)
@@ -537,83 +556,3 @@ def compare_half_periods(torus: Torus, tie_tol: float = 1e-9) -> HalfPeriodCompa
         max_formula_deviation=dev,
         tie_tol=tie_tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# the extra pair on the rhombic line
-
-
-def _newton_1d(fun, x0: float, lo: float, hi: float, tol: float):
-    """Damped scalar Newton for fun(x) = (value, derivative) on (lo, hi)."""
-    x = x0
-    f, df = fun(x)
-    for _ in range(80):
-        if abs(f) <= tol:
-            return x
-        if df == 0.0 or not math.isfinite(df):
-            return None
-        step = f / df
-        while True:
-            xn = x - step
-            if lo < xn < hi:
-                fn, dfn = fun(xn)
-                if abs(fn) < abs(f):
-                    x, f, df = xn, fn, dfn
-                    break
-            step /= 2.0
-            if abs(step) < 1e-17:
-                return x if abs(f) <= tol else None
-    return x if abs(f) <= tol else None
-
-
-def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12) -> CriticalPoint:
-    """The extra critical point z0 on tau = 1/2 + i b, when it exists.
-
-    For b above the upper threshold z0 sits on the vertical segment
-    Re z = 1/2 with 0 < Im z0 < b/2 and is found by scalar Newton on G_y
-    along that segment.  For b below the lower threshold the search runs
-    along the real axis (the empirically observed locus); whatever point
-    is found is returned without asserting more structure than that.
-    Inside the two thresholds NotInExtraRegime is raised.
-    """
-    torus = make_torus(complex(0.5, b))
-    inv = weier.invariants(torus)
-    q = (inv.e1 + inv.eta1).real
-    below, above = q < 0.0, q > 2.0 * math.pi / b
-    if not (below or above):
-        raise NotInExtraRegime(
-            f"b = {b} lies between the degeneracy thresholds; e1 + eta1 = {q:.6f}"
-        )
-    grad_target = 0.5 * tol
-    if above:
-        def fy(y):
-            ev = green.evaluate(0.5 + 1j * y, torus)
-            return ev.grad[1], ev.hessian.yy
-
-        roots = []
-        for frac in (0.12, 0.2, 0.3, 0.38, 0.46):
-            r = _newton_1d(fy, frac * b, 1e-6, b / 2 - 1e-9, grad_target)
-            if r is not None and all(abs(r - other) > 1e-7 for other in roots):
-                roots.append(r)
-        if not roots:
-            raise NoConvergence(f"no root of G_y on Re z = 1/2 for b = {b}")
-        y0 = min(roots)
-        s = y0 / b
-        t = 0.5 - 0.5 * s
-    else:
-        def fx(x):
-            ev = green.evaluate(complex(x, 0.0), torus)
-            return ev.grad[0], ev.hessian.xx
-
-        roots = []
-        for frac in (0.1, 0.2, 0.3, 0.4, 0.45):
-            r = _newton_1d(fx, frac, EXCLUSION_RADIUS, 0.5 - 1e-9, grad_target)
-            if r is not None and all(abs(r - other) > 1e-7 for other in roots):
-                roots.append(r)
-        if not roots:
-            raise NoConvergence(f"no root of G_x on the real axis for b = {b}")
-        t, s = min(roots), 0.0
-    ev = green.evaluate(np.array([t + s * torus.tau]), torus)
-    if np.hypot(*ev.grad).item() > tol:
-        raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")
-    return _points(torus, [(t, s)], [Kind.EXTRA_PAIR], _rows(ev))[0]

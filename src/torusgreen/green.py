@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -96,8 +97,10 @@ class Frame(NamedTuple):
     shift: float           # log|lam| / (4 pi)
 
 
+@lru_cache(maxsize=256)
 def frame(torus: Torus) -> Frame:
-    """The reduced frame constants of one torus."""
+    """The reduced frame constants of one torus, formed once per torus:
+    every pass on a Torus reads them."""
     (a, b), (c, d) = torus.mat
     lam = torus.lam
     k1 = 1.0 / lam

@@ -36,10 +36,11 @@ bits alone as inside a batch.  A batch may carry one tau per point (the
 tori of a moduli scan): it runs to the largest term count among them,
 each point's terms past its own count are exact zeros, and the powers
 of q are formed once per distinct tau, so a point still gets the bits of
-a pass at its own tau.  There is no separate series for the theta
-nulls: theta2, theta3 and theta4 at 0 are theta1 at the half periods up
-to exact factors, and the Weierstrass layer reads them, theta1'(0) and
-eta1 from one _eval pass there.
+a pass at its own tau.  For a single modulus they are cached
+(_q_powers), as every pass on one torus sums at its tau_r.  There is no
+separate series for the theta nulls: theta2, theta3 and theta4 at 0 are
+theta1 at the half periods up to exact factors, and the Weierstrass
+layer reads them, theta1'(0) and eta1 from one _eval pass there.
 
 The two real series on the rhombic line Re tau = 1/2
 (log_theta1_b_derivs, log_theta3_b_derivs) give b derivatives for the
@@ -51,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,6 +110,15 @@ class LogComplex:
         return np.isneginf(self.log_mag)
 
 
+@lru_cache(maxsize=256)
+def _q_powers(tau: complex, nterms: int) -> np.ndarray:
+    """-q^(2k) for k < nterms - 1 at one modulus, formed once per modulus
+    (read only): every pass on a torus sums at the same tau_r."""
+    q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1, None])
+    q2k.flags.writeable = False
+    return q2k
+
+
 def _series(z0, tau, nterms: int):
     """theta1 at reduced arguments and its z derivative moments about i pi.
 
@@ -152,7 +163,7 @@ def _series(z0, tau, nterms: int):
         counts = np.array([_term_count_z(x.imag) for x in taus.tolist()])[inv]
         q2k = -np.exp((2j * np.pi * taus) * _K[:nterms - 1, None])[:, inv]
     else:
-        q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1, None])
+        q2k = _q_powers(complex(tau), nterms)
     np.multiply(lead[2:, None], q2k, out=terms[:, 1:])
     np.multiply.accumulate(terms, axis=1, out=terms)
     if np.ndim(tau) and counts.min(initial=nterms) < nterms:

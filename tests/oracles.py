@@ -5,17 +5,22 @@ kernels: the theta reference goes through mpmath at 40 digits, the wp
 reference is a row grouped lattice sum over cotangent rows, the Kronecker
 limit reference for C(tau) is mpmath's eta product, and the theta series
 with one exp per term is the package's kernel before its term
-recurrence.  Three routes do call the package, to check its closed forms
-by a different method: the two Green constant quadratures average the
+recurrence.  Four routes do call the package, to check it by a
+different method: the two Green constant quadratures average the
 package's G over the cell (one splits off log|sin|, the other patches a disk
-over the singularity), and the developing map reference integrates the
-package's wp along an adaptive contour.  Tests compare the fast float
-kernels against these and against values frozen from them.
+over the singularity), the developing map reference integrates the
+package's wp along an adaptive contour, and the rhombus line route finds
+the extra critical point by scalar Newton on the package's G along its
+locus.  Tests compare the fast float kernels against these and against
+values frozen from them.  The CLI's canonical JSON has a reference too:
+the plain recursive serializer that the package's single-join one
+replaced.
 """
 
 from __future__ import annotations
 
 import cmath
+import io
 import math
 
 import mpmath as mp
@@ -352,3 +357,142 @@ def fd_hessian(fun, x: float, y: float, h: float = 1e-4):
     fxy = (fun(x + h, y + h) - fun(x + h, y - h)
            - fun(x - h, y + h) + fun(x - h, y - h)) / (4 * h * h)
     return fxx, fxy, fyy
+
+
+# ---------------------------------------------------------------------------
+# the extra pair on the rhombic line, by scalar Newton along its locus
+
+
+def _newton_1d(fun, x0: float, lo: float, hi: float, tol: float):
+    """Damped scalar Newton for fun(x) = (value, derivative) on (lo, hi)."""
+    x = x0
+    f, df = fun(x)
+    for _ in range(80):
+        if abs(f) <= tol:
+            return x
+        if df == 0.0 or not math.isfinite(df):
+            return None
+        step = f / df
+        while True:
+            xn = x - step
+            if lo < xn < hi:
+                fn, dfn = fun(xn)
+                if abs(fn) < abs(f):
+                    x, f, df = xn, fn, dfn
+                    break
+            step /= 2.0
+            if abs(step) < 1e-17:
+                return x if abs(f) <= tol else None
+    return x if abs(f) <= tol else None
+
+
+def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12):
+    """The extra critical point z0 on tau = 1/2 + i b, when it exists, as a
+    critical.CriticalPoint; a one-dimensional route to compare with the
+    two-dimensional Newton of critical.find_critical_points.
+
+    For b above the upper threshold z0 sits on the vertical segment
+    Re z = 1/2 with 0 < Im z0 < b/2 and is found by scalar Newton on G_y
+    along that segment.  For b below the lower threshold the search runs
+    along the real axis (the empirically observed locus); whatever point
+    is found is returned without asserting more structure than that.
+    Inside the two thresholds NotInExtraRegime is raised.
+    """
+    from torusgreen import critical, green, weier
+    from torusgreen.errors import NoConvergence, NotInExtraRegime
+    from torusgreen.lattice import make_torus
+
+    torus = make_torus(complex(0.5, b))
+    inv = weier.invariants(torus)
+    q = (inv.e1 + inv.eta1).real
+    below, above = q < 0.0, q > 2.0 * math.pi / b
+    if not (below or above):
+        raise NotInExtraRegime(
+            f"b = {b} lies between the degeneracy thresholds; e1 + eta1 = {q:.6f}"
+        )
+    grad_target = 0.5 * tol
+    if above:
+        def fy(y):
+            ev = green.evaluate(0.5 + 1j * y, torus)
+            return ev.grad[1], ev.hessian.yy
+
+        roots = []
+        for frac in (0.12, 0.2, 0.3, 0.38, 0.46):
+            r = _newton_1d(fy, frac * b, 1e-6, b / 2 - 1e-9, grad_target)
+            if r is not None and all(abs(r - other) > 1e-7 for other in roots):
+                roots.append(r)
+        if not roots:
+            raise NoConvergence(f"no root of G_y on Re z = 1/2 for b = {b}")
+        y0 = min(roots)
+        s = y0 / b
+        t = 0.5 - 0.5 * s
+    else:
+        def fx(x):
+            ev = green.evaluate(complex(x, 0.0), torus)
+            return ev.grad[0], ev.hessian.xx
+
+        roots = []
+        for frac in (0.1, 0.2, 0.3, 0.4, 0.45):
+            r = _newton_1d(fx, frac, critical.EXCLUSION_RADIUS, 0.5 - 1e-9, grad_target)
+            if r is not None and all(abs(r - other) > 1e-7 for other in roots):
+                roots.append(r)
+        if not roots:
+            raise NoConvergence(f"no root of G_x on the real axis for b = {b}")
+        t, s = min(roots), 0.0
+    ev = green.evaluate(np.array([t + s * torus.tau]), torus)
+    if np.hypot(*ev.grad).item() > tol:
+        raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")
+    return critical._points(torus, [(t, s)], [critical.Kind.EXTRA_PAIR],
+                            critical._rows(ev))[0]
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON of the CLI, one isinstance test per value
+
+
+def _fmt_float_reference(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return f"{x:.16e}"
+
+
+def _canonical_reference(obj, out: io.StringIO) -> None:
+    if obj is None:
+        out.write("null")
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.write(str(obj))
+    elif isinstance(obj, float):
+        out.write(_fmt_float_reference(obj))
+    elif isinstance(obj, complex):
+        _canonical_reference({"re": obj.real, "im": obj.imag}, out)
+    elif isinstance(obj, str):
+        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, dict):
+        out.write("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.write(",")
+            _canonical_reference(str(key), out)
+            out.write(":")
+            _canonical_reference(obj[key], out)
+        out.write("}")
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.write(",")
+            _canonical_reference(item, out)
+        out.write("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def canonical_json_reference(obj) -> str:
+    """The CLI's canonical JSON, written to a buffer value by value."""
+    buf = io.StringIO()
+    _canonical_reference(obj, buf)
+    return buf.getvalue()

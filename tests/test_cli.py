@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torusgreen import cli, critical, lattice
@@ -85,6 +87,45 @@ def test_canonical_json_sorts_keys_and_is_parseable():
     parsed = json.loads(txt)
     assert parsed == {"z": 1, "a": {"q": 2.0, "b": [True, None]}}
     assert txt.index('"a"') < txt.index('"z"')
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+                -1.7976931348623157e308, 0.1, 1.0]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.builds(complex, _FLOATS, _FLOATS),
+    st.text(alphabet=st.sampled_from('ab"\\ \u00e9:,{}')),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(alphabet=st.sampled_from('zyab"\\'), max_size=3), inner,
+                        max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(doc=_DOCUMENTS)
+def test_canonical_json_matches_the_reference_serializer(doc):
+    assert cli.canonical_json(doc) == oracles.canonical_json_reference(doc)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, [1.0, {"k": (np.int64(1),)}], {"a": {2}}],
+                         ids=["np.int64", "set", "nested np.int64", "nested set"])
+def test_canonical_json_rejects_what_the_reference_rejects(bad):
+    for serialize in (cli.canonical_json, oracles.canonical_json_reference):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize(bad)
 
 
 # -------------------------------------------------------------- subcommands
@@ -353,6 +394,18 @@ def test_cli_snapshot_matches_golden_file():
     assert len(lines) == len(snapshot.CALLS)
     for argv, want in zip(snapshot.CALLS, lines):
         assert snapshot.snapshot_line(argv) == want, argv
+
+
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "critical", "--tau=i", "--out", str(path))
+    assert code == 64
+    assert out == ""
+    assert err == f"usage error: cannot write --out {path}: No such file or directory\n"
+    code, _, err = run_cli(capsys, "scan", "--region=0,0.1,0.5,2.0", "--grid=2x2",
+                           "--format=csv", "--out", str(tmp_path))
+    assert code == 64
+    assert err.startswith(f"usage error: cannot write --out {tmp_path}: ")
 
 
 def test_out_writes_unix_newlines(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusgreen import critical, green, lattice
+import oracles
+from torusgreen import cli, critical, green, lattice, theta, weier
 from torusgreen.critical import Kind, Morse
 from torusgreen.errors import (
     CountViolation,
@@ -307,9 +309,61 @@ def test_compare_half_periods_catches_a_wrong_direct_value(monkeypatch):
         critical.compare_half_periods(torus)
 
 
+@pytest.mark.parametrize("tau", [1j, complex(0.5, math.sqrt(3) / 2), 0.13 + 0.92j, 0.5 + 0.75j])
+def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
+    # the direct values come from the half-period pass of the critical set,
+    # with the bits of the standalone call's own pass
+    T = lattice.make_torus(tau)
+    cs = critical.find_critical_points(T)
+    alone = critical.compare_half_periods(T)
+    calls = []
+    real = green.evaluate
+
+    def counted(z, torus):
+        calls.append(z)
+        return real(z, torus)
+
+    monkeypatch.setattr(green, "evaluate", counted)
+    shared = critical.compare_half_periods(T, cs)
+    assert calls == []
+    assert shared.values == alone.values
+    assert shared == alone
+
+
+@pytest.fixture
+def theta_passes(monkeypatch):
+    """The theta series passes (theta._eval, and weier's binding of it) made
+    from here on, starting with empty caches; only the invariants cache
+    saves passes, the frame and q power caches save arithmetic."""
+    calls = []
+    for module in (theta, weier):
+        def counted(*args, real=module._eval):
+            calls.append(np.size(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(module, "_eval", counted)
+    weier._invariants_cached.cache_clear()
+    green.frame.cache_clear()
+    theta._q_powers.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("tau, route, budget", [
+    ("i", "morse", 3),                              # half periods, residual check, invariants
+    ("0.5+0.8660254037844386i", "seeds", 18),       # plus Newton and the plateau pass
+], ids=["square", "hex"])
+def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
+    assert cli.run(["critical", f"--tau={tau}"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["route"] == route
+    if route == "morse":
+        assert len(theta_passes) == budget
+    else:
+        assert len(theta_passes) <= budget
+
+
 def test_locate_z0_matches_full_solver_above():
     for b in (0.75, 0.9, 1.4):
-        p = critical.locate_z0_on_rhombus_line(b)
+        p = oracles.locate_z0_on_rhombus_line(b)
         T = lattice.make_torus(complex(0.5, b))
         cs = critical.find_critical_points(T)
         q = cs.extra
@@ -326,7 +380,7 @@ def test_locate_z0_matches_full_solver_above():
 
 def test_locate_z0_matches_full_solver_below():
     for b in (0.30, 0.34):
-        p = critical.locate_z0_on_rhombus_line(b)
+        p = oracles.locate_z0_on_rhombus_line(b)
         T = lattice.make_torus(complex(0.5, b))
         q = critical.find_critical_points(T).extra
         assert q is not None
@@ -339,7 +393,7 @@ def test_locate_z0_matches_full_solver_below():
 def test_locate_z0_rejects_middle_band():
     for b in (B_LOWER + 1e-3, 0.5, B_UPPER - 1e-3):
         with pytest.raises(NotInExtraRegime):
-            critical.locate_z0_on_rhombus_line(b)
+            oracles.locate_z0_on_rhombus_line(b)
 
 
 def test_g_rel_field_matches_green():

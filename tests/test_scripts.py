@@ -19,3 +19,15 @@ def test_script_exits_0(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pass_counts_prints_one_row_per_call():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "pass_counts.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
+    assert len(rows) == 5
+    # the square torus takes the morse route: half periods, residual check, invariants
+    assert rows[0] == "| `critical --tau=i` | 0 | 3 | 9 |"
+    assert all(row.split("|")[2].strip() == "0" for row in rows)
