@@ -27,6 +27,7 @@ CALLS = (
     ("critical", "--tau=i"),                          # morse route
     ("critical", "--tau=0.5+0.8660254037844386i"),    # seeds route
     ("critical", "--tau=0.3+0.8i"),
+    ("critical", "--tau=0.0608i"),                    # census route
     ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=8x8"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
 )

@@ -17,17 +17,17 @@ from its Hessian determinants, kept in CriticalSet.route:
 
 The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
 collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
-series pass for all seeds, of every seeds torus at once.  Each point set
-is evaluated once: the plateau filter is one evaluate pass for all tori
-and its rows are the extra points, and the residual check of the morse
-and seeds routes is one more pass, at the exact half period coordinates
-through residual_and_jacobian, a second route to the gradient.  So a
-morse torus costs two passes, a seeds torus its Newton passes plus
-three, and the census, which runs torus by torus, its sweeps' Newton
-and plateau passes and a half-period pass of its own.
-compare_half_periods reads G(w_k/2) from the half period points of a
-CriticalSet, so the critical command adds only the theta null pass of
-weier.invariants.
+series pass for all seeds of every torus in a round.  The seeds and
+census routes share one ladder of three rounds (_solve), each a damped
+Newton run and one plateau pass whose rows are the extra points: the
+fixed seeds, the census grid, and a finer check grid where a census
+seed failed.  The half-period pass serves every route, and the residual
+check of the morse and seeds routes is one more pass, at the exact half
+period coordinates through residual_and_jacobian, a second route to the
+gradient.  So a morse torus costs two passes, and a seeds or census
+torus adds the passes of its rounds.  compare_half_periods reads
+G(w_k/2) from the half period points of a CriticalSet, so the critical
+command adds only the theta null pass of weier.invariants.
 
 A torus gets the same bits in a batch as alone: the kernel sums each
 point at its own tau, the reduced frame constants are formed per torus
@@ -80,6 +80,8 @@ DEGENERACY_EPS = 1e-8     # default scale factor for the Morse tie band
 DEFAULT_TOL = 1e-12       # default gradient tolerance of the Newton routes
 MORSE_MARGIN = 1e-6       # a torus with min |det Hess G(w_k/2)| * b^2 below this
                           # is too close to a degeneracy for the signs to decide
+NEWTON_SEEDS = 1 << 16    # seeds per damped Newton run, about 1 KB each at its
+                          # first pass; the fixed seeds of a full scan chunk fit
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 # seeds route: the hexagonal z0 and its images, the midpoints between half
 # periods, and offsets of 0.05 and 0.15 along the axes and diagonals around
@@ -207,24 +209,37 @@ def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return t.ravel(), s.ravel()
 
 
-def _solve(tori: list[Torus], cell: np.ndarray, t: np.ndarray, s: np.ndarray, tol: float):
-    """Extra orbit representatives of each torus, reached from its seeds.
+# census route: the 24x24 grid, and the 48x48 check grid where a seed failed
+_CENSUS_SEEDS = _grid_seeds(24)
+_CHECK_SEEDS = _grid_seeds(48)
 
-    Seed j lies on tori[cell[j]], with cell sorted.  One damped Newton
-    run serves every seed and one evaluate pass applies the plateau
-    filter to every torus.  Returns, per torus, (ts, ss, rows, failures):
-    the representatives kept, their _rows from that pass, and the seeds
-    that neither converged nor were pruned.
+
+def _solve(tori: list[Torus], t: np.ndarray, s: np.ndarray, tol: float):
+    """Extra orbit representatives of each torus, reached from the seeds
+    (t, s), which serve every torus of tori.
+
+    One damped Newton run serves every seed and one evaluate pass applies
+    the plateau filter to every torus.  Returns, per torus, (ts, ss, rows,
+    failures): the representatives kept, their _rows from that pass, and
+    the seeds that neither converged nor were pruned.
     """
+    if not tori:
+        return []
     batch = green.gather(tori)
+    cell = np.repeat(np.arange(len(tori)), t.size)
+    t, s = np.tile(t, len(tori)), np.tile(s, len(tori))
     on = green.take(batch, cell)
     keep = lattice_gap(t + s * on.tau, on.tau) > EXCLUSION_RADIUS
+    t, s, cell, on = t[keep], s[keep], cell[keep], green.take(on, keep)
     r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
     # polish three decades past the acceptance target: near a degeneracy
     # threshold the residual valley is flat enough that stopping exactly at
-    # the target scatters one root across several merge cells
-    t, s, rn = damped_newton(t[keep], s[keep], green.take(on, keep), r_target * 1e-3)
-    cell = cell[keep]
+    # the target scatters one root across several merge cells; runs of at
+    # most NEWTON_SEEDS seeds bound the memory of a pass
+    runs = [damped_newton(t[lo:lo + NEWTON_SEEDS], s[lo:lo + NEWTON_SEEDS],
+                          green.take(on, slice(lo, lo + NEWTON_SEEDS)), r_target * 1e-3)
+            for lo in range(0, max(t.size, 1), NEWTON_SEEDS)]
+    t, s, rn = (np.concatenate(x) for x in zip(*runs))
     converged = np.isfinite(rn) & (rn <= r_target)
     failures = np.bincount(cell[~converged], minlength=len(tori))
     bounds = np.searchsorted(cell[converged], np.arange(len(tori) + 1))
@@ -356,59 +371,19 @@ def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
     return cs
 
 
-def _census(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
-    """The critical set from a 24x24 seed grid (minus the exclusion disk).
-
-    More than one extra orbit raises CountViolation.  A failed seed alone
-    is tolerated; NoConvergence fires only when a verification sweep at
-    48x48 also disagrees on the count.
-    """
-    def sweep(n_grid):
-        t, s = _grid_seeds(n_grid)
-        return _solve([torus], np.zeros(t.size, dtype=int), t, s, tol)[0]
-
-    ts, ss, rows, failures = sweep(24)
-    if failures:
-        ts_fine = sweep(48)[0]
-        if ts_fine.size != ts.size:
-            raise NoConvergence(
-                f"{failures} seeds failed and the 24/48 sweeps disagree "
-                f"({ts.size} vs {ts_fine.size} extra orbits) at tau = {torus.tau}"
-            )
-    if ts.size > 1:
-        raise CountViolation(
-            f"{3 + 2 * ts.size} critical points survived dedup at tau = {torus.tau}; "
-            "more than five is impossible and indicates an evaluation bug"
-        )
-    return _critical_sets([torus], _half_period_rows([torus], torus),
-                          [(0, "census", ts, ss, rows)])[0]
-
-
-def _census_cell(torus: Torus, tol: float, forced_five: bool):
-    """_census, or the error it fails with; where all three half periods
-    are saddles, a count other than five is a CountViolation."""
-    try:
-        cs = _census(torus, tol)
-    except TorusGreenError as exc:
-        return exc
-    if forced_five and cs.total_count != 5:
-        return CountViolation(
-            f"census found {cs.total_count} critical points at tau = {torus.tau}, but "
-            "all three half periods are saddles, which forces 5"
-        )
-    return cs
-
-
 def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
     """The critical set of every torus in tori, or the error it fails with.
 
     Each torus takes its own route (see the module docstring), and every
-    pass serves all of them: one half-period pass decides the routes, one
-    damped Newton run covers the 55 seeds of every seeds torus, one pass
-    applies the plateau filter and gives the extra points, and one
-    residual pass checks |grad G| <= tol at every point of the morse and
-    seeds routes, next to the Morse balance.  The census runs torus
-    by torus.  A torus gets the same result, to the bit, as alone.
+    pass serves all of them.  One half-period pass decides the routes and
+    gives the half period points of all of them.  Three _solve rounds
+    follow: the 55 fixed seeds of every seeds torus; the 24x24 grid of
+    every census torus and of every seeds torus whose seeds did not leave
+    exactly one extra orbit, where five points are forced; the 48x48
+    check grid of each torus of the second round with a failed seed,
+    which must find as many orbits.  Last, one residual pass checks
+    |grad G| <= tol at every point of the morse and seeds routes, next to
+    the Morse balance.  A torus gets the same result, to the bit, as alone.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -421,20 +396,43 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     b2 = np.array([torus.b ** 2 for torus in tori])
     census = np.abs(det).min(axis=1) * b2 < MORSE_MARGIN
     morse = ~census & (det > 0.0).any(axis=1)
-    seeds = np.flatnonzero(~census & ~morse)
+    seeds = np.flatnonzero(~census & ~morse).tolist()
     out: list = [None] * len(tori)
     empty = np.zeros(0)
     found = [(k, "morse", empty, empty, []) for k in np.flatnonzero(morse).tolist()]
-    solved = _solve([tori[k] for k in seeds], np.repeat(np.arange(seeds.size), _SEED_T.size),
-                    np.tile(_SEED_T, seeds.size), np.tile(_SEED_S, seeds.size),
-                    tol) if seeds.size else []
-    for k, (ts, ss, rows, _) in zip(seeds.tolist(), solved):
+    forced = set()
+    first = _solve([tori[k] for k in seeds], _SEED_T, _SEED_S, tol)
+    for k, (ts, ss, rows, _) in zip(seeds, first):
         if ts.size == 1:
             found.append((k, "seeds", ts, ss, rows))
         else:
-            out[k] = _census_cell(tori[k], tol, forced_five=True)
-    for k in np.flatnonzero(census).tolist():
-        out[k] = _census_cell(tori[k], tol, forced_five=False)
+            forced.add(k)
+    grid = sorted(np.flatnonzero(census).tolist() + list(forced))
+    coarse = _solve([tori[k] for k in grid], *_CENSUS_SEEDS, tol)
+    failed = [k for k, (*_, failures) in zip(grid, coarse) if failures]
+    fine = dict(zip(failed, _solve([tori[k] for k in failed], *_CHECK_SEEDS, tol)))
+    counted = []
+    for k, (ts, ss, rows, failures) in zip(grid, coarse):
+        tau = tori[k].tau
+        if k in fine and fine[k][0].size != ts.size:
+            out[k] = NoConvergence(
+                f"{failures} seeds failed and the 24/48 sweeps disagree "
+                f"({ts.size} vs {fine[k][0].size} extra orbits) at tau = {tau}"
+            )
+        elif ts.size > 1:
+            out[k] = CountViolation(
+                f"{3 + 2 * ts.size} critical points survived dedup at tau = {tau}; "
+                "more than five is impossible and indicates an evaluation bug"
+            )
+        elif k in forced and ts.size != 1:
+            out[k] = CountViolation(
+                f"census found {3 + 2 * ts.size} critical points at tau = {tau}, but "
+                "all three half periods are saddles, which forces 5"
+            )
+        else:
+            counted.append((k, "census", ts, ss, rows))
+    for (k, *_), cs in zip(counted, _critical_sets(tori, hp, counted)):
+        out[k] = cs
     sets = _critical_sets(tori, hp, found)
     cell = np.repeat([k for k, *_ in found], [len(cs.points) for cs in sets])
     t = np.array([p.coords.t for cs in sets for p in cs.points])

@@ -80,38 +80,6 @@ class DevelopingMap8pi:
         lm = ev.sigma.log_mag
         return 2.0 * (self.zeta_z0 * z).real + lm[:n] - lm[n:2 * n], ev.p[2 * n:]
 
-    def f(self, z):
-        z = np.asarray(z, dtype=complex)
-        s = weier.evaluate(np.stack([self.z0 - z, self.z0 + z]), self.torus).sigma
-        log_mag = 2.0 * (self.zeta_z0 * z).real + s.log_mag[0] - s.log_mag[1]
-        arg = 2.0 * (self.zeta_z0 * z).imag + s.arg[0] - s.arg[1]
-        out = np.exp(log_mag + 1j * arg)
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-    def gamma(self, z):
-        """f'/f = wp'(z0) / (wp(z) - wp(z0)).
-
-        Vanishes on the lattice of 0, where wp has its pole; the poles of
-        gamma sit on the lattices of +-z0.
-        """
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z).ravel()
-        on_lattice = lattice_gap(flat, self.torus.tau) < _LATTICE_HIT_TOL
-        out = np.zeros(flat.shape, dtype=complex)
-        if np.any(~on_lattice):
-            p = np.atleast_1d(weier.wp(flat[~on_lattice], self.torus))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[~on_lattice] = self.wp_prime_z0 / (p - self.wp_z0)
-        out = out.reshape(np.atleast_1d(z).shape)
-        if z.ndim == 0:
-            return complex(out[0])
-        return out
-
-    def f_prime(self, z):
-        return self.gamma(z) * self.f(z)
-
 
 def _polish_z0(torus: Torus, z0: complex) -> complex:
     t, s, _, _ = split_coords(z0, torus.tau)

@@ -139,8 +139,8 @@ def thresholds(tol: float = 1e-12) -> ThresholdReport:
     minus 2 pi / b; both functions are monotone through their roots, so
     bisection from a coarse sample bracket cannot miss.
     """
-    if tol < 1e-12:
-        raise InvalidInput(f"tol {tol} below the 1e-12 floor")
+    if not 1e-12 <= tol <= 1e-6:
+        raise InvalidInput(f"tol {tol} outside [1e-12, 1e-6]")
     width = 0.0
     roots = []
     for fun in (_q_lower, _q_upper):
@@ -294,9 +294,8 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     if not pairs:
         return []
     tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
-    z = np.array([h for torus in tori for h in torus.half_periods])
-    on = green.take(green.gather(tori), np.repeat(np.arange(len(tori)), 3))
-    dets = np.abs(green.evaluate(z, on).hessian.det).reshape(-1, 3)
+    rows = critical._half_period_rows(tori, green.gather(tori))
+    dets = np.abs([row[3] for row in rows]).reshape(-1, 3)
     out = []
     for (a, bcell), torus, d in zip(pairs, tori, dets):
         k = int(np.argmin(d))

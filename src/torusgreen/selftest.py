@@ -172,28 +172,18 @@ def zeta_addition_residual(z, torus: Torus) -> np.ndarray:
     return np.array([weier.addition_zeta_residual(zz, torus) for zz in z])
 
 
+# (name, tolerance, kind, residual): a "torus" check takes a torus, a
+# "point" check sample points and their torus, a "frame" check the same
+# on the frame tori outside the fundamental domain
 _CHECKS = (
-    ("legendre_relation", 1e-11, "torus"),
-    ("e_sum", 1e-11, "torus"),
-    ("wp_differential_equation", 1e-8, "point"),
-    ("zeta_addition", 1e-8, "point"),
-    ("heat_equation", 1e-6, "point"),
-    ("triple_product", 1e-9, "point"),
-    ("reduced_frame_cross", 1e-9, "frame"),
+    ("legendre_relation", 1e-11, "torus", legendre_residual),
+    ("e_sum", 1e-11, "torus", e_sum_residual),
+    ("wp_differential_equation", 1e-8, "point", wp_de_residual),
+    ("zeta_addition", 1e-8, "point", zeta_addition_residual),
+    ("heat_equation", 1e-6, "point", heat_equation_residual),
+    ("triple_product", 1e-9, "point", triple_product_residual),
+    ("reduced_frame_cross", 1e-9, "frame", frame_cross_residual),
 )
-
-_POINT_FUNS = {
-    "wp_differential_equation": wp_de_residual,
-    "zeta_addition": zeta_addition_residual,
-    "heat_equation": heat_equation_residual,
-    "triple_product": triple_product_residual,
-    "reduced_frame_cross": frame_cross_residual,
-}
-
-_TORUS_FUNS = {
-    "legendre_relation": legendre_residual,
-    "e_sum": e_sum_residual,
-}
 
 
 def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
@@ -210,16 +200,14 @@ def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
     rng = np.random.default_rng(seed + 1)
     per_torus = max(1, n_samples // n_tori)
     results = []
-    for name, tol, kind in _CHECKS:
+    for name, tol, kind, fun in _CHECKS:
         worst = 0.0
         count = 0
         if kind == "torus":
-            fun = _TORUS_FUNS[name]
             for torus in tori:
                 worst = max(worst, float(fun(torus)))
                 count += 1
         else:
-            fun = _POINT_FUNS[name]
             for torus in (frame_tori if kind == "frame" else tori):
                 z = _sample_points(torus, rng, per_torus)
                 vals = np.atleast_1d(fun(z, torus))

@@ -21,8 +21,9 @@ second and third logarithmic derivatives keep their relative precision
 where that term dominates (the half periods tau/2 and (1+tau)/2 at large
 Im tau, where L2 is O(e^(-pi Im tau))).
 
-The series is summed only for Im tau >= 1/2 (at most 8 terms a side);
-below that _eval raises UnreducedModulus.  The Green function and the
+The series is summed only for 1/2 <= Im tau <= MAX_IM_TAU (at most 8
+terms a side); below that _eval raises UnreducedModulus, above it
+InvalidInput, as do the rhombic line series.  The Green function and the
 Weierstrass layer run every pass in the reduced frame of lattice.Torus,
 at Im tau_r >= sqrt(3)/2 (6 or 7 terms), and carry the results back by
 exact laws.  theta1 is not a function of the lattice alone, so
@@ -56,8 +57,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveImaginaryPart, UnreducedModulus, Unconverged
+from .errors import InvalidInput, NonPositiveImaginaryPart, UnreducedModulus, Unconverged
 from .lattice import Torus, split_coords
+
+# past this Im tau the first term e^(i pi (z0 + tau/4)) of a real z0, of
+# size e^(-pi Im tau / 4), leaves the normal float64 range (at about 902)
+MAX_IM_TAU = 900.0
+
+
+def _check_im(b: float) -> None:
+    """InvalidInput past MAX_IM_TAU (NaN included), where the series
+    underflows and its log magnitudes and ratios go wrong."""
+    if not b <= MAX_IM_TAU:
+        raise InvalidInput(f"theta series asked for at Im tau = {b}, above {MAX_IM_TAU}, "
+                           "where its terms leave the float64 range")
 
 
 def _term_count_z(b: float) -> int:
@@ -187,13 +200,14 @@ def _eval(z, tau):
     # differently from its array loops, and a point must give the same bits
     # alone as inside a batch
     shape = np.shape(z)
-    low = tau
+    low = high = tau
     if np.ndim(tau):
         tau = np.reshape(tau, -1)
         # the term count falls with Im tau, so the lowest point sets it
-        low = tau[tau.imag.argmin()] if tau.size else 1j
+        low, high = (tau[tau.imag.argmin()], tau[tau.imag.argmax()]) if tau.size else (1j, 1j)
     if not low.imag >= 0.5:
         raise UnreducedModulus(f"theta series asked for at tau = {low}, below Im tau = 1/2")
+    _check_im(high.imag)
     t, s, m, n = split_coords(np.reshape(z, -1), tau)
     z0 = t + s * tau
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
@@ -253,6 +267,7 @@ def log_theta1_b_derivs(z: float, b: float) -> tuple[float, float]:
     """
     if not b > 0.0:
         raise NonPositiveImaginaryPart(f"b = {b} must be positive")
+    _check_im(b)
     z = float(z)
     nt = _term_count_z(b) + 4
     n = np.arange(nt)
@@ -280,6 +295,7 @@ def log_theta3_b_derivs(b: float) -> tuple[float, float]:
     """
     if not b > 0.0:
         raise NonPositiveImaginaryPart(f"b = {b} must be positive")
+    _check_im(b)
     nt = _term_count_null(b) + 4
     j = np.arange(1, nt)
     ja = 4.0 * j * j            # exponents of the even part

@@ -14,7 +14,10 @@ the extra critical point by scalar Newton on the package's G along its
 locus.  Tests compare the fast float kernels against these and against
 values frozen from them.  The CLI's canonical JSON has a reference too:
 the plain recursive serializer that the package's single-join one
-replaced.
+replaced.  Two routes left the package for the tests that compare with
+them: the developing map f and f' of the 8 pi construction from sigma
+and wp, and the census of one torus, built from the package's own Newton
+rounds, against which the morse and seeds routes are checked.
 """
 
 from __future__ import annotations
@@ -343,6 +346,67 @@ def contour_developing_map(z: complex, z0: complex, tau: complex,
         return fine
 
     return cmath.exp(integrate(0.0 + 0.0j, complex(z)))
+
+
+def developing_map_f(dm, z):
+    """f(z) = e^(2 zeta(z0) z) sigma(z0 - z) / sigma(z0 + z) of the
+    mfe.DevelopingMap8pi dm, from the package's sigma (the route that the
+    contour reference checks); the u evaluators read only log|f|."""
+    from torusgreen import weier
+
+    z = np.asarray(z, dtype=complex)
+    s = weier.evaluate(np.stack([dm.z0 - z, dm.z0 + z]), dm.torus).sigma
+    log_mag = 2.0 * (dm.zeta_z0 * z).real + s.log_mag[0] - s.log_mag[1]
+    arg = 2.0 * (dm.zeta_z0 * z).imag + s.arg[0] - s.arg[1]
+    out = np.exp(log_mag + 1j * arg)
+    return complex(out) if out.ndim == 0 else out
+
+
+def developing_map_gamma(dm, z):
+    """f'/f = wp'(z0) / (wp(z) - wp(z0)) of dm; 0 on the lattice of 0,
+    where wp has its pole, with poles on the lattices of +-z0."""
+    from torusgreen import weier
+    from torusgreen.lattice import lattice_gap
+
+    z = np.asarray(z, dtype=complex)
+    flat = np.atleast_1d(z).ravel()
+    on_lattice = lattice_gap(flat, dm.torus.tau) < 1e-11
+    out = np.zeros(flat.shape, dtype=complex)
+    if np.any(~on_lattice):
+        p = np.atleast_1d(weier.wp(flat[~on_lattice], dm.torus))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[~on_lattice] = dm.wp_prime_z0 / (p - dm.wp_z0)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+def developing_map_f_prime(dm, z):
+    """f'(z) = gamma(z) f(z) of dm."""
+    return developing_map_gamma(dm, z) * developing_map_f(dm, z)
+
+
+# ---------------------------------------------------------------------------
+# the census: one torus, its seed grids alone
+
+
+def census(torus, tol: float = 1e-12):
+    """The critical set of torus from a 24x24 seed grid, and a 48x48 check
+    grid where a seed failed: the census route of
+    critical.find_critical_sets, run for one torus with a half-period pass
+    of its own, to compare the morse and seeds routes with.  Grids that
+    disagree raise NoConvergence, more than one extra orbit
+    CountViolation."""
+    from torusgreen import critical
+    from torusgreen.errors import CountViolation, NoConvergence
+
+    ts, ss, rows, failures = critical._solve([torus], *critical._grid_seeds(24), tol)[0]
+    if failures:
+        fine = critical._solve([torus], *critical._grid_seeds(48), tol)[0][0]
+        if fine.size != ts.size:
+            raise NoConvergence(f"24/48 sweeps disagree at tau = {torus.tau}")
+    if ts.size > 1:
+        raise CountViolation(f"{3 + 2 * ts.size} critical points at tau = {torus.tau}")
+    return critical._critical_sets([torus], critical._half_period_rows([torus], torus),
+                                   [(0, "census", ts, ss, rows)])[0]
 
 
 def fd_gradient(fun, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:

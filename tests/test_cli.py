@@ -305,6 +305,9 @@ def test_domain_error_exit(capsys):
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x64"),
     ("critical", "--tau=i", "--tol=1e-3"),
     ("thresholds", "--tol=1e-13"),
+    ("thresholds", "--tol=nan"),
+    ("thresholds", "--tol=inf"),
+    ("thresholds", "--tol=1e-5"),
     ("scan", "--region=0,0.5,0.4,0.2", "--grid=2x2"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=0x4"),
     ("scan", "--region=0,0.1,inf,2.0", "--grid=2x2"),
@@ -317,6 +320,26 @@ def test_out_of_range_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "domain error (InvalidInput)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical", "--tau=0.3+905i"),
+    ("critical", "--tau=0.3+940i"),
+    ("critical", "--tau=0.3+1000i"),
+    ("eval", "--tau=0.3+1000i", "--z=0.1"),
+    ("critical", "--tau=1e-8+1e-12i"),      # Im tau_r about 1e4
+    ("inequalities", "--b=947"),
+    ("inequalities", "--b=1000"),
+    ("inequalities", "--b=inf"),
+], ids=" ".join)
+def test_moduli_past_the_float64_range_of_the_theta_series_exit_2(capsys, argv):
+    # past Im tau = 902 the series terms underflow: a false count, a false
+    # pole or a wrong b derivative before, InvalidInput naming the bound now
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "domain error (InvalidInput)" in err
+    assert "above 900.0" in err
 
 
 def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from torusgreen import cli, critical, green, lattice, theta, weier
+from torusgreen import cli, critical, green, lattice, moduli, theta, weier
 from torusgreen.critical import Kind, Morse
 from torusgreen.errors import (
     CountViolation,
@@ -195,7 +195,7 @@ def test_rhombic_census_near_the_cusp_merges_across_the_real_axis():
 def test_find_critical_points_routes_on_the_square_and_hex_tori(hex_torus, square_torus):
     cs = critical.find_critical_points(hex_torus)
     assert cs.route == "seeds"
-    z0 = critical._census(hex_torus).extra.coords
+    z0 = oracles.census(hex_torus).extra.coords
     assert abs(cs.extra.coords.t - z0.t) <= 1e-12
     assert abs(cs.extra.coords.s - z0.s) <= 1e-12
     assert critical.find_critical_points(square_torus).route == "morse"
@@ -205,7 +205,7 @@ def test_find_critical_points_matches_the_census_on_random_tori():
     routes = set()
     for T in lattice.random_tori(60, seed=11):
         cs = critical.find_critical_points(T)
-        ref = critical._census(T)
+        ref = oracles.census(T)
         routes.add(cs.route)
         assert cs.total_count == ref.total_count, T.tau
         if ref.extra is None:
@@ -214,6 +214,43 @@ def test_find_critical_points_matches_the_census_on_random_tori():
         assert abs(cs.extra.coords.t - ref.extra.coords.t) <= 1e-12, T.tau
         assert abs(cs.extra.coords.s - ref.extra.coords.s) <= 1e-12, T.tau
     assert {"morse", "seeds"} <= routes
+
+
+def test_the_census_route_evaluates_the_half_periods_once(monkeypatch):
+    # the census takes its half period points from the pass that decided
+    # the route, as the morse and seeds routes do
+    torus = lattice.make_torus(0.0608j)
+    half_periods = set(torus.half_periods)
+    at_half_periods = []
+    real = green.evaluate
+
+    def spy(z, on):
+        at_half_periods.append(half_periods <= set(np.ravel(z).tolist()))
+        return real(z, on)
+
+    monkeypatch.setattr(green, "evaluate", spy)
+    assert critical.find_critical_points(torus).route == "census"
+    assert sum(at_half_periods) == 1
+
+
+@pytest.fixture(scope="module")
+def criterion_7_census_tori():
+    # the cells of criterion 7's 40x40 scan that take the census route
+    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
+    return [lattice.make_torus(c.tau) for c in cells if c.route == "census"]
+
+
+@pytest.mark.parametrize("newton_seeds", [critical.NEWTON_SEEDS, 1000])
+def test_a_batch_of_census_tori_equals_each_torus_alone(newton_seeds, monkeypatch,
+                                                       criterion_7_census_tori):
+    # the census grids of all ten tori share each Newton run and plateau
+    # pass, split or not into runs of NEWTON_SEEDS seeds
+    tori = criterion_7_census_tori
+    assert len(tori) == 10
+    alone = [critical.find_critical_points(torus) for torus in tori]
+    assert {cs.route for cs in alone} == {"census"}
+    monkeypatch.setattr(critical, "NEWTON_SEEDS", newton_seeds)
+    assert critical.find_critical_sets(tori) == alone
 
 
 @pytest.mark.parametrize("tau, at_half_periods",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from torusgreen import critical, green, lattice, moduli, theta, weier
 from torusgreen.errors import CountViolation, InvalidInput, NoConvergence, TorusGreenError
 
@@ -194,7 +195,7 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
     cells = moduli.scan(region, nx, ny)
     for c in cells:
         torus = lattice.make_torus(c.tau)
-        cs = critical._census(torus)
+        cs = oracles.census(torus)
         assert c.error is None
         assert c.count == cs.total_count, c.tau
         if cs.extra is None:
@@ -282,6 +283,23 @@ def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
     assert len(passes) <= 64
 
 
+def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
+    # the five lowest cells of the column go to the census and on to its
+    # check grid; their grids share each Newton run (6645 passes with one
+    # census at a time)
+    passes = []
+    real = theta._eval
+
+    def counted(z, tau):
+        passes.append(np.size(z))
+        return real(z, tau)
+
+    monkeypatch.setattr(theta, "_eval", counted)
+    cells = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)
+    assert [c.route for c in cells[:6]] == ["census"] * 5 + ["seeds"]
+    assert len(passes) <= 2000
+
+
 def test_scan_routes_on_the_rhombic_column():
     # b = 0.3 is below b0, so all half periods are saddles and the seeds
     # locate z0; b = 0.4 and b = 0.6 sit between the thresholds, where the
@@ -292,16 +310,14 @@ def test_scan_routes_on_the_rhombic_column():
 
 
 def test_seedless_five_cell_with_a_three_point_census_is_a_count_violation(monkeypatch):
-    square = critical._census(lattice.make_torus(1j))
-    assert square.total_count == 3
-
+    # no seed converges: the fixed seeds leave no orbit, so the census
+    # grids run, agree on none, and find 3 points where 5 are forced
     def no_root(t, s, torus, r_stop):
         return t, s, np.full(np.shape(t), np.inf)
 
     # the hexagonal torus: all half periods are saddles, so the count is 5
     hex_tau = complex(0.5, math.sqrt(3) / 2)
     monkeypatch.setattr(critical, "damped_newton", no_root)
-    monkeypatch.setattr(critical, "_census", lambda torus, tol: square)
     with pytest.raises(CountViolation, match="census found 3 critical points"):
         critical.find_critical_points(lattice.make_torus(hex_tau))
     # a scan of two cells, classified in one batch: the failure reaches the

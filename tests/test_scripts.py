@@ -27,7 +27,10 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 5
+    assert len(rows) == 6
     # the square torus takes the morse route: half periods, residual check, invariants
     assert rows[0] == "| `critical --tau=i` | 0 | 3 | 9 |"
+    # the census route: half periods, its 24x24 grid's Newton run (5 passes)
+    # and plateau pass, invariants; the half periods once (9 passes before)
+    assert rows[3] == "| `critical --tau=0.0608i` | 0 | 8 | 1650 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)

@@ -7,7 +7,12 @@ import pytest
 
 import oracles
 from torusgreen import green, lattice, theta, weier
-from torusgreen.errors import NonPositiveImaginaryPart, PoleAtLattice, UnreducedModulus
+from torusgreen.errors import (
+    InvalidInput,
+    NonPositiveImaginaryPart,
+    PoleAtLattice,
+    UnreducedModulus,
+)
 
 # the series is summed only for Im tau >= 1/2, so 0.2 + 0.35i enters as its
 # reduced modulus; test_small_imag_tau_routes_accurately checks the values
@@ -270,3 +275,20 @@ def test_eval_below_half_raises_unreduced_modulus():
         theta.theta1(0.2, lattice.make_torus(0.2 + 0.4999j))
     assert np.isfinite(theta._eval(0.2, 0.2 + 0.5j)[0])
     assert np.isfinite(green.green_rel(0.2, lattice.make_torus(0.2 + 0.35j)))
+
+
+def test_series_past_max_im_tau_raise_invalid_input():
+    # e^(-pi Im tau / 4) leaves the normal float64 range at about Im tau =
+    # 902; at the bound the series still gives its cusp limits
+    b = theta.MAX_IM_TAU
+    assert theta.log_theta1_b_derivs(0.5, b)[0] == pytest.approx(-math.pi / 4, rel=1e-14)
+    L1 = theta._eval(0.3, 0.3 + 1j * b)[2]
+    assert L1 == pytest.approx(math.pi / math.tan(0.3 * math.pi), rel=1e-14)
+    above = np.nextafter(b, math.inf)
+    for call in (lambda: theta._eval(0.3, 0.3 + 1j * above),
+                 # a batch is checked at its highest modulus
+                 lambda: theta._eval(np.array([0.3, 0.3]), np.array([1j, 0.3 + 1j * above])),
+                 lambda: theta.log_theta1_b_derivs(0.5, above),
+                 lambda: theta.log_theta3_b_derivs(math.inf)):
+        with pytest.raises(InvalidInput, match=f"above {b}"):
+            call()
