@@ -46,6 +46,10 @@ CALLS = (
      "0.48522861238926634,1.972105648501117", "--grid=8x8"),
     ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
+    # verify_solution's row blocks: tori outside the fundamental domain, the
+    # default 64^2 grid and a grid of 37 rows, not a multiple of the block
+    ("mfe", "--rho=4pi", "--tau=-0.31+0.42i"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.3i", "--grid=37x37"),
     ("thresholds",),
     ("inequalities", "--b=0.7"),
     ("selftest", "--samples=40"),

@@ -30,6 +30,7 @@ CALLS = (
     ("critical", "--tau=0.0608i"),                    # census route
     ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=8x8"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32"),
 )
 
 

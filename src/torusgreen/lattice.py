@@ -96,6 +96,19 @@ def lattice_gap(z, tau: complex) -> np.ndarray:
     return d
 
 
+def near_lattice(z, tau: complex, tol: float) -> np.ndarray:
+    """Whether z lies within tol of Z + tau Z, from one split per point.
+
+    Tests |t + s tau| < tol at the cell coordinates (t, s) of z.  The
+    offset of a cell point from any lattice point but 0 has a coordinate
+    of size at least 1/2, so it is at least half a height of the cell
+    (Im tau / 2 or Im tau / (2 |tau|)) long: for tol below that, this is
+    the mask lattice_gap(z, tau) < tol.
+    """
+    t, s, _, _ = split_coords(z, tau)
+    return np.abs(t + s * tau) < tol
+
+
 def reduce_modulus(tau: complex) -> tuple[complex, tuple[tuple[int, int], tuple[int, int]]]:
     """Map tau to the standard fundamental domain |Re| <= 1/2, |tau| >= 1.
 

@@ -17,8 +17,11 @@ A u call makes one Weierstrass pass (weier.evaluate) over the
 concatenation of the point sets it needs: sigma(z - (1/2 + tau)),
 sigma(z + 1/2) and the two zetas on the doubled torus at 4 pi, and
 sigma(z0 - z), sigma(z0 + z) and p(z) at 8 pi.  verify_solution hands u
-a grid row, its stencil offsets and its period shifts as one array, so a
-row costs two theta passes: one for u and one for the Green function.
+a block of _BLOCK_ROWS grid rows, their stencil offsets and their period
+shifts as one array, so a block costs two theta passes, one for u and one
+for the Green function, and a 64^2 grid 32 of them.  Its statistics are
+still taken row by row, and each point gets the same bits in a block as
+alone, so the report is that of a walk one row at a time.
 """
 
 from __future__ import annotations
@@ -37,12 +40,16 @@ from .errors import (
     NoExtraCriticalPoint,
     NotACriticalPoint,
 )
-from .lattice import Torus, lattice_gap, make_torus, split_coords
+from .lattice import Torus, lattice_gap, make_torus, near_lattice, split_coords
 
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
 _CRIT_RESIDUAL_TOL = 1e-6
 _LATTICE_HIT_TOL = 1e-11
+# grid rows per u call of verify_solution: a row adds about 0.3 MB to the
+# peak memory of an 8 pi check on 64^2, and past 4 rows the fixed cost of
+# a call is already small against its points
+_BLOCK_ROWS = 4
 
 
 def _log_abs(values) -> np.ndarray:
@@ -174,9 +181,8 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
         scalar = z.ndim == 0
         flat = np.atleast_1d(z).ravel()
         u = np.empty(flat.shape, dtype=float)
-        on_source = lattice_gap(flat, tau) < _LATTICE_HIT_TOL
-        on_branch = (lattice_gap(flat - z0p, tau) < 1e-9) | (
-            lattice_gap(flat + z0p, tau) < 1e-9)
+        on_source = near_lattice(flat, tau, _LATTICE_HIT_TOL)
+        on_branch = near_lattice(flat - z0p, tau, 1e-9) | near_lattice(flat + z0p, tau, 1e-9)
         u[on_source] = -np.inf
         u[on_branch] = u_branch
         rest = ~(on_source | on_branch)
@@ -318,7 +324,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         # displaced symmetrically; the average cancels the linear term
         hit = np.zeros(flat.shape, dtype=bool)
         for cls in pole_classes:
-            hit |= lattice_gap(flat - cls, 2.0 * tau) < _LATTICE_HIT_TOL
+            hit |= near_lattice(flat - cls, 2.0 * tau, _LATTICE_HIT_TOL)
         delta = 1e-7
         k = int(np.count_nonzero(hit))
         vals = core(np.concatenate([flat[~hit], flat[hit] + delta, flat[hit] - delta]))
@@ -389,32 +395,45 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 
-    def row_stats(row_z):
-        # one u call on the row, its stencil offsets and its period shifts
-        keep = lattice_gap(row_z, tau) > excl_radius
-        z = row_z[keep]
+    def block_stats(rows):
+        # one u call on a block of rows, their stencil offsets and their
+        # period shifts, and one green_rel call on the kept points; u and
+        # green_rel give a point the same bits alone as inside a batch, and
+        # the statistics stay per row
+        grid = gg + rows[:, None] * tau
+        keep = lattice_gap(grid, tau) > excl_radius
+        z = grid[keep]
         offsets = np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])
-        u_all = u(np.concatenate([row_z, offsets, z + 1.0, z + tau]))
-        n, m = row_z.size, z.size
-        mass_sum = float(np.sum(np.exp(u_all[:n])))
-        if m == 0:
-            return (0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum)
-        uc = u_all[:n][keep]
-        u_off = u_all[n:n + 4 * m].reshape(4, m)
-        shifted = u_all[n + 4 * m:].reshape(2, m)
-        g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, z.size)
-        w_off = u_off + rho * g[:4]
-        w_c = uc + rho * g[4]
-        lap_w = (np.sum(w_off, axis=0) - 4.0 * w_c) / (h * h)
-        res = np.abs(lap_w - rho / area + rho * np.exp(uc))
-        lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
-        lit = np.abs(lap_u + rho * np.exp(uc))
-        per1 = float(np.max(np.abs(shifted[0] - uc)))
-        pert = float(np.max(np.abs(shifted[1] - uc)))
-        return (float(np.max(res)), float(np.sum(res)), int(res.size),
-                float(np.max(lit)), per1, pert, mass_sum)
+        u_all = u(np.concatenate([grid.ravel(), offsets, z + 1.0, z + tau]))
+        n, m = grid.size, z.size
+        mass = np.exp(u_all[:n]).reshape(grid.shape)
+        if m:
+            uc = u_all[:n][keep.ravel()]
+            u_off = u_all[n:n + 4 * m].reshape(4, m)
+            shifted = u_all[n + 4 * m:].reshape(2, m)
+            g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, m)
+            w_off = u_off + rho * g[:4]
+            w_c = uc + rho * g[4]
+            lap_w = (np.sum(w_off, axis=0) - 4.0 * w_c) / (h * h)
+            res = np.abs(lap_w - rho / area + rho * np.exp(uc))
+            lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
+            lit = np.abs(lap_u + rho * np.exp(uc))
+            per1 = np.abs(shifted[0] - uc)
+            pert = np.abs(shifted[1] - uc)
+        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        out = []
+        for mass_row, a, b in zip(mass, [0] + ends, ends):
+            mass_sum = float(np.sum(mass_row))
+            if a == b:
+                out.append((0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum))
+                continue
+            out.append((float(np.max(res[a:b])), float(np.sum(res[a:b])), b - a,
+                        float(np.max(lit[a:b])), float(np.max(per1[a:b])),
+                        float(np.max(pert[a:b])), mass_sum))
+        return out
 
-    stats = [row_stats(gg + s * tau) for s in gg]
+    stats = [row for r0 in range(0, grid_n, _BLOCK_ROWS)
+             for row in block_stats(gg[r0:r0 + _BLOCK_ROWS])]
     n_pts = sum(s[2] for s in stats)
     if n_pts == 0:
         raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")

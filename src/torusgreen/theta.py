@@ -33,12 +33,14 @@ One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
 layer and the Green function (green.evaluate, green.residual_and_jacobian)
 all read from it.  It always sums a flat array, so a point gives the same
-bits alone as inside a batch.  A batch may carry one tau per point (the
-tori of a moduli scan): it runs to the largest term count among them,
-each point's terms past its own count are exact zeros, and the powers
-of q are formed once per distinct tau, so a point still gets the bits of
-a pass at its own tau.  For a single modulus they are cached
-(_q_powers), as every pass on one torus sums at its tau_r.  There is no
+bits alone as inside a batch, and sums it in runs of at most _RUN points,
+so the series of a pass of any size works in about half a megabyte.  A
+batch may carry one tau per point (the tori of a moduli scan): it runs
+to the largest term count among them, each point's terms past its own
+count are exact zeros, and the powers of q are formed once per distinct
+tau, so a point still gets the bits of a pass at its own tau.  For a
+single modulus they are cached (_q_powers), as every pass on one torus
+sums at its tau_r.  There is no
 separate series for the theta nulls: theta2, theta3 and theta4 at 0 are
 theta1 at the half periods up to exact factors, and the Weierstrass
 layer reads them, theta1'(0) and eta1 from one _eval pass there.
@@ -63,6 +65,8 @@ from .lattice import Torus, split_coords
 # past this Im tau the first term e^(i pi (z0 + tau/4)) of a real z0, of
 # size e^(-pi Im tau / 4), leaves the normal float64 range (at about 902)
 MAX_IM_TAU = 900.0
+# points per run of the series in one pass of _eval
+_RUN = 1024
 
 
 def _check_im(b: float) -> None:
@@ -187,6 +191,22 @@ def _series(z0, tau, nterms: int):
     return moments.view(complex) * _PHASES
 
 
+def _series_in_runs(z0, tau, nterms: int):
+    """_series over at most _RUN points at a time, into one array.
+
+    A run's terms and moments, about 420 bytes a point, bound the working
+    set of a pass whatever its size; a point gets the same bits in any
+    run.
+    """
+    if z0.size <= _RUN:
+        return _series(z0, tau, nterms)
+    th = np.empty((4, z0.size), dtype=complex)
+    for a in range(0, z0.size, _RUN):
+        run = slice(a, a + _RUN)
+        th[:, run] = _series(z0[run], tau[run] if np.ndim(tau) else tau, nterms)
+    return th
+
+
 def _eval(z, tau):
     """Wrap z, run the series, reattach the translation factor in log space.
 
@@ -213,7 +233,7 @@ def _eval(z, tau):
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
     # series at the summed point is always n = 0
     flip = s > 0.0
-    th = _series(np.where(flip, -z0, z0), tau, _term_count_z(low.imag))
+    th = _series_in_runs(np.where(flip, -z0, z0), tau, _term_count_z(low.imag))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1, r2, r3 = th[1:] / th[0]
         L2 = r2 - r1 * r1

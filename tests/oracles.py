@@ -14,10 +14,12 @@ the extra critical point by scalar Newton on the package's G along its
 locus.  Tests compare the fast float kernels against these and against
 values frozen from them.  The CLI's canonical JSON has a reference too:
 the plain recursive serializer that the package's single-join one
-replaced.  Two routes left the package for the tests that compare with
+replaced.  Three routes left the package for the tests that compare with
 them: the developing map f and f' of the 8 pi construction from sigma
-and wp, and the census of one torus, built from the package's own Newton
-rounds, against which the morse and seeds routes are checked.
+and wp, the census of one torus, built from the package's own Newton
+rounds, against which the morse and seeds routes are checked, and the
+mean field check one grid row at a time, which the package's walk in
+blocks of rows must equal field for field.
 """
 
 from __future__ import annotations
@@ -382,6 +384,74 @@ def developing_map_gamma(dm, z):
 def developing_map_f_prime(dm, z):
     """f'(z) = gamma(z) f(z) of dm."""
     return developing_map_gamma(dm, z) * developing_map_f(dm, z)
+
+
+# ---------------------------------------------------------------------------
+# the field check of a mean field solution, one grid row at a time
+
+
+def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05):
+    """mfe.verify_solution walking its grid one row at a time: one u call
+    on a row, its stencil offsets and its period shifts, and one green_rel
+    call on the row's kept points, per row.  The package puts a block of
+    rows into each call; every field of the ResidualReport must agree."""
+    from torusgreen import green, mfe
+    from torusgreen.errors import InvalidInput
+    from torusgreen.lattice import lattice_gap
+
+    if grid_n < 32:
+        raise InvalidInput(f"grid_n {grid_n} below 32")
+    if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
+        raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
+    torus = sol.torus
+    tau = torus.tau
+    area = torus.area
+    rho = sol.rho
+    u = sol.evaluator
+    h = 1.0 / (64.0 * grid_n)
+    gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
+
+    def row_stats(row_z):
+        keep = lattice_gap(row_z, tau) > excl_radius
+        z = row_z[keep]
+        offsets = np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])
+        u_all = u(np.concatenate([row_z, offsets, z + 1.0, z + tau]))
+        n, m = row_z.size, z.size
+        mass_sum = float(np.sum(np.exp(u_all[:n])))
+        if m == 0:
+            return (0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum)
+        uc = u_all[:n][keep]
+        u_off = u_all[n:n + 4 * m].reshape(4, m)
+        shifted = u_all[n + 4 * m:].reshape(2, m)
+        g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, z.size)
+        w_off = u_off + rho * g[:4]
+        w_c = uc + rho * g[4]
+        lap_w = (np.sum(w_off, axis=0) - 4.0 * w_c) / (h * h)
+        res = np.abs(lap_w - rho / area + rho * np.exp(uc))
+        lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
+        lit = np.abs(lap_u + rho * np.exp(uc))
+        per1 = float(np.max(np.abs(shifted[0] - uc)))
+        pert = float(np.max(np.abs(shifted[1] - uc)))
+        return (float(np.max(res)), float(np.sum(res)), int(res.size),
+                float(np.max(lit)), per1, pert, mass_sum)
+
+    stats = [row_stats(gg + s * tau) for s in gg]
+    n_pts = sum(s[2] for s in stats)
+    if n_pts == 0:
+        raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
+    cell = area / (grid_n * grid_n)
+    return mfe.ResidualReport(
+        max_residual=max(s[0] for s in stats),
+        mean_residual=sum(s[1] for s in stats) / max(n_pts, 1),
+        literal_max_residual=max(s[3] for s in stats),
+        periodicity_1=max(s[4] for s in stats),
+        periodicity_tau=max(s[5] for s in stats),
+        total_mass=rho * cell * sum(s[6] for s in stats),
+        grid_n=grid_n,
+        h=h,
+        excl_radius=excl_radius,
+        n_points=n_pts,
+    )
 
 
 # ---------------------------------------------------------------------------

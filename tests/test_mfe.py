@@ -286,11 +286,12 @@ def _solution(rho, tau):
     return mfe.solution_8pi(T, mfe.extra_branch_point(T))
 
 
-# the Jacobi branch of the theta kernel serves Im tau < 1/2, and at 4 pi the
-# kernel runs on the doubled torus 2 tau
+# 0.5 + 0.2i and 0.5 + 0.3i lie outside the fundamental domain, so their
+# passes sum at a reduced modulus tau_r in a frame with lam != 1; at 4 pi
+# the kernel runs on the doubled torus 2 tau
 @pytest.mark.parametrize("rho,tau", [
     ("4pi", 0.13 + 0.92j), ("4pi", 0.5 + 0.2j), ("8pi", HEX_TAU), ("8pi", 0.5 + 0.3j),
-], ids=["4pi-direct", "4pi-jacobi", "8pi-direct", "8pi-jacobi"])
+], ids=["4pi-direct", "4pi-reduced", "8pi-direct", "8pi-reduced"])
 def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
     sol = _solution(rho, tau)
     rng = np.random.default_rng(17)
@@ -304,7 +305,9 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
-def test_verification_costs_two_theta_passes_per_row(monkeypatch, rho, tau):
+def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
+    # one u call and one green_rel call per block of rows; 37 rows leave a
+    # last block of one row
     sol = _solution(rho, tau)
     passes = []
 
@@ -316,5 +319,88 @@ def test_verification_costs_two_theta_passes_per_row(monkeypatch, rho, tau):
 
     monkeypatch.setattr(theta, "_eval", counted(theta._eval))
     monkeypatch.setattr(weier, "_eval", counted(weier._eval))
-    mfe.verify_solution(sol, grid_n=32)
-    assert len(passes) == 2 * 32
+    assert mfe._BLOCK_ROWS == 4
+    for grid_n, blocks in ((32, 8), (37, 10)):
+        passes.clear()
+        mfe.verify_solution(sol, grid_n=grid_n)
+        assert len(passes) == 2 * blocks
+
+
+# 0.5 + 0.3i and -0.31 + 0.42i lie outside the fundamental domain; only the
+# first has the extra critical points an 8 pi solution needs
+@pytest.mark.parametrize("rho,tau", [
+    ("4pi", 1j), ("4pi", -0.31 + 0.42j), ("8pi", HEX_TAU), ("8pi", 0.5 + 0.3j),
+])
+@pytest.mark.parametrize("grid_n", [32, 37, 64])
+def test_block_walk_equals_the_row_by_row_reference(rho, tau, grid_n):
+    sol = _solution(rho, tau)
+    assert mfe.verify_solution(sol, grid_n) == oracles.verify_solution_by_rows(sol, grid_n)
+
+
+@pytest.mark.parametrize("rho,tau", [("4pi", 0.5 + 0.3j), ("8pi", 0.5 + 0.3j)])
+def test_block_walk_keeps_rows_that_the_exclusion_empties(rho, tau):
+    # at radius 0.29 the rows next to s = 0 lie inside the exclusion disks
+    # (the m == 0 rows), while other rows of their blocks keep points
+    sol = _solution(rho, tau)
+    grid_n, radius = 37, 0.29
+    gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
+    kept = [int(np.sum(lattice.lattice_gap(gg + s * tau, tau) > radius)) for s in gg]
+    empty = [i for i, k in enumerate(kept) if k == 0]
+    assert empty and any(kept[i - i % mfe._BLOCK_ROWS:i - i % mfe._BLOCK_ROWS + mfe._BLOCK_ROWS]
+                         for i in empty)
+    rep = mfe.verify_solution(sol, grid_n, radius)
+    assert rep == oracles.verify_solution_by_rows(sol, grid_n, radius)
+    assert rep.n_points == sum(kept)
+
+
+def test_block_walk_rejects_an_exclusion_that_leaves_no_point(hex_solution):
+    for verify in (mfe.verify_solution, oracles.verify_solution_by_rows):
+        with pytest.raises(InvalidInput, match="leaves no grid point to check"):
+            verify(hex_solution, 32, 5.0)
+
+
+_HIT_MOVES = (0.0, 1e-12, 5e-12, 2e-11, 1e-10, 5e-10, 2e-9, 1e-8)
+
+
+def _hit_inputs(tau, centre):
+    """The lattice points m + n tau (|m|, |n| <= 2) shifted to centre and
+    moved by each of _HIT_MOVES in eight directions, with the move of
+    each point."""
+    m, n = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3))
+    pts = (m + n * tau).ravel() + centre
+    dirs = np.exp(0.25j * np.pi * np.arange(8))
+    z = pts[None, :, None] + np.multiply.outer(_HIT_MOVES, dirs)[:, None, :]
+    return z.ravel(), np.repeat(_HIT_MOVES, pts.size * dirs.size)
+
+
+# tori inside (i, the hexagonal one) and outside (0.5 + 0.3i, -0.31 + 0.42i,
+# 2.7 + 0.4i) the fundamental domain, on the lattices of tau and of 2 tau
+@pytest.mark.parametrize("tau", [1j, HEX_TAU, 0.5 + 0.3j, -0.31 + 0.42j, 2.7 + 0.4j])
+def test_near_lattice_is_the_lattice_gap_mask(tau):
+    for lattice_tau in (tau, 2.0 * tau):
+        z, move = _hit_inputs(lattice_tau, 0.0)
+        for tol in (1e-11, 1e-9):
+            want = lattice.lattice_gap(z, lattice_tau) < tol
+            np.testing.assert_array_equal(lattice.near_lattice(z, lattice_tau, tol), want)
+            np.testing.assert_array_equal(want, move < tol)
+
+
+# the pole and zero classes of the 4 pi map on the doubled torus, and the
+# branch classes +-z0 + lattice of the 8 pi map, as the evaluators test them
+@pytest.mark.parametrize("rho,tau", [
+    ("4pi", 1j), ("4pi", -0.31 + 0.42j), ("8pi", HEX_TAU), ("8pi", 0.5 + 0.3j),
+])
+def test_evaluator_hit_tests_are_the_lattice_gap_masks(rho, tau):
+    if rho == "4pi":
+        lattice_tau, tol = 2.0 * tau, mfe._LATTICE_HIT_TOL
+        classes = (-0.5, 0.5 + tau)
+    else:
+        lattice_tau, tol = tau, 1e-9
+        z0 = _solution(rho, tau).branch
+        classes = (z0, -z0)
+    for a in classes:
+        for b in classes:
+            # the points of class a, tested against class b
+            z = _hit_inputs(lattice_tau, a)[0] - b
+            np.testing.assert_array_equal(lattice.near_lattice(z, lattice_tau, tol),
+                                          lattice.lattice_gap(z, lattice_tau) < tol)

@@ -183,6 +183,24 @@ def test_eval_with_a_modulus_per_point_gives_each_point_its_own_bits():
             assert b[j] == a or (np.isnan(b[j]) and np.isnan(a)), (z[j], tau[j])
 
 
+def test_eval_gives_the_same_bits_in_runs_of_any_length(monkeypatch):
+    # _eval sums its series over at most _RUN points at a time; runs of 1,
+    # 7 and 64 points, on one modulus and on one per point, must give the
+    # bits of a single run
+    rng = np.random.default_rng(47)
+    taus = [0.1 + 1.14j, -0.2 + 1.16j, 0.45 + 0.6j, 0.3 + 2.5j]
+    z = rng.uniform(-1.5, 1.5, 300) + rng.uniform(-1.5, 1.5, 300) * 1.07j
+    z[:3] = (0.0, 1.0, 0.5)
+    per_point = np.array(taus)[rng.integers(0, len(taus), z.size)]
+    monkeypatch.setattr(theta, "_RUN", z.size)
+    whole = [theta._eval(z, 0.31 + 1.07j), theta._eval(z, per_point)]
+    for run in (1, 7, 64):
+        monkeypatch.setattr(theta, "_RUN", run)
+        for want, got in zip(whole, [theta._eval(z, 0.31 + 1.07j), theta._eval(z, per_point)]):
+            for w, g in zip(want, got):
+                np.testing.assert_array_equal(w, g)
+
+
 def test_series_matches_the_exp_per_term_oracle(monkeypatch):
     # every call _eval makes to the term recurrence is checked against the
     # exp-per-term sum, to 1e-13 of the sum of the moduli of its terms: a
