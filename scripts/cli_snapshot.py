@@ -26,8 +26,9 @@ HEX = "0.5+0.8660254037844386i"
 
 CALLS = (
     # critical: square, hex, rhombic below b0, between b0 and b1, above b1,
-    # a generic modulus, and one near the cusp at 1/3, reduced by a matrix
-    # with c = 3
+    # a generic modulus, one near the cusp at 1/3, reduced by a matrix
+    # with c = 3, one near the cusp at 0 with determinants of +-8.3e-12,
+    # and the degenerate torus at b1 (tau = 1/2 + i b1, thresholds' b1)
     ("critical", "--tau=i"),
     ("critical", f"--tau={HEX}"),
     ("critical", "--tau=0.5+0.3i"),
@@ -35,13 +36,16 @@ CALLS = (
     ("critical", "--tau=0.5+0.8i"),
     ("critical", "--tau=0.13+0.92i"),
     ("critical", "--tau=0.3333333333333333+0.003i"),
+    ("critical", "--tau=0.0890i"),
+    ("critical", "--tau=0.5+0.7047615813326655i"),
     ("eval", "--tau=i", "--z=0.21+0.13i"),
     ("eval", f"--tau={HEX}", "--z=0.1+0.2i"),
     ("eval", "--tau=0.5+0.8i", "--z=0.3+0.2i"),
     ("eval", "--tau=0.13+0.92i", "--z=-0.32+0.27i"),
     ("eval", "--tau=3.2+0.9i", "--z=0.3+0.2i"),
     ("scan", "--region=0,0.1,0.5,2.0", "--grid=8x8"),
-    # a shifted scan with cells at Re tau < 0 and one census cell
+    # a shifted scan with cells at Re tau < 0, and one whose smallest
+    # half-period |det| * b^2 is under 1e-6
     ("scan", "--region=-0.01477138761073364,0.072105648501117,"
      "0.48522861238926634,1.972105648501117", "--grid=8x8"),
     ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),

@@ -12,7 +12,6 @@ from .critical import (
     HalfPeriodComparison,
     Kind,
     Morse,
-    classify,
     compare_half_periods,
     find_critical_points,
     find_critical_sets,
@@ -62,7 +61,6 @@ __all__ = [
     "ThresholdReport",
     "Torus",
     "TorusGreenError",
-    "classify",
     "compare_half_periods",
     "developing_map_8pi",
     "evaluate",

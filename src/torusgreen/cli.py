@@ -280,7 +280,7 @@ def _cmd_scan(args) -> tuple[dict, dict]:
             for e in edges
         ],
     }
-    routes = {"census": 0, "morse": 0, "seeds": 0}
+    routes = {"morse": 0, "seeds": 0}
     errors: dict[str, list[int]] = {}
     for k, c in enumerate(cells):
         if c.error is None:

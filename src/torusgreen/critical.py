@@ -5,29 +5,34 @@ extra pair +-z0 (Lin and Wang); the pair are minima and
 #min - #saddle = -1, so there are five points exactly when all three half
 periods are saddles.  find_critical_sets evaluates G at the three half
 periods of every torus in one theta series pass (green.evaluate), builds
-their points from that result, and takes one of three routes per torus
-from its Hessian determinants, kept in CriticalSet.route:
+their points from that result, and lets the signs of their Hessian
+determinants decide the count.  Each det comes with its error bound
+(green.C_DET), and only a sign outside the bound counts:
 
-- "morse": every |det| * b^2 clears MORSE_MARGIN and some det is
-  positive: three points, no Newton;
-- "seeds": all three dets are negative: damped Newton from the 55 fixed
-  seeds below locates z0;
-- "census": a det within the margin, or seeds that do not leave exactly
-  one extra orbit: multi start Newton from a 24x24 seed grid decides.
+- some det is positive: three points, no Newton (route "morse");
+- all three dets are negative: five points; damped Newton from the 55
+  fixed seeds below, and from a 24x24 grid where they miss, locates z0
+  (route "seeds"), and a count other than five is a CountViolation;
+- one det lies inside its bound and none is positive: z0 has merged into
+  that half period, which is labelled Degenerate, and the torus has
+  three points (route "morse");
+- two or more dets lie inside their bounds: the signs cannot decide, and
+  the torus is Unconverged.
+
+A point's Morse label follows the same rule: Degenerate inside the bound,
+else Min or Saddle by the sign.
 
 The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
 collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
-series pass for all seeds of every torus in a round.  The seeds and
-census routes share one ladder of three rounds (_solve), each a damped
-Newton run and one plateau pass whose rows are the extra points: the
-fixed seeds, the census grid, and a finer check grid where a census
-seed failed.  The half-period pass serves every route, and the residual
-check of the morse and seeds routes is one more pass, at the exact half
-period coordinates through residual_and_jacobian, a second route to the
-gradient.  So a morse torus costs two passes, and a seeds or census
-torus adds the passes of its rounds.  compare_half_periods reads
-G(w_k/2) from the half period points of a CriticalSet, so the critical
-command adds only the theta null pass of weier.invariants.
+series pass for all seeds of every torus in a round.  Each round of the
+seeds route (_solve) is a damped Newton run and one plateau pass whose
+rows are the extra points.  The half-period pass serves every route, and
+the residual check is one more pass, at the exact half period
+coordinates through residual_and_jacobian, a second route to the
+gradient.  So a morse torus costs two passes, and a seeds torus adds the
+passes of its rounds.  compare_half_periods reads G(w_k/2) from the half
+period points of a CriticalSet, so the critical command adds only the
+theta null pass of weier.invariants.
 
 A torus gets the same bits in a batch as alone: the kernel sums each
 point at its own tau, the reduced frame constants are formed per torus
@@ -36,10 +41,11 @@ count of steps.  find_critical_points is the batch of one torus.
 
 One array pass reduces the converged roots to extra orbits: roots near a
 half period go, the rest are folded modulo z ~ -z and merged at
-EXTRA_MERGE_TOL.  CountViolation marks an evaluation bug: a second
-orbit, fewer than five points where the signs force five, or, on the
-morse and seeds routes, unbalanced Morse labels.  The damped Newton
-kernel also polishes the seed of the 8 pi mean field construction.
+EXTRA_MERGE_TOL.  CountViolation marks an evaluation bug: other than one
+extra orbit where the signs force five, or unbalanced Morse labels, where
+a Degenerate half period has index +1 (a saddle merged with the pair of
+minima).  The damped Newton kernel also polishes the seed of the 8 pi
+mean field construction.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .errors import (
     CountViolation,
     InconsistentComparison,
     InvalidInput,
-    NoConvergence,
     TorusGreenError,
     Unconverged,
 )
@@ -76,10 +81,7 @@ PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # whose every point passes the residual test, but
                           # those fake roots carry determinants ~1e-12 while
                           # genuine extras sit at O(1)
-DEGENERACY_EPS = 1e-8     # default scale factor for the Morse tie band
-DEFAULT_TOL = 1e-12       # default gradient tolerance of the Newton routes
-MORSE_MARGIN = 1e-6       # a torus with min |det Hess G(w_k/2)| * b^2 below this
-                          # is too close to a degeneracy for the signs to decide
+DEFAULT_TOL = 1e-12       # default gradient tolerance of the seeds route
 NEWTON_SEEDS = 1 << 16    # seeds per damped Newton run, about 1 KB each at its
                           # first pass; the fixed seeds of a full scan chunk fit
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
@@ -131,7 +133,7 @@ class CriticalSet:
 
     points: tuple[CriticalPoint, ...]
     total_count: int
-    route: str                     # "morse", "seeds" or "census"
+    route: str                     # "morse" (signs alone) or "seeds" (Newton)
 
     @property
     def extra(self) -> CriticalPoint | None:
@@ -209,9 +211,8 @@ def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return t.ravel(), s.ravel()
 
 
-# census route: the 24x24 grid, and the 48x48 check grid where a seed failed
-_CENSUS_SEEDS = _grid_seeds(24)
-_CHECK_SEEDS = _grid_seeds(48)
+# seeds route: the 24x24 grid where the fixed seeds miss
+_GRID_SEEDS = _grid_seeds(24)
 
 
 def _solve(tori: list[Torus], t: np.ndarray, s: np.ndarray, tol: float):
@@ -296,39 +297,28 @@ def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps_t), np.array(reps_s)
 
 
-def _classify_hessian(h: Hessian2, b: float, degeneracy_eps: float) -> Morse:
-    eps = degeneracy_eps / (b * b)
-    if abs(h.det) <= eps:
+def _morse(det: float, bound: float) -> Morse:
+    if abs(det) <= bound:
         return Morse.DEGENERATE
-    if h.det > 0.0:
-        # trace is 1/b > 0, so a positive determinant always means a minimum
-        return Morse.MIN
-    return Morse.SADDLE
-
-
-def classify(point: CriticalPoint, degeneracy_eps: float = DEGENERACY_EPS) -> Morse:
-    """Morse class from the stored Hessian with the scale aware tie band
-    |det| <= degeneracy_eps / b^2."""
-    # the Hessian carries the torus scale through its exact trace 1/b
-    b = 1.0 / point.hessian.trace
-    return _classify_hessian(point.hessian, b, degeneracy_eps)
+    # trace is 1/b > 0, so a positive determinant always means a minimum
+    return Morse.MIN if det > 0.0 else Morse.SADDLE
 
 
 def _rows(ev: green.GreenEval) -> list[tuple[float, ...]]:
-    """(xx, xy, yy, det, value) per point of an evaluate over a 1-D array."""
+    """(xx, xy, yy, det, value, det_bound) per point of an evaluate over a
+    1-D array."""
     h = ev.hessian
     return list(zip(h.xx.tolist(), h.xy.tolist(), h.yy.tolist(), h.det.tolist(),
-                    ev.value_rel.tolist()))
+                    ev.value_rel.tolist(), ev.det_bound.tolist()))
 
 
 def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
     """The critical points at coords, classified from their _rows."""
     out = []
-    for (t, s), kind, (*h, g) in zip(coords, kinds, rows):
-        hk = Hessian2(*h)
+    for (t, s), kind, (xx, xy, yy, det, g, bound) in zip(coords, kinds, rows):
         out.append(CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
-                                 morse=_classify_hessian(hk, torus.b, DEGENERACY_EPS),
-                                 hessian=hk, g_rel=g))
+                                 morse=_morse(det, bound), hessian=Hessian2(xx, xy, yy, det),
+                                 g_rel=g))
     return out
 
 
@@ -361,8 +351,9 @@ def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
     if not grad <= tol:
         return Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
                            f"{cs.route} route at tau = {torus.tau}")
+    # a Degenerate point is a saddle merged with the pair of minima: index +1
     balance = sum((2 if p.kind is Kind.EXTRA_PAIR else 1)
-                  * ((p.morse is Morse.MIN) - (p.morse is Morse.SADDLE)) for p in cs.points)
+                  * (1 - 2 * (p.morse is Morse.SADDLE)) for p in cs.points)
     if balance != -1:
         return CountViolation(
             f"#min - #saddle = {balance} among the {cs.total_count} critical points "
@@ -376,14 +367,11 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
 
     Each torus takes its own route (see the module docstring), and every
     pass serves all of them.  One half-period pass decides the routes and
-    gives the half period points of all of them.  Three _solve rounds
-    follow: the 55 fixed seeds of every seeds torus; the 24x24 grid of
-    every census torus and of every seeds torus whose seeds did not leave
-    exactly one extra orbit, where five points are forced; the 48x48
-    check grid of each torus of the second round with a failed seed,
-    which must find as many orbits.  Last, one residual pass checks
-    |grad G| <= tol at every point of the morse and seeds routes, next to
-    the Morse balance.  A torus gets the same result, to the bit, as alone.
+    gives the half period points of all of them.  Two _solve rounds
+    follow: the 55 fixed seeds of every seeds torus, then the 24x24 grid
+    of each one whose seeds did not leave exactly one extra orbit.  Last,
+    one residual pass checks |grad G| <= tol at every point, next to the
+    Morse balance.  A torus gets the same result, to the bit, as alone.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -393,46 +381,30 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     batch = green.gather(tori)
     hp = _half_period_rows(tori, batch)
     det = np.array([row[3] for row in hp]).reshape(-1, 3)
-    b2 = np.array([torus.b ** 2 for torus in tori])
-    census = np.abs(det).min(axis=1) * b2 < MORSE_MARGIN
-    morse = ~census & (det > 0.0).any(axis=1)
-    seeds = np.flatnonzero(~census & ~morse).tolist()
+    inside = np.abs(det) <= np.array([row[5] for row in hp]).reshape(-1, 3)
+    n_inside = inside.sum(axis=1)
+    morse = ((det > 0.0) & ~inside).any(axis=1) | (n_inside == 1)
     out: list = [None] * len(tori)
+    for k in np.flatnonzero(~morse & (n_inside > 1)).tolist():
+        out[k] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie within "
+                             f"their error bounds at tau = {tori[k].tau}; their signs "
+                             "cannot decide the count")
     empty = np.zeros(0)
     found = [(k, "morse", empty, empty, []) for k in np.flatnonzero(morse).tolist()]
-    forced = set()
-    first = _solve([tori[k] for k in seeds], _SEED_T, _SEED_S, tol)
-    for k, (ts, ss, rows, _) in zip(seeds, first):
-        if ts.size == 1:
-            found.append((k, "seeds", ts, ss, rows))
-        else:
-            forced.add(k)
-    grid = sorted(np.flatnonzero(census).tolist() + list(forced))
-    coarse = _solve([tori[k] for k in grid], *_CENSUS_SEEDS, tol)
-    failed = [k for k, (*_, failures) in zip(grid, coarse) if failures]
-    fine = dict(zip(failed, _solve([tori[k] for k in failed], *_CHECK_SEEDS, tol)))
-    counted = []
-    for k, (ts, ss, rows, failures) in zip(grid, coarse):
-        tau = tori[k].tau
-        if k in fine and fine[k][0].size != ts.size:
-            out[k] = NoConvergence(
-                f"{failures} seeds failed and the 24/48 sweeps disagree "
-                f"({ts.size} vs {fine[k][0].size} extra orbits) at tau = {tau}"
-            )
-        elif ts.size > 1:
-            out[k] = CountViolation(
-                f"{3 + 2 * ts.size} critical points survived dedup at tau = {tau}; "
-                "more than five is impossible and indicates an evaluation bug"
-            )
-        elif k in forced and ts.size != 1:
-            out[k] = CountViolation(
-                f"census found {3 + 2 * ts.size} critical points at tau = {tau}, but "
-                "all three half periods are saddles, which forces 5"
-            )
-        else:
-            counted.append((k, "census", ts, ss, rows))
-    for (k, *_), cs in zip(counted, _critical_sets(tori, hp, counted)):
-        out[k] = cs
+    todo = np.flatnonzero(~morse & (n_inside == 0)).tolist()
+    for seed_t, seed_s in ((_SEED_T, _SEED_S), _GRID_SEEDS):
+        missed = {}
+        for k, (ts, ss, rows, _) in zip(todo, _solve([tori[k] for k in todo], seed_t, seed_s, tol)):
+            if ts.size == 1:
+                found.append((k, "seeds", ts, ss, rows))
+            else:
+                missed[k] = ts.size
+        todo = list(missed)
+    for k, n in missed.items():
+        out[k] = CountViolation(
+            f"the seeds found {3 + 2 * n} critical points at tau = {tori[k].tau}, but "
+            "all three half periods are saddles, which forces 5"
+        )
     sets = _critical_sets(tori, hp, found)
     cell = np.repeat([k for k, *_ in found], [len(cs.points) for cs in sets])
     t = np.array([p.coords.t for cs in sets for p in cs.points])
@@ -450,10 +422,10 @@ def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     """All critical points: the three half periods plus any extra pair.
 
     find_critical_sets for one torus: the route (see the module
-    docstring) is recorded in the result; the morse and seeds routes
-    check |grad G| <= tol at every point and the Morse balance, and where
-    all three half periods are saddles, a count other than five raises
-    CountViolation.
+    docstring) is recorded in the result.  |grad G| <= tol at every point
+    and the Morse balance are checked; where all three half periods are
+    saddles, a count other than five raises CountViolation, and where the
+    determinant signs cannot decide, Unconverged.
     """
     cs, = find_critical_sets([torus], tol)
     if isinstance(cs, TorusGreenError):

@@ -21,7 +21,11 @@ derivatives of theta1 there and A1 = L1 + 2 pi i s',
     det = det_r / |lam|^4,   4 pi^2 det_r = 2 (pi/b_r) Re(-L2) - |L2|^2,
 
 the last form free of cancellation where L2 is small (half periods near
-the cusp).  By the Legendre relation the critical residual
+the cusp).  Where its two terms cancel instead (a degenerate critical
+point), det carries an absolute error of a few ulps of their sum;
+evaluate returns that bound, C_DET eps ((2 pi/b_r)|L2| + |L2|^2) /
+(4 pi^2 |lam|^4), next to det, so a caller trusts the sign of det only
+outside it.  By the Legendre relation the critical residual
 zeta(z) - t eta1 - s eta2 is A1 / lam, so the solver needs no quasi
 periods.  C(tau) is summed at tau_r and carried back by the weight 1/2
 law of eta, so everything holds on all of the upper half plane.
@@ -43,6 +47,20 @@ import numpy as np
 from . import theta
 from .errors import PoleAtLattice
 from .lattice import Torus, wrap_unit
+
+# The error of det Hess G in units of eps ((2 pi/b_r)|L2| + |L2|^2) /
+# (4 pi^2 |lam|^4), the rounding scale of its two terms.  Measured against
+# mpmath (test_determinant_error_stays_within_its_bound, the same errors at
+# 120 and 200 digits) over Re tau = 0 and 1/2 at b in [0.02, 0.1] and
+# [2.5, 6], the Farey moduli 1/3+0.003i, 1/4+0.004i and 2/5+0.002i, and
+# the cells next to the flip edges of the 40x40 criterion 7 scan: the
+# worst ratio is 5858, at 2/5+0.002i, where lam = 5 tau - 2 is small;
+# 1/3+0.003i reads 1587.  At 0.5+0.02i the tau/2 determinant reads
+# -2.6e-25 against -4.7e-27, an error of 336 units with the sign right
+# only by luck, and its 342 units of |det| must fall inside the bound.
+# C_DET = 2^13 covers the sweep.
+C_DET = 8192.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,6 +85,7 @@ class GreenEval:
     value_rel: float
     grad: tuple[float, float]
     hessian: Hessian2
+    det_bound: float       # |hessian.det - det Hess G| stays below this
 
 
 class Frame(NamedTuple):
@@ -146,8 +165,8 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
     the same bits alone as inside a batch.  The gradient and Hessian are
     those of log|theta1| (L1 / lam, L2 / lam^2) plus those of
     y_r^2 / (2 b_r), y_r = Im(z / lam), so where lam = 1 they are the
-    identity frame formulas bit for bit.  Raises PoleAtLattice at lattice
-    points.
+    identity frame formulas bit for bit.  det_bound is the error bound
+    of the determinant (C_DET).  Raises PoleAtLattice at lattice points.
     """
     fr = _as_frame(torus)
     z = np.asarray(z, dtype=complex)
@@ -161,6 +180,8 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
     # y_r^2 / (2 b_r) has gradient s' grad y_r, grad y_r = (Im k1, Re k1),
     # and Hessian grad y_r grad y_r^T / b_r
     det_r = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
+    abs_l2 = np.abs(L2)
+    det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_l2 + abs_l2 ** 2)
 
     def out(x):
         return theta._scalarize(x.reshape(z.shape))
@@ -175,6 +196,7 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
             yy=out(fr.q_yy + rot.real / (2.0 * np.pi)),
             det=out(det_r / fr.det_scale),
         ),
+        det_bound=out(det_err / fr.det_scale),
     )
 
 

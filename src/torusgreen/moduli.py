@@ -46,7 +46,7 @@ class ScanCell:
     tau: complex
     count: int
     extra_point: LatticeCoords | None
-    route: str | None              # CriticalSet.route: "morse", "seeds" or "census"
+    route: str | None              # CriticalSet.route: "morse" or "seeds"
     error: str | None = None
 
 

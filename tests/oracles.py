@@ -17,7 +17,8 @@ the plain recursive serializer that the package's single-join one
 replaced.  Three routes left the package for the tests that compare with
 them: the developing map f and f' of the 8 pi construction from sigma
 and wp, the census of one torus, built from the package's own Newton
-rounds, against which the morse and seeds routes are checked, and the
+rounds, the count's second route against which the sign rule is
+checked, and the
 mean field check one grid row at a time, which the package's walk in
 blocks of rows must equal field for field.
 """
@@ -460,11 +461,11 @@ def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05):
 
 def census(torus, tol: float = 1e-12):
     """The critical set of torus from a 24x24 seed grid, and a 48x48 check
-    grid where a seed failed: the census route of
-    critical.find_critical_sets, run for one torus with a half-period pass
-    of its own, to compare the morse and seeds routes with.  Grids that
-    disagree raise NoConvergence, more than one extra orbit
-    CountViolation."""
+    grid where a seed failed: the count's second route, which counts the
+    extra orbits Newton finds instead of reading the half-period signs,
+    run with the package's Newton rounds and a half-period pass of its
+    own.  Grids that disagree raise NoConvergence, more than one extra
+    orbit CountViolation."""
     from torusgreen import critical
     from torusgreen.errors import CountViolation, NoConvergence
 

@@ -207,7 +207,7 @@ def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypa
     assert diag["error_cells_by_type"] == {"Unconverged": [0]}
     # The errored cell has no route; (0.525, 0.65) is a 3-cell and the two
     # cells of the upper row are 5-cells whose z0 the seeds locate.
-    assert diag["routes"] == {"census": 0, "morse": 1, "seeds": 2}
+    assert diag["routes"] == {"morse": 1, "seeds": 2}
     assert sum(diag["routes"].values()) + diag["error_cells"] == 4
 
 

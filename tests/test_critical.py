@@ -120,7 +120,9 @@ def test_count_is_invariant_under_sl2z():
             gammas.append(((a, b), (c, d)))
     dual = ((1, -1), (2, -1))
     pairs = [(T, gammas[k % 12]) for k, T in enumerate(lattice.random_tori(24, seed=17))]
-    pairs += [(lattice.make_torus(complex(0.5, b)), dual) for b in (0.3, 0.4, 0.8)]
+    # on Re tau = 1/2 from b = 0.36 to 2.8, clear of b0 and b1 on both sides
+    pairs += [(lattice.make_torus(complex(0.5, b)), dual)
+              for b in (0.3, 0.4, 0.8, *np.geomspace(0.36, 2.8, 12))]
     for T, gamma in pairs:
         image = lattice.make_torus(_moebius(T.tau, gamma))
         assert (critical.find_critical_points(image).total_count
@@ -141,14 +143,69 @@ def test_small_imag_sample_counts_at_the_reduced_modulus():
             lattice.make_torus(T.tau_r)).total_count, T.tau
 
 
-def test_classify_matches_stored_class():
+def test_classify_matches_stored_class(monkeypatch):
+    # a point's Morse label is the sign of its determinant outside the
+    # determinant's error bound, and Degenerate inside it
     for T in RANDOM_TORI[:8]:
-        cs = critical.find_critical_points(T)
-        for p in cs.points:
-            assert critical.classify(p) is p.morse
-    # widening the degeneracy band turns everything degenerate
-    p = critical.find_critical_points(lattice.make_torus(1j)).points[0]
-    assert critical.classify(p, degeneracy_eps=1e6) is Morse.DEGENERATE
+        for p in critical.find_critical_points(T).points:
+            ev = green.evaluate(p.z, T)
+            det = ev.hessian.det
+            sign = Morse.MIN if det > 0.0 else Morse.SADDLE
+            assert p.morse is (Morse.DEGENERATE if abs(det) <= ev.det_bound else sign)
+    # a bound that swallows every determinant leaves no sign to count by
+    monkeypatch.setattr(green, "C_DET", 1e30)
+    with pytest.raises(Unconverged, match="error bounds"):
+        critical.find_critical_points(lattice.make_torus(1j))
+
+
+def _calibration_tori():
+    # both cusp lines, the Farey moduli, and the cells of criterion 7's
+    # 40x40 scan next to its flip edges (the near-degenerate ones)
+    cusp = [complex(re, b) for re in (0.0, 0.5)
+            for b in (*np.linspace(0.02, 0.1, 5), *np.linspace(2.5, 6.0, 5))]
+    farey = [1 / 3 + 0.003j, 0.25 + 0.004j, 0.4 + 0.002j]
+    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
+    edges = {tau for e in moduli.flip_edges(cells, 40, 40) for tau in (e.tau_low, e.tau_high)}
+    # 120 digits absorb the cancellation of mp_hessian_det down to b = 0.002;
+    # 200 give the same errors
+    return [(tau, 120) for tau in cusp + farey] + [(tau, 40) for tau in sorted(
+        edges, key=lambda tau: (tau.imag, tau.real))]
+
+
+def test_determinant_error_stays_within_its_bound():
+    # the bound of green.evaluate against mpmath at every half period; a
+    # determinant outside its bound has mpmath's sign.  The worst error,
+    # 5858 eps units at 2/5+0.002i, sets green.C_DET; at 0.5+0.02i the
+    # tau/2 determinant is noise (-2.6e-25 against -4.7e-27) and inside
+    for tau, dps in _calibration_tori():
+        torus = lattice.make_torus(tau)
+        ev = green.evaluate(np.array(torus.half_periods), torus)
+        for h, det, bound in zip(torus.half_periods, ev.hessian.det, ev.det_bound):
+            ref = oracles.mp_hessian_det(h, tau, dps=dps)
+            assert abs(det - ref) <= bound, (tau, h, det, ref, bound)
+            assert abs(det) <= bound or (det > 0) == (ref > 0), (tau, h)
+    torus = lattice.make_torus(0.5 + 0.02j)
+    ev = green.evaluate(torus.half_periods[1], torus)
+    assert abs(ev.hessian.det) <= ev.det_bound
+
+
+def test_the_rhombic_threshold_b1_is_one_degenerate_half_period(monkeypatch):
+    # at b1 the extra pair has merged into 1/2: three points, found by the
+    # signs alone, and the balance counts the Degenerate point as +1
+    def no_newton(*args):
+        raise AssertionError("Newton ran on a degenerate torus")
+
+    monkeypatch.setattr(critical, "damped_newton", no_newton)
+    cs = critical.find_critical_points(lattice.make_torus(complex(0.5, moduli.thresholds().b1)))
+    assert (cs.total_count, cs.route) == (3, "morse")
+    assert [p.morse for p in cs.points] == [Morse.DEGENERATE, Morse.SADDLE, Morse.SADDLE]
+
+
+def test_two_determinants_inside_their_bounds_are_unconverged():
+    # 0.5+0.02i: below b0 all three half periods are saddles, but float64
+    # resolves neither tau/2 nor (1+tau)/2, so no count is given
+    with pytest.raises(Unconverged, match="2 half-period Hessian determinants"):
+        critical.find_critical_points(lattice.make_torus(0.5 + 0.02j))
 
 
 def test_tol_validation():
@@ -202,6 +259,12 @@ def test_find_critical_points_routes_on_the_square_and_hex_tori(hex_torus, squar
 
 
 def test_find_critical_points_matches_the_census_on_random_tori():
+    # the census is the count's second route; on the two cusp lines it is
+    # trusted for b in [0.1, 4], where z0 on Re tau = 1/2 sits in a valley
+    # too flat for the two routes to agree on its position to 1e-12
+    for T in (lattice.make_torus(complex(re, b)) for re in (0.0, 0.5)
+              for b in np.geomspace(0.1, 4.0, 16)):
+        assert critical.find_critical_points(T).total_count == oracles.census(T).total_count, T.tau
     routes = set()
     for T in lattice.random_tori(60, seed=11):
         cs = critical.find_critical_points(T)
@@ -216,11 +279,15 @@ def test_find_critical_points_matches_the_census_on_random_tori():
     assert {"morse", "seeds"} <= routes
 
 
-def test_the_census_route_evaluates_the_half_periods_once(monkeypatch):
-    # the census takes its half period points from the pass that decided
-    # the route, as the morse and seeds routes do
-    torus = lattice.make_torus(0.0608j)
-    half_periods = set(torus.half_periods)
+def test_the_census_route_evaluates_the_half_periods_once(hex_torus, monkeypatch):
+    # where the fixed seeds miss, the seeds route falls back on the census
+    # grid, and takes its half period points from the pass that decided
+    # the route; a single seed inside the exclusion disk leaves the
+    # hexagonal torus no fixed seed
+    z0 = oracles.census(hex_torus).extra.coords
+    monkeypatch.setattr(critical, "_SEED_T", np.zeros(1))
+    monkeypatch.setattr(critical, "_SEED_S", np.zeros(1))
+    half_periods = set(hex_torus.half_periods)
     at_half_periods = []
     real = green.evaluate
 
@@ -229,28 +296,45 @@ def test_the_census_route_evaluates_the_half_periods_once(monkeypatch):
         return real(z, on)
 
     monkeypatch.setattr(green, "evaluate", spy)
-    assert critical.find_critical_points(torus).route == "census"
+    cs = critical.find_critical_points(hex_torus)
+    assert (cs.total_count, cs.route) == (5, "seeds")
+    assert (cs.extra.coords.t, cs.extra.coords.s) == (z0.t, z0.s)
     assert sum(at_half_periods) == 1
 
 
 @pytest.fixture(scope="module")
 def criterion_7_census_tori():
-    # the cells of criterion 7's 40x40 scan that take the census route
-    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
-    return [lattice.make_torus(c.tau) for c in cells if c.route == "census"]
+    # the cells of criterion 7's 40x40 scan whose smallest half-period
+    # |det| * b^2 is under 1e-6, the absolute margin that once sent them
+    # to the census
+    tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)]
+    det = np.array([row[3] for row in critical._half_period_rows(tori, green.gather(tori))])
+    near = np.abs(det).reshape(-1, 3).min(axis=1) * np.array([T.b ** 2 for T in tori]) < 1e-6
+    return [T for T, n in zip(tori, near) if n]
+
+
+def _same_solve(a, b):
+    (ta, sa, rows_a, fa), (tb, sb, rows_b, fb) = a, b
+    return np.array_equal(ta, tb) and np.array_equal(sa, sb) and rows_a == rows_b and fa == fb
 
 
 @pytest.mark.parametrize("newton_seeds", [critical.NEWTON_SEEDS, 1000])
 def test_a_batch_of_census_tori_equals_each_torus_alone(newton_seeds, monkeypatch,
                                                        criterion_7_census_tori):
-    # the census grids of all ten tori share each Newton run and plateau
-    # pass, split or not into runs of NEWTON_SEEDS seeds
+    # the signs decide all ten tori, with the census's counts; their census
+    # grids share each Newton run and plateau pass, split or not into runs
+    # of NEWTON_SEEDS seeds
     tori = criterion_7_census_tori
     assert len(tori) == 10
     alone = [critical.find_critical_points(torus) for torus in tori]
-    assert {cs.route for cs in alone} == {"census"}
+    assert {cs.route for cs in alone} == {"morse"}
+    assert [cs.total_count for cs in alone] == [oracles.census(T).total_count for T in tori]
+    grid = critical._GRID_SEEDS
+    solo = [critical._solve([T], *grid, critical.DEFAULT_TOL)[0] for T in tori]
     monkeypatch.setattr(critical, "NEWTON_SEEDS", newton_seeds)
     assert critical.find_critical_sets(tori) == alone
+    batch = critical._solve(tori, *grid, critical.DEFAULT_TOL)
+    assert all(_same_solve(a, b) for a, b in zip(batch, solo))
 
 
 @pytest.mark.parametrize("tau, at_half_periods",

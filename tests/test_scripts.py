@@ -27,13 +27,14 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 7
+    assert len(rows) == 8
     # the square torus takes the morse route: half periods, residual check, invariants
     assert rows[0] == "| `critical --tau=i` | 0 | 3 | 9 |"
-    # the census route: half periods, its 24x24 grid's Newton run (5 passes)
-    # and plateau pass, invariants; the half periods once (9 passes before)
-    assert rows[3] == "| `critical --tau=0.0608i` | 0 | 8 | 1650 |"
+    # near the cusp and at the degenerate torus of b1 the signs decide as
+    # well (0.0608i made 8 passes with the census's 24x24 grid)
+    assert rows[3] == "| `critical --tau=0.0608i` | 0 | 3 | 9 |"
+    assert rows[4] == "| `critical --tau=0.5+0.7047615813326655i` | 0 | 3 | 9 |"
     # the 4 pi construction (6 passes) and verify_solution's 32 rows in 8
     # blocks of one u call and one green_rel call each (70 passes by rows)
-    assert rows[5] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 22 | 19587 |"
+    assert rows[6] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 22 | 19587 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)
