@@ -56,6 +56,8 @@ CALLS = (
     ("mfe", "--rho=8pi", "--tau=0.5+0.3i", "--grid=37x37"),
     ("thresholds",),
     ("inequalities", "--b=0.7"),
+    # small b, where the closed form reads the reduced frame's half periods
+    ("inequalities", "--b=0.01"),
     ("selftest", "--samples=40"),
 )
 

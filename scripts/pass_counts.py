@@ -32,6 +32,8 @@ CALLS = (
     ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=8x8"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
     ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32"),
+    ("thresholds",),                                  # Newton from b = 1/2, both roots
+    ("inequalities", "--b=0.7"),
 )
 
 

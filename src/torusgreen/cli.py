@@ -25,18 +25,15 @@ import sys
 
 from . import critical, green, mfe, moduli, selftest
 from .errors import (
-    BracketFailure,
     ConstructionInconsistent,
     CountViolation,
     HalfPeriodBranch,
     HalfPeriodInput,
     InconsistentComparison,
     InvalidInput,
-    NoConvergence,
     NoExtraCriticalPoint,
     NonPositiveImaginaryPart,
     NotACriticalPoint,
-    NotInExtraRegime,
     PoleAtLattice,
     Unconverged,
 )
@@ -56,15 +53,12 @@ _DOMAIN_ERRORS = (
     NotACriticalPoint,
     HalfPeriodBranch,
     NoExtraCriticalPoint,
-    NotInExtraRegime,
     InvalidInput,
 )
 _CONSISTENCY_ERRORS = (
     CountViolation,
     InconsistentComparison,
-    NoConvergence,
     ConstructionInconsistent,
-    BracketFailure,
     Unconverged,
 )
 
@@ -316,7 +310,7 @@ def _cmd_thresholds(args) -> tuple[dict, dict]:
         "residual_b1": rep.residual_b1,
         "tolerance": args.tol,
     }
-    diagnostics = {"bracket_width": rep.bracket_width}
+    diagnostics = {"last_step": rep.last_step, "newton_steps": list(rep.newton_steps)}
     return results, diagnostics
 
 
@@ -331,9 +325,8 @@ def _cmd_inequalities(args) -> tuple[dict, dict]:
     results = {
         "n_points": len(rep.rows),
         "violations": list(rep.violations),
+        "undecided": list(rep.undecided),
         "ok": rep.ok,
-        "max_bridge_gap_slope": max(r.bridge_gap_slope for r in rep.rows),
-        "max_bridge_gap_theta3": max(r.bridge_gap_theta3 for r in rep.rows),
     }
     diagnostics = {
         "b_first": grid[0],

@@ -25,24 +25,12 @@ class HalfPeriodInput(TorusGreenError):
     """The duplication identity degenerates where p'(z) vanishes."""
 
 
-class BracketFailure(TorusGreenError):
-    """A root bracket did not enclose a sign change."""
-
-
 class CountViolation(TorusGreenError):
     """More critical points were found than the theory allows."""
 
 
-class NoConvergence(TorusGreenError):
-    """Newton sweeps at two resolutions disagree about the critical set."""
-
-
 class InconsistentComparison(TorusGreenError):
     """Independent orderings of the half period values disagree."""
-
-
-class NotInExtraRegime(TorusGreenError):
-    """The rhombic torus has only the three half period critical points."""
 
 
 class NotACriticalPoint(TorusGreenError):

@@ -1,12 +1,17 @@
 """Moduli space analysis along and around the rhombic line.
 
-Thresholds b0 and b1 are the roots of e1 + eta1 and e1 + eta1 - 2 pi / b
-on tau = 1/2 + i b; between them the half period 1/2 is a local minimum
-of the Green function and no extra pair exists.  The scan classifies a
-rectangle of moduli into three point and five point tori, with one
-critical.find_critical_sets call per chunk of SCAN_CHUNK cells, so each
-theta series pass serves a whole chunk, and reports the empirical
-boundary as the set of grid edges where the count flips.
+On tau = 1/2 + i b every quantity the paper's inequalities need is a
+function of A_k = e_k + eta1 at the half periods, and one half-period
+pass (weier.invariants) gives them in closed form: A_1 and A_3 are
+-4 pi i d/dtau of log theta2(0) and log theta3(0) (the heat equation),
+and their own tau derivatives follow from e_k and eta1 (_rhombic).
+Thresholds b0 and b1 are the roots of A_1 and A_1 - 2 pi / b, found by
+Newton from b = 1/2; between them the half period 1/2 is a local
+minimum of the Green function and no extra pair exists.  The scan
+classifies a rectangle of moduli into three point and five point tori,
+with one critical.find_critical_sets call per chunk of SCAN_CHUNK cells,
+so each theta series pass serves a whole chunk, and reports the
+empirical boundary as the set of grid edges where the count flips.
 """
 
 from __future__ import annotations
@@ -17,13 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical, green, theta, weier
-from .errors import BracketFailure, InvalidInput, TorusGreenError
+from .errors import InvalidInput, TorusGreenError, Unconverged
 from .lattice import LatticeCoords, make_torus
 
-BRACKET_LO = 0.05
-BRACKET_HI = 2.0
 SCAN_CHUNK = 1024      # cells per critical.find_critical_sets call of a scan
+# ulps of m (|x| + |y|) that bound a product x y of differences of e_k and
+# eta1, m the largest of |e_k|, |eta1| (_rhombic).  Calibrated against
+# mpmath on 2500 moduli b in [0.002, 20]: the worst error is 5.0 units,
+# of (log|theta3(0)|)_b at b = 0.30.
+C_RHOMBIC = 16.0
+NEWTON_CAP = 16        # Newton steps per threshold before Unconverged
+_EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
+_FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,8 @@ class ThresholdReport:
     b1: float
     residual_b0: float
     residual_b1: float
-    bracket_width: float
+    last_step: float                   # the larger of the two final Newton steps
+    newton_steps: tuple[int, int]      # Newton steps to b0 and to b1
 
 
 @dataclass(frozen=True)
@@ -66,160 +78,147 @@ class FlipEdge:
 @dataclass(frozen=True)
 class InequalityRow:
     b: float
-    curvature_theta2: float        # -4 pi (log|theta2(0)|)_bb
-    slope_fd: float                # finite difference d(e1 + eta1)/db
-    theta3_b: float
-    theta3_bb: float
-    half_e1_minus_eta1: float
-    bridge_gap_slope: float        # |curvature_theta2 - slope_fd|
-    bridge_gap_theta3: float       # |4 pi theta3_b - (e1/2 - eta1)|
+    curvature_theta2: float        # -4 pi (log|theta2(0)|)_bb, positive
+    theta3_b: float                # (log|theta3(0)|)_b, negative
+    theta3_bb: float               # (log|theta3(0)|)_bb, positive
+    bounds: tuple[float, float, float]     # error bounds of the three (_rhombic)
 
 
 @dataclass(frozen=True)
 class InequalityReport:
     rows: tuple[InequalityRow, ...]
     violations: tuple[str, ...]
+    undecided: tuple[str, ...]     # values inside their error bounds
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not (self.violations or self.undecided)
 
 
-def _q_lower(b: float) -> float:
+def _rhombic(b: float) -> tuple[float, float, float, float, tuple[float, float, float]]:
+    """A_1 and the inequality quantities at tau = 1/2 + i b, closed form.
+
+    With A_k = e_k + eta1 = -4 pi i d/dtau log theta_j(0) (theta2 for
+    k = 1, theta3 for k = 3), the heat equation gives
+
+        dA_k/dtau = (i / 4 pi) (2 A_k^2 - wp''(w_k)),
+        wp''(w_k) = 2 (e_k - e_i)(e_k - e_j),
+
+    and on this line d/db = i d/dtau.  So (log|theta2(0)|)_b =
+    -Re A_1 / 4 pi, -4 pi (log|theta2(0)|)_bb = Re dA_1/db,
+    (log|theta3(0)|)_b = -Re A_3 / 4 pi and (log|theta3(0)|)_bb =
+    -Re dA_3/db / 4 pi, all from one weier.invariants pass.  Returns
+    (A_1, dA_1/db, (log|theta3(0)|)_b, (log|theta3(0)|)_bb, bounds); A_1
+    is real on this line.  Each e_k and eta1 is good to a few ulps of m,
+    the largest of their sizes, so a product x y of two of their
+    differences is good to C_RHOMBIC eps m (|x| + |y|): the bounds of the
+    three signed quantities.  Past b = 6 or so they are e^(-2 pi b) and
+    fall inside them.  InvalidInput past theta.MAX_IM_TAU, inf included.
+    """
+    theta._check_im(b)
     inv = weier.invariants(make_torus(complex(0.5, b)))
-    return (inv.e1 + inv.eta1).real
+    e1, e2, e3, eta1 = inv.e1, inv.e2, inv.e3, inv.eta1
+    a1, a3 = e1 + eta1, e3 + eta1
+    da1 = (2.0 * (e1 - e2) * (e1 - e3) - 2.0 * a1 * a1).real / _FOUR_PI
+    da3 = (2.0 * (e3 - e1) * (e3 - e2) - 2.0 * a3 * a3).real / _FOUR_PI
+    ulps = (C_RHOMBIC * _EPS) * max(abs(e1), abs(e2), abs(e3), abs(eta1))
+    bounds = (ulps * 2.0 * (abs(e1 - e2) + abs(e1 - e3) + 2.0 * abs(a1)) / _FOUR_PI,
+              ulps / _FOUR_PI,
+              ulps * 2.0 * (abs(e3 - e1) + abs(e3 - e2) + 2.0 * abs(a3)) / _FOUR_PI ** 2)
+    return a1.real, da1, -a3.real / _FOUR_PI, -da3 / _FOUR_PI, bounds
 
 
-def _q_upper(b: float) -> float:
-    return _q_lower(b) - _TWO_PI / b
+def _upper(b: float) -> tuple[float, float]:
+    """A_1 - 2 pi / b and its b derivative: the root is b1."""
+    a1, da1, *_ = _rhombic(b)
+    return a1 - _TWO_PI / b, da1 + _TWO_PI / (b * b)
 
 
-def _bisect(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    flo = fun(lo)
-    fhi = fun(hi)
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketFailure(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid, hi - lo
-        if (fm > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), hi - lo
-
-
-def _bracket(fun, n: int = 100) -> tuple[float, float]:
-    """First sign change of fun on a uniform n point sample of the search
-    interval; BracketFailure when the sample never changes sign."""
-    step = (BRACKET_HI - BRACKET_LO) / (n - 1)
-    prev_b = BRACKET_LO
-    prev_f = fun(prev_b)
-    for k in range(1, n):
-        b = BRACKET_LO + k * step
-        f = fun(b)
-        if prev_f == 0.0 or (prev_f > 0.0) != (f > 0.0):
-            return prev_b, b
-        prev_b, prev_f = b, f
-    raise BracketFailure(
-        f"no sign change found in [{BRACKET_LO}, {BRACKET_HI}] over {n} samples"
-    )
+def _newton(fun, tol: float) -> tuple[float, float, int]:
+    """Root of fun(b) -> (value, derivative) by Newton from b = 1/2:
+    (root, last step, steps), stopping at the first step of at most tol."""
+    b = 0.5
+    for n in range(1, NEWTON_CAP + 1):
+        value, slope = fun(b)
+        step = value / slope
+        b -= step
+        if abs(step) <= tol:
+            return b, abs(step), n
+    raise Unconverged(f"Newton on the rhombic line took more than {NEWTON_CAP} steps")
 
 
 def thresholds(tol: float = 1e-12) -> ThresholdReport:
-    """Degeneracy thresholds on the rhombic line, by bracketed bisection.
+    """Degeneracy thresholds on the rhombic line, by Newton.
 
-    b0 is the root of b -> e1 + eta1 and b1 the root of the same quantity
-    minus 2 pi / b; both functions are monotone through their roots, so
-    bisection from a coarse sample bracket cannot miss.
+    b0 is the root of b -> A_1 = e1 + eta1 and b1 the root of A_1 -
+    2 pi / b; both run Newton from the self dual point b = 1/2 with the
+    closed-form derivative of _rhombic, one theta pass a step.  The
+    frame maps b to 1/(4b), so b0 b1 = 1/4: a second route, checked here
+    to tol (Unconverged otherwise).
     """
     if not 1e-12 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-12, 1e-6]")
-    width = 0.0
-    roots = []
-    for fun in (_q_lower, _q_upper):
-        lo, hi = _bracket(fun)
-        root, w = _bisect(fun, lo, hi, tol)
-        roots.append(root)
-        width = max(width, w)
-    b0, b1 = roots
+    b0, step0, n0 = _newton(lambda b: _rhombic(b)[:2], tol)
+    b1, step1, n1 = _newton(_upper, tol)
+    if not abs(b0 * b1 - 0.25) <= tol:
+        raise Unconverged(f"thresholds b0 = {b0!r} and b1 = {b1!r} miss b0 b1 = 1/4 by "
+                          f"{b0 * b1 - 0.25:.3e}")
     return ThresholdReport(
         b0=b0,
         b1=b1,
-        residual_b0=abs(_q_lower(b0)),
-        residual_b1=abs(_q_upper(b1)),
-        bracket_width=width,
+        residual_b0=abs(_rhombic(b0)[0]),
+        residual_b1=abs(_upper(b1)[0]),
+        last_step=max(step0, step1),
+        newton_steps=(n0, n1),
     )
 
 
 def verify_fundamental_inequalities(b_grid) -> InequalityReport:
     """Check the monotonicity and convexity package on the rhombic line.
 
-    Per grid point: -4 pi (log|theta2(0)|)_bb must be positive and match a
-    finite difference of d(e1 + eta1)/db to 1e-6; (log|theta3(0)|)_b must
-    be negative with positive second derivative, and 4 pi (log|theta3(0)|)_b
-    must equal e1/2 - eta1 to 1e-9.  Violations are collected, not raised.
+    Per grid point, from one theta pass (_rhombic): -4 pi
+    (log|theta2(0)|)_bb must be positive, (log|theta3(0)|)_b negative and
+    (log|theta3(0)|)_bb positive.  A value of the wrong sign beyond its
+    error bound is a violation; a value inside its bound has no decided
+    sign and is reported as undecided.  Neither is raised.
     """
     rows = []
     violations = []
+    undecided = []
     for b in b_grid:
         if not b > 0.0:
             violations.append(f"b = {b}: not positive, skipped")
             continue
-        _, t2_bb = theta.log_theta1_b_derivs(0.5, b)
-        curvature = -4.0 * math.pi * t2_bb
-        # five point stencil with a scale relative step: near b = 0.1 the
-        # third derivative of e1 + eta1 is ~1e7 and a plain central
-        # difference at fixed h cannot reach the 1e-6 bridge tolerance
-        h = 1e-4 * b
-        slope_fd = (-_q_lower(b + 2 * h) + 8.0 * _q_lower(b + h)
-                    - 8.0 * _q_lower(b - h) + _q_lower(b - 2 * h)) / (12.0 * h)
-        t3_b, t3_bb = theta.log_theta3_b_derivs(b)
-        inv = weier.invariants(make_torus(complex(0.5, b)))
-        half_gap = (0.5 * inv.e1 - inv.eta1).real
-        gap_slope = abs(curvature - slope_fd)
-        gap_theta3 = abs(4.0 * math.pi * t3_b - half_gap)
-        rows.append(InequalityRow(
-            b=float(b),
-            curvature_theta2=curvature,
-            slope_fd=slope_fd,
-            theta3_b=t3_b,
-            theta3_bb=t3_bb,
-            half_e1_minus_eta1=half_gap,
-            bridge_gap_slope=gap_slope,
-            bridge_gap_theta3=gap_theta3,
-        ))
-        if not curvature > 0.0:
-            violations.append(f"b = {b}: -4pi (log|theta2|)_bb = {curvature} not positive")
-        if gap_slope > 1e-6:
-            violations.append(f"b = {b}: slope bridge off by {gap_slope:.3e}")
-        if not t3_b < 0.0:
-            violations.append(f"b = {b}: (log|theta3|)_b = {t3_b} not negative")
-        if not t3_bb > 0.0:
-            violations.append(f"b = {b}: (log|theta3|)_bb = {t3_bb} not positive")
-        if gap_theta3 > 1e-9:
-            violations.append(f"b = {b}: theta3 bridge off by {gap_theta3:.3e}")
-    return InequalityReport(rows=tuple(rows), violations=tuple(violations))
+        _, curvature, t3_b, t3_bb, bounds = _rhombic(b)
+        rows.append(InequalityRow(b=float(b), curvature_theta2=curvature, theta3_b=t3_b,
+                                  theta3_bb=t3_bb, bounds=bounds))
+        for name, value, sign, bound in (("-4pi (log|theta2|)_bb", curvature, 1.0, bounds[0]),
+                                         ("(log|theta3|)_b", t3_b, -1.0, bounds[1]),
+                                         ("(log|theta3|)_bb", t3_bb, 1.0, bounds[2])):
+            if abs(value) <= bound:
+                undecided.append(f"b = {b}: {name} = {value} inside its error bound "
+                                 f"{bound:.1e}, sign not decided")
+            elif not sign * value > 0.0:
+                violations.append(f"b = {b}: {name} = {value} not "
+                                  f"{'positive' if sign > 0.0 else 'negative'}")
+    return InequalityReport(rows=tuple(rows), violations=tuple(violations),
+                            undecided=tuple(undecided))
 
 
 def functional_equation_residual(b: float) -> float:
-    """|f(1/4b) + 2b + 4 b^2 f(b)| for f(b) = (log|theta1|)_b at z = 1/2.
+    """|f(1/4b) + 2b + 4 b^2 f(b)| for f(b) = (log|theta2(0)|)_b = -A_1 / 4 pi.
 
     The identity lives on the rhombic line Re tau = 1/2 and couples each
-    b with 1/(4b) across the self dual point b = 1/2.  Both sides come
-    from the one real series of theta.log_theta1_b_derivs, which has no
-    branch, so it checks that series at two moduli, not two routes.
+    b with 1/(4b) across the self dual point b = 1/2.  The two moduli
+    are one lattice, tau -> (tau - 1)/(2 tau - 1), so they reduce to one
+    tau_r up to rounding (or to its translate on the edge Re tau_r =
+    -1/2): the residual checks the frame law that carries e1 and eta1
+    from there to each b.  Its real series form is a test oracle.
     """
     if not b > 0.0:
         raise InvalidInput(f"b = {b} must be positive")
-    f_b, _ = theta.log_theta1_b_derivs(0.5, b)
-    f_dual, _ = theta.log_theta1_b_derivs(0.5, 1.0 / (4.0 * b))
+    f_b = -_rhombic(b)[0] / _FOUR_PI
+    f_dual = -_rhombic(1.0 / (4.0 * b))[0] / _FOUR_PI
     return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
 
 

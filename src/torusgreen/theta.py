@@ -23,10 +23,9 @@ Im tau, where L2 is O(e^(-pi Im tau))).
 
 The series is summed only for 1/2 <= Im tau <= MAX_IM_TAU (at most 8
 terms a side); below that _eval raises UnreducedModulus, above it
-InvalidInput, as do the rhombic line series.  The Green function and the
-Weierstrass layer run every pass in the reduced frame of lattice.Torus,
-at Im tau_r >= sqrt(3)/2 (6 or 7 terms), and carry the results back by
-exact laws.  theta1 is not a function of the lattice alone, so
+InvalidInput.  The Green function and the Weierstrass layer run every
+pass in the reduced frame of lattice.Torus, at Im tau_r >= sqrt(3)/2 (6
+or 7 terms), and carry the results back by exact laws.  theta1 is not a function of the lattice alone, so
 theta1(z, torus) sums at the torus's own tau.
 
 One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
@@ -44,10 +43,6 @@ sums at its tau_r.  There is no
 separate series for the theta nulls: theta2, theta3 and theta4 at 0 are
 theta1 at the half periods up to exact factors, and the Weierstrass
 layer reads them, theta1'(0) and eta1 from one _eval pass there.
-
-The two real series on the rhombic line Re tau = 1/2
-(log_theta1_b_derivs, log_theta3_b_derivs) give b derivatives for the
-threshold and inequality checks of the moduli layer.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NonPositiveImaginaryPart, UnreducedModulus, Unconverged
+from .errors import InvalidInput, UnreducedModulus
 from .lattice import Torus, split_coords
 
 # past this Im tau the first term e^(i pi (z0 + tau/4)) of a real z0, of
@@ -80,12 +75,6 @@ def _check_im(b: float) -> None:
 def _term_count_z(b: float) -> int:
     """Terms needed by the z series at the worst reduced argument |Im z| = b/2."""
     n = math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5
-    return max(6, math.ceil(n) + 2)
-
-
-def _term_count_null(b: float) -> int:
-    """Terms needed by the q-only series at z = 0."""
-    n = math.sqrt(43.8 / (math.pi * b))
     return max(6, math.ceil(n) + 2)
 
 
@@ -271,65 +260,3 @@ def theta1(z, torus: Torus) -> LogComplex:
     exact zeros become the -inf sentinel."""
     lm, ar, *_ = _eval(z, torus.tau)
     return LogComplex(_scalarize(lm), _scalarize(np.where(np.isneginf(lm), 0.0, ar)))
-
-
-def log_theta1_b_derivs(z: float, b: float) -> tuple[float, float]:
-    """d/db and d^2/db^2 of log |theta1(z; 1/2 + i b)| for real z.
-
-    On the rhombic line Re tau = 1/2 the function e^(-i pi/8) theta1(z) is
-    real for real z, with the fast real series
-
-        T(z, b) = 2 sum_n (-1)^(n + n(n+1)/2) e^(-pi b (n+1/2)^2) sin((2n+1) pi z),
-
-    so both b derivatives are termwise.  Raises Unconverged when the
-    alternating sum cancels too catastrophically, which happens only for
-    b far below anything the moduli scans touch.
-    """
-    if not b > 0.0:
-        raise NonPositiveImaginaryPart(f"b = {b} must be positive")
-    _check_im(b)
-    z = float(z)
-    nt = _term_count_z(b) + 4
-    n = np.arange(nt)
-    tri = (n * (n + 1)) // 2
-    sgn = np.where((n + tri) & 1, -1.0, 1.0)
-    lam = np.pi * (n + 0.5) ** 2
-    p = np.exp(-b * lam)
-    sin = np.sin((2 * n + 1) * np.pi * z)
-    terms = 2.0 * sgn * p * sin
-    total = terms.sum()
-    gross = np.abs(terms).sum()
-    if total == 0.0 or gross > 1e12 * abs(total):
-        raise Unconverged(f"cancellation too severe at z = {z}, b = {b}")
-    d1 = (-lam * terms).sum() / total
-    d2 = (lam * lam * terms).sum() / total - d1 * d1
-    return float(d1), float(d2)
-
-
-def log_theta3_b_derivs(b: float) -> tuple[float, float]:
-    """d/db and d^2/db^2 of log |theta3(0; 1/2 + i b)|.
-
-    On the rhombic line theta3(0) = A + iB with A the even-index and B the
-    odd-index part of the null series in r = e^(-pi b); |theta3|^2 = A^2 + B^2
-    differentiates termwise.
-    """
-    if not b > 0.0:
-        raise NonPositiveImaginaryPart(f"b = {b} must be positive")
-    _check_im(b)
-    nt = _term_count_null(b) + 4
-    j = np.arange(1, nt)
-    ja = 4.0 * j * j            # exponents of the even part
-    a_t = np.exp(-np.pi * b * ja)
-    k = np.arange(0, nt)
-    kb = (2.0 * k + 1.0) ** 2   # exponents of the odd part
-    b_t = np.exp(-np.pi * b * kb)
-    A = 1.0 + 2.0 * a_t.sum()
-    A1 = 2.0 * (-np.pi * ja * a_t).sum()
-    A2 = 2.0 * ((np.pi * ja) ** 2 * a_t).sum()
-    B = 2.0 * b_t.sum()
-    B1 = 2.0 * (-np.pi * kb * b_t).sum()
-    B2 = 2.0 * ((np.pi * kb) ** 2 * b_t).sum()
-    sq = A * A + B * B
-    d1 = (A * A1 + B * B1) / sq
-    d2 = (A1 * A1 + A * A2 + B1 * B1 + B * B2) / sq - 2.0 * d1 * d1
-    return float(d1), float(d2)

@@ -14,13 +14,15 @@ the extra critical point by scalar Newton on the package's G along its
 locus.  Tests compare the fast float kernels against these and against
 values frozen from them.  The CLI's canonical JSON has a reference too:
 the plain recursive serializer that the package's single-join one
-replaced.  Three routes left the package for the tests that compare with
-them: the developing map f and f' of the 8 pi construction from sigma
-and wp, the census of one torus, built from the package's own Newton
-rounds, the count's second route against which the sign rule is
-checked, and the
-mean field check one grid row at a time, which the package's walk in
-blocks of rows must equal field for field.
+replaced.  Routes that left the package live here for the tests that
+compare with them: the developing map f and f' of the 8 pi construction
+from sigma and wp; the census of one torus, built from the package's own
+Newton rounds, the count's second route against which the sign rule is
+checked; the mean field check one grid row at a time, which the
+package's walk in blocks of rows must equal field for field; and, on the
+rhombic line, the two real theta series, the five point stencil of
+e1 + eta1 and the bracketed bisection for b0 and b1, the second route of
+moduli's closed form.  The oracles raise their own error types.
 """
 
 from __future__ import annotations
@@ -32,7 +34,25 @@ import math
 import mpmath as mp
 import numpy as np
 
+from torusgreen import weier
+from torusgreen.errors import NonPositiveImaginaryPart, Unconverged
+from torusgreen.lattice import make_torus
+from torusgreen.theta import _check_im, _term_count_z
+
 mp.mp.dps = 40
+
+
+# the oracles' own failures; the package raises none of them
+class BracketFailure(Exception):
+    """A root bracket did not enclose a sign change."""
+
+
+class NoConvergence(Exception):
+    """An oracle's Newton sweeps or searches did not settle."""
+
+
+class NotInExtraRegime(Exception):
+    """The rhombic torus has only the three half period critical points."""
 
 
 def mp_theta1(z: complex, tau: complex):
@@ -110,6 +130,170 @@ def mp_root_ratio(b):
     e1 = -_mp_log_theta1_dz2(0.5, tau) - eta1
     e2 = -_mp_log_theta1_dz2(tau / 2, tau) - eta1
     return abs(e2 / e1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the rhombic line Re tau = 1/2: the real series, the stencil and the
+# bisection that moduli's closed form replaced, kept as its second route
+
+
+def _term_count_null(b: float) -> int:
+    """Terms needed by the q-only series at z = 0."""
+    n = math.sqrt(43.8 / (math.pi * b))
+    return max(6, math.ceil(n) + 2)
+
+
+def log_theta1_b_derivs(z: float, b: float) -> tuple[float, float]:
+    """d/db and d^2/db^2 of log |theta1(z; 1/2 + i b)| for real z.
+
+    On the rhombic line Re tau = 1/2 the function e^(-i pi/8) theta1(z) is
+    real for real z, with the fast real series
+
+        T(z, b) = 2 sum_n (-1)^(n + n(n+1)/2) e^(-pi b (n+1/2)^2) sin((2n+1) pi z),
+
+    so both b derivatives are termwise.  Raises Unconverged when the
+    alternating sum cancels too catastrophically, which happens only for
+    b far below anything the moduli scans touch.
+    """
+    if not b > 0.0:
+        raise NonPositiveImaginaryPart(f"b = {b} must be positive")
+    _check_im(b)
+    z = float(z)
+    nt = _term_count_z(b) + 4
+    n = np.arange(nt)
+    tri = (n * (n + 1)) // 2
+    sgn = np.where((n + tri) & 1, -1.0, 1.0)
+    lam = np.pi * (n + 0.5) ** 2
+    p = np.exp(-b * lam)
+    sin = np.sin((2 * n + 1) * np.pi * z)
+    terms = 2.0 * sgn * p * sin
+    total = terms.sum()
+    gross = np.abs(terms).sum()
+    if total == 0.0 or gross > 1e12 * abs(total):
+        raise Unconverged(f"cancellation too severe at z = {z}, b = {b}")
+    d1 = (-lam * terms).sum() / total
+    d2 = (lam * lam * terms).sum() / total - d1 * d1
+    return float(d1), float(d2)
+
+
+def log_theta3_b_derivs(b: float) -> tuple[float, float]:
+    """d/db and d^2/db^2 of log |theta3(0; 1/2 + i b)|.
+
+    On the rhombic line theta3(0) = A + iB with A the even-index and B the
+    odd-index part of the null series in r = e^(-pi b); |theta3|^2 = A^2 + B^2
+    differentiates termwise.
+    """
+    if not b > 0.0:
+        raise NonPositiveImaginaryPart(f"b = {b} must be positive")
+    _check_im(b)
+    nt = _term_count_null(b) + 4
+    j = np.arange(1, nt)
+    ja = 4.0 * j * j            # exponents of the even part
+    a_t = np.exp(-np.pi * b * ja)
+    k = np.arange(0, nt)
+    kb = (2.0 * k + 1.0) ** 2   # exponents of the odd part
+    b_t = np.exp(-np.pi * b * kb)
+    A = 1.0 + 2.0 * a_t.sum()
+    A1 = 2.0 * (-np.pi * ja * a_t).sum()
+    A2 = 2.0 * ((np.pi * ja) ** 2 * a_t).sum()
+    B = 2.0 * b_t.sum()
+    B1 = 2.0 * (-np.pi * kb * b_t).sum()
+    B2 = 2.0 * ((np.pi * kb) ** 2 * b_t).sum()
+    sq = A * A + B * B
+    d1 = (A * A1 + B * B1) / sq
+    d2 = (A1 * A1 + A * A2 + B1 * B1 + B * B2) / sq - 2.0 * d1 * d1
+    return float(d1), float(d2)
+
+
+def _q_lower(b: float) -> float:
+    inv = weier.invariants(make_torus(complex(0.5, b)))
+    return (inv.e1 + inv.eta1).real
+
+
+def _q_upper(b: float) -> float:
+    return _q_lower(b) - 2.0 * math.pi / b
+
+
+def slope_fd(b: float) -> float:
+    """d(e1 + eta1)/db on tau = 1/2 + i b by a five point stencil.
+
+    The step is relative: near b = 0.1 the third derivative of e1 + eta1
+    is ~1e7 and a plain central difference at fixed h cannot reach the
+    1e-6 bridge tolerance.
+    """
+    h = 1e-4 * b
+    return (-_q_lower(b + 2 * h) + 8.0 * _q_lower(b + h)
+            - 8.0 * _q_lower(b - h) + _q_lower(b - 2 * h)) / (12.0 * h)
+
+
+BRACKET_LO = 0.05
+BRACKET_HI = 2.0
+
+
+def _bisect(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    flo = fun(lo)
+    fhi = fun(hi)
+    if flo == 0.0:
+        return lo, 0.0
+    if fhi == 0.0:
+        return hi, 0.0
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketFailure(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = fun(mid)
+        if fm == 0.0:
+            return mid, hi - lo
+        if (fm > 0.0) == (fhi > 0.0):
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi), hi - lo
+
+
+def _bracket(fun, n: int = 100) -> tuple[float, float]:
+    """First sign change of fun on a uniform n point sample of the search
+    interval; BracketFailure when the sample never changes sign."""
+    step = (BRACKET_HI - BRACKET_LO) / (n - 1)
+    prev_b = BRACKET_LO
+    prev_f = fun(prev_b)
+    for k in range(1, n):
+        b = BRACKET_LO + k * step
+        f = fun(b)
+        if prev_f == 0.0 or (prev_f > 0.0) != (f > 0.0):
+            return prev_b, b
+        prev_b, prev_f = b, f
+    raise BracketFailure(
+        f"no sign change found in [{BRACKET_LO}, {BRACKET_HI}] over {n} samples"
+    )
+
+
+def thresholds_by_bisection(tol: float = 1e-12) -> tuple[float, float]:
+    """b0 and b1, the roots of e1 + eta1 and e1 + eta1 - 2 pi / b, by
+    bisection from a 100 sample bracket of [0.05, 2]."""
+    return tuple(_bisect(fun, *_bracket(fun), tol)[0] for fun in (_q_lower, _q_upper))
+
+
+def functional_equation_residual_series(b: float) -> float:
+    """|f(1/4b) + 2b + 4 b^2 f(b)| for f(b) = (log|theta1|)_b at z = 1/2,
+    from the real series at both moduli."""
+    f_b, _ = log_theta1_b_derivs(0.5, b)
+    f_dual, _ = log_theta1_b_derivs(0.5, 1.0 / (4.0 * b))
+    return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
+
+
+def mp_rhombic_b_derivs(b: float, dps: int = 90) -> tuple[float, float, float]:
+    """(-4 pi (log|theta2(0)|)_bb, (log|theta3(0)|)_b, (log|theta3(0)|)_bb)
+    on tau = 1/2 + i b, by mpmath differentiation of mpmath theta nulls at
+    dps digits, enough to resolve the e^(-2 pi b) values of large b."""
+    with mp.workdps(dps):
+        def log_null(j, x):
+            return mp.log(abs(mp.jtheta(j, 0, mp.exp(1j * mp.pi * mp.mpc(0.5, x)))))
+
+        x = mp.mpf(b)
+        return (float(-4 * mp.pi * mp.diff(lambda y: log_null(2, y), x, 2)),
+                float(mp.diff(lambda y: log_null(3, y), x)),
+                float(mp.diff(lambda y: log_null(3, y), x, 2)))
 
 
 def _theta_terms(z0, tau: complex, nterms: int):
@@ -467,7 +651,7 @@ def census(torus, tol: float = 1e-12):
     own.  Grids that disagree raise NoConvergence, more than one extra
     orbit CountViolation."""
     from torusgreen import critical
-    from torusgreen.errors import CountViolation, NoConvergence
+    from torusgreen.errors import CountViolation
 
     ts, ss, rows, failures = critical._solve([torus], *critical._grid_seeds(24), tol)[0]
     if failures:
@@ -533,9 +717,7 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12):
     is found is returned without asserting more structure than that.
     Inside the two thresholds NotInExtraRegime is raised.
     """
-    from torusgreen import critical, green, weier
-    from torusgreen.errors import NoConvergence, NotInExtraRegime
-    from torusgreen.lattice import make_torus
+    from torusgreen import critical, green
 
     torus = make_torus(complex(0.5, b))
     inv = weier.invariants(torus)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 import oracles
-from torusgreen import cli, critical, green, lattice, mfe, moduli, selftest, theta, weier
+from torusgreen import cli, critical, green, lattice, mfe, moduli, selftest, weier
 from torusgreen.errors import NoExtraCriticalPoint
 
 HEX_TAU_TEXT = "0.5+0.8660254i"
@@ -115,8 +115,18 @@ def test_criterion_04_fundamental_inequalities():
     grid = [0.1 + 0.05 * k for k in range(59)]
     rep = moduli.verify_fundamental_inequalities(grid)
     elapsed = time.perf_counter() - start
-    max_slope = max(r.bridge_gap_slope for r in rep.rows)
-    max_t3 = max(r.bridge_gap_theta3 for r in rep.rows)
+    # the bridges hold the closed form to its second routes: the theta2
+    # curvature to the real series and to the five point stencil of
+    # e1 + eta1, and 4 pi times the theta3 slope and curvature to the
+    # theta3 real series
+    max_slope = max_t3 = 0.0
+    for r in rep.rows:
+        _, t2_bb = oracles.log_theta1_b_derivs(0.5, r.b)
+        t3_b, t3_bb = oracles.log_theta3_b_derivs(r.b)
+        max_slope = max(max_slope, abs(r.curvature_theta2 + 4.0 * math.pi * t2_bb),
+                        abs(r.curvature_theta2 - oracles.slope_fd(r.b)))
+        max_t3 = max(max_t3, 4.0 * math.pi * abs(r.theta3_b - t3_b),
+                     4.0 * math.pi * abs(r.theta3_bb - t3_bb))
     ok = rep.ok and len(rep.rows) == 59 and max_slope <= 1e-6 \
         and max_t3 <= 1e-9 and elapsed < 5.0
     assert _line(4, ok,
@@ -129,7 +139,7 @@ def test_criterion_05_functional_equation():
     start = time.perf_counter()
     grid = [0.1 + 0.05 * k for k in range(39)]
     worst = max(moduli.functional_equation_residual(b) for b in grid)
-    f_half, _ = theta.log_theta1_b_derivs(0.5, 0.5)
+    f_half = -moduli._rhombic(0.5)[0] / (4.0 * math.pi)
     elapsed = time.perf_counter() - start
     half_ok = abs(f_half + 0.5) < 1e-10
     ok = worst < 1e-9 and half_ok and elapsed < 2.0

@@ -235,6 +235,27 @@ def test_inequalities_single_b(capsys):
     assert doc["diagnostics"]["functional_equation_half"] < 1e-10
 
 
+@pytest.mark.parametrize("b", ["0.004", "0.01", "0.02", "0.05", "3"])
+def test_inequalities_hold_at_small_b(capsys, b):
+    # the real series raised Unconverged at 0.004 (exit 3) and the stencil
+    # read a slope bridge off by 0.4 at 0.01
+    code, out, err = run_cli(capsys, "inequalities", f"--b={b}")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert (res["ok"], res["violations"], res["undecided"]) == (True, [], [])
+
+
+@pytest.mark.parametrize("b", ["6", "7", "8", "10"])
+def test_inequalities_past_b_6_are_undecided_not_violated(capsys, b):
+    # rounding decides the signs there: "-0.0 not positive" at b = 8 before
+    code, out, err = run_cli(capsys, "inequalities", f"--b={b}")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["ok"] is False
+    assert res["violations"] == []
+    assert res["undecided"] and all("sign not decided" in u for u in res["undecided"])
+
+
 def test_mfe_8pi_subcommand(capsys):
     code, out, _ = run_cli(capsys, "mfe", "--tau", "0.5+0.8660254037844386i",
                            "--rho", "8pi", "--grid", "32x32")

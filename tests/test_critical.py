@@ -13,7 +13,6 @@ from torusgreen.critical import Kind, Morse
 from torusgreen.errors import (
     CountViolation,
     InconsistentComparison,
-    NotInExtraRegime,
     Unconverged,
 )
 from torusgreen.green import Hessian2
@@ -513,7 +512,7 @@ def test_locate_z0_matches_full_solver_below():
 
 def test_locate_z0_rejects_middle_band():
     for b in (B_LOWER + 1e-3, 0.5, B_UPPER - 1e-3):
-        with pytest.raises(NotInExtraRegime):
+        with pytest.raises(oracles.NotInExtraRegime):
             oracles.locate_z0_on_rhombus_line(b)
 
 

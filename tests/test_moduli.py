@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from torusgreen import critical, green, lattice, moduli, theta, weier
-from torusgreen.errors import CountViolation, InvalidInput, NoConvergence, TorusGreenError
+from torusgreen.errors import CountViolation, InvalidInput, TorusGreenError, Unconverged
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
 # hessian determinant degeneracy of the half period 1/2 on the rhombic line
@@ -19,7 +19,42 @@ def test_thresholds_frozen_digits():
     assert abs(rep.b1 - B1_FROZEN) < 1e-11
     assert rep.residual_b0 < 1e-9
     assert rep.residual_b1 < 1e-9
-    assert rep.bracket_width <= 1e-12
+    assert rep.last_step <= 1e-12
+
+
+def test_thresholds_by_newton_match_mpmath_and_the_bisection(monkeypatch):
+    # Newton from b = 1/2 with the closed-form derivative: b1 to 1e-12 of
+    # mpmath and b0 to 1e-12 of 1/(4 b1), against 107 passes of the
+    # bisection route that is now the oracle
+    passes = []
+    real = weier._eval
+
+    def counted(z, tau):
+        passes.append(np.size(z))
+        return real(z, tau)
+
+    weier._invariants_cached.cache_clear()
+    monkeypatch.setattr(weier, "_eval", counted)
+    rep = moduli.thresholds(tol=1e-12)
+    assert len(passes) <= 16
+    assert sum(rep.newton_steps) <= 15
+    b1_mp = float(oracles.mp_rhombic_b1())
+    assert abs(rep.b1 - b1_mp) < 1e-12
+    assert abs(rep.b0 - 0.25 / b1_mp) < 1e-12
+    b0_bis, b1_bis = oracles.thresholds_by_bisection(1e-12)
+    assert abs(rep.b0 - b0_bis) < 1e-11
+    assert abs(rep.b1 - b1_bis) < 1e-11
+
+
+def test_thresholds_raise_unconverged_off_the_duality_or_past_the_step_cap(monkeypatch):
+    real = moduli._upper
+    monkeypatch.setattr(moduli, "_upper", lambda b: (real(b)[0] - 1e-3, real(b)[1]))
+    with pytest.raises(Unconverged, match="miss b0 b1 = 1/4"):
+        moduli.thresholds()
+    monkeypatch.setattr(moduli, "_upper", real)
+    monkeypatch.setattr(moduli, "NEWTON_CAP", 3)
+    with pytest.raises(Unconverged, match="more than 3 steps"):
+        moduli.thresholds()
 
 
 def test_thresholds_ordering_invariants():
@@ -56,8 +91,6 @@ def test_inequalities_hold_on_coarse_grid():
         assert row.curvature_theta2 > 0.0
         assert row.theta3_b < 0.0
         assert row.theta3_bb > 0.0
-        assert row.bridge_gap_slope <= 1e-6
-        assert row.bridge_gap_theta3 <= 1e-9
 
 
 def test_inequalities_collect_bad_grid_points():
@@ -67,19 +100,79 @@ def test_inequalities_collect_bad_grid_points():
     assert len(rep.violations) == 2
 
 
+# rhombic moduli where every sign is decided, and where rounding decides some
+SMALL_B = (0.004, 0.01, 0.02, 0.05, 3.0)
+LARGE_B = (6.0, 7.0, 8.0, 10.0)
+
+
+def _against_mpmath(row):
+    """(value, mpmath value, error bound) of the row's three signed values."""
+    ref = oracles.mp_rhombic_b_derivs(row.b)
+    return list(zip((row.curvature_theta2, row.theta3_b, row.theta3_bb), ref, row.bounds))
+
+
+@pytest.mark.parametrize("b", SMALL_B)
+def test_small_b_derivatives_match_mpmath(b):
+    # the real series lost 8e-8 at b = 0.01 and raised Unconverged at
+    # 0.004; the closed form reads the reduced frame's half-period pass
+    rep = moduli.verify_fundamental_inequalities([b])
+    assert rep.ok, (rep.violations, rep.undecided)
+    (row,) = rep.rows
+    for value, ref, bound in _against_mpmath(row):
+        assert abs(value - ref) <= bound, (b, value, ref, bound)
+        # at b = 3 the values are e^(-2 pi b) and keep 1e-9 of it
+        assert abs(value - ref) <= (1e-13 if b < 1.0 else 1e-9) * abs(ref), (b, value, ref)
+    if b == 0.01:
+        assert row.curvature_theta2 == pytest.approx(4871970.347472883, rel=1e-13)
+    if b == 0.004:
+        assert row.theta3_bb == pytest.approx(31250.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("b", LARGE_B)
+def test_large_b_signs_inside_their_bounds_are_not_decided(b):
+    # past b = 6 the three values are e^(-2 pi b) and rounding decides the
+    # curvature and the theta3 slope: inside its bound a value is
+    # undecided, outside it has mpmath's sign; never a false violation
+    rep = moduli.verify_fundamental_inequalities([b])
+    (row,) = rep.rows
+    triples = _against_mpmath(row)
+    for value, ref, bound in triples:
+        assert abs(value - ref) <= bound, (b, value, ref, bound)
+        assert abs(value) <= bound or (value > 0) == (ref > 0), (b, value, ref)
+    assert rep.violations == ()
+    assert len(rep.undecided) == sum(abs(value) <= bound for value, _, bound in triples)
+    assert all("sign not decided" in u for u in rep.undecided)
+    assert abs(row.curvature_theta2) <= row.bounds[0]
+    assert not rep.ok
+
+
+def test_rhombic_error_bounds_hold_against_mpmath():
+    # C_RHOMBIC against mpmath: the worst error over this sweep is 3.3
+    # units of eps m (|x| + |y|), of the theta2 curvature at b = 0.34
+    grid = sorted(set(np.geomspace(0.002, 20.0, 150).tolist()) | set(SMALL_B + LARGE_B))
+    worst = 0.0
+    for row in moduli.verify_fundamental_inequalities(grid).rows:
+        for value, ref, bound in _against_mpmath(row):
+            assert abs(value - ref) <= bound, (row.b, value, ref, bound)
+            assert abs(value) <= bound or (value > 0) == (ref > 0), (row.b, value, ref)
+            worst = max(worst, abs(value - ref) / bound * moduli.C_RHOMBIC)
+    assert worst > 1.0
+
+
 def test_functional_equation_residual():
+    # the closed form and its real series oracle
     for b in (0.3, 0.5, 0.85, 1.4):
         assert moduli.functional_equation_residual(b) < 1e-9
+        assert oracles.functional_equation_residual_series(b) < 1e-9
     with pytest.raises(ValueError):
         moduli.functional_equation_residual(0.0)
 
 
 def test_functional_equation_self_dual_point():
-    # at b = 1/2 the identity collapses to f(1/2) = -1/2 on the nose
-    from torusgreen import theta
-
-    f_half, _ = theta.log_theta1_b_derivs(0.5, 0.5)
-    assert abs(f_half + 0.5) < 1e-12
+    # at b = 1/2 the identity collapses to f(1/2) = -1/2 on the nose, that
+    # is A_1 = 2 pi, in the closed form and in the real series
+    assert abs(-moduli._rhombic(0.5)[0] / (4 * math.pi) + 0.5) < 1e-12
+    assert abs(oracles.log_theta1_b_derivs(0.5, 0.5)[0] + 0.5) < 1e-12
 
 
 def test_lambda_circle_residual_on_and_off_the_line():
@@ -170,13 +263,13 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     # there reaches each cell whatever its count
     region = (0.1, 0.6, 0.45, 1.0)
 
-    def no_convergence(z, torus):
-        raise NoConvergence("synthetic series failure")
+    def unconverged(z, torus):
+        raise Unconverged("synthetic series failure")
 
-    monkeypatch.setattr(green, "evaluate", no_convergence)
+    monkeypatch.setattr(green, "evaluate", unconverged)
     cells = moduli.scan(region, 2, 1)
     assert [c.count for c in cells] == [0, 0]
-    assert all(c.error == "NoConvergence: synthetic series failure" for c in cells)
+    assert all(c.error == "Unconverged: synthetic series failure" for c in cells)
     assert all(c.route is None for c in cells)
 
     def bug(z, torus):

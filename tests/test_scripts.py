@@ -27,7 +27,7 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 8
+    assert len(rows) == 10
     # the square torus takes the morse route: half periods, residual check, invariants
     assert rows[0] == "| `critical --tau=i` | 0 | 3 | 9 |"
     # near the cusp and at the degenerate torus of b1 the signs decide as
@@ -37,4 +37,10 @@ def test_pass_counts_prints_one_row_per_call():
     # the 4 pi construction (6 passes) and verify_solution's 32 rows in 8
     # blocks of one u call and one green_rel call each (70 passes by rows)
     assert rows[6] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 22 | 19587 |"
+    # Newton from b = 1/2 to both thresholds, one pass a step (107 passes
+    # by bracket and bisection); one pass at b = 0.7 and one at b = 1/2 for
+    # the functional equation (5 passes and 2 real series calls before)
+    assert rows[8].startswith("| `thresholds` | 0 | ")
+    assert int(rows[8].split("|")[3]) <= 16
+    assert rows[9] == "| `inequalities --b=0.7` | 0 | 2 | 6 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)

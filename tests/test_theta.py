@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import green, lattice, theta, weier
+from torusgreen import green, lattice, moduli, theta, weier
 from torusgreen.errors import (
     InvalidInput,
     NonPositiveImaginaryPart,
@@ -255,7 +255,7 @@ def test_rhombic_line_b_derivs_match_mpmath():
         return mp.log(abs(oracles.mp_theta1(z, mp.mpc(0.5, b))))
 
     for z, b in [(0.31, 0.7), (0.11, 0.45), (0.47, 1.3), (1.0 / 3.0, 0.8660254)]:
-        d1, d2 = theta.log_theta1_b_derivs(z, b)
+        d1, d2 = oracles.log_theta1_b_derivs(z, b)
         r1 = float(mp.diff(lambda bb: logmag(z, bb), mp.mpf(b)))
         r2 = float(mp.diff(lambda bb: logmag(z, bb), mp.mpf(b), 2))
         assert abs(d1 - r1) < 1e-9 * max(1.0, abs(r1))
@@ -268,7 +268,7 @@ def test_theta3_b_derivs_match_mpmath():
         return mp.log(abs(mp.jtheta(3, 0, q)))
 
     for b in (0.5, 0.8660254, 1.6):
-        d1, d2 = theta.log_theta3_b_derivs(b)
+        d1, d2 = oracles.log_theta3_b_derivs(b)
         r1 = float(mp.diff(logmag, mp.mpf(b)))
         r2 = float(mp.diff(logmag, mp.mpf(b), 2))
         assert abs(d1 - r1) < 1e-10 * max(1.0, abs(r1))
@@ -279,9 +279,9 @@ def test_bad_modulus_rejected():
     with pytest.raises(UnreducedModulus):
         theta._eval(0.2, 1.0 - 0.5j)
     with pytest.raises(NonPositiveImaginaryPart):
-        theta.log_theta1_b_derivs(0.2, -0.3)
+        oracles.log_theta1_b_derivs(0.2, -0.3)
     with pytest.raises(NonPositiveImaginaryPart):
-        theta.log_theta3_b_derivs(0.0)
+        oracles.log_theta3_b_derivs(0.0)
 
 
 def test_eval_below_half_raises_unreduced_modulus():
@@ -297,16 +297,17 @@ def test_eval_below_half_raises_unreduced_modulus():
 
 def test_series_past_max_im_tau_raise_invalid_input():
     # e^(-pi Im tau / 4) leaves the normal float64 range at about Im tau =
-    # 902; at the bound the series still gives its cusp limits
+    # 902; at the bound the series still gives its cusp limits, among them
+    # (log|theta2(0)|)_b = -A_1 / 4 pi = -pi / 4 on the rhombic line
     b = theta.MAX_IM_TAU
-    assert theta.log_theta1_b_derivs(0.5, b)[0] == pytest.approx(-math.pi / 4, rel=1e-14)
+    assert -moduli._rhombic(b)[0] / (4 * math.pi) == pytest.approx(-math.pi / 4, rel=1e-14)
     L1 = theta._eval(0.3, 0.3 + 1j * b)[2]
     assert L1 == pytest.approx(math.pi / math.tan(0.3 * math.pi), rel=1e-14)
     above = np.nextafter(b, math.inf)
     for call in (lambda: theta._eval(0.3, 0.3 + 1j * above),
                  # a batch is checked at its highest modulus
                  lambda: theta._eval(np.array([0.3, 0.3]), np.array([1j, 0.3 + 1j * above])),
-                 lambda: theta.log_theta1_b_derivs(0.5, above),
-                 lambda: theta.log_theta3_b_derivs(math.inf)):
+                 lambda: moduli.functional_equation_residual(above),
+                 lambda: moduli.verify_fundamental_inequalities([math.inf])):
         with pytest.raises(InvalidInput, match=f"above {b}"):
             call()
