@@ -48,6 +48,9 @@ CALLS = (
     # half-period |det| * b^2 is under 1e-6
     ("scan", "--region=-0.01477138761073364,0.072105648501117,"
      "0.48522861238926634,1.972105648501117", "--grid=8x8"),
+    # a scan near the cusp at 1/8 whose first two cells reduce past
+    # theta.MAX_IM_TAU and fail with InvalidInput, next to two that count 3
+    ("scan", "--region=0.12499,2e-6,0.12503,3e-6", "--grid=4x1"),
     ("mfe", "--rho=8pi", f"--tau={HEX}", "--grid=32x32"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
     # verify_solution's row blocks: tori outside the fundamental domain, the

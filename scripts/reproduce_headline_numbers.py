@@ -53,7 +53,8 @@ def main():
 
     section("Half period comparison (three independent routes)")
     for tau in (1j, 0.5 + 0.75j, 0.5 + 0.3j, 0.13 + 0.92j):
-        cmpr = critical.compare_half_periods(lattice.make_torus(tau))
+        T = lattice.make_torus(tau)
+        cmpr = critical.compare_half_periods(T, critical.find_critical_points(T))
         rank = " > ".join("=".join(str(i + 1) for i in grp)
                           for grp in cmpr.ranking)
         print(f"  tau = {tau}:  G ordering {rank}  "

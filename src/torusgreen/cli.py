@@ -7,12 +7,12 @@ floats at 17 significant digits with a lowercase exponent, complex
 numbers as {re, im} objects.  Identical inputs produce byte identical
 output; nothing time or machine dependent enters the envelope.
 
-Exit codes: 0 success, 2 domain errors (bad modulus, no extra critical
-point, off-lattice requests, out of range arguments), 3 internal
-consistency violations (count bound broken, comparison routes disagree,
-construction cross checks fail) which are the loud falsifiers, 64 usage
-errors (bad arguments, an --out path that cannot be written).  Any other
-exception is a bug and propagates.
+Exit codes: 0 success, 64 usage errors (bad arguments, an --out path
+that cannot be written), and for a package failure the code of its base
+class in errors.py: 2 for a DomainError (bad modulus, no extra critical
+point, off-lattice requests, out of range arguments), 3 for a
+ConsistencyError (count bound broken, routes disagree, no convergence),
+the loud falsifiers.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -24,19 +24,7 @@ import re
 import sys
 
 from . import critical, green, mfe, moduli, selftest
-from .errors import (
-    ConstructionInconsistent,
-    CountViolation,
-    HalfPeriodBranch,
-    HalfPeriodInput,
-    InconsistentComparison,
-    InvalidInput,
-    NoExtraCriticalPoint,
-    NonPositiveImaginaryPart,
-    NotACriticalPoint,
-    PoleAtLattice,
-    Unconverged,
-)
+from .errors import ConsistencyError, DomainError, InvalidInput, Unconverged
 from .lattice import make_torus
 
 SCHEMA_VERSION = 2
@@ -45,22 +33,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_INCONSISTENT = 3
 EXIT_USAGE = 64
-
-_DOMAIN_ERRORS = (
-    NonPositiveImaginaryPart,
-    PoleAtLattice,
-    HalfPeriodInput,
-    NotACriticalPoint,
-    HalfPeriodBranch,
-    NoExtraCriticalPoint,
-    InvalidInput,
-)
-_CONSISTENCY_ERRORS = (
-    CountViolation,
-    InconsistentComparison,
-    ConstructionInconsistent,
-    Unconverged,
-)
 
 _COMPLEX_RE = re.compile(
     r"""^\s*
@@ -237,7 +209,7 @@ def _cmd_critical(args) -> tuple[dict, dict]:
         "half_period_ranking": [list(group) for group in comparison.ranking],
         "ranking_ties": list(comparison.ties),
         "formula_deviation": comparison.max_formula_deviation,
-        "tie_tolerance": comparison.tie_tol,
+        "tie_tolerance": critical.TIE_TOL,
         "route": cs.route,
     }
     return results, diagnostics
@@ -424,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=parse_complex, required=True, help="evaluation point a+bi")
 
     p = sub.add_parser("critical", help="find and classify all critical points")
-    common(p, tau=True, tol=1e-12)
+    common(p, tau=True, tol=critical.DEFAULT_TOL)
 
     p = sub.add_parser("scan", help="count critical points over a moduli rectangle")
     common(p)
@@ -532,10 +504,10 @@ def run(argv) -> int:
         }
         _write_output(canonical_json(report) + "\n", args.out)
         return EXIT_OK
-    except _CONSISTENCY_ERRORS as exc:
+    except ConsistencyError as exc:
         sys.stderr.write(f"CONSISTENCY VIOLATION ({type(exc).__name__}): {exc}\n")
         return EXIT_INCONSISTENT
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         sys.stderr.write(f"domain error ({type(exc).__name__}): {exc}\n")
         return EXIT_DOMAIN
     except UsageError as exc:

@@ -56,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import green, weier
+from . import green, theta, weier
 from .errors import (
     CountViolation,
     InconsistentComparison,
@@ -82,6 +82,7 @@ PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # those fake roots carry determinants ~1e-12 while
                           # genuine extras sit at O(1)
 DEFAULT_TOL = 1e-12       # default gradient tolerance of the seeds route
+TIE_TOL = 1e-9            # G values of half periods this close are tied
 NEWTON_SEEDS = 1 << 16    # seeds per damped Newton run, about 1 KB each at its
                           # first pass; the fixed seeds of a full scan chunk fit
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
@@ -365,30 +366,41 @@ def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
 def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
     """The critical set of every torus in tori, or the error it fails with.
 
-    Each torus takes its own route (see the module docstring), and every
-    pass serves all of them.  One half-period pass decides the routes and
-    gives the half period points of all of them.  Two _solve rounds
-    follow: the 55 fixed seeds of every seeds torus, then the 24x24 grid
-    of each one whose seeds did not leave exactly one extra orbit.  Last,
-    one residual pass checks |grad G| <= tol at every point, next to the
-    Morse balance.  A torus gets the same result, to the bit, as alone.
+    A torus reduced past theta.MAX_IM_TAU gets the InvalidInput of
+    theta._check_im and joins no pass.  The others each take their own
+    route (see the module docstring), and every pass serves all of them.
+    One half-period pass decides the routes and gives the half period
+    points of all of them.  Two _solve rounds follow: the 55 fixed seeds
+    of every seeds torus, then the 24x24 grid of each one whose seeds did
+    not leave exactly one extra orbit.  Last, one residual pass checks
+    |grad G| <= tol at every point, next to the Morse balance.  A torus
+    gets the same result, to the bit, as alone.  Only a bad tol raises.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
-    tori = list(tori)
+    out: list = []
+    for torus in tori:
+        try:
+            theta._check_im(torus.tau_r.imag)
+        except InvalidInput as exc:
+            out.append(exc)
+        else:
+            out.append(torus)
+    # the tori the passes serve: out[live[k]] answers for tori[k]
+    live = [k for k, x in enumerate(out) if isinstance(x, Torus)]
+    tori = [out[k] for k in live]
     if not tori:
-        return []
+        return out
     batch = green.gather(tori)
     hp = _half_period_rows(tori, batch)
     det = np.array([row[3] for row in hp]).reshape(-1, 3)
     inside = np.abs(det) <= np.array([row[5] for row in hp]).reshape(-1, 3)
     n_inside = inside.sum(axis=1)
     morse = ((det > 0.0) & ~inside).any(axis=1) | (n_inside == 1)
-    out: list = [None] * len(tori)
     for k in np.flatnonzero(~morse & (n_inside > 1)).tolist():
-        out[k] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie within "
-                             f"their error bounds at tau = {tori[k].tau}; their signs "
-                             "cannot decide the count")
+        out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
+                                   f"within their error bounds at tau = {tori[k].tau}; "
+                                   "their signs cannot decide the count")
     empty = np.zeros(0)
     found = [(k, "morse", empty, empty, []) for k in np.flatnonzero(morse).tolist()]
     todo = np.flatnonzero(~morse & (n_inside == 0)).tolist()
@@ -401,7 +413,7 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
                 missed[k] = ts.size
         todo = list(missed)
     for k, n in missed.items():
-        out[k] = CountViolation(
+        out[live[k]] = CountViolation(
             f"the seeds found {3 + 2 * n} critical points at tau = {tori[k].tau}, but "
             "all three half periods are saddles, which forces 5"
         )
@@ -413,7 +425,7 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     start = 0
     for (k, *_), cs in zip(found, sets):
         stop = start + len(cs.points)
-        out[k] = _checked(cs, tori[k], r[start:stop], tol)
+        out[live[k]] = _checked(cs, tori[k], r[start:stop], tol)
         start = stop
     return out
 
@@ -448,11 +460,9 @@ class HalfPeriodComparison:
     """
 
     values: tuple[float, float, float]
-    wp_moduli: tuple[float, float, float]
     ranking: tuple[tuple[int, ...], ...]
     ties: tuple[tuple[int, int], ...]
     max_formula_deviation: float
-    tie_tol: float
 
 
 def _sign_with_tie(x: float, tol: float) -> int:
@@ -461,8 +471,7 @@ def _sign_with_tie(x: float, tol: float) -> int:
     return 1 if x > 0 else -1
 
 
-def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
-                         tie_tol: float = 1e-9) -> HalfPeriodComparison:
+def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
     """Order G over the three half periods, three independent ways.
 
     (a) direct green_rel values, (b) the closed form pairwise differences
@@ -471,20 +480,15 @@ def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
     identities make the (1/8 pi) log of cross ratios of e gaps, (c) the
     ordering of |wp| at the half periods.  The nulls are summed in log
     form, so (b) keeps its relative precision at the cusp, where two
-    roots e_k agree to every float64 digit.  Disagreement beyond the tie
-    tolerance raises InconsistentComparison.
+    roots e_k agree to every float64 digit.  Disagreement beyond TIE_TOL
+    raises InconsistentComparison.
 
     The direct values are the g_rel of the half-period points of cs, the
-    critical set of torus, so a caller that has it makes no Green pass
-    here; without cs they come from the half-period pass that
-    find_critical_sets runs (_half_period_rows), so both give the same
-    bits.  The theta nulls come from weier.invariants.
+    critical set of torus, so no Green pass runs here.  The theta nulls
+    come from weier.invariants.
     """
     inv = weier.invariants(torus)
-    if cs is None:
-        g = tuple(row[4] for row in _half_period_rows([torus], torus))
-    else:
-        g = tuple(p.g_rel for p in cs.points[:3])
+    g = tuple(p.g_rel for p in cs.points[:3])
     e = (inv.e1, inv.e2, inv.e3)
     nulls = inv.log_abs_nulls
     formula = {(i, j): (nulls[j] - nulls[i]) / (2 * math.pi)
@@ -495,16 +499,16 @@ def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
     for (i, j), f in formula.items():
         direct = g[i] - g[j]
         dev = max(dev, abs(direct - f))
-        sd = _sign_with_tie(direct, tie_tol)
-        sf = _sign_with_tie(f, tie_tol)
-        sw = _sign_with_tie(m[i] - m[j], tie_tol * max(1.0, scale))
+        sd = _sign_with_tie(direct, TIE_TOL)
+        sf = _sign_with_tie(f, TIE_TOL)
+        sw = _sign_with_tie(m[i] - m[j], TIE_TOL * max(1.0, scale))
         for other, name in ((sf, "log-ratio formula"), (sw, "|wp| criterion")):
             if sd != other and sd != 0 and other != 0:
                 raise InconsistentComparison(
                     f"half periods {i + 1} vs {j + 1} at tau = {torus.tau}: direct "
                     f"difference {direct:.3e} disagrees with the {name}"
                 )
-            if (sd == 0) != (other == 0) and abs(direct) > 10 * tie_tol:
+            if (sd == 0) != (other == 0) and abs(direct) > 10 * TIE_TOL:
                 raise InconsistentComparison(
                     f"half periods {i + 1} vs {j + 1} at tau = {torus.tau}: tie "
                     f"status disagrees with the {name}"
@@ -512,7 +516,7 @@ def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
     order = sorted(range(3), key=lambda k: -g[k])
     groups = [[order[0]]]
     for k in order[1:]:
-        if abs(g[groups[-1][-1]] - g[k]) <= tie_tol:
+        if abs(g[groups[-1][-1]] - g[k]) <= TIE_TOL:
             groups[-1].append(k)
         else:
             groups.append([k])
@@ -520,9 +524,7 @@ def compare_half_periods(torus: Torus, cs: CriticalSet | None = None,
     ranking = tuple(tuple(sorted(grp)) for grp in groups)
     return HalfPeriodComparison(
         values=g,
-        wp_moduli=m,
         ranking=ranking,
         ties=tuple(pair for grp in ranking for pair in zip(grp, grp[1:])),
         max_formula_deviation=dev,
-        tie_tol=tie_tol,
     )

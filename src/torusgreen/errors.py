@@ -1,51 +1,63 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each failure is a DomainError (CLI exit 2) or a ConsistencyError (exit 3),
+except UnreducedModulus, which no caller should meet: a bug that propagates.
+"""
 
 
 class TorusGreenError(Exception):
     """Base class for all package-specific failures."""
 
 
-class InvalidInput(TorusGreenError, ValueError):
+class DomainError(TorusGreenError):
+    """The input lies outside what the package can answer (CLI exit 2)."""
+
+
+class ConsistencyError(TorusGreenError):
+    """An internal cross check or convergence test failed (CLI exit 3)."""
+
+
+class InvalidInput(DomainError, ValueError):
     """A user supplied argument (tolerance, grid, region, b) is out of range."""
 
 
-class NonPositiveImaginaryPart(TorusGreenError):
+class NonPositiveImaginaryPart(DomainError):
     """The torus modulus must lie in the open upper half plane."""
 
 
-class PoleAtLattice(TorusGreenError):
+class PoleAtLattice(DomainError):
     """A quantity with a pole or zero at lattice points was requested there."""
 
 
-class Unconverged(TorusGreenError):
+class Unconverged(ConsistencyError):
     """A series lost too many digits to cancellation or hit its term cap."""
 
 
-class HalfPeriodInput(TorusGreenError):
+class HalfPeriodInput(DomainError):
     """The duplication identity degenerates where p'(z) vanishes."""
 
 
-class CountViolation(TorusGreenError):
+class CountViolation(ConsistencyError):
     """More critical points were found than the theory allows."""
 
 
-class InconsistentComparison(TorusGreenError):
+class InconsistentComparison(ConsistencyError):
     """Independent orderings of the half period values disagree."""
 
 
-class NotACriticalPoint(TorusGreenError):
+class NotACriticalPoint(DomainError):
     """The developing map construction needs a genuine critical point."""
 
 
-class HalfPeriodBranch(TorusGreenError):
+class HalfPeriodBranch(DomainError):
     """Half periods are fixed by the sign flip and give no developing map."""
 
 
-class NoExtraCriticalPoint(TorusGreenError):
+class NoExtraCriticalPoint(DomainError):
     """The torus carries no extra critical point pair, so no such solution."""
 
 
-class ConstructionInconsistent(TorusGreenError):
+class ConstructionInconsistent(ConsistencyError):
     """An internal identity of the mean field construction failed numerically."""
 
 

@@ -143,12 +143,13 @@ def reduce_modulus(tau: complex) -> tuple[complex, tuple[tuple[int, int], tuple[
     return tau, ((a, b), (c, d))
 
 
-def random_tori(count: int, seed: int, b_range=(0.3, 2.5)) -> list[Torus]:
-    """Deterministic sample of tori with Re tau in [-1/2, 1/2)."""
+def random_tori(count: int, seed: int) -> list[Torus]:
+    """Deterministic sample of tori with Re tau in [-1/2, 1/2) and Im tau
+    log-uniform in [0.3, 2.5]."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         a = rng.uniform(-0.5, 0.5)
-        b = math.exp(rng.uniform(math.log(b_range[0]), math.log(b_range[1])))
+        b = math.exp(rng.uniform(math.log(0.3), math.log(2.5)))
         out.append(make_torus(complex(a, b)))
     return out

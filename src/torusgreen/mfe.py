@@ -210,8 +210,8 @@ def extra_branch_point(torus: Torus) -> complex:
     return extra.z
 
 
-def _gauss_segment(fun, a: complex, b: complex, n: int = 48) -> complex:
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gauss_segment(fun, a: complex, b: complex) -> complex:
+    x, w = np.polynomial.legendre.leggauss(48)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return complex(half * np.sum(w * np.atleast_1d(fun(mid + half * x))))
@@ -243,7 +243,6 @@ class FourPiDiagnostics:
     period_integral: complex
     c_prime: complex
     c_tau: complex
-    kappa: complex
 
 
 def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
@@ -339,7 +338,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     sol = MfeSolution(rho=RHO_4PI, torus=torus, branch=None, lam=0.0,
                       c1=c1, evaluator=evaluator)
     diag = FourPiDiagnostics(period_integral=period_integral, c_prime=c_prime,
-                             c_tau=c_mult, kappa=kappa)
+                             c_tau=c_mult)
     return sol, diag
 
 

@@ -230,9 +230,10 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
     across runs.  The cells go to critical.find_critical_sets in chunks
     of SCAN_CHUNK, so every theta pass serves a whole chunk, and each
     cell records the route that decided it, with the same result as a
-    find_critical_points call of its own.  A package failure
-    (TorusGreenError) is recorded in its cell and the scan goes on; any
-    other exception is a bug and propagates.
+    find_critical_points call of its own.  find_critical_sets answers
+    for every torus, so a package failure (TorusGreenError) lands in its
+    own cell and the scan goes on; any exception it raises is a bug and
+    propagates.
     """
     re0, im0, re1, im1 = region
     if not (all(map(math.isfinite, region)) and im0 > 0.0 and im1 > im0 and re1 > re0):
@@ -246,21 +247,8 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
     cells = []
     for lo in range(0, len(tori), SCAN_CHUNK):
         chunk = tori[lo:lo + SCAN_CHUNK]
-        try:
-            sets = critical.find_critical_sets(chunk)
-        except TorusGreenError:
-            # a pass that serves the whole chunk failed: classify its cells
-            # one by one, so the error lands in the cells it belongs to
-            sets = [_alone(torus) for torus in chunk]
-        cells += [_cell(torus, cs) for torus, cs in zip(chunk, sets)]
+        cells += [_cell(torus, cs) for torus, cs in zip(chunk, critical.find_critical_sets(chunk))]
     return cells
-
-
-def _alone(torus):
-    try:
-        return critical.find_critical_points(torus)
-    except TorusGreenError as exc:
-        return exc
 
 
 def _cell(torus, cs) -> ScanCell:

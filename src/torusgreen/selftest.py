@@ -24,6 +24,8 @@ from . import green, theta, weier
 from .errors import InvalidInput
 from .lattice import Torus, make_torus, random_tori, split_coords
 
+SEED = 20260822   # seeds the random sample of run_all
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -103,7 +105,7 @@ def wp_de_residual(z, torus: Torus) -> np.ndarray:
     return np.abs(lhs - rhs) / scale
 
 
-def heat_equation_residual(z, torus: Torus, h: float = 1e-5) -> np.ndarray:
+def heat_equation_residual(z, torus: Torus) -> np.ndarray:
     """theta1_zz / theta1 = 4 pi i (d/dtau log theta1), by central FD.
 
     Checked where the package sums theta, at (z / lam, tau_r).  The z side
@@ -114,6 +116,7 @@ def heat_equation_residual(z, torus: Torus, h: float = 1e-5) -> np.ndarray:
     z = np.asarray(z) / torus.lam
     lm0, ar0, L1, L2, _ = theta._eval(z, tau)
     lhs = L2 + L1 * L1
+    h = 1e-5
     lm_p, ar_p, *_ = theta._eval(z, tau + h)
     lm_m, ar_m, *_ = theta._eval(z, tau - h)
     dlog = (lm_p - lm_m + 1j * _wrap_angle(ar_p - ar_m)) / (2.0 * h)
@@ -186,18 +189,18 @@ _CHECKS = (
 )
 
 
-def run_all(n_samples: int = 200, seed: int = 20260822) -> SelftestReport:
+def run_all(n_samples: int = 200) -> SelftestReport:
     """Evaluate every identity over n_samples randomized (z, tau)."""
     if n_samples < 1:
         raise InvalidInput(f"sample count {n_samples} below 1")
     n_tori = max(8, n_samples // 8)
-    tori = random_tori(n_tori, seed)
+    tori = random_tori(n_tori, SEED)
     # the frame check runs outside the fundamental domain: at -1/tau_r where
     # its Im = Im tau_r / |tau_r|^2 is at least 1/2, else at tau_r + 2
     frame_tori = [make_torus(-1.0 / T.tau_r if abs(T.tau_r) ** 2 <= 2.0 * T.tau_r.imag
                              else T.tau_r + 2.0) for T in tori]
     frame_tori += [make_torus(3.2 + 0.9j), make_torus(0.5 + 0.8j)]
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(SEED + 1)
     per_torus = max(1, n_samples // n_tori)
     results = []
     for name, tol, kind, fun in _CHECKS:

@@ -13,6 +13,7 @@ from torusgreen.critical import Kind, Morse
 from torusgreen.errors import (
     CountViolation,
     InconsistentComparison,
+    InvalidInput,
     Unconverged,
 )
 from torusgreen.green import Hessian2
@@ -336,6 +337,25 @@ def test_a_batch_of_census_tori_equals_each_torus_alone(newton_seeds, monkeypatc
     assert all(_same_solve(a, b) for a, b in zip(batch, solo))
 
 
+def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
+    # the torus the series cannot sum gets its own InvalidInput, the text
+    # theta._check_im gives, and joins no pass; the square torus beside it
+    # gets its solo critical set, in either order
+    square, high = lattice.make_torus(1j), lattice.make_torus(0.3 + 1000j)
+    with pytest.raises(InvalidInput) as info:
+        theta._check_im(high.tau_r.imag)
+    assert "Im tau = 1000.0," in str(info.value)
+    alone = critical.find_critical_points(square)
+    cs, err = critical.find_critical_sets([square, high])
+    assert cs == alone
+    assert type(err) is InvalidInput and str(err) == str(info.value)
+    err, cs = critical.find_critical_sets([high, square])
+    assert cs == alone and str(err) == str(info.value)
+    assert [str(x) for x in critical.find_critical_sets([high, high])] == [str(info.value)] * 2
+    with pytest.raises(InvalidInput, match="Im tau = 1000.0,"):
+        critical.find_critical_points(high)
+
+
 @pytest.mark.parametrize("tau, at_half_periods",
                          [(1j, True), (complex(0.5, math.sqrt(3) / 2), False)],
                          ids=["morse", "seeds"])
@@ -370,8 +390,12 @@ def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypa
         critical.find_critical_points(square_torus)
 
 
+def _compare(T):
+    return critical.compare_half_periods(T, critical.find_critical_points(T))
+
+
 def test_compare_half_periods_square():
-    cmpr = critical.compare_half_periods(lattice.make_torus(1j))
+    cmpr = _compare(lattice.make_torus(1j))
     # G(w1/2) = G(w2/2) > G(w3/2) by the quarter turn symmetry
     assert set(cmpr.ranking[0]) == {0, 1}
     assert cmpr.ranking[1] == (2,)
@@ -380,13 +404,13 @@ def test_compare_half_periods_square():
 
 
 def test_compare_half_periods_hex_all_tie():
-    cmpr = critical.compare_half_periods(lattice.make_torus(complex(0.5, math.sqrt(3) / 2)))
+    cmpr = _compare(lattice.make_torus(complex(0.5, math.sqrt(3) / 2)))
     assert len(cmpr.ranking) == 1
     assert set(cmpr.ranking[0]) == {0, 1, 2}
 
 
 def test_compare_half_periods_rhombic_above_upper_threshold():
-    cmpr = critical.compare_half_periods(lattice.make_torus(0.5 + 0.75j))
+    cmpr = _compare(lattice.make_torus(0.5 + 0.75j))
     # the two slanted half periods tie by the rhombic reflection; both beat w1/2
     assert set(cmpr.ranking[0]) == {1, 2}
     assert cmpr.ranking[1] == (0,)
@@ -397,45 +421,37 @@ def test_compare_half_periods_lists_a_tie_in_index_order(tau):
     # on Re tau = 1/2, G(tau/2) = G((1+tau)/2) exactly; roundoff decides
     # which of the two reads larger, and must not reorder the output
     for im in (tau.imag, np.nextafter(tau.imag, 1.0), np.nextafter(tau.imag, 0.0)):
-        cmp = critical.compare_half_periods(lattice.make_torus(complex(0.5, im)))
+        cmp = _compare(lattice.make_torus(complex(0.5, im)))
         assert (1, 2) in cmp.ranking and cmp.ties == ((1, 2),), (im, cmp.ranking)
 
 
 def test_compare_half_periods_formula_agreement_random():
     for T in RANDOM_TORI[:12]:
-        cmpr = critical.compare_half_periods(T)
+        cmpr = _compare(T)
         assert cmpr.max_formula_deviation < 1e-10
         flat = tuple(i for grp in cmpr.ranking for i in grp)
         assert sorted(flat) == [0, 1, 2]
         vals = cmpr.values
         for a, b in zip(flat, flat[1:]):
-            assert vals[a] >= vals[b] - cmpr.tie_tol
+            assert vals[a] >= vals[b] - critical.TIE_TOL
 
 
-def test_compare_half_periods_catches_a_wrong_direct_value(monkeypatch):
+def test_compare_half_periods_catches_a_wrong_direct_value():
     # the direct G values and the theta null differences are two routes; a
     # direct value moved at one half period must break the comparison
     torus = lattice.make_torus(0.13 + 0.92j)
-    real = green.evaluate
-
-    def moved(z, t):
-        ev = real(z, t)
-        if np.ndim(ev.value_rel) == 1 and len(ev.value_rel) == 3:
-            ev = dataclasses.replace(ev, value_rel=ev.value_rel + np.array([0.0, -0.05, 0.0]))
-        return ev
-
-    monkeypatch.setattr(green, "evaluate", moved)
+    cs = critical.find_critical_points(torus)
+    points = list(cs.points)
+    points[1] = dataclasses.replace(points[1], g_rel=points[1].g_rel - 0.05)
     with pytest.raises(InconsistentComparison, match="log-ratio formula"):
-        critical.compare_half_periods(torus)
+        critical.compare_half_periods(torus, dataclasses.replace(cs, points=tuple(points)))
 
 
 @pytest.mark.parametrize("tau", [1j, complex(0.5, math.sqrt(3) / 2), 0.13 + 0.92j, 0.5 + 0.75j])
 def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
-    # the direct values come from the half-period pass of the critical set,
-    # with the bits of the standalone call's own pass
+    # the direct values are the g_rel of the critical set's half periods
     T = lattice.make_torus(tau)
     cs = critical.find_critical_points(T)
-    alone = critical.compare_half_periods(T)
     calls = []
     real = green.evaluate
 
@@ -444,10 +460,9 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
         return real(z, torus)
 
     monkeypatch.setattr(green, "evaluate", counted)
-    shared = critical.compare_half_periods(T, cs)
+    cmpr = critical.compare_half_periods(T, cs)
     assert calls == []
-    assert shared.values == alone.values
-    assert shared == alone
+    assert cmpr.values == tuple(p.g_rel for p in cs.points[:3])
 
 
 @pytest.fixture

@@ -259,25 +259,23 @@ def test_flip_edges_straddle_thresholds():
 
 
 def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
-    # every cell starts from the half period determinants, so a failure
-    # there reaches each cell whatever its count
-    region = (0.1, 0.6, 0.45, 1.0)
-
-    def unconverged(z, torus):
-        raise Unconverged("synthetic series failure")
-
-    monkeypatch.setattr(green, "evaluate", unconverged)
-    cells = moduli.scan(region, 2, 1)
-    assert [c.count for c in cells] == [0, 0]
-    assert all(c.error == "Unconverged: synthetic series failure" for c in cells)
-    assert all(c.route is None for c in cells)
+    # near the cusp at 1/8 the first two cells reduce to Im tau_r = 1250,
+    # past theta.MAX_IM_TAU: their InvalidInput stays in their own cells,
+    # and the two cells beside them come out as they do alone
+    cells = moduli.scan((0.12499, 2e-6, 0.12503, 3e-6), 4, 1)
+    for c in cells[:2]:
+        assert (c.count, c.route, c.extra_point) == (0, None, None)
+        assert c.error.startswith("InvalidInput: theta series asked for at Im tau = 12"), c.error
+    for c in cells[2:]:
+        assert c.count == 3
+        assert _same_cell(c, critical.find_critical_points(lattice.make_torus(c.tau)))
 
     def bug(z, torus):
         return 1 / 0
 
     monkeypatch.setattr(green, "evaluate", bug)
     with pytest.raises(ZeroDivisionError):
-        moduli.scan(region, 2, 1)
+        moduli.scan((0.1, 0.6, 0.45, 1.0), 2, 1)
 
 
 @pytest.mark.parametrize("region, nx, ny", [
