@@ -10,9 +10,8 @@ determinants decide the count.  Each det comes with its error bound
 (green.C_DET), and only a sign outside the bound counts:
 
 - some det is positive: three points, no Newton (route "morse");
-- all three dets are negative: five points; damped Newton from the 55
-  fixed seeds below, and from a 24x24 grid where they miss, locates z0
-  (route "seeds"), and a count other than five is a CountViolation;
+- all three dets are negative: five points; damped Newton from one
+  pitchfork seed locates z0 (route "seeds");
 - one det lies inside its bound and none is positive: z0 has merged into
   that half period, which is labelled Degenerate, and the torus has
   three points (route "morse");
@@ -22,34 +21,40 @@ determinants decide the count.  Each det comes with its error bound
 A point's Morse label follows the same rule: Degenerate inside the bound,
 else Min or Saddle by the sign.
 
-The critical residual r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2
-collapses to (log theta1)_z + 2 pi i s, so a Newton step is one theta
-series pass for all seeds of every torus in a round.  Each round of the
-seeds route (_solve) is a damped Newton run and one plateau pass whose
-rows are the extra points.  The half-period pass serves every route, and
-the residual check is one more pass, at the exact half period
-coordinates through residual_and_jacobian, a second route to the
-gradient.  So a morse torus costs two passes, and a seeds torus adds the
-passes of its rounds.  compare_half_periods reads G(w_k/2) from the half
-period points of a CriticalSet, so the critical command adds only the
-theta null pass of weier.invariants.
+The pair is born at a half period, in a pitchfork, as that half period's
+determinant crosses zero (Lin and Wang's deformation argument).  So the
+seeds route takes the half period with the largest determinant and reads
+the normal form of that pitchfork from its Hessian row and the other two
+(_pitchfork_seed): no theta pass.  The critical residual
+r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2 collapses to
+(log theta1)_z + 2 pi i s, so a Newton step is one theta series pass for
+the seeds of every torus of a batch, and one more pass gives the points
+at the roots.  The half-period pass serves every route, and the residual
+check is one more pass, at the exact half period coordinates through
+residual_and_jacobian, a second route to the gradient.  So a morse torus
+costs two passes, and a seeds torus adds its Newton trials and the pass
+at z0.  compare_half_periods reads G(w_k/2) from the half period points
+of a CriticalSet, so the critical command adds only the theta null pass
+of weier.invariants.
 
 A torus gets the same bits in a batch as alone: the kernel sums each
 point at its own tau, the reduced frame constants are formed per torus
-and then gathered (green.Frame), and each Newton seed keeps its own
-count of steps.  find_critical_points is the batch of one torus.
+and then gathered (green.Frame), a seed is formed from its torus's rows
+alone, and each Newton seed keeps its own count of steps.
+find_critical_points is the batch of one torus.
 
-One array pass reduces the converged roots to extra orbits: roots near a
-half period go, the rest are folded modulo z ~ -z and merged at
-EXTRA_MERGE_TOL.  CountViolation marks an evaluation bug: other than one
-extra orbit where the signs force five, or unbalanced Morse labels, where
-a Degenerate half period has index +1 (a saddle merged with the pair of
-minima).  The damped Newton kernel also polishes the seed of the 8 pi
-mean field construction.
+Failures stay typed.  Unconverged: no seed (G_vvvv <= 0), or Newton
+misses the residual target from it.  CountViolation marks an evaluation
+bug: Newton reaches a half period where the signs force five, z0 is not
+a Min outside its bound, or unbalanced Morse labels, where a Degenerate
+half period has index +1 (a saddle merged with the pair of minima).  The
+damped Newton kernel also polishes the seed of the 8 pi mean field
+construction.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,37 +70,17 @@ from .errors import (
     Unconverged,
 )
 from .green import Hessian2
-from .lattice import LatticeCoords, Torus, lattice_gap, wrap_unit
+from .lattice import LatticeCoords, Torus, wrap_unit
 
-EXCLUSION_RADIUS = 0.05   # seed free disk around the lattice point
-HP_MERGE_TOL = 1e-5       # roots this close to a half period collapse into it;
-                          # near a degeneracy threshold the residual vanishes
-                          # quadratically, so spurious roots can sit ~1e-6 out
-EXTRA_MERGE_TOL = 1e-6    # the one merge tolerance among extra roots: right at
-                          # a threshold the residual valley is flat enough that
-                          # machine precision roots of one point can spread
-                          # wider than 1e-8
-PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
-                          # its Hessian determinant clears this bar; on extreme
-                          # aspect ratios the gradient has e^(-pi b') plateaus
-                          # whose every point passes the residual test, but
-                          # those fake roots carry determinants ~1e-12 while
-                          # genuine extras sit at O(1)
+HP_MERGE_TOL = 1e-5       # a root this close to a half period, in both
+                          # coordinates, is that half period
+LINE_TOL = 1e-6           # a root this close to the lines s = 0 and s = 1/2,
+                          # which z -> -z maps to themselves, lies on them:
+                          # below b0 on Re tau = 1/2 z0 is real, and Newton
+                          # leaves it up to ~3e-8 off the axis
 DEFAULT_TOL = 1e-12       # default gradient tolerance of the seeds route
 TIE_TOL = 1e-9            # G values of half periods this close are tied
-NEWTON_SEEDS = 1 << 16    # seeds per damped Newton run, about 1 KB each at its
-                          # first pass; the fixed seeds of a full scan chunk fit
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
-# seeds route: the hexagonal z0 and its images, the midpoints between half
-# periods, and offsets of 0.05 and 0.15 along the axes and diagonals around
-# each half period, where z0 is born
-_AROUND = [(dt, ds) for dt in (-1, 0, 1) for ds in (-1, 0, 1) if dt or ds]
-_SEED_T, _SEED_S = np.array(
-    [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1 / 3, 2 / 3),
-     (0.25, 0.5), (0.5, 0.25), (0.75, 0.5), (0.5, 0.75)]
-    + [(tc + r * dt, sc + r * ds)
-       for tc, sc in _HP_COORDS for r in (0.05, 0.15) for dt, ds in _AROUND]
-).T
 
 
 class Kind(Enum):
@@ -206,98 +191,6 @@ def damped_newton(t, s, torus: Torus | green.Frame, r_stop: float):
         live[poor[tries[poor] == 12]] = False
 
 
-def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
-    t, s = np.meshgrid(g, g)
-    return t.ravel(), s.ravel()
-
-
-# seeds route: the 24x24 grid where the fixed seeds miss
-_GRID_SEEDS = _grid_seeds(24)
-
-
-def _solve(tori: list[Torus], t: np.ndarray, s: np.ndarray, tol: float):
-    """Extra orbit representatives of each torus, reached from the seeds
-    (t, s), which serve every torus of tori.
-
-    One damped Newton run serves every seed and one evaluate pass applies
-    the plateau filter to every torus.  Returns, per torus, (ts, ss, rows,
-    failures): the representatives kept, their _rows from that pass, and
-    the seeds that neither converged nor were pruned.
-    """
-    if not tori:
-        return []
-    batch = green.gather(tori)
-    cell = np.repeat(np.arange(len(tori)), t.size)
-    t, s = np.tile(t, len(tori)), np.tile(s, len(tori))
-    on = green.take(batch, cell)
-    keep = lattice_gap(t + s * on.tau, on.tau) > EXCLUSION_RADIUS
-    t, s, cell, on = t[keep], s[keep], cell[keep], green.take(on, keep)
-    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
-    # polish three decades past the acceptance target: near a degeneracy
-    # threshold the residual valley is flat enough that stopping exactly at
-    # the target scatters one root across several merge cells; runs of at
-    # most NEWTON_SEEDS seeds bound the memory of a pass
-    runs = [damped_newton(t[lo:lo + NEWTON_SEEDS], s[lo:lo + NEWTON_SEEDS],
-                          green.take(on, slice(lo, lo + NEWTON_SEEDS)), r_target * 1e-3)
-            for lo in range(0, max(t.size, 1), NEWTON_SEEDS)]
-    t, s, rn = (np.concatenate(x) for x in zip(*runs))
-    converged = np.isfinite(rn) & (rn <= r_target)
-    failures = np.bincount(cell[~converged], minlength=len(tori))
-    bounds = np.searchsorted(cell[converged], np.arange(len(tori) + 1))
-    tw, sw = wrap_unit(t[converged])[0], wrap_unit(s[converged])[0]
-    reps = [_orbit_reps(tw[lo:hi], sw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    # drop the gradient plateau roots; the pass's rows serve the points kept
-    rcell = np.repeat(np.arange(len(tori)), [ts.size for ts, _ in reps])
-    rt = np.concatenate([ts for ts, _ in reps])
-    rs = np.concatenate([ss for _, ss in reps])
-    keep = np.ones(rt.size, dtype=bool)
-    rows = []
-    if rt.size:
-        on = green.take(batch, rcell)
-        ev = green.evaluate(rt + rs * on.tau, on)
-        floor = np.array([PLATEAU_MIN_DET / (torus.b * torus.b) for torus in tori])
-        keep = np.abs(ev.hessian.det) > floor[rcell]
-        rows = _rows(ev)
-    out = []
-    for k, failed in enumerate(failures.tolist()):
-        mine = np.flatnonzero((rcell == k) & keep)
-        out.append((rt[mine], rs[mine], [rows[j] for j in mine.tolist()], failed))
-    return out
-
-
-def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One representative per extra orbit {z, -z} among the wrapped roots.
-
-    Roots within HP_MERGE_TOL of a half period are dropped.  The rest are
-    folded onto the half cell s > 0 (t >= 0 on the lines s = 0 and
-    s = 1/2, which z -> -z maps to themselves), sorted by (t, s) and merged
-    greedily: the first root stands for every root within EXTRA_MERGE_TOL
-    of it in both wrapped coordinates.
-    """
-    def gap(a, b):
-        return np.abs(wrap_unit(a - b)[0])
-
-    near_hp = np.zeros(t.shape, dtype=bool)
-    for tc, sc in _HP_COORDS:
-        near_hp |= (gap(t, tc) < HP_MERGE_TOL) & (gap(s, sc) < HP_MERGE_TOL)
-    t, s = t[~near_hp], s[~near_hp]
-    tol = EXTRA_MERGE_TOL
-    on_line = (np.abs(s) <= tol) | (gap(s, 0.5) <= tol)
-    flip = np.where(on_line, t < -tol, s < 0.0)
-    t = np.where(flip, wrap_unit(-t)[0], t)
-    s = np.where(flip, wrap_unit(-s)[0], s)
-    order = np.lexsort((s, t))
-    t, s = t[order], s[order]
-    reps_t, reps_s = [], []
-    while t.size:
-        reps_t.append(t[0])
-        reps_s.append(s[0])
-        rest = (gap(t, t[0]) >= tol) | (gap(s, s[0]) >= tol)
-        t, s = t[rest], s[rest]
-    return np.array(reps_t), np.array(reps_s)
-
-
 def _morse(det: float, bound: float) -> Morse:
     if abs(det) <= bound:
         return Morse.DEGENERATE
@@ -329,25 +222,106 @@ def _half_period_rows(tori: list[Torus], batch) -> list[tuple[float, ...]]:
     return _rows(green.evaluate(z, green.take(batch, np.repeat(np.arange(len(tori)), 3))))
 
 
-def _critical_sets(tori: list[Torus], hp, found) -> list[CriticalSet]:
-    """The CriticalSet of each (k, route, ts, ss, rows) in found: the half
-    periods of tori[k], whose _rows are hp[3k:3k + 3], plus the extra
-    orbits (ts, ss) with their _rows from the plateau pass of _solve."""
+def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
+    """The CriticalSet of the half periods of torus, whose _rows are
+    hp_rows, plus the extra orbit extra = ((t, s), row), if any."""
     kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
+    points = _points(torus, _HP_COORDS, kinds, hp_rows)
+    if extra is not None:
+        points += _points(torus, [extra[0]], [Kind.EXTRA_PAIR], [extra[1]])
+    return CriticalSet(points=tuple(points), total_count=3 + 2 * (extra is not None),
+                       route=route)
+
+
+def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
+    """The seed (t, s) of z0 on a torus whose three half periods are
+    saddles, from their _rows, and the index m of the half period it
+    leaves: the one with the largest determinant, where the extra pair is
+    born as that determinant crosses zero.
+
+    Along the unit eigenvector v of the negative Hessian eigenvalue lam at
+    w_m, G is even about w_m, so its slope at w_m + eps v is
+    lam eps + G_vvvv eps^3 / 6 + O(eps^5), where
+    G_vvvv = Re(wp''(w_m) v^4) / 2 pi because the fourth derivative of
+    log theta1 is -wp''.  c_k = pi (G_xx - G_yy - 2i G_xy) at w_k is e_k
+    plus a constant of the torus, so wp''(w_m) = 2 (c_m - c_i)(c_m - c_j)
+    needs no theta pass; v^2 = -conj(c_m) / |c_m|, and
+    lam = det / (trace / 2 + |c_m| / 2 pi) keeps the precision of det.
+    The seed is w_m + eps v with eps = sqrt(-6 lam / G_vvvv).  Raises
+    Unconverged where G_vvvv <= 0, which leaves no seed.
+    """
+    m = max(range(3), key=lambda k: hp_rows[k][3])
+    c = [math.pi * complex(xx - yy, -2.0 * xy) for xx, xy, yy, *_ in hp_rows]
+    i, j = (k for k in range(3) if k != m)
+    xx, _, yy, det = hp_rows[m][:4]
+    size = abs(c[m])
+    lam = det / ((xx + yy) / 2.0 + size / (2.0 * math.pi))
+    v2 = -c[m].conjugate() / size
+    g4 = (2.0 * (c[m] - c[i]) * (c[m] - c[j]) * v2 * v2).real / (2.0 * math.pi)
+    if not g4 > 0.0:
+        raise Unconverged(f"no pitchfork seed at half period {m + 1}: G_vvvv = {g4:.3e} "
+                          f"is not positive at tau = {torus.tau}")
+    dz = math.sqrt(-6.0 * lam / g4) * cmath.sqrt(v2)
+    ds = dz.imag / torus.tau.imag
+    tc, sc = _HP_COORDS[m]
+    t, s = wrap_unit([tc + dz.real - ds * torus.tau.real, sc + ds])[0].tolist()
+    return t, s, m
+
+
+def _extra_points(tori: list[Torus], batch, seeds, tol: float) -> list:
+    """z0 of each (k, t, s, m) in seeds, the pitchfork seed (t, s) of
+    tori[k] at half period m: one damped Newton run serves every seed and
+    one evaluate pass every root.  Returns, per seed, ((t, s), row) with
+    the root folded to the representative of its orbit {z, -z} and row
+    its _rows, or the error: Unconverged where Newton misses
+    |grad G| <= tol / 2, CountViolation where it reaches a half period.
+    """
+    if not seeds:
+        return []
+    k, t0, s0, m = (np.array(x) for x in zip(*seeds))
+    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
+    # polish three decades past the target, so that z0 is a root to
+    # rounding and not anywhere inside the tolerance
+    t, s, rn = damped_newton(t0, s0, green.take(batch, k), r_target * 1e-3)
+    t, s = _fold(wrap_unit(t)[0], wrap_unit(s)[0])
+    at_hp = np.full(t.size, -1)
+    for h, (tc, sc) in enumerate(_HP_COORDS):
+        at_hp[(np.abs(wrap_unit(t - tc)[0]) < HP_MERGE_TOL)
+              & (np.abs(wrap_unit(s - sc)[0]) < HP_MERGE_TOL)] = h
+    ok = np.isfinite(rn) & (rn <= r_target) & (at_hp < 0)
+    on = green.take(batch, k[ok])
+    rows = iter(_rows(green.evaluate(t[ok] + s[ok] * on.tau, on)) if ok.any() else [])
     out = []
-    for k, route, ts, ss, rows in found:
-        torus = tori[k]
-        extras = list(zip(ts.tolist(), ss.tolist()))
-        points = _points(torus, _HP_COORDS, kinds, hp[3 * k:3 * k + 3])
-        points += _points(torus, extras, [Kind.EXTRA_PAIR] * len(extras), rows)
-        out.append(CriticalSet(points=tuple(points), total_count=3 + 2 * len(extras),
-                               route=route))
+    for j, seed in enumerate(seeds):
+        torus = tori[seed[0]]
+        name = f"the pitchfork seed (t, s) = ({t0[j]:.6f}, {s0[j]:.6f}) at half period {m[j] + 1}"
+        if ok[j]:
+            out.append(((float(t[j]), float(s[j])), next(rows)))
+        elif at_hp[j] < 0:
+            out.append(Unconverged(f"Newton from {name} ended at |grad G| = "
+                                   f"{rn[j] / (2.0 * np.pi):.3e}, above tol {tol} / 2, "
+                                   f"at tau = {torus.tau}"))
+        else:
+            out.append(CountViolation(
+                f"Newton from {name} reached half period {at_hp[j] + 1}, so 3 critical "
+                f"points at tau = {torus.tau}, but all three half periods are saddles, "
+                "which forces 5"))
     return out
+
+
+def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representative of the orbit {z, -z} of each wrapped root: on the
+    half cell s > 0, and t >= 0 on the lines s = 0 and s = 1/2 (LINE_TOL),
+    which z -> -z maps to themselves."""
+    on_line = (np.abs(s) <= LINE_TOL) | (np.abs(wrap_unit(s - 0.5)[0]) <= LINE_TOL)
+    flip = np.where(on_line, t < -LINE_TOL, s < 0.0)
+    return np.where(flip, wrap_unit(-t)[0], t), np.where(flip, wrap_unit(-s)[0], s)
 
 
 def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
     """cs, or the error it fails with, given r = |residual| at its points:
-    it passes once |grad G| <= tol at each point and #min - #saddle = -1."""
+    it passes once |grad G| <= tol at each point, #min - #saddle = -1 and
+    its extra pair, if any, are minima."""
     grad = float(np.max(r)) / (2.0 * np.pi)
     if not grad <= tol:
         return Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
@@ -360,6 +334,10 @@ def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
             f"#min - #saddle = {balance} among the {cs.total_count} critical points "
             f"of the {cs.route} route at tau = {torus.tau}; the Euler count forces -1"
         )
+    # the balance counts a Degenerate pair +1 each, as it would two minima
+    if cs.extra is not None and cs.extra.morse is not Morse.MIN:
+        return CountViolation(f"the extra point z0 = {cs.extra.z} is {cs.extra.morse.value}, "
+                              f"not a Min outside its det_bound, at tau = {torus.tau}")
     return cs
 
 
@@ -370,11 +348,11 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     theta._check_im and joins no pass.  The others each take their own
     route (see the module docstring), and every pass serves all of them.
     One half-period pass decides the routes and gives the half period
-    points of all of them.  Two _solve rounds follow: the 55 fixed seeds
-    of every seeds torus, then the 24x24 grid of each one whose seeds did
-    not leave exactly one extra orbit.  Last, one residual pass checks
-    |grad G| <= tol at every point, next to the Morse balance.  A torus
-    gets the same result, to the bit, as alone.  Only a bad tol raises.
+    points of all of them.  Every seeds torus then gets its pitchfork
+    seed, and _extra_points runs one Newton for all the seeds and one pass
+    at their roots.  Last, one residual pass checks |grad G| <= tol at
+    every point, next to the Morse balance.  A torus gets the same result,
+    to the bit, as alone.  Only a bad tol raises.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -401,29 +379,25 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
         out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
                                    f"within their error bounds at tau = {tori[k].tau}; "
                                    "their signs cannot decide the count")
-    empty = np.zeros(0)
-    found = [(k, "morse", empty, empty, []) for k in np.flatnonzero(morse).tolist()]
-    todo = np.flatnonzero(~morse & (n_inside == 0)).tolist()
-    for seed_t, seed_s in ((_SEED_T, _SEED_S), _GRID_SEEDS):
-        missed = {}
-        for k, (ts, ss, rows, _) in zip(todo, _solve([tori[k] for k in todo], seed_t, seed_s, tol)):
-            if ts.size == 1:
-                found.append((k, "seeds", ts, ss, rows))
-            else:
-                missed[k] = ts.size
-        todo = list(missed)
-    for k, n in missed.items():
-        out[live[k]] = CountViolation(
-            f"the seeds found {3 + 2 * n} critical points at tau = {tori[k].tau}, but "
-            "all three half periods are saddles, which forces 5"
-        )
-    sets = _critical_sets(tori, hp, found)
-    cell = np.repeat([k for k, *_ in found], [len(cs.points) for cs in sets])
-    t = np.array([p.coords.t for cs in sets for p in cs.points])
-    s = np.array([p.coords.s for cs in sets for p in cs.points])
+    sets = {k: _critical_set(tori[k], hp[3 * k:3 * k + 3], "morse")
+            for k in np.flatnonzero(morse).tolist()}
+    seeds = []
+    for k in np.flatnonzero(~morse & (n_inside == 0)).tolist():
+        try:
+            seeds.append((k, *_pitchfork_seed(tori[k], hp[3 * k:3 * k + 3])))
+        except Unconverged as exc:
+            out[live[k]] = exc
+    for (k, *_), extra in zip(seeds, _extra_points(tori, batch, seeds, tol)):
+        if isinstance(extra, TorusGreenError):
+            out[live[k]] = extra
+        else:
+            sets[k] = _critical_set(tori[k], hp[3 * k:3 * k + 3], "seeds", extra)
+    cell = np.repeat(list(sets), [len(cs.points) for cs in sets.values()])
+    t = np.array([p.coords.t for cs in sets.values() for p in cs.points])
+    s = np.array([p.coords.s for cs in sets.values() for p in cs.points])
     r = np.abs(green.residual_and_jacobian(t, s, green.take(batch, cell))[0]) if t.size else t
     start = 0
-    for (k, *_), cs in zip(found, sets):
+    for k, cs in sets.items():
         stop = start + len(cs.points)
         out[live[k]] = _checked(cs, tori[k], r[start:stop], tol)
         start = stop

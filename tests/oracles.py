@@ -16,8 +16,9 @@ values frozen from them.  The CLI's canonical JSON has a reference too:
 the plain recursive serializer that the package's single-join one
 replaced.  Routes that left the package live here for the tests that
 compare with them: the developing map f and f' of the 8 pi construction
-from sigma and wp; the census of one torus, built from the package's own
-Newton rounds, the count's second route against which the sign rule is
+from sigma and wp; the census of one torus, multi-start Newton from a
+seed grid with the package's damped Newton, the second route to the
+count and to z0, against which the sign rule and the pitchfork seed are
 checked; the mean field check one grid row at a time, which the
 package's walk in blocks of rows must equal field for field; and, on the
 rhombic line, the two real theta series, the five point stencil of
@@ -643,25 +644,103 @@ def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05):
 # the census: one torus, its seed grids alone
 
 
+EXCLUSION_RADIUS = 0.05   # seed free disk around the lattice point
+EXTRA_MERGE_TOL = 1e-6    # the one merge tolerance among extra roots: right at
+                          # a threshold the residual valley is flat enough that
+                          # machine precision roots of one point can spread
+                          # wider than 1e-8
+PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
+                          # its Hessian determinant clears this bar; on extreme
+                          # aspect ratios the gradient has e^(-pi b') plateaus
+                          # whose every point passes the residual test, but
+                          # those fake roots carry determinants ~1e-12 while
+                          # genuine extras sit at O(1)
+
+
+def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
+    t, s = np.meshgrid(g, g)
+    return t.ravel(), s.ravel()
+
+
+def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per extra orbit {z, -z} among the wrapped roots.
+
+    Roots within critical.HP_MERGE_TOL of a half period are dropped.  The
+    rest are folded onto the half cell s > 0 (t >= 0 on the lines s = 0
+    and s = 1/2, which z -> -z maps to themselves), sorted by (t, s) and
+    merged greedily: the first root stands for every root within
+    EXTRA_MERGE_TOL of it in both wrapped coordinates.
+    """
+    from torusgreen.critical import HP_MERGE_TOL
+    from torusgreen.lattice import wrap_unit
+
+    def gap(a, b):
+        return np.abs(wrap_unit(a - b)[0])
+
+    near_hp = np.zeros(t.shape, dtype=bool)
+    for tc, sc in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+        near_hp |= (gap(t, tc) < HP_MERGE_TOL) & (gap(s, sc) < HP_MERGE_TOL)
+    t, s = t[~near_hp], s[~near_hp]
+    tol = EXTRA_MERGE_TOL
+    on_line = (np.abs(s) <= tol) | (gap(s, 0.5) <= tol)
+    flip = np.where(on_line, t < -tol, s < 0.0)
+    t = np.where(flip, wrap_unit(-t)[0], t)
+    s = np.where(flip, wrap_unit(-s)[0], s)
+    order = np.lexsort((s, t))
+    t, s = t[order], s[order]
+    reps_t, reps_s = [], []
+    while t.size:
+        reps_t.append(t[0])
+        reps_s.append(s[0])
+        rest = (gap(t, t[0]) >= tol) | (gap(s, s[0]) >= tol)
+        t, s = t[rest], s[rest]
+    return np.array(reps_t), np.array(reps_s)
+
+
+def _multi_start(torus, n_grid: int, tol: float):
+    """The extra orbit representatives that damped Newton reaches from an
+    n_grid x n_grid seed grid outside EXCLUSION_RADIUS of the lattice
+    point, their _rows from one evaluate pass, less the gradient plateau
+    roots, and the number of seeds that did not converge."""
+    from torusgreen import critical, green
+    from torusgreen.lattice import lattice_gap, wrap_unit
+
+    t, s = _grid_seeds(n_grid)
+    keep = lattice_gap(t + s * torus.tau, torus.tau) > EXCLUSION_RADIUS
+    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
+    # polish three decades past the acceptance target: near a degeneracy
+    # threshold the residual valley is flat enough that stopping exactly at
+    # the target scatters one root across several merge cells
+    t, s, rn = critical.damped_newton(t[keep], s[keep], torus, r_target * 1e-3)
+    converged = np.isfinite(rn) & (rn <= r_target)
+    ts, ss = _orbit_reps(wrap_unit(t[converged])[0], wrap_unit(s[converged])[0])
+    if not ts.size:
+        return ts, ss, [], int(np.sum(~converged))
+    ev = green.evaluate(ts + ss * torus.tau, torus)
+    keep = np.abs(ev.hessian.det) > PLATEAU_MIN_DET / (torus.b * torus.b)
+    rows = [row for row, k in zip(critical._rows(ev), keep.tolist()) if k]
+    return ts[keep], ss[keep], rows, int(np.sum(~converged))
+
+
 def census(torus, tol: float = 1e-12):
     """The critical set of torus from a 24x24 seed grid, and a 48x48 check
     grid where a seed failed: the count's second route, which counts the
-    extra orbits Newton finds instead of reading the half-period signs,
-    run with the package's Newton rounds and a half-period pass of its
-    own.  Grids that disagree raise NoConvergence, more than one extra
-    orbit CountViolation."""
+    extra orbits multi-start Newton finds instead of reading the
+    half-period signs, run with the package's damped Newton and a
+    half-period pass of its own.  Grids that disagree raise NoConvergence,
+    more than one extra orbit CountViolation."""
     from torusgreen import critical
     from torusgreen.errors import CountViolation
 
-    ts, ss, rows, failures = critical._solve([torus], *critical._grid_seeds(24), tol)[0]
-    if failures:
-        fine = critical._solve([torus], *critical._grid_seeds(48), tol)[0][0]
-        if fine.size != ts.size:
-            raise NoConvergence(f"24/48 sweeps disagree at tau = {torus.tau}")
+    ts, ss, rows, failures = _multi_start(torus, 24, tol)
+    if failures and _multi_start(torus, 48, tol)[0].size != ts.size:
+        raise NoConvergence(f"24/48 sweeps disagree at tau = {torus.tau}")
     if ts.size > 1:
         raise CountViolation(f"{3 + 2 * ts.size} critical points at tau = {torus.tau}")
-    return critical._critical_sets([torus], critical._half_period_rows([torus], torus),
-                                   [(0, "census", ts, ss, rows)])[0]
+    extra = ((ts[0].item(), ss[0].item()), rows[0]) if ts.size else None
+    return critical._critical_set(torus, critical._half_period_rows([torus], torus),
+                                  "census", extra)
 
 
 def fd_gradient(fun, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:
@@ -750,7 +829,7 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12):
 
         roots = []
         for frac in (0.1, 0.2, 0.3, 0.4, 0.45):
-            r = _newton_1d(fx, frac, critical.EXCLUSION_RADIUS, 0.5 - 1e-9, grad_target)
+            r = _newton_1d(fx, frac, EXCLUSION_RADIUS, 0.5 - 1e-9, grad_target)
             if r is not None and all(abs(r - other) > 1e-7 for other in roots):
                 roots.append(r)
         if not roots:

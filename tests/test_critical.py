@@ -216,7 +216,7 @@ def test_tol_validation():
         critical.find_critical_points(T, tol=1e-15)
 
 
-_E = critical.EXTRA_MERGE_TOL
+_E = oracles.EXTRA_MERGE_TOL
 ORBIT_CASES = {
     "mirror pair": ([(-0.21, -0.13), (0.21, 0.13)], [(0.21, 0.13)]),
     "real axis mirror": ([(0.3, 1e-9), (-0.3, -1e-9), (-0.3, 2e-9)], [(0.3, -2e-9)]),
@@ -234,19 +234,23 @@ ORBIT_CASES = {
 
 @pytest.mark.parametrize("roots, reps", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_orbit_reps_on_synthetic_roots(roots, reps):
-    # one representative per orbit {z, -z}, the first of its cluster in
-    # (t, s) order; roots near a half period are not extras
+    # the census oracle's merge: one representative per orbit {z, -z}, the
+    # first of its cluster in (t, s) order; roots near a half period are
+    # not extras
     t, s = (np.array(c, dtype=float) for c in zip(*roots))
-    rt, rs = critical._orbit_reps(t, s)
+    rt, rs = oracles._orbit_reps(t, s)
     assert list(zip(rt.tolist(), rs.tolist())) == reps
 
 
 def test_rhombic_census_near_the_cusp_merges_across_the_real_axis():
-    # below b0 the extra pair sits on the real axis; at b = 0.06 its roots
-    # scatter to s = +-3e-8, which must still fold into one orbit
+    # below b0 the extra pair sits on the real axis; Newton leaves z0 off
+    # it by rounding (up to 3e-8 in the census), and the fold keeps t > 0
+    # on either side of it
     cs = critical.find_critical_points(lattice.make_torus(0.5 + 0.06j))
     assert cs.total_count == 5
-    assert abs(cs.extra.coords.s) < critical.EXTRA_MERGE_TOL
+    assert abs(cs.extra.coords.s) < critical.LINE_TOL and cs.extra.coords.t > 0.0
+    t, s = critical._fold(np.array([0.3, -0.3, -0.3]), np.array([1e-9, -1e-9, -0.2]))
+    assert (t.tolist(), s.tolist()) == ([0.3, 0.3, 0.3], [1e-9, 1e-9, 0.2])
 
 
 def test_find_critical_points_routes_on_the_square_and_hex_tori(hex_torus, square_torus):
@@ -279,27 +283,23 @@ def test_find_critical_points_matches_the_census_on_random_tori():
     assert {"morse", "seeds"} <= routes
 
 
-def test_the_census_route_evaluates_the_half_periods_once(hex_torus, monkeypatch):
-    # where the fixed seeds miss, the seeds route falls back on the census
-    # grid, and takes its half period points from the pass that decided
-    # the route; a single seed inside the exclusion disk leaves the
-    # hexagonal torus no fixed seed
+def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
+    # one pass at the half periods decides the route and gives their
+    # points, and one pass at the Newton root gives z0's; the residual
+    # check is residual_and_jacobian's
     z0 = oracles.census(hex_torus).extra.coords
-    monkeypatch.setattr(critical, "_SEED_T", np.zeros(1))
-    monkeypatch.setattr(critical, "_SEED_S", np.zeros(1))
-    half_periods = set(hex_torus.half_periods)
-    at_half_periods = []
+    calls = []
     real = green.evaluate
 
     def spy(z, on):
-        at_half_periods.append(half_periods <= set(np.ravel(z).tolist()))
+        calls.append(np.ravel(z).tolist())
         return real(z, on)
 
     monkeypatch.setattr(green, "evaluate", spy)
     cs = critical.find_critical_points(hex_torus)
     assert (cs.total_count, cs.route) == (5, "seeds")
-    assert (cs.extra.coords.t, cs.extra.coords.s) == (z0.t, z0.s)
-    assert sum(at_half_periods) == 1
+    assert calls == [list(hex_torus.half_periods), [cs.extra.z]]
+    assert abs(cs.extra.coords.t - z0.t) <= 1e-12 and abs(cs.extra.coords.s - z0.s) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -313,28 +313,22 @@ def criterion_7_census_tori():
     return [T for T, n in zip(tori, near) if n]
 
 
-def _same_solve(a, b):
-    (ta, sa, rows_a, fa), (tb, sb, rows_b, fb) = a, b
-    return np.array_equal(ta, tb) and np.array_equal(sa, sb) and rows_a == rows_b and fa == fb
-
-
-@pytest.mark.parametrize("newton_seeds", [critical.NEWTON_SEEDS, 1000])
-def test_a_batch_of_census_tori_equals_each_torus_alone(newton_seeds, monkeypatch,
+@pytest.mark.parametrize("run", [65536, 1000])
+def test_a_batch_of_census_tori_equals_each_torus_alone(run, monkeypatch, hex_torus,
                                                        criterion_7_census_tori):
-    # the signs decide all ten tori, with the census's counts; their census
-    # grids share each Newton run and plateau pass, split or not into runs
-    # of NEWTON_SEEDS seeds
-    tori = criterion_7_census_tori
-    assert len(tori) == 10
+    # the signs decide all ten tori, with the census's counts; with the
+    # hexagonal torus, whose seed runs Newton, the eleven share every pass
+    # and each gets the bits it gets alone, forty copies of them too, whose
+    # passes of over 1000 points the theta series sums in runs of run points
+    tori = criterion_7_census_tori + [hex_torus]
+    assert len(tori) == 11
     alone = [critical.find_critical_points(torus) for torus in tori]
-    assert {cs.route for cs in alone} == {"morse"}
+    assert [cs.route for cs in alone] == ["morse"] * 10 + ["seeds"]
     assert [cs.total_count for cs in alone] == [oracles.census(T).total_count for T in tori]
-    grid = critical._GRID_SEEDS
-    solo = [critical._solve([T], *grid, critical.DEFAULT_TOL)[0] for T in tori]
-    monkeypatch.setattr(critical, "NEWTON_SEEDS", newton_seeds)
+    monkeypatch.setattr(theta, "_RUN", run)
     assert critical.find_critical_sets(tori) == alone
-    batch = critical._solve(tori, *grid, critical.DEFAULT_TOL)
-    assert all(_same_solve(a, b) for a, b in zip(batch, solo))
+    assert critical.find_critical_sets(tori[::-1]) == alone[::-1]
+    assert critical.find_critical_sets(tori * 40) == alone * 40
 
 
 def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
@@ -388,6 +382,83 @@ def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypa
     monkeypatch.setattr(green, "residual_and_jacobian", off)
     with pytest.raises(Unconverged, match="grad G"):
         critical.find_critical_points(square_torus)
+
+
+def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
+    # a quarter turn of the Hessian at tau/2 keeps its trace and its
+    # determinant, so the route and the seed's half period 1/2 stay, but
+    # moves c_2 so that G_vvvv at 1/2 turns negative: eps has no real value
+    real = critical._half_period_rows
+
+    def turned(tori, batch):
+        rows = real(tori, batch)
+        xx, xy, yy, *rest = rows[1]
+        rows[1] = (yy, -xy, xx, *rest)
+        return rows
+
+    monkeypatch.setattr(critical, "_half_period_rows", turned)
+    with pytest.raises(Unconverged, match=r"no pitchfork seed at half period 1: G_vvvv = -2\.01"):
+        critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
+
+
+def _newton_ends_at(monkeypatch, t, s, rn):
+    def fixed(t0, s0, torus, r_stop):
+        shape = np.shape(t0)
+        return np.full(shape, t), np.full(shape, s), np.full(shape, rn)
+
+    monkeypatch.setattr(critical, "damped_newton", fixed)
+
+
+def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
+    T = lattice.make_torus(0.5 + 0.3j)
+    t, s, m = critical._pitchfork_seed(T, critical._half_period_rows([T], T))
+    _newton_ends_at(monkeypatch, t, s, 1e-10)
+    with pytest.raises(Unconverged) as info:
+        critical.find_critical_points(T)
+    assert str(info.value) == (
+        f"Newton from the pitchfork seed (t, s) = ({t:.6f}, {s:.6f}) at half period {m + 1} "
+        f"ended at |grad G| = {1e-10 / (2 * math.pi):.3e}, above tol 1e-12 / 2, at tau = {T.tau}")
+
+
+def test_a_root_at_a_half_period_is_a_count_violation(monkeypatch):
+    # all three half periods are saddles, so a root there leaves 3 points
+    _newton_ends_at(monkeypatch, -0.5, 0.5 + 1e-7, 0.0)
+    with pytest.raises(CountViolation, match="reached half period 3, so 3 critical points"):
+        critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
+
+
+def test_a_degenerate_extra_point_is_a_count_violation(monkeypatch):
+    # z0 must be a Min outside its det_bound; a Degenerate pair of minima
+    # would pass the Euler balance, which counts it +1 like a half period
+    real = green.evaluate
+
+    def flattened(z, torus):
+        ev = real(z, torus)
+        if np.size(z) == 3:
+            return ev
+        h = ev.hessian
+        return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, 0.0 * h.det))
+
+    monkeypatch.setattr(green, "evaluate", flattened)
+    with pytest.raises(CountViolation, match="is Degenerate, not a Min"):
+        critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["b", "1/(4b)"])
+@pytest.mark.parametrize("b", [4.5, 5.0, 6.0])
+def test_the_rhombic_cusp_has_five_points(b, dual):
+    # above b1 on Re tau = 1/2 the pair sits on Re z = 1/2 just below the
+    # height b/2 of the half periods, z0 = 1/2 + i (b/2 - 2 b e^(-pi b))
+    # up to O(b e^(-2 pi b)); 1/2 + i/(4b) is the same lattice scaled by
+    # mu = 1/(2ib).  The seeds' multi-start Newton ran 699 passes on the
+    # gradient plateau here and found no z0 (CountViolation)
+    tau, mu = (complex(0.5, 1 / (4 * b)), 1 / (2j * b)) if dual else (complex(0.5, b), 1.0)
+    cs = critical.find_critical_points(lattice.make_torus(tau))
+    assert (cs.total_count, cs.route, cs.extra.morse) == (5, "seeds", Morse.MIN)
+    z0 = mu * complex(0.5, b / 2 - 2 * b * math.exp(-math.pi * b))
+    assert min(lattice.lattice_gap(cs.extra.z - z0, tau),
+               lattice.lattice_gap(cs.extra.z + z0, tau)) <= 1e-10
+    assert cs.extra.hessian.det > 0.0 and oracles.mp_hessian_det(cs.extra.z, tau) > 0.0
 
 
 def _compare(T):
@@ -485,15 +556,14 @@ def theta_passes(monkeypatch):
 
 @pytest.mark.parametrize("tau, route, budget", [
     ("i", "morse", 3),                              # half periods, residual check, invariants
-    ("0.5+0.8660254037844386i", "seeds", 18),       # plus Newton and the plateau pass
+    # plus 6 Newton trials from the one seed and the pass at z0 (13 passes
+    # over 290 points from the 55 fixed seeds)
+    ("0.5+0.8660254037844386i", "seeds", 10),
 ], ids=["square", "hex"])
 def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
     assert cli.run(["critical", f"--tau={tau}"]) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["route"] == route
-    if route == "morse":
-        assert len(theta_passes) == budget
-    else:
-        assert len(theta_passes) <= budget
+    assert len(theta_passes) == budget
 
 
 def test_locate_z0_matches_full_solver_above():

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from torusgreen import critical, green, lattice, moduli, theta, weier
-from torusgreen.errors import CountViolation, InvalidInput, TorusGreenError, Unconverged
+from torusgreen.errors import InvalidInput, TorusGreenError, Unconverged
 
 # frozen from the bisection route at tol = 1e-12, cross checked against the
 # hessian determinant degeneracy of the half period 1/2 on the rhombic line
@@ -374,10 +374,11 @@ def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
 
 
 def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
-    # below b0 all three half periods are saddles, so no cell there reads 3;
-    # the three lowest cells, whose z0 neither the fixed seeds nor the
-    # census grid find, share the grid's Newton run and fail with
-    # CountViolation (6645 passes with one census at a time)
+    # below b0 all three half periods are saddles, so every cell there
+    # counts 5, down to b = 0.0345 (the dual of b = 7.2), and the seeds of
+    # its 5-cells share one Newton run: 20 passes in all (6645 with the
+    # old multi-start census one cell at a time, 1480 with it batched,
+    # where the three lowest cells failed with CountViolation)
     b0 = moduli.thresholds().b0
     passes = []
     real = theta._eval
@@ -388,10 +389,10 @@ def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
 
     monkeypatch.setattr(theta, "_eval", counted)
     cells = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)
-    assert all(c.count == 5 or c.error.startswith("CountViolation")
-               for c in cells if c.tau.imag < b0)
-    assert [c.route for c in cells[:6]] == [None] * 3 + ["seeds"] * 3
-    assert len(passes) <= 2000
+    low = [c for c in cells if c.tau.imag < b0]
+    assert len(low) == 30 and cells[0].tau.imag == pytest.approx(0.0345)
+    assert all((c.count, c.route, c.error) == (5, "seeds", None) for c in low)
+    assert len(passes) <= 20
 
 
 def test_scan_routes_on_the_rhombic_column():
@@ -403,24 +404,22 @@ def test_scan_routes_on_the_rhombic_column():
     assert [c.route for c in cells] == ["seeds", "morse", "morse", "morse"]
 
 
-def test_seedless_five_cell_with_a_three_point_census_is_a_count_violation(monkeypatch):
-    # no seed converges: the fixed seeds leave no orbit, so the census
-    # grid runs and finds 3 points where 5 are forced
+def test_a_five_cell_whose_newton_misses_fails_alone(monkeypatch):
+    # no seed converges: the hexagonal torus, whose half periods are all
+    # saddles, is Unconverged, and the error names its seed
     def no_root(t, s, torus, r_stop):
         return t, s, np.full(np.shape(t), np.inf)
 
-    # the hexagonal torus: all half periods are saddles, so the count is 5
     hex_tau = complex(0.5, math.sqrt(3) / 2)
     monkeypatch.setattr(critical, "damped_newton", no_root)
-    with pytest.raises(CountViolation, match="the seeds found 3 critical points"):
+    with pytest.raises(Unconverged, match="Newton from the pitchfork seed") as info:
         critical.find_critical_points(lattice.make_torus(hex_tau))
     # a scan of two cells, classified in one batch: the failure reaches the
     # hexagonal cell and not the 3-cell below it (b0 < b < b1)
     cells = moduli.scan((0.4995, hex_tau.imag - 0.3, 0.5005, hex_tau.imag + 0.1), 1, 2)
     assert (cells[0].count, cells[0].route, cells[0].error) == (3, "morse", None)
-    assert cells[1].count == 0
-    assert cells[1].route is None
-    assert cells[1].error.startswith("CountViolation: the seeds found 3 critical points")
+    assert (cells[1].count, cells[1].route) == (0, None)
+    assert cells[1].error == f"Unconverged: {info.value}"
 
 
 def test_flip_edges_batched_determinants_match_scalar_calls():
