@@ -63,6 +63,9 @@ CALLS = (
     ("inequalities", "--b=0.7"),
     # small b, where the closed form reads the reduced frame's half periods
     ("inequalities", "--b=0.01"),
+    # large b, where the theta3 signs are e^(-2 pi b) and decided, and the
+    # theta2 curvature is not
+    ("inequalities", "--b=8"),
     ("selftest", "--samples=40"),
 )
 

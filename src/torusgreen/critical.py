@@ -4,8 +4,8 @@ Every torus has the three half periods as critical points and at most one
 extra pair +-z0 (Lin and Wang); the pair are minima and
 #min - #saddle = -1, so there are five points exactly when all three half
 periods are saddles.  find_critical_sets evaluates G at the three half
-periods of every torus in one theta series pass (green.evaluate), builds
-their points from that result, and lets the signs of their Hessian
+periods of every torus in one theta series pass (weier.half_periods),
+builds their points from that result, and lets the signs of their Hessian
 determinants decide the count.  Each det comes with its error bound
 (green.C_DET), and only a sign outside the bound counts:
 
@@ -29,13 +29,13 @@ the normal form of that pitchfork from its Hessian row and the other two
 r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2 collapses to
 (log theta1)_z + 2 pi i s, so a Newton step is one theta series pass for
 the seeds of every torus of a batch, and one more pass gives the points
-at the roots.  The half-period pass serves every route, and the residual
-check is one more pass, at the exact half period coordinates through
-residual_and_jacobian, a second route to the gradient.  So a morse torus
-costs two passes, and a seeds torus adds its Newton trials and the pass
-at z0.  compare_half_periods reads G(w_k/2) from the half period points
-of a CriticalSet, so the critical command adds only the theta null pass
-of weier.invariants.
+at the roots.  The half-period pass serves every route and gives the
+Weierstrass invariants too, which a lone torus keeps in the
+weier.invariants cache; the residual check is one more pass, at the
+exact half period coordinates through residual_and_jacobian, a second
+route to the gradient.  So a morse torus costs two passes, and a seeds
+torus adds its Newton trials and the pass at z0; compare_half_periods
+and the 8 pi developing map find the invariants cached.
 
 A torus gets the same bits in a batch as alone: the kernel sums each
 point at its own tau, the reduced frame constants are formed per torus
@@ -43,13 +43,13 @@ and then gathered (green.Frame), a seed is formed from its torus's rows
 alone, and each Newton seed keeps its own count of steps.
 find_critical_points is the batch of one torus.
 
-Failures stay typed.  Unconverged: no seed (G_vvvv <= 0), or Newton
-misses the residual target from it.  CountViolation marks an evaluation
-bug: Newton reaches a half period where the signs force five, z0 is not
-a Min outside its bound, or unbalanced Morse labels, where a Degenerate
-half period has index +1 (a saddle merged with the pair of minima).  The
-damped Newton kernel also polishes the seed of the 8 pi mean field
-construction.
+Failures stay typed.  Unconverged: the half-period pass misses Jacobi's
+gap identities, no seed (G_vvvv <= 0), or Newton misses the residual
+target from it.  CountViolation marks an evaluation bug: Newton reaches
+a half period where the signs force five, z0 is not a Min outside its
+bound, or unbalanced Morse labels, where a Degenerate half period has
+index +1 (a saddle merged with the pair of minima).  The damped Newton
+kernel also polishes the seed of the 8 pi mean field construction.
 """
 
 from __future__ import annotations
@@ -216,12 +216,6 @@ def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
     return out
 
 
-def _half_period_rows(tori: list[Torus], batch) -> list[tuple[float, ...]]:
-    """The _rows of the three half periods of every torus, from one pass."""
-    z = np.array([h for torus in tori for h in torus.half_periods])
-    return _rows(green.evaluate(z, green.take(batch, np.repeat(np.arange(len(tori)), 3))))
-
-
 def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
     """The CriticalSet of the half periods of torus, whose _rows are
     hp_rows, plus the extra orbit extra = ((t, s), row), if any."""
@@ -348,7 +342,8 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     theta._check_im and joins no pass.  The others each take their own
     route (see the module docstring), and every pass serves all of them.
     One half-period pass decides the routes and gives the half period
-    points of all of them.  Every seeds torus then gets its pitchfork
+    points of all of them, or a torus its Unconverged off the gap
+    identities.  Every seeds torus then gets its pitchfork
     seed, and _extra_points runs one Newton for all the seeds and one pass
     at their roots.  Last, one residual pass checks |grad G| <= tol at
     every point, next to the Morse balance.  A torus gets the same result,
@@ -370,19 +365,24 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     if not tori:
         return out
     batch = green.gather(tori)
-    hp = _half_period_rows(tori, batch)
-    det = np.array([row[3] for row in hp]).reshape(-1, 3)
-    inside = np.abs(det) <= np.array([row[5] for row in hp]).reshape(-1, 3)
+    ev, failed = weier.half_periods(tori, batch)
+    hp = _rows(ev)
+    det = ev.hessian.det.reshape(-1, 3)
+    inside = np.abs(det) <= ev.det_bound.reshape(-1, 3)
     n_inside = inside.sum(axis=1)
     morse = ((det > 0.0) & ~inside).any(axis=1) | (n_inside == 1)
-    for k in np.flatnonzero(~morse & (n_inside > 1)).tolist():
+    ok = np.ones(len(tori), dtype=bool)
+    for k, exc in failed.items():
+        out[live[k]] = exc
+        ok[k] = False
+    for k in np.flatnonzero(ok & ~morse & (n_inside > 1)).tolist():
         out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
                                    f"within their error bounds at tau = {tori[k].tau}; "
                                    "their signs cannot decide the count")
     sets = {k: _critical_set(tori[k], hp[3 * k:3 * k + 3], "morse")
-            for k in np.flatnonzero(morse).tolist()}
+            for k in np.flatnonzero(ok & morse).tolist()}
     seeds = []
-    for k in np.flatnonzero(~morse & (n_inside == 0)).tolist():
+    for k in np.flatnonzero(ok & ~morse & (n_inside == 0)).tolist():
         try:
             seeds.append((k, *_pitchfork_seed(tori[k], hp[3 * k:3 * k + 3])))
         except Unconverged as exc:
@@ -458,8 +458,8 @@ def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
     raises InconsistentComparison.
 
     The direct values are the g_rel of the half-period points of cs, the
-    critical set of torus, so no Green pass runs here.  The theta nulls
-    come from weier.invariants.
+    critical set of torus, and the theta nulls come from weier.invariants,
+    cached by the pass that gave cs its half periods.
     """
     inv = weier.invariants(torus)
     g = tuple(p.g_rel for p in cs.points[:3])

@@ -32,7 +32,9 @@ law of eta, so everything holds on all of the upper half plane.
 
 evaluate and residual_and_jacobian take a Torus, or a Frame: the
 constants of these laws for one torus, or gathered per point for a batch
-on several tori, which then shares one theta pass.
+on several tori, which then shares one theta pass.  evaluate_pass also
+hands back the theta values of its pass, from which the Weierstrass
+layer reads its constants at the half periods.
 """
 
 from __future__ import annotations
@@ -149,11 +151,12 @@ def _as_frame(torus: Torus | Frame) -> Frame:
 
 
 def _reduced_pass(t, s, fr: Frame):
-    """s' and (log|theta1|, L1, L2) at z / lam on tau_r, z = t + s tau."""
+    """s' and (log|theta1|, arg theta1, L1, L2) at z / lam on tau_r,
+    z = t + s tau."""
     tr, _ = wrap_unit(fr.a * t - fr.b * s)
     sr, _ = wrap_unit(fr.d * s - fr.c * t)
-    lm, _, L1, L2, _ = theta._eval(tr + sr * fr.tau_r, fr.tau_r)
-    return sr, lm, L1, L2
+    lm, ar, L1, L2, _ = theta._eval(tr + sr * fr.tau_r, fr.tau_r)
+    return sr, lm, ar, L1, L2
 
 
 def evaluate(z, torus: Torus | Frame) -> GreenEval:
@@ -168,10 +171,16 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
     identity frame formulas bit for bit.  det_bound is the error bound
     of the determinant (C_DET).  Raises PoleAtLattice at lattice points.
     """
+    return evaluate_pass(z, torus)[0]
+
+
+def evaluate_pass(z, torus: Torus | Frame):
+    """evaluate, and the flat arrays log|theta1|, arg theta1 and L2 at the
+    points z / lam on tau_r where its theta pass summed."""
     fr = _as_frame(torus)
     z = np.asarray(z, dtype=complex)
     s = z.imag.reshape(-1) / fr.tau.imag
-    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * fr.tau.real, s, fr)
+    sr, lm, ar, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * fr.tau.real, s, fr)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
     b_r = fr.tau_r.imag
@@ -197,7 +206,7 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
             det=out(det_r / fr.det_scale),
         ),
         det_bound=out(det_err / fr.det_scale),
-    )
+    ), (lm, ar, L2)
 
 
 def green_rel(z, torus: Torus):
@@ -230,7 +239,7 @@ def residual_and_jacobian(t, s, torus: Torus | Frame):
     those as rejected steps.
     """
     fr = _as_frame(torus)
-    sr, _, L1, L2 = _reduced_pass(t, s, fr)
+    sr, _, _, L1, L2 = _reduced_pass(t, s, fr)
     rot = L2 * fr.k2
     return ((L1 + (2j * np.pi) * sr) * fr.k1, rot - fr.c_term, rot * fr.tau + fr.d_term)
 

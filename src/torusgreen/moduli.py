@@ -2,9 +2,9 @@
 
 On tau = 1/2 + i b every quantity the paper's inequalities need is a
 function of A_k = e_k + eta1 at the half periods, and one half-period
-pass (weier.invariants) gives them in closed form: A_1 and A_3 are
+pass (weier.invariants) gives them to relative precision: A_1 and A_3 are
 -4 pi i d/dtau of log theta2(0) and log theta3(0) (the heat equation),
-and their own tau derivatives follow from e_k and eta1 (_rhombic).
+and their own tau derivatives follow from the A_k alone (_rhombic).
 Thresholds b0 and b1 are the roots of A_1 and A_1 - 2 pi / b, found by
 Newton from b = 1/2; between them the half period 1/2 is a local
 minimum of the Green function and no extra pair exists.  The scan
@@ -26,10 +26,10 @@ from .errors import InvalidInput, TorusGreenError, Unconverged
 from .lattice import LatticeCoords, make_torus
 
 SCAN_CHUNK = 1024      # cells per critical.find_critical_sets call of a scan
-# ulps of m (|x| + |y|) that bound a product x y of differences of e_k and
-# eta1, m the largest of |e_k|, |eta1| (_rhombic).  Calibrated against
-# mpmath on 2500 moduli b in [0.002, 20]: the worst error is 5.0 units,
-# of (log|theta3(0)|)_b at b = 0.30.
+# ulps of |A_k| that bound each A_k = e_k + eta1, and so the products of
+# their differences (_rhombic).  Calibrated against mpmath on 2500 moduli b
+# in [0.002, 20]: the worst error is 4.1 units, of (log|theta3(0)|)_b at
+# b = 0.29.
 C_RHOMBIC = 16.0
 NEWTON_CAP = 16        # Newton steps per threshold before Unconverged
 _EPS = float(np.finfo(float).eps)
@@ -102,29 +102,31 @@ def _rhombic(b: float) -> tuple[float, float, float, float, tuple[float, float, 
     k = 1, theta3 for k = 3), the heat equation gives
 
         dA_k/dtau = (i / 4 pi) (2 A_k^2 - wp''(w_k)),
-        wp''(w_k) = 2 (e_k - e_i)(e_k - e_j),
+        wp''(w_k) = 2 (A_k - A_i)(A_k - A_j),
 
     and on this line d/db = i d/dtau.  So (log|theta2(0)|)_b =
     -Re A_1 / 4 pi, -4 pi (log|theta2(0)|)_bb = Re dA_1/db,
     (log|theta3(0)|)_b = -Re A_3 / 4 pi and (log|theta3(0)|)_bb =
-    -Re dA_3/db / 4 pi, all from one weier.invariants pass.  Returns
-    (A_1, dA_1/db, (log|theta3(0)|)_b, (log|theta3(0)|)_bb, bounds); A_1
-    is real on this line.  Each e_k and eta1 is good to a few ulps of m,
-    the largest of their sizes, so a product x y of two of their
-    differences is good to C_RHOMBIC eps m (|x| + |y|): the bounds of the
-    three signed quantities.  Past b = 6 or so they are e^(-2 pi b) and
-    fall inside them.  InvalidInput past theta.MAX_IM_TAU, inf included.
+    -Re dA_3/db / 4 pi, all from the A_k of one weier.invariants pass.
+    Returns (A_1, dA_1/db, (log|theta3(0)|)_b, (log|theta3(0)|)_bb,
+    bounds); A_1 is real on this line.  Each A_k is good to a few ulps
+    of |A_k|, so a product x y of two of their differences is good to
+    C_RHOMBIC eps (|x| (|A_i| + |A_j|) + ...) over the A_k in them: the
+    bounds of the three signed quantities.  The theta3 values are
+    e^(-2 pi b) against |A_3| = O(e^(-pi b)) and fall inside their bounds
+    past b = 10.8; the theta2 curvature cancels two O(1) terms and does
+    past b = 5.6.  InvalidInput past theta.MAX_IM_TAU, inf included.
     """
     theta._check_im(b)
-    inv = weier.invariants(make_torus(complex(0.5, b)))
-    e1, e2, e3, eta1 = inv.e1, inv.e2, inv.e3, inv.eta1
-    a1, a3 = e1 + eta1, e3 + eta1
-    da1 = (2.0 * (e1 - e2) * (e1 - e3) - 2.0 * a1 * a1).real / _FOUR_PI
-    da3 = (2.0 * (e3 - e1) * (e3 - e2) - 2.0 * a3 * a3).real / _FOUR_PI
-    ulps = (C_RHOMBIC * _EPS) * max(abs(e1), abs(e2), abs(e3), abs(eta1))
-    bounds = (ulps * 2.0 * (abs(e1 - e2) + abs(e1 - e3) + 2.0 * abs(a1)) / _FOUR_PI,
-              ulps / _FOUR_PI,
-              ulps * 2.0 * (abs(e3 - e1) + abs(e3 - e2) + 2.0 * abs(a3)) / _FOUR_PI ** 2)
+    a1, a2, a3 = weier.invariants(make_torus(complex(0.5, b))).a
+    m1, m2, m3 = (C_RHOMBIC * _EPS) * np.abs([a1, a2, a3])
+    da1 = (2.0 * (a1 - a2) * (a1 - a3) - 2.0 * a1 * a1).real / _FOUR_PI
+    da3 = (2.0 * (a3 - a1) * (a3 - a2) - 2.0 * a3 * a3).real / _FOUR_PI
+    bounds = (2.0 * (abs(a1 - a2) * (m1 + m3) + abs(a1 - a3) * (m1 + m2) + 2.0 * m1 * abs(a1))
+              / _FOUR_PI,
+              m3 / _FOUR_PI,
+              2.0 * (abs(a3 - a1) * (m3 + m2) + abs(a3 - a2) * (m3 + m1) + 2.0 * m3 * abs(a3))
+              / _FOUR_PI ** 2)
     return a1.real, da1, -a3.real / _FOUR_PI, -da3 / _FOUR_PI, bounds
 
 
@@ -281,8 +283,7 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     if not pairs:
         return []
     tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
-    rows = critical._half_period_rows(tori, green.gather(tori))
-    dets = np.abs([row[3] for row in rows]).reshape(-1, 3)
+    dets = np.abs(weier.half_periods(tori, green.gather(tori))[0].hessian.det).reshape(-1, 3)
     out = []
     for (a, bcell), torus, d in zip(pairs, tori, dets):
         k = int(np.argmin(d))

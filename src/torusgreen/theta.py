@@ -39,10 +39,10 @@ to the largest term count among them, each point's terms past its own
 count are exact zeros, and the powers of q are formed once per distinct
 tau, so a point still gets the bits of a pass at its own tau.  For a
 single modulus they are cached (_q_powers), as every pass on one torus
-sums at its tau_r.  There is no
-separate series for the theta nulls: theta2, theta3 and theta4 at 0 are
-theta1 at the half periods up to exact factors, and the Weierstrass
-layer reads them, theta1'(0) and eta1 from one _eval pass there.
+sums at its tau_r.  There is no separate series for the theta nulls:
+theta2, theta3 and theta4 at 0 are theta1 at the half periods up to
+exact factors, and the one pass there that serves the Green function
+gives them, theta1'(0), eta1 and the e_k too (weier._half_period_pass).
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ from sigma and wp; the census of one torus, multi-start Newton from a
 seed grid with the package's damped Newton, the second route to the
 count and to z0, against which the sign rule and the pitchfork seed are
 checked; the mean field check one grid row at a time, which the
-package's walk in blocks of rows must equal field for field; and, on the
-rhombic line, the two real theta series, the five point stencil of
-e1 + eta1 and the bracketed bisection for b0 and b1, the second route of
-moduli's closed form.  The oracles raise their own error types.
+package's walk in blocks of rows must equal field for field; the
+Weierstrass invariants from a theta pass of their own at the reduced
+half periods, before the Green function's half-period pass gave them;
+and, on the rhombic line, the two real theta series, the five point
+stencil of e1 + eta1 and the bracketed bisection for b0 and b1, the
+second route of moduli's closed form.  The oracles raise their own
+error types.
 """
 
 from __future__ import annotations
@@ -131,6 +134,32 @@ def mp_root_ratio(b):
     e1 = -_mp_log_theta1_dz2(0.5, tau) - eta1
     e2 = -_mp_log_theta1_dz2(tau / 2, tau) - eta1
     return abs(e2 / e1) ** 2
+
+
+def invariants_at_reduced_half_periods(torus) -> dict:
+    """The Weierstrass invariants from a theta pass of their own at 1/2,
+    tau_r/2 and (1+tau_r)/2 (not at the points where the Green function
+    sums its half periods), as weier computed them before its one
+    half-period pass; the keys are EllipticInvariants fields."""
+    from torusgreen.theta import _eval
+
+    tau_r = torus.tau_r
+    zs = np.array((0.5, tau_r / 2.0, (1.0 + tau_r) / 2.0), dtype=complex)
+    lm, ar, _, L2, _ = _eval(zs, tau_r)
+    eta1_r = complex(-L2.sum() / 3.0)
+    e_r = -L2 - eta1_r
+    quarter = 0.25j * math.pi * tau_r
+    log_nulls = lm + 1j * ar + np.array([0.0, quarter - 0.5j * math.pi, quarter])
+    (a, b), (c, d) = torus.mat
+    lam = torus.lam
+    perm = [pt + 2 * ps - 1 for pt, ps in ((a % 2, c % 2), (b % 2, d % 2),
+                                           ((a + b) % 2, (c + d) % 2))]
+    e1, e2, e3 = (e_r[perm] / (lam * lam)).tolist()
+    eta1 = (a * eta1_r - c * (eta1_r * tau_r - 2j * math.pi)) / lam
+    return {"e1": e1, "e2": e2, "e3": e3, "eta1": eta1,
+            "eta2": eta1 * torus.tau - 2j * math.pi,
+            "log_theta1_prime": complex(math.log(math.pi) + log_nulls.sum()),
+            "log_abs_nulls": tuple((log_nulls.real[perm] - 0.5 * math.log(abs(lam))).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +759,7 @@ def census(torus, tol: float = 1e-12):
     half-period signs, run with the package's damped Newton and a
     half-period pass of its own.  Grids that disagree raise NoConvergence,
     more than one extra orbit CountViolation."""
-    from torusgreen import critical
+    from torusgreen import critical, green
     from torusgreen.errors import CountViolation
 
     ts, ss, rows, failures = _multi_start(torus, 24, tol)
@@ -739,8 +768,8 @@ def census(torus, tol: float = 1e-12):
     if ts.size > 1:
         raise CountViolation(f"{3 + 2 * ts.size} critical points at tau = {torus.tau}")
     extra = ((ts[0].item(), ss[0].item()), rows[0]) if ts.size else None
-    return critical._critical_set(torus, critical._half_period_rows([torus], torus),
-                                  "census", extra)
+    hp = critical._rows(green.evaluate(np.array(torus.half_periods), torus))
+    return critical._critical_set(torus, hp, "census", extra)
 
 
 def fd_gradient(fun, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:

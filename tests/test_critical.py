@@ -14,6 +14,7 @@ from torusgreen.errors import (
     CountViolation,
     InconsistentComparison,
     InvalidInput,
+    TorusGreenError,
     Unconverged,
 )
 from torusgreen.green import Hessian2
@@ -152,10 +153,15 @@ def test_classify_matches_stored_class(monkeypatch):
             det = ev.hessian.det
             sign = Morse.MIN if det > 0.0 else Morse.SADDLE
             assert p.morse is (Morse.DEGENERATE if abs(det) <= ev.det_bound else sign)
-    # a bound that swallows every determinant leaves no sign to count by
+    # a bound that swallows every determinant leaves no sign to count by;
+    # the invariants cache holds the half-period rows with their bounds
     monkeypatch.setattr(green, "C_DET", 1e30)
-    with pytest.raises(Unconverged, match="error bounds"):
-        critical.find_critical_points(lattice.make_torus(1j))
+    weier._invariants_cached.cache_clear()
+    try:
+        with pytest.raises(Unconverged, match="error bounds"):
+            critical.find_critical_points(lattice.make_torus(1j))
+    finally:
+        weier._invariants_cached.cache_clear()
 
 
 def _calibration_tori():
@@ -284,21 +290,27 @@ def test_find_critical_points_matches_the_census_on_random_tori():
 
 
 def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
-    # one pass at the half periods decides the route and gives their
-    # points, and one pass at the Newton root gives z0's; the residual
-    # check is residual_and_jacobian's
+    # one pass at the half periods, the invariants', decides the route and
+    # gives their points, and one pass at the Newton root gives z0's; the
+    # residual check is residual_and_jacobian's
     z0 = oracles.census(hex_torus).extra.coords
     calls = []
-    real = green.evaluate
+    real, real_pass = green.evaluate, weier._half_period_pass
 
     def spy(z, on):
         calls.append(np.ravel(z).tolist())
         return real(z, on)
 
+    def spy_pass(tori, batch):
+        calls.append(tori)
+        return real_pass(tori, batch)
+
     monkeypatch.setattr(green, "evaluate", spy)
+    monkeypatch.setattr(weier, "_half_period_pass", spy_pass)
+    weier._invariants_cached.cache_clear()
     cs = critical.find_critical_points(hex_torus)
     assert (cs.total_count, cs.route) == (5, "seeds")
-    assert calls == [list(hex_torus.half_periods), [cs.extra.z]]
+    assert calls == [[hex_torus], [cs.extra.z]]
     assert abs(cs.extra.coords.t - z0.t) <= 1e-12 and abs(cs.extra.coords.s - z0.s) <= 1e-12
 
 
@@ -308,7 +320,7 @@ def criterion_7_census_tori():
     # |det| * b^2 is under 1e-6, the absolute margin that once sent them
     # to the census
     tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)]
-    det = np.array([row[3] for row in critical._half_period_rows(tori, green.gather(tori))])
+    det = weier.half_periods(tori, green.gather(tori))[0].hessian.det
     near = np.abs(det).reshape(-1, 3).min(axis=1) * np.array([T.b ** 2 for T in tori]) < 1e-6
     return [T for T, n in zip(tori, near) if n]
 
@@ -329,6 +341,47 @@ def test_a_batch_of_census_tori_equals_each_torus_alone(run, monkeypatch, hex_to
     assert critical.find_critical_sets(tori) == alone
     assert critical.find_critical_sets(tori[::-1]) == alone[::-1]
     assert critical.find_critical_sets(tori * 40) == alone * 40
+
+
+def test_a_chunk_fails_each_torus_as_it_fails_alone(monkeypatch):
+    # a scan chunk of tori that count, tori whose determinants cannot
+    # decide (the cusp at 250i and 1/2 + 11i), and tori whose half-period
+    # pass misses Jacobi's gap identities (L2 off by 1e-9 relative at the
+    # hexagonal torus and at 0.3+0.8i): each torus gets its own result or
+    # error, the same as alone, where it reads the invariants cache
+    taus = [1j, 250j, 0.5 + 0.8660254037844386j, 0.13 + 0.92j, 0.5 + 11j, 0.3 + 0.8j,
+            0.5 + 0.3j]
+    tori = [lattice.make_torus(tau) for tau in taus]
+    off = {tori[2].tau_r, tori[5].tau_r}
+    real = theta._eval
+
+    def corrupted(z, tau):
+        lm, ar, L1, L2, L3 = real(z, tau)
+        return lm, ar, L1, L2 * np.where(np.isin(tau, list(off)), 1.0 + 1e-9, 1.0), L3
+
+    def alone(torus):
+        try:
+            return critical.find_critical_points(torus)
+        except TorusGreenError as exc:
+            return exc
+
+    monkeypatch.setattr(theta, "_eval", corrupted)
+    weier._invariants_cached.cache_clear()
+    try:
+        single = [alone(torus) for torus in tori]
+        chunk = critical.find_critical_sets(tori)
+    finally:
+        weier._invariants_cached.cache_clear()
+    assert [type(x).__name__ for x in chunk] == [
+        "CriticalSet", "Unconverged", "Unconverged", "CriticalSet", "Unconverged",
+        "Unconverged", "CriticalSet"]
+    for k in (2, 5):
+        assert "gap identities" in str(chunk[k])
+    for k in (1, 4):
+        assert "within their error bounds" in str(chunk[k])
+    for got, want in zip(chunk, single):
+        assert type(got) is type(want)
+        assert got == want if isinstance(got, critical.CriticalSet) else str(got) == str(want)
 
 
 def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
@@ -354,20 +407,20 @@ def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
                          [(1j, True), (complex(0.5, math.sqrt(3) / 2), False)],
                          ids=["morse", "seeds"])
 def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeypatch):
-    real = green.evaluate
-
-    def flipped(z, torus):
-        # wrong determinant signs: at the three half periods on the square
-        # torus (the morse route then reads two minima), or away from them
-        # on the hexagonal one (seeds route, a saddle pair; the plateau
-        # filter reads |det| only)
-        ev = real(z, torus)
-        if np.array_equal(z, torus.half_periods) != at_half_periods:
-            return ev
+    # wrong determinant signs: at the three half periods on the square
+    # torus (the morse route then reads two minima), or at z0 on the
+    # hexagonal one (seeds route, a saddle pair)
+    def flipped(ev):
         h = ev.hessian
         return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, -h.det))
 
-    monkeypatch.setattr(green, "evaluate", flipped)
+    if at_half_periods:
+        real = weier.half_periods
+        monkeypatch.setattr(weier, "half_periods",
+                            lambda tori, batch: (flipped(real(tori, batch)[0]), {}))
+    else:
+        real = green.evaluate
+        monkeypatch.setattr(green, "evaluate", lambda z, torus: flipped(real(z, torus)))
     with pytest.raises(CountViolation, match="the Euler count forces -1"):
         critical.find_critical_points(lattice.make_torus(tau))
 
@@ -388,15 +441,16 @@ def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
     # a quarter turn of the Hessian at tau/2 keeps its trace and its
     # determinant, so the route and the seed's half period 1/2 stay, but
     # moves c_2 so that G_vvvv at 1/2 turns negative: eps has no real value
-    real = critical._half_period_rows
+    real = weier.half_periods
 
     def turned(tori, batch):
-        rows = real(tori, batch)
-        xx, xy, yy, *rest = rows[1]
-        rows[1] = (yy, -xy, xx, *rest)
-        return rows
+        ev, failed = real(tori, batch)
+        h = ev.hessian
+        xx, xy, yy = h.xx.copy(), h.xy.copy(), h.yy.copy()
+        xx[1], xy[1], yy[1] = h.yy[1], -h.xy[1], h.xx[1]
+        return dataclasses.replace(ev, hessian=Hessian2(xx, xy, yy, h.det)), failed
 
-    monkeypatch.setattr(critical, "_half_period_rows", turned)
+    monkeypatch.setattr(weier, "half_periods", turned)
     with pytest.raises(Unconverged, match=r"no pitchfork seed at half period 1: G_vvvv = -2\.01"):
         critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
 
@@ -411,7 +465,7 @@ def _newton_ends_at(monkeypatch, t, s, rn):
 
 def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
     T = lattice.make_torus(0.5 + 0.3j)
-    t, s, m = critical._pitchfork_seed(T, critical._half_period_rows([T], T))
+    t, s, m = critical._pitchfork_seed(T, critical._rows(weier.invariants(T).green))
     _newton_ends_at(monkeypatch, t, s, 1e-10)
     with pytest.raises(Unconverged) as info:
         critical.find_critical_points(T)
@@ -555,10 +609,12 @@ def theta_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("tau, route, budget", [
-    ("i", "morse", 3),                              # half periods, residual check, invariants
+    # half periods with the invariants, residual check (3 passes while
+    # the invariants summed the half periods again)
+    ("i", "morse", 2),
     # plus 6 Newton trials from the one seed and the pass at z0 (13 passes
-    # over 290 points from the 55 fixed seeds)
-    ("0.5+0.8660254037844386i", "seeds", 10),
+    # over 290 points from the 55 fixed seeds, then 10)
+    ("0.5+0.8660254037844386i", "seeds", 9),
 ], ids=["square", "hex"])
 def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
     assert cli.run(["critical", f"--tau={tau}"]) == 0
@@ -605,3 +661,21 @@ def test_g_rel_field_matches_green():
     T = lattice.make_torus(0.5 + 0.75j)
     for p in critical.find_critical_points(T).points:
         assert p.g_rel == green.green_rel(p.z, T)
+
+
+# cusp defects of the half-period determinants, which need A_k summed to
+# relative precision and the determinant kept as a sign and log|det|; the
+# marks are strict, so the change that mends them must drop them
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tau/2 and (1+tau)/2 determinants at 0.5+0.0035i are "
+                          "rounding noise outside their bounds and read 3 points")
+def test_the_rhombic_line_far_below_b0_has_five_points(capsys):
+    assert cli.run(["critical", "--tau=0.5+0.0035i"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 5
+
+
+@pytest.mark.xfail(strict=True, raises=Unconverged,
+                   reason="two half-period determinants fall inside their error bounds")
+@pytest.mark.parametrize("tau, count", [(0.5 + 11j, 5), (250j, 3)], ids=["rhombic", "square"])
+def test_the_cusp_far_out_is_counted(tau, count):
+    assert critical.find_critical_points(lattice.make_torus(tau)).total_count == count

@@ -27,14 +27,14 @@ def test_thresholds_by_newton_match_mpmath_and_the_bisection(monkeypatch):
     # mpmath and b0 to 1e-12 of 1/(4 b1), against 107 passes of the
     # bisection route that is now the oracle
     passes = []
-    real = weier._eval
+    real = theta._eval
 
     def counted(z, tau):
         passes.append(np.size(z))
         return real(z, tau)
 
     weier._invariants_cached.cache_clear()
-    monkeypatch.setattr(weier, "_eval", counted)
+    monkeypatch.setattr(theta, "_eval", counted)
     rep = moduli.thresholds(tol=1e-12)
     assert len(passes) <= 16
     assert sum(rep.newton_steps) <= 15
@@ -131,8 +131,9 @@ def test_small_b_derivatives_match_mpmath(b):
 @pytest.mark.parametrize("b", LARGE_B)
 def test_large_b_signs_inside_their_bounds_are_not_decided(b):
     # past b = 6 the three values are e^(-2 pi b) and rounding decides the
-    # curvature and the theta3 slope: inside its bound a value is
-    # undecided, outside it has mpmath's sign; never a false violation
+    # curvature, whose heat-equation form cancels two O(1) terms: inside
+    # its bound a value is undecided, outside it has mpmath's sign; never a
+    # false violation
     rep = moduli.verify_fundamental_inequalities([b])
     (row,) = rep.rows
     triples = _against_mpmath(row)
@@ -146,9 +147,22 @@ def test_large_b_signs_inside_their_bounds_are_not_decided(b):
     assert not rep.ok
 
 
+@pytest.mark.parametrize("b", LARGE_B)
+def test_large_b_theta3_signs_are_decided(b):
+    # A_3 comes from (log theta1)'' at (1+tau)/2 to relative precision, so
+    # the theta3 values, e^(-2 pi b) against |A_3| = O(e^(-pi b)), keep
+    # their signs to b = 10.8 (from b = 6.5 when A_3 was e3 + eta1); at
+    # b = 8 they are 1.4e-6 and 2.3e-6 off mpmath
+    (row,) = moduli.verify_fundamental_inequalities([b]).rows
+    for value, ref, bound in _against_mpmath(row)[1:]:
+        assert abs(value) > bound and (value > 0) == (ref > 0), (b, value, ref, bound)
+        assert abs(value - ref) <= (1e-5 if b <= 8 else 1e-3) * abs(ref), (b, value, ref)
+
+
 def test_rhombic_error_bounds_hold_against_mpmath():
     # C_RHOMBIC against mpmath: the worst error over this sweep is 3.3
-    # units of eps m (|x| + |y|), of the theta2 curvature at b = 0.34
+    # units of eps |A_k| over the A_k of a value, of the theta2 curvature
+    # at b = 0.34
     grid = sorted(set(np.geomspace(0.002, 20.0, 150).tolist()) | set(SMALL_B + LARGE_B))
     worst = 0.0
     for row in moduli.verify_fundamental_inequalities(grid).rows:

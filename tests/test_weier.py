@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import lattice, theta, weier
+from torusgreen import green, lattice, theta, weier
 from torusgreen.errors import HalfPeriodInput, PoleAtLattice, Unconverged
 
 TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, 0.2 + 0.35j]
@@ -73,19 +73,75 @@ def test_eta1_matches_mpmath():
 def test_gap_check_catches_a_corrupted_half_period(monkeypatch):
     # e1 + e2 + e3 = 0 holds by construction, so only the gap identities
     # e1 - e2 = pi^2 theta3(0)^4 etc. can see a wrong (log theta1)''
-    real = weier._eval
+    real = theta._eval
 
     def corrupted(z, tau):
         lm, ar, L1, L2, L3 = real(z, tau)
         return lm, ar, L1, L2 * np.array([1.0, 1.0 + 1e-9, 1.0]), L3
 
-    monkeypatch.setattr(weier, "_eval", corrupted)
+    monkeypatch.setattr(theta, "_eval", corrupted)
     weier._invariants_cached.cache_clear()
     try:
         with pytest.raises(Unconverged, match="gap identities"):
             weier.invariants(lattice.make_torus(0.13 + 0.92j))
     finally:
         weier._invariants_cached.cache_clear()
+
+
+def _record_tori():
+    # random moduli, both cusp lines from b = 0.002 to 250, and the
+    # selftest frame tori, one outside the fundamental domain
+    cusp = [complex(re, b) for re in (0.0, 0.5) for b in np.geomspace(0.002, 250.0, 30)]
+    return lattice.random_tori(200, 3) + [lattice.make_torus(tau) for tau in
+                                          cusp + [3.2 + 0.9j, 0.5 + 0.8j]]
+
+
+def test_the_half_period_record_matches_its_two_references(monkeypatch):
+    # the one half-period pass against green.evaluate at the half periods
+    # (its rows, bit for bit) and against a pass of the invariants' own at
+    # the reduced half periods.  Where green's points are exactly minus
+    # those, the two sum the same terms and agree bit for bit, arg
+    # theta1'(0) too; where rounding (1+tau)/2 into (t, s) moves green's
+    # point by an ulp, the sums move by a few ulps
+    tori = _record_tori()
+    points = []
+    real = theta._eval
+
+    def spy(z, tau):
+        points.append(set(np.ravel(z).tolist()))
+        return real(z, tau)
+
+    moved = 0
+    for T in tori:
+        inv = weier.invariants(T)
+        monkeypatch.setattr(theta, "_eval", spy)
+        ev = green.evaluate(np.array(T.half_periods), T)
+        monkeypatch.setattr(theta, "_eval", real)
+        for got, want in ((inv.green.value_rel, ev.value_rel), (inv.green.det_bound, ev.det_bound),
+                          *((getattr(inv.green.hessian, f), getattr(ev.hessian, f))
+                            for f in ("xx", "xy", "yy", "det"))):
+            assert np.array_equal(got, want), T.tau
+        ref = oracles.invariants_at_reduced_half_periods(T)
+        arg = (inv.log_theta1_prime - ref["log_theta1_prime"]).imag / (2 * math.pi)
+        assert abs(arg - round(arg)) < 1e-14, T.tau
+        tau_r = T.tau_r
+        if points.pop() == {-0.5 + 0j, -tau_r / 2.0, -(1.0 + tau_r) / 2.0}:
+            for key, want in ref.items():
+                assert getattr(inv, key) == want, (T.tau, key)
+            continue
+        moved += 1
+        scale = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+        for key in ("e1", "e2", "e3", "eta1"):
+            assert abs(getattr(inv, key) - ref[key]) <= 8 * np.finfo(float).eps * scale, T.tau
+        assert np.allclose(inv.log_abs_nulls, ref["log_abs_nulls"], rtol=0, atol=4e-15)
+    assert moved < len(tori) / 10
+    # A_k from (log theta1)'' alone is e_k + eta1 up to the rounding of e_k
+    # and of eta1's frame law, 16 ulps of the largest of them near the cusp
+    for T in tori:
+        inv = weier.invariants(T)
+        scale = max(abs(x) for x in (*inv.a, inv.e1, inv.e2, inv.e3, inv.eta1))
+        for a, e in zip(inv.a, (inv.e1, inv.e2, inv.e3)):
+            assert abs(a - (e + inv.eta1)) <= 64 * np.finfo(float).eps * scale, T.tau
 
 
 def test_wp_matches_lattice_row_sum():
