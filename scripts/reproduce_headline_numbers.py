@@ -45,7 +45,7 @@ def main():
     for p in cs.points:
         print(f"  ({p.coords.t:+.6f}, {p.coords.s:+.6f})  {p.kind.value:12s} {p.morse.value}")
     print(f"  total count (pair counted twice): {cs.total_count}")
-    z0 = mfe.extra_branch_point(T_hex)
+    z0 = cs.extra.z
     print(f"  extra point z0 = {z0:.12f}")
     print(f"  |wp(z0)| = {abs(weier.wp(z0, T_hex)):.1e}, "
           f"|wp''(z0)| = {abs(weier.wp(z0, T_hex, order=2)):.1e}, "
@@ -61,7 +61,7 @@ def main():
               f"(route deviation {cmpr.max_formula_deviation:.1e})")
 
     section(f"Mean field equation at rho = 8 pi (hexagonal, {grid_n}^2 grid)")
-    rep = mfe.verify_solution(mfe.solution_8pi(T_hex, z0), grid_n=grid_n)
+    rep = mfe.verify_solution(mfe.solution_8pi(T_hex), grid_n=grid_n)
     print(f"  max |Delta u + 8 pi e^u| = {rep.max_residual:.2e}")
     print(f"  periodicity deviation    = "
           f"{max(rep.periodicity_1, rep.periodicity_tau):.2e}")

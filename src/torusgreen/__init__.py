@@ -29,7 +29,6 @@ from .mfe import (
     MfeSolution,
     ResidualReport,
     developing_map_8pi,
-    extra_branch_point,
     solution_4pi,
     solution_8pi,
     verify_solution,
@@ -64,7 +63,6 @@ __all__ = [
     "compare_half_periods",
     "developing_map_8pi",
     "evaluate",
-    "extra_branch_point",
     "find_critical_points",
     "find_critical_sets",
     "flip_edges",

@@ -22,6 +22,7 @@ import functools
 import math
 import re
 import sys
+from json.encoder import encode_basestring
 
 from . import critical, green, mfe, moduli, selftest
 from .errors import ConsistencyError, DomainError, InvalidInput, Unconverged
@@ -97,14 +98,10 @@ def _fmt_float(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
-def _fmt_str(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _dict(obj, out: list) -> None:
     out.append("{")
     for i, key in enumerate(sorted(obj)):
-        out.append(("," if i else "") + _fmt_str(str(key)) + ":")
+        out.append(("," if i else "") + encode_basestring(str(key)) + ":")
         _canonical(obj[key], out)
     out.append("}")
 
@@ -133,7 +130,7 @@ def _canonical(obj, out: list) -> None:
     elif tp is list or tp is tuple:
         _seq(obj, out)
     elif tp is str:
-        out.append(_fmt_str(obj))
+        out.append(encode_basestring(obj))
     elif tp is complex:
         out.append(f'{{"im":{_fmt_float(obj.imag)},"re":{_fmt_float(obj.real)}}}')
     elif obj is None:
@@ -147,7 +144,7 @@ def _canonical(obj, out: list) -> None:
     elif isinstance(obj, complex):
         _dict({"re": obj.real, "im": obj.imag}, out)
     elif isinstance(obj, str):
-        out.append(_fmt_str(obj))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         _dict(obj, out)
     elif isinstance(obj, (list, tuple)):
@@ -314,8 +311,7 @@ def _cmd_mfe(args) -> tuple[dict, dict]:
         raise InvalidInput(f"verification grid {nx}x{ny} is not square")
     torus = make_torus(args.tau)
     if args.rho == "8pi":
-        z0 = mfe.extra_branch_point(torus)
-        sol = mfe.solution_8pi(torus, z0, lam=args.lam)
+        sol = mfe.solution_8pi(torus, lam=args.lam)
         diag_extra = {}
     else:
         sol, d = mfe.solution_4pi(torus)

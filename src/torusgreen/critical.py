@@ -48,8 +48,7 @@ gap identities, no seed (G_vvvv <= 0), or Newton misses the residual
 target from it.  CountViolation marks an evaluation bug: Newton reaches
 a half period where the signs force five, z0 is not a Min outside its
 bound, or unbalanced Morse labels, where a Degenerate half period has
-index +1 (a saddle merged with the pair of minima).  The damped Newton
-kernel also polishes the seed of the 8 pi mean field construction.
+index +1 (a saddle merged with the pair of minima).
 """
 
 from __future__ import annotations

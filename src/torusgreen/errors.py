@@ -45,14 +45,6 @@ class InconsistentComparison(ConsistencyError):
     """Independent orderings of the half period values disagree."""
 
 
-class NotACriticalPoint(DomainError):
-    """The developing map construction needs a genuine critical point."""
-
-
-class HalfPeriodBranch(DomainError):
-    """Half periods are fixed by the sign flip and give no developing map."""
-
-
 class NoExtraCriticalPoint(DomainError):
     """The torus carries no extra critical point pair, so no such solution."""
 

@@ -214,18 +214,6 @@ def green_rel(z, torus: Torus):
     return evaluate(z, torus).value_rel
 
 
-def critical_residual(t, s, torus: Torus):
-    """zeta(t + s tau) - t eta1 - s eta2; zero iff (t, s) is critical.
-
-    The residual of residual_and_jacobian, with PoleAtLattice where it is
-    not finite (at a lattice point).
-    """
-    r, _, _ = residual_and_jacobian(t, s, torus)
-    if not np.all(np.isfinite(r)):
-        raise PoleAtLattice("critical residual requested at a lattice point")
-    return theta._scalarize(r)
-
-
 def residual_and_jacobian(t, s, torus: Torus | Frame):
     """Vectorized critical residual plus its (t, s) Jacobian.
 

@@ -13,15 +13,19 @@ are evaluated as written, which makes the double periodicity of u a
 measurable property instead of an artifact of reduction.  u(z) is -inf on
 the source lattice and finite elsewhere.
 
-A u call makes one Weierstrass pass (weier.evaluate) over the
-concatenation of the point sets it needs: sigma(z - (1/2 + tau)),
-sigma(z + 1/2) and the two zetas on the doubled torus at 4 pi, and
-sigma(z0 - z), sigma(z0 + z) and p(z) at 8 pi.  verify_solution hands u
-a block of _BLOCK_ROWS grid rows, their stencil offsets and their period
-shifts as one array, so a block costs two theta passes, one for u and one
-for the Green function, and a 64^2 grid 32 of them.  Its statistics are
-still taken row by row, and each point gets the same bits in a block as
-alone, so the report is that of a walk one row at a time.
+The 8 pi map takes z0 from the critical set and makes one Weierstrass
+pass more, at z0 and 2 z0.  The 4 pi map makes five: the doubled
+torus's invariants (its eta1, eta2), three for the period integral of g
+and one at its probes.  A u call makes one Weierstrass pass
+(weier.evaluate) over the concatenation of the point sets it needs:
+sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two zetas on the doubled
+torus at 4 pi, and sigma(z0 - z), sigma(z0 + z) and p(z) at 8 pi.
+verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
+offsets and their period shifts as one array, so a block costs two theta
+passes, one for u and one for the Green function, and a 64^2 grid 32 of
+them.  Its statistics are still taken row by row, and each point gets
+the same bits in a block as alone, so the report is that of a walk one
+row at a time.
 """
 
 from __future__ import annotations
@@ -33,18 +37,11 @@ from typing import Callable
 import numpy as np
 
 from . import critical, green, weier
-from .errors import (
-    ConstructionInconsistent,
-    HalfPeriodBranch,
-    InvalidInput,
-    NoExtraCriticalPoint,
-    NotACriticalPoint,
-)
-from .lattice import Torus, lattice_gap, make_torus, near_lattice, split_coords
+from .errors import ConstructionInconsistent, InvalidInput, NoExtraCriticalPoint
+from .lattice import Torus, lattice_gap, make_torus, near_lattice
 
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
-_CRIT_RESIDUAL_TOL = 1e-6
 _LATTICE_HIT_TOL = 1e-11
 # grid rows per u call of verify_solution: a row adds about 0.3 MB to the
 # peak memory of an 8 pi check on 64^2, and past 4 rows the fixed cost of
@@ -76,6 +73,7 @@ class DevelopingMap8pi:
     zeta_z0: complex
     wp_z0: complex
     wp_prime_z0: complex
+    log_abs_sigma_2z0: float
     multiplier_1: complex
     multiplier_tau: complex
 
@@ -88,35 +86,22 @@ class DevelopingMap8pi:
         return 2.0 * (self.zeta_z0 * z).real + lm[:n] - lm[n:2 * n], ev.p[2 * n:]
 
 
-def _polish_z0(torus: Torus, z0: complex) -> complex:
-    t, s, _, _ = split_coords(z0, torus.tau)
-    t, s, _ = critical.damped_newton([t], [s], green.frame(torus), 1e-13)
-    return float(t[0]) + float(s[0]) * torus.tau
+def developing_map_8pi(torus: Torus) -> DevelopingMap8pi:
+    """Developing map at the extra critical point z0 of the Green function.
 
-
-def developing_map_8pi(torus: Torus, z0: complex) -> DevelopingMap8pi:
-    """Developing map seeded at an extra critical point of the Green function.
-
-    z0 is validated against the critical equation and rejected when it is
-    a half period, where wp' vanishes and the map degenerates.  The input
-    is polished by a short Newton run so the downstream identities hold to
-    machine precision even for hand entered z0.
+    z0 is the representative of the pair +-z0 in the torus's critical set,
+    or NoExtraCriticalPoint where the torus has only the three half
+    periods.  The other sign gives the same family with lambda -> -lambda.
+    zeta, p and p' at z0 and sigma at 2 z0 come from one Weierstrass pass.
     """
-    t, s, _, _ = split_coords(z0, torus.tau)
-    r = green.critical_residual(float(t), float(s), torus)
-    if abs(r) > _CRIT_RESIDUAL_TOL:
-        raise NotACriticalPoint(
-            f"z0 = {z0} has critical residual {abs(r):.3e} on tau = {torus.tau}"
+    extra = critical.find_critical_points(torus).extra
+    if extra is None:
+        raise NoExtraCriticalPoint(
+            f"tau = {torus.tau} has only the three half period critical points"
         )
-    z0 = _polish_z0(torus, z0)
-    ev = weier.evaluate(z0, torus)
-    wp_prime = complex(ev.p_prime)
-    if abs(wp_prime) < 1e-8:
-        raise HalfPeriodBranch(
-            f"wp'(z0) = {abs(wp_prime):.3e} at z0 = {z0}: a half period "
-            "cannot seed the developing map"
-        )
-    zeta_z0 = complex(ev.zeta)
+    z0 = extra.z
+    ev = weier.evaluate(np.array([z0, 2.0 * z0]), torus)
+    zeta_z0 = complex(ev.zeta[0])
     inv = weier.invariants(torus)
     # quasi period combinations 2(zeta(z0) - eta_j z0); purely imaginary
     # exactly when z0 is critical, so the multipliers land on the circle
@@ -126,8 +111,9 @@ def developing_map_8pi(torus: Torus, z0: complex) -> DevelopingMap8pi:
         torus=torus,
         z0=z0,
         zeta_z0=zeta_z0,
-        wp_z0=complex(ev.p),
-        wp_prime_z0=wp_prime,
+        wp_z0=complex(ev.p[0]),
+        wp_prime_z0=complex(ev.p_prime[0]),
+        log_abs_sigma_2z0=float(ev.sigma.log_mag[1]),
         multiplier_1=complex(np.exp(f1)),
         multiplier_tau=complex(np.exp(f2)),
     )
@@ -155,7 +141,27 @@ def _u_from_logs(c1: float, lam: float, log_abs_fp, log_abs_f) -> np.ndarray:
             - 2.0 * np.logaddexp(0.0, 2.0 * lam + 2.0 * np.asarray(log_abs_f)))
 
 
-def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
+def _evaluator(core, special):
+    """u(z), z scalar or array, from one core call (u by the formulas at a
+    flat array).  special(flat) gives the mask where the formulas are not
+    used as written, the points core evaluates for it, and the rule that
+    turns core's values there into u on the mask."""
+    def evaluator(z):
+        z = np.asarray(z, dtype=complex)
+        flat = np.atleast_1d(z).ravel()
+        hit, extra, rule = special(flat)
+        pts = np.concatenate([flat[~hit], extra])
+        vals = core(pts) if pts.size else pts.real
+        u = np.empty(flat.shape, dtype=float)
+        u[~hit] = vals[:pts.size - extra.size]
+        u[hit] = rule(vals[pts.size - extra.size:])
+        u = u.reshape(np.atleast_1d(z).shape)
+        return float(u[0]) if z.ndim == 0 else u
+
+    return evaluator
+
+
+def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     """The scaling family member u_lambda for rho = 8 pi.
 
     c1 = log(8 / rho) = -log(pi).  u blows up like 4 log|z| at the source
@@ -164,9 +170,9 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
     """
     if not math.isfinite(lam):
         raise InvalidInput(f"lambda {lam} is not finite")
-    dm = developing_map_8pi(torus, z0)
+    dm = developing_map_8pi(torus)
     c1 = math.log(8.0 / RHO_8PI)
-    z0p = dm.z0
+    z0 = dm.z0
     tau = torus.tau
     log_wp_prime = math.log(abs(dm.wp_prime_z0))
     # u on the branch lattice (z = +-z0, where f has its zero or pole):
@@ -174,40 +180,20 @@ def solution_8pi(torus: Torus, z0: complex, lam: float = 0.0) -> MfeSolution:
     # zero, f'(z0) = -e^{2 zeta(z0) z0} / sigma(2 z0), and evenness of u
     # transfers the value to -z0
     u_branch = (c1 + 2.0 * lam
-                + 2.0 * (2.0 * (dm.zeta_z0 * z0p).real - weier.sigma(2.0 * z0p, torus).log_mag))
+                + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
 
-    def evaluator(z):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        flat = np.atleast_1d(z).ravel()
-        u = np.empty(flat.shape, dtype=float)
-        on_source = near_lattice(flat, tau, _LATTICE_HIT_TOL)
-        on_branch = near_lattice(flat - z0p, tau, 1e-9) | near_lattice(flat + z0p, tau, 1e-9)
-        u[on_source] = -np.inf
-        u[on_branch] = u_branch
-        rest = ~(on_source | on_branch)
-        if np.any(rest):
-            la_f, p = dm.log_abs_f_and_wp(flat[rest])
-            la_gamma = log_wp_prime - _log_abs(p - dm.wp_z0)
-            u[rest] = _u_from_logs(c1, lam, la_gamma + la_f, la_f)
-        u = u.reshape(np.atleast_1d(z).shape)
-        if scalar:
-            return float(u[0])
-        return u
+    def core(flat):
+        la_f, p = dm.log_abs_f_and_wp(flat)
+        la_gamma = log_wp_prime - _log_abs(p - dm.wp_z0)
+        return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
 
-    return MfeSolution(rho=RHO_8PI, torus=torus, branch=z0p, lam=float(lam),
-                       c1=c1, evaluator=evaluator)
+    def special(flat):
+        on_branch = near_lattice(flat - z0, tau, 1e-9) | near_lattice(flat + z0, tau, 1e-9)
+        hit = near_lattice(flat, tau, _LATTICE_HIT_TOL) | on_branch
+        return hit, flat[:0], lambda _: np.where(on_branch[hit], u_branch, -np.inf)
 
-
-def extra_branch_point(torus: Torus) -> complex:
-    """The representative extra critical point, or NoExtraCriticalPoint."""
-    cs = critical.find_critical_points(torus)
-    extra = cs.extra
-    if extra is None:
-        raise NoExtraCriticalPoint(
-            f"tau = {torus.tau} has only the three half period critical points"
-        )
-    return extra.z
+    return MfeSolution(rho=RHO_8PI, torus=torus, branch=z0, lam=float(lam),
+                       c1=c1, evaluator=_evaluator(core, special))
 
 
 def _gauss_segment(fun, a: complex, b: complex) -> complex:
@@ -262,8 +248,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     doubled = make_torus(2.0 * tau)
     a = -0.5
     bp = 0.5 + tau
-    eta1_d, eta2_d = 2.0 * weier.evaluate(np.array([0.5, tau]), doubled).zeta
-    kappa = complex(eta1_d + 0.5 * eta2_d)
+    inv_d = weier.invariants(doubled)
+    kappa = inv_d.eta1 + 0.5 * inv_d.eta2
 
     def parts(z):
         """(log|f|, arg f) before the f0 normalization, and g, at a flat
@@ -314,10 +300,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         la_fp = _log_abs(gv) + la_f
         return _u_from_logs(c1, 0.0, la_fp, la_f)
 
-    def evaluator(z):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        flat = np.atleast_1d(z).ravel()
+    def special(flat):
         # exact hits on the pole and zero classes of f (both lie over the
         # half period omega_1/2 of the base torus, where u is smooth) are
         # displaced symmetrically; the average cancels the linear term
@@ -326,17 +309,11 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
             hit |= near_lattice(flat - cls, 2.0 * tau, _LATTICE_HIT_TOL)
         delta = 1e-7
         k = int(np.count_nonzero(hit))
-        vals = core(np.concatenate([flat[~hit], flat[hit] + delta, flat[hit] - delta]))
-        u = np.empty(flat.shape, dtype=float)
-        u[~hit] = vals[:flat.size - k]
-        u[hit] = 0.5 * (vals[flat.size - k:flat.size] + vals[flat.size:])
-        u = u.reshape(np.atleast_1d(z).shape)
-        if scalar:
-            return float(u[0])
-        return u
+        return (hit, np.concatenate([flat[hit] + delta, flat[hit] - delta]),
+                lambda v: 0.5 * (v[:k] + v[k:]))
 
     sol = MfeSolution(rho=RHO_4PI, torus=torus, branch=None, lam=0.0,
-                      c1=c1, evaluator=evaluator)
+                      c1=c1, evaluator=_evaluator(core, special))
     diag = FourPiDiagnostics(period_integral=period_integral, c_prime=c_prime,
                              c_tau=c_mult)
     return sol, diag

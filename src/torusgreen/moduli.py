@@ -29,7 +29,7 @@ SCAN_CHUNK = 1024      # cells per critical.find_critical_sets call of a scan
 # ulps of |A_k| that bound each A_k = e_k + eta1, and so the products of
 # their differences (_rhombic).  Calibrated against mpmath on 2500 moduli b
 # in [0.002, 20]: the worst error is 4.1 units, of (log|theta3(0)|)_b at
-# b = 0.29.
+# b = 0.29, and 2.6 units of the theta2 curvature, at b = 0.45.
 C_RHOMBIC = 16.0
 NEWTON_CAP = 16        # Newton steps per threshold before Unconverged
 _EPS = float(np.finfo(float).eps)
@@ -105,24 +105,24 @@ def _rhombic(b: float) -> tuple[float, float, float, float, tuple[float, float, 
         wp''(w_k) = 2 (A_k - A_i)(A_k - A_j),
 
     and on this line d/db = i d/dtau.  So (log|theta2(0)|)_b =
-    -Re A_1 / 4 pi, -4 pi (log|theta2(0)|)_bb = Re dA_1/db,
-    (log|theta3(0)|)_b = -Re A_3 / 4 pi and (log|theta3(0)|)_bb =
-    -Re dA_3/db / 4 pi, all from the A_k of one weier.invariants pass.
-    Returns (A_1, dA_1/db, (log|theta3(0)|)_b, (log|theta3(0)|)_bb,
-    bounds); A_1 is real on this line.  Each A_k is good to a few ulps
-    of |A_k|, so a product x y of two of their differences is good to
-    C_RHOMBIC eps (|x| (|A_i| + |A_j|) + ...) over the A_k in them: the
-    bounds of the three signed quantities.  The theta3 values are
-    e^(-2 pi b) against |A_3| = O(e^(-pi b)) and fall inside their bounds
-    past b = 10.8; the theta2 curvature cancels two O(1) terms and does
-    past b = 5.6.  InvalidInput past theta.MAX_IM_TAU, inf included.
+    -Re A_1 / 4 pi, -4 pi (log|theta2(0)|)_bb = Re dA_1/db =
+    2 Re(A_2 A_3 - A_1 (A_2 + A_3)) / 4 pi, (log|theta3(0)|)_b =
+    -Re A_3 / 4 pi and (log|theta3(0)|)_bb = -Re dA_3/db / 4 pi, all
+    from the A_k of one weier.invariants pass.  Returns (A_1, dA_1/db,
+    (log|theta3(0)|)_b, (log|theta3(0)|)_bb, bounds); A_1 is real on
+    this line.  Each A_k is good to a few ulps of |A_k|, so a product x y
+    of their sums or differences is good to C_RHOMBIC eps (|x| |y|_A +
+    |y| |x|_A), |x|_A the sum of the |A_k| in x: the three bounds.
+    All three are e^(-2 pi b) against |A_2|, |A_3| = O(e^(-pi b)), and
+    |A_2 + A_3| = O(e^(-2 pi b)), and fall inside their bounds past
+    b = 10.8.  InvalidInput past theta.MAX_IM_TAU, inf included.
     """
     theta._check_im(b)
     a1, a2, a3 = weier.invariants(make_torus(complex(0.5, b))).a
     m1, m2, m3 = (C_RHOMBIC * _EPS) * np.abs([a1, a2, a3])
-    da1 = (2.0 * (a1 - a2) * (a1 - a3) - 2.0 * a1 * a1).real / _FOUR_PI
+    da1 = 2.0 * (a2 * a3 - a1 * (a2 + a3)).real / _FOUR_PI
     da3 = (2.0 * (a3 - a1) * (a3 - a2) - 2.0 * a3 * a3).real / _FOUR_PI
-    bounds = (2.0 * (abs(a1 - a2) * (m1 + m3) + abs(a1 - a3) * (m1 + m2) + 2.0 * m1 * abs(a1))
+    bounds = (2.0 * (abs(a3) * m2 + abs(a2) * m3 + abs(a2 + a3) * m1 + abs(a1) * (m2 + m3))
               / _FOUR_PI,
               m3 / _FOUR_PI,
               2.0 * (abs(a3 - a1) * (m3 + m2) + abs(a3 - a2) * (m3 + m1) + 2.0 * m3 * abs(a3))

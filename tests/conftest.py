@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from torusgreen import lattice
+from torusgreen import green, lattice, theta, weier
 
 settings.register_profile(
     "ci",
@@ -34,3 +35,21 @@ def rhombic_torus():
 @pytest.fixture(scope="session")
 def generic_torus():
     return lattice.make_torus(0.13 + 0.92j)
+
+
+@pytest.fixture
+def theta_passes(monkeypatch):
+    """The theta series passes (theta._eval, and weier's binding of it) made
+    from here on, starting with empty caches; only the invariants cache
+    saves passes, the frame and q power caches save arithmetic."""
+    calls = []
+    for module in (theta, weier):
+        def counted(*args, real=module._eval):
+            calls.append(np.size(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(module, "_eval", counted)
+    weier._invariants_cached.cache_clear()
+    green.frame.cache_clear()
+    theta._q_powers.cache_clear()
+    return calls

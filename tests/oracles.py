@@ -883,6 +883,16 @@ def _fmt_float_reference(x: float) -> str:
     return f"{x:.16e}"
 
 
+# JSON's two-character escapes; the other controls U+0000-U+001F are \u00XX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"}
+
+
+def _fmt_str_reference(text: str) -> str:
+    return '"' + "".join(_JSON_ESCAPES.get(c, f"\\u{ord(c):04x}" if c < " " else c)
+                         for c in text) + '"'
+
+
 def _canonical_reference(obj, out: io.StringIO) -> None:
     if obj is None:
         out.write("null")
@@ -895,7 +905,7 @@ def _canonical_reference(obj, out: io.StringIO) -> None:
     elif isinstance(obj, complex):
         _canonical_reference({"re": obj.real, "im": obj.imag}, out)
     elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.write(_fmt_str_reference(obj))
     elif isinstance(obj, dict):
         out.write("{")
         for i, key in enumerate(sorted(obj)):

@@ -70,7 +70,7 @@ def test_criterion_02_hex_torus_five_points(capsys):
         # statement about the hexagonal torus itself; the 8 digit tau above
         # shifts g2 to ~3e-6, so evaluate it at Im tau = sqrt(3)/2 exactly
         T_exact = lattice.make_torus(complex(0.5, math.sqrt(3) / 2))
-        z0 = mfe.extra_branch_point(T_exact)
+        z0 = critical.find_critical_points(T_exact).extra.z
         wp0 = abs(weier.wp(z0, T_exact))
         wppp = abs(weier.wp(z0, T_exact, order=2))
         g2 = abs(weier.invariants(T_exact).g2)
@@ -211,10 +211,9 @@ def test_criterion_07_moduli_scan():
 def test_criterion_08_mfe_8pi():
     start = time.perf_counter()
     T = lattice.make_torus(HEX_TAU)
-    z0 = mfe.extra_branch_point(T)
-    sol = mfe.solution_8pi(T, z0)
+    sol = mfe.solution_8pi(T)
     rep = mfe.verify_solution(sol, grid_n=64)
-    dm = mfe.developing_map_8pi(T, z0)
+    dm = mfe.developing_map_8pi(T)
     rng = np.random.default_rng(8)
     worst_f = 0.0
     for _ in range(20):
@@ -225,7 +224,7 @@ def test_criterion_08_mfe_8pi():
         worst_f = max(worst_f, abs(direct - ref) / max(1.0, abs(ref)))
     square_fails = False
     try:
-        mfe.extra_branch_point(lattice.make_torus(1j))
+        mfe.solution_8pi(lattice.make_torus(1j))
     except NoExtraCriticalPoint:
         square_fails = True
     elapsed = time.perf_counter() - start

@@ -100,14 +100,14 @@ _SCALARS = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
     st.builds(complex, _FLOATS, _FLOATS),
-    st.text(alphabet=st.sampled_from('ab"\\ \u00e9:,{}')),
+    st.text(alphabet=st.sampled_from('ab"\\ \u00e9:,{}\t\n\r\b\f\x00\x1f\x7f')),
 )
 _DOCUMENTS = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(alphabet=st.sampled_from('zyab"\\'), max_size=3), inner,
+        st.dictionaries(st.text(alphabet=st.sampled_from('zyab"\\\n\x01'), max_size=3), inner,
                         max_size=4),
     ),
     max_leaves=24,
@@ -247,13 +247,18 @@ def test_inequalities_hold_at_small_b(capsys, b):
 
 @pytest.mark.parametrize("b", ["6", "7", "8", "10"])
 def test_inequalities_past_b_6_are_undecided_not_violated(capsys, b):
-    # rounding decides the signs there: "-0.0 not positive" at b = 8 before
-    code, out, err = run_cli(capsys, "inequalities", f"--b={b}")
-    assert code == 0, err
-    res = json.loads(out)["results"]
-    assert res["ok"] is False
-    assert res["violations"] == []
-    assert res["undecided"] and all("sign not decided" in u for u in res["undecided"])
+    # rounding decided the signs there: "-0.0 not positive" at b = 8 before
+    # the error bounds, and the theta2 curvature inside its bound from
+    # b = 5.6 before its cancellation-free form; now all three signs are
+    # decided to b = 10.8, and 6 further out all three are undecided
+    for arg, decided in ((b, True), (str(float(b) + 6.0), False)):
+        code, out, err = run_cli(capsys, "inequalities", f"--b={arg}")
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert res["ok"] is decided
+        assert res["violations"] == []
+        assert len(res["undecided"]) == (0 if decided else 3), (arg, res["undecided"])
+        assert all("sign not decided" in u for u in res["undecided"])
 
 
 def test_mfe_8pi_subcommand(capsys):
@@ -450,6 +455,17 @@ def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
                            "--format=csv", "--out", str(tmp_path))
     assert code == 64
     assert err.startswith(f"usage error: cannot write --out {tmp_path}: ")
+
+
+def test_out_path_with_a_control_character_gives_valid_json(capsys, tmp_path):
+    # the path is echoed in inputs.output_path; a raw tab there made a file
+    # that json.loads rejected ("Invalid control character")
+    path = tmp_path / "a\tb.json"
+    code, out, err = run_cli(capsys, "critical", "--tau=i", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    raw = path.read_text(encoding="utf-8")
+    assert "\t" not in raw and "a\\tb.json" in raw
+    assert json.loads(raw)["inputs"]["output_path"] == str(path)
 
 
 def test_out_writes_unix_newlines(capsys, tmp_path):

@@ -590,24 +590,6 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
     assert cmpr.values == tuple(p.g_rel for p in cs.points[:3])
 
 
-@pytest.fixture
-def theta_passes(monkeypatch):
-    """The theta series passes (theta._eval, and weier's binding of it) made
-    from here on, starting with empty caches; only the invariants cache
-    saves passes, the frame and q power caches save arithmetic."""
-    calls = []
-    for module in (theta, weier):
-        def counted(*args, real=module._eval):
-            calls.append(np.size(args[0]))
-            return real(*args)
-
-        monkeypatch.setattr(module, "_eval", counted)
-    weier._invariants_cached.cache_clear()
-    green.frame.cache_clear()
-    theta._q_powers.cache_clear()
-    return calls
-
-
 @pytest.mark.parametrize("tau, route, budget", [
     # half periods with the invariants, residual check (3 passes while
     # the invariants summed the half periods again)

@@ -7,7 +7,7 @@ from torusgreen import cli, errors
 # the CLI exit code of every package failure: 2 for a question the package
 # cannot answer, 3 for a failed cross check or convergence test
 DOMAIN = {"DomainError", "InvalidInput", "NonPositiveImaginaryPart", "PoleAtLattice",
-          "HalfPeriodInput", "NotACriticalPoint", "HalfPeriodBranch", "NoExtraCriticalPoint"}
+          "HalfPeriodInput", "NoExtraCriticalPoint"}
 CONSISTENCY = {"ConsistencyError", "CountViolation", "InconsistentComparison",
                "ConstructionInconsistent", "Unconverged"}
 BASES = (errors.DomainError, errors.ConsistencyError)

@@ -107,21 +107,10 @@ def test_critical_residual_consistent_with_gradient():
     # vanish together, so compare them directly at a generic point
     T = lattice.make_torus(0.13 + 0.92j)
     t, s = 0.27, 0.31
-    r = green.critical_residual(t, s, T)
+    r = green.residual_and_jacobian(t, s, T)[0]
     gx, gy = green.evaluate(t + s * T.tau, T).grad
     rebuilt = complex(-2.0 * np.pi * gx, 2.0 * np.pi * gy)
     assert abs(r - rebuilt) < 1e-12
-
-
-def test_critical_residual_is_the_solver_residual_and_raises_at_the_lattice():
-    T = lattice.make_torus(0.13 + 0.92j)
-    t = np.array([0.27, -0.41, 1.12])
-    s = np.array([0.31, 0.05, -2.3])
-    r, _, _ = green.residual_and_jacobian(t, s, T)
-    assert np.array_equal(green.critical_residual(t, s, T), r)
-    for tl, sl in ((0.0, 0.0), (1.0, -2.0)):
-        with pytest.raises(PoleAtLattice):
-            green.critical_residual(tl, sl, T)
 
 
 def test_residual_and_jacobian_matches_difference_quotient():

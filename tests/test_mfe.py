@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import critical, green, lattice, mfe, theta, weier
-from torusgreen.errors import (
-    HalfPeriodBranch,
-    InvalidInput,
-    NoExtraCriticalPoint,
-    NotACriticalPoint,
-)
+from torusgreen import critical, lattice, mfe, theta, weier
+from torusgreen.errors import InvalidInput, NoExtraCriticalPoint
 
 # f, f'/f and f' of a developing map, from the reference routes
 f, gamma = oracles.developing_map_f, oracles.developing_map_gamma
@@ -24,14 +19,13 @@ RHO_4PI = 4.0 * math.pi
 @pytest.fixture(scope="module")
 def hex_map():
     T = lattice.make_torus(HEX_TAU)
-    z0 = mfe.extra_branch_point(T)
-    return T, mfe.developing_map_8pi(T, z0)
+    return T, mfe.developing_map_8pi(T)
 
 
 @pytest.fixture(scope="module")
 def hex_solution(hex_map):
-    T, dm = hex_map
-    return mfe.solution_8pi(T, dm.z0)
+    T, _ = hex_map
+    return mfe.solution_8pi(T)
 
 
 def test_multipliers_have_unit_modulus(hex_map):
@@ -98,32 +92,31 @@ def test_f_matches_contour_integration_oracle(hex_map):
     assert worst < 1e-8
 
 
-def test_rejects_non_critical_seed():
+def test_the_map_sits_at_the_extra_point_of_the_critical_set(hex_map):
+    T, dm = hex_map
+    assert dm.z0 == critical.find_critical_points(T).extra.z
+
+
+def test_solution_8pi_costs_the_critical_set_and_one_pass(theta_passes):
+    # the critical set of the hexagonal torus makes 9 passes (its
+    # invariants among them); the map adds one, at z0 and 2 z0
     T = lattice.make_torus(HEX_TAU)
-    with pytest.raises(NotACriticalPoint):
-        mfe.developing_map_8pi(T, 0.2 + 0.1j)
-
-
-@pytest.mark.parametrize("dz", [1e-7, 1e-7j])
-def test_polish_recovers_the_census_z0(dz):
-    # a seed 1e-7 off passes the 1e-6 residual check and is polished back
-    T = lattice.make_torus(HEX_TAU)
-    z0 = critical.find_critical_points(T).extra.z
-    dm = mfe.developing_map_8pi(T, z0 + dz)
-    assert abs(dm.z0 - z0) < 1e-12
-    t, s, _, _ = lattice.split_coords(dm.z0, T.tau)
-    assert abs(green.critical_residual(float(t), float(s), T)) <= 1e-13
-
-
-def test_rejects_half_period_seed():
-    T = lattice.make_torus(HEX_TAU)
-    with pytest.raises(HalfPeriodBranch):
-        mfe.developing_map_8pi(T, 0.5)
+    critical.find_critical_points(T)
+    critical_set = len(theta_passes)
+    weier._invariants_cached.cache_clear()
+    theta_passes.clear()
+    mfe.solution_8pi(T)
+    assert (critical_set, len(theta_passes), theta_passes[-1]) == (9, 10, 2)
 
 
 def test_extra_branch_point_absent_on_square():
+    # the square torus has only the three half periods, so there is no
+    # developing map and no 8 pi solution, never a spurious one
+    T = lattice.make_torus(1j)
     with pytest.raises(NoExtraCriticalPoint):
-        mfe.extra_branch_point(lattice.make_torus(1j))
+        mfe.developing_map_8pi(T)
+    with pytest.raises(NoExtraCriticalPoint):
+        mfe.solution_8pi(T)
 
 
 def test_u_even_and_periodic(hex_solution):
@@ -181,8 +174,8 @@ def test_verification_detects_corrupted_solution(hex_solution):
 
 def test_scaling_family_shifts_peak_value_linearly(hex_map):
     T, dm = hex_map
-    u0 = mfe.solution_8pi(T, dm.z0, lam=0.0)
-    u2 = mfe.solution_8pi(T, dm.z0, lam=2.0)
+    u0 = mfe.solution_8pi(T, lam=0.0)
+    u2 = mfe.solution_8pi(T, lam=2.0)
     assert abs((u2.evaluator(dm.z0) - u0.evaluator(dm.z0)) - 4.0) < 1e-12
     # the family stays periodic for every lam
     z = 0.17 + 0.11j
@@ -190,8 +183,8 @@ def test_scaling_family_shifts_peak_value_linearly(hex_map):
 
 
 def test_scaling_family_keeps_mass(hex_map):
-    T, dm = hex_map
-    sol = mfe.solution_8pi(T, dm.z0, lam=1.0)
+    T, _ = hex_map
+    sol = mfe.solution_8pi(T, lam=1.0)
     rep = mfe.verify_solution(sol, grid_n=64)
     assert abs(rep.total_mass - RHO_8PI) < 1e-6
     assert rep.max_residual < 1e-2
@@ -243,7 +236,7 @@ def test_rho_4pi_contour_clears_the_pole_at_half_plus_tau(tau):
 def test_scaling_parameter_must_be_finite(lam):
     T = lattice.make_torus(HEX_TAU)
     with pytest.raises(InvalidInput):
-        mfe.solution_8pi(T, mfe.extra_branch_point(T), lam=lam)
+        mfe.solution_8pi(T, lam=lam)
 
 
 def test_rho_4pi_u_properties():
@@ -261,15 +254,6 @@ def test_rho_4pi_u_properties():
     assert abs(u(0.5 + 1e-4) + u(0.5 - 1e-4) - 2.0 * u(0.5)) < 1e-5
 
 
-def test_square_8pi_seed_unavailable_yields_clean_error_path():
-    # the square torus has no extra critical point; feeding its minimum
-    # half period to the 8 pi construction must fail loudly instead of
-    # producing a spurious solution
-    T = lattice.make_torus(1j)
-    with pytest.raises(HalfPeriodBranch):
-        mfe.developing_map_8pi(T, (1.0 + T.tau) / 2.0)
-
-
 def test_evaluator_accepts_arrays(hex_solution):
     u = hex_solution.evaluator
     zs = np.array([[0.1 + 0.05j, 0.2 + 0.1j], [0.0 + 0.0j, -0.3 + 0.2j]])
@@ -283,7 +267,7 @@ def _solution(rho, tau):
     T = lattice.make_torus(tau)
     if rho == "4pi":
         return mfe.solution_4pi(T)[0]
-    return mfe.solution_8pi(T, mfe.extra_branch_point(T))
+    return mfe.solution_8pi(T)
 
 
 # 0.5 + 0.2i and 0.5 + 0.3i lie outside the fundamental domain, so their

@@ -130,21 +130,23 @@ def test_small_b_derivatives_match_mpmath(b):
 
 @pytest.mark.parametrize("b", LARGE_B)
 def test_large_b_signs_inside_their_bounds_are_not_decided(b):
-    # past b = 6 the three values are e^(-2 pi b) and rounding decides the
-    # curvature, whose heat-equation form cancels two O(1) terms: inside
-    # its bound a value is undecided, outside it has mpmath's sign; never a
-    # false violation
-    rep = moduli.verify_fundamental_inequalities([b])
-    (row,) = rep.rows
-    triples = _against_mpmath(row)
-    for value, ref, bound in triples:
-        assert abs(value - ref) <= bound, (b, value, ref, bound)
-        assert abs(value) <= bound or (value > 0) == (ref > 0), (b, value, ref)
-    assert rep.violations == ()
-    assert len(rep.undecided) == sum(abs(value) <= bound for value, _, bound in triples)
-    assert all("sign not decided" in u for u in rep.undecided)
-    assert abs(row.curvature_theta2) <= row.bounds[0]
-    assert not rep.ok
+    # past b = 6 the three values are e^(-2 pi b): inside its bound a value
+    # is undecided, outside it has mpmath's sign; never a false violation.
+    # The curvature's cancellation-free form keeps all three outside their
+    # bounds to b = 10.8 (its heat-equation form fell inside from b = 5.6),
+    # and 6 further out all three are inside
+    for b_row, decided in ((b, True), (b + 6.0, False)):
+        rep = moduli.verify_fundamental_inequalities([b_row])
+        (row,) = rep.rows
+        triples = _against_mpmath(row)
+        for value, ref, bound in triples:
+            assert abs(value - ref) <= bound, (b_row, value, ref, bound)
+            assert abs(value) <= bound or (value > 0) == (ref > 0), (b_row, value, ref)
+        assert rep.violations == ()
+        assert len(rep.undecided) == sum(abs(value) <= bound for value, _, bound in triples)
+        assert all("sign not decided" in u for u in rep.undecided)
+        assert len(rep.undecided) == (0 if decided else 3), (b_row, rep.undecided)
+        assert rep.ok == decided
 
 
 @pytest.mark.parametrize("b", LARGE_B)
@@ -160,9 +162,9 @@ def test_large_b_theta3_signs_are_decided(b):
 
 
 def test_rhombic_error_bounds_hold_against_mpmath():
-    # C_RHOMBIC against mpmath: the worst error over this sweep is 3.3
+    # C_RHOMBIC against mpmath: the worst error over this sweep is 2.6
     # units of eps |A_k| over the A_k of a value, of the theta2 curvature
-    # at b = 0.34
+    # at b = 0.34 (3.3 in its heat-equation form)
     grid = sorted(set(np.geomspace(0.002, 20.0, 150).tolist()) | set(SMALL_B + LARGE_B))
     worst = 0.0
     for row in moduli.verify_fundamental_inequalities(grid).rows:

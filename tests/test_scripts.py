@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("argv", [
     ("reproduce_headline_numbers.py", "--quick"),
-    ("run_moduli_scan.py", "--region", "0", "0.1", "0.5", "2.0", "--nx", "8", "--ny", "8"),
 ], ids=lambda argv: argv[0])
 def test_script_exits_0(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -44,12 +43,16 @@ def test_pass_counts_prints_one_row_per_call():
     # at the rhombic cusp, where the multi-start grid's 699 Newton passes
     # ended in CountViolation (exit 3), then 9 passes
     assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 8 | 13 |"
-    # the 4 pi construction (6 passes) and verify_solution's 32 rows in 8
-    # blocks of one u call and one green_rel call each (70 passes by rows)
-    assert rows[7] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 22 | 19587 |"
-    # the developing map reads the invariants its critical set cached (30)
+    # the 4 pi construction (5 passes; 6 while it summed the doubled torus's
+    # eta1 and eta2 again beside its invariants) and verify_solution's 32
+    # rows in 8 blocks of one u call and one green_rel call each (70
+    # passes by rows)
+    assert rows[7] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 21 | 19585 |"
+    # the critical set's 9 passes and one at z0 and 2 z0 (29 while the map
+    # took z0 as an argument, checked its residual, polished it by Newton
+    # and summed sigma(2 z0) alone)
     assert rows[8] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 29 | 26412 |")
+                       "| 0 | 26 | 26410 |")
     # Newton from b = 1/2 to both thresholds, one pass a step (107 passes
     # by bracket and bisection); one pass at b = 0.7 and one at b = 1/2 for
     # the functional equation (5 passes and 2 real series calls before)
