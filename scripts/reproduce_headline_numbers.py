@@ -51,7 +51,7 @@ def main():
           f"|wp''(z0)| = {abs(weier.wp(z0, T_hex, order=2)):.1e}, "
           f"|g2| = {abs(weier.invariants(T_hex).g2):.1e}")
 
-    section("Half period comparison (three independent routes)")
+    section("Half period comparison (one pass read three ways)")
     for tau in (1j, 0.5 + 0.75j, 0.5 + 0.3j, 0.13 + 0.92j):
         T = lattice.make_torus(tau)
         cmpr = critical.compare_half_periods(T, critical.find_critical_points(T))

@@ -77,7 +77,7 @@ LINE_TOL = 1e-6           # a root this close to the lines s = 0 and s = 1/2,
                           # which z -> -z maps to themselves, lies on them:
                           # below b0 on Re tau = 1/2 z0 is real, and Newton
                           # leaves it up to ~3e-8 off the axis
-DEFAULT_TOL = 1e-12       # default gradient tolerance of the seeds route
+DEFAULT_TOL = 1e-12       # default bound on |grad G| on the reduced torus
 TIE_TOL = 1e-9            # G values of half periods this close are tied
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 
@@ -128,21 +128,22 @@ class CriticalSet:
         return None
 
 
-def damped_newton(t, s, torus: Torus | green.Frame, r_stop: float):
+def damped_newton(t, s, torus: Torus | green.Frame, r_stop):
     """Damped Newton on the critical residual from the seeds (t, s).
 
     torus is a Torus or a Frame, one entry per seed for seeds on several
     tori (green.take).  Each step is halved up to 12 times until it
     lowers |r|; a seed that cannot improve even then is retired, and a
-    seed stops once |r| <= r_stop or after 60 steps.  Every seed keeps
-    its own count of steps and halvings, and one residual pass serves the
-    next trial point of every seed, so a seed's path does not depend on
-    the others and the passes are as many as the trials of the longest
-    path.  Returns the final (t, s, |r|) arrays, unwrapped; lattice hits
-    show up as non finite |r|.
+    seed stops once |r| <= r_stop (scalar, or per seed) or after 60
+    steps.  Every seed keeps its own count of steps and halvings, and one
+    residual pass serves the next trial point of every seed, so a seed's
+    path does not depend on the others and the passes are as many as the
+    trials of the longest path.  Returns the final (t, s, |r|) arrays,
+    unwrapped; lattice hits show up as non finite |r|.
     """
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
+    r_stop = np.broadcast_to(r_stop, t.shape)
     r, rt, rs = green.residual_and_jacobian(t, s, torus)
     rn = np.abs(r)
     live = np.isfinite(rn)
@@ -153,7 +154,7 @@ def damped_newton(t, s, torus: Torus | green.Frame, r_stop: float):
     ds = np.zeros(t.size)
     due = np.flatnonzero(live)               # seeds due a new Newton direction
     while True:
-        stop = (rn[due] <= r_stop) | (steps[due] == 60)
+        stop = (rn[due] <= r_stop[due]) | (steps[due] == 60)
         live[due[stop]] = False
         due = due[~stop]
         det = rt.real[due] * rs.imag[due] - rs.real[due] * rt.imag[due]
@@ -266,13 +267,14 @@ def _extra_points(tori: list[Torus], batch, seeds, tol: float) -> list:
     tori[k] at half period m: one damped Newton run serves every seed and
     one evaluate pass every root.  Returns, per seed, ((t, s), row) with
     the root folded to the representative of its orbit {z, -z} and row
-    its _rows, or the error: Unconverged where Newton misses
+    its _rows, or the error: Unconverged where Newton misses reduced-frame
     |grad G| <= tol / 2, CountViolation where it reaches a half period.
     """
     if not seeds:
         return []
     k, t0, s0, m = (np.array(x) for x in zip(*seeds))
-    r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
+    # |grad G| = |r| / (2 pi |lam|), kept at half of tol on the reduced torus
+    r_target = np.pi * tol / np.abs([tori[j].lam for j in k])
     # polish three decades past the target, so that z0 is a root to
     # rounding and not anywhere inside the tolerance
     t, s, rn = damped_newton(t0, s0, green.take(batch, k), r_target * 1e-3)
@@ -291,9 +293,9 @@ def _extra_points(tori: list[Torus], batch, seeds, tol: float) -> list:
         if ok[j]:
             out.append(((float(t[j]), float(s[j])), next(rows)))
         elif at_hp[j] < 0:
-            out.append(Unconverged(f"Newton from {name} ended at |grad G| = "
-                                   f"{rn[j] / (2.0 * np.pi):.3e}, above tol {tol} / 2, "
-                                   f"at tau = {torus.tau}"))
+            out.append(Unconverged(f"Newton from {name} ended at reduced-frame |grad G| = "
+                                   f"{rn[j] * abs(torus.lam) / (2.0 * np.pi):.3e}, above "
+                                   f"tol {tol} / 2, at tau = {torus.tau}"))
         else:
             out.append(CountViolation(
                 f"Newton from {name} reached half period {at_hp[j] + 1}, so 3 critical "
@@ -313,11 +315,11 @@ def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
     """cs, or the error it fails with, given r = |residual| at its points:
-    it passes once |grad G| <= tol at each point, #min - #saddle = -1 and
-    its extra pair, if any, are minima."""
-    grad = float(np.max(r)) / (2.0 * np.pi)
+    it passes once |grad G| <= tol at each point on the reduced torus,
+    #min - #saddle = -1 and its extra pair, if any, are minima."""
+    grad = float(np.max(r)) * abs(torus.lam) / (2.0 * np.pi)
     if not grad <= tol:
-        return Unconverged(f"|grad G| = {grad:.3e} above tol {tol} on the "
+        return Unconverged(f"reduced-frame |grad G| = {grad:.3e} above tol {tol} on the "
                            f"{cs.route} route at tau = {torus.tau}")
     # a Degenerate point is a saddle merged with the pair of minima: index +1
     balance = sum((2 if p.kind is Kind.EXTRA_PAIR else 1)
@@ -344,9 +346,9 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     points of all of them, or a torus its Unconverged off the gap
     identities.  Every seeds torus then gets its pitchfork
     seed, and _extra_points runs one Newton for all the seeds and one pass
-    at their roots.  Last, one residual pass checks |grad G| <= tol at
-    every point, next to the Morse balance.  A torus gets the same result,
-    to the bit, as alone.  Only a bad tol raises.
+    at their roots.  Last, one residual pass checks |grad G| <= tol on
+    the reduced torus at every point, next to the Morse balance.  A torus
+    gets the same result, to the bit, as alone.  Only a bad tol raises.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -407,10 +409,10 @@ def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
     """All critical points: the three half periods plus any extra pair.
 
     find_critical_sets for one torus: the route (see the module
-    docstring) is recorded in the result.  |grad G| <= tol at every point
-    and the Morse balance are checked; where all three half periods are
-    saddles, a count other than five raises CountViolation, and where the
-    determinant signs cannot decide, Unconverged.
+    docstring) is recorded in the result.  |grad G| <= tol (reduced torus)
+    at every point and the Morse balance are checked; where all three half
+    periods are saddles, a count other than five raises CountViolation,
+    and where the determinant signs cannot decide, Unconverged.
     """
     cs, = find_critical_sets([torus], tol)
     if isinstance(cs, TorusGreenError):
@@ -424,7 +426,7 @@ def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
 
 @dataclass(frozen=True)
 class HalfPeriodComparison:
-    """Total order of G over the half periods, cross checked three ways.
+    """Total order of G over the half periods, from one pass read three ways.
 
     ranking lists half period indices (0, 1, 2) from largest G downward,
     grouped so that tied points share a group, in index order:
@@ -445,16 +447,16 @@ def _sign_with_tie(x: float, tol: float) -> int:
 
 
 def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
-    """Order G over the three half periods, three independent ways.
+    """Order G over the three half periods: one pass, read three ways.
 
-    (a) direct green_rel values, (b) the closed form pairwise differences
+    (a) the direct green_rel values, (b) the closed form differences
     G(w_i/2) - G(w_j/2) = (log|theta_j(0)| - log|theta_i(0)|) / 2 pi of
-    the theta nulls that belong to the half periods, which Jacobi's gap
-    identities make the (1/8 pi) log of cross ratios of e gaps, (c) the
-    ordering of |wp| at the half periods.  The nulls are summed in log
-    form, so (b) keeps its relative precision at the cusp, where two
-    roots e_k agree to every float64 digit.  Disagreement beyond TIE_TOL
-    raises InconsistentComparison.
+    the half periods' theta nulls, summed in log form to keep relative
+    precision at the cusp, and (c) the order of |wp| at the half periods.
+    (a) and (b) read the log|theta1| of the same pass, so they check the
+    frame algebra only; e_i + e_j + e_k = 0 and Jacobi's gaps |e_i - e_k|
+    = pi^2 |theta|^4, which that pass checks, make (c) the order of (b).
+    Disagreement beyond TIE_TOL raises InconsistentComparison.
 
     The direct values are the g_rel of the half-period points of cs, the
     critical set of torus, and the theta nulls come from weier.invariants,

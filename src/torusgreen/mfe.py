@@ -14,18 +14,16 @@ measurable property instead of an artifact of reduction.  u(z) is -inf on
 the source lattice and finite elsewhere.
 
 The 8 pi map takes z0 from the critical set and makes one Weierstrass
-pass more, at z0 and 2 z0.  The 4 pi map makes five: the doubled
-torus's invariants (its eta1, eta2), three for the period integral of g
-and one at its probes.  A u call makes one Weierstrass pass
-(weier.evaluate) over the concatenation of the point sets it needs:
-sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two zetas on the doubled
-torus at 4 pi, and sigma(z0 - z), sigma(z0 + z) and p(z) at 8 pi.
-verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
-offsets and their period shifts as one array, so a block costs two theta
-passes, one for u and one for the Green function, and a 64^2 grid 32 of
-them.  Its statistics are still taken row by row, and each point gets
-the same bits in a block as alone, so the report is that of a walk one
-row at a time.
+pass more, at z0 and 2 z0.  The 4 pi map makes two: the doubled torus's
+invariants (its eta1, eta2), and one over the nodes of the period
+integral of g and the probes of the multipliers.  A u call makes one
+Weierstrass pass (weier.evaluate) over the concatenation of the point
+sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two zetas
+on the doubled torus at 4 pi, and sigma(z0 - z), sigma(z0 + z) and p(z)
+at 8 pi.  verify_solution hands u a block of _BLOCK_ROWS grid rows,
+their stencil offsets and their period shifts as one array, so a block
+costs two theta passes, one for u and one for the Green function, and a
+64^2 grid 32 of them.  Its report is one reduction over the whole grid.
 """
 
 from __future__ import annotations
@@ -196,24 +194,26 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
                        c1=c1, evaluator=_evaluator(core, special))
 
 
-def _gauss_segment(fun, a: complex, b: complex) -> complex:
+def _period_path(radius: float):
+    """Gauss nodes of the integral of g from 0 to 1, which detours over the
+    pole at 1/2 along a semicircle of the given radius through the upper
+    half plane, and the sum of g at them that gives the integral."""
     x, w = np.polynomial.legendre.leggauss(48)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return complex(half * np.sum(w * np.atleast_1d(fun(mid + half * x))))
-
-
-def _integral_g_over_period(g, radius: float) -> complex:
-    """Integral of g from 0 to 1, detouring over the pole at 1/2 along a
-    semicircle of the given radius through the upper half plane."""
-    total = _gauss_segment(g, 0.0, 0.5 - radius)
-    x, w = np.polynomial.legendre.leggauss(64)
-    ang = 0.5 * math.pi * (1.0 - x)    # [-1, 1] -> [pi, 0]
-    pts = 0.5 + radius * np.exp(1j * ang)
+    ends = ((0.0, 0.5 - radius), (0.5 + radius, 1.0))
+    mid = [0.5 * (a + b) for a, b in ends]
+    half = [0.5 * (b - a) for a, b in ends]
+    xa, wa = np.polynomial.legendre.leggauss(64)
+    ang = 0.5 * math.pi * (1.0 - xa)    # [-1, 1] -> [pi, 0]
     dz = -0.5 * math.pi * radius * 1j * np.exp(1j * ang)
-    total += complex(np.sum(w * np.atleast_1d(g(pts)) * dz))
-    total += _gauss_segment(g, 0.5 + radius, 1.0)
-    return total
+    nodes = np.concatenate([mid[0] + half[0] * x, 0.5 + radius * np.exp(1j * ang),
+                            mid[1] + half[1] * x])
+
+    def integral(g) -> complex:
+        # each segment's own sum, the three added in path order
+        return (complex(half[0] * np.sum(w * g[:48])) + complex(np.sum(wa * g[48:112] * dz))
+                + complex(half[1] * np.sum(w * g[112:])))
+
+    return nodes, integral
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,12 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
 
     # a radius of at most Im tau / 3 keeps the semicircle at least
     # 2 Im tau / 3 from the pole at 1/2 + tau
-    period_integral = _integral_g_over_period(lambda z: parts(z)[2],
-                                              min(0.25, tau.imag / 3.0))
+    nodes, integral = _period_path(min(0.25, tau.imag / 3.0))
+    probe = 0.231 + 0.413 * tau
+    probe2 = -0.127 + 0.291 * tau
+    lm, ar, g = parts(np.concatenate(
+        [[probe, probe + tau, probe2, probe2 + tau, probe + 1.0], nodes]))
+    period_integral = integral(g[5:])
     dev = min(abs(period_integral - 1j * math.pi), abs(period_integral + 1j * math.pi))
     if dev > 1e-8:
         raise ConstructionInconsistent(
@@ -275,9 +279,6 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     # normalize the tau multiplier c = f(z + tau) f(z) to the unit circle at
     # one probe, check that c is z independent at a second, and take the
     # period-1 multiplier (independent of f0) from sigma shifts
-    probe = 0.231 + 0.413 * tau
-    probe2 = -0.127 + 0.291 * tau
-    lm, ar, _ = parts(np.array([probe, probe + tau, probe2, probe2 + tau, probe + 1.0]))
     log_f0 = -0.5 * float(lm[0] + lm[1])
     c_mult = _polar(float(lm[0] + lm[1]) + 2.0 * log_f0, float(ar[0] + ar[1]))
     c_check = _polar(float(lm[2] + lm[3]) + 2.0 * log_f0, float(ar[2] + ar[3]))
@@ -371,58 +372,40 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 
-    def block_stats(rows):
-        # one u call on a block of rows, their stencil offsets and their
-        # period shifts, and one green_rel call on the kept points; u and
-        # green_rel give a point the same bits alone as inside a batch, and
-        # the statistics stay per row
-        grid = gg + rows[:, None] * tau
+    res, lit, per, mass = [], [], [], []
+    for r0 in range(0, grid_n, _BLOCK_ROWS):
+        grid = gg + gg[r0:r0 + _BLOCK_ROWS, None] * tau
         keep = lattice_gap(grid, tau) > excl_radius
         z = grid[keep]
         offsets = np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])
         u_all = u(np.concatenate([grid.ravel(), offsets, z + 1.0, z + tau]))
         n, m = grid.size, z.size
-        mass = np.exp(u_all[:n]).reshape(grid.shape)
+        mass.append(np.exp(u_all[:n]))
         if m:
             uc = u_all[:n][keep.ravel()]
             u_off = u_all[n:n + 4 * m].reshape(4, m)
-            shifted = u_all[n + 4 * m:].reshape(2, m)
             g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, m)
             w_off = u_off + rho * g[:4]
             w_c = uc + rho * g[4]
             lap_w = (np.sum(w_off, axis=0) - 4.0 * w_c) / (h * h)
-            res = np.abs(lap_w - rho / area + rho * np.exp(uc))
+            res.append(np.abs(lap_w - rho / area + rho * np.exp(uc)))
             lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
-            lit = np.abs(lap_u + rho * np.exp(uc))
-            per1 = np.abs(shifted[0] - uc)
-            pert = np.abs(shifted[1] - uc)
-        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-        out = []
-        for mass_row, a, b in zip(mass, [0] + ends, ends):
-            mass_sum = float(np.sum(mass_row))
-            if a == b:
-                out.append((0.0, 0.0, 0, 0.0, 0.0, 0.0, mass_sum))
-                continue
-            out.append((float(np.max(res[a:b])), float(np.sum(res[a:b])), b - a,
-                        float(np.max(lit[a:b])), float(np.max(per1[a:b])),
-                        float(np.max(pert[a:b])), mass_sum))
-        return out
-
-    stats = [row for r0 in range(0, grid_n, _BLOCK_ROWS)
-             for row in block_stats(gg[r0:r0 + _BLOCK_ROWS])]
-    n_pts = sum(s[2] for s in stats)
-    if n_pts == 0:
+            lit.append(np.abs(lap_u + rho * np.exp(uc)))
+            per.append(np.abs(u_all[n + 4 * m:].reshape(2, m) - uc))
+    if not res:
         raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
+    res = np.concatenate(res)
+    per = np.concatenate(per, axis=1)
     cell = area / (grid_n * grid_n)
     return ResidualReport(
-        max_residual=max(s[0] for s in stats),
-        mean_residual=sum(s[1] for s in stats) / max(n_pts, 1),
-        literal_max_residual=max(s[3] for s in stats),
-        periodicity_1=max(s[4] for s in stats),
-        periodicity_tau=max(s[5] for s in stats),
-        total_mass=rho * cell * sum(s[6] for s in stats),
+        max_residual=float(np.max(res)),
+        mean_residual=float(np.sum(res)) / res.size,
+        literal_max_residual=float(np.max(np.concatenate(lit))),
+        periodicity_1=float(np.max(per[0])),
+        periodicity_tau=float(np.max(per[1])),
+        total_mass=rho * cell * float(np.sum(np.concatenate(mass))),
         grid_n=grid_n,
         h=h,
         excl_radius=excl_radius,
-        n_points=n_pts,
+        n_points=res.size,
     )

@@ -471,7 +471,8 @@ def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
         critical.find_critical_points(T)
     assert str(info.value) == (
         f"Newton from the pitchfork seed (t, s) = ({t:.6f}, {s:.6f}) at half period {m + 1} "
-        f"ended at |grad G| = {1e-10 / (2 * math.pi):.3e}, above tol 1e-12 / 2, at tau = {T.tau}")
+        f"ended at reduced-frame |grad G| = {1e-10 * abs(T.lam) / (2 * math.pi):.3e}, "
+        f"above tol 1e-12 / 2, at tau = {T.tau}")
 
 
 def test_a_root_at_a_half_period_is_a_count_violation(monkeypatch):
@@ -661,3 +662,35 @@ def test_the_rhombic_line_far_below_b0_has_five_points(capsys):
 @pytest.mark.parametrize("tau, count", [(0.5 + 11j, 5), (250j, 3)], ids=["rhombic", "square"])
 def test_the_cusp_far_out_is_counted(tau, count):
     assert critical.find_critical_points(lattice.make_torus(tau)).total_count == count
+
+
+# near the real axis |lam| is small and |grad G| = |A1| / (2 pi |lam|) in the
+# given frame, so tol bounds the gradient on the reduced torus: the half
+# periods pass their check, and the seeds route reaches z0
+def test_a_near_axis_morse_torus_passes_its_residual_check(capsys):
+    assert cli.run(["critical", "--tau=0.10363651676141528+1.1292021196875275e-07i"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 3
+
+
+def test_a_near_axis_seeds_torus_finds_the_reduced_torus_z0():
+    T = lattice.make_torus(-0.162702494251301 + 4.641008703885093e-06j)
+    cs = critical.find_critical_points(T)
+    assert cs.total_count == 5
+    (a, b), (c, d) = T.mat
+    t, s = cs.extra.coords.t, cs.extra.coords.s
+    ref = critical.find_critical_points(lattice.make_torus(T.tau_r)).extra.coords
+
+    def gap(x):
+        return abs(float(lattice.wrap_unit(x)[0]))
+
+    # z / lam = t' + s' tau_r with t' = a t - b s, s' = d s - c t, up to z -> -z
+    assert min(max(gap(sign * (a * t - b * s) - ref.t), gap(sign * (d * s - c * t) - ref.s))
+               for sign in (1, -1)) < 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=Unconverged,
+                   reason="Newton in the given (t, s) stalls at a reduced-frame |grad G| of "
+                          "8.7e-13, above tol / 2; a solver in the reduced frame would reach z0")
+def test_the_near_axis_five_point_torus_is_counted():
+    tau = 0.17668935183106604 + 2.3164145156627625e-07j
+    assert critical.find_critical_points(lattice.make_torus(tau)).total_count == 5

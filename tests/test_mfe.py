@@ -109,6 +109,14 @@ def test_solution_8pi_costs_the_critical_set_and_one_pass(theta_passes):
     assert (critical_set, len(theta_passes), theta_passes[-1]) == (9, 10, 2)
 
 
+def test_solution_4pi_costs_two_passes(theta_passes):
+    # the doubled torus's invariants at its 3 half periods, then one pass
+    # over the 160 nodes of the period path and the 5 probes, each at
+    # z - (1/2 + tau) and z + 1/2
+    mfe.solution_4pi(lattice.make_torus(1j))
+    assert theta_passes == [3, 330]
+
+
 def test_extra_branch_point_absent_on_square():
     # the square torus has only the three half periods, so there is no
     # developing map and no 8 pi solution, never a spurious one
