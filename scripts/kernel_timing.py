@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Time the theta series kernel, theta._eval, per call and per point.
+
+For each batch size N the kernel is called on N points of one modulus
+and on N points that carry one of 64 moduli each (as a moduli scan
+does).  A rep times every cell once, with enough calls to sum at least
+1024 points, and the reps follow one another, so a cell's fastest rep
+comes from the whole run rather than from one stretch of it; the table
+gives that rep's mean time per call, in microseconds, and per point, in
+nanoseconds.  The inputs are fixed, so two checkouts can be compared on
+one host:
+
+    python3 scripts/kernel_timing.py --reps 9
+    python3 scripts/kernel_timing.py >> "$GITHUB_STEP_SUMMARY"
+
+Prints a Markdown table.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from torusgreen import lattice, theta  # noqa: E402
+
+SIZES = (1, 3, 14, 192, 1024, 4096)
+# the hexagonal torus, which the package sums at as it stands
+TAU = 0.5 + 0.8660254037844386j
+
+
+def inputs(n: int):
+    """n points of the canonical cell, where the Green function and the
+    Weierstrass layer sum, on one modulus and each on one of 64 reduced
+    moduli."""
+    rng = np.random.default_rng(5)
+    t, s = rng.uniform(-0.5, 0.5, (2, n))
+    taus = np.array([T.tau_r for T in lattice.random_tori(64, 7)])[np.arange(n) % 64]
+    return (t + s * TAU, TAU), (t + s * taus, taus)
+
+
+def per_call_s(z, tau) -> float:
+    """Mean seconds per _eval call over calls that sum at least 1024 points."""
+    calls = max(1, 1024 // z.size)
+    start = time.perf_counter()
+    for _ in range(calls):
+        theta._eval(z, tau)
+    return (time.perf_counter() - start) / calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reps", type=int, default=7, help="reps over all cells (default 7)")
+    args = parser.parse_args(argv)
+    print(f"### theta._eval time per call (fastest of {args.reps} reps)")
+    print()
+    print("| N | one modulus us/call | one modulus ns/point | 64 moduli us/call | 64 moduli ns/point |")
+    print("|---:|---:|---:|---:|---:|")
+    cells = [case for n in SIZES for case in inputs(n)]
+    for z, tau in cells:
+        theta._eval(z, tau)
+    best = [float("inf")] * len(cells)
+    for _ in range(args.reps):
+        best = [min(b, per_call_s(z, tau)) for b, (z, tau) in zip(best, cells)]
+    for k, n in enumerate(SIZES):
+        row = [f"{s * 1e6:.1f} | {s * 1e9 / n:.0f}" for s in best[2 * k:2 * k + 2]]
+        print(f"| {n} | " + " | ".join(row) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

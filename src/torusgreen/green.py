@@ -174,15 +174,22 @@ def evaluate(z, torus: Torus | Frame) -> GreenEval:
     return evaluate_pass(z, torus)[0]
 
 
-def evaluate_pass(z, torus: Torus | Frame):
-    """evaluate, and the flat arrays log|theta1|, arg theta1 and L2 at the
-    points z / lam on tau_r where its theta pass summed."""
+def _value_pass(z, torus: Torus | Frame):
+    """Frame, G - C(tau) shaped like z, and flat (s', log|theta1|, arg, L1, L2)."""
     fr = _as_frame(torus)
     z = np.asarray(z, dtype=complex)
     s = z.imag.reshape(-1) / fr.tau.imag
     sr, lm, ar, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * fr.tau.real, s, fr)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
+    value = -lm / (2.0 * np.pi) + sr ** 2 * (fr.tau_r.imag / 2.0) + fr.shift
+    return fr, value.reshape(z.shape), (sr, lm, ar, L1, L2)
+
+
+def evaluate_pass(z, torus: Torus | Frame):
+    """evaluate, and the flat arrays log|theta1|, arg theta1 and L2 at the
+    points z / lam on tau_r where its theta pass summed."""
+    fr, value, (sr, lm, ar, L1, L2) = _value_pass(z, torus)
     b_r = fr.tau_r.imag
     rot1 = L1 * fr.k1
     rot = L2 * fr.k2
@@ -193,10 +200,10 @@ def evaluate_pass(z, torus: Torus | Frame):
     det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_l2 + abs_l2 ** 2)
 
     def out(x):
-        return theta._scalarize(x.reshape(z.shape))
+        return theta._scalarize(x.reshape(value.shape))
 
     return GreenEval(
-        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0) + fr.shift),
+        value_rel=out(value),
         grad=(out(-rot1.real / (2.0 * np.pi) + sr * fr.k1.imag),
               out(rot1.imag / (2.0 * np.pi) + sr * fr.k1.real)),
         hessian=Hessian2(
@@ -210,8 +217,8 @@ def evaluate_pass(z, torus: Torus | Frame):
 
 
 def green_rel(z, torus: Torus):
-    """G(z) - C(tau), doubly periodic by construction; the value of evaluate."""
-    return evaluate(z, torus).value_rel
+    """G(z) - C(tau), doubly periodic by construction: evaluate's value alone."""
+    return theta._scalarize(_value_pass(z, torus)[1])
 
 
 def residual_and_jacobian(t, s, torus: Torus | Frame):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -194,15 +195,20 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
                        c1=c1, evaluator=_evaluator(core, special))
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)    # imports numpy.polynomial on first use
+
+
 def _period_path(radius: float):
     """Gauss nodes of the integral of g from 0 to 1, which detours over the
     pole at 1/2 along a semicircle of the given radius through the upper
     half plane, and the sum of g at them that gives the integral."""
-    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = _leggauss(48)
     ends = ((0.0, 0.5 - radius), (0.5 + radius, 1.0))
     mid = [0.5 * (a + b) for a, b in ends]
     half = [0.5 * (b - a) for a, b in ends]
-    xa, wa = np.polynomial.legendre.leggauss(64)
+    xa, wa = _leggauss(64)
     ang = 0.5 * math.pi * (1.0 - xa)    # [-1, 1] -> [pi, 0]
     dz = -0.5 * math.pi * radius * 1j * np.exp(1j * ang)
     nodes = np.concatenate([mid[0] + half[0] * x, 0.5 + radius * np.exp(1j * ang),

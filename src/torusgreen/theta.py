@@ -12,21 +12,22 @@ theta1 is summed in exponential form,
 
 after reducing z modulo the lattice so |Im z| <= Im(tau)/2; the discarded
 translation comes back as an exact log space factor.  The terms n >= 0
-and n < 0 are two running products of ratios, so a point costs four
-complex exps whatever the number of terms; no factor that can overflow
-(e^(i pi z) itself) is ever formed, and no value built exceeds
-e^(pi Im tau / 4).  Derivative series are weighted sums over the same
-terms, taken about the log derivative i pi of the largest term, so the
-second and third logarithmic derivatives keep their relative precision
-where that term dominates (the half periods tau/2 and (1+tau)/2 at large
-Im tau, where L2 is O(e^(-pi Im tau))).
+and n < 0 are two running products of ratios, so a point costs a real
+exp, a cos and a sin for each of four leads whatever the number of
+terms; no factor that can overflow (e^(i pi z) itself) is ever formed,
+and no value built exceeds e^(pi Im tau / 4).  Derivative series are
+weighted sums over the same terms, taken about the log derivative i pi
+of the largest term, so the second and third logarithmic derivatives
+keep their relative precision where that term dominates (the half
+periods tau/2 and (1+tau)/2 at large Im tau, where L2 is
+O(e^(-pi Im tau))).
 
 The series is summed only for 1/2 <= Im tau <= MAX_IM_TAU (at most 8
 terms a side); below that _eval raises UnreducedModulus, above it
 InvalidInput.  The Green function and the Weierstrass layer run every
 pass in the reduced frame of lattice.Torus, at Im tau_r >= sqrt(3)/2 (6
-or 7 terms), and carry the results back by exact laws.  theta1 is not a function of the lattice alone, so
-theta1(z, torus) sums at the torus's own tau.
+or 7 terms), and carry the results back by exact laws.  theta1 is not a
+function of the lattice alone, so theta1(z, torus) sums at its own tau.
 
 One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
@@ -36,13 +37,14 @@ bits alone as inside a batch, and sums it in runs of at most _RUN points,
 so the series of a pass of any size works in about half a megabyte.  A
 batch may carry one tau per point (the tori of a moduli scan): it runs
 to the largest term count among them, each point's terms past its own
-count are exact zeros, and the powers of q are formed once per distinct
-tau, so a point still gets the bits of a pass at its own tau.  For a
-single modulus they are cached (_q_powers), as every pass on one torus
-sums at its tau_r.  There is no separate series for the theta nulls:
-theta2, theta3 and theta4 at 0 are theta1 at the half periods up to
-exact factors, and the one pass there that serves the Green function
-gives them, theta1'(0), eta1 and the e_k too (weier._half_period_pass).
+count are exact zeros, and its factors in tau alone are formed per point
+by the arithmetic of a pass at its own tau, so it still gets that pass's
+bits.  For a single modulus they are cached (_q_powers), as every pass
+on one torus sums at its tau_r.  There is no separate series for the
+theta nulls: theta2, theta3 and theta4 at 0 are theta1 at the half
+periods up to exact factors, and the one pass there that serves the
+Green function gives them, theta1'(0), eta1 and the e_k too
+(weier._half_period_pass).
 """
 
 from __future__ import annotations
@@ -72,24 +74,27 @@ def _check_im(b: float) -> None:
                            "where its terms leave the float64 range")
 
 
-def _term_count_z(b: float) -> int:
-    """Terms needed by the z series at the worst reduced argument |Im z| = b/2."""
-    n = math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5
-    return max(6, math.ceil(n) + 2)
+def _term_count_z(b):
+    """Terms needed at the worst reduced argument |Im z| = b/2, b a float or an array."""
+    if isinstance(b, np.ndarray):
+        return np.maximum(6, np.ceil(np.sqrt(0.25 + 43.8 / (np.pi * b)) + 0.5) + 2)
+    return max(6, math.ceil(math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5) + 2)
 
 
-# exponents of u_0, d_0 and the first ratios of both halves, per z0 and tau
-_LEAD_Z = (1j * np.pi) * np.array([[1.0], [-1.0], [2.0], [-2.0]])
-_LEAD_TAU = (1j * np.pi) * np.array([[0.25], [0.25], [2.0], [2.0]])
+# exponents of the leads (ratio, first term) x (u half, d half) of _series,
+# per z0 and per tau (the latter formed once per modulus, _modulus_rows)
+_LEAD_Z = (1j * np.pi) * np.array([[[2.0], [-2.0]], [[1.0], [-1.0]]])
+_LEAD_TAU = (1j * np.pi) * np.array([[[2.0], [2.0]], [[0.25], [0.25]]])
 # the term count at Im tau = 1/2 (8) bounds every pass of _eval
 _K = np.arange(_term_count_z(0.5))
-# real weights (half, moment, k) of the moments about i pi: the term n = k
-# has z derivative factor i pi (2k + 1), i pi + 2 pi i k; the term n = -1-k,
-# which enters the sum as -d_k, has -i pi (2k + 1), i pi - pi i (2k + 2)
+# real weights (moment, (k, half)) of the moments about i pi per term count:
+# the term n = k has z derivative factor i pi (2k + 1), i pi + 2 pi i k; the
+# term n = -1-k, which enters as -d_k, has -i pi (2k + 1), i pi - pi i (2k + 2)
 _U = 2.0 * np.pi * _K
 _D = np.pi * (2.0 * _K + 2.0)
 _WEIGHTS = np.array([[np.ones(_K.size), _U, _U ** 2, _U ** 3],
-                     [-np.ones(_K.size), _D, -_D ** 2, _D ** 3]])
+                     [-np.ones(_K.size), _D, -_D ** 2, _D ** 3]]).transpose(1, 2, 0)
+_WEIGHTS = [_WEIGHTS[:, :n].reshape(4, 2 * n) for n in range(_K.size + 1)]
 # the powers of i that the real weights leave out, times the -i of theta1
 _PHASES = np.array([[-1j], [1.0], [1j], [-1.0]])
 
@@ -116,24 +121,33 @@ class LogComplex:
         return np.isneginf(self.log_mag)
 
 
+def _modulus_rows(taus: np.ndarray, nterms: int):
+    """The factors of _series in tau alone, a column per entry of taus: the
+    tau parts of the lead exponents, and -q^(2k) for k < nterms - 1 by a
+    product along k of flat rows (numpy rounds (1, 1) rows another way)."""
+    ratio = np.full((nterms - 1, 1, taus.size), -1.0, dtype=complex)
+    q2 = np.exp((2j * np.pi) * taus)
+    for prev, row in zip(ratio[:, 0], ratio[1:, 0]):
+        np.multiply(prev, q2, row)
+    return _LEAD_TAU * taus, ratio
+
+
 @lru_cache(maxsize=256)
-def _q_powers(tau: complex, nterms: int) -> np.ndarray:
-    """-q^(2k) for k < nterms - 1 at one modulus, formed once per modulus
-    (read only): every pass on a torus sums at the same tau_r."""
-    q2k = -np.exp((2j * np.pi * tau) * _K[:nterms - 1, None])
-    q2k.flags.writeable = False
-    return q2k
+def _q_powers(tau: complex, nterms: int):
+    """_modulus_rows of one modulus, once per modulus, as a torus sums at its tau_r."""
+    lead_tau, ratio = rows = _modulus_rows(np.array([tau]), nterms)
+    lead_tau.flags.writeable = ratio.flags.writeable = False
+    return rows
 
 
 def _series(z0, tau, nterms: int):
     """theta1 at reduced arguments and its z derivative moments about i pi.
 
-    z0 is a 1-D array with |Im z0| <= Im(tau)/2, tau one modulus or one
-    per point.  With one per point, nterms is the largest term count of
-    the batch, and the terms of a point past its own count
-    (_term_count_z of its Im tau) are exact zeros, so it gets the same
-    sums as in a pass at its own tau alone.  Returns the rows
-    (th0, s1, s2, s3) of one array: th0 = theta1(z0) and
+    z0 is a 1-D array with -Im(tau)/2 <= Im z0 <= 0, tau one modulus or an
+    array with one per point; then nterms is the largest term count of
+    the batch, and the terms of a point past its own count are exact
+    zeros, so it gets the sums of a pass at its own tau alone.  Returns
+    the rows (th0, s1, s2, s3) of one array: th0 = theta1(z0) and
     sj = e^(i pi z) d^j/dz^j (e^(-i pi z) theta1(z)) at z0, the termwise
     sums -i sum_n a_n ((2n+1) pi i - pi i)^j.  The term n = 0, the largest
     wherever Im z0 <= 0, drops out of every sj, so the logarithmic
@@ -141,59 +155,45 @@ def _series(z0, tau, nterms: int):
     tau/2, where L2 is O(e^(-pi Im tau)), th2/th0 - (th1/th0)^2 from plain
     derivatives is a difference of two O(1) numbers.
 
-    With m = 2k + 1 the terms n = k and n = -1-k of the sum are u_k and
-    -d_k, where u_k = (-1)^k q^((k+1/2)^2) e^(i pi m z0) and d_k is u_k
-    at -z0.  Each half is a running product of ratios:
-
-        u_0 = e^(i pi (z0 + tau/4)),   u_(k+1) = u_k r q^(2k),
-        r = -e^(2 i pi (tau + z0)),
-
-    and likewise for d with -z0, so a point costs four exps.  Neither
-    e^(i pi z0) nor its square is formed on its own (they overflow near
-    Im tau = 450 and 225): |r q^(2k)| <= e^(-pi Im tau) and no value
-    built exceeds e^(pi Im tau / 4), the bound of the terms themselves.
-    The terms sit as (half, k, point) and the products run along k in
-    order; the moments are summed over both halves and k with signed
-    real weights on the float view (half, k, 2 point).  Every product and
-    sum keeps its order for every point, so a point gives the same bits
-    alone as inside a batch.
+    The terms n = k and n = -1-k are u_k and -d_k, u_k = (-1)^k
+    q^((k+1/2)^2) e^((2k+1) pi i z0) and d_k that at -z0, and each half
+    is a running product, u_(k+1) = u_k r q^(2k), from the leads
+    u_0 = e^(i pi (z0 + tau/4)) and r = -e^(2 pi i (tau + z0)), and
+    likewise for d with -z0.  A lead is its exponent's complex exp split by
+    hand, a real exp of the real part times the cos and sin of the
+    imaginary part, so a point costs four real exps, cosines and sines
+    (numpy's complex exp is a scalar loop, its real exp a vector one).
+    Each lead keeps its phase in tau inside its angle: multiplied into the
+    sums afterwards, that phase rounds th0 and the sj apart and doubles the
+    typical error of the small real part of L2 at (1+tau)/2 on
+    Re tau = 1/2.  e^(i pi z0), which overflows near Im tau = 450, is never
+    formed: no lead exceeds e^(pi Im tau / 4), the bound of the terms.  The
+    terms sit as (k, half, point) after the ratios, so each product
+    of the recurrence multiplies contiguous rows, and the moments are one
+    weighted sum over (k, half) on the float view.  Every product and sum
+    keeps its order for every point, so a point gives the same bits alone
+    as inside a batch.
     """
     z0 = np.asarray(z0, dtype=complex)
-    # u_0, d_0 and the first ratios of both halves, from one exp call
-    lead = np.exp(_LEAD_Z * z0 + _LEAD_TAU * tau)
-    terms = np.empty((2, nterms, z0.size), dtype=complex)
-    terms[:, 0] = lead[:2]
-    if np.ndim(tau):
-        # the powers of q and the term count once per distinct modulus
-        taus, inv = np.unique(tau, return_inverse=True)
-        counts = np.array([_term_count_z(x.imag) for x in taus.tolist()])[inv]
-        q2k = -np.exp((2j * np.pi * taus) * _K[:nterms - 1, None])[:, inv]
+    if isinstance(tau, np.ndarray):
+        lead_tau, ratio = _modulus_rows(tau, nterms)
+        ratio[:, 0][_K[1:nterms, None] >= _term_count_z(tau.imag)] = 0.0
     else:
-        q2k = _q_powers(complex(tau), nterms)
-    np.multiply(lead[2:, None], q2k, out=terms[:, 1:])
-    np.multiply.accumulate(terms, axis=1, out=terms)
-    if np.ndim(tau) and counts.min(initial=nterms) < nterms:
-        terms[:, _K[:nterms, None] >= counts] = 0.0
+        lead_tau, ratio = _q_powers(complex(tau), nterms)
+    # row 0: the ratios of both halves; rows 1 to nterms: the terms
+    terms = np.empty((nterms + 1, 2, z0.size), dtype=complex)
+    exponent = _LEAD_Z * z0 + lead_tau
+    lead = terms[:2].view(float).reshape(2, 2, z0.size, 2)
+    np.cos(exponent.imag, lead[..., 0])
+    np.sin(exponent.imag, lead[..., 1])
+    lead *= np.exp(exponent.real)[..., None]
+    np.multiply(terms[0], ratio, terms[2:])
+    for prev, row in zip(terms[1:], terms[2:]):
+        np.multiply(prev, row, row)
     # np.einsum without optimize runs its own loops, never BLAS, and
-    # accumulates along k in order for every point
-    moments = np.einsum("hik,hkj->ij", _WEIGHTS[:, :, :nterms], terms.view(float))
+    # accumulates along (k, half) in order for every point
+    moments = np.einsum("ik,kj->ij", _WEIGHTS[nterms], terms[1:].view(float).reshape(2 * nterms, -1))
     return moments.view(complex) * _PHASES
-
-
-def _series_in_runs(z0, tau, nterms: int):
-    """_series over at most _RUN points at a time, into one array.
-
-    A run's terms and moments, about 420 bytes a point, bound the working
-    set of a pass whatever its size; a point gets the same bits in any
-    run.
-    """
-    if z0.size <= _RUN:
-        return _series(z0, tau, nterms)
-    th = np.empty((4, z0.size), dtype=complex)
-    for a in range(0, z0.size, _RUN):
-        run = slice(a, a + _RUN)
-        th[:, run] = _series(z0[run], tau[run] if np.ndim(tau) else tau, nterms)
-    return th
 
 
 def _eval(z, tau):
@@ -208,46 +208,53 @@ def _eval(z, tau):
     # always evaluate a 1-D array: numpy's scalar complex products round
     # differently from its array loops, and a point must give the same bits
     # alone as inside a batch
-    shape = np.shape(z)
-    low = high = tau
-    if np.ndim(tau):
-        tau = np.reshape(tau, -1)
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    if isinstance(tau, np.ndarray) and tau.ndim:
+        tau = tau.reshape(-1)
         # the term count falls with Im tau, so the lowest point sets it
         low, high = (tau[tau.imag.argmin()], tau[tau.imag.argmax()]) if tau.size else (1j, 1j)
+    else:
+        low = high = tau = complex(tau)
     if not low.imag >= 0.5:
         raise UnreducedModulus(f"theta series asked for at tau = {low}, below Im tau = 1/2")
     _check_im(high.imag)
-    t, s, m, n = split_coords(np.reshape(z, -1), tau)
-    z0 = t + s * tau
+    t, s, m, n = split_coords(z.reshape(-1), tau)
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
-    # series at the summed point is always n = 0
+    # series at the summed point is always n = 0; L1 and L3 are odd too
     flip = s > 0.0
-    th = _series_in_runs(np.where(flip, -z0, z0), tau, _term_count_z(low.imag))
+    z0 = t + s * tau
+    np.negative(z0, z0, where=flip)
+    # runs of at most _RUN points, about 500 bytes a point, bound the working
+    # set of a pass whatever its size; a point gets the same bits in any run
+    nterms = _term_count_z(low.imag)
+    th = _series(z0, tau, nterms) if z0.size <= _RUN else np.concatenate(
+        [_series(z0[a:a + _RUN], tau[a:a + _RUN] if isinstance(tau, np.ndarray) else tau, nterms)
+         for a in range(0, z0.size, _RUN)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1, r2, r3 = th[1:] / th[0]
         L2 = r2 - r1 * r1
-        L3 = r3 - r1 * (r2 + 2.0 * L2)
-        L1 = r1 + 1j * np.pi
-        L1 = np.where(flip, -L1, L1)
-        L3 = np.where(flip, -L3, L3)
+        L1, L3 = odd = np.empty((2, z0.size), dtype=complex)
+        np.add(r1, 1j * np.pi, L1)
+        np.subtract(r3, r1 * (r2 + (L2 + L2)), L3)
+        np.negative(odd, odd, where=flip)
         log_mag = np.log(np.abs(th[0]))
-        arg = np.angle(th[0]) + np.pi * (m + flip)
-    if n.any():
+        arg = np.arctan2(th[0].imag, th[0].real) + np.pi * (m + flip)
+    if np.count_nonzero(n):
         # the translation factor; where n == 0 it adds exact zeros, so a
         # point gets the same bits whichever branch its batch takes
         log_mag = log_mag + (np.pi * tau.imag) * n * (n + 2.0 * s)
-        arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * z0.real))
+        arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * (t + s * tau.real)))
         L1 = L1 - (2j * np.pi) * n
     hit = z0 == 0.0
-    if hit.any():
+    if np.count_nonzero(hit):
         # exactly reduced lattice points: the sum is an exact zero in theory
         # but roundoff leaves ~1e-16 debris, so snap to the sentinel
-        log_mag = np.where(hit, -np.inf, log_mag)
-        arg = np.where(hit, 0.0, arg)
-        L1 = np.where(hit, complex(np.nan, np.nan), L1)
-        L2 = np.where(hit, complex(np.nan, np.nan), L2)
-        L3 = np.where(hit, complex(np.nan, np.nan), L3)
-    return tuple(out.reshape(shape) for out in (log_mag, arg, L1, L2, L3))
+        nan = complex(np.nan, np.nan)
+        log_mag, arg, L1, L2, L3 = (np.where(hit, v, x) for v, x in zip(
+            (-np.inf, 0.0, nan, nan, nan), (log_mag, arg, L1, L2, L3)))
+    out = (log_mag, arg, L1, L2, L3)
+    return out if len(shape) == 1 else tuple(x.reshape(shape) for x in out)
 
 
 def _scalarize(x):

@@ -31,6 +31,18 @@ def test_green_rel_matches_slow_route():
             assert abs(got - ref) < 1e-13 * max(1.0, abs(ref))
 
 
+def test_green_rel_is_the_value_of_evaluate_bit_for_bit():
+    # green_rel skips the gradient and Hessian but shares evaluate's value
+    # formula, so the two agree to the last bit, alone and in batches
+    rng = np.random.default_rng(37)
+    for T in lattice.random_tori(50, 3):
+        z = rng.uniform(-1.5, 1.5, 7) + rng.uniform(-1.5, 1.5, 7) * T.tau
+        assert green.green_rel(complex(z[0]), T) == green.evaluate(complex(z[0]), T).value_rel
+        assert np.array_equal(green.green_rel(z, T), green.evaluate(z, T).value_rel)
+        grid = z.reshape(1, 7)
+        assert np.array_equal(green.green_rel(grid, T), green.evaluate(grid, T).value_rel)
+
+
 @given(ti=grid64, si=grid64, m=shift, n=shift)
 def test_green_rel_bitwise_periodic(ti, si, m, n):
     # dyadic coordinates on a dyadic modulus translate without rounding, so

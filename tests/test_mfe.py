@@ -117,6 +117,17 @@ def test_solution_4pi_costs_two_passes(theta_passes):
     assert theta_passes == [3, 330]
 
 
+def test_period_path_forms_its_gauss_rules_once_per_process():
+    # the 48 and 64 point Gauss-Legendre rules are formed on first use, not
+    # at import, and every later 4 pi construction reads them back
+    mfe._leggauss.cache_clear()
+    first = mfe._period_path(0.1)[0]
+    second = mfe._period_path(0.1)[0]
+    info = mfe._leggauss.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert np.array_equal(first, second)
+
+
 def test_extra_branch_point_absent_on_square():
     # the square torus has only the three half periods, so there is no
     # developing map and no 8 pi solution, never a spurious one

@@ -20,6 +20,17 @@ def test_script_exits_0(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kernel_timing_prints_one_row_per_batch_size():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_timing.py"), "--reps", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines() if line.startswith("| ")]
+    rows = [row for row in rows if row[0].strip().isdigit()]
+    assert [int(row[0]) for row in rows] == [1, 3, 14, 192, 1024, 4096]
+    assert all(float(cell) > 0.0 for row in rows for cell in row[1:])
+
+
 def test_pass_counts_prints_one_row_per_call():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "pass_counts.py")],

@@ -108,13 +108,41 @@ def test_logderivs_match_mpmath():
 def test_logderiv2_keeps_relative_precision_at_the_half_periods():
     # at tau/2 and (1+tau)/2 the leading term dominates and L2 is
     # O(e^(-pi Im tau)); summed from plain derivatives it cancelled to
-    # relative errors of 1 at 12i and 4e-6 at 0.5+8i
-    for tau in (2j, 0.5 + 3j, 0.5 + 8j, 12j):
+    # relative errors of 1 at 12i and 4e-6 at 0.5+8i.  Past Im tau of about
+    # 226 it leaves the float64 range there, and the kernel must give the
+    # float value of the exact one, zero, not rounding debris.  The same
+    # points in one batch with a modulus per point give the same bits
+    taus = (2j, 0.5 + 3j, 0.5 + 8j, 12j, 100j, 0.3 + 100j, 0.25 + 450j, 899j, 0.5 + 899j)
+    points = [(h, tau) for tau in taus for h in lattice.make_torus(tau).half_periods]
+    batch = theta._eval(np.array([h for h, _ in points]), np.array([t for _, t in points]))[3]
+    for k, tau in enumerate(taus):
         T = lattice.make_torus(tau)
         L2 = theta._eval(np.array(T.half_periods), tau)[3]
-        for got, h in zip(L2, T.half_periods):
-            ref = oracles.mp_theta1_logderiv(h, tau, 2)
-            assert abs(got - ref) < 1e-13 * abs(ref), (tau, h)
+        for j, (got, h) in enumerate(zip(L2, T.half_periods)):
+            assert batch[3 * k + j] == got, (tau, h)
+            ref = oracles.mp_theta1_logderiv2_series(h, tau)
+            if abs(ref) > np.finfo(float).tiny:
+                assert abs(got - ref) < 1e-13 * abs(ref), (tau, h)
+            else:
+                assert got == 0.0, (tau, h, got)
+
+
+def test_eval_at_max_im_tau_stays_inside_the_float64_range():
+    # at Im tau = MAX_IM_TAU the largest lead of the series, u_0 at
+    # Im z0 = -b/2, is e^(pi b / 4) = e^706.9 against the float64 limit
+    # e^709.8; a lead formed as e^(i pi z0) would be e^1413.7.  No lead,
+    # product, moment or log derivative may overflow there, at |Im z0| = b/2
+    # and at the half periods, on one modulus or with one per point
+    b = theta.MAX_IM_TAU
+    for a in (0.0, 0.5, -0.3):
+        tau = complex(a, b)
+        edge = np.linspace(-0.5, 0.5, 9)
+        z = np.concatenate([edge + 0.5 * tau, edge - 0.5 * tau, [0.5, tau / 2, (1 + tau) / 2]])
+        with np.errstate(over="raise"):
+            for out in (theta._eval(z, tau), theta._eval(z, np.full(z.size, tau))):
+                assert all(np.all(np.isfinite(x)) for x in out), tau
+                # log|theta1| at Im z0 = -b/2 is that of its lead, pi b / 4
+                assert out[0][9:18] == pytest.approx(np.pi * b / 4, rel=1e-12)
 
 
 def test_logderiv_order3_consistent_with_order2():
@@ -168,6 +196,9 @@ def test_eval_with_a_modulus_per_point_gives_each_point_its_own_bits():
     # and the points include lattice hits and far translates
     taus = [0.1 + 1.14j, -0.2 + 1.16j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.3 + 2.5j, 0.45 + 0.6j]
     assert {theta._term_count_z(t.imag) for t in taus} == {6, 7, 8}
+    # a batch reads the counts of its moduli from the array form of the count
+    bs = np.concatenate([np.geomspace(0.5, theta.MAX_IM_TAU, 4001), [t.imag for t in taus]])
+    assert theta._term_count_z(bs).tolist() == [theta._term_count_z(b) for b in bs.tolist()]
     rng = np.random.default_rng(23)
     z, tau = [], []
     for t in taus:
