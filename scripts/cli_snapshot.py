@@ -28,8 +28,10 @@ CALLS = (
     # critical: square, hex, rhombic below b0, between b0 and b1, above b1,
     # a generic modulus, one near the cusp at 1/3, reduced by a matrix
     # with c = 3, one near the cusp at 0 with determinants of +-8.3e-12,
-    # the degenerate torus at b1 (tau = 1/2 + i b1, thresholds' b1), and
-    # the rhombic cusp at b = 5, z0 = 1/2 + i (b/2 - 2 b e^(-pi b))
+    # the degenerate torus at b1 (tau = 1/2 + i b1, thresholds' b1), the
+    # rhombic cusp at b = 5, z0 = 1/2 + i (b/2 - 2 b e^(-pi b)), and a
+    # five-point torus near the real axis, far outside the fundamental
+    # domain, whose z0 Newton finds on the reduced torus
     ("critical", "--tau=i"),
     ("critical", f"--tau={HEX}"),
     ("critical", "--tau=0.5+0.3i"),
@@ -40,6 +42,7 @@ CALLS = (
     ("critical", "--tau=0.0890i"),
     ("critical", "--tau=0.5+0.7047615813326655i"),
     ("critical", "--tau=0.5+5i"),
+    ("critical", "--tau=0.17668935183106604+2.3164145156627625e-07i"),
     ("eval", "--tau=i", "--z=0.21+0.13i"),
     ("eval", f"--tau={HEX}", "--z=0.1+0.2i"),
     ("eval", "--tau=0.5+0.8i", "--z=0.3+0.2i"),

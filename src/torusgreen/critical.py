@@ -37,11 +37,11 @@ route to the gradient.  So a morse torus costs two passes, and a seeds
 torus adds its Newton trials and the pass at z0; compare_half_periods
 and the 8 pi developing map find the invariants cached.
 
-A torus gets the same bits in a batch as alone: the kernel sums each
-point at its own tau, the reduced frame constants are formed per torus
-and then gathered (green.Frame), a seed is formed from its torus's rows
-alone, and each Newton seed keeps its own count of steps.
-find_critical_points is the batch of one torus.
+Every pass runs on the reduced tori (Torus.reduced), and each set is
+carried back to its torus once (_carried).  A torus gets the same
+bits in a batch as alone: each point is summed at its own tau_r, a seed
+is formed from its torus's rows alone, and each Newton seed keeps its own
+count of steps.  find_critical_points is the batch of one torus.
 
 Failures stay typed.  Unconverged: the half-period pass misses Jacobi's
 gap identities, no seed (G_vvvv <= 0), or Newton misses the residual
@@ -128,23 +128,23 @@ class CriticalSet:
         return None
 
 
-def damped_newton(t, s, torus: Torus | green.Frame, r_stop):
-    """Damped Newton on the critical residual from the seeds (t, s).
+def damped_newton(t, s, tau_r, r_stop):
+    """Damped Newton on the critical residual from the seeds (t, s) on
+    reduced tori of modulus tau_r, one for every seed or one per seed.
 
-    torus is a Torus or a Frame, one entry per seed for seeds on several
-    tori (green.take).  Each step is halved up to 12 times until it
-    lowers |r|; a seed that cannot improve even then is retired, and a
-    seed stops once |r| <= r_stop (scalar, or per seed) or after 60
-    steps.  Every seed keeps its own count of steps and halvings, and one
-    residual pass serves the next trial point of every seed, so a seed's
-    path does not depend on the others and the passes are as many as the
-    trials of the longest path.  Returns the final (t, s, |r|) arrays,
-    unwrapped; lattice hits show up as non finite |r|.
+    Each step is halved up to 12 times until it lowers |r|; a seed that
+    cannot improve even then is retired, and a seed stops once
+    |r| <= r_stop (scalar, or per seed) or after 60 steps.  Every seed
+    keeps its own count of steps and halvings, and one residual pass
+    serves the next trial point of every seed, so a seed's path does not
+    depend on the others and the passes are as many as the trials of the
+    longest path.  Returns the final (t, s, |r|) arrays, unwrapped;
+    lattice hits show up as non finite |r|.
     """
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
     r_stop = np.broadcast_to(r_stop, t.shape)
-    r, rt, rs = green.residual_and_jacobian(t, s, torus)
+    r, rt, rs = green.residual_and_jacobian(t, s, tau_r)
     rn = np.abs(r)
     live = np.isfinite(rn)
     steps = np.zeros(t.size, dtype=int)      # Newton steps begun
@@ -175,7 +175,7 @@ def damped_newton(t, s, torus: Torus | green.Frame, r_stop):
         idx, t_try, s_try = idx[moved], t_try[moved], s_try[moved]
         if idx.size == 0:
             return t, s, rn
-        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, green.take(torus, idx))
+        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, _at(tau_r, idx))
         rn2 = np.abs(r2)
         ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
         due = idx[ok]
@@ -189,6 +189,11 @@ def damped_newton(t, s, torus: Torus | green.Frame, r_stop):
         scale[poor] *= 0.5
         tries[poor] += 1
         live[poor[tries[poor] == 12]] = False
+
+
+def _at(tau_r, index):
+    """The moduli of points on the tori index of tau_r, or a lone torus's."""
+    return tau_r if np.ndim(tau_r) == 0 else tau_r[index]
 
 
 def _morse(det: float, bound: float) -> Morse:
@@ -208,12 +213,9 @@ def _rows(ev: green.GreenEval) -> list[tuple[float, ...]]:
 
 def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
     """The critical points at coords, classified from their _rows."""
-    out = []
-    for (t, s), kind, (xx, xy, yy, det, g, bound) in zip(coords, kinds, rows):
-        out.append(CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
-                                 morse=_morse(det, bound), hessian=Hessian2(xx, xy, yy, det),
-                                 g_rel=g))
-    return out
+    return [CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
+                          morse=_morse(det, bound), hessian=Hessian2(xx, xy, yy, det), g_rel=g)
+            for (t, s), kind, (xx, xy, yy, det, g, bound) in zip(coords, kinds, rows)]
 
 
 def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
@@ -227,75 +229,93 @@ def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
                        route=route)
 
 
+def _carried(torus: Torus, hp_rows, extra):
+    """The half-period _rows and extra orbit ((t, s), row) of torus from
+    those of torus.reduced: the half periods relabelled as the matrix
+    permutes them mod 2, z0 mapped by its inverse, t = d t' + b s' and
+    s = c t' + a s', wrapped and folded, and each row by green.carried."""
+    if torus.mat == ((1, 0), (0, 1)):
+        return hp_rows, extra
+    (a, b), (c, d) = torus.mat
+    hp_rows = [green.carried(hp_rows[j], torus) for j in torus.half_period_perm]
+    if extra is not None:
+        (t, s), row = extra
+        t, s = _fold(wrap_unit(d * t + b * s)[0], wrap_unit(c * t + a * s)[0])
+        extra = (float(t), float(s)), green.carried(row, torus)
+    return hp_rows, extra
+
+
 def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
-    """The seed (t, s) of z0 on a torus whose three half periods are
-    saddles, from their _rows, and the index m of the half period it
+    """The seed (t, s) of z0 on a reduced torus whose three half periods
+    are saddles, from their _rows, and the index m of the half period it
     leaves: the one with the largest determinant, where the extra pair is
     born as that determinant crosses zero.
 
-    Along the unit eigenvector v of the negative Hessian eigenvalue lam at
+    Along the unit eigenvector v of the negative Hessian eigenvalue mu at
     w_m, G is even about w_m, so its slope at w_m + eps v is
-    lam eps + G_vvvv eps^3 / 6 + O(eps^5), where
+    mu eps + G_vvvv eps^3 / 6 + O(eps^5), where
     G_vvvv = Re(wp''(w_m) v^4) / 2 pi because the fourth derivative of
     log theta1 is -wp''.  c_k = pi (G_xx - G_yy - 2i G_xy) at w_k is e_k
     plus a constant of the torus, so wp''(w_m) = 2 (c_m - c_i)(c_m - c_j)
     needs no theta pass; v^2 = -conj(c_m) / |c_m|, and
-    lam = det / (trace / 2 + |c_m| / 2 pi) keeps the precision of det.
-    The seed is w_m + eps v with eps = sqrt(-6 lam / G_vvvv).  Raises
+    mu = det / (trace / 2 + |c_m| / 2 pi) keeps the precision of det.
+    The seed is w_m + eps v with eps = sqrt(-6 mu / G_vvvv).  Raises
     Unconverged where G_vvvv <= 0, which leaves no seed.
     """
-    m = max(range(3), key=lambda k: hp_rows[k][3])
+    m = max(range(3), key=[row[3] for row in hp_rows].__getitem__)
     c = [math.pi * complex(xx - yy, -2.0 * xy) for xx, xy, yy, *_ in hp_rows]
     i, j = (k for k in range(3) if k != m)
     xx, _, yy, det = hp_rows[m][:4]
     size = abs(c[m])
-    lam = det / ((xx + yy) / 2.0 + size / (2.0 * math.pi))
+    mu = det / ((xx + yy) / 2.0 + size / (2.0 * math.pi))
     v2 = -c[m].conjugate() / size
     g4 = (2.0 * (c[m] - c[i]) * (c[m] - c[j]) * v2 * v2).real / (2.0 * math.pi)
     if not g4 > 0.0:
         raise Unconverged(f"no pitchfork seed at half period {m + 1}: G_vvvv = {g4:.3e} "
-                          f"is not positive at tau = {torus.tau}")
-    dz = math.sqrt(-6.0 * lam / g4) * cmath.sqrt(v2)
+                          f"is not positive on the reduced torus tau_r = {torus.tau}")
+    dz = math.sqrt(-6.0 * mu / g4) * cmath.sqrt(v2)
     ds = dz.imag / torus.tau.imag
     tc, sc = _HP_COORDS[m]
     t, s = wrap_unit([tc + dz.real - ds * torus.tau.real, sc + ds])[0].tolist()
     return t, s, m
 
 
-def _extra_points(tori: list[Torus], batch, seeds, tol: float) -> list:
-    """z0 of each (k, t, s, m) in seeds, the pitchfork seed (t, s) of
-    tori[k] at half period m: one damped Newton run serves every seed and
-    one evaluate pass every root.  Returns, per seed, ((t, s), row) with
-    the root folded to the representative of its orbit {z, -z} and row
-    its _rows, or the error: Unconverged where Newton misses reduced-frame
-    |grad G| <= tol / 2, CountViolation where it reaches a half period.
+def _extra_points(tori: list[Torus], tau_r, seeds, tol: float) -> list:
+    """z0 of each (k, t, s, m) in seeds, the pitchfork seed (t, s) at half
+    period m of the reduced torus of tori[k], of modulus _at(tau_r, k):
+    one damped Newton run serves every seed and one evaluate pass every
+    root.  Returns, per seed, ((t, s), row) on the reduced torus with the
+    root folded to the representative of its orbit {z, -z} and row its
+    _rows, or the error: Unconverged where Newton misses |grad G| <=
+    tol / 2, CountViolation where it reaches a half period.
     """
     if not seeds:
         return []
     k, t0, s0, m = (np.array(x) for x in zip(*seeds))
-    # |grad G| = |r| / (2 pi |lam|), kept at half of tol on the reduced torus
-    r_target = np.pi * tol / np.abs([tori[j].lam for j in k])
-    # polish three decades past the target, so that z0 is a root to
-    # rounding and not anywhere inside the tolerance
-    t, s, rn = damped_newton(t0, s0, green.take(batch, k), r_target * 1e-3)
+    # |grad G| = |r| / (2 pi), kept at half of tol; polish three decades
+    # past the target, so that z0 is a root to rounding and not anywhere
+    # inside the tolerance
+    r_target = np.pi * tol
+    t, s, rn = damped_newton(t0, s0, _at(tau_r, k), r_target * 1e-3)
     t, s = _fold(wrap_unit(t)[0], wrap_unit(s)[0])
     at_hp = np.full(t.size, -1)
     for h, (tc, sc) in enumerate(_HP_COORDS):
         at_hp[(np.abs(wrap_unit(t - tc)[0]) < HP_MERGE_TOL)
               & (np.abs(wrap_unit(s - sc)[0]) < HP_MERGE_TOL)] = h
     ok = np.isfinite(rn) & (rn <= r_target) & (at_hp < 0)
-    on = green.take(batch, k[ok])
-    rows = iter(_rows(green.evaluate(t[ok] + s[ok] * on.tau, on)) if ok.any() else [])
+    on = _at(tau_r, k[ok])
+    rows = iter(_rows(green.evaluate(t[ok] + s[ok] * on, on)) if ok.any() else [])
     out = []
     for j, seed in enumerate(seeds):
         torus = tori[seed[0]]
-        name = f"the pitchfork seed (t, s) = ({t0[j]:.6f}, {s0[j]:.6f}) at half period {m[j] + 1}"
+        name = (f"the pitchfork seed (t, s) = ({t0[j]:.6f}, {s0[j]:.6f}) at half period "
+                f"{m[j] + 1} of the reduced torus tau_r = {torus.tau_r}")
         if ok[j]:
             out.append(((float(t[j]), float(s[j])), next(rows)))
         elif at_hp[j] < 0:
-            out.append(Unconverged(f"Newton from {name} ended at reduced-frame |grad G| = "
-                                   f"{rn[j] * abs(torus.lam) / (2.0 * np.pi):.3e}, above "
-                                   f"tol {tol} / 2, at tau = {torus.tau}"))
+            out.append(Unconverged(f"Newton from {name} ended at |grad G| = "
+                                   f"{rn[j] / (2.0 * np.pi):.3e}, above tol {tol} / 2, "
+                                   f"at tau = {torus.tau}"))
         else:
             out.append(CountViolation(
                 f"Newton from {name} reached half period {at_hp[j] + 1}, so 3 critical "
@@ -314,10 +334,10 @@ def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
-    """cs, or the error it fails with, given r = |residual| at its points:
-    it passes once |grad G| <= tol at each point on the reduced torus,
-    #min - #saddle = -1 and its extra pair, if any, are minima."""
-    grad = float(np.max(r)) * abs(torus.lam) / (2.0 * np.pi)
+    """cs, or the error it fails with, given r = |residual| at its points
+    on the reduced torus: it passes once |grad G| <= tol there at each
+    point, #min - #saddle = -1 and its extra pair, if any, are minima."""
+    grad = float(np.max(r)) / (2.0 * np.pi)
     if not grad <= tol:
         return Unconverged(f"reduced-frame |grad G| = {grad:.3e} above tol {tol} on the "
                            f"{cs.route} route at tau = {torus.tau}")
@@ -341,14 +361,15 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
 
     A torus reduced past theta.MAX_IM_TAU gets the InvalidInput of
     theta._check_im and joins no pass.  The others each take their own
-    route (see the module docstring), and every pass serves all of them.
-    One half-period pass decides the routes and gives the half period
-    points of all of them, or a torus its Unconverged off the gap
-    identities.  Every seeds torus then gets its pitchfork
-    seed, and _extra_points runs one Newton for all the seeds and one pass
-    at their roots.  Last, one residual pass checks |grad G| <= tol on
-    the reduced torus at every point, next to the Morse balance.  A torus
-    gets the same result, to the bit, as alone.  Only a bad tol raises.
+    route (see the module docstring) on their reduced tori, and every
+    pass serves all of them.  One half-period pass decides the routes and
+    gives the half period points of all of them, or a torus its
+    Unconverged off the gap identities.  Every seeds torus then gets its
+    pitchfork seed, and _extra_points runs one Newton for all the seeds
+    and one pass at their roots.  Last, one residual pass checks
+    |grad G| <= tol at every point, and each set, carried back to its
+    torus (_carried), is checked for the Morse balance.  A torus gets the
+    same result, to the bit, as alone.  Only a bad tol raises.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -365,8 +386,8 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     tori = [out[k] for k in live]
     if not tori:
         return out
-    batch = green.gather(tori)
-    ev, failed = weier.half_periods(tori, batch)
+    tau_r = tori[0].tau_r if len(tori) == 1 else np.array([torus.tau_r for torus in tori])
+    ev, failed = weier.half_periods(tori)
     hp = _rows(ev)
     det = ev.hessian.det.reshape(-1, 3)
     inside = np.abs(det) <= ev.det_bound.reshape(-1, 3)
@@ -380,28 +401,29 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
         out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
                                    f"within their error bounds at tau = {tori[k].tau}; "
                                    "their signs cannot decide the count")
-    sets = {k: _critical_set(tori[k], hp[3 * k:3 * k + 3], "morse")
-            for k in np.flatnonzero(ok & morse).tolist()}
+    # the route, the half-period rows and the extra orbit of each set, on
+    # the reduced torus
+    found = {k: ("morse", hp[3 * k:3 * k + 3], None) for k in np.flatnonzero(ok & morse).tolist()}
     seeds = []
     for k in np.flatnonzero(ok & ~morse & (n_inside == 0)).tolist():
         try:
-            seeds.append((k, *_pitchfork_seed(tori[k], hp[3 * k:3 * k + 3])))
+            seeds.append((k, *_pitchfork_seed(tori[k].reduced, hp[3 * k:3 * k + 3])))
         except Unconverged as exc:
             out[live[k]] = exc
-    for (k, *_), extra in zip(seeds, _extra_points(tori, batch, seeds, tol)):
+    for (k, *_), extra in zip(seeds, _extra_points(tori, tau_r, seeds, tol)):
         if isinstance(extra, TorusGreenError):
             out[live[k]] = extra
         else:
-            sets[k] = _critical_set(tori[k], hp[3 * k:3 * k + 3], "seeds", extra)
-    cell = np.repeat(list(sets), [len(cs.points) for cs in sets.values()])
-    t = np.array([p.coords.t for cs in sets.values() for p in cs.points])
-    s = np.array([p.coords.s for cs in sets.values() for p in cs.points])
-    r = np.abs(green.residual_and_jacobian(t, s, green.take(batch, cell))[0]) if t.size else t
-    start = 0
-    for k, cs in sets.items():
-        stop = start + len(cs.points)
-        out[live[k]] = _checked(cs, tori[k], r[start:stop], tol)
-        start = stop
+            found[k] = ("seeds", hp[3 * k:3 * k + 3], extra)
+    coords = [[*_HP_COORDS, *([] if x is None else [x[0]])] for *_, x in found.values()]
+    t, s = np.array([ts for c in coords for ts in c], dtype=float).reshape(-1, 2).T
+    cell = np.repeat(list(found), [len(c) for c in coords])
+    r = np.abs(green.residual_and_jacobian(t, s, _at(tau_r, cell))[0]) if t.size else t
+    for c, (k, (route, rows, extra)) in zip(coords, found.items()):
+        rows, extra = _carried(tori[k], rows, extra)
+        cs = _critical_set(tori[k], rows, route, extra)
+        out[live[k]] = _checked(cs, tori[k], r[:len(c)], tol)
+        r = r[len(c):]
     return out
 
 
@@ -488,7 +510,7 @@ def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
                     f"half periods {i + 1} vs {j + 1} at tau = {torus.tau}: tie "
                     f"status disagrees with the {name}"
                 )
-    order = sorted(range(3), key=lambda k: -g[k])
+    order = sorted(range(3), key=g.__getitem__, reverse=True)
     groups = [[order[0]]]
     for k in order[1:]:
         if abs(g[groups[-1][-1]] - g[k]) <= TIE_TOL:

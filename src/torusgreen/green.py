@@ -30,19 +30,18 @@ zeta(z) - t eta1 - s eta2 is A1 / lam, so the solver needs no quasi
 periods.  C(tau) is summed at tau_r and carried back by the weight 1/2
 law of eta, so everything holds on all of the upper half plane.
 
-evaluate and residual_and_jacobian take a Torus, or a Frame: the
-constants of these laws for one torus, or gathered per point for a batch
-on several tori, which then shares one theta pass.  evaluate_pass also
-hands back the theta values of its pass, from which the Weierstrass
-layer reads its constants at the half periods.
+evaluate carries its pass back to a Torus, with scalars read from it;
+given moduli tau_r instead, one per point, it works on reduced tori
+(lam = 1), where residual_and_jacobian works, and a batch on several
+tori shares one pass; carried takes a Hessian and value back.
+evaluate_pass also hands back the theta values of its pass, from which
+the Weierstrass layer reads its constants at the half periods.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,111 +89,66 @@ class GreenEval:
     det_bound: float       # |hessian.det - det Hess G| stays below this
 
 
-class Frame(NamedTuple):
-    """The reduced frame of evaluate and residual_and_jacobian.
-
-    frame(torus) holds one torus's constants as Python scalars; gather
-    stacks those of several tori into arrays, and take puts them next to
-    the points of a batch, one entry per point.  Python's complex products
-    round differently from numpy's, so the constants are formed per torus
-    first and only then gathered: a point gets the same bits in a batch
-    of tori as with its own torus alone.
-    """
-
-    tau: complex
-    tau_r: complex
-    a: int                 # mat = ((a, b), (c, d)), lam = c tau + d
-    b: int
-    c: int
-    d: int
-    k1: complex            # 1 / lam
-    k2: complex            # (1 / lam)^2
-    c_term: complex        # 2 pi i c / lam
-    d_term: complex        # 2 pi i d / lam
-    q_xx: float            # grad y_r grad y_r^T / b_r
-    q_xy: float
-    q_yy: float
-    det_scale: float       # 4 pi^2 |lam|^4
-    shift: float           # log|lam| / (4 pi)
-
-
-@lru_cache(maxsize=256)
-def frame(torus: Torus) -> Frame:
-    """The reduced frame constants of one torus, formed once per torus:
-    every pass on a Torus reads them."""
-    (a, b), (c, d) = torus.mat
-    lam = torus.lam
-    k1 = 1.0 / lam
-    scale = 1.0 / (torus.b * abs(lam) ** 2)
-    return Frame(torus.tau, torus.tau_r, a, b, c, d, k1, k1 * k1,
-                 (2j * np.pi * c) * k1, (2j * np.pi * d) * k1,
-                 lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale,
-                 4.0 * np.pi ** 2 * abs(lam) ** 4, math.log(abs(lam)) / (4.0 * np.pi))
-
-
-def gather(tori: list[Torus]) -> Torus | Frame:
-    """The frames of tori as one Frame of arrays, entry k for tori[k];
-    a single torus stands for itself."""
-    if len(tori) == 1:
-        return tori[0]
-    return Frame._make(np.array(col) for col in zip(*map(frame, tori)))
-
-
-def take(batch: Torus | Frame, index) -> Torus | Frame:
-    """The frame of points that lie on the tori index[j] of batch (gather);
-    a torus, or the frame of one, serves every point as it is."""
-    return batch if np.ndim(batch.tau) == 0 else Frame._make(x[index] for x in batch)
-
-
-def _as_frame(torus: Torus | Frame) -> Frame:
-    return torus if isinstance(torus, Frame) else frame(torus)
-
-
-def _reduced_pass(t, s, fr: Frame):
-    """s' and (log|theta1|, arg theta1, L1, L2) at z / lam on tau_r,
-    z = t + s tau."""
-    tr, _ = wrap_unit(fr.a * t - fr.b * s)
-    sr, _ = wrap_unit(fr.d * s - fr.c * t)
-    lm, ar, L1, L2, _ = theta._eval(tr + sr * fr.tau_r, fr.tau_r)
+def _reduced_pass(t, s, tau_r):
+    """s' and (log|theta1|, arg theta1, L1, L2) at (t, s) on Z + tau_r Z, wrapped."""
+    tr, _ = wrap_unit(t)
+    sr, _ = wrap_unit(s)
+    lm, ar, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r)
     return sr, lm, ar, L1, L2
 
 
-def evaluate(z, torus: Torus | Frame) -> GreenEval:
+def _frame(torus):
+    """tau, tau_r, mat and lam of a Torus, or of reduced tori of moduli torus."""
+    if isinstance(torus, Torus):
+        return torus.tau, torus.tau_r, torus.mat, torus.lam
+    tau = np.asarray(torus) if np.ndim(torus) else torus
+    return tau, tau, ((1, 0), (0, 1)), 1.0 + 0.0j
+
+
+def _value_pass(z, torus):
+    """G - C(tau) shaped like z, and flat (s', log|theta1|, arg, L1, L2)
+    at z / lam on tau_r."""
+    tau, tau_r, ((a, b), (c, d)), lam = _frame(torus)
+    z = np.asarray(z, dtype=complex)
+    s = z.imag.reshape(-1) / tau.imag
+    t = z.real.reshape(-1) - s * tau.real
+    sr, lm, ar, L1, L2 = _reduced_pass(a * t - b * s, d * s - c * t, tau_r)
+    if np.isneginf(lm).any():
+        raise PoleAtLattice("Green function diverges at lattice points")
+    value = -lm / (2.0 * np.pi) + sr ** 2 * (tau_r.imag / 2.0) + math.log(abs(lam)) / (4.0 * np.pi)
+    return value.reshape(z.shape), (sr, lm, ar, L1, L2)
+
+
+def evaluate(z, torus) -> GreenEval:
     """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
-    torus is a Torus or a Frame, with one entry per point of z for a
-    batch on several tori (take).  Everything is taken at the canonical cell representative
-    of the reduced frame and computed on a flat array, so a point gives
-    the same bits alone as inside a batch.  The gradient and Hessian are
-    those of log|theta1| (L1 / lam, L2 / lam^2) plus those of
-    y_r^2 / (2 b_r), y_r = Im(z / lam), so where lam = 1 they are the
-    identity frame formulas bit for bit.  det_bound is the error bound
-    of the determinant (C_DET).  Raises PoleAtLattice at lattice points.
+    torus is a Torus, or the modulus tau_r of points on reduced tori
+    (lam = 1), one for all of z or one per point (_frame).  Everything is
+    taken at the canonical cell representative of the reduced frame and
+    computed on a flat array, so a point gives the same bits alone as
+    inside a batch.  The gradient and Hessian are those of log|theta1|
+    (L1 / lam, L2 / lam^2) plus those of y_r^2 / (2 b_r), y_r = Im(z /
+    lam), so where lam = 1 they are the identity frame formulas bit for
+    bit.  det_bound is the error bound of the determinant (C_DET).
+    Raises PoleAtLattice at lattice points.
     """
     return evaluate_pass(z, torus)[0]
 
 
-def _value_pass(z, torus: Torus | Frame):
-    """Frame, G - C(tau) shaped like z, and flat (s', log|theta1|, arg, L1, L2)."""
-    fr = _as_frame(torus)
-    z = np.asarray(z, dtype=complex)
-    s = z.imag.reshape(-1) / fr.tau.imag
-    sr, lm, ar, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * fr.tau.real, s, fr)
-    if np.isneginf(lm).any():
-        raise PoleAtLattice("Green function diverges at lattice points")
-    value = -lm / (2.0 * np.pi) + sr ** 2 * (fr.tau_r.imag / 2.0) + fr.shift
-    return fr, value.reshape(z.shape), (sr, lm, ar, L1, L2)
-
-
-def evaluate_pass(z, torus: Torus | Frame):
+def evaluate_pass(z, torus):
     """evaluate, and the flat arrays log|theta1|, arg theta1 and L2 at the
     points z / lam on tau_r where its theta pass summed."""
-    fr, value, (sr, lm, ar, L1, L2) = _value_pass(z, torus)
-    b_r = fr.tau_r.imag
-    rot1 = L1 * fr.k1
-    rot = L2 * fr.k2
+    value, (sr, lm, ar, L1, L2) = _value_pass(z, torus)
+    tau, tau_r, _, lam = _frame(torus)
+    b_r = tau_r.imag
+    k1 = 1.0 / lam
+    rot1 = L1 * k1
+    rot = L2 * (k1 * k1)
     # y_r^2 / (2 b_r) has gradient s' grad y_r, grad y_r = (Im k1, Re k1),
     # and Hessian grad y_r grad y_r^T / b_r
+    scale = 1.0 / (tau.imag * abs(lam) ** 2)
+    q_xx, q_xy, q_yy = lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale
+    det_scale = 4.0 * np.pi ** 2 * abs(lam) ** 4
     det_r = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
     abs_l2 = np.abs(L2)
     det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_l2 + abs_l2 ** 2)
@@ -204,39 +158,50 @@ def evaluate_pass(z, torus: Torus | Frame):
 
     return GreenEval(
         value_rel=out(value),
-        grad=(out(-rot1.real / (2.0 * np.pi) + sr * fr.k1.imag),
-              out(rot1.imag / (2.0 * np.pi) + sr * fr.k1.real)),
+        grad=(out(-rot1.real / (2.0 * np.pi) + sr * k1.imag),
+              out(rot1.imag / (2.0 * np.pi) + sr * k1.real)),
         hessian=Hessian2(
-            xx=out(fr.q_xx - rot.real / (2.0 * np.pi)),
-            xy=out(rot.imag / (2.0 * np.pi) + fr.q_xy),
-            yy=out(fr.q_yy + rot.real / (2.0 * np.pi)),
-            det=out(det_r / fr.det_scale),
+            xx=out(q_xx - rot.real / (2.0 * np.pi)),
+            xy=out(rot.imag / (2.0 * np.pi) + q_xy),
+            yy=out(q_yy + rot.real / (2.0 * np.pi)),
+            det=out(det_r / det_scale),
         ),
-        det_bound=out(det_err / fr.det_scale),
+        det_bound=out(det_err / det_scale),
     ), (lm, ar, L2)
 
 
 def green_rel(z, torus: Torus):
     """G(z) - C(tau), doubly periodic by construction: evaluate's value alone."""
-    return theta._scalarize(_value_pass(z, torus)[1])
+    return theta._scalarize(_value_pass(z, torus)[0])
 
 
-def residual_and_jacobian(t, s, torus: Torus | Frame):
-    """Vectorized critical residual plus its (t, s) Jacobian.
+def carried(row, torus: Torus) -> tuple[float, ...]:
+    """A point's (G_xx, G_xy, G_yy, det, G - C, det_bound) on the reduced
+    torus, at the same point of torus: G_xx - G_yy - 2i G_xy turns with
+    1/lam^2, the trace scales by 1/|lam|^2, det and det_bound by
+    1/|lam|^4, and G - C shifts by log|lam| / (4 pi)."""
+    xx, xy, yy, det, value, bound = row
+    lam = torus.lam
+    c = complex(xx - yy, -2.0 * xy) / (lam * lam)
+    trace = (xx + yy) / abs(lam) ** 2
+    scale = abs(lam) ** 4
+    return ((trace + c.real) / 2.0, -c.imag / 2.0, (trace - c.real) / 2.0, det / scale,
+            value + math.log(abs(lam)) / (4.0 * np.pi), bound / scale)
 
-    torus is a Torus or the Frame of a batch, as in evaluate.  The
-    residual is invariant under integer shifts of (t, s), so the reduced
-    coordinates are wrapped first; it equals A1 / lam with
-    A1 = L1 + 2 pi i s' in the reduced frame.  Returns (r, dr_dt, dr_ds)
-    with dr_dt = L2 / lam^2 - 2 pi i c / lam and
-    dr_ds = tau L2 / lam^2 + 2 pi i d / lam.  Lattice hits yield non
-    finite entries rather than an exception; the Newton loop treats
-    those as rejected steps.
+
+def residual_and_jacobian(t, s, tau_r):
+    """Vectorized critical residual plus its (t, s) Jacobian on a reduced
+    torus.
+
+    (t, s) are coordinates on Z + tau_r Z, with tau_r one modulus or one
+    per point.  The residual is invariant under integer shifts of (t, s),
+    so the coordinates are wrapped first; it is A1 = L1 + 2 pi i s.
+    Returns (r, dr_dt, dr_ds) with dr_dt = L2 and dr_ds = tau_r L2 +
+    2 pi i.  Lattice hits yield non finite entries rather than an
+    exception; the Newton loop treats those as rejected steps.
     """
-    fr = _as_frame(torus)
-    sr, _, _, L1, L2 = _reduced_pass(t, s, fr)
-    rot = L2 * fr.k2
-    return ((L1 + (2j * np.pi) * sr) * fr.k1, rot - fr.c_term, rot * fr.tau + fr.d_term)
+    sr, _, _, L1, L2 = _reduced_pass(t, s, tau_r)
+    return L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,19 @@ class Torus:
     def half_periods(self) -> tuple[complex, complex, complex]:
         return (0.5, self.tau / 2.0, (1.0 + self.tau) / 2.0)
 
+    @property
+    def reduced(self) -> Torus:
+        """Z + tau_r Z in its own frame (lam = 1), where critical passes run."""
+        return Torus(self.tau_r, self.tau_r, ((1, 0), (0, 1)), 1.0 + 0.0j)
+
+    @property
+    def half_period_perm(self) -> tuple[int, int, int]:
+        """The index on the reduced torus of 1/2, tau/2 and (1+tau)/2: the
+        parities (1, 0), (0, 1), (1, 1) of their (t', s') index 1/2,
+        tau_r/2 and (1+tau_r)/2."""
+        (a, b), (c, d) = self.mat
+        return a % 2 + 2 * (c % 2) - 1, b % 2 + 2 * (d % 2) - 1, (a + b) % 2 + 2 * ((c + d) % 2) - 1
+
 
 @dataclass(frozen=True)
 class LatticeCoords:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import critical, green, theta, weier
+from . import critical, theta, weier
 from .errors import InvalidInput, TorusGreenError, Unconverged
 from .lattice import LatticeCoords, make_torus
 
@@ -283,9 +283,11 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     if not pairs:
         return []
     tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
-    dets = np.abs(weier.half_periods(tori, green.gather(tori))[0].hessian.det).reshape(-1, 3)
+    dets = np.abs(weier.half_periods(tori)[0].hessian.det).reshape(-1, 3)
     out = []
     for (a, bcell), torus, d in zip(pairs, tori, dets):
+        # the reduced torus's determinants, relabelled and scaled back
+        d = d[list(torus.half_period_perm)] / abs(torus.lam) ** 4
         k = int(np.argmin(d))
         out.append(FlipEdge(
             tau_low=a.tau,

@@ -6,20 +6,21 @@ sigma = lam sigma_r(z / lam), zeta = zeta_r / lam, p = p_r / lam^2 and
 p' = p'_r / lam^3, with r marking the lattice Z + tau_r Z.
 
 The constants come from the one theta1 series pass at the half periods
-that gives the Green function there too (_half_period_pass, through
-green.evaluate_pass).  It sums at minus 1/2, tau_r/2 and (1+tau_r)/2,
-or an ulp off where rounding (1+tau)/2 moves green's point, and theta1
-is odd; at those half periods theta1 equals theta2(0), i q^(-1/4)
-theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau_r).  With
+of the reduced torus that gives the Green function there too
+(_half_period_pass, through green.evaluate_pass).  It sums at minus 1/2,
+tau_r/2 and (1+tau_r)/2, or an ulp off where rounding (1+tau_r)/2 moves
+green's point, and theta1 is odd; at those half periods theta1 equals
+theta2(0), i q^(-1/4) theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau_r).  With
 e_k = -(log theta1)''(omega_k) - eta1, e1 + e2 + e3 = 0 gives eta1 as
 minus the mean of those second derivatives, and theta1'(0) =
 pi theta2(0) theta3(0) theta4(0) normalizes sigma_r.  Jacobi's gap
 identities, e1 - e2 = pi^2 theta3(0)^4 and its two companions, check the
 pass at run time.  The roots carry back as e_r / lam^2, permuted as the
-matrix permutes the half periods mod 2, the nulls with weight 1/2, and
-eta1 by linearity of the quasi period map; eta2 is the Legendre relation.
-invariants is the pass of one torus, cached, and half_periods gives a
-batch its Green rows.
+matrix permutes the half periods mod 2 (Torus.half_period_perm), the
+nulls with weight 1/2, and eta1 by linearity of the quasi period map;
+eta2 is the Legendre relation.  invariants is that pass on a reduced
+torus, cached, and any other torus carries back its reduced torus's;
+half_periods gives a batch the Green rows of its reduced tori.
 
 evaluate gives sigma, zeta, p and p' from one theta1 series pass; sigma,
 zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
@@ -46,12 +47,6 @@ from .lattice import Torus
 from .theta import LogComplex, _eval, _scalarize
 
 TWO_PI_I = 2j * np.pi
-# (t, s) = (1/2, 0), (0, 1/2), (1/2, 1/2) sits at (a t - b s, d s - c t) in
-# the reduced frame, whose parities (1, 0), (0, 1), (1, 1) index 1/2,
-# tau_r/2, (1+tau_r)/2: those indices per matrix mod 2, 8 a + 4 b + 2 c + d
-_PERM = np.array([[(a * t + b * s) % 2 + 2 * ((c * t + d * s) % 2) - 1
-                   for t, s in ((1, 0), (0, 1), (1, 1))]
-                  for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class EllipticInvariants:
     log_abs_nulls holds log|theta2(0)|, log|theta4(0)| and
     log|theta3(0)| at tau, and a holds A_k = e_k + eta1, in the order of
     the half periods 1/2, tau/2 and (1+tau)/2; green is green.evaluate
-    at those half periods.
+    at the half periods 1/2, tau_r/2 and (1+tau_r)/2 of the reduced torus.
     """
 
     e1: complex
@@ -80,34 +75,29 @@ class EllipticInvariants:
 
 
 class _HalfPeriodPass(NamedTuple):
-    """The pass at the half periods of N tori; its (N, 3) arrays follow
-    1/2, tau_r/2, (1+tau_r)/2 of each torus's reduced frame."""
+    """The pass at the half periods 1/2, tau_r/2, (1+tau_r)/2 of the
+    reduced tori of N tori, in that order in its (N, 3) arrays."""
 
-    green: GreenEval       # green.evaluate at Torus.half_periods, torus after torus
-    perm: np.ndarray       # (N, 3): the reduced half period of each half period
-    a_r: np.ndarray        # (N, 3): -(log theta1)'' = A_k of the reduced frame
+    green: GreenEval       # green.evaluate at those half periods, torus after torus
+    a_r: np.ndarray        # (N, 3): -(log theta1)'' = A_k of the reduced torus
     eta1_r: np.ndarray     # (N,)
     log_nulls: np.ndarray  # (N, 3): log theta2(0), log theta4(0), log theta3(0) at tau_r
     failures: dict         # k: the Unconverged of tori[k], off the gap identities
 
 
-def _half_period_pass(tori: list[Torus], batch) -> _HalfPeriodPass:
-    """The one theta pass at the half periods of tori, whose frames are
-    batch (green.gather), array-wise: green.evaluate_pass's."""
+def _half_period_pass(tori: list[Torus]) -> _HalfPeriodPass:
+    """The one theta pass at the half periods of the reduced tori of tori,
+    array-wise: green.evaluate_pass's."""
     n = len(tori)
-    z = np.array([h for torus in tori for h in torus.half_periods])
-    ev, (lm, ar, L2) = green.evaluate_pass(z, green.take(batch, np.repeat(np.arange(n), 3)))
-    fr = green._as_frame(batch)
-    perm = _PERM[8 * (fr.a % 2) + 4 * (fr.b % 2) + 2 * (fr.c % 2) + fr.d % 2].reshape(n, 3)
-    rows = np.arange(n)[:, None]
-    a_r = np.empty((n, 3), dtype=complex)
-    a_r[rows, perm] = -L2.reshape(n, 3)
-    # log theta1 at the reduced half periods, with the arguments of
-    # _eval's lattice shifts there: pi, pi and 3 pi past green's points
-    log_nulls = np.empty((n, 3), dtype=complex)
-    log_nulls[rows, perm] = (lm + 1j * (ar + math.pi)).reshape(n, 3)
+    z = np.array([h for torus in tori for h in torus.reduced.half_periods])
+    tau_r = np.array([torus.tau_r for torus in tori])
+    ev, (lm, ar, L2) = green.evaluate_pass(z, tau_r[0] if n == 1 else np.repeat(tau_r, 3))
+    a_r = -L2.reshape(n, 3)
+    # log theta1 at the half periods, with the arguments of _eval's lattice
+    # shifts there: pi, pi and 3 pi past green's points
+    log_nulls = (lm + 1j * (ar + math.pi)).reshape(n, 3)
     log_nulls[:, 2] += TWO_PI_I
-    quarter = 0.25j * math.pi * np.reshape(fr.tau_r, (-1, 1))
+    quarter = 0.25j * math.pi * tau_r[:, None]
     log_nulls += quarter * [0.0, 1.0, 1.0] - [0.0, 0.5j * math.pi, 0.0]
     eta1_r = a_r.sum(axis=1) / 3.0
     e_r = a_r - eta1_r[:, None]
@@ -119,34 +109,40 @@ def _half_period_pass(tori: list[Torus], batch) -> _HalfPeriodPass:
         f"half period values at tau_r = {tori[k].tau_r} (tau = {tori[k].tau}) miss Jacobi's "
         f"gap identities: {gap[k]:.3e} vs scale {scale[k]:.3e}")
         for k in np.flatnonzero(gap > 1e-11 * scale).tolist()}
-    return _HalfPeriodPass(ev, perm, a_r, eta1_r, log_nulls, failures)
+    return _HalfPeriodPass(ev, a_r, eta1_r, log_nulls, failures)
 
 
 @lru_cache(maxsize=512)
 def _invariants_cached(torus: Torus) -> EllipticInvariants:
-    hp = _half_period_pass([torus], torus)
-    if hp.failures:
-        raise hp.failures[0]
-    (a, b), (c, d) = torus.mat
+    """The pass on a reduced torus; any other torus carries back those of
+    its reduced torus, as the matrix permutes the half periods mod 2."""
+    if torus == torus.reduced:
+        hp = _half_period_pass([torus])
+        if hp.failures:
+            raise hp.failures[0]
+        a_r, eta1_r, log_nulls, ev = hp.a_r[0], complex(hp.eta1_r[0]), hp.log_nulls[0], hp.green
+        log_theta1_prime = complex(math.log(math.pi) + log_nulls.sum())
+        log_abs_nulls = log_nulls.real
+        h = ev.hessian
+        for x in (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det, ev.det_bound):
+            x.flags.writeable = False      # the cache hands these to every caller
+    else:
+        inv = _invariants_cached(torus.reduced)
+        a_r, eta1_r, ev = np.array(inv.a), inv.eta1, inv.green
+        log_theta1_prime, log_abs_nulls = inv.log_theta1_prime, np.array(inv.log_abs_nulls)
+    (a, _), (c, _) = torus.mat
     lam = torus.lam
-    tau_r = torus.tau_r
-    eta1_r = complex(hp.eta1_r[0])
-    perm = hp.perm[0]
-    e1, e2, e3 = ((hp.a_r[0] - eta1_r)[perm] / (lam * lam)).tolist()
-    eta1 = (a * eta1_r - c * (eta1_r * tau_r - TWO_PI_I)) / lam
+    perm = list(torus.half_period_perm)
+    e1, e2, e3 = ((a_r - eta1_r)[perm] / (lam * lam)).tolist()
+    eta1 = (a * eta1_r - c * (eta1_r * torus.tau_r - TWO_PI_I)) / lam
     eta2 = eta1 * torus.tau - TWO_PI_I
     g2 = -4.0 * (e1 * e2 + e2 * e3 + e3 * e1)
     g3 = 4.0 * e1 * e2 * e3
-    log_nulls = hp.log_nulls[0]
-    log_theta1_prime = complex(math.log(math.pi) + log_nulls.sum())
-    log_abs_nulls = log_nulls.real[perm] - 0.5 * math.log(abs(lam))
     # A_k from (log theta1)'' alone keeps its relative precision
-    a_k = hp.a_r[0][perm] / (lam * lam) + TWO_PI_I * c / lam
-    h = hp.green.hessian
-    for x in (hp.green.value_rel, *hp.green.grad, h.xx, h.xy, h.yy, h.det, hp.green.det_bound):
-        x.flags.writeable = False      # the cache hands these to every caller
+    a_k = a_r[perm] / (lam * lam) + TWO_PI_I * c / lam
     return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, log_theta1_prime,
-                              tuple(log_abs_nulls.tolist()), tuple(a_k.tolist()), hp.green)
+                              tuple((log_abs_nulls[perm] - 0.5 * math.log(abs(lam))).tolist()),
+                              tuple(a_k.tolist()), ev)
 
 
 def invariants(torus: Torus) -> EllipticInvariants:
@@ -154,17 +150,16 @@ def invariants(torus: Torus) -> EllipticInvariants:
     return _invariants_cached(torus)
 
 
-def half_periods(tori: list[Torus], batch) -> tuple[GreenEval, dict]:
-    """green.evaluate at the half periods of every torus, torus after
-    torus, and the Unconverged of each torus whose pass misses the gap
-    identities, keyed by its index, from one theta pass; batch holds the
-    frames of tori (green.gather).  A lone torus reads its cached
-    invariants, as green.gather lets it stand for itself, and one that
-    fails them runs the pass again for its rows."""
+def half_periods(tori: list[Torus]) -> tuple[GreenEval, dict]:
+    """green.evaluate at the half periods 1/2, tau_r/2 and (1+tau_r)/2 of
+    the reduced torus of every torus, torus after torus, and the
+    Unconverged of each torus whose pass misses the gap identities, keyed
+    by its index, from one theta pass.  A lone torus reads its cached
+    invariants, and one that fails them runs the pass again for its rows."""
     if len(tori) == 1:
         with contextlib.suppress(Unconverged):
             return invariants(tori[0]).green, {}
-    hp = _half_period_pass(tori, batch)
+    hp = _half_period_pass(tori)
     return hp.green, hp.failures
 
 

@@ -41,7 +41,7 @@ def generic_torus():
 def theta_passes(monkeypatch):
     """The theta series passes (theta._eval, and weier's binding of it) made
     from here on, starting with empty caches; only the invariants cache
-    saves passes, the frame and q power caches save arithmetic."""
+    saves passes, the q power cache saves arithmetic."""
     calls = []
     for module in (theta, weier):
         def counted(*args, real=module._eval):
@@ -50,6 +50,5 @@ def theta_passes(monkeypatch):
 
         monkeypatch.setattr(module, "_eval", counted)
     weier._invariants_cached.cache_clear()
-    green.frame.cache_clear()
     theta._q_powers.cache_clear()
     return calls

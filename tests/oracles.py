@@ -743,22 +743,27 @@ def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _multi_start(torus, n_grid: int, tol: float):
-    """The extra orbit representatives that damped Newton reaches from an
-    n_grid x n_grid seed grid outside EXCLUSION_RADIUS of the lattice
-    point, their _rows from one evaluate pass, less the gradient plateau
-    roots, and the number of seeds that did not converge."""
+    """The extra orbit representatives that damped Newton reaches on the
+    reduced torus from an n_grid x n_grid seed grid outside
+    EXCLUSION_RADIUS of the lattice point, carried to the (t, s) of torus
+    through z = lam (t' + s' tau_r), their _rows from one evaluate pass on
+    torus, less the gradient plateau roots, and the number of seeds that
+    did not converge."""
     from torusgreen import critical, green
-    from torusgreen.lattice import lattice_gap, wrap_unit
+    from torusgreen.lattice import lattice_gap, split_coords
 
+    tau_r = torus.tau_r
     t, s = _grid_seeds(n_grid)
-    keep = lattice_gap(t + s * torus.tau, torus.tau) > EXCLUSION_RADIUS
+    keep = lattice_gap(t + s * tau_r, tau_r) > EXCLUSION_RADIUS
     r_target = np.pi * tol   # |grad G| = |r| / (2 pi), kept at half of tol
     # polish three decades past the acceptance target: near a degeneracy
     # threshold the residual valley is flat enough that stopping exactly at
     # the target scatters one root across several merge cells
-    t, s, rn = critical.damped_newton(t[keep], s[keep], torus, r_target * 1e-3)
+    t, s, rn = critical.damped_newton(t[keep], s[keep], tau_r, r_target * 1e-3)
     converged = np.isfinite(rn) & (rn <= r_target)
-    ts, ss = _orbit_reps(wrap_unit(t[converged])[0], wrap_unit(s[converged])[0])
+    # to the given basis through the plane, not through the frame matrix
+    z = torus.lam * (t[converged] + s[converged] * tau_r)
+    ts, ss = _orbit_reps(*split_coords(z, torus.tau)[:2])
     if not ts.size:
         return ts, ss, [], int(np.sum(~converged))
     ev = green.evaluate(ts + ss * torus.tau, torus)
@@ -771,9 +776,10 @@ def census(torus, tol: float = 1e-12):
     """The critical set of torus from a 24x24 seed grid, and a 48x48 check
     grid where a seed failed: the count's second route, which counts the
     extra orbits multi-start Newton finds instead of reading the
-    half-period signs, run with the package's damped Newton and a
-    half-period pass of its own.  Grids that disagree raise NoConvergence,
-    more than one extra orbit CountViolation."""
+    half-period signs, run with the package's damped Newton on the
+    reduced torus and a half-period pass of its own on torus.  Grids that
+    disagree raise NoConvergence, more than one extra orbit
+    CountViolation."""
     from torusgreen import critical, green
     from torusgreen.errors import CountViolation
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -129,6 +129,77 @@ def test_count_is_invariant_under_sl2z():
         assert (critical.find_critical_points(image).total_count
                 == critical.find_critical_points(T).total_count), (T.tau, gamma)
     assert abs(_moebius(0.5 + 0.8j, dual) - (0.5 + 1j / 3.2)) < 1e-15
+
+
+def _unimodular(c: int, d: int, k: int):
+    """((a, b), (c, d)) in SL(2, Z) for coprime c, d, shifted by k (c, d)."""
+    # extended Euclid: a d - b c = 1
+    r0, r1, x0, x1, y0, y1 = d, c, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    a, b = x0 * r0, -y0 * r0          # r0 = +-1, so a d - b c = r0^2
+    return (a + k * c, b + k * d), (c, d)
+
+
+def _hp_index(t2: int, s2: int) -> int:
+    """0, 1, 2 for the half period (t2, s2) / 2 mod 1 = 1/2, tau/2, (1+tau)/2."""
+    return t2 % 2 + 2 * (s2 % 2) - 1
+
+
+# no explain phase: on a failure it reran this test for two minutes
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(x=st.floats(-0.5, 0.5, exclude_max=True), y=st.floats(0.0, 1.0),
+       c=st.integers(-1000, 1000), d=st.integers(-1000, 1000), k=st.integers(-1, 1))
+def test_the_critical_set_is_covariant_under_sl2z(x, y, c, d, k):
+    # tau' = gamma tau for tau in the fundamental domain with Im tau <= 5:
+    # Z + tau' Z = (Z + tau Z) / mu, mu = c tau + d, so z' = t' + s' tau'
+    # sits at mu z' = (d t' + b s') + (c t' + a s') tau, G' - C' = G - C -
+    # log|mu| / 4 pi there, and Hessians turn with mu^2 and scale by |mu|^2
+    assume(math.gcd(c, d) == 1)
+    tau = complex(x, math.sqrt(1.0 - x * x) + y * (5.0 - math.sqrt(1.0 - x * x)))
+    (a, b), _ = gamma = _unimodular(c, d, k)
+    mu = c * tau + d
+    assume(tau.imag / abs(mu) ** 2 >= 1e-7)
+    base = lattice.make_torus(tau)
+    cs = critical.find_critical_points(base)
+    # clear of degenerate points, whose signs a rounding of tau' could move,
+    # and of flat valleys (z0 near the rhombic cusp), where the root's
+    # position is known only to |r| over the small Hessian eigenvalue
+    assume(all(abs(p.hessian.det) > 1e-3 * p.hessian.trace ** 2 for p in cs.points))
+    T = lattice.make_torus(_moebius(tau, gamma))
+    got = critical.find_critical_points(T)
+    assert (got.total_count, got.route) == (cs.total_count, cs.route)
+    images = [_hp_index(d * t2 + b * s2, c * t2 + a * s2) for t2, s2 in ((1, 0), (0, 1), (1, 1))]
+    pairs = [(p, cs.points[j]) for p, j in zip(got.points[:3], images)]
+    if got.extra is not None:
+        t, s = got.extra.coords.t, got.extra.coords.s
+        image = (d * t + b * s, c * t + a * s)
+        ref = cs.extra.coords
+
+        def gap(u, v):
+            return abs(float(lattice.wrap_unit(u - v)[0]))
+
+        assert min(max(gap(sign * image[0], ref.t), gap(sign * image[1], ref.s))
+                   for sign in (1, -1)) < 1e-8
+        pairs.append((got.extra, cs.extra))
+    for p, q in pairs:
+        assert p.morse is q.morse
+        h, g = p.hessian, q.hessian
+        scale = abs(g.xx) + abs(g.yy) + abs(g.xy)
+        assert abs(p.g_rel - (q.g_rel - math.log(abs(mu)) / (4 * math.pi))) < 1e-9
+        assert abs(complex(h.xx - h.yy, -2 * h.xy) - mu * mu * complex(g.xx - g.yy, -2 * g.xy)) \
+            < 1e-8 * abs(mu) ** 2 * scale
+        assert abs(h.trace - abs(mu) ** 2 * g.trace) < 1e-8 * abs(mu) ** 2 * scale
+        assert abs(h.det - abs(mu) ** 4 * g.det) < 1e-8 * abs(mu) ** 4 * scale ** 2
+        # the second route: green.evaluate on T, in its own (t', s')
+        ev = green.evaluate(p.z, T)
+        e = ev.hessian
+        assert abs(ev.value_rel - p.g_rel) < 1e-9
+        assert max(abs(e.xx - h.xx), abs(e.xy - h.xy), abs(e.yy - h.yy)) \
+            < 1e-8 * abs(mu) ** 2 * scale
+        assert abs(e.det - h.det) <= ev.det_bound + 1e-8 * abs(h.det)
 
 
 def test_small_imag_sample_counts_at_the_reduced_modulus():
@@ -301,9 +372,9 @@ def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
         calls.append(np.ravel(z).tolist())
         return real(z, on)
 
-    def spy_pass(tori, batch):
+    def spy_pass(tori):
         calls.append(tori)
-        return real_pass(tori, batch)
+        return real_pass(tori)
 
     monkeypatch.setattr(green, "evaluate", spy)
     monkeypatch.setattr(weier, "_half_period_pass", spy_pass)
@@ -318,10 +389,11 @@ def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
 def criterion_7_census_tori():
     # the cells of criterion 7's 40x40 scan whose smallest half-period
     # |det| * b^2 is under 1e-6, the absolute margin that once sent them
-    # to the census
+    # to the census; det * b^2 is the same on the reduced torus
     tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)]
-    det = weier.half_periods(tori, green.gather(tori))[0].hessian.det
-    near = np.abs(det).reshape(-1, 3).min(axis=1) * np.array([T.b ** 2 for T in tori]) < 1e-6
+    det = weier.half_periods(tori)[0].hessian.det
+    b_r = np.array([T.tau_r.imag for T in tori])
+    near = np.abs(det).reshape(-1, 3).min(axis=1) * b_r ** 2 < 1e-6
     return [T for T, n in zip(tori, near) if n]
 
 
@@ -416,8 +488,7 @@ def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeyp
 
     if at_half_periods:
         real = weier.half_periods
-        monkeypatch.setattr(weier, "half_periods",
-                            lambda tori, batch: (flipped(real(tori, batch)[0]), {}))
+        monkeypatch.setattr(weier, "half_periods", lambda tori: (flipped(real(tori)[0]), {}))
     else:
         real = green.evaluate
         monkeypatch.setattr(green, "evaluate", lambda z, torus: flipped(real(z, torus)))
@@ -440,19 +511,23 @@ def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypa
 def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
     # a quarter turn of the Hessian at tau/2 keeps its trace and its
     # determinant, so the route and the seed's half period 1/2 stay, but
-    # moves c_2 so that G_vvvv at 1/2 turns negative: eps has no real value
+    # moves c_2 so that G_vvvv at 1/2 turns negative: eps has no real value.
+    # The rows are the reduced torus's, where 1/2 and tau/2 of 0.5+0.3i
+    # are (1+tau_r)/2 and tau_r/2, and G_vvvv is |lam|^4 times its -20.1
+    T = lattice.make_torus(0.5 + 0.3j)
+    assert T.half_period_perm[:2] == (2, 1)
     real = weier.half_periods
 
-    def turned(tori, batch):
-        ev, failed = real(tori, batch)
+    def turned(tori):
+        ev, failed = real(tori)
         h = ev.hessian
         xx, xy, yy = h.xx.copy(), h.xy.copy(), h.yy.copy()
         xx[1], xy[1], yy[1] = h.yy[1], -h.xy[1], h.xx[1]
         return dataclasses.replace(ev, hessian=Hessian2(xx, xy, yy, h.det)), failed
 
     monkeypatch.setattr(weier, "half_periods", turned)
-    with pytest.raises(Unconverged, match=r"no pitchfork seed at half period 1: G_vvvv = -2\.01"):
-        critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
+    with pytest.raises(Unconverged, match=r"no pitchfork seed at half period 3: G_vvvv = -2\.326"):
+        critical.find_critical_points(T)
 
 
 def _newton_ends_at(monkeypatch, t, s, rn):
@@ -464,15 +539,16 @@ def _newton_ends_at(monkeypatch, t, s, rn):
 
 
 def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
+    # the seed, Newton and the message live on the reduced torus
     T = lattice.make_torus(0.5 + 0.3j)
-    t, s, m = critical._pitchfork_seed(T, critical._rows(weier.invariants(T).green))
+    t, s, m = critical._pitchfork_seed(T.reduced, critical._rows(weier.invariants(T).green))
     _newton_ends_at(monkeypatch, t, s, 1e-10)
     with pytest.raises(Unconverged) as info:
         critical.find_critical_points(T)
     assert str(info.value) == (
         f"Newton from the pitchfork seed (t, s) = ({t:.6f}, {s:.6f}) at half period {m + 1} "
-        f"ended at reduced-frame |grad G| = {1e-10 * abs(T.lam) / (2 * math.pi):.3e}, "
-        f"above tol 1e-12 / 2, at tau = {T.tau}")
+        f"of the reduced torus tau_r = {T.tau_r} ended at |grad G| = "
+        f"{1e-10 / (2 * math.pi):.3e}, above tol 1e-12 / 2, at tau = {T.tau}")
 
 
 def test_a_root_at_a_half_period_is_a_count_violation(monkeypatch):
@@ -664,9 +740,10 @@ def test_the_cusp_far_out_is_counted(tau, count):
     assert critical.find_critical_points(lattice.make_torus(tau)).total_count == count
 
 
-# near the real axis |lam| is small and |grad G| = |A1| / (2 pi |lam|) in the
-# given frame, so tol bounds the gradient on the reduced torus: the half
-# periods pass their check, and the seeds route reaches z0
+# near the real axis |lam| is small and the frame matrix has entries in the
+# hundreds or thousands; every critical pass runs on the reduced torus, so
+# tol bounds the gradient there, the half periods pass their check, and the
+# seeds route reaches z0
 def test_a_near_axis_morse_torus_passes_its_residual_check(capsys):
     assert cli.run(["critical", "--tau=0.10363651676141528+1.1292021196875275e-07i"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["count"] == 3
@@ -688,9 +765,30 @@ def test_a_near_axis_seeds_torus_finds_the_reduced_torus_z0():
                for sign in (1, -1)) < 1e-10
 
 
-@pytest.mark.xfail(strict=True, raises=Unconverged,
-                   reason="Newton in the given (t, s) stalls at a reduced-frame |grad G| of "
-                          "8.7e-13, above tol / 2; a solver in the reduced frame would reach z0")
 def test_the_near_axis_five_point_torus_is_counted():
+    # Newton in the given (t, s) stalled here at a reduced-frame |grad G| of
+    # 8.7e-13, above tol / 2
     tau = 0.17668935183106604 + 2.3164145156627625e-07j
     assert critical.find_critical_points(lattice.make_torus(tau)).total_count == 5
+
+
+# tori of the near-axis sweep (scripts/near_axis_sweep.py) that ended
+# Unconverged while the solver worked in the given frame: Newton stalls on
+# five-point tori, and half-period passes through the given frame that
+# missed Jacobi's gap identities on three-point ones
+@pytest.mark.parametrize("tau, count", [
+    (-0.4314771846322346 + 1.770489224654953e-07j, 5),
+    (0.3627189961473636 + 2.4956205296128086e-07j, 5),
+    (-0.4020846990491125 + 1.4721097906027757e-07j, 5),
+    (-0.37123970242648896 + 3.56951176806552e-07j, 5),
+    (-0.42952437257417475 + 6.138770058331709e-07j, 5),
+    (-0.20805609178402862 + 1.1253433281842959e-07j, 5),
+    (0.4553312668018795 + 1.8452599221126232e-07j, 3),
+    (0.016529297027556233 + 2.652669706518741e-07j, 3),
+    (0.04105531248555805 + 2.848428841828458e-07j, 3),
+])
+def test_near_axis_tori_count_on_their_reduced_torus(tau, count):
+    T = lattice.make_torus(tau)
+    cs = critical.find_critical_points(T)
+    assert cs.total_count == count
+    assert cs.total_count == critical.find_critical_points(lattice.make_torus(T.tau_r)).total_count

@@ -116,25 +116,29 @@ def test_hessian_trace_is_inverse_area():
 
 def test_critical_residual_consistent_with_gradient():
     # 2 pi (G_x + i G_y) picks up the residual through L1 + 2 pi i s; the two
-    # vanish together, so compare them directly at a generic point
+    # vanish together, so compare them directly at a generic point; the
+    # residual sits on the reduced torus,
+    # at (t', s') = (a t - b s, d s - c t), where it is lam times the
+    # given frame's -2 pi (G_x - i G_y)
     T = lattice.make_torus(0.13 + 0.92j)
+    (a, b), (c, d) = T.mat
     t, s = 0.27, 0.31
-    r = green.residual_and_jacobian(t, s, T)[0]
+    r = green.residual_and_jacobian(a * t - b * s, d * s - c * t, T.tau_r)[0]
     gx, gy = green.evaluate(t + s * T.tau, T).grad
-    rebuilt = complex(-2.0 * np.pi * gx, 2.0 * np.pi * gy)
+    rebuilt = T.lam * complex(-2.0 * np.pi * gx, 2.0 * np.pi * gy)
     assert abs(r - rebuilt) < 1e-12
 
 
 def test_residual_and_jacobian_matches_difference_quotient():
-    T = lattice.make_torus(0.5 + 0.8j)
+    tau_r = lattice.make_torus(0.5 + 0.8j).tau_r
     t, s = 0.17, 0.23
-    r, drdt, drds = green.residual_and_jacobian(t, s, T)
+    r, drdt, drds = green.residual_and_jacobian(t, s, tau_r)
     h = 1e-6
-    rp, _, _ = green.residual_and_jacobian(t + h, s, T)
-    rm, _, _ = green.residual_and_jacobian(t - h, s, T)
+    rp, _, _ = green.residual_and_jacobian(t + h, s, tau_r)
+    rm, _, _ = green.residual_and_jacobian(t - h, s, tau_r)
     assert abs((rp - rm) / (2 * h) - drdt) < 1e-5 * max(1.0, abs(drdt))
-    rp, _, _ = green.residual_and_jacobian(t, s + h, T)
-    rm, _, _ = green.residual_and_jacobian(t, s - h, T)
+    rp, _, _ = green.residual_and_jacobian(t, s + h, tau_r)
+    rm, _, _ = green.residual_and_jacobian(t, s - h, tau_r)
     assert abs((rp - rm) / (2 * h) - drds) < 1e-5 * max(1.0, abs(drds))
 
 

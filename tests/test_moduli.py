@@ -359,9 +359,11 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
     target = next(c.tau for c in before if c.route == "seeds")
     real = green.residual_and_jacobian
 
-    def broken(t, s, torus):
-        r, rt, rs = real(t, s, torus)
-        return np.where(torus.tau == target, np.nan, r), rt, rs
+    target_r = lattice.make_torus(target).tau_r
+
+    def broken(t, s, tau_r):
+        r, rt, rs = real(t, s, tau_r)
+        return np.where(tau_r == target_r, np.nan, r), rt, rs
 
     monkeypatch.setattr(green, "residual_and_jacobian", broken)
     cells = moduli.scan(SHIFTED_REGION, 8, 8)
@@ -443,8 +445,14 @@ def test_flip_edges_batched_determinants_match_scalar_calls():
     edges = moduli.flip_edges(cells, 6, 6)
     assert edges
     for e in edges:
+        # scalar calls at the half periods of the reduced torus, carried back
         torus = lattice.make_torus(e.midpoint)
-        dets = [abs(green.evaluate(h, torus).hessian.det) for h in torus.half_periods]
+        reduced = torus.reduced
+        dets = [abs(green.evaluate(reduced.half_periods[j], reduced).hessian.det)
+                / abs(torus.lam) ** 4 for j in torus.half_period_perm]
         k = min(range(3), key=dets.__getitem__)
         assert e.degenerate_half_period == k + 1
         assert e.min_abs_det == dets[k]
+        # and the given frame's own pass there, within its error bound
+        ev = green.evaluate(torus.half_periods[k], torus)
+        assert abs(e.min_abs_det - abs(ev.hessian.det)) <= ev.det_bound

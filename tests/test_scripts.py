@@ -37,7 +37,7 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 11
+    assert len(rows) == 12
     # the square torus takes the morse route: the half periods, whose pass
     # gives the invariants too, and the residual check (3 passes while the
     # invariants summed the half periods again)
@@ -54,24 +54,43 @@ def test_pass_counts_prints_one_row_per_call():
     # at the rhombic cusp, where the multi-start grid's 699 Newton passes
     # ended in CountViolation (exit 3), then 9 passes
     assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 8 | 13 |"
+    # a five-point torus near the real axis, whose Newton in the given
+    # frame's (t, s) stalled (exit 3); on its reduced torus, 8 passes
+    assert rows[6] == ("| `critical --tau=0.17668935183106604+2.3164145156627625e-07i` "
+                       "| 0 | 8 | 13 |")
     # the 4 pi construction (2 passes: the doubled torus's invariants, then
     # its period path and probes together; 5 while the path's three
     # segments and the probes each had a pass) and verify_solution's 32
     # rows in 8 blocks of one u call and one green_rel call each (70
     # passes by rows)
-    assert rows[7] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 18 | 19585 |"
+    assert rows[8] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 18 | 19585 |"
     # the critical set's 9 passes and one at z0 and 2 z0 (29 while the map
     # took z0 as an argument, checked its residual, polished it by Newton
     # and summed sigma(2 z0) alone)
-    assert rows[8] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
+    assert rows[9] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
                        "| 0 | 26 | 26410 |")
     # Newton from b = 1/2 to both thresholds, one pass a step (107 passes
     # by bracket and bisection); one pass at b = 0.7 and one at b = 1/2 for
     # the functional equation (5 passes and 2 real series calls before)
-    assert rows[9].startswith("| `thresholds` | 0 | ")
-    assert int(rows[9].split("|")[3]) <= 16
-    assert rows[10] == "| `inequalities --b=0.7` | 0 | 2 | 6 |"
+    assert rows[10].startswith("| `thresholds` | 0 | ")
+    assert int(rows[10].split("|")[3]) <= 16
+    assert rows[11] == "| `inequalities --b=0.7` | 0 | 2 | 6 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)
+
+
+def test_near_axis_sweep_prints_one_row_per_outcome():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "near_axis_sweep.py"),
+                           "--count", "200"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines() if line.startswith("| ")]
+    rows = {row[0].strip(): [float(x) for x in row[1:]] for row in rows if row[1].strip().isdigit()}
+    assert sum(n for n, _, _ in rows.values()) == 200
+    assert {"3 points", "5 points"} <= set(rows)
+    # what fails sits far up the cusp, where the half-period determinants
+    # underflow float64 (from Im tau_r of about 237)
+    assert all(low >= 200.0 for key, (_, low, _) in rows.items() if not key.endswith("points"))
 
 
 def _snapshot_diff(tmp_path, old, new):

@@ -97,12 +97,12 @@ def _record_tori():
 
 
 def test_the_half_period_record_matches_its_two_references(monkeypatch):
-    # the one half-period pass against green.evaluate at the half periods
-    # (its rows, bit for bit) and against a pass of the invariants' own at
-    # the reduced half periods.  Where green's points are exactly minus
-    # those, the two sum the same terms and agree bit for bit, arg
-    # theta1'(0) too; where rounding (1+tau)/2 into (t, s) moves green's
-    # point by an ulp, the sums move by a few ulps
+    # the one half-period pass, on the reduced torus, against green.evaluate
+    # at its half periods (its rows, bit for bit) and against a pass of the
+    # invariants' own at the reduced half periods.  Where green's points are
+    # exactly minus those, the two sum the same terms and agree bit for bit,
+    # arg theta1'(0) too; where rounding (1+tau_r)/2 into (t, s) moves
+    # green's point by an ulp, the sums move by a few ulps
     tori = _record_tori()
     points = []
     real = theta._eval
@@ -115,7 +115,7 @@ def test_the_half_period_record_matches_its_two_references(monkeypatch):
     for T in tori:
         inv = weier.invariants(T)
         monkeypatch.setattr(theta, "_eval", spy)
-        ev = green.evaluate(np.array(T.half_periods), T)
+        ev = green.evaluate(np.array(T.reduced.half_periods), T.reduced)
         monkeypatch.setattr(theta, "_eval", real)
         for got, want in ((inv.green.value_rel, ev.value_rel), (inv.green.det_bound, ev.det_bound),
                           *((getattr(inv.green.hessian, f), getattr(ev.hessian, f))
