@@ -203,19 +203,21 @@ def _morse(det: float, bound: float) -> Morse:
     return Morse.MIN if det > 0.0 else Morse.SADDLE
 
 
-def _rows(ev: green.GreenEval) -> list[tuple[float, ...]]:
-    """(xx, xy, yy, det, value, det_bound) per point of an evaluate over a
-    1-D array."""
+def _rows(ev: green.GreenEval) -> list[green.GreenEval]:
+    """Each point's own GreenEval, of floats, from an evaluate over a 1-D
+    array."""
     h = ev.hessian
-    return list(zip(h.xx.tolist(), h.xy.tolist(), h.yy.tolist(), h.det.tolist(),
-                    ev.value_rel.tolist(), ev.det_bound.tolist()))
+    cols = (c.tolist() for c in (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det, ev.det_bound))
+    return [green.GreenEval(g, (gx, gy), Hessian2(xx, xy, yy, det), bound)
+            for g, gx, gy, xx, xy, yy, det, bound in zip(*cols)]
 
 
 def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
     """The critical points at coords, classified from their _rows."""
     return [CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
-                          morse=_morse(det, bound), hessian=Hessian2(xx, xy, yy, det), g_rel=g)
-            for (t, s), kind, (xx, xy, yy, det, g, bound) in zip(coords, kinds, rows)]
+                          morse=_morse(row.hessian.det, row.det_bound), hessian=row.hessian,
+                          g_rel=row.value_rel)
+            for (t, s), kind, row in zip(coords, kinds, rows)]
 
 
 def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
@@ -262,12 +264,12 @@ def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
     The seed is w_m + eps v with eps = sqrt(-6 mu / G_vvvv).  Raises
     Unconverged where G_vvvv <= 0, which leaves no seed.
     """
-    m = max(range(3), key=[row[3] for row in hp_rows].__getitem__)
-    c = [math.pi * complex(xx - yy, -2.0 * xy) for xx, xy, yy, *_ in hp_rows]
+    hess = [row.hessian for row in hp_rows]
+    m = max(range(3), key=[h.det for h in hess].__getitem__)
+    c = [math.pi * complex(h.xx - h.yy, -2.0 * h.xy) for h in hess]
     i, j = (k for k in range(3) if k != m)
-    xx, _, yy, det = hp_rows[m][:4]
     size = abs(c[m])
-    mu = det / ((xx + yy) / 2.0 + size / (2.0 * math.pi))
+    mu = hess[m].det / (hess[m].trace / 2.0 + size / (2.0 * math.pi))
     v2 = -c[m].conjugate() / size
     g4 = (2.0 * (c[m] - c[i]) * (c[m] - c[j]) * v2 * v2).real / (2.0 * math.pi)
     if not g4 > 0.0:

@@ -11,31 +11,27 @@ point residual of the solver and the constant C(tau) = (1/2 pi)
 log|eta(tau)| (Kronecker limit formula).
 
 G depends on the lattice only: with the reduced frame of lattice.Torus,
-G_tau(z) = G_tau_r(z / lam), and z = t + s tau sits at z / lam =
-t' + s' tau_r.  So every pass runs at tau_r.  With L1, L2 the log
-derivatives of theta1 there and A1 = L1 + 2 pi i s',
+G_tau(z) = G_tau_r(z / lam).  So every pass runs on a reduced torus
+(lam = 1), at z / lam = t' + s' tau_r, and evaluate_pass sums there
+alone.  With L1, L2 the log derivatives of theta1 and A1 = L1 + 2 pi i s',
 
-    G - C(tau) = (G_r - C(tau_r)) + log|lam| / (4 pi),
-    2 pi (G_x - i G_y) = -A1 / lam,   G_xx + G_yy = 1/b,
-    2 pi (G_xx - G_yy - 2 i G_xy) = -2 (L2 + pi/b_r) / lam^2,
-    det = det_r / |lam|^4,   4 pi^2 det_r = 2 (pi/b_r) Re(-L2) - |L2|^2,
+    2 pi (G_x - i G_y) = -A1,   G_xx + G_yy = 1/b_r,
+    2 pi (G_xx - G_yy - 2 i G_xy) = -2 (L2 + pi/b_r),
+    4 pi^2 det = 2 (pi/b_r) Re(-L2) - |L2|^2,
 
 the last form free of cancellation where L2 is small (half periods near
 the cusp).  Where its two terms cancel instead (a degenerate critical
 point), det carries an absolute error of a few ulps of their sum;
 evaluate returns that bound, C_DET eps ((2 pi/b_r)|L2| + |L2|^2) /
-(4 pi^2 |lam|^4), next to det, so a caller trusts the sign of det only
-outside it.  By the Legendre relation the critical residual
-zeta(z) - t eta1 - s eta2 is A1 / lam, so the solver needs no quasi
-periods.  C(tau) is summed at tau_r and carried back by the weight 1/2
-law of eta, so everything holds on all of the upper half plane.
-
-evaluate carries its pass back to a Torus, with scalars read from it;
-given moduli tau_r instead, one per point, it works on reduced tori
-(lam = 1), where residual_and_jacobian works, and a batch on several
-tori shares one pass; carried takes a Hessian and value back.
-evaluate_pass also hands back the theta values of its pass, from which
-the Weierstrass layer reads its constants at the half periods.
+(4 pi^2), next to det, so a caller trusts the sign of det only outside
+it.  By the Legendre relation the critical residual zeta(z) - t eta1 -
+s eta2 is A1, so the solver (residual_and_jacobian) needs no quasi
+periods.  carried, the one place where the covariance laws of G are
+written, takes a pass back to any other torus.  C(tau) is summed at
+tau_r and carried back by the weight 1/2 law of eta, so everything holds
+on all of the upper half plane.  A batch on several reduced tori shares
+one pass; evaluate_pass also hands back the theta values of its pass,
+from which the Weierstrass layer reads its constants at the half periods.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from .errors import PoleAtLattice
 from .lattice import Torus, wrap_unit
 
 # The error of det Hess G in units of eps ((2 pi/b_r)|L2| + |L2|^2) /
-# (4 pi^2 |lam|^4), the rounding scale of its two terms.  Measured against
+# (4 pi^2 |lam|^4), the rounding scale of its two terms carried back.  Measured against
 # mpmath (test_determinant_error_stays_within_its_bound, the same errors at
 # 120 and 200 digits) over Re tau = 0 and 1/2 at b in [0.02, 0.1] and
 # [2.5, 6], the Farey moduli 1/3+0.003i, 1/4+0.004i and 2/5+0.002i, and
@@ -97,96 +93,71 @@ def _reduced_pass(t, s, tau_r):
     return sr, lm, ar, L1, L2
 
 
-def _frame(torus):
-    """tau, tau_r, mat and lam of a Torus, or of reduced tori of moduli torus."""
-    if isinstance(torus, Torus):
-        return torus.tau, torus.tau_r, torus.mat, torus.lam
-    tau = np.asarray(torus) if np.ndim(torus) else torus
-    return tau, tau, ((1, 0), (0, 1)), 1.0 + 0.0j
-
-
-def _value_pass(z, torus):
-    """G - C(tau) shaped like z, and flat (s', log|theta1|, arg, L1, L2)
-    at z / lam on tau_r."""
-    tau, tau_r, ((a, b), (c, d)), lam = _frame(torus)
-    z = np.asarray(z, dtype=complex)
-    s = z.imag.reshape(-1) / tau.imag
-    t = z.real.reshape(-1) - s * tau.real
-    sr, lm, ar, L1, L2 = _reduced_pass(a * t - b * s, d * s - c * t, tau_r)
-    if np.isneginf(lm).any():
-        raise PoleAtLattice("Green function diverges at lattice points")
-    value = -lm / (2.0 * np.pi) + sr ** 2 * (tau_r.imag / 2.0) + math.log(abs(lam)) / (4.0 * np.pi)
-    return value.reshape(z.shape), (sr, lm, ar, L1, L2)
-
-
 def evaluate(z, torus) -> GreenEval:
     """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
     torus is a Torus, or the modulus tau_r of points on reduced tori
-    (lam = 1), one for all of z or one per point (_frame).  Everything is
-    taken at the canonical cell representative of the reduced frame and
+    (lam = 1), one for all of z or one per point.  The pass sums on the
+    reduced torus at z / lam (Torus.reduced_point), and carried takes it
+    back.  Everything is taken at the canonical cell representative and
     computed on a flat array, so a point gives the same bits alone as
-    inside a batch.  The gradient and Hessian are those of log|theta1|
-    (L1 / lam, L2 / lam^2) plus those of y_r^2 / (2 b_r), y_r = Im(z /
-    lam), so where lam = 1 they are the identity frame formulas bit for
-    bit.  det_bound is the error bound of the determinant (C_DET).
-    Raises PoleAtLattice at lattice points.
+    inside a batch.  det_bound is the error bound of the determinant
+    (C_DET).  Raises PoleAtLattice at lattice points.
     """
-    return evaluate_pass(z, torus)[0]
+    if isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1)):
+        return carried(evaluate_pass(torus.reduced_point(z), torus.tau_r)[0], torus)
+    return evaluate_pass(z, torus.tau if isinstance(torus, Torus) else torus)[0]
 
 
-def evaluate_pass(z, torus):
-    """evaluate, and the flat arrays log|theta1|, arg theta1 and L2 at the
-    points z / lam on tau_r where its theta pass summed."""
-    value, (sr, lm, ar, L1, L2) = _value_pass(z, torus)
-    tau, tau_r, _, lam = _frame(torus)
+def evaluate_pass(z, tau_r):
+    """evaluate on reduced tori of moduli tau_r, and the flat arrays
+    log|theta1|, arg theta1 and L2 at z where its theta pass summed."""
+    z = np.asarray(z, dtype=complex)
     b_r = tau_r.imag
-    k1 = 1.0 / lam
-    rot1 = L1 * k1
-    rot = L2 * (k1 * k1)
-    # y_r^2 / (2 b_r) has gradient s' grad y_r, grad y_r = (Im k1, Re k1),
-    # and Hessian grad y_r grad y_r^T / b_r
-    scale = 1.0 / (tau.imag * abs(lam) ** 2)
-    q_xx, q_xy, q_yy = lam.imag ** 2 * scale, -lam.real * lam.imag * scale, lam.real ** 2 * scale
-    det_scale = 4.0 * np.pi ** 2 * abs(lam) ** 4
-    det_r = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
+    s = z.imag.reshape(-1) / b_r
+    sr, lm, ar, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r)
+    if np.isneginf(lm).any():
+        raise PoleAtLattice("Green function diverges at lattice points")
+    det = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
     abs_l2 = np.abs(L2)
     det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_l2 + abs_l2 ** 2)
 
     def out(x):
-        return theta._scalarize(x.reshape(value.shape))
+        return theta._scalarize(x.reshape(z.shape))
 
     return GreenEval(
-        value_rel=out(value),
-        grad=(out(-rot1.real / (2.0 * np.pi) + sr * k1.imag),
-              out(rot1.imag / (2.0 * np.pi) + sr * k1.real)),
+        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)),
+        grad=(out(-L1.real / (2.0 * np.pi)), out(L1.imag / (2.0 * np.pi) + sr)),
         hessian=Hessian2(
-            xx=out(q_xx - rot.real / (2.0 * np.pi)),
-            xy=out(rot.imag / (2.0 * np.pi) + q_xy),
-            yy=out(q_yy + rot.real / (2.0 * np.pi)),
-            det=out(det_r / det_scale),
+            xx=out(-L2.real / (2.0 * np.pi)),
+            xy=out(L2.imag / (2.0 * np.pi)),
+            yy=out(1.0 / b_r + L2.real / (2.0 * np.pi)),
+            det=out(det / (4.0 * np.pi ** 2)),
         ),
-        det_bound=out(det_err / det_scale),
+        det_bound=out(det_err / (4.0 * np.pi ** 2)),
     ), (lm, ar, L2)
 
 
 def green_rel(z, torus: Torus):
-    """G(z) - C(tau), doubly periodic by construction: evaluate's value alone."""
-    return theta._scalarize(_value_pass(z, torus)[0])
+    """G(z) - C(tau), doubly periodic by construction: evaluate's value."""
+    return evaluate(z, torus).value_rel
 
 
-def carried(row, torus: Torus) -> tuple[float, ...]:
-    """A point's (G_xx, G_xy, G_yy, det, G - C, det_bound) on the reduced
-    torus, at the same point of torus: G_xx - G_yy - 2i G_xy turns with
-    1/lam^2, the trace scales by 1/|lam|^2, det and det_bound by
-    1/|lam|^4, and G - C shifts by log|lam| / (4 pi)."""
-    xx, xy, yy, det, value, bound = row
+def carried(ev: GreenEval, torus: Torus) -> GreenEval:
+    """ev, an evaluate on torus.reduced at z / lam, at the points z of torus:
+    2 pi (G_x - i G_y) turns with 1/lam, G_xx - G_yy - 2i G_xy with
+    1/lam^2, the trace scales by 1/|lam|^2, det and det_bound by 1/|lam|^4
+    and G - C shifts by log|lam| / (4 pi).  Real arithmetic throughout, so
+    floats and arrays get the same bits."""
     lam = torus.lam
-    c = complex(xx - yy, -2.0 * xy) / (lam * lam)
-    trace = (xx + yy) / abs(lam) ** 2
-    scale = abs(lam) ** 4
-    return ((trace + c.real) / 2.0, -c.imag / 2.0, (trace - c.real) / 2.0, det / scale,
-            value + math.log(abs(lam)) / (4.0 * np.pi), bound / scale)
+    k, k2, scale = 1.0 / lam, 1.0 / (lam * lam), abs(lam) ** 4
+    (gx, gy), h = ev.grad, ev.hessian
+    diff, trace = h.xx - h.yy, (h.xx + h.yy) / abs(lam) ** 2
+    c = diff * k2.real + 2.0 * h.xy * k2.imag
+    return GreenEval(ev.value_rel + math.log(abs(lam)) / (4.0 * np.pi),
+                     (gx * k.real + gy * k.imag, gy * k.real - gx * k.imag),
+                     Hessian2((trace + c) / 2.0, h.xy * k2.real - diff * k2.imag / 2.0,
+                              (trace - c) / 2.0, h.det / scale), ev.det_bound / scale)
 
 
 def residual_and_jacobian(t, s, tau_r):

@@ -48,6 +48,13 @@ class Torus:
         """Z + tau_r Z in its own frame (lam = 1), where critical passes run."""
         return Torus(self.tau_r, self.tau_r, ((1, 0), (0, 1)), 1.0 + 0.0j)
 
+    def reduced_point(self, z):
+        """z / lam = t' + s' tau_r, the point z = t + s tau mapped by the matrix."""
+        s = np.imag(z) / self.tau.imag
+        t = np.real(z) - s * self.tau.real
+        (a, b), (c, d) = self.mat
+        return (a * t - b * s) + (d * s - c * t) * self.tau_r
+
     @property
     def half_period_perm(self) -> tuple[int, int, int]:
         """The index on the reduced torus of 1/2, tau/2 and (1+tau)/2: the

@@ -7,6 +7,11 @@ point z0 of the Green function and carries the one parameter scaling
 family f -> e^lambda f.  At rho = 4 pi the map lives on the doubled torus
 C/(Z + 2 tau Z) and the solution is unique, with no free parameter.
 
+The equation depends on the lattice only: u_r on the reduced torus
+(lattice.Torus) gives u(z) = u_r(z / lam) - 2 log|lam| on the given one
+(MfeSolution.evaluator), so the constructions and verify_solution work
+on the reduced torus alone.
+
 All u evaluators work in log magnitudes end to end so the zeros and poles
 of f never overflow.  Evaluators do not wrap their argument: the formulas
 are evaluated as written, which makes the double periodicity of u a
@@ -14,16 +19,15 @@ measurable property instead of an artifact of reduction.  u(z) is -inf on
 the source lattice and finite elsewhere.
 
 The 8 pi map takes z0 from the critical set and makes one Weierstrass
-pass more, at z0 and 2 z0.  The 4 pi map makes two: the doubled torus's
-invariants (its eta1, eta2), and one over the nodes of the period
-integral of g and the probes of the multipliers.  A u call makes one
-Weierstrass pass (weier.evaluate) over the concatenation of the point
-sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two zetas
-on the doubled torus at 4 pi, and sigma(z0 - z), sigma(z0 + z) and p(z)
-at 8 pi.  verify_solution hands u a block of _BLOCK_ROWS grid rows,
-their stencil offsets and their period shifts as one array, so a block
-costs two theta passes, one for u and one for the Green function, and a
-64^2 grid 32 of them.  Its report is one reduction over the whole grid.
+pass more, at z0 and 2 z0; the 4 pi map makes two, the doubled torus's
+invariants and one over the nodes of the period integral of g and the
+probes of the multipliers.  A u call makes one Weierstrass pass over the
+point sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two
+zetas on the doubled torus at 4 pi, sigma(z0 -+ z) and p(z) at 8 pi.
+verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
+offsets and their period shifts as one array, so a block costs two theta
+passes, one for u and one for G, and a 64^2 grid 32 of them.  Its report
+is one reduction over the whole grid.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import critical, green, weier
 from .errors import ConstructionInconsistent, InvalidInput, NoExtraCriticalPoint
-from .lattice import Torus, lattice_gap, make_torus, near_lattice
+from .lattice import Torus, lattice_gap, make_torus, near_lattice, wrap_unit
 
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
@@ -63,12 +67,13 @@ class DevelopingMap8pi:
 
     f(0) = 1, f has zeros on z0 + lattice and poles on -z0 + lattice, and
     picks up the multipliers multiplier_1 and multiplier_tau across the
-    two periods.  At a critical z0 both multipliers are unit modulus,
-    which is exactly what makes |f| (and hence u) doubly periodic.
+    two periods; at a critical z0 both are unit modulus, which makes |f|
+    (and u) doubly periodic.  torus is reduced; z0 is branch / lam up to a period.
     """
 
     torus: Torus
     z0: complex
+    branch: complex
     zeta_z0: complex
     wp_z0: complex
     wp_prime_z0: complex
@@ -88,27 +93,33 @@ class DevelopingMap8pi:
 def developing_map_8pi(torus: Torus) -> DevelopingMap8pi:
     """Developing map at the extra critical point z0 of the Green function.
 
-    z0 is the representative of the pair +-z0 in the torus's critical set,
-    or NoExtraCriticalPoint where the torus has only the three half
-    periods.  The other sign gives the same family with lambda -> -lambda.
-    zeta, p and p' at z0 and sigma at 2 z0 come from one Weierstrass pass.
+    z0 (branch) is the representative of the pair +-z0 in the torus's
+    critical set, or NoExtraCriticalPoint where it has only the three half
+    periods; the map sits on torus.reduced at z0 / lam, wrapped into the
+    cell.  The other sign gives the same family with lambda -> -lambda.
+    zeta, p and p' there and sigma at twice it come from one pass.
     """
     extra = critical.find_critical_points(torus).extra
     if extra is None:
         raise NoExtraCriticalPoint(
             f"tau = {torus.tau} has only the three half period critical points"
         )
-    z0 = extra.z
-    ev = weier.evaluate(np.array([z0, 2.0 * z0]), torus)
+    reduced = torus.reduced
+    (a, b), (c, d) = torus.mat
+    t, s = extra.coords.t, extra.coords.s
+    t, s = wrap_unit([a * t - b * s, d * s - c * t])[0].tolist()
+    z0 = t + s * reduced.tau
+    ev = weier.evaluate(np.array([z0, 2.0 * z0]), reduced)
     zeta_z0 = complex(ev.zeta[0])
-    inv = weier.invariants(torus)
+    inv = weier.invariants(reduced)
     # quasi period combinations 2(zeta(z0) - eta_j z0); purely imaginary
     # exactly when z0 is critical, so the multipliers land on the circle
     f1 = 2.0 * (zeta_z0 - inv.eta1 * z0)
-    f2 = 2.0 * (torus.tau * zeta_z0 - inv.eta2 * z0)
+    f2 = 2.0 * (reduced.tau * zeta_z0 - inv.eta2 * z0)
     return DevelopingMap8pi(
-        torus=torus,
+        torus=reduced,
         z0=z0,
+        branch=extra.z,
         zeta_z0=zeta_z0,
         wp_z0=complex(ev.p[0]),
         wp_prime_z0=complex(ev.p_prime[0]),
@@ -123,8 +134,9 @@ class MfeSolution:
     """A constructed solution u of Delta u + rho e^u = rho delta_0.
 
     lam is the scaling parameter (serialized under the key "lambda");
-    branch holds z0 for the 8 pi family and None at 4 pi.  evaluator maps
-    z (scalar or array) to u(z) and returns -inf on the source lattice.
+    branch holds z0 for the 8 pi family and None at 4 pi.
+    reduced_evaluator maps z (scalar or array) to u_r(z), the solution on
+    torus.reduced, and returns -inf on the source lattice.
     """
 
     rho: float
@@ -132,7 +144,14 @@ class MfeSolution:
     branch: complex | None
     lam: float
     c1: float
-    evaluator: Callable
+    reduced_evaluator: Callable
+
+    def evaluator(self, z):
+        """u(z) = u_r(z / torus.lam) - 2 log|torus.lam| (Torus.reduced_point)."""
+        if self.torus.mat == ((1, 0), (0, 1)):
+            return self.reduced_evaluator(z)
+        w = self.torus.reduced_point(np.asarray(z, dtype=complex))
+        return self.reduced_evaluator(w) - 2.0 * math.log(abs(self.torus.lam))
 
 
 def _u_from_logs(c1: float, lam: float, log_abs_fp, log_abs_f) -> np.ndarray:
@@ -172,12 +191,12 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     dm = developing_map_8pi(torus)
     c1 = math.log(8.0 / RHO_8PI)
     z0 = dm.z0
-    tau = torus.tau
+    tau = dm.torus.tau
     log_wp_prime = math.log(abs(dm.wp_prime_z0))
     # u on the branch lattice (z = +-z0, where f has its zero or pole):
     # log|f| and log|gamma| diverge oppositely but f' stays finite at the
-    # zero, f'(z0) = -e^{2 zeta(z0) z0} / sigma(2 z0), and evenness of u
-    # transfers the value to -z0
+    # zero, f'(z0) = -e^{2 zeta(z0) z0} / sigma(2 z0), and f(-z) = 1 / f(z)
+    # makes u_lam(-z) = u_-lam(z), so u(-z0) = u(z0) - 4 lam
     u_branch = (c1 + 2.0 * lam
                 + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
 
@@ -187,12 +206,13 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
         return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
 
     def special(flat):
-        on_branch = near_lattice(flat - z0, tau, 1e-9) | near_lattice(flat + z0, tau, 1e-9)
-        hit = near_lattice(flat, tau, _LATTICE_HIT_TOL) | on_branch
-        return hit, flat[:0], lambda _: np.where(on_branch[hit], u_branch, -np.inf)
+        at_zero, at_pole = (near_lattice(flat - w, tau, 1e-9) for w in (z0, -z0))
+        hit = near_lattice(flat, tau, _LATTICE_HIT_TOL) | at_zero | at_pole
+        return hit, flat[:0], lambda _: np.select(
+            [at_zero[hit], at_pole[hit]], [u_branch, u_branch - 4.0 * lam], -np.inf)
 
-    return MfeSolution(rho=RHO_8PI, torus=torus, branch=z0, lam=float(lam),
-                       c1=c1, evaluator=_evaluator(core, special))
+    return MfeSolution(rho=RHO_8PI, torus=torus, branch=dm.branch, lam=float(lam),
+                       c1=c1, reduced_evaluator=_evaluator(core, special))
 
 
 @lru_cache(maxsize=None)
@@ -241,16 +261,16 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     """The unique solution at rho = 4 pi, via the doubled torus, with the
     cross check values of its construction.
 
-    On C/(Z + 2 tau Z) the logarithmic derivative g of the map is a
-    difference of two zeta functions with residues -1 at a = -1/2 and +1
-    at b = 1/2 + tau, shifted by the constant kappa that makes f change
-    sign across the period 1.  Three internal cross checks guard the
-    construction: the period integral of g must be +-pi i, the period-1
-    multiplier computed independently from sigma shifts must be exactly
-    -1, and the tau multiplier must be constant in z (its modulus is then
-    normalized to 1, which is what makes u doubly periodic).
+    With tau = tau_r, on C/(Z + 2 tau Z) the logarithmic derivative g of
+    the map is a difference of two zeta functions with residues -1 at
+    a = -1/2 and +1 at b = 1/2 + tau, shifted by the constant kappa that
+    makes f change sign across the period 1.  Three internal cross checks
+    guard the construction: the period integral of g must be +-pi i, the
+    period-1 multiplier computed independently from sigma shifts must be
+    exactly -1, and the tau multiplier must be constant in z (its modulus
+    is then normalized to 1, which is what makes u doubly periodic).
     """
-    tau = torus.tau
+    tau = torus.tau_r
     doubled = make_torus(2.0 * tau)
     a = -0.5
     bp = 0.5 + tau
@@ -267,9 +287,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
         arg = (kappa * z).imag + ar[:n] - ar[n:]
         return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
 
-    # a radius of at most Im tau / 3 keeps the semicircle at least
-    # 2 Im tau / 3 from the pole at 1/2 + tau
-    nodes, integral = _period_path(min(0.25, tau.imag / 3.0))
+    # Im tau >= sqrt(3) / 2 keeps the semicircle 0.6 from the pole at 1/2 + tau
+    nodes, integral = _period_path(0.25)
     probe = 0.231 + 0.413 * tau
     probe2 = -0.127 + 0.291 * tau
     lm, ar, g = parts(np.concatenate(
@@ -279,7 +298,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     if dev > 1e-8:
         raise ConstructionInconsistent(
             f"integral of g over one period is {period_integral}, not +-pi i "
-            f"(off by {dev:.3e}) at tau = {tau}"
+            f"(off by {dev:.3e}) at tau_r = {tau}"
         )
 
     # normalize the tau multiplier c = f(z + tau) f(z) to the unit circle at
@@ -290,12 +309,12 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     c_check = _polar(float(lm[2] + lm[3]) + 2.0 * log_f0, float(ar[2] + ar[3]))
     if abs(c_mult - c_check) > 1e-9:
         raise ConstructionInconsistent(
-            f"tau multiplier is not constant in z: {c_mult} vs {c_check} at tau = {tau}"
+            f"tau multiplier is not constant in z: {c_mult} vs {c_check} at tau_r = {tau}"
         )
     c_prime = _polar(float(lm[4] - lm[0]), float(ar[4] - ar[0]))
     if abs(c_prime + 1.0) > 1e-10:
         raise ConstructionInconsistent(
-            f"period-1 multiplier is {c_prime}, not -1, at tau = {tau}"
+            f"period-1 multiplier is {c_prime}, not -1, at tau_r = {tau}"
         )
 
     c1 = math.log(8.0 / RHO_4PI)
@@ -320,7 +339,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
                 lambda v: 0.5 * (v[:k] + v[k:]))
 
     sol = MfeSolution(rho=RHO_4PI, torus=torus, branch=None, lam=0.0,
-                      c1=c1, evaluator=_evaluator(core, special))
+                      c1=c1, reduced_evaluator=_evaluator(core, special))
     diag = FourPiDiagnostics(period_integral=period_integral, c_prime=c_prime,
                              c_tau=c_mult)
     return sol, diag
@@ -350,7 +369,8 @@ class ResidualReport:
 
 def verify_solution(sol: MfeSolution, grid_n: int = 64,
                     excl_radius: float = 0.05) -> ResidualReport:
-    """Five point stencil check of Delta u + rho e^u = 0 away from 0.
+    """Five point stencil check of Delta u_r + rho e^u_r = 0 away from 0 on
+    the reduced torus, so that no field of the report depends on the frame.
 
     The PDE residual is evaluated in compensated form: the stencil is
     applied to w = u + rho G_rel, whose Laplacian away from the lattice
@@ -370,11 +390,11 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
         raise InvalidInput(f"grid_n {grid_n} below 32")
     if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
         raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
-    torus = sol.torus
+    torus = sol.torus.reduced
     tau = torus.tau
     area = torus.area
     rho = sol.rho
-    u = sol.evaluator
+    u = sol.reduced_evaluator
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 

@@ -620,13 +620,18 @@ def developing_map_f_prime(dm, z):
 # the field check of a mean field solution, one grid row at a time
 
 
-def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05):
+def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05,
+                            given_cell: bool = False):
     """mfe.verify_solution walking its grid one row at a time: one u call
     on a row, its stencil offsets and its period shifts, and one green_rel
     call on the row's kept points, per row; the rows' arrays are then
     concatenated and reduced once.  The package puts a block of rows into
     each call, and u and green_rel give a point the same bits alone as in
-    a batch, so every field of the ResidualReport must agree."""
+    a batch, so every field of the ResidualReport must agree.
+
+    Like the package it checks u_r on the cell of the reduced torus; with
+    given_cell it checks the carried-back u (sol.evaluator) on the cell
+    of sol.torus instead, the frame the package checked in before."""
     from torusgreen import green, mfe
     from torusgreen.errors import InvalidInput
     from torusgreen.lattice import lattice_gap
@@ -635,11 +640,11 @@ def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05):
         raise InvalidInput(f"grid_n {grid_n} below 32")
     if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
         raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
-    torus = sol.torus
+    torus = sol.torus if given_cell else sol.torus.reduced
     tau = torus.tau
     area = torus.area
     rho = sol.rho
-    u = sol.evaluator
+    u = sol.evaluator if given_cell else sol.reduced_evaluator
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 

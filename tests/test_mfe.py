@@ -185,28 +185,60 @@ def test_verification_detects_corrupted_solution(hex_solution):
     sol = hex_solution
     bad = mfe.MfeSolution(
         rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam,
-        c1=sol.c1, evaluator=lambda z: sol.evaluator(z) + 0.01,
+        c1=sol.c1, reduced_evaluator=lambda z: sol.reduced_evaluator(z) + 0.01,
     )
     rep = mfe.verify_solution(bad, grid_n=32)
     assert rep.max_residual > 1e-3
 
 
-def test_scaling_family_shifts_peak_value_linearly(hex_map):
-    T, dm = hex_map
-    u0 = mfe.solution_8pi(T, lam=0.0)
-    u2 = mfe.solution_8pi(T, lam=2.0)
-    assert abs((u2.evaluator(dm.z0) - u0.evaluator(dm.z0)) - 4.0) < 1e-12
-    # the family stays periodic for every lam
-    z = 0.17 + 0.11j
-    assert abs(u2.evaluator(z + 1.0) - u2.evaluator(z)) < 1e-11
+# the hexagonal torus in its own frame, and two five-point tori outside the
+# fundamental domain, built on their reduced tori and carried back; the
+# other torus of the frame tests below, -0.31 + 0.42i, has only the three
+# half periods, so -0.3 + 0.8i, whose lam is tau as there, stands in for it
+SCALING_TORI = (HEX_TAU, 0.5 + 0.3j, -0.3 + 0.8j)
 
 
-def test_scaling_family_keeps_mass(hex_map):
-    T, _ = hex_map
-    sol = mfe.solution_8pi(T, lam=1.0)
-    rep = mfe.verify_solution(sol, grid_n=64)
-    assert abs(rep.total_mass - RHO_8PI) < 1e-6
-    assert rep.max_residual < 1e-2
+def test_scaling_family_shifts_peak_value_linearly():
+    for tau in SCALING_TORI:
+        T = lattice.make_torus(tau)
+        u0 = mfe.solution_8pi(T, lam=0.0)
+        u2 = mfe.solution_8pi(T, lam=2.0)
+        z0 = u0.branch
+        assert z0 == critical.find_critical_points(T).extra.z
+        # f(-z) = 1 / f(z): lam raises u by 2 lam at z0 and lowers it by as
+        # much at -z0, on the branch points and next to them, so a map
+        # built at -z0 / lam would swap the two
+        for w, shift in ((z0, 4.0), (-z0, -4.0)):
+            assert abs((u2.evaluator(w) - u0.evaluator(w)) - shift) < 1e-12
+            near = w + 1e-4
+            assert abs((u2.evaluator(near) - u0.evaluator(near)) - shift) < 1e-3
+        # the family stays periodic for every lam
+        z = 0.17 + 0.11j
+        assert abs(u2.evaluator(z + 1.0) - u2.evaluator(z)) < 1e-11
+        assert abs(u2.evaluator(z + tau) - u2.evaluator(z)) < 1e-11
+
+
+def test_scaling_family_keeps_mass():
+    for tau in SCALING_TORI:
+        sol = mfe.solution_8pi(lattice.make_torus(tau), lam=1.0)
+        rep = mfe.verify_solution(sol, grid_n=64)
+        assert abs(rep.total_mass - RHO_8PI) < 1e-6
+        assert rep.max_residual < 1e-2
+
+
+# tau_hex / (k tau_hex + 1) is the hexagonal lattice seen from further and
+# further out of the fundamental domain (Im tau = 0.12, 0.028 and 0.0021
+# at k = 2, 5 and 20).  The check runs on the reduced torus, so it reads the
+# hexagonal torus's own residual; in the given frame it grew to 1.0e-3,
+# 2.0e-2 and 3.8 (8 pi) and 1.1e-4, 2.2e-3 and 0.39 (4 pi)
+@pytest.mark.parametrize("rho", ["8pi", "4pi"])
+def test_the_check_reads_the_same_on_every_image_of_a_torus(rho):
+    base = mfe.verify_solution(_solution(rho, HEX_TAU), grid_n=64)
+    for k in (2, 5, 20):
+        sol = _solution(rho, HEX_TAU / (k * HEX_TAU + 1.0))
+        rep = mfe.verify_solution(sol, grid_n=64)
+        assert abs(rep.max_residual / base.max_residual - 1.0) < 0.05, k
+        assert abs(rep.total_mass / sol.rho - 1.0) < 1e-9, k
 
 
 def test_verify_solution_validates_inputs(hex_solution):
@@ -340,14 +372,30 @@ def test_block_walk_equals_the_row_by_row_reference(rho, tau, grid_n):
     assert mfe.verify_solution(sol, grid_n) == oracles.verify_solution_by_rows(sol, grid_n)
 
 
+def test_the_given_cell_check_keeps_its_old_numbers():
+    # by rows on the cell of the given torus, on the carried-back u: the
+    # frame verify_solution checked in before, whose max_residual the golden
+    # file held (1.62e-5 at 4 pi on -0.31 + 0.42i, 5.58e-4 at 8 pi on
+    # 0.5 + 0.3i at 37^2); the reduced cell reads 2.2e-6 and 6.5e-5
+    for rho, tau, grid_n, old in (("4pi", -0.31 + 0.42j, 64, 1.62e-5),
+                                  ("8pi", 0.5 + 0.3j, 37, 5.58e-4)):
+        sol = _solution(rho, tau)
+        rep = oracles.verify_solution_by_rows(sol, grid_n, given_cell=True)
+        assert abs(rep.max_residual / old - 1.0) < 0.1
+        assert max(rep.periodicity_1, rep.periodicity_tau) <= 1e-12
+        assert abs(rep.total_mass / sol.rho - 1.0) < 1e-9
+        assert mfe.verify_solution(sol, grid_n).max_residual < rep.max_residual / 5.0
+
+
 @pytest.mark.parametrize("rho,tau", [("4pi", 0.5 + 0.3j), ("8pi", 0.5 + 0.3j)])
 def test_block_walk_keeps_rows_that_the_exclusion_empties(rho, tau):
-    # at radius 0.29 the rows next to s = 0 lie inside the exclusion disks
-    # (the m == 0 rows), while other rows of their blocks keep points
+    # the check walks the cell of the reduced torus, 0.4706 + 0.8824i; at
+    # radius 0.5 rows next to s = 0 lie inside the exclusion disks (the
+    # m == 0 rows), while other rows of their blocks keep points
     sol = _solution(rho, tau)
-    grid_n, radius = 37, 0.29
+    grid_n, radius, tau_r = 37, 0.5, sol.torus.tau_r
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
-    kept = [int(np.sum(lattice.lattice_gap(gg + s * tau, tau) > radius)) for s in gg]
+    kept = [int(np.sum(lattice.lattice_gap(gg + s * tau_r, tau_r) > radius)) for s in gg]
     empty = [i for i, k in enumerate(kept) if k == 0]
     assert empty and any(kept[i - i % mfe._BLOCK_ROWS:i - i % mfe._BLOCK_ROWS + mfe._BLOCK_ROWS]
                          for i in empty)

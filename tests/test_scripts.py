@@ -37,7 +37,7 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 12
+    assert len(rows) == 13
     # the square torus takes the morse route: the half periods, whose pass
     # gives the invariants too, and the residual check (3 passes while the
     # invariants summed the half periods again)
@@ -64,17 +64,21 @@ def test_pass_counts_prints_one_row_per_call():
     # rows in 8 blocks of one u call and one green_rel call each (70
     # passes by rows)
     assert rows[8] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 18 | 19585 |"
+    # a torus outside the fundamental domain, built and checked on its
+    # reduced torus: the same 2 construction passes and 16 blocks of 2 at
+    # 64^2 (76797 points on the given cell, whose exclusion disks cut more)
+    assert rows[9] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 34 | 77817 |"
     # the critical set's 9 passes and one at z0 and 2 z0 (29 while the map
     # took z0 as an argument, checked its residual, polished it by Newton
     # and summed sigma(2 z0) alone)
-    assert rows[9] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
+    assert rows[10] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
                        "| 0 | 26 | 26410 |")
     # Newton from b = 1/2 to both thresholds, one pass a step (107 passes
     # by bracket and bisection); one pass at b = 0.7 and one at b = 1/2 for
     # the functional equation (5 passes and 2 real series calls before)
-    assert rows[10].startswith("| `thresholds` | 0 | ")
-    assert int(rows[10].split("|")[3]) <= 16
-    assert rows[11] == "| `inequalities --b=0.7` | 0 | 2 | 6 |"
+    assert rows[11].startswith("| `thresholds` | 0 | ")
+    assert int(rows[11].split("|")[3]) <= 16
+    assert rows[12] == "| `inequalities --b=0.7` | 0 | 2 | 6 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)
 
 
