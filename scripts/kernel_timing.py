@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Time the theta series kernel, theta._eval, per call and per point.
+"""Time the theta series kernel, theta._eval, and the theta-null sum.
 
 For each batch size N the kernel is called on N points of one modulus
 and on N points that carry one of 64 moduli each (as a moduli scan
-does).  A rep times every cell once, with enough calls to sum at least
+does); the null sum, theta.nulls, on 1 modulus (a lone torus's half
+periods) and on 1024 (a scan chunk's).  A rep times every cell once, with enough calls to sum at least
 1024 points, and the reps follow one another, so a cell's fastest rep
 comes from the whole run rather than from one stretch of it; the table
-gives that rep's mean time per call, in microseconds, and per point, in
-nanoseconds.  The inputs are fixed, so two checkouts can be compared on
+gives that rep's mean time per call, in microseconds, and per point or
+modulus, in nanoseconds.  The inputs are fixed, so two checkouts can be compared on
 one host:
 
     python3 scripts/kernel_timing.py --reps 9
@@ -28,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from torusgreen import lattice, theta  # noqa: E402
 
 SIZES = (1, 3, 14, 192, 1024, 4096)
+NULL_SIZES = (1, 1024)
 # the hexagonal torus, which the package sums at as it stands
 TAU = 0.5 + 0.8660254037844386j
 
@@ -42,12 +44,12 @@ def inputs(n: int):
     return (t + s * TAU, TAU), (t + s * taus, taus)
 
 
-def per_call_s(z, tau) -> float:
-    """Mean seconds per _eval call over calls that sum at least 1024 points."""
-    calls = max(1, 1024 // z.size)
+def per_call_s(fn, *args) -> float:
+    """Mean seconds per call of fn over calls that sum at least 1024 points."""
+    calls = max(1, 1024 // args[0].size)
     start = time.perf_counter()
     for _ in range(calls):
-        theta._eval(z, tau)
+        fn(*args)
     return (time.perf_counter() - start) / calls
 
 
@@ -59,15 +61,23 @@ def main(argv=None) -> int:
     print()
     print("| N | one modulus us/call | one modulus ns/point | 64 moduli us/call | 64 moduli ns/point |")
     print("|---:|---:|---:|---:|---:|")
-    cells = [case for n in SIZES for case in inputs(n)]
-    for z, tau in cells:
-        theta._eval(z, tau)
+    cells = [(theta._eval, *case) for n in SIZES for case in inputs(n)]
+    cells += [(theta.nulls, inputs(n)[1][1]) for n in NULL_SIZES]
+    for fn, *case in cells:
+        fn(*case)
     best = [float("inf")] * len(cells)
     for _ in range(args.reps):
-        best = [min(b, per_call_s(z, tau)) for b, (z, tau) in zip(best, cells)]
+        best = [min(b, per_call_s(fn, *case)) for b, (fn, *case) in zip(best, cells)]
     for k, n in enumerate(SIZES):
         row = [f"{s * 1e6:.1f} | {s * 1e9 / n:.0f}" for s in best[2 * k:2 * k + 2]]
         print(f"| {n} | " + " | ".join(row) + " |")
+    print()
+    print(f"### theta.nulls time per call (fastest of {args.reps} reps)")
+    print()
+    print("| moduli | us/call | ns/modulus |")
+    print("|---:|---:|---:|")
+    for n, s in zip(NULL_SIZES, best[2 * len(SIZES):]):
+        print(f"| {n} | {s * 1e6:.1f} | {s * 1e9 / n:.0f} |")
     return 0
 
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Count the theta series passes of a fixed list of CLI calls.
+"""Count the theta series passes and null sums of a fixed list of CLI calls.
 
-Every theta series pass goes through theta._eval (weier binds it by
-import), so wrapping both bindings counts the passes and the points they
-sum.  Each call runs in-process with the invariants cache emptied first,
-so the counts depend on the code alone, never on the machine or the
-order of the calls.  Prints a Markdown table, e.g. for a CI step summary:
+Every theta series pass goes through theta._eval, and every sum of the
+theta-null series (the half-period constants and rows) through
+theta.nulls; weier binds both by import, so wrapping both bindings of
+each counts the passes and the points they sum, and the null sums and
+the moduli they sum at.  Each call runs in-process with the invariants
+cache emptied first, so the counts depend on the code alone, never on
+the machine or the order of the calls.  Prints a Markdown table, e.g.
+for a CI step summary:
 
     python3 scripts/pass_counts.py >> "$GITHUB_STEP_SUMMARY"
 
@@ -40,40 +43,42 @@ CALLS = (
 )
 
 
-def count_passes(argv) -> tuple[int, int, int]:
-    """(exit code, theta passes, points summed) of one CLI call."""
-    passes, points = [], []
-    originals = [(module, module._eval) for module in (theta, weier)]
+def count_passes(argv) -> tuple[int, int, int, int, int]:
+    """(exit code, theta passes, points summed, null sums, moduli summed)
+    of one CLI call."""
+    sizes = {"_eval": [], "nulls": []}
+    originals = [(module, name, getattr(module, name))
+                 for module in (theta, weier) for name in sizes]
 
-    def counting(real):
+    def counting(real, name):
         def wrapper(*args):
-            passes.append(1)
-            points.append(np.size(args[0]))
+            sizes[name].append(np.size(args[0]))
             return real(*args)
         return wrapper
 
     weier._invariants_cached.cache_clear()
-    for module, real in originals:
-        module._eval = counting(real)
+    for module, name, real in originals:
+        setattr(module, name, counting(real, name))
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(list(argv))
     finally:
-        for module, real in originals:
-            module._eval = real
-    return code, len(passes), sum(points)
+        for module, name, real in originals:
+            setattr(module, name, real)
+    return (code, len(sizes["_eval"]), sum(sizes["_eval"]),
+            len(sizes["nulls"]), sum(sizes["nulls"]))
 
 
 def main() -> int:
-    print("### Theta series passes per CLI call")
+    print("### Theta series passes and null sums per CLI call")
     print()
-    print("| call | exit | passes | points |")
-    print("|---|---:|---:|---:|")
+    print("| call | exit | passes | points | null sums | moduli |")
+    print("|---|---:|---:|---:|---:|---:|")
     worst = 0
     for argv in CALLS:
-        code, passes, points = count_passes(argv)
+        code, *counts = count_passes(argv)
         worst = max(worst, code)
-        print(f"| `{' '.join(argv)}` | {code} | {passes} | {points} |")
+        print(f"| `{' '.join(argv)}` | {code} | " + " | ".join(map(str, counts)) + " |")
     return 1 if worst else 0
 
 

@@ -3,11 +3,11 @@
 Every torus has the three half periods as critical points and at most one
 extra pair +-z0 (Lin and Wang); the pair are minima and
 #min - #saddle = -1, so there are five points exactly when all three half
-periods are saddles.  find_critical_sets evaluates G at the three half
-periods of every torus in one theta series pass (weier.half_periods),
-builds their points from that result, and lets the signs of their Hessian
-determinants decide the count.  Each det comes with its error bound
-(green.C_DET), and only a sign outside the bound counts:
+periods are saddles.  find_critical_sets writes G at the three half
+periods of every torus in closed form from one theta-null sum
+(green.half_period_rows), builds their points from it, and lets the
+signs of their Hessian determinants decide the count.  Each det comes
+with its error bound (green.C_DET), and only a sign outside it counts:
 
 - some det is positive: three points, no Newton (route "morse");
 - all three dets are negative: five points; damped Newton from one
@@ -29,13 +29,12 @@ the normal form of that pitchfork from its Hessian row and the other two
 r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2 collapses to
 (log theta1)_z + 2 pi i s, so a Newton step is one theta series pass for
 the seeds of every torus of a batch, and one more pass gives the points
-at the roots.  The half-period pass serves every route and gives the
-Weierstrass invariants too, which a lone torus keeps in the
-weier.invariants cache; the residual check is one more pass, at the
-exact half period coordinates through residual_and_jacobian, a second
-route to the gradient.  So a morse torus costs two passes, and a seeds
-torus adds its Newton trials and the pass at z0; compare_half_periods
-and the 8 pi developing map find the invariants cached.
+at the roots.  The residual check is one pass, at the exact half period
+coordinates through residual_and_jacobian, and is a second route there:
+to the gradient, and through dr_dt = L2 to the determinants, whose signs
+outside both bounds must agree with the null sum's (Unconverged
+otherwise).  So a morse torus costs one pass, and a seeds torus adds its
+Newton trials and the pass at z0.
 
 Every pass runs on the reduced tori (Torus.reduced), and each set is
 carried back to its torus once (_carried).  A torus gets the same
@@ -43,12 +42,13 @@ bits in a batch as alone: each point is summed at its own tau_r, a seed
 is formed from its torus's rows alone, and each Newton seed keeps its own
 count of steps.  find_critical_points is the batch of one torus.
 
-Failures stay typed.  Unconverged: the half-period pass misses Jacobi's
-gap identities, no seed (G_vvvv <= 0), or Newton misses the residual
-target from it.  CountViolation marks an evaluation bug: Newton reaches
-a half period where the signs force five, z0 is not a Min outside its
-bound, or unbalanced Morse labels, where a Degenerate half period has
-index +1 (a saddle merged with the pair of minima).
+Failures stay typed.  Unconverged: the null sum misses Jacobi's gap
+identities, the two routes to a determinant's sign disagree, no seed
+(G_vvvv <= 0), or Newton misses the residual target from it.
+CountViolation marks an evaluation bug: Newton reaches a half period
+where the signs force five, z0 is not a Min outside its bound, or
+unbalanced Morse labels, where a Degenerate half period has index +1 (a
+saddle merged with the pair of minima).
 """
 
 from __future__ import annotations
@@ -364,14 +364,14 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     A torus reduced past theta.MAX_IM_TAU gets the InvalidInput of
     theta._check_im and joins no pass.  The others each take their own
     route (see the module docstring) on their reduced tori, and every
-    pass serves all of them.  One half-period pass decides the routes and
-    gives the half period points of all of them, or a torus its
-    Unconverged off the gap identities.  Every seeds torus then gets its
-    pitchfork seed, and _extra_points runs one Newton for all the seeds
-    and one pass at their roots.  Last, one residual pass checks
-    |grad G| <= tol at every point, and each set, carried back to its
-    torus (_carried), is checked for the Morse balance.  A torus gets the
-    same result, to the bit, as alone.  Only a bad tol raises.
+    pass serves all of them.  One null sum decides the routes and gives
+    the half period points of all of them, or a torus its Unconverged off
+    the gap identities.  Every seeds torus then gets its pitchfork seed,
+    and _extra_points runs one Newton for all the seeds and one pass at
+    their roots.  Last, one residual pass checks |grad G| <= tol at every
+    point and the half-period det signs, and each set, carried back to
+    its torus (_carried), is checked for the Morse balance.  A torus gets
+    the same result, to the bit, as alone.  Only a bad tol raises.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
@@ -389,7 +389,7 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     if not tori:
         return out
     tau_r = tori[0].tau_r if len(tori) == 1 else np.array([torus.tau_r for torus in tori])
-    ev, failed = weier.half_periods(tori)
+    ev, failed = green.half_period_rows(tori)
     hp = _rows(ev)
     det = ev.hessian.det.reshape(-1, 3)
     inside = np.abs(det) <= ev.det_bound.reshape(-1, 3)
@@ -419,12 +419,22 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
             found[k] = ("seeds", hp[3 * k:3 * k + 3], extra)
     coords = [[*_HP_COORDS, *([] if x is None else [x[0]])] for *_, x in found.values()]
     t, s = np.array([ts for c in coords for ts in c], dtype=float).reshape(-1, 2).T
-    cell = np.repeat(list(found), [len(c) for c in coords])
-    r = np.abs(green.residual_and_jacobian(t, s, _at(tau_r, cell))[0]) if t.size else t
-    for c, (k, (route, rows, extra)) in zip(coords, found.items()):
+    cell = np.repeat(np.fromiter(found, int), [len(c) for c in coords])
+    on = _at(tau_r, cell)
+    r, l2, _ = green.residual_and_jacobian(t, s, on)
+    # the pass's own determinants at the half periods, from dr_dt = L2: a
+    # sign opposite to the null sum's outside both bounds fails the torus
+    hp_at = np.cumsum([0] + [len(c) for c in coords])[:-1, None] + [0, 1, 2]
+    h, bound = green._hessian(-l2, np.imag(on))
+    split = ((np.abs(h.det[hp_at]) > bound[hp_at]) & ~inside[list(found)]
+             & ((h.det[hp_at] > 0.0) != (det[list(found)] > 0.0))).any(axis=1)
+    for c, (k, (route, rows, extra)), bad in zip(coords, found.items(), split.tolist()):
         rows, extra = _carried(tori[k], rows, extra)
         cs = _critical_set(tori[k], rows, route, extra)
-        out[live[k]] = _checked(cs, tori[k], r[:len(c)], tol)
+        out[live[k]] = Unconverged(
+            "the null sum and the residual pass give a half-period Hessian determinant "
+            f"opposite signs outside their bounds at tau = {tori[k].tau}"
+        ) if bad else _checked(cs, tori[k], np.abs(r[:len(c)]), tol)
         r = r[len(c):]
     return out
 
@@ -471,20 +481,20 @@ def _sign_with_tie(x: float, tol: float) -> int:
 
 
 def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
-    """Order G over the three half periods: one pass, read three ways.
+    """Order G over the three half periods: one null sum, read three ways.
 
     (a) the direct green_rel values, (b) the closed form differences
     G(w_i/2) - G(w_j/2) = (log|theta_j(0)| - log|theta_i(0)|) / 2 pi of
     the half periods' theta nulls, summed in log form to keep relative
     precision at the cusp, and (c) the order of |wp| at the half periods.
-    (a) and (b) read the log|theta1| of the same pass, so they check the
-    frame algebra only; e_i + e_j + e_k = 0 and Jacobi's gaps |e_i - e_k|
-    = pi^2 |theta|^4, which that pass checks, make (c) the order of (b).
-    Disagreement beyond TIE_TOL raises InconsistentComparison.
+    (a) and (b) read one null sum (the rows of cs are its closed form),
+    so they check the frame algebra only; e_i + e_j + e_k = 0 and
+    Jacobi's gaps |e_i - e_k| = pi^2 |theta|^4, which that sum checks,
+    make (c) the order of (b).  Disagreement beyond TIE_TOL raises
+    InconsistentComparison.
 
     The direct values are the g_rel of the half-period points of cs, the
-    critical set of torus, and the theta nulls come from weier.invariants,
-    cached by the pass that gave cs its half periods.
+    critical set of torus, and the theta nulls come from weier.invariants.
     """
     inv = weier.invariants(torus)
     g = tuple(p.g_rel for p in cs.points[:3])

@@ -12,8 +12,8 @@ log|eta(tau)| (Kronecker limit formula).
 
 G depends on the lattice only: with the reduced frame of lattice.Torus,
 G_tau(z) = G_tau_r(z / lam).  So every pass runs on a reduced torus
-(lam = 1), at z / lam = t' + s' tau_r, and evaluate_pass sums there
-alone.  With L1, L2 the log derivatives of theta1 and A1 = L1 + 2 pi i s',
+(lam = 1), at z / lam = t' + s' tau_r, and evaluate sums there alone.
+With L1, L2 the log derivatives of theta1 and A1 = L1 + 2 pi i s',
 
     2 pi (G_x - i G_y) = -A1,   G_xx + G_yy = 1/b_r,
     2 pi (G_xx - G_yy - 2 i G_xy) = -2 (L2 + pi/b_r),
@@ -30,8 +30,8 @@ periods.  carried, the one place where the covariance laws of G are
 written, takes a pass back to any other torus.  C(tau) is summed at
 tau_r and carried back by the weight 1/2 law of eta, so everything holds
 on all of the upper half plane.  A batch on several reduced tori shares
-one pass; evaluate_pass also hands back the theta values of its pass,
-from which the Weierstrass layer reads its constants at the half periods.
+one pass; half_period_rows writes the half-period rows in closed form
+from the theta-null sum, where L2 = -A_k = theta_j''(0) / theta_j(0).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theta
+from . import theta, weier
 from .errors import PoleAtLattice
 from .lattice import Torus, wrap_unit
 
@@ -86,11 +86,11 @@ class GreenEval:
 
 
 def _reduced_pass(t, s, tau_r):
-    """s' and (log|theta1|, arg theta1, L1, L2) at (t, s) on Z + tau_r Z, wrapped."""
+    """s' and (log|theta1|, L1, L2) at (t, s) on Z + tau_r Z, wrapped."""
     tr, _ = wrap_unit(t)
     sr, _ = wrap_unit(s)
-    lm, ar, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r)
-    return sr, lm, ar, L1, L2
+    lm, _, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r)
+    return sr, lm, L1, L2
 
 
 def evaluate(z, torus) -> GreenEval:
@@ -104,38 +104,50 @@ def evaluate(z, torus) -> GreenEval:
     inside a batch.  det_bound is the error bound of the determinant
     (C_DET).  Raises PoleAtLattice at lattice points.
     """
-    if isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1)):
-        return carried(evaluate_pass(torus.reduced_point(z), torus.tau_r)[0], torus)
-    return evaluate_pass(z, torus.tau if isinstance(torus, Torus) else torus)[0]
-
-
-def evaluate_pass(z, tau_r):
-    """evaluate on reduced tori of moduli tau_r, and the flat arrays
-    log|theta1|, arg theta1 and L2 at z where its theta pass summed."""
-    z = np.asarray(z, dtype=complex)
+    moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
+    tau_r = torus.tau_r if isinstance(torus, Torus) else torus
+    z = np.asarray(torus.reduced_point(z) if moved else z, dtype=complex)
     b_r = tau_r.imag
     s = z.imag.reshape(-1) / b_r
-    sr, lm, ar, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r)
+    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
-    det = -L2.real * (2.0 * np.pi / b_r) - (L2.real ** 2 + L2.imag ** 2)
-    abs_l2 = np.abs(L2)
-    det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_l2 + abs_l2 ** 2)
 
     def out(x):
         return theta._scalarize(x.reshape(z.shape))
 
-    return GreenEval(
+    hessian, bound = _hessian(-L2, b_r, out)
+    ev = GreenEval(
         value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)),
         grad=(out(-L1.real / (2.0 * np.pi)), out(L1.imag / (2.0 * np.pi) + sr)),
-        hessian=Hessian2(
-            xx=out(-L2.real / (2.0 * np.pi)),
-            xy=out(L2.imag / (2.0 * np.pi)),
-            yy=out(1.0 / b_r + L2.real / (2.0 * np.pi)),
-            det=out(det / (4.0 * np.pi ** 2)),
-        ),
-        det_bound=out(det_err / (4.0 * np.pi ** 2)),
-    ), (lm, ar, L2)
+        hessian=hessian,
+        det_bound=bound,
+    )
+    return carried(ev, torus) if moved else ev
+
+
+def _hessian(a, b_r, out=np.asarray) -> tuple[Hessian2, np.ndarray]:
+    """The Hessian of G and its det_bound (C_DET) where -(log theta1)'' = a
+    on reduced tori of Im tau_r = b_r."""
+    det = a.real * (2.0 * np.pi / b_r) - (a.real ** 2 + a.imag ** 2)
+    abs_a = np.abs(a)
+    det_err = (C_DET * _EPS) * ((2.0 * np.pi / b_r) * abs_a + abs_a ** 2)
+    return Hessian2(xx=out(a.real / (2.0 * np.pi)), xy=out(-a.imag / (2.0 * np.pi)),
+                    yy=out(1.0 / b_r - a.real / (2.0 * np.pi)),
+                    det=out(det / (4.0 * np.pi ** 2))), out(det_err / (4.0 * np.pi ** 2))
+
+
+def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
+    """evaluate at the half periods 1/2, tau_r/2 and (1+tau_r)/2 of the
+    reduced torus of every torus, torus after torus, in closed form from
+    one null sum, and the gap failures of weier.reduced_nulls.  G is even
+    about each half period, so its gradient is 0; G - C is -log|theta_j(0)|
+    / 2 pi (j = 2, 4, 3), |q|^(-1/4) of |theta1| cancelling y^2 / 2 b_r."""
+    a_r, log_nulls, failed = weier.reduced_nulls(tori)
+    b_r = np.repeat([torus.tau_r.imag for torus in tori], 3)
+    zero = np.zeros(b_r.shape)
+    hessian, bound = _hessian(a_r.ravel(), b_r)
+    return GreenEval(-log_nulls.real.ravel() / (2.0 * np.pi), (zero, zero), hessian, bound), failed
 
 
 def green_rel(z, torus: Torus):
@@ -171,7 +183,7 @@ def residual_and_jacobian(t, s, tau_r):
     2 pi i.  Lattice hits yield non finite entries rather than an
     exception; the Newton loop treats those as rejected steps.
     """
-    sr, _, _, L1, L2 = _reduced_pass(t, s, tau_r)
+    sr, _, L1, L2 = _reduced_pass(t, s, tau_r)
     return L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
 
 

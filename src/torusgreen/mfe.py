@@ -19,11 +19,14 @@ measurable property instead of an artifact of reduction.  u(z) is -inf on
 the source lattice and finite elsewhere.
 
 The 8 pi map takes z0 from the critical set and makes one Weierstrass
-pass more, at z0 and 2 z0; the 4 pi map makes two, the doubled torus's
-invariants and one over the nodes of the period integral of g and the
-probes of the multipliers.  A u call makes one Weierstrass pass over the
-point sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2) and the two
-zetas on the doubled torus at 4 pi, sigma(z0 -+ z) and p(z) at 8 pi.
+pass more, at z0 and 2 z0; the 4 pi map makes one, over the nodes of the
+period integral of g and the probes of the multipliers, after the null
+sum of the doubled torus's invariants.  A u call makes one Weierstrass
+pass over the point sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2)
+and the two zetas on the doubled torus at 4 pi, sigma(z0 -+ z) and
+sigma(z) at 8 pi, where f'/f = wp'(z0) / (wp(z) - wp(z0)) is read as
+sigma(2 z0) sigma(z)^2 / (sigma(z0)^2 sigma(z0 + z) sigma(z - z0)): the
+difference of wp values cancels toward the rhombic cusp.
 verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
 offsets and their period shifts as one array, so a block costs two theta
 passes, one for u and one for G, and a 64^2 grid 32 of them.  Its report
@@ -52,11 +55,6 @@ _LATTICE_HIT_TOL = 1e-11
 _BLOCK_ROWS = 4
 
 
-def _log_abs(values) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
-
-
 def _polar(log_mag: float, arg: float) -> complex:
     return math.exp(log_mag) * complex(math.cos(arg), math.sin(arg))
 
@@ -75,19 +73,10 @@ class DevelopingMap8pi:
     z0: complex
     branch: complex
     zeta_z0: complex
-    wp_z0: complex
-    wp_prime_z0: complex
+    log_abs_sigma_z0: float
     log_abs_sigma_2z0: float
     multiplier_1: complex
     multiplier_tau: complex
-
-    def log_abs_f_and_wp(self, z):
-        """log|f(z)| and p(z) for a flat array z from one Weierstrass pass
-        over sigma(z0 - z), sigma(z0 + z) and p(z)."""
-        n = z.size
-        ev = weier.evaluate(np.concatenate([self.z0 - z, self.z0 + z, z]), self.torus)
-        lm = ev.sigma.log_mag
-        return 2.0 * (self.zeta_z0 * z).real + lm[:n] - lm[n:2 * n], ev.p[2 * n:]
 
 
 def developing_map_8pi(torus: Torus) -> DevelopingMap8pi:
@@ -97,7 +86,7 @@ def developing_map_8pi(torus: Torus) -> DevelopingMap8pi:
     critical set, or NoExtraCriticalPoint where it has only the three half
     periods; the map sits on torus.reduced at z0 / lam, wrapped into the
     cell.  The other sign gives the same family with lambda -> -lambda.
-    zeta, p and p' there and sigma at twice it come from one pass.
+    zeta and sigma there and sigma at twice it come from one pass.
     """
     extra = critical.find_critical_points(torus).extra
     if extra is None:
@@ -121,8 +110,7 @@ def developing_map_8pi(torus: Torus) -> DevelopingMap8pi:
         z0=z0,
         branch=extra.z,
         zeta_z0=zeta_z0,
-        wp_z0=complex(ev.p[0]),
-        wp_prime_z0=complex(ev.p_prime[0]),
+        log_abs_sigma_z0=float(ev.sigma.log_mag[0]),
         log_abs_sigma_2z0=float(ev.sigma.log_mag[1]),
         multiplier_1=complex(np.exp(f1)),
         multiplier_tau=complex(np.exp(f2)),
@@ -192,7 +180,8 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     c1 = math.log(8.0 / RHO_8PI)
     z0 = dm.z0
     tau = dm.torus.tau
-    log_wp_prime = math.log(abs(dm.wp_prime_z0))
+    # log|f'/f| as a sigma product (see the module docstring), less its z part
+    la_gamma0 = dm.log_abs_sigma_2z0 - 2.0 * dm.log_abs_sigma_z0
     # u on the branch lattice (z = +-z0, where f has its zero or pole):
     # log|f| and log|gamma| diverge oppositely but f' stays finite at the
     # zero, f'(z0) = -e^{2 zeta(z0) z0} / sigma(2 z0), and f(-z) = 1 / f(z)
@@ -201,8 +190,11 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
                 + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
 
     def core(flat):
-        la_f, p = dm.log_abs_f_and_wp(flat)
-        la_gamma = log_wp_prime - _log_abs(p - dm.wp_z0)
+        # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z)
+        n = flat.size
+        lm = weier.evaluate(np.concatenate([z0 - flat, z0 + flat, flat]), dm.torus).sigma.log_mag
+        la_f = 2.0 * (dm.zeta_z0 * flat).real + lm[:n] - lm[n:2 * n]
+        la_gamma = la_gamma0 + 2.0 * lm[2 * n:] - lm[:n] - lm[n:2 * n]
         return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
 
     def special(flat):
@@ -323,7 +315,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     def core(flat):
         la_f, _, gv = parts(flat)
         la_f = la_f + log_f0
-        la_fp = _log_abs(gv) + la_f
+        with np.errstate(divide="ignore"):
+            la_fp = np.log(np.abs(gv)) + la_f
         return _u_from_logs(c1, 0.0, la_fp, la_f)
 
     def special(flat):

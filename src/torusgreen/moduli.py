@@ -1,8 +1,8 @@
 """Moduli space analysis along and around the rhombic line.
 
 On tau = 1/2 + i b every quantity the paper's inequalities need is a
-function of A_k = e_k + eta1 at the half periods, and one half-period
-pass (weier.invariants) gives them to relative precision: A_1 and A_3 are
+function of A_k = e_k + eta1 at the half periods, and one theta-null
+sum (weier.invariants) gives them to relative precision: A_1 and A_3 are
 -4 pi i d/dtau of log theta2(0) and log theta3(0) (the heat equation),
 and their own tau derivatives follow from the A_k alone (_rhombic).
 Thresholds b0 and b1 are the roots of A_1 and A_1 - 2 pi / b, found by
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import critical, theta, weier
+from . import critical, green, theta, weier
 from .errors import InvalidInput, TorusGreenError, Unconverged
 from .lattice import LatticeCoords, make_torus
 
@@ -108,7 +108,7 @@ def _rhombic(b: float) -> tuple[float, float, float, float, tuple[float, float, 
     -Re A_1 / 4 pi, -4 pi (log|theta2(0)|)_bb = Re dA_1/db =
     2 Re(A_2 A_3 - A_1 (A_2 + A_3)) / 4 pi, (log|theta3(0)|)_b =
     -Re A_3 / 4 pi and (log|theta3(0)|)_bb = -Re dA_3/db / 4 pi, all
-    from the A_k of one weier.invariants pass.  Returns (A_1, dA_1/db,
+    from the A_k of one weier.invariants sum.  Returns (A_1, dA_1/db,
     (log|theta3(0)|)_b, (log|theta3(0)|)_bb, bounds); A_1 is real on
     this line.  Each A_k is good to a few ulps of |A_k|, so a product x y
     of their sums or differences is good to C_RHOMBIC eps (|x| |y|_A +
@@ -154,7 +154,7 @@ def thresholds(tol: float = 1e-12) -> ThresholdReport:
 
     b0 is the root of b -> A_1 = e1 + eta1 and b1 the root of A_1 -
     2 pi / b; both run Newton from the self dual point b = 1/2 with the
-    closed-form derivative of _rhombic, one theta pass a step.  The
+    closed-form derivative of _rhombic, one null sum a step.  The
     frame maps b to 1/(4b), so b0 b1 = 1/4: a second route, checked here
     to tol (Unconverged otherwise).
     """
@@ -178,7 +178,7 @@ def thresholds(tol: float = 1e-12) -> ThresholdReport:
 def verify_fundamental_inequalities(b_grid) -> InequalityReport:
     """Check the monotonicity and convexity package on the rhombic line.
 
-    Per grid point, from one theta pass (_rhombic): -4 pi
+    Per grid point, from one null sum (_rhombic): -4 pi
     (log|theta2(0)|)_bb must be positive, (log|theta3(0)|)_b negative and
     (log|theta3(0)|)_bb positive.  A value of the wrong sign beyond its
     error bound is a violation; a value inside its bound has no decided
@@ -267,7 +267,7 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     For each edge the nearly degenerate half period is identified at the
     edge midpoint as the one with the smallest Hessian determinant, which
     is the half period the extra pair merges into across the boundary.
-    The half periods of every midpoint are evaluated in one pass.
+    The half periods of every midpoint are evaluated in one null sum.
     """
     pairs = []
     for j in range(ny):
@@ -283,11 +283,12 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     if not pairs:
         return []
     tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
-    dets = np.abs(weier.half_periods(tori)[0].hessian.det).reshape(-1, 3)
+    rows = critical._rows(green.half_period_rows(tori)[0])
     out = []
-    for (a, bcell), torus, d in zip(pairs, tori, dets):
-        # the reduced torus's determinants, relabelled and scaled back
-        d = d[list(torus.half_period_perm)] / abs(torus.lam) ** 4
+    for j, ((a, bcell), torus) in enumerate(zip(pairs, tori)):
+        # the reduced torus's rows, carried back as the critical sets are
+        carried = critical._carried(torus, rows[3 * j:3 * j + 3], None)[0]
+        d = [abs(row.hessian.det) for row in carried]
         k = int(np.argmin(d))
         out.append(FlipEdge(
             tau_low=a.tau,

@@ -82,10 +82,10 @@ def eta1_lambert(tau: complex) -> complex:
 def e_sum_residual(torus: Torus) -> float:
     """|e1 + e2 + e3| relative to the largest root, with eta1 from E2.
 
-    The invariants take eta1 as minus the mean of (log theta1)'' at the
-    half periods, so their own roots sum to zero by construction.  The
-    roots e_k + eta1 - eta1_lambert keep the series values and swap in the
-    independent eta1; they must sum to zero and equal the reported e_k.
+    The invariants take eta1 as the mean of the A_k of the theta-null sum,
+    so their own roots sum to zero by construction.  The roots e_k + eta1 -
+    eta1_lambert keep the series values and swap in the independent eta1;
+    they must sum to zero and equal the reported e_k.
     """
     inv = weier.invariants(torus)
     shift = inv.eta1 - eta1_lambert(torus.tau)

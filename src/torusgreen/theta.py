@@ -40,11 +40,9 @@ to the largest term count among them, each point's terms past its own
 count are exact zeros, and its factors in tau alone are formed per point
 by the arithmetic of a pass at its own tau, so it still gets that pass's
 bits.  For a single modulus they are cached (_q_powers), as every pass
-on one torus sums at its tau_r.  There is no separate series for the
-theta nulls: theta2, theta3 and theta4 at 0 are theta1 at the half
-periods up to exact factors, and the one pass there that serves the
-Green function gives them, theta1'(0), eta1 and the e_k too
-(weier._half_period_pass).
+on one torus sums at its tau_r.  The theta nulls have a series of their
+own in q alone, nulls, from which the Weierstrass constants and the Green
+function at the half periods follow in closed form, with no _eval pass.
 """
 
 from __future__ import annotations
@@ -255,6 +253,57 @@ def _eval(z, tau):
             (-np.inf, 0.0, nan, nan, nan), (log_mag, arg, L1, L2, L3)))
     out = (log_mag, arg, L1, L2, L3)
     return out if len(shape) == 1 else tuple(x.reshape(shape) for x in out)
+
+
+# the null series sum q^(m^2/4) e^(i pi m z) over odd m (theta2) and even m
+# (theta3; theta4 with (-1)^(m/2)); row k of nulls is q^(floor(k^2/4)), the
+# term m = k less q^(1/4) where m is odd, and no row past 13 reaches eps of
+# its sum from Im tau = 1/2 up
+_NULL_K = np.arange(14)
+_EVEN = np.where(_NULL_K % 2, 0.0, np.where(_NULL_K, 2.0, 1.0))
+_NULL_C = np.array([_NULL_K % 2, _EVEN * (-1.0) ** (_NULL_K // 2), _EVEN])
+_NULL_WEIGHTS = np.concatenate([_NULL_C, _NULL_C * (np.pi * _NULL_K) ** 2])
+# pi - float(pi), and float(pi) in two halves of 26 bits (Dekker)
+_PI_LO = 1.2246467991473532e-16
+_PI_HI, _PI_MID = 3.1415926814079285, -2.781813535079891e-08
+
+
+def nulls(tau: np.ndarray):
+    """log theta_j(0) and A_k = -theta_j''(0) / theta_j(0), (k, j) = (1, 2),
+    (2, 4), (3, 3), at a 1-D array of moduli, Im tau >= 1/2: two (N, 3)
+    arrays in the order of the half periods 1/2, tau/2 and (1+tau)/2.
+
+    The rows are one running product along k, and theta2(0) / 2 q^(1/4),
+    theta4(0), theta3(0) and their moments sum (pi m)^2 q^(m^2/4) =
+    -theta_j''(0) one weighted sum over k (np.einsum, in order, without
+    BLAS), so a modulus gets the same bits alone as in a batch.  A_2 and
+    A_3, -+8 pi^2 q and more, keep their relative precision until q
+    leaves the float64 range (Im tau of about 226), |q| with the rounding
+    of pi Im tau taken back in (Dekker's product; pi Im tau / 2 ulps).
+    """
+    b = tau.imag
+    x = np.pi * b
+    c = 134217729.0 * b
+    high = c - (c - b)
+    # pi b - x exactly, and (pi - float(pi)) b
+    x_lo = (((_PI_HI * high - x) + _PI_HI * (b - high) + _PI_MID * high) + _PI_MID * (b - high)
+            + _PI_LO * b)
+    # cos(pi Re tau) as sin(pi (1/2 - |Re tau|)): q = +-i |q| exactly on
+    # Re tau = +-1/2, where Re A_2 and Re A_3 are O(|q|^2)
+    q = np.exp(-x) * (1.0 - x_lo) * (np.sin(np.pi * (0.5 - np.abs(tau.real)))
+                                     + 1j * np.sin(np.pi * tau.real))
+    rows = np.ones((_NULL_K.size, tau.size), dtype=complex)
+    ratio = rows[0]
+    for k in range(1, _NULL_K.size):
+        # row k is row k - 1 times q^ceil((k - 1)/2)
+        np.multiply(rows[k - 1], ratio, rows[k])
+        ratio = ratio * q if k % 2 else ratio
+    sums = np.einsum("ik,kj->ij", _NULL_WEIGHTS, rows.view(float)).view(complex)
+    # np.log of a complex near 1 takes a slow careful path; |theta_j(0)| is
+    # within 0.14 of 1 at Im tau >= sqrt(3)/2, where eps absolute serves
+    log_nulls = np.log(np.abs(sums[:3])) + 1j * np.angle(sums[:3])
+    log_nulls[0] += math.log(2.0) + (0.25j * np.pi) * tau
+    return log_nulls.T, (sums[3:] / sums[:3]).T
 
 
 def _scalarize(x):

@@ -1,26 +1,21 @@
-"""Weierstrass layer, derived entirely from theta1.
+"""Weierstrass layer, derived entirely from theta series.
 
 Every theta pass runs in the reduced frame of lattice.Torus,
 Z + tau Z = lam (Z + tau_r Z), and is carried back by homogeneity:
 sigma = lam sigma_r(z / lam), zeta = zeta_r / lam, p = p_r / lam^2 and
 p' = p'_r / lam^3, with r marking the lattice Z + tau_r Z.
 
-The constants come from the one theta1 series pass at the half periods
-of the reduced torus that gives the Green function there too
-(_half_period_pass, through green.evaluate_pass).  It sums at minus 1/2,
-tau_r/2 and (1+tau_r)/2, or an ulp off where rounding (1+tau_r)/2 moves
-green's point, and theta1 is odd; at those half periods theta1 equals
-theta2(0), i q^(-1/4) theta4(0) and q^(-1/4) theta3(0), q = e^(i pi tau_r).  With
-e_k = -(log theta1)''(omega_k) - eta1, e1 + e2 + e3 = 0 gives eta1 as
-minus the mean of those second derivatives, and theta1'(0) =
-pi theta2(0) theta3(0) theta4(0) normalizes sigma_r.  Jacobi's gap
+The constants come from one sum of the theta-null q-series of the
+reduced torus (theta.nulls, reduced_nulls for a batch): log theta_j(0)
+and A_k = -theta_j''(0) / theta_j(0) = e_k + eta1 at the half periods
+1/2, tau_r/2 and (1+tau_r)/2 (j = 2, 4, 3), as (log theta1)'' = -wp - eta1.
+e1 + e2 + e3 = 0 makes eta1 the mean of the A_k, theta1'(0) = pi
+theta2(0) theta3(0) theta4(0) normalizes sigma_r, and Jacobi's gap
 identities, e1 - e2 = pi^2 theta3(0)^4 and its two companions, check the
-pass at run time.  The roots carry back as e_r / lam^2, permuted as the
-matrix permutes the half periods mod 2 (Torus.half_period_perm), the
-nulls with weight 1/2, and eta1 by linearity of the quasi period map;
-eta2 is the Legendre relation.  invariants is that pass on a reduced
-torus, cached, and any other torus carries back its reduced torus's;
-half_periods gives a batch the Green rows of its reduced tori.
+sum at run time.  invariants carries them back, cached per torus: the
+roots as e_r / lam^2, permuted as the matrix permutes the half periods
+mod 2 (Torus.half_period_perm), the nulls with weight 1/2, and eta1 by
+linearity of the quasi period map; eta2 is the Legendre relation.
 
 evaluate gives sigma, zeta, p and p' from one theta1 series pass; sigma,
 zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
@@ -32,19 +27,15 @@ slowly, and it survives only as an independent oracle in the test suite.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from . import green
 from .errors import HalfPeriodInput, PoleAtLattice, Unconverged
-from .green import GreenEval
 from .lattice import Torus
-from .theta import LogComplex, _eval, _scalarize
+from .theta import LogComplex, _eval, _scalarize, nulls
 
 TWO_PI_I = 2j * np.pi
 
@@ -57,8 +48,7 @@ class EllipticInvariants:
     normalization of sigma_r; its imaginary part is not reduced mod 2 pi.
     log_abs_nulls holds log|theta2(0)|, log|theta4(0)| and
     log|theta3(0)| at tau, and a holds A_k = e_k + eta1, in the order of
-    the half periods 1/2, tau/2 and (1+tau)/2; green is green.evaluate
-    at the half periods 1/2, tau_r/2 and (1+tau_r)/2 of the reduced torus.
+    the half periods 1/2, tau/2 and (1+tau)/2.
     """
 
     e1: complex
@@ -71,36 +61,15 @@ class EllipticInvariants:
     log_theta1_prime: complex
     log_abs_nulls: tuple[float, float, float]
     a: tuple[complex, complex, complex]
-    green: GreenEval = field(compare=False)
 
 
-class _HalfPeriodPass(NamedTuple):
-    """The pass at the half periods 1/2, tau_r/2, (1+tau_r)/2 of the
-    reduced tori of N tori, in that order in its (N, 3) arrays."""
-
-    green: GreenEval       # green.evaluate at those half periods, torus after torus
-    a_r: np.ndarray        # (N, 3): -(log theta1)'' = A_k of the reduced torus
-    eta1_r: np.ndarray     # (N,)
-    log_nulls: np.ndarray  # (N, 3): log theta2(0), log theta4(0), log theta3(0) at tau_r
-    failures: dict         # k: the Unconverged of tori[k], off the gap identities
-
-
-def _half_period_pass(tori: list[Torus]) -> _HalfPeriodPass:
-    """The one theta pass at the half periods of the reduced tori of tori,
-    array-wise: green.evaluate_pass's."""
-    n = len(tori)
-    z = np.array([h for torus in tori for h in torus.reduced.half_periods])
-    tau_r = np.array([torus.tau_r for torus in tori])
-    ev, (lm, ar, L2) = green.evaluate_pass(z, tau_r[0] if n == 1 else np.repeat(tau_r, 3))
-    a_r = -L2.reshape(n, 3)
-    # log theta1 at the half periods, with the arguments of _eval's lattice
-    # shifts there: pi, pi and 3 pi past green's points
-    log_nulls = (lm + 1j * (ar + math.pi)).reshape(n, 3)
-    log_nulls[:, 2] += TWO_PI_I
-    quarter = 0.25j * math.pi * tau_r[:, None]
-    log_nulls += quarter * [0.0, 1.0, 1.0] - [0.0, 0.5j * math.pi, 0.0]
-    eta1_r = a_r.sum(axis=1) / 3.0
-    e_r = a_r - eta1_r[:, None]
+def reduced_nulls(tori: list[Torus]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """A_k and log theta_j(0) of the reduced tori of tori, (N, 3) arrays
+    in the order of the half periods 1/2, tau_r/2 and (1+tau_r)/2, from one
+    theta.nulls sum, and the Unconverged of each torus whose sums miss
+    Jacobi's gap identities, keyed by its index."""
+    log_nulls, a_r = nulls(np.array([torus.tau_r for torus in tori]))
+    e_r = a_r - (a_r.sum(axis=1) / 3.0)[:, None]
     # e1 - e2 = pi^2 theta3(0)^4, e1 - e3 = pi^2 theta4(0)^4, e3 - e2 = pi^2 theta2(0)^4
     th_4 = (math.pi * math.pi) * np.exp(4.0 * log_nulls[:, ::-1])
     gap = np.abs(e_r[:, [0, 0, 2]] - e_r[:, [1, 2, 1]] - th_4).max(axis=1)
@@ -109,27 +78,18 @@ def _half_period_pass(tori: list[Torus]) -> _HalfPeriodPass:
         f"half period values at tau_r = {tori[k].tau_r} (tau = {tori[k].tau}) miss Jacobi's "
         f"gap identities: {gap[k]:.3e} vs scale {scale[k]:.3e}")
         for k in np.flatnonzero(gap > 1e-11 * scale).tolist()}
-    return _HalfPeriodPass(ev, a_r, eta1_r, log_nulls, failures)
+    return a_r, log_nulls, failures
 
 
 @lru_cache(maxsize=512)
 def _invariants_cached(torus: Torus) -> EllipticInvariants:
-    """The pass on a reduced torus; any other torus carries back those of
-    its reduced torus, as the matrix permutes the half periods mod 2."""
-    if torus == torus.reduced:
-        hp = _half_period_pass([torus])
-        if hp.failures:
-            raise hp.failures[0]
-        a_r, eta1_r, log_nulls, ev = hp.a_r[0], complex(hp.eta1_r[0]), hp.log_nulls[0], hp.green
-        log_theta1_prime = complex(math.log(math.pi) + log_nulls.sum())
-        log_abs_nulls = log_nulls.real
-        h = ev.hessian
-        for x in (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det, ev.det_bound):
-            x.flags.writeable = False      # the cache hands these to every caller
-    else:
-        inv = _invariants_cached(torus.reduced)
-        a_r, eta1_r, ev = np.array(inv.a), inv.eta1, inv.green
-        log_theta1_prime, log_abs_nulls = inv.log_theta1_prime, np.array(inv.log_abs_nulls)
+    """The null sum of the reduced torus, carried back to torus as the
+    matrix permutes the half periods mod 2."""
+    a_r, log_nulls, failures = reduced_nulls([torus])
+    if failures:
+        raise failures[0]
+    a_r, log_nulls = a_r[0], log_nulls[0]
+    eta1_r = complex(a_r.sum() / 3.0)
     (a, _), (c, _) = torus.mat
     lam = torus.lam
     perm = list(torus.half_period_perm)
@@ -138,29 +98,17 @@ def _invariants_cached(torus: Torus) -> EllipticInvariants:
     eta2 = eta1 * torus.tau - TWO_PI_I
     g2 = -4.0 * (e1 * e2 + e2 * e3 + e3 * e1)
     g3 = 4.0 * e1 * e2 * e3
-    # A_k from (log theta1)'' alone keeps its relative precision
+    # A_k from the null sum alone keeps its relative precision
     a_k = a_r[perm] / (lam * lam) + TWO_PI_I * c / lam
-    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3, log_theta1_prime,
-                              tuple((log_abs_nulls[perm] - 0.5 * math.log(abs(lam))).tolist()),
-                              tuple(a_k.tolist()), ev)
+    return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3,
+                              complex(math.log(math.pi) + log_nulls.sum()),
+                              tuple((log_nulls.real[perm] - 0.5 * math.log(abs(lam))).tolist()),
+                              tuple(a_k.tolist()))
 
 
 def invariants(torus: Torus) -> EllipticInvariants:
     """Invariants of the torus, cached per torus."""
     return _invariants_cached(torus)
-
-
-def half_periods(tori: list[Torus]) -> tuple[GreenEval, dict]:
-    """green.evaluate at the half periods 1/2, tau_r/2 and (1+tau_r)/2 of
-    the reduced torus of every torus, torus after torus, and the
-    Unconverged of each torus whose pass misses the gap identities, keyed
-    by its index, from one theta pass.  A lone torus reads its cached
-    invariants, and one that fails them runs the pass again for its rows."""
-    if len(tori) == 1:
-        with contextlib.suppress(Unconverged):
-            return invariants(tori[0]).green, {}
-    hp = _half_period_pass(tori)
-    return hp.green, hp.failures
 
 
 @dataclass(frozen=True)

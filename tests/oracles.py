@@ -1,32 +1,33 @@
 """Independent reference implementations used to freeze expected values.
 
 Most references here never import the package's theta or Weierstrass
-kernels: the theta reference goes through mpmath at 40 digits, the wp
-reference is a row grouped lattice sum over cotangent rows, the Kronecker
-limit reference for C(tau) is mpmath's eta product, and the theta series
-with one exp per term is the package's kernel before its term
-recurrence.  Four routes do call the package, to check it by a
-different method: the two Green constant quadratures average the
-package's G over the cell (one splits off log|sin|, the other patches a disk
-over the singularity), the developing map reference integrates the
-package's wp along an adaptive contour, and the rhombus line route finds
-the extra critical point by scalar Newton on the package's G along its
-locus.  Tests compare the fast float kernels against these and against
-values frozen from them.  The CLI's canonical JSON has a reference too:
-the plain recursive serializer that the package's single-join one
-replaced.  Routes that left the package live here for the tests that
-compare with them: the developing map f and f' of the 8 pi construction
-from sigma and wp; the census of one torus, multi-start Newton from a
-seed grid with the package's damped Newton, the second route to the
-count and to z0, against which the sign rule and the pitchfork seed are
-checked; the mean field check one grid row at a time, which the
-package's walk in blocks of rows must equal field for field; the
-Weierstrass invariants from a theta pass of their own at the reduced
-half periods, before the Green function's half-period pass gave them;
-and, on the rhombic line, the two real theta series, the five point
-stencil of e1 + eta1 and the bracketed bisection for b0 and b1, the
-second route of moduli's closed form.  The oracles raise their own
-error types.
+kernels: the theta reference goes through mpmath at 40 digits (its log
+derivatives only up to Im tau = 20, past which they lose the half-period
+values), the theta nulls and their A_k are their q-series summed term by
+term at 200 digits, the wp reference is a row grouped lattice sum over
+cotangent rows, the Kronecker limit reference for C(tau) is mpmath's eta
+product, and the theta series with one exp per term is the package's
+kernel before its term recurrence.  Four routes do call the package, to
+check it by a different method: the two Green constant quadratures
+average the package's G over the cell (one splits off log|sin|, the
+other patches a disk over the singularity), the developing map reference
+integrates the package's wp along an adaptive contour, and the rhombus
+line route finds the extra critical point by scalar Newton on the
+package's G along its locus.  Tests compare the fast float kernels
+against these and against values frozen from them.  The CLI's canonical
+JSON has a reference too: the plain recursive serializer that the
+package's single-join one replaced.  Routes that left the package live
+here for the tests that compare with them: the developing map f and f'
+of the 8 pi construction from sigma and wp; the census of one torus,
+multi-start Newton from a seed grid with the package's damped Newton,
+the second route to the count and to z0, against which the sign rule and
+the pitchfork seed are checked; the mean field check one grid row at a
+time, which the package's walk in blocks of rows must equal field for
+field; the Weierstrass invariants from a theta pass of their own at the
+reduced half periods, before the theta-null sum gave them; and, on the
+rhombic line, the two real theta series, the five point stencil of
+e1 + eta1 and the bracketed bisection for b0 and b1, the second route of
+moduli's closed form.  The oracles raise their own error types.
 """
 
 from __future__ import annotations
@@ -59,6 +60,23 @@ class NotInExtraRegime(Exception):
     """The rhombic torus has only the three half period critical points."""
 
 
+class PrecisionLost(Exception):
+    """An mpmath route was asked for where it loses the values it gives."""
+
+
+# past this Im tau mpmath's jtheta derivatives at 40 digits lose the
+# O(e^(-pi Im tau)) log derivatives at the half periods: (log theta1)'' at
+# tau/2 is off by 1.7e-15 relative at 20i, 1.8e-8 at 25i and 7e-3 at 30i
+# (at 100i it reads 4.68e-135 where the sum gives 2.88e-135)
+MP_LOGDERIV_MAX_IM_TAU = 20.0
+
+
+def _mp_logderiv_domain(tau) -> None:
+    if not mp.im(mp.mpc(tau)) <= MP_LOGDERIV_MAX_IM_TAU:
+        raise PrecisionLost(f"mpmath theta log derivatives asked for at Im tau = "
+                            f"{float(mp.im(mp.mpc(tau)))}, above {MP_LOGDERIV_MAX_IM_TAU}")
+
+
 def mp_theta1(z: complex, tau: complex):
     """theta1(z; tau) as an mpmath complex, same convention as the package:
     2 sum (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z) with q = e^{i pi tau}."""
@@ -79,7 +97,9 @@ def mp_log_theta1(z: complex, tau: complex) -> tuple[float, float]:
 
 
 def _mp_log_theta1_dz2(z, tau):
-    """(log theta1)''(z; tau) as an mpmath complex, at full working precision."""
+    """(log theta1)''(z; tau) as an mpmath complex, at full working
+    precision; PrecisionLost past MP_LOGDERIV_MAX_IM_TAU."""
+    _mp_logderiv_domain(tau)
     t0 = mp_theta1(z, tau)
     t1 = mp_theta1_dz(z, tau, 1)
     t2 = mp_theta1_dz(z, tau, 2)
@@ -102,7 +122,9 @@ def mp_theta1_logderiv2_series(z: complex, tau: complex):
 
 
 def mp_theta1_logderiv(z: complex, tau: complex, order: int = 1) -> complex:
-    """(log theta1)' or (log theta1)'' at z, from mpmath derivatives."""
+    """(log theta1)' or (log theta1)'' at z, from mpmath derivatives;
+    PrecisionLost past MP_LOGDERIV_MAX_IM_TAU."""
+    _mp_logderiv_domain(tau)
     if order == 1:
         return complex(mp_theta1_dz(z, tau, 1) / mp_theta1(z, tau))
     return complex(_mp_log_theta1_dz2(z, tau))
@@ -151,11 +173,38 @@ def mp_root_ratio(b):
     return abs(e2 / e1) ** 2
 
 
+def mp_theta_nulls(tau: complex, dps: int = 200):
+    """(A_k, log theta_j(0)) for (k, j) = (1, 2), (2, 4), (3, 3), two tuples
+    of mpmath complexes at dps digits, from the q-series of the nulls summed
+    term by term, A_k = -theta_j''(0) / theta_j(0) with the second
+    derivative taken termwise: no jtheta and no derivative of mpmath's."""
+    with mp.workdps(dps):
+        t = mp.mpc(tau.real, tau.imag)
+        q = mp.exp(1j * mp.pi * t)
+        # |q|^(n^2) under 10^(-dps) from here on
+        n_max = int(math.sqrt(dps * math.log(10) / (math.pi * tau.imag))) + 3
+        sums = [[mp.mpc(0), mp.mpc(0)] for _ in range(3)]
+        for m in range(-2 * n_max - 1, 2 * n_max + 2):
+            # q^(m^2/4) e^(i pi m z) at z = 0: theta2 for odd m (q^(1/4) kept
+            # apart), theta4 with (-1)^(m/2) and theta3 for even m
+            if m % 2:
+                terms = [(0, q ** ((m * m - 1) // 4))]
+            else:
+                term = q ** ((m * m) // 4)
+                terms = [(1, (-1) ** (m // 2) * term), (2, term)]
+            for j, term in terms:
+                sums[j][0] += term
+                sums[j][1] += (mp.pi * m) ** 2 * term
+        a = tuple(s1 / s0 for s0, s1 in sums)
+        logs = (1j * mp.pi * t / 4 + mp.log(sums[0][0]), mp.log(sums[1][0]), mp.log(sums[2][0]))
+        return a, logs
+
+
 def invariants_at_reduced_half_periods(torus) -> dict:
     """The Weierstrass invariants from a theta pass of their own at 1/2,
-    tau_r/2 and (1+tau_r)/2 (not at the points where the Green function
-    sums its half periods), as weier computed them before its one
-    half-period pass; the keys are EllipticInvariants fields."""
+    tau_r/2 and (1+tau_r)/2, as weier computed them before the theta-null
+    sum (from a pass at the points where the Green function summed its
+    half periods); the keys are EllipticInvariants fields."""
     from torusgreen.theta import _eval
 
     tau_r = torus.tau_r
@@ -522,17 +571,17 @@ def green_constant_quadrature(tau: complex, n: int = 400, r_disk: float = 0.05) 
     return -integral / area
 
 
-def contour_developing_map(z: complex, z0: complex, tau: complex,
-                           wp_z0: complex, wp_prime_z0: complex,
-                           torus) -> complex:
+def contour_developing_map(z: complex, z0: complex, tau: complex, torus) -> complex:
     """f(z) = exp(integral_0^z gamma) with gamma = wp'(z0)/(wp(w) - wp(z0)),
     integrated along an adaptive polyline that detours around the poles
     of gamma at +-z0 (mod lattice).
 
-    Independent of the sigma route: only the package's wp enters, and the
-    normalization f(0) = 1 is automatic.
+    Independent of the sigma route: only the package's wp enters, at z0
+    too, and the normalization f(0) = 1 is automatic.
     """
     from torusgreen import weier
+
+    wp_z0, wp_prime_z0 = weier.wp(z0, torus), weier.wp(z0, torus, order=1)
 
     def gamma(w):
         return wp_prime_z0 / (np.asarray(weier.wp(w, torus)) - wp_z0)
@@ -595,8 +644,9 @@ def developing_map_f(dm, z):
 
 
 def developing_map_gamma(dm, z):
-    """f'/f = wp'(z0) / (wp(z) - wp(z0)) of dm; 0 on the lattice of 0,
-    where wp has its pole, with poles on the lattices of +-z0."""
+    """f'/f = wp'(z0) / (wp(z) - wp(z0)) of dm, from the package's wp; 0 on
+    the lattice of 0, where wp has its pole, with poles on the lattices of
+    +-z0."""
     from torusgreen import weier
     from torusgreen.lattice import lattice_gap
 
@@ -607,7 +657,7 @@ def developing_map_gamma(dm, z):
     if np.any(~on_lattice):
         p = np.atleast_1d(weier.wp(flat[~on_lattice], dm.torus))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[~on_lattice] = dm.wp_prime_z0 / (p - dm.wp_z0)
+            out[~on_lattice] = weier.wp(dm.z0, dm.torus, order=1) / (p - weier.wp(dm.z0, dm.torus))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

@@ -224,15 +224,10 @@ def test_classify_matches_stored_class(monkeypatch):
             det = ev.hessian.det
             sign = Morse.MIN if det > 0.0 else Morse.SADDLE
             assert p.morse is (Morse.DEGENERATE if abs(det) <= ev.det_bound else sign)
-    # a bound that swallows every determinant leaves no sign to count by;
-    # the invariants cache holds the half-period rows with their bounds
+    # a bound that swallows every determinant leaves no sign to count by
     monkeypatch.setattr(green, "C_DET", 1e30)
-    weier._invariants_cached.cache_clear()
-    try:
-        with pytest.raises(Unconverged, match="error bounds"):
-            critical.find_critical_points(lattice.make_torus(1j))
-    finally:
-        weier._invariants_cached.cache_clear()
+    with pytest.raises(Unconverged, match="error bounds"):
+        critical.find_critical_points(lattice.make_torus(1j))
 
 
 def _calibration_tori():
@@ -361,24 +356,23 @@ def test_find_critical_points_matches_the_census_on_random_tori():
 
 
 def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
-    # one pass at the half periods, the invariants', decides the route and
-    # gives their points, and one pass at the Newton root gives z0's; the
+    # one null sum decides the route and gives the half-period points in
+    # closed form, and one pass at the Newton root gives z0's; the
     # residual check is residual_and_jacobian's
     z0 = oracles.census(hex_torus).extra.coords
     calls = []
-    real, real_pass = green.evaluate, weier._half_period_pass
+    real, real_rows = green.evaluate, green.half_period_rows
 
     def spy(z, on):
         calls.append(np.ravel(z).tolist())
         return real(z, on)
 
-    def spy_pass(tori):
+    def spy_rows(tori):
         calls.append(tori)
-        return real_pass(tori)
+        return real_rows(tori)
 
     monkeypatch.setattr(green, "evaluate", spy)
-    monkeypatch.setattr(weier, "_half_period_pass", spy_pass)
-    weier._invariants_cached.cache_clear()
+    monkeypatch.setattr(green, "half_period_rows", spy_rows)
     cs = critical.find_critical_points(hex_torus)
     assert (cs.total_count, cs.route) == (5, "seeds")
     assert calls == [[hex_torus], [cs.extra.z]]
@@ -391,7 +385,7 @@ def criterion_7_census_tori():
     # |det| * b^2 is under 1e-6, the absolute margin that once sent them
     # to the census; det * b^2 is the same on the reduced torus
     tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)]
-    det = weier.half_periods(tori)[0].hessian.det
+    det = green.half_period_rows(tori)[0].hessian.det
     b_r = np.array([T.tau_r.imag for T in tori])
     near = np.abs(det).reshape(-1, 3).min(axis=1) * b_r ** 2 < 1e-6
     return [T for T, n in zip(tori, near) if n]
@@ -417,19 +411,19 @@ def test_a_batch_of_census_tori_equals_each_torus_alone(run, monkeypatch, hex_to
 
 def test_a_chunk_fails_each_torus_as_it_fails_alone(monkeypatch):
     # a scan chunk of tori that count, tori whose determinants cannot
-    # decide (the cusp at 250i and 1/2 + 11i), and tori whose half-period
-    # pass misses Jacobi's gap identities (L2 off by 1e-9 relative at the
+    # decide (the cusp at 250i and 1/2 + 11i), and tori whose null sum
+    # misses Jacobi's gap identities (A_2 off by 1e-9 relative at the
     # hexagonal torus and at 0.3+0.8i): each torus gets its own result or
-    # error, the same as alone, where it reads the invariants cache
+    # error, the same as alone
     taus = [1j, 250j, 0.5 + 0.8660254037844386j, 0.13 + 0.92j, 0.5 + 11j, 0.3 + 0.8j,
             0.5 + 0.3j]
     tori = [lattice.make_torus(tau) for tau in taus]
-    off = {tori[2].tau_r, tori[5].tau_r}
-    real = theta._eval
+    off = [tori[2].tau_r, tori[5].tau_r]
+    real = weier.nulls
 
-    def corrupted(z, tau):
-        lm, ar, L1, L2, L3 = real(z, tau)
-        return lm, ar, L1, L2 * np.where(np.isin(tau, list(off)), 1.0 + 1e-9, 1.0), L3
+    def corrupted(tau):
+        log_nulls, a = real(tau)
+        return log_nulls, a * np.where(np.isin(tau, off)[:, None], [1.0, 1.0 + 1e-9, 1.0], 1.0)
 
     def alone(torus):
         try:
@@ -437,13 +431,9 @@ def test_a_chunk_fails_each_torus_as_it_fails_alone(monkeypatch):
         except TorusGreenError as exc:
             return exc
 
-    monkeypatch.setattr(theta, "_eval", corrupted)
-    weier._invariants_cached.cache_clear()
-    try:
-        single = [alone(torus) for torus in tori]
-        chunk = critical.find_critical_sets(tori)
-    finally:
-        weier._invariants_cached.cache_clear()
+    monkeypatch.setattr(weier, "nulls", corrupted)
+    single = [alone(torus) for torus in tori]
+    chunk = critical.find_critical_sets(tori)
     assert [type(x).__name__ for x in chunk] == [
         "CriticalSet", "Unconverged", "Unconverged", "CriticalSet", "Unconverged",
         "Unconverged", "CriticalSet"]
@@ -480,19 +470,44 @@ def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
                          ids=["morse", "seeds"])
 def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeypatch):
     # wrong determinant signs: at the three half periods on the square
-    # torus (the morse route then reads two minima), or at z0 on the
+    # torus, in the null sum's rows and in the residual pass's second route
+    # alike (the morse route then reads two minima), or at z0 on the
     # hexagonal one (seeds route, a saddle pair)
     def flipped(ev):
         h = ev.hessian
         return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, -h.det))
 
     if at_half_periods:
-        real = weier.half_periods
-        monkeypatch.setattr(weier, "half_periods", lambda tori: (flipped(real(tori)[0]), {}))
+        real = green._hessian
+
+        def both(a, b_r, out=np.asarray):
+            h, bound = real(a, b_r, out)
+            return Hessian2(h.xx, h.xy, h.yy, -h.det), bound
+
+        monkeypatch.setattr(green, "_hessian", both)
     else:
         real = green.evaluate
         monkeypatch.setattr(green, "evaluate", lambda z, torus: flipped(real(z, torus)))
     with pytest.raises(CountViolation, match="the Euler count forces -1"):
+        critical.find_critical_points(lattice.make_torus(tau))
+
+
+@pytest.mark.parametrize("tau", [1j, complex(0.5, math.sqrt(3) / 2)], ids=["morse", "seeds"])
+def test_a_half_period_sign_against_the_residual_pass_is_unconverged(tau, monkeypatch):
+    # the residual pass at the half periods reads their determinants from
+    # dr_dt = L2, a second route to the signs of the null sum's rows: one
+    # flipped there alone fails the torus, on either route
+    real = green.half_period_rows
+
+    def flipped(tori):
+        ev, failed = real(tori)
+        h = ev.hessian
+        det = h.det.copy()
+        det[0] = -det[0]
+        return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, det)), failed
+
+    monkeypatch.setattr(green, "half_period_rows", flipped)
+    with pytest.raises(Unconverged, match="opposite signs outside their bounds"):
         critical.find_critical_points(lattice.make_torus(tau))
 
 
@@ -516,7 +531,7 @@ def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
     # are (1+tau_r)/2 and tau_r/2, and G_vvvv is |lam|^4 times its -20.1
     T = lattice.make_torus(0.5 + 0.3j)
     assert T.half_period_perm[:2] == (2, 1)
-    real = weier.half_periods
+    real = green.half_period_rows
 
     def turned(tori):
         ev, failed = real(tori)
@@ -525,7 +540,7 @@ def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
         xx[1], xy[1], yy[1] = h.yy[1], -h.xy[1], h.xx[1]
         return dataclasses.replace(ev, hessian=Hessian2(xx, xy, yy, h.det)), failed
 
-    monkeypatch.setattr(weier, "half_periods", turned)
+    monkeypatch.setattr(green, "half_period_rows", turned)
     with pytest.raises(Unconverged, match=r"no pitchfork seed at half period 3: G_vvvv = -2\.326"):
         critical.find_critical_points(T)
 
@@ -541,7 +556,7 @@ def _newton_ends_at(monkeypatch, t, s, rn):
 def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
     # the seed, Newton and the message live on the reduced torus
     T = lattice.make_torus(0.5 + 0.3j)
-    t, s, m = critical._pitchfork_seed(T.reduced, critical._rows(weier.invariants(T).green))
+    t, s, m = critical._pitchfork_seed(T.reduced, critical._rows(green.half_period_rows([T])[0]))
     _newton_ends_at(monkeypatch, t, s, 1e-10)
     with pytest.raises(Unconverged) as info:
         critical.find_critical_points(T)
@@ -668,12 +683,14 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
 
 
 @pytest.mark.parametrize("tau, route, budget", [
-    # half periods with the invariants, residual check (3 passes while
-    # the invariants summed the half periods again)
-    ("i", "morse", 2),
+    # the residual check alone: the half periods are the null sum's closed
+    # form (2 passes while a pass at the half periods gave them, 3 while the
+    # invariants summed the half periods again)
+    ("i", "morse", 1),
     # plus 6 Newton trials from the one seed and the pass at z0 (13 passes
-    # over 290 points from the 55 fixed seeds, then 10)
-    ("0.5+0.8660254037844386i", "seeds", 9),
+    # over 290 points from the 55 fixed seeds, then 10, then 9 with the
+    # half-period pass)
+    ("0.5+0.8660254037844386i", "seeds", 8),
 ], ids=["square", "hex"])
 def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
     assert cli.run(["critical", f"--tau={tau}"]) == 0
@@ -717,9 +734,13 @@ def test_locate_z0_rejects_middle_band():
 
 
 def test_g_rel_field_matches_green():
+    # z0's pass is green's own; the half periods' values are the null sum's
+    # closed form, a few ulps from green's pass there
     T = lattice.make_torus(0.5 + 0.75j)
-    for p in critical.find_critical_points(T).points:
-        assert p.g_rel == green.green_rel(p.z, T)
+    points = critical.find_critical_points(T).points
+    assert points[3].g_rel == green.green_rel(points[3].z, T)
+    for p in points[:3]:
+        assert abs(p.g_rel - green.green_rel(p.z, T)) <= 4 * np.finfo(float).eps, p.kind
 
 
 # cusp defects of the half-period determinants, which need A_k summed to

@@ -25,18 +25,25 @@ def test_thresholds_frozen_digits():
 def test_thresholds_by_newton_match_mpmath_and_the_bisection(monkeypatch):
     # Newton from b = 1/2 with the closed-form derivative: b1 to 1e-12 of
     # mpmath and b0 to 1e-12 of 1/(4 b1), against 107 passes of the
-    # bisection route that is now the oracle
-    passes = []
-    real = theta._eval
+    # bisection route that is now the oracle.  A step is one null sum and
+    # no theta series pass (one pass a step while the half periods had one)
+    passes, sums = [], []
+    real, real_sum = theta._eval, weier.nulls
 
     def counted(z, tau):
         passes.append(np.size(z))
         return real(z, tau)
 
+    def counted_sum(tau):
+        sums.append(np.size(tau))
+        return real_sum(tau)
+
     weier._invariants_cached.cache_clear()
     monkeypatch.setattr(theta, "_eval", counted)
+    monkeypatch.setattr(weier, "nulls", counted_sum)
     rep = moduli.thresholds(tol=1e-12)
-    assert len(passes) <= 16
+    assert passes == []
+    assert len(sums) <= 16 and set(sums) == {1}
     assert sum(rep.newton_steps) <= 15
     b1_mp = float(oracles.mp_rhombic_b1())
     assert abs(rep.b1 - b1_mp) < 1e-12
@@ -445,11 +452,11 @@ def test_flip_edges_batched_determinants_match_scalar_calls():
     edges = moduli.flip_edges(cells, 6, 6)
     assert edges
     for e in edges:
-        # scalar calls at the half periods of the reduced torus, carried back
+        # each midpoint's null sum alone, its reduced torus's rows carried
+        # back by the law of the critical sets, det / |lam|^4
         torus = lattice.make_torus(e.midpoint)
-        reduced = torus.reduced
-        dets = [abs(green.evaluate(reduced.half_periods[j], reduced).hessian.det)
-                / abs(torus.lam) ** 4 for j in torus.half_period_perm]
+        rows = critical._rows(green.half_period_rows([torus])[0])
+        dets = [abs(rows[j].hessian.det) / abs(torus.lam) ** 4 for j in torus.half_period_perm]
         k = min(range(3), key=dets.__getitem__)
         assert e.degenerate_half_period == k + 1
         assert e.min_abs_det == dets[k]

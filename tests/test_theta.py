@@ -127,6 +127,22 @@ def test_logderiv2_keeps_relative_precision_at_the_half_periods():
                 assert got == 0.0, (tau, h, got)
 
 
+def test_the_mpmath_log_derivatives_refuse_past_im_tau_20():
+    # mpmath's jtheta derivatives lose the O(e^(-pi Im tau)) values at the
+    # half periods from about Im tau = 20 (3e-2 relative at (1+tau)/2 on
+    # 0.5+30i), so that oracle refuses past 20; at 20 it still agrees with
+    # the exp-per-term sum
+    for tau in (20j, 0.5 + 20j):
+        h = (1.0 + tau) / 2.0
+        ref = complex(oracles.mp_theta1_logderiv2_series(h, tau))
+        assert abs(oracles.mp_theta1_logderiv(h, tau, 2) - ref) < 1e-14 * abs(ref)
+    for order in (1, 2):
+        with pytest.raises(oracles.PrecisionLost, match="Im tau = 30.0,"):
+            oracles.mp_theta1_logderiv(0.5 + 15j, 0.5 + 30j, order)
+    with pytest.raises(oracles.PrecisionLost):
+        oracles.mp_hessian_det(0.5, 0.5 + 21j)
+
+
 def test_eval_at_max_im_tau_stays_inside_the_float64_range():
     # at Im tau = MAX_IM_TAU the largest lead of the series, u_0 at
     # Im z0 = -b/2, is e^(pi b / 4) = e^706.9 against the float64 limit

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import green, lattice, theta, weier
+from torusgreen import critical, green, lattice, moduli, theta, weier
 from torusgreen.errors import HalfPeriodInput, PoleAtLattice, Unconverged
 
 TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, 0.2 + 0.35j]
@@ -72,14 +72,14 @@ def test_eta1_matches_mpmath():
 
 def test_gap_check_catches_a_corrupted_half_period(monkeypatch):
     # e1 + e2 + e3 = 0 holds by construction, so only the gap identities
-    # e1 - e2 = pi^2 theta3(0)^4 etc. can see a wrong (log theta1)''
-    real = theta._eval
+    # e1 - e2 = pi^2 theta3(0)^4 etc. can see a wrong A_k of the null sum
+    real = weier.nulls
 
-    def corrupted(z, tau):
-        lm, ar, L1, L2, L3 = real(z, tau)
-        return lm, ar, L1, L2 * np.array([1.0, 1.0 + 1e-9, 1.0]), L3
+    def corrupted(tau):
+        log_nulls, a = real(tau)
+        return log_nulls, a * np.array([1.0, 1.0 + 1e-9, 1.0])
 
-    monkeypatch.setattr(theta, "_eval", corrupted)
+    monkeypatch.setattr(weier, "nulls", corrupted)
     weier._invariants_cached.cache_clear()
     try:
         with pytest.raises(Unconverged, match="gap identities"):
@@ -96,52 +96,116 @@ def _record_tori():
                                           cusp + [3.2 + 0.9j, 0.5 + 0.8j]]
 
 
-def test_the_half_period_record_matches_its_two_references(monkeypatch):
-    # the one half-period pass, on the reduced torus, against green.evaluate
-    # at its half periods (its rows, bit for bit) and against a pass of the
-    # invariants' own at the reduced half periods.  Where green's points are
-    # exactly minus those, the two sum the same terms and agree bit for bit,
-    # arg theta1'(0) too; where rounding (1+tau_r)/2 into (t, s) moves
-    # green's point by an ulp, the sums move by a few ulps
-    tori = _record_tori()
-    points = []
-    real = theta._eval
-
-    def spy(z, tau):
-        points.append(set(np.ravel(z).tolist()))
-        return real(z, tau)
-
-    moved = 0
-    for T in tori:
-        inv = weier.invariants(T)
-        monkeypatch.setattr(theta, "_eval", spy)
+def test_the_half_period_record_matches_its_two_references():
+    # the null sum's closed-form rows on the reduced torus against
+    # green.evaluate's pass at its half periods: det within det_bound and
+    # of the same sign outside it, the values and the other Hessian entries
+    # to a few ulps of their scale; and the invariants against a theta
+    # pass of their own at the reduced half periods, the route the null
+    # sum replaced, arg theta1'(0) mod 2 pi
+    eps = np.finfo(float).eps
+    for T in _record_tori():
+        rows, failed = green.half_period_rows([T])
         ev = green.evaluate(np.array(T.reduced.half_periods), T.reduced)
-        monkeypatch.setattr(theta, "_eval", real)
-        for got, want in ((inv.green.value_rel, ev.value_rel), (inv.green.det_bound, ev.det_bound),
-                          *((getattr(inv.green.hessian, f), getattr(ev.hessian, f))
-                            for f in ("xx", "xy", "yy", "det"))):
-            assert np.array_equal(got, want), T.tau
+        assert failed == {} and np.array_equal(rows.grad, np.zeros((2, 3)))
+        assert np.all(np.abs(rows.hessian.det - ev.hessian.det) <= ev.det_bound), T.tau
+        decided = np.abs(rows.hessian.det) > rows.det_bound
+        assert np.all(((rows.hessian.det > 0) == (ev.hessian.det > 0)) | ~decided), T.tau
+        scale = np.abs(ev.hessian.xx) + np.abs(ev.hessian.yy)
+        for f in ("xx", "xy", "yy"):
+            got, want = getattr(rows.hessian, f), getattr(ev.hessian, f)
+            assert np.all(np.abs(got - want) <= 8 * eps * scale), (T.tau, f)
+        # green's value at tau_r/2 is -log|theta1| / 2 pi + Im tau_r / 8 from
+        # two terms of size Im tau_r / 8
+        assert np.all(np.abs(rows.value_rel - ev.value_rel)
+                      <= 4 * eps * (1.0 + T.tau_r.imag)), T.tau
+        inv = weier.invariants(T)
         ref = oracles.invariants_at_reduced_half_periods(T)
-        arg = (inv.log_theta1_prime - ref["log_theta1_prime"]).imag / (2 * math.pi)
-        assert abs(arg - round(arg)) < 1e-14, T.tau
-        tau_r = T.tau_r
-        if points.pop() == {-0.5 + 0j, -tau_r / 2.0, -(1.0 + tau_r) / 2.0}:
-            for key, want in ref.items():
-                assert getattr(inv, key) == want, (T.tau, key)
-            continue
-        moved += 1
         scale = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
         for key in ("e1", "e2", "e3", "eta1"):
-            assert abs(getattr(inv, key) - ref[key]) <= 8 * np.finfo(float).eps * scale, T.tau
-        assert np.allclose(inv.log_abs_nulls, ref["log_abs_nulls"], rtol=0, atol=4e-15)
-    assert moved < len(tori) / 10
-    # A_k from (log theta1)'' alone is e_k + eta1 up to the rounding of e_k
-    # and of eta1's frame law, 16 ulps of the largest of them near the cusp
-    for T in tori:
-        inv = weier.invariants(T)
+            assert abs(getattr(inv, key) - ref[key]) <= 16 * eps * scale, (T.tau, key)
+        assert np.allclose(inv.log_abs_nulls, ref["log_abs_nulls"], rtol=0,
+                           atol=8 * eps * (1.0 + math.pi * T.tau_r.imag))
+        lp, ref_lp = inv.log_theta1_prime, ref["log_theta1_prime"]
+        # the pass's log|theta1| at tau_r/2 and (1+tau_r)/2 is pi Im tau_r / 4
+        # in size before its factor |q|^(1/4) takes that back
+        assert abs(lp.real - ref_lp.real) <= 8 * eps * (1.0 + math.pi * T.tau_r.imag), T.tau
+        turns = (lp.imag - ref_lp.imag) / (2 * math.pi)
+        assert abs(turns - round(turns)) < 1e-14, T.tau
+        # A_k from the null sum alone is e_k + eta1 up to the rounding of
+        # e_k and of eta1's frame law, 16 ulps of the largest of them
         scale = max(abs(x) for x in (*inv.a, inv.e1, inv.e2, inv.e3, inv.eta1))
         for a, e in zip(inv.a, (inv.e1, inv.e2, inv.e3)):
-            assert abs(a - (e + inv.eta1)) <= 64 * np.finfo(float).eps * scale, T.tau
+            assert abs(a - (e + inv.eta1)) <= 64 * eps * scale, T.tau
+
+
+def _null_tori():
+    # the three lines Re tau = 0, 1/4 and 1/2 toward both cusps; b = 1e-3
+    # on Re tau = 0 reduces past MAX_IM_TAU, and sums nothing
+    taus = [complex(re, b) for re in (0.0, 0.25, 0.5)
+            for b in (*np.geomspace(1e-3, 0.05, 12), *np.geomspace(5.0, 250.0, 12))]
+    return [T for T in map(lattice.make_torus, taus) if T.tau_r.imag <= theta.MAX_IM_TAU]
+
+
+def test_the_null_sum_matches_its_q_series_at_200_digits():
+    # A_k to a few ulps while |A_k| is a normal float (Im tau_r up to about
+    # 226), the rounding of the subnormal q past it; next to Re tau_r =
+    # +-1/2, where q is nearly +-i |q| and Re A_2, Re A_3 are O(|q|^2),
+    # Re A_k to C_RHOMBIC ulps of |A_k|; log theta_j(0) to a few ulps; and
+    # the determinants of the closed-form rows to their bounds
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    tori = _null_tori()
+    log_nulls, a = theta.nulls(np.array([T.tau_r for T in tori]))
+    rows = green.half_period_rows(tori)[0]
+    det, bound = rows.hessian.det.reshape(-1, 3), rows.det_bound.reshape(-1, 3)
+    rhombic = 0
+    for T, got_logs, got_a, d, b in zip(tori, log_nulls, a, det, bound):
+        ref_a, ref_logs = oracles.mp_theta_nulls(T.tau_r)
+        for k in range(3):
+            want = complex(ref_a[k])
+            assert abs(got_a[k] - want) <= 4 * eps * abs(want) + 64 * tiny * eps, (T.tau, k)
+            if abs(T.tau_r.real) > 0.49:
+                rhombic += 1
+                err = abs(got_a[k].real - want.real)
+                assert err <= moduli.C_RHOMBIC * eps * abs(want), (T.tau, k)
+            want = complex(ref_logs[k])
+            assert abs(got_logs[k] - want) <= 4 * eps * max(1.0, abs(want)), (T.tau, k)
+            pb = oracles.mp.pi / T.tau_r.imag
+            ref_det = float((2 * pb * ref_a[k].real - abs(ref_a[k]) ** 2) / (4 * oracles.mp.pi ** 2))
+            assert abs(d[k] - ref_det) <= b[k], (T.tau, k)
+            assert abs(d[k]) <= b[k] or (d[k] > 0) == (ref_det > 0), (T.tau, k)
+    assert rhombic == 3 * 24
+
+
+def test_a_modulus_gets_the_same_bits_alone_as_in_a_batch(monkeypatch):
+    # 1024 reduced tori from Im tau_r = sqrt(3)/2 to 900, whose terms
+    # underflow at different rows of the sum: A_k, the log nulls, the
+    # closed-form rows and the gap Unconverged (A_1 off by 1e-9 on every
+    # seventh modulus) are each modulus's own bits
+    tori = lattice.random_tori(1000, 11) + [
+        lattice.make_torus(complex(re, b)) for re in (0.0, 0.5, -0.31)
+        for b in np.geomspace(1.0, 900.0, 8)]
+    assert len(tori) == 1024
+    off = [T.tau_r for T in tori[::7]]
+    real = weier.nulls
+
+    def corrupted(tau):
+        log_nulls, a = real(tau)
+        return log_nulls, a * np.where(np.isin(tau, off)[:, None], [1.0 + 1e-9, 1.0, 1.0], 1.0)
+
+    batch_logs, batch_a = theta.nulls(np.array([T.tau_r for T in tori]))
+    batch_rows = critical._rows(green.half_period_rows(tori)[0])
+    monkeypatch.setattr(weier, "nulls", corrupted)
+    failed = weier.reduced_nulls(tori)[2]
+    assert set(failed) == set(range(0, 1024, 7))
+    monkeypatch.setattr(weier, "nulls", real)
+    for k, T in enumerate(tori):
+        logs, a = theta.nulls(np.array([T.tau_r]))
+        assert np.array_equal(logs[0], batch_logs[k]) and np.array_equal(a[0], batch_a[k])
+        assert critical._rows(green.half_period_rows([T])[0]) == batch_rows[3 * k:3 * k + 3]
+    monkeypatch.setattr(weier, "nulls", corrupted)
+    for k in range(0, 1024, 7):
+        assert str(weier.reduced_nulls([tori[k]])[2][0]) == str(failed[k])
 
 
 def test_wp_matches_lattice_row_sum():
