@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Time the theta series kernel, theta._eval, and the theta-null sum.
 
-For each batch size N the kernel is called on N points of one modulus
-and on N points that carry one of 64 moduli each (as a moduli scan
-does); the null sum, theta.nulls, on 1 modulus (a lone torus's half
-periods) and on 1024 (a scan chunk's).  A rep times every cell once, with enough calls to sum at least
-1024 points, and the reps follow one another, so a cell's fastest rep
-comes from the whole run rather than from one stretch of it; the table
-gives that rep's mean time per call, in microseconds, and per point or
-modulus, in nanoseconds.  The inputs are fixed, so two checkouts can be compared on
-one host:
+For each batch size N and each reader kind (reads: LOG_MAG, the value
+log|theta1| alone; LOG_MAG_L1, the value and L1; ALL, every output) the
+kernel is called on N points of one modulus and on N points that carry
+one of 64 moduli each (as a moduli scan does); the null sum,
+theta.nulls, on 1 modulus (a lone torus's half periods) and on 1024 (a
+scan chunk's).  A rep times every cell once, with enough calls to sum at
+least 1024 points, and the reps follow one another, so a cell's fastest
+rep comes from the whole run rather than from one stretch of it; the
+table gives that rep's mean time per call, in microseconds, and per
+point or modulus, in nanoseconds.  Beside them it gives the minor page
+faults of the process (resource.getrusage ru_minflt) per 1024 points,
+over all reps of the kernel's cells with one modulus: faults that the
+heap takes again each time the allocator has given memory back between
+calls.  The inputs are fixed, so two checkouts can be compared on one
+host:
 
     python3 scripts/kernel_timing.py --reps 9
     python3 scripts/kernel_timing.py >> "$GITHUB_STEP_SUMMARY"
@@ -18,6 +24,7 @@ Prints a Markdown table.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -29,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from torusgreen import lattice, theta  # noqa: E402
 
 SIZES = (1, 3, 14, 192, 1024, 4096)
+READS = (("value", theta.LOG_MAG), ("value, L1", theta.LOG_MAG_L1), ("full", theta.ALL))
 NULL_SIZES = (1, 1024)
 # the hexagonal torus, which the package sums at as it stands
 TAU = 0.5 + 0.8660254037844386j
@@ -44,39 +52,49 @@ def inputs(n: int):
     return (t + s * TAU, TAU), (t + s * taus, taus)
 
 
-def per_call_s(fn, *args) -> float:
-    """Mean seconds per call of fn over calls that sum at least 1024 points."""
+def timed_calls(fn, *args) -> tuple[float, int]:
+    """Mean seconds per call of fn over calls that sum at least 1024 points,
+    and the minor page faults those calls took."""
     calls = max(1, 1024 // args[0].size)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(calls):
         fn(*args)
-    return (time.perf_counter() - start) / calls
+    seconds = (time.perf_counter() - start) / calls
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=7, help="reps over all cells (default 7)")
     args = parser.parse_args(argv)
-    print(f"### theta._eval time per call (fastest of {args.reps} reps)")
-    print()
-    print("| N | one modulus us/call | one modulus ns/point | 64 moduli us/call | 64 moduli ns/point |")
-    print("|---:|---:|---:|---:|---:|")
-    cells = [(theta._eval, *case) for n in SIZES for case in inputs(n)]
+    cells = [(theta._eval, *case, reads) for n in SIZES for _, reads in READS for case in inputs(n)]
     cells += [(theta.nulls, inputs(n)[1][1]) for n in NULL_SIZES]
     for fn, *case in cells:
         fn(*case)
     best = [float("inf")] * len(cells)
+    faults = [0] * len(cells)
     for _ in range(args.reps):
-        best = [min(b, per_call_s(fn, *case)) for b, (fn, *case) in zip(best, cells)]
-    for k, n in enumerate(SIZES):
-        row = [f"{s * 1e6:.1f} | {s * 1e9 / n:.0f}" for s in best[2 * k:2 * k + 2]]
-        print(f"| {n} | " + " | ".join(row) + " |")
+        for k, (fn, *case) in enumerate(cells):
+            seconds, taken = timed_calls(fn, *case)
+            best[k] = min(best[k], seconds)
+            faults[k] += taken
+    print(f"### theta._eval time per call (fastest of {args.reps} reps)")
+    print()
+    print("| N | reads | one modulus us/call | one modulus ns/point | 64 moduli us/call "
+          "| 64 moduli ns/point | minor faults per 1024 points |")
+    print("|---:|---|---:|---:|---:|---:|---:|")
+    rows = [(n, name) for n in SIZES for name, _ in READS]
+    for k, (n, name) in enumerate(rows):
+        points = args.reps * max(1, 1024 // n) * n
+        cols = [f"{s * 1e6:.1f} | {s * 1e9 / n:.0f}" for s in best[2 * k:2 * k + 2]]
+        print(f"| {n} | {name} | " + " | ".join(cols) + f" | {faults[2 * k] * 1024 / points:.2f} |")
     print()
     print(f"### theta.nulls time per call (fastest of {args.reps} reps)")
     print()
     print("| moduli | us/call | ns/modulus |")
     print("|---:|---:|---:|")
-    for n, s in zip(NULL_SIZES, best[2 * len(SIZES):]):
+    for n, s in zip(NULL_SIZES, best[2 * len(rows):]):
         print(f"| {n} | {s * 1e6:.1f} | {s * 1e9 / n:.0f} |")
     return 0
 

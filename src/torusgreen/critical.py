@@ -235,14 +235,22 @@ def _carried(torus: Torus, hp_rows, extra):
     """The half-period _rows and extra orbit ((t, s), row) of torus from
     those of torus.reduced: the half periods relabelled as the matrix
     permutes them mod 2, z0 mapped by its inverse, t = d t' + b s' and
-    s = c t' + a s', wrapped and folded, and each row by green.carried."""
+    s = c t' + a s', wrapped and folded, and each row by green.carried.
+    z0's coordinates are mapped in exact arithmetic and rounded once, so
+    the inverse map takes them back to the root to a few ulps of the
+    matrix entries (rounded in floats, the sums of entries near 1000 left
+    it 1e-10 off, where the determinant moves at first order)."""
     if torus.mat == ((1, 0), (0, 1)):
         return hp_rows, extra
     (a, b), (c, d) = torus.mat
     hp_rows = [green.carried(hp_rows[j], torus) for j in torus.half_period_perm]
     if extra is not None:
         (t, s), row = extra
-        t, s = _fold(wrap_unit(d * t + b * s)[0], wrap_unit(c * t + a * s)[0])
+        # integers over one power-of-two denominator q; int / int rounds once
+        (nt, qt), (ns, qs) = t.as_integer_ratio(), s.as_integer_ratio()
+        q = max(qt, qs)
+        t, s = _fold(*(wrap_unit((i * nt * (q // qt) + j * ns * (q // qs)) % q / q)[0]
+                       for i, j in ((d, b), (c, a))))
         extra = (float(t), float(s)), green.carried(row, torus)
     return hp_rows, extra
 
@@ -329,10 +337,10 @@ def _extra_points(tori: list[Torus], tau_r, seeds, tol: float) -> list:
 def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The representative of the orbit {z, -z} of each wrapped root: on the
     half cell s > 0, and t >= 0 on the lines s = 0 and s = 1/2 (LINE_TOL),
-    which z -> -z maps to themselves."""
+    which z -> -z maps to themselves (0 - x, so that a 0 stays +0)."""
     on_line = (np.abs(s) <= LINE_TOL) | (np.abs(wrap_unit(s - 0.5)[0]) <= LINE_TOL)
     flip = np.where(on_line, t < -LINE_TOL, s < 0.0)
-    return np.where(flip, wrap_unit(-t)[0], t), np.where(flip, wrap_unit(-s)[0], s)
+    return np.where(flip, wrap_unit(0.0 - t)[0], t), np.where(flip, wrap_unit(0.0 - s)[0], s)
 
 
 def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
@@ -494,7 +502,8 @@ def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
     InconsistentComparison.
 
     The direct values are the g_rel of the half-period points of cs, the
-    critical set of torus, and the theta nulls come from weier.invariants.
+    critical set of torus, and the theta nulls come from weier.invariants,
+    whose record holds the sum that cs read where cs was found alone.
     """
     inv = weier.invariants(torus)
     g = tuple(p.g_rel for p in cs.points[:3])

@@ -6,7 +6,8 @@ The mean zero Green function of -Laplace on C/(Z + Z tau) splits as
 
 with y the height of the canonical cell representative and b = Im tau.
 evaluate gives G - C(tau), its gradient and its Hessian from one theta
-series pass (green_rel is its value); the module also holds the critical
+series pass (green_rel is its value, from a pass that sums log|theta1|
+alone); the module also holds the critical
 point residual of the solver and the constant C(tau) = (1/2 pi)
 log|eta(tau)| (Kronecker limit formula).
 
@@ -31,18 +32,20 @@ written, takes a pass back to any other torus.  C(tau) is summed at
 tau_r and carried back by the weight 1/2 law of eta, so everything holds
 on all of the upper half plane.  A batch on several reduced tori shares
 one pass; half_period_rows writes the half-period rows in closed form
-from the theta-null sum, where L2 = -A_k = theta_j''(0) / theta_j(0).
+from the theta-null sum, where L2 = -A_k = theta_j''(0) / theta_j(0); a
+lone torus reads that sum from its weier.invariants record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import theta, weier
-from .errors import PoleAtLattice
+from .errors import PoleAtLattice, Unconverged
 from .lattice import Torus, wrap_unit
 
 # The error of det Hess G in units of eps ((2 pi/b_r)|L2| + |L2|^2) /
@@ -85,12 +88,29 @@ class GreenEval:
     det_bound: float       # |hessian.det - det Hess G| stays below this
 
 
-def _reduced_pass(t, s, tau_r):
-    """s' and (log|theta1|, L1, L2) at (t, s) on Z + tau_r Z, wrapped."""
+def _reduced_pass(t, s, tau_r, reads=theta.ALL):
+    """s' and (log|theta1|, L1, L2) at (t, s) on Z + tau_r Z, wrapped, from
+    a theta._eval pass that reads reads (None where it does not)."""
     tr, _ = wrap_unit(t)
     sr, _ = wrap_unit(s)
-    lm, _, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r)
+    lm, _, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r, reads)
     return sr, lm, L1, L2
+
+
+def _pass(z, torus, reads):
+    """The pass of evaluate at z, on the reduced torus at z / lam
+    (Torus.reduced_point) when torus is a Torus: whether that moves z,
+    b_r, G - C there, s' and (L1, L2).  Raises PoleAtLattice at lattice
+    points."""
+    moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
+    tau_r = torus.tau_r if isinstance(torus, Torus) else torus
+    z = np.asarray(torus.reduced_point(z) if moved else z, dtype=complex)
+    b_r = tau_r.imag
+    s = z.imag.reshape(-1) / b_r
+    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r, reads)
+    if np.isneginf(lm).any():
+        raise PoleAtLattice("Green function diverges at lattice points")
+    return moved, b_r, -lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0), sr, L1, L2
 
 
 def evaluate(z, torus) -> GreenEval:
@@ -104,21 +124,14 @@ def evaluate(z, torus) -> GreenEval:
     inside a batch.  det_bound is the error bound of the determinant
     (C_DET).  Raises PoleAtLattice at lattice points.
     """
-    moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
-    tau_r = torus.tau_r if isinstance(torus, Torus) else torus
-    z = np.asarray(torus.reduced_point(z) if moved else z, dtype=complex)
-    b_r = tau_r.imag
-    s = z.imag.reshape(-1) / b_r
-    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r)
-    if np.isneginf(lm).any():
-        raise PoleAtLattice("Green function diverges at lattice points")
+    moved, b_r, value, sr, L1, L2 = _pass(z, torus, theta.ALL)
 
     def out(x):
-        return theta._scalarize(x.reshape(z.shape))
+        return theta._scalarize(x.reshape(np.shape(z)))
 
     hessian, bound = _hessian(-L2, b_r, out)
     ev = GreenEval(
-        value_rel=out(-lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)),
+        value_rel=out(value),
         grad=(out(-L1.real / (2.0 * np.pi)), out(L1.imag / (2.0 * np.pi) + sr)),
         hessian=hessian,
         det_bound=bound,
@@ -142,17 +155,31 @@ def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
     reduced torus of every torus, torus after torus, in closed form from
     one null sum, and the gap failures of weier.reduced_nulls.  G is even
     about each half period, so its gradient is 0; G - C is -log|theta_j(0)|
-    / 2 pi (j = 2, 4, 3), |q|^(-1/4) of |theta1| cancelling y^2 / 2 b_r."""
-    a_r, log_nulls, failed = weier.reduced_nulls(tori)
+    / 2 pi (j = 2, 4, 3), |q|^(-1/4) of |theta1| cancelling y^2 / 2 b_r.
+    A lone torus reads its sum from the record of weier.invariants, where
+    the ranking of its critical set and its Weierstrass passes read it
+    again; where that record fails, the batch sum gives the same failure."""
+    inv = None
+    if len(tori) == 1:
+        with contextlib.suppress(Unconverged):
+            inv = weier.invariants(tori[0])
+    if inv is None:
+        a_r, log_nulls, failed = weier.reduced_nulls(tori)
+        a_r, log_abs = a_r.ravel(), log_nulls.real.ravel()
+    else:
+        a_r, log_abs, failed = np.array(inv.a_r), np.array(inv.log_abs_nulls_r), {}
     b_r = np.repeat([torus.tau_r.imag for torus in tori], 3)
     zero = np.zeros(b_r.shape)
-    hessian, bound = _hessian(a_r.ravel(), b_r)
-    return GreenEval(-log_nulls.real.ravel() / (2.0 * np.pi), (zero, zero), hessian, bound), failed
+    hessian, bound = _hessian(a_r, b_r)
+    return GreenEval(-log_abs / (2.0 * np.pi), (zero, zero), hessian, bound), failed
 
 
 def green_rel(z, torus: Torus):
-    """G(z) - C(tau), doubly periodic by construction: evaluate's value."""
-    return evaluate(z, torus).value_rel
+    """G(z) - C(tau), doubly periodic by construction: evaluate's value,
+    to the bit, from a pass that reads log|theta1| alone."""
+    moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG)
+    value = theta._scalarize(value.reshape(np.shape(z)))
+    return _value_carried(value, torus) if moved else value
 
 
 def carried(ev: GreenEval, torus: Torus) -> GreenEval:
@@ -166,10 +193,15 @@ def carried(ev: GreenEval, torus: Torus) -> GreenEval:
     (gx, gy), h = ev.grad, ev.hessian
     diff, trace = h.xx - h.yy, (h.xx + h.yy) / abs(lam) ** 2
     c = diff * k2.real + 2.0 * h.xy * k2.imag
-    return GreenEval(ev.value_rel + math.log(abs(lam)) / (4.0 * np.pi),
+    return GreenEval(_value_carried(ev.value_rel, torus),
                      (gx * k.real + gy * k.imag, gy * k.real - gx * k.imag),
                      Hessian2((trace + c) / 2.0, h.xy * k2.real - diff * k2.imag / 2.0,
                               (trace - c) / 2.0, h.det / scale), ev.det_bound / scale)
+
+
+def _value_carried(value, torus: Torus):
+    """carried's law for G - C alone."""
+    return value + math.log(abs(torus.lam)) / (4.0 * np.pi)
 
 
 def residual_and_jacobian(t, s, tau_r):

@@ -29,8 +29,10 @@ sigma(2 z0) sigma(z)^2 / (sigma(z0)^2 sigma(z0 + z) sigma(z - z0)): the
 difference of wp values cancels toward the rhombic cusp.
 verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
 offsets and their period shifts as one array, so a block costs two theta
-passes, one for u and one for G, and a 64^2 grid 32 of them.  Its report
-is one reduction over the whole grid.
+passes, one for u and one for G, and a 64^2 grid 8 of them.  Each pass
+sums only what its reader reads: log|sigma| for the 8 pi u, log|sigma|
+and zeta for the 4 pi u, and G - C for G (theta._eval's reads).  Its
+report is one reduction over the whole grid.
 """
 
 from __future__ import annotations
@@ -42,17 +44,18 @@ from typing import Callable
 
 import numpy as np
 
-from . import critical, green, weier
+from . import critical, green, theta, weier
 from .errors import ConstructionInconsistent, InvalidInput, NoExtraCriticalPoint
 from .lattice import Torus, lattice_gap, make_torus, near_lattice, wrap_unit
 
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
 _LATTICE_HIT_TOL = 1e-11
-# grid rows per u call of verify_solution: a row adds about 0.3 MB to the
-# peak memory of an 8 pi check on 64^2, and past 4 rows the fixed cost of
-# a call is already small against its points
-_BLOCK_ROWS = 4
+# grid rows per u call of verify_solution: a row adds about 0.17 MB to
+# the peak memory of an 8 pi check on 64^2 (tracemalloc; 0.42 MB while
+# every pass summed every output), and at 16 rows the fixed cost of a
+# call is small against its points
+_BLOCK_ROWS = 16
 
 
 def _polar(log_mag: float, arg: float) -> complex:
@@ -192,7 +195,8 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     def core(flat):
         # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z)
         n = flat.size
-        lm = weier.evaluate(np.concatenate([z0 - flat, z0 + flat, flat]), dm.torus).sigma.log_mag
+        lm = weier.evaluate(np.concatenate([z0 - flat, z0 + flat, flat]), dm.torus,
+                            theta.LOG_MAG).sigma.log_mag
         la_f = 2.0 * (dm.zeta_z0 * flat).real + lm[:n] - lm[n:2 * n]
         la_gamma = la_gamma0 + 2.0 * lm[2 * n:] - lm[:n] - lm[n:2 * n]
         return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
@@ -269,14 +273,15 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     inv_d = weier.invariants(doubled)
     kappa = inv_d.eta1 + 0.5 * inv_d.eta2
 
-    def parts(z):
+    def parts(z, reads=theta.ALL):
         """(log|f|, arg f) before the f0 normalization, and g, at a flat
-        array z from one Weierstrass pass over z - bp and z - a."""
+        array z from one Weierstrass pass over z - bp and z - a; arg f is
+        None unless the pass reads ALL."""
         n = z.size
-        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled)
+        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled, reads)
         lm, ar = ev.sigma.log_mag, ev.sigma.arg
         log_mag = (kappa * z).real + lm[:n] - lm[n:]
-        arg = (kappa * z).imag + ar[:n] - ar[n:]
+        arg = None if ar is None else (kappa * z).imag + ar[:n] - ar[n:]
         return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
 
     # Im tau >= sqrt(3) / 2 keeps the semicircle 0.6 from the pole at 1/2 + tau
@@ -313,7 +318,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     pole_classes = (a, bp)
 
     def core(flat):
-        la_f, _, gv = parts(flat)
+        la_f, _, gv = parts(flat, theta.LOG_MAG_L1)
         la_f = la_f + log_f0
         with np.errstate(divide="ignore"):
             la_fp = np.log(np.abs(gv)) + la_f

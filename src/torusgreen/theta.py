@@ -12,10 +12,12 @@ theta1 is summed in exponential form,
 
 after reducing z modulo the lattice so |Im z| <= Im(tau)/2; the discarded
 translation comes back as an exact log space factor.  The terms n >= 0
-and n < 0 are two running products of ratios, so a point costs a real
-exp, a cos and a sin for each of four leads whatever the number of
-terms; no factor that can overflow (e^(i pi z) itself) is ever formed,
-and no value built exceeds e^(pi Im tau / 4).  Derivative series are
+and n < 0 are two running products of ratios from four leads, so a
+point costs four real exps, one cos and one sin whatever the number of
+terms: the leads' phases are e^(i pi Re z) and its square, their
+conjugates, and phases of the modulus; no factor that can overflow
+(e^(i pi z) itself) is ever formed, and no value built exceeds
+e^(pi Im tau / 4).  Derivative series are
 weighted sums over the same terms, taken about the log derivative i pi
 of the largest term, so the second and third logarithmic derivatives
 keep their relative precision where that term dominates (the half
@@ -32,9 +34,14 @@ function of the lattice alone, so theta1(z, torus) sums at its own tau.
 One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
 layer and the Green function (green.evaluate, green.residual_and_jacobian)
-all read from it.  It always sums a flat array, so a point gives the same
-bits alone as inside a batch, and sums it in runs of at most _RUN points,
-so the series of a pass of any size works in about half a megabyte.  A
+all read from it.  A caller that reads less says so (reads: LOG_MAG for
+log|theta1| alone, as green_rel and the 8 pi solution's u do, LOG_MAG_L1
+for it and L1, as the 4 pi u does), and the pass sums only the moments
+those need and gets their bits of a full pass.  It always sums a flat
+array, so a point gives the same bits alone as inside a batch, and sums
+it in runs of at most _RUN points, each finished into its outputs before
+the next, so the series of a pass of any size works in about half a
+megabyte.  A
 batch may carry one tau per point (the tori of a moduli scan): it runs
 to the largest term count among them, each point's terms past its own
 count are exact zeros, and its factors in tau alone are formed per point
@@ -79,10 +86,14 @@ def _term_count_z(b):
     return max(6, math.ceil(math.sqrt(0.25 + 43.8 / (math.pi * b)) + 0.5) + 2)
 
 
-# exponents of the leads (ratio, first term) x (u half, d half) of _series,
-# per z0 and per tau (the latter formed once per modulus, _modulus_rows)
-_LEAD_Z = (1j * np.pi) * np.array([[[2.0], [-2.0]], [[1.0], [-1.0]]])
+# the leads (ratio, first term) x (u half, d half) of _series: the
+# coefficients of Im z0 in their real exponents, and their exponents' parts
+# in tau, formed once per modulus (_modulus_rows)
+_LEAD_Y = -np.pi * np.array([[[2.0], [-2.0]], [[1.0], [-1.0]]])
 _LEAD_TAU = (1j * np.pi) * np.array([[[2.0], [2.0]], [[0.25], [0.25]]])
+# what a pass of _eval returns, by the moments its series sums:
+# log|theta1| alone, log|theta1| and L1, or all five outputs
+LOG_MAG, LOG_MAG_L1, ALL = 1, 2, 4
 # the term count at Im tau = 1/2 (8) bounds every pass of _eval
 _K = np.arange(_term_count_z(0.5))
 # real weights (moment, (k, half)) of the moments about i pi per term count:
@@ -92,9 +103,10 @@ _U = 2.0 * np.pi * _K
 _D = np.pi * (2.0 * _K + 2.0)
 _WEIGHTS = np.array([[np.ones(_K.size), _U, _U ** 2, _U ** 3],
                      [-np.ones(_K.size), _D, -_D ** 2, _D ** 3]]).transpose(1, 2, 0)
-_WEIGHTS = [_WEIGHTS[:, :n].reshape(4, 2 * n) for n in range(_K.size + 1)]
+# indexed [term count][reads]: the first reads moments
+_WEIGHTS = [[_WEIGHTS[:, :n].reshape(4, 2 * n)[:r] for r in range(5)] for n in range(_K.size + 1)]
 # the powers of i that the real weights leave out, times the -i of theta1
-_PHASES = np.array([[-1j], [1.0], [1j], [-1.0]])
+_PHASES = [np.array([[-1j], [1.0], [1j], [-1.0]])[:r] for r in range(5)]
 
 
 @dataclass(frozen=True)
@@ -121,31 +133,36 @@ class LogComplex:
 
 def _modulus_rows(taus: np.ndarray, nterms: int):
     """The factors of _series in tau alone, a column per entry of taus: the
-    tau parts of the lead exponents, and -q^(2k) for k < nterms - 1 by a
-    product along k of flat rows (numpy rounds (1, 1) rows another way)."""
+    tau parts of the real lead exponents, the phases e^(2 pi i Re tau) of
+    the ratios and e^(i pi Re tau / 4) of the first terms, and -q^(2k) for
+    k < nterms - 1 by a product along k of flat rows (numpy rounds (1, 1)
+    rows another way)."""
     ratio = np.full((nterms - 1, 1, taus.size), -1.0, dtype=complex)
     q2 = np.exp((2j * np.pi) * taus)
     for prev, row in zip(ratio[:, 0], ratio[1:, 0]):
         np.multiply(prev, q2, row)
-    return _LEAD_TAU * taus, ratio
+    lead_tau = _LEAD_TAU * taus
+    # the u and d halves share their phases
+    return lead_tau.real, np.exp(1j * lead_tau.imag[:, :1]), ratio
 
 
 @lru_cache(maxsize=256)
 def _q_powers(tau: complex, nterms: int):
     """_modulus_rows of one modulus, once per modulus, as a torus sums at its tau_r."""
-    lead_tau, ratio = rows = _modulus_rows(np.array([tau]), nterms)
-    lead_tau.flags.writeable = ratio.flags.writeable = False
+    rows = _modulus_rows(np.array([tau]), nterms)
+    for row in rows:
+        row.flags.writeable = False
     return rows
 
 
-def _series(z0, tau, nterms: int):
+def _series(z0, tau, nterms: int, reads: int = ALL):
     """theta1 at reduced arguments and its z derivative moments about i pi.
 
     z0 is a 1-D array with -Im(tau)/2 <= Im z0 <= 0, tau one modulus or an
     array with one per point; then nterms is the largest term count of
     the batch, and the terms of a point past its own count are exact
     zeros, so it gets the sums of a pass at its own tau alone.  Returns
-    the rows (th0, s1, s2, s3) of one array: th0 = theta1(z0) and
+    the first reads rows of (th0, s1, s2, s3), one array: th0 = theta1(z0) and
     sj = e^(i pi z) d^j/dz^j (e^(-i pi z) theta1(z)) at z0, the termwise
     sums -i sum_n a_n ((2n+1) pi i - pi i)^j.  The term n = 0, the largest
     wherever Im z0 <= 0, drops out of every sj, so the logarithmic
@@ -158,49 +175,107 @@ def _series(z0, tau, nterms: int):
     is a running product, u_(k+1) = u_k r q^(2k), from the leads
     u_0 = e^(i pi (z0 + tau/4)) and r = -e^(2 pi i (tau + z0)), and
     likewise for d with -z0.  A lead is its exponent's complex exp split by
-    hand, a real exp of the real part times the cos and sin of the
-    imaginary part, so a point costs four real exps, cosines and sines
-    (numpy's complex exp is a scalar loop, its real exp a vector one).
-    Each lead keeps its phase in tau inside its angle: multiplied into the
-    sums afterwards, that phase rounds th0 and the sj apart and doubles the
-    typical error of the small real part of L2 at (1+tau)/2 on
-    Re tau = 1/2.  e^(i pi z0), which overflows near Im tau = 450, is never
-    formed: no lead exceeds e^(pi Im tau / 4), the bound of the terms.  The
-    terms sit as (k, half, point) after the ratios, so each product
-    of the recurrence multiplies contiguous rows, and the moments are one
-    weighted sum over (k, half) on the float view.  Every product and sum
-    keeps its order for every point, so a point gives the same bits alone
-    as inside a batch.
+    hand: the real exp of the real part, times a phase built from one cos
+    and one sin a point, E = e^(i pi Re z0), as E (u_0), E^2 (the ratio of
+    u), their conjugates (the d half) and the phases of the modulus (numpy's
+    complex exp is a scalar loop, its real exp a vector one, and its cos
+    and sin cost a dozen real exps each).  So a point costs four real exps,
+    one cos and one sin.  The phases in tau turn the leads, not the sums:
+    multiplied into the sums afterwards, they round th0 and the sj apart
+    and double the typical error of the small real part of L2 at
+    (1+tau)/2 on Re tau = 1/2.  e^(i pi z0), which overflows near
+    Im tau = 450, is never formed: no lead exceeds e^(pi Im tau / 4), the
+    bound of the terms.  The terms sit as (k, half, point) after the
+    ratios, so each product of the recurrence multiplies contiguous rows,
+    and the moments are one weighted sum over (k, half) on the float view;
+    the rows past reads are not summed.  Every product and sum keeps its
+    order for every point and every reads, so a point gives the same bits
+    alone as inside a batch, and a row the same bits whatever rows follow.
     """
     z0 = np.asarray(z0, dtype=complex)
     if isinstance(tau, np.ndarray):
-        lead_tau, ratio = _modulus_rows(tau, nterms)
+        lead_tau, phase, ratio = _modulus_rows(tau, nterms)
         ratio[:, 0][_K[1:nterms, None] >= _term_count_z(tau.imag)] = 0.0
     else:
-        lead_tau, ratio = _q_powers(complex(tau), nterms)
+        lead_tau, phase, ratio = _q_powers(complex(tau), nterms)
     # row 0: the ratios of both halves; rows 1 to nterms: the terms
     terms = np.empty((nterms + 1, 2, z0.size), dtype=complex)
-    exponent = _LEAD_Z * z0 + lead_tau
+    # E = e^(i pi Re z0) in u_0's place and E^2 in the ratio's of u, their
+    # conjugates in d's, each turned by its phase in tau and scaled by the
+    # real exp of its exponent's real part
+    unit = terms[1, 0]
+    arc = np.pi * z0.real
+    np.cos(arc, unit.real)
+    np.sin(arc, unit.imag)
+    np.multiply(unit, unit, terms[0, 0])
+    np.conjugate(terms[:2, 0], terms[:2, 1])
+    terms[:2] *= phase
     lead = terms[:2].view(float).reshape(2, 2, z0.size, 2)
-    np.cos(exponent.imag, lead[..., 0])
-    np.sin(exponent.imag, lead[..., 1])
-    lead *= np.exp(exponent.real)[..., None]
+    lead *= np.exp(_LEAD_Y * z0.imag + lead_tau)[..., None]
     np.multiply(terms[0], ratio, terms[2:])
     for prev, row in zip(terms[1:], terms[2:]):
         np.multiply(prev, row, row)
     # np.einsum without optimize runs its own loops, never BLAS, and
     # accumulates along (k, half) in order for every point
-    moments = np.einsum("ik,kj->ij", _WEIGHTS[nterms], terms[1:].view(float).reshape(2 * nterms, -1))
-    return moments.view(complex) * _PHASES
+    sums = np.einsum("ik,kj->ij", _WEIGHTS[nterms][reads],
+                     terms[1:].view(float).reshape(2 * nterms, -1))
+    return sums.view(complex) * _PHASES[reads]
 
 
-def _eval(z, tau):
+def _run(z, tau, nterms: int, reads: int):
+    """_eval's outputs at a flat run z of at most _RUN points, tau one
+    modulus or one per point of the run."""
+    t, s, m, n = split_coords(z, tau)
+    # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
+    # series at the summed point is always n = 0; L1 and L3 are odd too
+    flip = s > 0.0
+    z0 = t + s * tau
+    np.negative(z0, z0, where=flip)
+    th = _series(z0, tau, nterms, reads)
+    arg = L1 = L2 = L3 = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_mag = np.log(np.abs(th[0]))
+        if reads > LOG_MAG:
+            r1, *r23 = th[1:] / th[0]
+            # L1 and, where reads is ALL, L3 in one array, negated at once
+            odd = np.empty((1 + (reads == ALL), z0.size), dtype=complex)
+            L1 = np.add(r1, 1j * np.pi, odd[0])
+        if reads == ALL:
+            r2, r3 = r23
+            L2 = r2 - r1 * r1
+            L3 = np.subtract(r3, r1 * (r2 + (L2 + L2)), odd[1])
+            arg = np.arctan2(th[0].imag, th[0].real) + np.pi * (m + flip)
+    if reads > LOG_MAG:
+        np.negative(odd, odd, where=flip)
+    if np.count_nonzero(n):
+        # the translation factor; where n == 0 it adds exact zeros, so a
+        # point gets the same bits whichever branch its run takes
+        log_mag = log_mag + (np.pi * np.imag(tau)) * n * (n + 2.0 * s)
+        if arg is not None:
+            arg = arg + np.pi * (n - n * (np.real(tau) * n + 2.0 * (t + s * np.real(tau))))
+        if L1 is not None:
+            L1 = L1 - (2j * np.pi) * n
+    out = (log_mag, arg, L1, L2, L3)
+    hit = z0 == 0.0
+    if np.count_nonzero(hit):
+        # exactly reduced lattice points: the sum is an exact zero in theory
+        # but roundoff leaves ~1e-16 debris, so snap to the sentinel
+        nan = complex(np.nan, np.nan)
+        out = tuple(None if x is None else np.where(hit, v, x)
+                    for v, x in zip((-np.inf, 0.0, nan, nan, nan), out))
+    return out
+
+
+def _eval(z, tau, reads: int = ALL):
     """Wrap z, run the series, reattach the translation factor in log space.
 
     tau is one modulus, or one per point of z (same shape): each point
     then gets the same bits as in a pass at its own tau.  Returns
     (log_mag, arg, L1, L2, L3) where Lk is the k-th logarithmic z
-    derivative of theta1 at z; arrays follow the shape of z.  Raises
+    derivative of theta1 at z; arrays follow the shape of z.  reads names
+    what the caller reads: LOG_MAG (log_mag), LOG_MAG_L1 (log_mag and L1)
+    or ALL; the outputs it leaves out are None and are never summed, and
+    those it names get the bits of a pass that reads ALL.  Raises
     UnreducedModulus for Im tau < 1/2: callers sum in a reduced frame.
     """
     # always evaluate a 1-D array: numpy's scalar complex products round
@@ -208,7 +283,8 @@ def _eval(z, tau):
     # alone as inside a batch
     z = np.asarray(z, dtype=complex)
     shape = z.shape
-    if isinstance(tau, np.ndarray) and tau.ndim:
+    per_point = isinstance(tau, np.ndarray) and tau.ndim
+    if per_point:
         tau = tau.reshape(-1)
         # the term count falls with Im tau, so the lowest point sets it
         low, high = (tau[tau.imag.argmin()], tau[tau.imag.argmax()]) if tau.size else (1j, 1j)
@@ -217,42 +293,16 @@ def _eval(z, tau):
     if not low.imag >= 0.5:
         raise UnreducedModulus(f"theta series asked for at tau = {low}, below Im tau = 1/2")
     _check_im(high.imag)
-    t, s, m, n = split_coords(z.reshape(-1), tau)
-    # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
-    # series at the summed point is always n = 0; L1 and L3 are odd too
-    flip = s > 0.0
-    z0 = t + s * tau
-    np.negative(z0, z0, where=flip)
-    # runs of at most _RUN points, about 500 bytes a point, bound the working
-    # set of a pass whatever its size; a point gets the same bits in any run
     nterms = _term_count_z(low.imag)
-    th = _series(z0, tau, nterms) if z0.size <= _RUN else np.concatenate(
-        [_series(z0[a:a + _RUN], tau[a:a + _RUN] if isinstance(tau, np.ndarray) else tau, nterms)
-         for a in range(0, z0.size, _RUN)], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r1, r2, r3 = th[1:] / th[0]
-        L2 = r2 - r1 * r1
-        L1, L3 = odd = np.empty((2, z0.size), dtype=complex)
-        np.add(r1, 1j * np.pi, L1)
-        np.subtract(r3, r1 * (r2 + (L2 + L2)), L3)
-        np.negative(odd, odd, where=flip)
-        log_mag = np.log(np.abs(th[0]))
-        arg = np.arctan2(th[0].imag, th[0].real) + np.pi * (m + flip)
-    if np.count_nonzero(n):
-        # the translation factor; where n == 0 it adds exact zeros, so a
-        # point gets the same bits whichever branch its batch takes
-        log_mag = log_mag + (np.pi * tau.imag) * n * (n + 2.0 * s)
-        arg = arg + np.pi * (n - n * (tau.real * n + 2.0 * (t + s * tau.real)))
-        L1 = L1 - (2j * np.pi) * n
-    hit = z0 == 0.0
-    if np.count_nonzero(hit):
-        # exactly reduced lattice points: the sum is an exact zero in theory
-        # but roundoff leaves ~1e-16 debris, so snap to the sentinel
-        nan = complex(np.nan, np.nan)
-        log_mag, arg, L1, L2, L3 = (np.where(hit, v, x) for v, x in zip(
-            (-np.inf, 0.0, nan, nan, nan), (log_mag, arg, L1, L2, L3)))
-    out = (log_mag, arg, L1, L2, L3)
-    return out if len(shape) == 1 else tuple(x.reshape(shape) for x in out)
+    z = z.reshape(-1)
+    # runs of at most _RUN points, each taken from z to its outputs before
+    # the next, bound the working set of a pass whatever its size; a point
+    # gets the same bits in any run
+    runs = [_run(z[a:a + _RUN], tau[a:a + _RUN] if per_point else tau, nterms, reads)
+            for a in range(0, max(z.size, 1), _RUN)]
+    out = runs[0] if len(runs) == 1 else tuple(
+        None if x[0] is None else np.concatenate(x) for x in zip(*runs))
+    return out if len(shape) == 1 else tuple(None if x is None else x.reshape(shape) for x in out)
 
 
 # the null series sum q^(m^2/4) e^(i pi m z) over odd m (theta2) and even m

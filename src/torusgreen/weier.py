@@ -15,9 +15,13 @@ identities, e1 - e2 = pi^2 theta3(0)^4 and its two companions, check the
 sum at run time.  invariants carries them back, cached per torus: the
 roots as e_r / lam^2, permuted as the matrix permutes the half periods
 mod 2 (Torus.half_period_perm), the nulls with weight 1/2, and eta1 by
-linearity of the quasi period map; eta2 is the Legendre relation.
+linearity of the quasi period map; eta2 is the Legendre relation.  The
+record keeps the reduced sum as well, from which a lone torus's
+critical set writes its half-period rows, so the set, the ranking of its
+half periods and its Weierstrass passes share one sum.
 
-evaluate gives sigma, zeta, p and p' from one theta1 series pass; sigma,
+evaluate gives sigma, zeta, p and p' from one theta1 series pass, or
+only those its caller reads (log|sigma| alone, or with zeta); sigma,
 zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
 has a pole.  The classical lattice sum is kept out of the library on
 purpose: at the accuracy this package works to it converges hopelessly
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import HalfPeriodInput, PoleAtLattice, Unconverged
 from .lattice import Torus
-from .theta import LogComplex, _eval, _scalarize, nulls
+from .theta import ALL, LogComplex, _eval, _scalarize, nulls
 
 TWO_PI_I = 2j * np.pi
 
@@ -48,7 +52,10 @@ class EllipticInvariants:
     normalization of sigma_r; its imaginary part is not reduced mod 2 pi.
     log_abs_nulls holds log|theta2(0)|, log|theta4(0)| and
     log|theta3(0)| at tau, and a holds A_k = e_k + eta1, in the order of
-    the half periods 1/2, tau/2 and (1+tau)/2.
+    the half periods 1/2, tau/2 and (1+tau)/2.  a_r and log_abs_nulls_r
+    are the same at tau_r, in the order of 1/2, tau_r/2 and (1+tau_r)/2,
+    as the null sum gave them: the half-period rows of a lone torus's
+    critical set (green.half_period_rows).
     """
 
     e1: complex
@@ -61,6 +68,8 @@ class EllipticInvariants:
     log_theta1_prime: complex
     log_abs_nulls: tuple[float, float, float]
     a: tuple[complex, complex, complex]
+    a_r: tuple[complex, complex, complex]
+    log_abs_nulls_r: tuple[float, float, float]
 
 
 def reduced_nulls(tori: list[Torus]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -103,7 +112,7 @@ def _invariants_cached(torus: Torus) -> EllipticInvariants:
     return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3,
                               complex(math.log(math.pi) + log_nulls.sum()),
                               tuple((log_nulls.real[perm] - 0.5 * math.log(abs(lam))).tolist()),
-                              tuple(a_k.tolist()))
+                              tuple(a_k.tolist()), tuple(a_r.tolist()), tuple(log_nulls.real.tolist()))
 
 
 def invariants(torus: Torus) -> EllipticInvariants:
@@ -114,15 +123,16 @@ def invariants(torus: Torus) -> EllipticInvariants:
 @dataclass(frozen=True)
 class WeierEval:
     """sigma (log form), zeta, p and p' at z; scalars for one point,
-    arrays shaped like z for a batch."""
+    arrays shaped like z for a batch.  A pass that reads less leaves the
+    rest None (evaluate)."""
 
     sigma: LogComplex
-    zeta: complex
-    p: complex
-    p_prime: complex
+    zeta: complex | None
+    p: complex | None
+    p_prime: complex | None
 
 
-def evaluate(z, torus: Torus) -> WeierEval:
+def evaluate(z, torus: Torus, reads: int = ALL) -> WeierEval:
     """sigma, zeta, p and p' at z from one theta series pass.
 
     With Lk the k-th log derivative of theta1 at w = z / lam on tau_r and
@@ -133,11 +143,14 @@ def evaluate(z, torus: Torus) -> WeierEval:
         p'(z) = -L3 / lam^3.
 
     These identities carry the right quasi periods, so they hold for
-    unreduced z as well.  Everything is computed on a flat array, so a
-    point gives the same bits alone as inside a batch.  Where z / lam is
-    exactly a lattice point sigma is the log_mag = -inf sentinel and the
-    rest is NaN; the single-quantity readers below raise PoleAtLattice
-    there instead.
+    unreduced z as well.  reads is the theta._eval reads of the pass:
+    LOG_MAG gives log|sigma| alone (sigma.arg None), LOG_MAG_L1 log|sigma|
+    and zeta, ALL everything, and what is left out is None, never formed,
+    while what is read has the bits of ALL.  Everything is computed on a
+    flat array, so a point gives the same bits alone as inside a batch.
+    Where z / lam is exactly a lattice point sigma is the log_mag = -inf
+    sentinel and the rest is NaN; the single-quantity readers below raise
+    PoleAtLattice there instead.
     """
     inv = invariants(torus)
     lam = torus.lam
@@ -145,19 +158,19 @@ def evaluate(z, torus: Torus) -> WeierEval:
     eta1_r = lam * (lam * inv.eta1 - TWO_PI_I * torus.mat[1][0])
     z = np.asarray(z, dtype=complex)
     w = z.reshape(-1) * k1
-    lm, ar, L1, L2, L3 = _eval(w, torus.tau_r)
+    lm, ar, L1, L2, L3 = _eval(w, torus.tau_r, reads)
     quad = 0.5 * eta1_r * w * w
     lp = inv.log_theta1_prime - cmath.log(lam)
-    ar = np.where(np.isneginf(lm), 0.0, ar)
 
     def out(x):
         return _scalarize(x.reshape(z.shape))
 
     return WeierEval(
-        sigma=LogComplex(out(lm + quad.real - lp.real), out(ar + quad.imag - lp.imag)),
-        zeta=out((L1 + eta1_r * w) * k1),
-        p=out((-L2 - eta1_r) * (k1 * k1)),
-        p_prime=out(-L3 * (k1 * k1 * k1)),
+        sigma=LogComplex(out(lm + quad.real - lp.real), None if ar is None else out(
+            np.where(np.isneginf(lm), 0.0, ar) + quad.imag - lp.imag)),
+        zeta=None if L1 is None else out((L1 + eta1_r * w) * k1),
+        p=None if L2 is None else out((-L2 - eta1_r) * (k1 * k1)),
+        p_prime=None if L3 is None else out(-L3 * (k1 * k1 * k1)),
     )
 
 

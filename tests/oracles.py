@@ -106,12 +106,13 @@ def _mp_log_theta1_dz2(z, tau):
     return t2 / t0 - (t1 / t0) ** 2
 
 
-def mp_theta1_logderiv2_series(z: complex, tau: complex):
+def mp_theta1_logderiv2_series(z: complex, tau: complex, dps: int = 0):
     """(log theta1)''(z; tau) as an mpmath complex from the exp-per-term sum,
     at a working precision that resolves its O(e^(-pi Im tau)) values at the
-    half periods; mpmath's theta derivatives lose those past Im tau of about
-    30 (at 100i they read 4.68e-135 where the sum gives 2.88e-135 = 8 pi^2 q)."""
-    with mp.workdps(int(math.pi * tau.imag / math.log(10)) + 40):
+    half periods, or at dps digits; mpmath's theta derivatives lose those
+    past Im tau of about 30 (at 100i they read 4.68e-135 where the sum
+    gives 2.88e-135 = 8 pi^2 q)."""
+    with mp.workdps(dps or int(math.pi * tau.imag / math.log(10)) + 40):
         z, tau = mp.mpc(z), mp.mpc(tau)
         sums = [mp.mpc(0)] * 3
         for n in range(-12, 12):

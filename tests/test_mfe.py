@@ -352,8 +352,8 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
 def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
-    # one u call and one green_rel call per block of rows; 37 rows leave a
-    # last block of one row
+    # one u call and one green_rel call per block of 16 rows (8 and 10
+    # blocks of 4 rows before); 37 rows leave a last block of five rows
     sol = _solution(rho, tau)
     passes = []
 
@@ -365,8 +365,8 @@ def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
 
     monkeypatch.setattr(theta, "_eval", counted(theta._eval))
     monkeypatch.setattr(weier, "_eval", counted(weier._eval))
-    assert mfe._BLOCK_ROWS == 4
-    for grid_n, blocks in ((32, 8), (37, 10)):
+    assert mfe._BLOCK_ROWS == 16
+    for grid_n, blocks in ((32, 2), (37, 3)):
         passes.clear()
         mfe.verify_solution(sol, grid_n=grid_n)
         assert len(passes) == 2 * blocks

@@ -30,9 +30,9 @@ def test_thresholds_by_newton_match_mpmath_and_the_bisection(monkeypatch):
     passes, sums = [], []
     real, real_sum = theta._eval, weier.nulls
 
-    def counted(z, tau):
+    def counted(z, *args):
         passes.append(np.size(z))
-        return real(z, tau)
+        return real(z, *args)
 
     def counted_sum(tau):
         sums.append(np.size(tau))
@@ -387,9 +387,9 @@ def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
     passes = []
     real = theta._eval
 
-    def counted(z, tau):
+    def counted(z, *args):
         passes.append(np.size(z))
-        return real(z, tau)
+        return real(z, *args)
 
     monkeypatch.setattr(theta, "_eval", counted)
     cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)
@@ -408,9 +408,9 @@ def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
     passes = []
     real = theta._eval
 
-    def counted(z, tau):
+    def counted(z, *args):
         passes.append(np.size(z))
-        return real(z, tau)
+        return real(z, *args)
 
     monkeypatch.setattr(theta, "_eval", counted)
     cells = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)

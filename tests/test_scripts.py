@@ -21,7 +21,9 @@ def test_script_exits_0(argv):
 
 
 def test_kernel_timing_prints_one_row_per_batch_size():
-    # the kernel's table, then the null sum's at 1 and at 1024 moduli
+    # the kernel's table, a row per batch size and reader kind with the
+    # minor page faults per 1024 points last, then the null sum's at 1 and
+    # at 1024 moduli
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_timing.py"), "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
@@ -29,10 +31,13 @@ def test_kernel_timing_prints_one_row_per_batch_size():
     kernel, nulls = ([line.split("|")[1:-1] for line in table.splitlines()
                       if line.startswith("| ") and line[2].isdigit()]
                      for table in proc.stdout.split("###")[1:])
-    assert [int(row[0]) for row in kernel] == [1, 3, 14, 192, 1024, 4096]
+    assert [(int(row[0]), row[1].strip()) for row in kernel] == [
+        (n, reads) for n in (1, 3, 14, 192, 1024, 4096) for reads in ("value", "value, L1", "full")]
     assert [int(row[0]) for row in nulls] == [1, 1024]
-    assert all(len(row) == 5 for row in kernel) and all(len(row) == 3 for row in nulls)
-    assert all(float(cell) > 0.0 for row in kernel + nulls for cell in row[1:])
+    assert all(len(row) == 7 for row in kernel) and all(len(row) == 3 for row in nulls)
+    assert all(float(cell) > 0.0 for row in kernel for cell in row[2:6])
+    assert all(float(row[6]) >= 0.0 for row in kernel)
+    assert all(float(cell) > 0.0 for row in nulls for cell in row[1:])
 
 
 def test_pass_counts_prints_one_row_per_call():
@@ -44,25 +49,26 @@ def test_pass_counts_prints_one_row_per_call():
     assert len(rows) == 13
     # the square torus takes the morse route: the null sum writes the half
     # periods in closed form, the residual check is the one pass, and the
-    # ranking's invariants are a second null sum (2 passes while a pass at
-    # the half periods gave them, 3 while the invariants summed them again)
-    assert rows[0] == "| `critical --tau=i` | 0 | 1 | 3 | 2 | 2 |"
+    # ranking reads the same sum from the invariants record (2 passes while
+    # a pass at the half periods gave them, 3 while the invariants summed
+    # them again; 2 null sums while the ranking summed its own)
+    assert rows[0] == "| `critical --tau=i` | 0 | 1 | 3 | 1 | 1 |"
     # the seeds route adds Newton from one pitchfork seed and the pass at
     # z0: 8 passes on the hexagonal torus (13 over 290 points from the 55
     # fixed seeds, then 10, then 9 with the half-period pass), 6 at 0.3+0.8i
-    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 8 | 11 | 2 | 2 |"
-    assert rows[2] == "| `critical --tau=0.3+0.8i` | 0 | 6 | 9 | 2 | 2 |"
+    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 8 | 11 | 1 | 1 |"
+    assert rows[2] == "| `critical --tau=0.3+0.8i` | 0 | 6 | 9 | 1 | 1 |"
     # near the cusp and at the degenerate torus of b1 the signs decide as
     # well (0.0608i made 8 passes with the census's 24x24 grid, then 3, then 2)
-    assert rows[3] == "| `critical --tau=0.0608i` | 0 | 1 | 3 | 2 | 2 |"
-    assert rows[4] == "| `critical --tau=0.5+0.7047615813326655i` | 0 | 1 | 3 | 2 | 2 |"
+    assert rows[3] == "| `critical --tau=0.0608i` | 0 | 1 | 3 | 1 | 1 |"
+    assert rows[4] == "| `critical --tau=0.5+0.7047615813326655i` | 0 | 1 | 3 | 1 | 1 |"
     # at the rhombic cusp, where the multi-start grid's 699 Newton passes
     # ended in CountViolation (exit 3), then 9 passes, then 8
-    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 7 | 10 | 2 | 2 |"
+    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 7 | 10 | 1 | 1 |"
     # a five-point torus near the real axis, whose Newton in the given
     # frame's (t, s) stalled (exit 3); on its reduced torus, 7 passes
     assert rows[6] == ("| `critical --tau=0.17668935183106604+2.3164145156627625e-07i` "
-                       "| 0 | 7 | 10 | 2 | 2 |")
+                       "| 0 | 7 | 10 | 1 | 1 |")
     # the scan's 64 cells and its flip edges' 14 midpoints each take one
     # null sum for their half periods (10 passes over 492 points while a
     # pass at the half periods did)
@@ -70,18 +76,21 @@ def test_pass_counts_prints_one_row_per_call():
     # the 4 pi construction (1 pass: its period path and probes together,
     # after the doubled torus's null sum; 5 while the path's three segments,
     # the probes and the invariants each had a pass) and verify_solution's 32
-    # rows in 8 blocks of one u call and one green_rel call each (70
-    # passes by rows)
-    assert rows[8] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 17 | 19582 | 1 | 1 |"
+    # rows in 2 blocks of one u call and one green_rel call each (70
+    # passes by rows, 17 in blocks of 4 rows)
+    assert rows[8] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 5 | 19582 | 1 | 1 |"
     # a torus outside the fundamental domain, built and checked on its
-    # reduced torus: the same construction pass and 16 blocks of 2 at
-    # 64^2 (76797 points on the given cell, whose exclusion disks cut more)
-    assert rows[9] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 33 | 77814 | 1 | 1 |"
-    # the critical set's 8 passes and one at z0 and 2 z0 (29 while the map
-    # took z0 as an argument, checked its residual, polished it by Newton
-    # and summed sigma(2 z0) alone)
+    # reduced torus: the same construction pass and 4 blocks of 2 at 64^2
+    # (76797 points on the given cell, whose exclusion disks cut more; 33
+    # passes in blocks of 4 rows)
+    assert rows[9] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 77814 | 1 | 1 |"
+    # the critical set's 8 passes, one at z0 and 2 z0 and 2 blocks of 2
+    # (29 while the map took z0 as an argument, checked its residual,
+    # polished it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4
+    # rows); the map's invariants are the critical set's null sum (2 sums
+    # while the half-period rows summed their own)
     assert rows[10] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 25 | 26407 | 2 | 2 |")
+                       "| 0 | 13 | 26407 | 1 | 1 |")
     # Newton from b = 1/2 to both thresholds, one null sum a step and no
     # pass (107 passes by bracket and bisection, then one pass a step); one
     # null sum at b = 0.7 and one at b = 1/2 for the functional equation

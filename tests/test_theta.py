@@ -127,6 +127,51 @@ def test_logderiv2_keeps_relative_precision_at_the_half_periods():
                 assert got == 0.0, (tau, h, got)
 
 
+def test_the_real_part_of_l2_at_the_rhombic_half_period_keeps_its_error():
+    # on Re tau = 1/2, L2 at (1+tau)/2 is nearly imaginary, and its small
+    # real part is where rounding the phases in tau into the sums instead
+    # of the leads doubled the typical error; measured against a 200-digit
+    # sum over b in [1, 10] the leads built from one cos and sin a point
+    # read 2.5e-16 |L2| at most and 7.3e-17 on average, as the four cos and
+    # sin a point before them (2.9e-16 and 7.3e-17)
+    errs = []
+    for b in np.linspace(1.0, 10.0, 91):
+        tau = complex(0.5, b)
+        h = (1.0 + tau) / 2.0
+        got = theta._eval(np.array([h]), tau)[3][0]
+        ref = oracles.mp_theta1_logderiv2_series(h, tau, dps=200)
+        errs.append(abs(got.real - float(ref.real)) / abs(complex(ref)))
+    assert max(errs) < 3e-16 and np.mean(errs) < 1e-16
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1025, 5000])
+def test_a_pass_that_reads_less_gives_the_bits_of_a_full_pass(n):
+    # LOG_MAG and LOG_MAG_L1 sum fewer moments and finish fewer outputs;
+    # what they return is what a pass reading ALL returns, to the bit, on
+    # one modulus and on one of 64 per point, across runs of _RUN points
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1.5, 1.5, n) + rng.uniform(-1.5, 1.5, n) * 1.07j
+    z[0] = 0.0
+    moduli = np.array([T.tau_r for T in lattice.random_tori(64, 7)])[np.arange(n) % 64]
+    for tau in (0.31 + 1.07j, moduli):
+        full = theta._eval(z, tau)
+        for reads, kept in ((theta.LOG_MAG, (0,)), (theta.LOG_MAG_L1, (0, 2))):
+            got = theta._eval(z, tau, reads)
+            for k, (g, f) in enumerate(zip(got, full)):
+                if k in kept:
+                    np.testing.assert_array_equal(g, f)
+                else:
+                    assert g is None
+    T = lattice.make_torus(-0.31 + 0.42j)
+    full = weier.evaluate(z, T)
+    for reads in (theta.LOG_MAG, theta.LOG_MAG_L1):
+        ev = weier.evaluate(z, T, reads)
+        np.testing.assert_array_equal(ev.sigma.log_mag, full.sigma.log_mag)
+        assert ev.sigma.arg is None and ev.p is None and ev.p_prime is None
+        assert ev.zeta is None if reads == theta.LOG_MAG else np.array_equal(
+            ev.zeta, full.zeta, equal_nan=True)
+
+
 def test_the_mpmath_log_derivatives_refuse_past_im_tau_20():
     # mpmath's jtheta derivatives lose the O(e^(-pi Im tau)) values at the
     # half periods from about Im tau = 20 (3e-2 relative at (1+tau)/2 on
@@ -256,8 +301,9 @@ def test_series_matches_the_exp_per_term_oracle(monkeypatch):
     series = theta._series
     checked = []
 
-    def compared(z0, tau, nterms):
-        out = series(z0, tau, nterms)
+    def compared(z0, tau, nterms, reads):
+        out = series(z0, tau, nterms, reads)
+        assert len(out) == reads
         ref = oracles.theta_series_exp_per_term(z0, tau, nterms, center=1j * np.pi)
         gross = oracles.theta_series_gross(z0, tau, nterms, center=1j * np.pi)
         for j, (a, r, g) in enumerate(zip(out, ref, gross)):
@@ -277,10 +323,11 @@ def test_series_matches_the_exp_per_term_oracle(monkeypatch):
     for tau in taus:
         z = rng.uniform(-0.5, 0.5, 6) + rng.uniform(-0.5, 0.5, 6) * tau
         z = np.concatenate([[0.5, tau / 2, (1 + tau) / 2], z, [0.3 + 0.5 * tau, 3.1 - 2.5 * tau]])
-        for out in theta._eval(z, tau):
-            assert np.all(np.isfinite(out)), tau
-    assert checked == taus
-    assert checked[-2].imag > 11.0 and theta._term_count_z(checked[-1].imag) == 8
+        for reads in (theta.ALL, theta.LOG_MAG, theta.LOG_MAG_L1):
+            for out in theta._eval(z, tau, reads):
+                assert out is None or np.all(np.isfinite(out)), tau
+    assert checked == [tau for tau in taus for _ in range(3)]
+    assert taus[-2].imag > 11.0 and theta._term_count_z(taus[-1].imag) == 8
 
 
 def test_small_imag_tau_routes_accurately():
