@@ -28,23 +28,29 @@ the normal form of that pitchfork from its Hessian row and the other two
 (_pitchfork_seed): no theta pass.  The critical residual
 r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2 collapses to
 (log theta1)_z + 2 pi i s, so a Newton step is one theta series pass for
-the seeds of every torus of a batch, and one more pass gives the points
-at the roots.  The residual check is one pass, at the exact half period
-coordinates through residual_and_jacobian, and is a second route there:
-to the gradient, and through dr_dt = L2 to the determinants, whose signs
-outside both bounds must agree with the null sum's (Unconverged
-otherwise).  So a morse torus costs one pass, and a seeds torus adds its
-Newton trials and the pass at z0.
+the seeds of every torus of a batch.  One final pass, through
+residual_and_jacobian, sums the half periods at their exact coordinates
+and each root at t + s tau_r, where evaluate sums it: it gives z0's row,
+|grad G| = |r| / (2 pi) at every point, and a second route at the half
+periods, through dr_dt = L2 to the determinants, whose signs outside
+both bounds must agree with the null sum's (Unconverged otherwise).  So
+a morse torus costs one pass, and a seeds torus adds its Newton trials.
 
-Every pass runs on the reduced tori (Torus.reduced), and each set is
-carried back to its torus once (_carried).  A torus gets the same
-bits in a batch as alone: each point is summed at its own tau_r, a seed
-is formed from its torus's rows alone, and each Newton seed keeps its own
-count of steps.  find_critical_points is the batch of one torus.
+Every pass runs on the reduced tori (Torus.reduced).  A batch is
+finished as arrays (_solve): the rows are carried back to their tori
+(_carried, by green.carried), the half periods relabelled by an index
+array, and the Morse labels and checks read from columns; only the
+messages of failing tori and z0's exact map on a torus with a matrix
+stay per torus.  find_critical_sets builds CriticalSets from the
+columns, and moduli.scan its cells.  A torus gets the same bits in a
+batch as alone: each point is summed at its own tau_r, a seed is formed
+from its torus's rows alone, and each Newton seed keeps its own count of
+steps.  find_critical_points is the batch of one torus.
 
 Failures stay typed.  Unconverged: the null sum misses Jacobi's gap
 identities, the two routes to a determinant's sign disagree, no seed
-(G_vvvv <= 0), or Newton misses the residual target from it.
+(G_vvvv <= 0), Newton misses the residual target from it, or a point
+misses |grad G| <= tol in the final pass.
 CountViolation marks an evaluation bug: Newton reaches a half period
 where the signs force five, z0 is not a Min outside its bound, or
 unbalanced Morse labels, where a Degenerate half period has index +1 (a
@@ -80,6 +86,8 @@ LINE_TOL = 1e-6           # a root this close to the lines s = 0 and s = 1/2,
 DEFAULT_TOL = 1e-12       # default bound on |grad G| on the reduced torus
 TIE_TOL = 1e-9            # G values of half periods this close are tied
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+_HP_T, _HP_S = np.array(_HP_COORDS).T
+_IDENTITY = ((1, 0), (0, 1))
 
 
 class Kind(Enum):
@@ -93,6 +101,10 @@ class Morse(Enum):
     MIN = "Min"
     SADDLE = "Saddle"
     DEGENERATE = "Degenerate"
+
+
+_KINDS = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
+_MORSE = (Morse.MIN, Morse.SADDLE, Morse.DEGENERATE)
 
 
 @dataclass(frozen=True)
@@ -196,70 +208,12 @@ def _at(tau_r, index):
     return tau_r if np.ndim(tau_r) == 0 else tau_r[index]
 
 
-def _morse(det: float, bound: float) -> Morse:
-    if abs(det) <= bound:
-        return Morse.DEGENERATE
-    # trace is 1/b > 0, so a positive determinant always means a minimum
-    return Morse.MIN if det > 0.0 else Morse.SADDLE
-
-
-def _rows(ev: green.GreenEval) -> list[green.GreenEval]:
-    """Each point's own GreenEval, of floats, from an evaluate over a 1-D
-    array."""
-    h = ev.hessian
-    cols = (c.tolist() for c in (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det, ev.det_bound))
-    return [green.GreenEval(g, (gx, gy), Hessian2(xx, xy, yy, det), bound)
-            for g, gx, gy, xx, xy, yy, det, bound in zip(*cols)]
-
-
-def _points(torus: Torus, coords, kinds, rows) -> list[CriticalPoint]:
-    """The critical points at coords, classified from their _rows."""
-    return [CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
-                          morse=_morse(row.hessian.det, row.det_bound), hessian=row.hessian,
-                          g_rel=row.value_rel)
-            for (t, s), kind, row in zip(coords, kinds, rows)]
-
-
-def _critical_set(torus: Torus, hp_rows, route: str, extra=None) -> CriticalSet:
-    """The CriticalSet of the half periods of torus, whose _rows are
-    hp_rows, plus the extra orbit extra = ((t, s), row), if any."""
-    kinds = (Kind.HALF_PERIOD_1, Kind.HALF_PERIOD_2, Kind.HALF_PERIOD_3)
-    points = _points(torus, _HP_COORDS, kinds, hp_rows)
-    if extra is not None:
-        points += _points(torus, [extra[0]], [Kind.EXTRA_PAIR], [extra[1]])
-    return CriticalSet(points=tuple(points), total_count=3 + 2 * (extra is not None),
-                       route=route)
-
-
-def _carried(torus: Torus, hp_rows, extra):
-    """The half-period _rows and extra orbit ((t, s), row) of torus from
-    those of torus.reduced: the half periods relabelled as the matrix
-    permutes them mod 2, z0 mapped by its inverse, t = d t' + b s' and
-    s = c t' + a s', wrapped and folded, and each row by green.carried.
-    z0's coordinates are mapped in exact arithmetic and rounded once, so
-    the inverse map takes them back to the root to a few ulps of the
-    matrix entries (rounded in floats, the sums of entries near 1000 left
-    it 1e-10 off, where the determinant moves at first order)."""
-    if torus.mat == ((1, 0), (0, 1)):
-        return hp_rows, extra
-    (a, b), (c, d) = torus.mat
-    hp_rows = [green.carried(hp_rows[j], torus) for j in torus.half_period_perm]
-    if extra is not None:
-        (t, s), row = extra
-        # integers over one power-of-two denominator q; int / int rounds once
-        (nt, qt), (ns, qs) = t.as_integer_ratio(), s.as_integer_ratio()
-        q = max(qt, qs)
-        t, s = _fold(*(wrap_unit((i * nt * (q // qt) + j * ns * (q // qs)) % q / q)[0]
-                       for i, j in ((d, b), (c, a))))
-        extra = (float(t), float(s)), green.carried(row, torus)
-    return hp_rows, extra
-
-
-def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
+def _pitchfork_seed(torus: Torus, rows: green.GreenEval, at: int) -> tuple[float, float, int]:
     """The seed (t, s) of z0 on a reduced torus whose three half periods
-    are saddles, from their _rows, and the index m of the half period it
-    leaves: the one with the largest determinant, where the extra pair is
-    born as that determinant crosses zero.
+    are saddles, rows 3 at to 3 at + 2 of rows (green.half_period_rows), and
+    the index m of the half period it leaves: the one with the largest
+    determinant, where the extra pair is born as that determinant crosses
+    zero.
 
     Along the unit eigenvector v of the negative Hessian eigenvalue mu at
     w_m, G is even about w_m, so its slope at w_m + eps v is
@@ -272,7 +226,8 @@ def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
     The seed is w_m + eps v with eps = sqrt(-6 mu / G_vvvv).  Raises
     Unconverged where G_vvvv <= 0, which leaves no seed.
     """
-    hess = [row.hessian for row in hp_rows]
+    cols = (rows.hessian.xx, rows.hessian.xy, rows.hessian.yy, rows.hessian.det)
+    hess = [Hessian2(*(float(c[3 * at + j]) for c in cols)) for j in range(3)]
     m = max(range(3), key=[h.det for h in hess].__getitem__)
     c = [math.pi * complex(h.xx - h.yy, -2.0 * h.xy) for h in hess]
     i, j = (k for k in range(3) if k != m)
@@ -290,17 +245,15 @@ def _pitchfork_seed(torus: Torus, hp_rows) -> tuple[float, float, int]:
     return t, s, m
 
 
-def _extra_points(tori: list[Torus], tau_r, seeds, tol: float) -> list:
+def _extra_roots(tori: list[Torus], tau_r, seeds, tol: float):
     """z0 of each (k, t, s, m) in seeds, the pitchfork seed (t, s) at half
     period m of the reduced torus of tori[k], of modulus _at(tau_r, k):
-    one damped Newton run serves every seed and one evaluate pass every
-    root.  Returns, per seed, ((t, s), row) on the reduced torus with the
-    root folded to the representative of its orbit {z, -z} and row its
-    _rows, or the error: Unconverged where Newton misses |grad G| <=
-    tol / 2, CountViolation where it reaches a half period.
+    one damped Newton run serves every seed.  Returns the roots (t, s) on
+    the reduced tori, folded to the representative of their orbit
+    {z, -z}, and per seed None or the error: Unconverged where Newton
+    misses |grad G| <= tol / 2, CountViolation where it reaches a half
+    period.
     """
-    if not seeds:
-        return []
     k, t0, s0, m = (np.array(x) for x in zip(*seeds))
     # |grad G| = |r| / (2 pi), kept at half of tol; polish three decades
     # past the target, so that z0 is a root to rounding and not anywhere
@@ -312,26 +265,21 @@ def _extra_points(tori: list[Torus], tau_r, seeds, tol: float) -> list:
     for h, (tc, sc) in enumerate(_HP_COORDS):
         at_hp[(np.abs(wrap_unit(t - tc)[0]) < HP_MERGE_TOL)
               & (np.abs(wrap_unit(s - sc)[0]) < HP_MERGE_TOL)] = h
-    ok = np.isfinite(rn) & (rn <= r_target) & (at_hp < 0)
-    on = _at(tau_r, k[ok])
-    rows = iter(_rows(green.evaluate(t[ok] + s[ok] * on, on)) if ok.any() else [])
-    out = []
-    for j, seed in enumerate(seeds):
-        torus = tori[seed[0]]
+    errors: list = [None] * len(seeds)
+    for j in np.flatnonzero(~(np.isfinite(rn) & (rn <= r_target) & (at_hp < 0))).tolist():
+        torus = tori[seeds[j][0]]
         name = (f"the pitchfork seed (t, s) = ({t0[j]:.6f}, {s0[j]:.6f}) at half period "
                 f"{m[j] + 1} of the reduced torus tau_r = {torus.tau_r}")
-        if ok[j]:
-            out.append(((float(t[j]), float(s[j])), next(rows)))
-        elif at_hp[j] < 0:
-            out.append(Unconverged(f"Newton from {name} ended at |grad G| = "
-                                   f"{rn[j] / (2.0 * np.pi):.3e}, above tol {tol} / 2, "
-                                   f"at tau = {torus.tau}"))
+        if at_hp[j] < 0:
+            errors[j] = Unconverged(f"Newton from {name} ended at |grad G| = "
+                                    f"{rn[j] / (2.0 * np.pi):.3e}, above tol {tol} / 2, "
+                                    f"at tau = {torus.tau}")
         else:
-            out.append(CountViolation(
+            errors[j] = CountViolation(
                 f"Newton from {name} reached half period {at_hp[j] + 1}, so 3 critical "
                 f"points at tau = {torus.tau}, but all three half periods are saddles, "
-                "which forces 5"))
-    return out
+                "which forces 5")
+    return t, s, errors
 
 
 def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,44 +291,68 @@ def _fold(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(flip, wrap_unit(0.0 - t)[0], t), np.where(flip, wrap_unit(0.0 - s)[0], s)
 
 
-def _checked(cs: CriticalSet, torus: Torus, r: np.ndarray, tol: float):
-    """cs, or the error it fails with, given r = |residual| at its points
-    on the reduced torus: it passes once |grad G| <= tol there at each
-    point, #min - #saddle = -1 and its extra pair, if any, are minima."""
-    grad = float(np.max(r)) / (2.0 * np.pi)
-    if not grad <= tol:
-        return Unconverged(f"reduced-frame |grad G| = {grad:.3e} above tol {tol} on the "
-                           f"{cs.route} route at tau = {torus.tau}")
-    # a Degenerate point is a saddle merged with the pair of minima: index +1
-    balance = sum((2 if p.kind is Kind.EXTRA_PAIR else 1)
-                  * (1 - 2 * (p.morse is Morse.SADDLE)) for p in cs.points)
-    if balance != -1:
-        return CountViolation(
-            f"#min - #saddle = {balance} among the {cs.total_count} critical points "
-            f"of the {cs.route} route at tau = {torus.tau}; the Euler count forces -1"
-        )
-    # the balance counts a Degenerate pair +1 each, as it would two minima
-    if cs.extra is not None and cs.extra.morse is not Morse.MIN:
-        return CountViolation(f"the extra point z0 = {cs.extra.z} is {cs.extra.morse.value}, "
-                              f"not a Min outside its det_bound, at tau = {torus.tau}")
-    return cs
+def _columns(ev: green.GreenEval) -> np.ndarray:
+    """What a critical point keeps of an evaluate over a 1-D array, G - C,
+    the Hessian (xx, xy, yy, det) and det_bound: the six rows of one
+    array.  Its gradient is 0 to rounding."""
+    h = ev.hessian
+    return np.array([ev.value_rel, h.xx, h.xy, h.yy, h.det, ev.det_bound])
 
 
-def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
-    """The critical set of every torus in tori, or the error it fails with.
+def _carried(tori: list[Torus], cols: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """cols (_columns), points on reduced tori, at the points of the tori
+    themselves: column i lies on tori[cell[i]], and green.carried takes it
+    back unless that torus is its own reduced torus, whose columns keep
+    their bits."""
+    moved = [torus.mat != _IDENTITY for torus in tori]
+    if not any(moved):
+        return cols
+    g, xx, xy, yy, det, bound = cols
+    ev = green.GreenEval(g, (0.0, 0.0), Hessian2(xx, xy, yy, det), bound)
+    back = _columns(green.carried(ev, tori[0]) if len(tori) == 1 else green.carried(ev, tori, cell))
+    return back if all(moved) else np.where(np.array(moved)[cell], back, cols)
 
-    A torus reduced past theta.MAX_IM_TAU gets the InvalidInput of
-    theta._check_im and joins no pass.  The others each take their own
-    route (see the module docstring) on their reduced tori, and every
-    pass serves all of them.  One null sum decides the routes and gives
-    the half period points of all of them, or a torus its Unconverged off
-    the gap identities.  Every seeds torus then gets its pitchfork seed,
-    and _extra_points runs one Newton for all the seeds and one pass at
-    their roots.  Last, one residual pass checks |grad G| <= tol at every
-    point and the half-period det signs, and each set, carried back to
-    its torus (_carried), is checked for the Morse balance.  A torus gets
-    the same result, to the bit, as alone.  Only a bad tol raises.
-    """
+
+def _half_period_index(tori: list[Torus], at) -> np.ndarray:
+    """The rows of a half_period_rows pass that hold the half periods 1/2,
+    tau/2 and (1+tau)/2 of each torus, tori[i] summed at rows 3 at[i] to
+    3 at[i] + 2: each matrix permutes them mod 2 (half_period_perm)."""
+    perm = np.array([torus.half_period_perm for torus in tori]).reshape(-1, 3)
+    return (3 * np.asarray(at)[:, None] + perm).ravel()
+
+
+def _z0_carried(torus: Torus, t: float, s: float) -> tuple[float, float]:
+    """The coordinates of the root (t, s) of torus.reduced on torus, by
+    the inverse of the matrix, t = d t' + b s' and s = c t' + a s',
+    wrapped.  They are mapped in exact arithmetic and rounded once, so
+    the inverse map takes them back to the root to a few ulps of the
+    matrix entries (rounded in floats, the sums of entries near 1000 left
+    it 1e-10 off, where the determinant moves at first order)."""
+    (a, b), (c, d) = torus.mat
+    # integers over one power-of-two denominator q; int / int rounds once
+    (nt, qt), (ns, qs) = t.as_integer_ratio(), s.as_integer_ratio()
+    q = max(qt, qs)
+    return tuple((i * nt * (q // qt) + j * ns * (q // qs)) % q / q for i, j in ((d, b), (c, a)))
+
+
+@dataclass(frozen=True)
+class _Sets:
+    """The critical sets of a batch of tori as arrays (_solve).  The half
+    periods 1/2, tau/2 and (1+tau)/2 of set j are columns 3j to 3j + 2 of
+    cols and morse, and its extra orbit, where extra[j] = e is not -1, is
+    column 3 len(extra) + e, at (t[e], s[e])."""
+
+    extra: list[int]
+    t: list[float]
+    s: list[float]
+    cols: np.ndarray               # _columns in the given frame, a column a point
+    morse: np.ndarray              # index into _MORSE of each point
+
+
+def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
+    """The critical sets of tori, or the errors they fail with: out[k] is
+    the TorusGreenError of tori[k], or the number of its set in the
+    _Sets (None where no torus got one).  See find_critical_sets."""
     if not 1e-14 <= tol <= 1e-6:
         raise InvalidInput(f"tol {tol} outside [1e-14, 1e-6]")
     out: list = []
@@ -390,61 +362,160 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
         except InvalidInput as exc:
             out.append(exc)
         else:
-            out.append(torus)
+            out.append(None)
     # the tori the passes serve: out[live[k]] answers for tori[k]
-    live = [k for k, x in enumerate(out) if isinstance(x, Torus)]
-    tori = [out[k] for k in live]
+    live = [k for k, x in enumerate(out) if x is None]
+    tori = [tori[k] for k in live]
     if not tori:
-        return out
+        return out, None
     tau_r = tori[0].tau_r if len(tori) == 1 else np.array([torus.tau_r for torus in tori])
-    ev, failed = green.half_period_rows(tori)
-    hp = _rows(ev)
-    det = ev.hessian.det.reshape(-1, 3)
-    inside = np.abs(det) <= ev.det_bound.reshape(-1, 3)
+    hp, failed = green.half_period_rows(tori)
+    det = hp.hessian.det.reshape(-1, 3)
+    inside = np.abs(det) <= hp.det_bound.reshape(-1, 3)
     n_inside = inside.sum(axis=1)
     morse = ((det > 0.0) & ~inside).any(axis=1) | (n_inside == 1)
     ok = np.ones(len(tori), dtype=bool)
     for k, exc in failed.items():
         out[live[k]] = exc
         ok[k] = False
-    for k in np.flatnonzero(ok & ~morse & (n_inside > 1)).tolist():
+    for k in (ok & ~morse & (n_inside > 1)).nonzero()[0].tolist():
         out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
                                    f"within their error bounds at tau = {tori[k].tau}; "
                                    "their signs cannot decide the count")
-    # the route, the half-period rows and the extra orbit of each set, on
-    # the reduced torus
-    found = {k: ("morse", hp[3 * k:3 * k + 3], None) for k in np.flatnonzero(ok & morse).tolist()}
     seeds = []
-    for k in np.flatnonzero(ok & ~morse & (n_inside == 0)).tolist():
+    for k in (ok & ~morse & (n_inside == 0)).nonzero()[0].tolist():
         try:
-            seeds.append((k, *_pitchfork_seed(tori[k].reduced, hp[3 * k:3 * k + 3])))
+            seeds.append((k, *_pitchfork_seed(tori[k].reduced, hp, k)))
         except Unconverged as exc:
             out[live[k]] = exc
-    for (k, *_), extra in zip(seeds, _extra_points(tori, tau_r, seeds, tol)):
-        if isinstance(extra, TorusGreenError):
-            out[live[k]] = extra
-        else:
-            found[k] = ("seeds", hp[3 * k:3 * k + 3], extra)
-    coords = [[*_HP_COORDS, *([] if x is None else [x[0]])] for *_, x in found.values()]
-    t, s = np.array([ts for c in coords for ts in c], dtype=float).reshape(-1, 2).T
-    cell = np.repeat(np.fromiter(found, int), [len(c) for c in coords])
-    on = _at(tau_r, cell)
-    r, l2, _ = green.residual_and_jacobian(t, s, on)
-    # the pass's own determinants at the half periods, from dr_dt = L2: a
+    # the tori with a set, in order: the morse ones and the seeds ones
+    # whose Newton found z0 on the reduced torus, at (zt, zs)
+    found = (ok & morse).nonzero()[0]
+    if seeds:
+        zt, zs, errors = _extra_roots(tori, tau_r, seeds, tol)
+        for (k, *_), exc in zip(seeds, errors):
+            if exc is not None:
+                out[live[k]] = exc
+        fine = np.array([exc is None for exc in errors])
+        zt, zs = zt[fine], zs[fine]
+        found = np.sort(np.concatenate([found, np.array([x[0] for x in seeds])[fine]]))
+    n = found.size
+    if not n:
+        return out, None
+    at_z0 = (~morse[found]).nonzero()[0]
+    m = at_z0.size
+    # one pass: the half periods of every set at their exact coordinates,
+    # and z0 at t + s tau_r, where evaluate sums it
+    cell, kind = np.divmod(np.arange(3 * n), 3)
+    t, s = _HP_T[kind], _HP_S[kind]
+    if m:
+        cell = np.concatenate([cell, at_z0])
+        on_z0 = _at(tau_r, found[at_z0])
+        tz, sz = green._split(zt + zs * on_z0, on_z0)
+        t, s = np.concatenate([t, tz]), np.concatenate([s, sz])
+    on = _at(tau_r, found[cell])
+    r, l2, _, value = green.residual_and_jacobian(t, s, on, value=True)
+    # |grad G| = |r| / (2 pi), and the Hessian from dr_dt = L2, evaluate's,
+    # which at the half periods is a second route to the determinants: a
     # sign opposite to the null sum's outside both bounds fails the torus
-    hp_at = np.cumsum([0] + [len(c) for c in coords])[:-1, None] + [0, 1, 2]
-    h, bound = green._hessian(-l2, np.imag(on))
-    split = ((np.abs(h.det[hp_at]) > bound[hp_at]) & ~inside[list(found)]
-             & ((h.det[hp_at] > 0.0) != (det[list(found)] > 0.0))).any(axis=1)
-    for c, (k, (route, rows, extra)), bad in zip(coords, found.items(), split.tolist()):
-        rows, extra = _carried(tori[k], rows, extra)
-        cs = _critical_set(tori[k], rows, route, extra)
-        out[live[k]] = Unconverged(
-            "the null sum and the residual pass give a half-period Hessian determinant "
-            f"opposite signs outside their bounds at tau = {tori[k].tau}"
-        ) if bad else _checked(cs, tori[k], np.abs(r[:len(c)]), tol)
-        r = r[len(c):]
-    return out
+    hessian, bound = green._hessian(-l2, np.imag(on))
+    det2 = hessian.det[:3 * n].reshape(-1, 3)
+    split = ((np.abs(det2) > bound[:3 * n].reshape(-1, 3)) & ~inside[found]
+             & ((det2 > 0.0) != (det[found] > 0.0))).any(axis=1)
+    # the sets on their own tori: rows, Morse labels and z0's coordinates
+    set_tori = [tori[k] for k in found.tolist()]
+    cols = _columns(hp)[:, _half_period_index(set_tori, found)]
+    extra = [-1] * n
+    zt, zs = (zt.tolist(), zs.tolist()) if m else ([], [])
+    if m:
+        z0 = green.GreenEval(value, (0.0, 0.0), hessian, bound)
+        cols = np.concatenate([cols, _columns(z0)[:, 3 * n:]], axis=1)
+        for e, j in enumerate(at_z0.tolist()):
+            extra[j] = e
+        moved = [e for e, j in enumerate(at_z0.tolist()) if set_tori[j].mat != _IDENTITY]
+        if moved:
+            mt, ms = np.array([_z0_carried(set_tori[at_z0[e]], zt[e], zs[e]) for e in moved]).T
+            mt, ms = _fold(wrap_unit(mt)[0], wrap_unit(ms)[0])
+            for e, te, se in zip(moved, mt.tolist(), ms.tolist()):
+                zt[e], zs[e] = te, se
+    cols = _carried(set_tori, cols, cell)
+    # Degenerate inside the bound; the trace is 1/b > 0, so a positive
+    # determinant always means a minimum
+    code = np.where(np.abs(cols[4]) <= cols[5], 2, ~(cols[4] > 0.0))
+    # per set: the largest |grad G| on the reduced torus, the Euler
+    # balance, where a Degenerate point is a saddle merged with the pair
+    # of minima (index +1), and whether z0 is other than a Min
+    is_z0 = np.arange(cell.size) >= 3 * n
+    rn = np.abs(r) / (2.0 * np.pi)
+    worst = rn[:3 * n].reshape(-1, 3).max(axis=1)
+    worst[at_z0] = np.maximum(worst[at_z0], rn[3 * n:])
+    balance = np.bincount(cell, (1 + is_z0) * (1 - 2 * (code == 1)), n).astype(int)
+    not_min = np.bincount(cell, is_z0 & (code != 0), n) > 0
+    for j, k in enumerate(found.tolist()):
+        out[live[k]] = j
+    bad = split | ~(worst <= tol) | (balance != -1) | not_min
+    for j in bad.nonzero()[0].tolist():
+        torus, e = set_tori[j], extra[j]
+        route = "morse" if e < 0 else "seeds"
+        if split[j]:
+            exc = Unconverged("the null sum and the final pass give a half-period Hessian "
+                              "determinant opposite signs outside their bounds at "
+                              f"tau = {torus.tau}")
+        elif not worst[j] <= tol:
+            exc = Unconverged(f"reduced-frame |grad G| = {worst[j]:.3e} above tol {tol} on the "
+                              f"{route} route at tau = {torus.tau}")
+        elif balance[j] != -1:
+            exc = CountViolation(
+                f"#min - #saddle = {balance[j]} among the {3 if e < 0 else 5} critical points "
+                f"of the {route} route at tau = {torus.tau}; the Euler count forces -1")
+        else:
+            # the balance counts a Degenerate pair +1 each, as it would two minima
+            exc = CountViolation(
+                f"the extra point z0 = {zt[e] + zs[e] * torus.tau} is "
+                f"{_MORSE[code[3 * n + e]].value}, not a Min outside its det_bound, at "
+                f"tau = {torus.tau}")
+        out[live[found[j]]] = exc
+    return out, _Sets(extra, zt, zs, cols, code)
+
+
+def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
+    """The critical set of every torus in tori, or the error it fails with.
+
+    A torus reduced past theta.MAX_IM_TAU gets the InvalidInput of
+    theta._check_im and joins no pass.  The others each take their own
+    route (see the module docstring) on their reduced tori, and every
+    pass serves all of them.  One null sum decides the routes and gives
+    the half period rows of all of them, or a torus its Unconverged off
+    the gap identities.  Every seeds torus then gets its pitchfork seed,
+    and one Newton runs for all the seeds.  Last, one pass over the half
+    periods and z0 of every set gives z0's row and checks |grad G| <= tol
+    at every point and the half-period det signs, and the sets, carried
+    back to their tori (_carried) as arrays, are checked for the Morse
+    balance.  A torus gets the same result, to the bit, as alone.  Only a
+    bad tol raises.
+    """
+    out, sets = _solve(tori, tol)
+    if sets is None:
+        return out
+    n = len(sets.extra)
+    g, xx, xy, yy, det = sets.cols[:5].tolist()
+    code = sets.morse.tolist()
+
+    def point(i, t, s, kind, torus):
+        return CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
+                             morse=_MORSE[code[i]], hessian=Hessian2(xx[i], xy[i], yy[i], det[i]),
+                             g_rel=g[i])
+
+    def critical_set(torus, j):
+        e = sets.extra[j]
+        points = [point(3 * j + i, t, s, kind, torus)
+                  for i, ((t, s), kind) in enumerate(zip(_HP_COORDS, _KINDS))]
+        if e >= 0:
+            points.append(point(3 * n + e, sets.t[e], sets.s[e], Kind.EXTRA_PAIR, torus))
+        return CriticalSet(points=tuple(points), total_count=3 + 2 * (e >= 0),
+                           route="morse" if e < 0 else "seeds")
+
+    return [critical_set(torus, x) if isinstance(x, int) else x for torus, x in zip(tori, out)]
 
 
 def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:

@@ -97,6 +97,20 @@ def _reduced_pass(t, s, tau_r, reads=theta.ALL):
     return sr, lm, L1, L2
 
 
+def _value(lm, sr, b_r):
+    """G - C = -log|theta1| / 2 pi + y^2 / 2 b_r from log|theta1| = lm at
+    y = sr b_r on reduced tori of Im tau_r = b_r."""
+    return -lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0)
+
+
+def _split(z, tau_r) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates (t, s) of the points z of reduced tori of modulus
+    tau_r, flat: where evaluate sums them."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    s = z.imag / np.imag(tau_r)
+    return z.real - s * np.real(tau_r), s
+
+
 def _pass(z, torus, reads):
     """The pass of evaluate at z, on the reduced torus at z / lam
     (Torus.reduced_point) when torus is a Torus: whether that moves z,
@@ -104,13 +118,11 @@ def _pass(z, torus, reads):
     points."""
     moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
     tau_r = torus.tau_r if isinstance(torus, Torus) else torus
-    z = np.asarray(torus.reduced_point(z) if moved else z, dtype=complex)
-    b_r = tau_r.imag
-    s = z.imag.reshape(-1) / b_r
-    sr, lm, L1, L2 = _reduced_pass(z.real.reshape(-1) - s * tau_r.real, s, tau_r, reads)
+    t, s = _split(torus.reduced_point(z) if moved else z, tau_r)
+    sr, lm, L1, L2 = _reduced_pass(t, s, tau_r, reads)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
-    return moved, b_r, -lm / (2.0 * np.pi) + sr ** 2 * (b_r / 2.0), sr, L1, L2
+    return moved, tau_r.imag, _value(lm, sr, tau_r.imag), sr, L1, L2
 
 
 def evaluate(z, torus) -> GreenEval:
@@ -179,32 +191,38 @@ def green_rel(z, torus: Torus):
     to the bit, from a pass that reads log|theta1| alone."""
     moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG)
     value = theta._scalarize(value.reshape(np.shape(z)))
-    return _value_carried(value, torus) if moved else value
+    return value + _factors(torus.lam)[-1] if moved else value
 
 
-def carried(ev: GreenEval, torus: Torus) -> GreenEval:
+def carried(ev: GreenEval, torus, index=None) -> GreenEval:
     """ev, an evaluate on torus.reduced at z / lam, at the points z of torus:
     2 pi (G_x - i G_y) turns with 1/lam, G_xx - G_yy - 2i G_xy with
     1/lam^2, the trace scales by 1/|lam|^2, det and det_bound by 1/|lam|^4
-    and G - C shifts by log|lam| / (4 pi).  Real arithmetic throughout, so
-    floats and arrays get the same bits."""
-    lam = torus.lam
-    k, k2, scale = 1.0 / lam, 1.0 / (lam * lam), abs(lam) ** 4
+    and G - C shifts by log|lam| / (4 pi).  torus may also be a list of
+    tori, entry i of ev's arrays lying on torus[index[i]]; the factors of
+    each lam are formed once (_factors), and the laws are real arithmetic
+    on them, so floats and arrays get the same bits."""
+    if index is None:
+        kr, ki, k2r, k2i, a2, a4, shift = _factors(torus.lam)
+    else:
+        kr, ki, k2r, k2i, a2, a4, shift = np.array([_factors(t.lam) for t in torus]).T[:, index]
     (gx, gy), h = ev.grad, ev.hessian
-    diff, trace = h.xx - h.yy, (h.xx + h.yy) / abs(lam) ** 2
-    c = diff * k2.real + 2.0 * h.xy * k2.imag
-    return GreenEval(_value_carried(ev.value_rel, torus),
-                     (gx * k.real + gy * k.imag, gy * k.real - gx * k.imag),
-                     Hessian2((trace + c) / 2.0, h.xy * k2.real - diff * k2.imag / 2.0,
-                              (trace - c) / 2.0, h.det / scale), ev.det_bound / scale)
+    diff, trace = h.xx - h.yy, (h.xx + h.yy) / a2
+    c = diff * k2r + 2.0 * h.xy * k2i
+    return GreenEval(ev.value_rel + shift, (gx * kr + gy * ki, gy * kr - gx * ki),
+                     Hessian2((trace + c) / 2.0, h.xy * k2r - diff * k2i / 2.0,
+                              (trace - c) / 2.0, h.det / a4), ev.det_bound / a4)
 
 
-def _value_carried(value, torus: Torus):
-    """carried's law for G - C alone."""
-    return value + math.log(abs(torus.lam)) / (4.0 * np.pi)
+def _factors(lam: complex) -> tuple[float, ...]:
+    """carried's factors of lam: 1/lam and 1/lam^2 (real and imaginary
+    parts), |lam|^2, |lam|^4 and log|lam| / (4 pi), in Python's complex
+    arithmetic, whose division rounds unlike numpy's."""
+    k, k2, m = 1.0 / lam, 1.0 / (lam * lam), abs(lam)
+    return k.real, k.imag, k2.real, k2.imag, m ** 2, m ** 4, math.log(m) / (4.0 * math.pi)
 
 
-def residual_and_jacobian(t, s, tau_r):
+def residual_and_jacobian(t, s, tau_r, value: bool = False):
     """Vectorized critical residual plus its (t, s) Jacobian on a reduced
     torus.
 
@@ -212,11 +230,14 @@ def residual_and_jacobian(t, s, tau_r):
     per point.  The residual is invariant under integer shifts of (t, s),
     so the coordinates are wrapped first; it is A1 = L1 + 2 pi i s.
     Returns (r, dr_dt, dr_ds) with dr_dt = L2 and dr_ds = tau_r L2 +
-    2 pi i.  Lattice hits yield non finite entries rather than an
-    exception; the Newton loop treats those as rejected steps.
+    2 pi i, and with value G - C there as well, evaluate's value to the
+    bit at the same (t, s), from the same pass.  Lattice hits yield non
+    finite entries rather than an exception; the Newton loop treats those
+    as rejected steps.
     """
-    sr, _, L1, L2 = _reduced_pass(t, s, tau_r)
-    return L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
+    sr, lm, L1, L2 = _reduced_pass(t, s, tau_r)
+    out = L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
+    return (*out, _value(lm, sr, np.imag(tau_r))) if value else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Thresholds b0 and b1 are the roots of A_1 and A_1 - 2 pi / b, found by
 Newton from b = 1/2; between them the half period 1/2 is a local
 minimum of the Green function and no extra pair exists.  The scan
 classifies a rectangle of moduli into three point and five point tori,
-with one critical.find_critical_sets call per chunk of SCAN_CHUNK cells,
-so each theta series pass serves a whole chunk, and reports the
-empirical boundary as the set of grid edges where the count flips.
+with one batch solve of critical.find_critical_sets per chunk of
+SCAN_CHUNK cells, so each theta series pass serves a whole chunk, and
+reports the empirical boundary as the set of grid edges where the count
+flips.
 """
 
 from __future__ import annotations
@@ -229,10 +230,12 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
 
     region is (re_min, im_min, re_max, im_max); cells are ordered row
     major from the bottom row up, left to right, so output is byte stable
-    across runs.  The cells go to critical.find_critical_sets in chunks
-    of SCAN_CHUNK, so every theta pass serves a whole chunk, and each
-    cell records the route that decided it, with the same result as a
-    find_critical_points call of its own.  find_critical_sets answers
+    across runs.  The cells go to the batch solve of
+    critical.find_critical_sets (critical._solve) in chunks of
+    SCAN_CHUNK, so every theta pass serves a whole chunk, and each cell
+    is built from its count, route and z0's coordinates, with no
+    CriticalPoint, and records the route that decided it, with the same
+    result as a find_critical_points call of its own.  The solve answers
     for every torus, so a package failure (TorusGreenError) lands in its
     own cell and the scan goes on; any exception it raises is a bug and
     propagates.
@@ -249,16 +252,17 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[Sc
     cells = []
     for lo in range(0, len(tori), SCAN_CHUNK):
         chunk = tori[lo:lo + SCAN_CHUNK]
-        cells += [_cell(torus, cs) for torus, cs in zip(chunk, critical.find_critical_sets(chunk))]
+        out, sets = critical._solve(chunk, critical.DEFAULT_TOL)
+        for torus, x in zip(chunk, out):
+            if isinstance(x, TorusGreenError):
+                cells.append(ScanCell(tau=torus.tau, count=0, extra_point=None, route=None,
+                                      error=f"{type(x).__name__}: {x}"))
+            elif (e := sets.extra[x]) < 0:
+                cells.append(ScanCell(tau=torus.tau, count=3, extra_point=None, route="morse"))
+            else:
+                cells.append(ScanCell(tau=torus.tau, count=5, route="seeds",
+                                      extra_point=LatticeCoords(sets.t[e], sets.s[e])))
     return cells
-
-
-def _cell(torus, cs) -> ScanCell:
-    if isinstance(cs, TorusGreenError):
-        return ScanCell(tau=torus.tau, count=0, extra_point=None, route=None,
-                        error=f"{type(cs).__name__}: {cs}")
-    coords = None if cs.extra is None else cs.extra.coords
-    return ScanCell(tau=torus.tau, count=cs.total_count, extra_point=coords, route=cs.route)
 
 
 def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
@@ -267,7 +271,8 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     For each edge the nearly degenerate half period is identified at the
     edge midpoint as the one with the smallest Hessian determinant, which
     is the half period the extra pair merges into across the boundary.
-    The half periods of every midpoint are evaluated in one null sum.
+    The half periods of every midpoint are evaluated in one null sum and
+    carried back as the critical sets are (critical._carried).
     """
     pairs = []
     for j in range(ny):
@@ -283,20 +288,10 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     if not pairs:
         return []
     tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
-    rows = critical._rows(green.half_period_rows(tori)[0])
-    out = []
-    for j, ((a, bcell), torus) in enumerate(zip(pairs, tori)):
-        # the reduced torus's rows, carried back as the critical sets are
-        carried = critical._carried(torus, rows[3 * j:3 * j + 3], None)[0]
-        d = [abs(row.hessian.det) for row in carried]
-        k = int(np.argmin(d))
-        out.append(FlipEdge(
-            tau_low=a.tau,
-            tau_high=bcell.tau,
-            midpoint=torus.tau,
-            count_low=a.count,
-            count_high=bcell.count,
-            degenerate_half_period=k + 1,
-            min_abs_det=float(d[k]),
-        ))
-    return out
+    at = critical._half_period_index(tori, np.arange(len(tori)))
+    cols = critical._columns(green.half_period_rows(tori)[0])[:, at]
+    d = np.abs(critical._carried(tori, cols, at // 3)[4]).reshape(-1, 3)
+    return [FlipEdge(tau_low=a.tau, tau_high=bcell.tau, midpoint=torus.tau, count_low=a.count,
+                     count_high=bcell.count, degenerate_half_period=k + 1, min_abs_det=dk)
+            for (a, bcell), torus, k, dk in zip(pairs, tori, d.argmin(axis=1).tolist(),
+                                                 d.min(axis=1).tolist())]

@@ -757,6 +757,32 @@ PLATEAU_MIN_DET = 1e-9    # in units of (1/b)^2: an extra root only counts when
                           # genuine extras sit at O(1)
 
 
+def rows(ev) -> list:
+    """Each point's own GreenEval, of floats, from an evaluate (or a
+    green.half_period_rows) over a 1-D array."""
+    from torusgreen import green
+
+    h = ev.hessian
+    cols = (c.tolist() for c in (ev.value_rel, *ev.grad, h.xx, h.xy, h.yy, h.det, ev.det_bound))
+    return [green.GreenEval(g, (gx, gy), green.Hessian2(xx, xy, yy, det), bound)
+            for g, gx, gy, xx, xy, yy, det, bound in zip(*cols)]
+
+
+def critical_point(torus, coords, kind, row):
+    """The critical point of torus at coords = (t, s), of that kind and
+    with that row of rows: Degenerate inside its det_bound, else Min or
+    Saddle by the sign of the determinant."""
+    from torusgreen import critical
+    from torusgreen.lattice import LatticeCoords
+
+    det = row.hessian.det
+    morse = (critical.Morse.DEGENERATE if abs(det) <= row.det_bound
+             else critical.Morse.MIN if det > 0.0 else critical.Morse.SADDLE)
+    t, s = coords
+    return critical.CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
+                                  morse=morse, hessian=row.hessian, g_rel=row.value_rel)
+
+
 def _grid_seeds(n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     g = (np.arange(n_grid) + 0.5) / n_grid - 0.5
     t, s = np.meshgrid(g, g)
@@ -824,8 +850,8 @@ def _multi_start(torus, n_grid: int, tol: float):
         return ts, ss, [], int(np.sum(~converged))
     ev = green.evaluate(ts + ss * torus.tau, torus)
     keep = np.abs(ev.hessian.det) > PLATEAU_MIN_DET / (torus.b * torus.b)
-    rows = [row for row, k in zip(critical._rows(ev), keep.tolist()) if k]
-    return ts[keep], ss[keep], rows, int(np.sum(~converged))
+    kept = [row for row, k in zip(rows(ev), keep.tolist()) if k]
+    return ts[keep], ss[keep], kept, int(np.sum(~converged))
 
 
 def census(torus, tol: float = 1e-12):
@@ -839,14 +865,19 @@ def census(torus, tol: float = 1e-12):
     from torusgreen import critical, green
     from torusgreen.errors import CountViolation
 
-    ts, ss, rows, failures = _multi_start(torus, 24, tol)
+    ts, ss, extra_rows, failures = _multi_start(torus, 24, tol)
     if failures and _multi_start(torus, 48, tol)[0].size != ts.size:
         raise NoConvergence(f"24/48 sweeps disagree at tau = {torus.tau}")
     if ts.size > 1:
         raise CountViolation(f"{3 + 2 * ts.size} critical points at tau = {torus.tau}")
-    extra = ((ts[0].item(), ss[0].item()), rows[0]) if ts.size else None
-    hp = critical._rows(green.evaluate(np.array(torus.half_periods), torus))
-    return critical._critical_set(torus, hp, "census", extra)
+    hp = rows(green.evaluate(np.array(torus.half_periods), torus))
+    points = [critical_point(torus, coords, kind, row)
+              for coords, kind, row in zip(critical._HP_COORDS, critical._KINDS, hp)]
+    if ts.size:
+        points.append(critical_point(torus, (ts[0].item(), ss[0].item()),
+                                     critical.Kind.EXTRA_PAIR, extra_rows[0]))
+    return critical.CriticalSet(points=tuple(points), total_count=3 + 2 * ts.size,
+                                route="census")
 
 
 def fd_gradient(fun, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:
@@ -944,8 +975,7 @@ def locate_z0_on_rhombus_line(b: float, tol: float = 1e-12):
     ev = green.evaluate(np.array([t + s * torus.tau]), torus)
     if np.hypot(*ev.grad).item() > tol:
         raise NoConvergence(f"rhombus line root did not meet tol at b = {b}")
-    return critical._points(torus, [(t, s)], [critical.Kind.EXTRA_PAIR],
-                            critical._rows(ev))[0]
+    return critical_point(torus, (t, s), critical.Kind.EXTRA_PAIR, rows(ev)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypa
 
     first = lattice.make_torus(0.475 + 0.65j).tau_r
 
-    def failing_at_first_cell(t, s, tau_r):
-        # one residual pass checks every cell of the scan on its reduced
+    def failing_at_first_cell(t, s, tau_r, value=False):
+        # one final pass checks every cell of the scan on its reduced
         # torus; the points of the first cell, a 3-cell, read NaN there
-        r, rt, rs = real(t, s, tau_r)
-        return np.where(np.abs(tau_r - first) < 1e-12, np.nan, r), rt, rs
+        r, *rest = real(t, s, tau_r, value)
+        return np.where(np.abs(tau_r - first) < 1e-12, np.nan, r), *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", failing_at_first_cell)
     code, out, _ = run_cli(capsys, "scan", "--region=0.45,0.6,0.55,0.8", "--grid=2x2")

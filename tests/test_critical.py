@@ -382,25 +382,33 @@ def test_find_critical_points_matches_the_census_on_random_tori():
 
 def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
     # one null sum decides the route and gives the half-period points in
-    # closed form, and one pass at the Newton root gives z0's; the
-    # residual check is residual_and_jacobian's
+    # closed form, and one final pass over the three half periods, at
+    # their exact coordinates, and the Newton root gives z0's row and
+    # checks every point
     z0 = oracles.census(hex_torus).extra.coords
     calls = []
-    real, real_rows = green.evaluate, green.half_period_rows
+    real, real_rows = green.residual_and_jacobian, green.half_period_rows
 
-    def spy(z, on):
-        calls.append(np.ravel(z).tolist())
-        return real(z, on)
+    def spy(t, s, on, value=False):
+        # Newton's trials read no value; the final pass does
+        if value:
+            calls.append(list(zip(np.ravel(t).tolist(), np.ravel(s).tolist())))
+        return real(t, s, on, value)
 
     def spy_rows(tori):
         calls.append(tori)
         return real_rows(tori)
 
-    monkeypatch.setattr(green, "evaluate", spy)
+    monkeypatch.setattr(green, "residual_and_jacobian", spy)
     monkeypatch.setattr(green, "half_period_rows", spy_rows)
+    monkeypatch.setattr(green, "evaluate", lambda z, torus: calls.append("evaluate"))
     cs = critical.find_critical_points(hex_torus)
     assert (cs.total_count, cs.route) == (5, "seeds")
-    assert calls == [[hex_torus], [cs.extra.z]]
+    # the hexagonal torus is its own reduced torus; z0 is summed where
+    # evaluate sums it, at t + s tau_r
+    assert hex_torus.mat == ((1, 0), (0, 1))
+    z0_at = [tuple(float(x[0]) for x in green._split(cs.extra.z, hex_torus.tau_r))]
+    assert calls == [[hex_torus], [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5), *z0_at]]
     assert abs(cs.extra.coords.t - z0.t) <= 1e-12 and abs(cs.extra.coords.s - z0.s) <= 1e-12
 
 
@@ -420,13 +428,17 @@ def criterion_7_census_tori():
 def test_a_batch_of_census_tori_equals_each_torus_alone(run, monkeypatch, hex_torus,
                                                        criterion_7_census_tori):
     # the signs decide all ten tori, with the census's counts; with the
-    # hexagonal torus, whose seed runs Newton, the eleven share every pass
+    # hexagonal torus and a five-point torus near the real axis, whose
+    # matrix entries run to the hundreds and whose z0 is carried back in
+    # exact arithmetic, the seeds run Newton, the twelve share every pass
     # and each gets the bits it gets alone, forty copies of them too, whose
     # passes of over 1000 points the theta series sums in runs of run points
-    tori = criterion_7_census_tori + [hex_torus]
-    assert len(tori) == 11
+    near_axis = lattice.make_torus(0.17668935183106604 + 2.3164145156627625e-07j)
+    assert max(abs(x) for row in near_axis.mat for x in row) > 100
+    tori = criterion_7_census_tori + [hex_torus, near_axis]
+    assert len(tori) == 12
     alone = [critical.find_critical_points(torus) for torus in tori]
-    assert [cs.route for cs in alone] == ["morse"] * 10 + ["seeds"]
+    assert [cs.route for cs in alone] == ["morse"] * 10 + ["seeds"] * 2
     assert [cs.total_count for cs in alone] == [oracles.census(T).total_count for T in tori]
     monkeypatch.setattr(theta, "_RUN", run)
     assert critical.find_critical_sets(tori) == alone
@@ -502,7 +514,7 @@ def test_a_torus_past_max_im_tau_fails_alone_in_its_batch():
                          ids=["morse", "seeds"])
 def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeypatch):
     # wrong determinant signs: at the three half periods on the square
-    # torus, in the null sum's rows and in the residual pass's second route
+    # torus, in the null sum's rows and in the final pass's second route
     # alike (the morse route then reads two minima), or at z0 on the
     # hexagonal one (seeds route, a saddle pair)
     def flipped(ev):
@@ -518,8 +530,15 @@ def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeyp
 
         monkeypatch.setattr(green, "_hessian", both)
     else:
-        real = green.evaluate
-        monkeypatch.setattr(green, "evaluate", lambda z, torus: flipped(real(z, torus)))
+        # the final pass's Hessian at z0, its fourth point, alone
+        real = green._hessian
+
+        def at_z0(a, b_r, out=np.asarray):
+            h, bound = real(a, b_r, out)
+            det = np.where(np.arange(np.size(h.det)) == 3, -h.det, h.det)
+            return Hessian2(h.xx, h.xy, h.yy, det), bound
+
+        monkeypatch.setattr(green, "_hessian", at_z0)
     with pytest.raises(CountViolation, match="the Euler count forces -1"):
         critical.find_critical_points(lattice.make_torus(tau))
 
@@ -544,15 +563,27 @@ def test_a_half_period_sign_against_the_residual_pass_is_unconverged(tau, monkey
 
 
 def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypatch):
+    # the final pass reads |grad G| = |r| / (2 pi) at every point
     real = green.residual_and_jacobian
 
-    def off(t, s, torus):
-        r, rt, rs = real(t, s, torus)
-        return r + 1e-9, rt, rs
+    def off(t, s, torus, value=False):
+        r, *rest = real(t, s, torus, value)
+        return r + 1e-9, *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", off)
     with pytest.raises(Unconverged, match="grad G"):
         critical.find_critical_points(square_torus)
+
+
+def test_a_z0_off_the_root_fails_its_gradient_check(monkeypatch):
+    # Newton reports a converged |r| at a point 1e-7 off the hexagonal z0:
+    # the final pass, not Newton's own residual, reads |grad G| there
+    T = lattice.make_torus(complex(0.5, math.sqrt(3) / 2))
+    z0 = critical.find_critical_points(T).extra.coords
+    _newton_ends_at(monkeypatch, z0.t + 1e-7, z0.s, 0.0)
+    with pytest.raises(Unconverged, match=r"reduced-frame \|grad G\| = [0-9.]+e-0[78] above tol "
+                                          r"1e-12 on the seeds route"):
+        critical.find_critical_points(T)
 
 
 def test_a_seed_without_a_positive_quartic_term_is_unconverged(monkeypatch):
@@ -588,7 +619,7 @@ def _newton_ends_at(monkeypatch, t, s, rn):
 def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
     # the seed, Newton and the message live on the reduced torus
     T = lattice.make_torus(0.5 + 0.3j)
-    t, s, m = critical._pitchfork_seed(T.reduced, critical._rows(green.half_period_rows([T])[0]))
+    t, s, m = critical._pitchfork_seed(T.reduced, green.half_period_rows([T])[0], 0)
     _newton_ends_at(monkeypatch, t, s, 1e-10)
     with pytest.raises(Unconverged) as info:
         critical.find_critical_points(T)
@@ -607,17 +638,16 @@ def test_a_root_at_a_half_period_is_a_count_violation(monkeypatch):
 
 def test_a_degenerate_extra_point_is_a_count_violation(monkeypatch):
     # z0 must be a Min outside its det_bound; a Degenerate pair of minima
-    # would pass the Euler balance, which counts it +1 like a half period
-    real = green.evaluate
+    # would pass the Euler balance, which counts it +1 like a half period.
+    # The final pass's Hessian at z0, its fourth point, is flattened alone
+    real = green._hessian
 
-    def flattened(z, torus):
-        ev = real(z, torus)
-        if np.size(z) == 3:
-            return ev
-        h = ev.hessian
-        return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, 0.0 * h.det))
+    def flattened(a, b_r, out=np.asarray):
+        h, bound = real(a, b_r, out)
+        det = np.where(np.arange(np.size(h.det)) == 3, 0.0 * h.det, h.det)
+        return Hessian2(h.xx, h.xy, h.yy, det), bound
 
-    monkeypatch.setattr(green, "evaluate", flattened)
+    monkeypatch.setattr(green, "_hessian", flattened)
     with pytest.raises(CountViolation, match="is Degenerate, not a Min"):
         critical.find_critical_points(lattice.make_torus(0.5 + 0.3j))
 
@@ -715,14 +745,14 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
 
 
 @pytest.mark.parametrize("tau, route, budget", [
-    # the residual check alone: the half periods are the null sum's closed
+    # the final pass alone: the half periods are the null sum's closed
     # form (2 passes while a pass at the half periods gave them, 3 while the
     # invariants summed the half periods again)
     ("i", "morse", 1),
-    # plus 6 Newton trials from the one seed and the pass at z0 (13 passes
-    # over 290 points from the 55 fixed seeds, then 10, then 9 with the
-    # half-period pass)
-    ("0.5+0.8660254037844386i", "seeds", 8),
+    # plus 6 Newton trials from the one seed, the final pass taking in z0
+    # (13 passes over 290 points from the 55 fixed seeds, then 10, then 9
+    # with the half-period pass, then 8 with a pass of its own at z0)
+    ("0.5+0.8660254037844386i", "seeds", 7),
 ], ids=["square", "hex"])
 def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
     assert cli.run(["critical", f"--tau={tau}"]) == 0

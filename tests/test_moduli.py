@@ -293,10 +293,11 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
         assert c.count == 3
         assert _same_cell(c, critical.find_critical_points(lattice.make_torus(c.tau)))
 
-    def bug(z, torus):
+    def bug(t, s, tau_r, value=False):
         return 1 / 0
 
-    monkeypatch.setattr(green, "evaluate", bug)
+    # the final pass, which every cell with a set makes
+    monkeypatch.setattr(green, "residual_and_jacobian", bug)
     with pytest.raises(ZeroDivisionError):
         moduli.scan((0.1, 0.6, 0.45, 1.0), 2, 1)
 
@@ -348,7 +349,10 @@ def _alone(tau):
     ((0.0, 0.1, 0.5, 2.0), 12, 12, {"morse", "seeds"}),
     ((0.4995, 0.2, 0.5005, 0.9), 1, 14, {"morse", "seeds"}),
     (SHIFTED_REGION, 8, 8, {"morse", "seeds"}),
-], ids=["criterion 7 rectangle 12x12", "rhombic column", "shifted 8x8"])
+    # near the real axis: five-point cells whose matrices have entries in
+    # the hundreds, carried back as arrays
+    ((0.1, 1e-5, 0.2, 1e-4), 8, 8, {"morse", "seeds"}),
+], ids=["criterion 7 rectangle 12x12", "rhombic column", "shifted 8x8", "near-axis 8x8"])
 def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny, routes):
     # a scan classifies its cells together, one theta pass serving all of
     # them; every cell must still be bit for bit the torus alone
@@ -356,11 +360,14 @@ def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny, routes)
     for c in cells:
         assert _same_cell(c, _alone(c.tau)), c.tau
     assert {c.route for c in cells} == routes
+    if region[1] < 1e-3:
+        assert max(max(abs(x) for row in lattice.make_torus(c.tau).mat for x in row)
+                   for c in cells if c.count == 5) > 100
 
 
 def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
     # NaN residuals at one seeds cell's torus, inside the batched Newton run
-    # and the residual check; its error must be its own, and every other
+    # and the final pass; its error must be its own, and every other
     # cell must come out as before
     before = moduli.scan(SHIFTED_REGION, 8, 8)
     target = next(c.tau for c in before if c.route == "seeds")
@@ -368,9 +375,9 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
 
     target_r = lattice.make_torus(target).tau_r
 
-    def broken(t, s, tau_r):
-        r, rt, rs = real(t, s, tau_r)
-        return np.where(tau_r == target_r, np.nan, r), rt, rs
+    def broken(t, s, tau_r, value=False):
+        r, *rest = real(t, s, tau_r, value)
+        return np.where(tau_r == target_r, np.nan, r), *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", broken)
     cells = moduli.scan(SHIFTED_REGION, 8, 8)
@@ -455,7 +462,7 @@ def test_flip_edges_batched_determinants_match_scalar_calls():
         # each midpoint's null sum alone, its reduced torus's rows carried
         # back by the law of the critical sets, det / |lam|^4
         torus = lattice.make_torus(e.midpoint)
-        rows = critical._rows(green.half_period_rows([torus])[0])
+        rows = oracles.rows(green.half_period_rows([torus])[0])
         dets = [abs(rows[j].hessian.det) / abs(torus.lam) ** 4 for j in torus.half_period_perm]
         k = min(range(3), key=dets.__getitem__)
         assert e.degenerate_half_period == k + 1

@@ -40,6 +40,23 @@ def test_kernel_timing_prints_one_row_per_batch_size():
     assert all(float(cell) > 0.0 for row in nulls for cell in row[1:])
 
 
+def test_stage_timing_prints_one_row_per_stage():
+    # a row per stage of the scan and of the critical call, then the total
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stage_timing.py"), "--reps", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
+            if line.startswith("| ") and not line.startswith("| stage")]
+    assert [row[0].strip() for row in rows] == [
+        "null sum", "Newton", "final pass", "finishing", "flip edges", "JSON", "rest", "total"]
+    assert all(len(row) == 6 for row in rows)
+    # the scan makes every stage; the critical call has no flip edges
+    assert all(float(row[1]) > 0.0 for row in rows)
+    assert [float(row[4]) > 0.0 for row in rows] == [True] * 4 + [False] + [True] * 3
+    assert rows[-1][3].strip() == rows[-1][5].strip() == "100.0%"
+
+
 def test_pass_counts_prints_one_row_per_call():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "pass_counts.py")],
@@ -48,31 +65,34 @@ def test_pass_counts_prints_one_row_per_call():
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
     assert len(rows) == 13
     # the square torus takes the morse route: the null sum writes the half
-    # periods in closed form, the residual check is the one pass, and the
+    # periods in closed form, the final pass is the one pass, and the
     # ranking reads the same sum from the invariants record (2 passes while
     # a pass at the half periods gave them, 3 while the invariants summed
     # them again; 2 null sums while the ranking summed its own)
     assert rows[0] == "| `critical --tau=i` | 0 | 1 | 3 | 1 | 1 |"
-    # the seeds route adds Newton from one pitchfork seed and the pass at
-    # z0: 8 passes on the hexagonal torus (13 over 290 points from the 55
-    # fixed seeds, then 10, then 9 with the half-period pass), 6 at 0.3+0.8i
-    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 8 | 11 | 1 | 1 |"
-    assert rows[2] == "| `critical --tau=0.3+0.8i` | 0 | 6 | 9 | 1 | 1 |"
+    # the seeds route adds Newton from one pitchfork seed, and the final
+    # pass takes in z0: 7 passes on the hexagonal torus (13 over 290 points
+    # from the 55 fixed seeds, then 10, then 9 with the half-period pass,
+    # then 8 with a pass of its own at z0), 5 at 0.3+0.8i
+    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 7 | 10 | 1 | 1 |"
+    assert rows[2] == "| `critical --tau=0.3+0.8i` | 0 | 5 | 8 | 1 | 1 |"
     # near the cusp and at the degenerate torus of b1 the signs decide as
     # well (0.0608i made 8 passes with the census's 24x24 grid, then 3, then 2)
     assert rows[3] == "| `critical --tau=0.0608i` | 0 | 1 | 3 | 1 | 1 |"
     assert rows[4] == "| `critical --tau=0.5+0.7047615813326655i` | 0 | 1 | 3 | 1 | 1 |"
     # at the rhombic cusp, where the multi-start grid's 699 Newton passes
-    # ended in CountViolation (exit 3), then 9 passes, then 8
-    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 7 | 10 | 1 | 1 |"
+    # ended in CountViolation (exit 3), then 9 passes, then 8, then 7
+    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 6 | 9 | 1 | 1 |"
     # a five-point torus near the real axis, whose Newton in the given
-    # frame's (t, s) stalled (exit 3); on its reduced torus, 7 passes
+    # frame's (t, s) stalled (exit 3); on its reduced torus, 6 passes (7
+    # while z0 had a pass of its own)
     assert rows[6] == ("| `critical --tau=0.17668935183106604+2.3164145156627625e-07i` "
-                       "| 0 | 7 | 10 | 1 | 1 |")
+                       "| 0 | 6 | 9 | 1 | 1 |")
     # the scan's 64 cells and its flip edges' 14 midpoints each take one
     # null sum for their half periods (10 passes over 492 points while a
-    # pass at the half periods did)
-    assert rows[7] == "| `scan --region=0.0,0.1,0.5,2.0 --grid=8x8` | 0 | 8 | 258 | 2 | 78 |"
+    # pass at the half periods did, 8 over 258 while z0 had a pass of its
+    # own)
+    assert rows[7] == "| `scan --region=0.0,0.1,0.5,2.0 --grid=8x8` | 0 | 7 | 248 | 2 | 78 |"
     # the 4 pi construction (1 pass: its period path and probes together,
     # after the doubled torus's null sum; 5 while the path's three segments,
     # the probes and the invariants each had a pass) and verify_solution's 32
@@ -84,13 +104,14 @@ def test_pass_counts_prints_one_row_per_call():
     # (76797 points on the given cell, whose exclusion disks cut more; 33
     # passes in blocks of 4 rows)
     assert rows[9] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 77814 | 1 | 1 |"
-    # the critical set's 8 passes, one at z0 and 2 z0 and 2 blocks of 2
+    # the critical set's 7 passes, one at z0 and 2 z0 and 2 blocks of 2
     # (29 while the map took z0 as an argument, checked its residual,
     # polished it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4
-    # rows); the map's invariants are the critical set's null sum (2 sums
-    # while the half-period rows summed their own)
+    # rows; 13 while the critical set had a pass of its own at z0); the
+    # map's invariants are the critical set's null sum (2 sums while the
+    # half-period rows summed their own)
     assert rows[10] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 13 | 26407 | 1 | 1 |")
+                       "| 0 | 12 | 26406 | 1 | 1 |")
     # Newton from b = 1/2 to both thresholds, one null sum a step and no
     # pass (107 passes by bracket and bisection, then one pass a step); one
     # null sum at b = 0.7 and one at b = 1/2 for the functional equation

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import critical, green, lattice, moduli, theta, weier
+from torusgreen import green, lattice, moduli, theta, weier
 from torusgreen.errors import HalfPeriodInput, PoleAtLattice, Unconverged
 
 TAUS = [1j, 0.5 + 0.5 * math.sqrt(3) * 1j, 0.5 + 0.8j, 0.13 + 0.92j, 0.2 + 0.35j]
@@ -194,7 +194,7 @@ def test_a_modulus_gets_the_same_bits_alone_as_in_a_batch(monkeypatch):
         return log_nulls, a * np.where(np.isin(tau, off)[:, None], [1.0 + 1e-9, 1.0, 1.0], 1.0)
 
     batch_logs, batch_a = theta.nulls(np.array([T.tau_r for T in tori]))
-    batch_rows = critical._rows(green.half_period_rows(tori)[0])
+    batch_rows = oracles.rows(green.half_period_rows(tori)[0])
     monkeypatch.setattr(weier, "nulls", corrupted)
     failed = weier.reduced_nulls(tori)[2]
     assert set(failed) == set(range(0, 1024, 7))
@@ -202,7 +202,7 @@ def test_a_modulus_gets_the_same_bits_alone_as_in_a_batch(monkeypatch):
     for k, T in enumerate(tori):
         logs, a = theta.nulls(np.array([T.tau_r]))
         assert np.array_equal(logs[0], batch_logs[k]) and np.array_equal(a[0], batch_a[k])
-        assert critical._rows(green.half_period_rows([T])[0]) == batch_rows[3 * k:3 * k + 3]
+        assert oracles.rows(green.half_period_rows([T])[0]) == batch_rows[3 * k:3 * k + 3]
     monkeypatch.setattr(weier, "nulls", corrupted)
     for k in range(0, 1024, 7):
         assert str(weier.reduced_nulls([tori[k]])[2][0]) == str(failed[k])
