@@ -317,7 +317,7 @@ def _half_period_index(tori: list[Torus], at) -> np.ndarray:
     """The rows of a half_period_rows pass that hold the half periods 1/2,
     tau/2 and (1+tau)/2 of each torus, tori[i] summed at rows 3 at[i] to
     3 at[i] + 2: each matrix permutes them mod 2 (half_period_perm)."""
-    perm = np.array([torus.half_period_perm for torus in tori]).reshape(-1, 3)
+    perm = np.array([torus.half_period_perm for torus in tori])
     return (3 * np.asarray(at)[:, None] + perm).ravel()
 
 

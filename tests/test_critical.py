@@ -516,29 +516,16 @@ def test_a_wrong_hessian_sign_is_a_count_violation(tau, at_half_periods, monkeyp
     # wrong determinant signs: at the three half periods on the square
     # torus, in the null sum's rows and in the final pass's second route
     # alike (the morse route then reads two minima), or at z0 on the
-    # hexagonal one (seeds route, a saddle pair)
-    def flipped(ev):
-        h = ev.hessian
-        return dataclasses.replace(ev, hessian=Hessian2(h.xx, h.xy, h.yy, -h.det))
+    # hexagonal one (seeds route, a saddle pair), the final pass's fourth
+    # point alone
+    real = green._hessian
 
-    if at_half_periods:
-        real = green._hessian
+    def flipped(a, b_r, out=np.asarray):
+        h, bound = real(a, b_r, out)
+        at = np.arange(np.size(h.det)) == 3
+        return Hessian2(h.xx, h.xy, h.yy, np.where(at_half_periods | at, -h.det, h.det)), bound
 
-        def both(a, b_r, out=np.asarray):
-            h, bound = real(a, b_r, out)
-            return Hessian2(h.xx, h.xy, h.yy, -h.det), bound
-
-        monkeypatch.setattr(green, "_hessian", both)
-    else:
-        # the final pass's Hessian at z0, its fourth point, alone
-        real = green._hessian
-
-        def at_z0(a, b_r, out=np.asarray):
-            h, bound = real(a, b_r, out)
-            det = np.where(np.arange(np.size(h.det)) == 3, -h.det, h.det)
-            return Hessian2(h.xx, h.xy, h.yy, det), bound
-
-        monkeypatch.setattr(green, "_hessian", at_z0)
+    monkeypatch.setattr(green, "_hessian", flipped)
     with pytest.raises(CountViolation, match="the Euler count forces -1"):
         critical.find_critical_points(lattice.make_torus(tau))
 
