@@ -35,6 +35,7 @@ CALLS = (
     ("critical", "--tau=0.5+5i"),                     # seeds route, at the rhombic cusp
     ("critical", "--tau=0.17668935183106604+2.3164145156627625e-07i"),  # seeds, near the axis
     ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=8x8"),
+    ("scan", "--region=0.0,0.1,0.5,2.0", "--grid=40x40"),  # criterion 7
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32"),
     ("mfe", "--rho=4pi", "--tau=-0.31+0.42i"),       # built and checked on its reduced torus
     ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32"),

@@ -8,6 +8,8 @@ the time spent in its functions less that of the stages they call:
 
 - null sum: green.half_period_rows, the theta-null sum and the
   half-period rows in closed form;
+- pitchfork seeds: critical._pitchfork_seeds, the seed of every seeds
+  torus from its half-period rows;
 - Newton: critical.damped_newton, every residual pass of the seeds;
 - final pass: green.residual_and_jacobian outside Newton, the one pass
   over the half periods and z0 of every set;
@@ -46,11 +48,13 @@ CALLS = (
     ("critical", "--tau=0.5+0.8660254037844386i"),
 )
 CELLS = 64                         # cells of the scan
-STAGES = ("null sum", "Newton", "final pass", "finishing", "flip edges", "JSON", "rest")
+STAGES = ("null sum", "pitchfork seeds", "Newton", "final pass", "finishing", "flip edges", "JSON",
+          "rest")
 # (module, function, stage); the stages in OPAQUE keep the time of
 # everything they call
 WRAPPED = (
     (green, "half_period_rows", "null sum"),
+    (critical, "_pitchfork_seeds", "pitchfork seeds"),
     (critical, "damped_newton", "Newton"),
     (green, "residual_and_jacobian", "final pass"),
     (critical, "_solve", "finishing"),

@@ -25,10 +25,12 @@ The pair is born at a half period, in a pitchfork, as that half period's
 determinant crosses zero (Lin and Wang's deformation argument).  So the
 seeds route takes the half period with the largest determinant and reads
 the normal form of that pitchfork from its Hessian row and the other two
-(_pitchfork_seed): no theta pass.  The critical residual
+(_pitchfork_seeds, array expressions over the rows of every seeds torus
+of a batch): no theta pass.  The critical residual
 r(t, s) = zeta(t + s*tau) - t*eta1 - s*eta2 collapses to
-(log theta1)_z + 2 pi i s, so a Newton step is one theta series pass for
-the seeds of every torus of a batch.  One final pass, through
+(log theta1)_z + 2 pi i s, so a Newton trial is one theta series pass for
+the seeds of every torus of a batch, and the L3 of that pass makes the
+step third order (damped_newton).  One final pass, through
 residual_and_jacobian, sums the half periods at their exact coordinates
 and each root at t + s tau_r, where evaluate sums it: it gives z0's row,
 |grad G| = |r| / (2 pi) at every point, and a second route at the half
@@ -59,7 +61,7 @@ saddle merged with the pair of minima).
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,8 +87,10 @@ LINE_TOL = 1e-6           # a root this close to the lines s = 0 and s = 1/2,
                           # leaves it up to ~3e-8 off the axis
 DEFAULT_TOL = 1e-12       # default bound on |grad G| on the reduced torus
 TIE_TOL = 1e-9            # G values of half periods this close are tied
+POLISH = 1e-3             # Newton polishes z0 to |r| <= POLISH times its target
 _HP_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 _HP_T, _HP_S = np.array(_HP_COORDS).T
+_TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])   # a half period, then the others
 _IDENTITY = ((1, 0), (0, 1))
 
 
@@ -144,63 +148,118 @@ def damped_newton(t, s, tau_r, r_stop):
     """Damped Newton on the critical residual from the seeds (t, s) on
     reduced tori of modulus tau_r, one for every seed or one per seed.
 
-    Each step is halved up to 12 times until it lowers |r|; a seed that
-    cannot improve even then is retired, and a seed stops once
-    |r| <= r_stop (scalar, or per seed) or after 60 steps.  Every seed
-    keeps its own count of steps and halvings, and one residual pass
-    serves the next trial point of every seed, so a seed's path does not
-    depend on the others and the passes are as many as the trials of the
-    longest path.  Returns the final (t, s, |r|) arrays, unwrapped;
-    lattice hits show up as non finite |r|.
+    The steps are third order where they can be.  Every residual pass
+    sums L3 as well (green.residual_and_jacobian with value=None), and
+    r's second derivative along a step (dt, ds) is L3 dz^2, with
+    dz = dt + tau_r ds.  So the Newton step d = -J^-1 r takes the
+    correction -J^-1 (L3 dz^2 / 2) (Chebyshev's method) where that
+    correction is at most _CUBIC_SHARE of d in the plane.  Elsewhere the
+    quadratic model of r does not hold, and the step is the Newton step d
+    alone (_newton_step).  A step is halved up to 12 times until it
+    lowers |r|; a seed that cannot improve even then is retired, and a
+    seed stops once |r| <= r_stop (scalar, or per seed) or after 60
+    steps.  Every seed keeps its own step, scale and counts, and one
+    residual pass serves the next trial point of every live seed, so a
+    seed's path does not depend on the others and the passes are as many
+    as the trials of the longest path.  The loop holds the live seeds
+    alone, each point (t, s) and step as one complex number t + i s, and
+    compacts them as seeds retire.  Returns the final (t, s, |r|) arrays,
+    unwrapped; lattice hits show up as non finite |r|.
     """
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
-    r_stop = np.broadcast_to(r_stop, t.shape)
-    r, rt, rs = green.residual_and_jacobian(t, s, tau_r)
+    r, l2, _, l3 = green.residual_and_jacobian(t, s, tau_r, None)
     rn = np.abs(r)
-    live = np.isfinite(rn)
-    steps = np.zeros(t.size, dtype=int)      # Newton steps begun
-    tries = np.zeros(t.size, dtype=int)      # rejected trials of the current step
-    scale = np.ones(t.size)
-    dt = np.zeros(t.size)
-    ds = np.zeros(t.size)
-    due = np.flatnonzero(live)               # seeds due a new Newton direction
-    while True:
-        stop = (rn[due] <= r_stop[due]) | (steps[due] == 60)
-        live[due[stop]] = False
-        due = due[~stop]
-        det = rt.real[due] * rs.imag[due] - rs.real[due] * rt.imag[due]
-        bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        det = np.where(bad, 1.0, det)
-        dt[due] = np.where(bad, 0.0, (r.real[due] * rs.imag[due] - rs.real[due] * r.imag[due]) / det)
-        ds[due] = np.where(bad, 0.0, (rt.real[due] * r.imag[due] - r.real[due] * rt.imag[due]) / det)
-        scale[due] = 1.0
-        tries[due] = 0
-        steps[due] += 1
-        idx = np.flatnonzero(live)
-        t_try = t[idx] - scale[idx] * dt[idx]
-        s_try = s[idx] - scale[idx] * ds[idx]
-        # a step under the float spacing cannot lower |r|: the seed is stuck
-        # on a ridge, and convergence is judged from rn alone
-        moved = (t_try != t[idx]) | (s_try != s[idx])
-        live[idx[~moved]] = False
-        idx, t_try, s_try = idx[moved], t_try[moved], s_try[moved]
-        if idx.size == 0:
-            return t, s, rn
-        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, _at(tau_r, idx))
-        rn2 = np.abs(r2)
-        ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
-        due = idx[ok]
-        t[due] = t_try[ok]
-        s[due] = s_try[ok]
-        r[due] = r2[ok]
-        rt[due] = rt2[ok]
-        rs[due] = rs2[ok]
-        rn[due] = rn2[ok]
-        poor = idx[~ok]
-        scale[poor] *= 0.5
-        tries[poor] += 1
-        live[poor[tries[poor] == 12]] = False
+    # each seed's last accepted point t + i s and |r|
+    out = t + 1j * s, rn
+    live = [np.arange(t.size), out[0], rn, r, l2, l3]
+    # what the steps read of the seeds' tori (_newton_step), and r_stop
+    frame = tau_r, 2.0 * np.pi / tau_r.imag + 0j, (1j - tau_r.real) / tau_r.imag, r_stop
+    begun = np.isfinite(rn) & (rn > r_stop)
+    if np.count_nonzero(begun) < t.size:
+        live, frame = _retire(~begun, live, frame, out)
+        if not live[0].size:
+            return t, s, out[1]
+    idx, p, rn, r, l2, l3 = live
+    # the live seeds' rows: index, point, |r|, step and steps taken, and
+    # once a trial fails, scale and failed trials of the current step
+    live = [idx, p, rn, _newton_step(r, l2, l3, frame), np.zeros(idx.size, dtype=int)]
+    for trial in itertools.count(1):
+        idx, p, rn, q, steps, *damped = live
+        p_try = p - damped[0] * q if damped else p - q
+        # a step under the float spacing cannot lower |r|: the seed is
+        # stuck, and convergence is judged from rn alone
+        moved = p_try != p
+        if np.count_nonzero(moved) < idx.size:
+            live, frame = _retire(~moved, live, frame, out)
+            if not live[0].size:
+                break
+            p_try = p_try[moved]
+            idx, p, rn, q, steps, *damped = live
+        r, l2, _, l3 = green.residual_and_jacobian(p_try.real, p_try.imag, frame[0], None)
+        rn_try = np.abs(r)
+        ok = rn_try <= rn * (1.0 - 1e-4)
+        steps = steps + ok
+        held = np.count_nonzero(ok) == idx.size
+        if held:
+            live = [idx, p_try, rn_try, q, steps]
+            done = rn_try <= frame[-1]
+        else:
+            scale, tries = damped or (np.ones(idx.size), np.zeros(idx.size, dtype=int))
+            live = [idx, np.where(ok, p_try, p), np.where(ok, rn_try, rn), q, steps,
+                    np.where(ok, 1.0, 0.5 * scale), np.where(ok, 0, tries + 1)]
+            done = (live[2] <= frame[-1]) | (live[6] == 12)
+        if trial >= 60:
+            done |= steps == 60
+        if np.count_nonzero(done):
+            live, frame = _retire(done, live + [ok, r, l2, l3], frame, out)
+            if not live[0].size:
+                break
+            *live, ok, r, l2, l3 = live
+        # the next steps of the seeds that go on, where their trial held
+        # (a failed trial may sit on a lattice point, where r is not finite)
+        if held:
+            live[3] = _newton_step(r, l2, l3, frame)
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                live[3] = np.where(ok, _newton_step(r, l2, l3, frame), live[3])
+    return out[0].real.copy(), out[0].imag.copy(), out[1]
+
+
+def _retire(gone, live, frame, out):
+    """damped_newton's rows live and frame less the seeds gone, whose
+    points and |r| go to out."""
+    idx, p, rn = live[:3]
+    out[0][idx[gone]] = p[gone]
+    out[1][idx[gone]] = rn[gone]
+    keep = ~gone
+    return [x[keep] for x in live], tuple(x[keep] if getattr(x, "ndim", 0) else x for x in frame)
+
+
+# the share of a Newton step up to which its third-order correction is taken
+_CUBIC_SHARE = 0.5
+
+
+def _newton_step(r, l2, l3, frame):
+    """The step dt + i ds that damped_newton subtracts, from r, L2 and L3
+    at points of reduced tori of modulus tau_r; frame holds tau_r,
+    2 c = 2 pi / Im tau_r (complex) and k = (i - Re tau_r) / Im tau_r.
+    In the plane, r's Jacobian takes u = dt + tau_r ds to
+    L2 u + 2 pi i ds = L2 u + c (u - conj(u)), whose inverse is
+    w -> (conj(L2) w + 2 c Re w) / det, det = Re(L2 conj(L2 + 2 c)): a
+    sum free of the cancellation of |L2 + c|^2 - c^2 where the Hessian of
+    G degenerates.  The step solves J u = r, and J u = r + L3 u^2 / 2
+    where that correction is at most _CUBIC_SHARE of u, and it is
+    dt + i ds = Re u + k Im u.
+    """
+    _, c2, k, _ = frame
+    l2_bar = np.conj(l2)
+    det = (l2 * np.conj(l2 + c2)).real
+    u = (l2_bar * r + c2 * r.real) / det
+    w = (0.5 * l3) * (u * u)
+    du = (l2_bar * w + c2 * w.real) / det
+    np.add(u, du, out=u, where=np.abs(du) <= _CUBIC_SHARE * np.abs(u))
+    return u.real + k * u.imag
 
 
 def _at(tau_r, index):
@@ -208,12 +267,13 @@ def _at(tau_r, index):
     return tau_r if np.ndim(tau_r) == 0 else tau_r[index]
 
 
-def _pitchfork_seed(torus: Torus, rows: green.GreenEval, at: int) -> tuple[float, float, int]:
-    """The seed (t, s) of z0 on a reduced torus whose three half periods
-    are saddles, rows 3 at to 3 at + 2 of rows (green.half_period_rows), and
-    the index m of the half period it leaves: the one with the largest
-    determinant, where the extra pair is born as that determinant crosses
-    zero.
+def _pitchfork_seeds(rows: green.GreenEval, at: np.ndarray, tau_r):
+    """The seeds (t, s) of z0 on reduced tori of modulus tau_r (one per
+    entry of at, or one for all) whose three half periods are saddles,
+    rows 3 at to 3 at + 2 of rows (green.half_period_rows), the index m of
+    the half period each leaves, the one with the largest determinant,
+    where the extra pair is born as that determinant crosses zero, and
+    G_vvvv there: one set of array expressions for every torus.
 
     Along the unit eigenvector v of the negative Hessian eigenvalue mu at
     w_m, G is even about w_m, so its slope at w_m + eps v is
@@ -223,51 +283,53 @@ def _pitchfork_seed(torus: Torus, rows: green.GreenEval, at: int) -> tuple[float
     plus a constant of the torus, so wp''(w_m) = 2 (c_m - c_i)(c_m - c_j)
     needs no theta pass; v^2 = -conj(c_m) / |c_m|, and
     mu = det / (trace / 2 + |c_m| / 2 pi) keeps the precision of det.
-    The seed is w_m + eps v with eps = sqrt(-6 mu / G_vvvv).  Raises
-    Unconverged where G_vvvv <= 0, which leaves no seed.
+    The seed is w_m + eps v with eps = sqrt(-6 mu / G_vvvv), wrapped, so
+    that Newton works in the ulps of coordinates of size 1/2 at most.
+    Below, d_k = c_k / pi.  Where G_vvvv <= 0 there is no seed: its
+    (t, s) is NaN, and the caller fails that torus Unconverged.
     """
-    cols = (rows.hessian.xx, rows.hessian.xy, rows.hessian.yy, rows.hessian.det)
-    hess = [Hessian2(*(float(c[3 * at + j]) for c in cols)) for j in range(3)]
-    m = max(range(3), key=[h.det for h in hess].__getitem__)
-    c = [math.pi * complex(h.xx - h.yy, -2.0 * h.xy) for h in hess]
-    i, j = (k for k in range(3) if k != m)
-    size = abs(c[m])
-    mu = hess[m].det / (hess[m].trace / 2.0 + size / (2.0 * math.pi))
-    v2 = -c[m].conjugate() / size
-    g4 = (2.0 * (c[m] - c[i]) * (c[m] - c[j]) * v2 * v2).real / (2.0 * math.pi)
-    if not g4 > 0.0:
-        raise Unconverged(f"no pitchfork seed at half period {m + 1}: G_vvvv = {g4:.3e} "
-                          f"is not positive on the reduced torus tau_r = {torus.tau}")
-    dz = math.sqrt(-6.0 * mu / g4) * cmath.sqrt(v2)
-    ds = dz.imag / torus.tau.imag
-    tc, sc = _HP_COORDS[m]
-    t, s = wrap_unit([tc + dz.real - ds * torus.tau.real, sc + ds])[0].tolist()
-    return t, s, m
+    h = rows.hessian
+    m = h.det.reshape(-1, 3)[at].argmax(1)
+    # the Hessian rows (xx, xy, yy, det) at w_m and the two others
+    xx, xy, yy, det = np.array([h.xx, h.xy, h.yy, h.det])[:, 3 * at + _TURNS[m].T]
+    d = np.empty(xx.shape, dtype=complex)
+    d.real = xx - yy
+    d.imag = -2.0 * xy
+    dm, di, dj = d
+    size = np.abs(dm)
+    half_mu = det[0] / (xx[0] + yy[0] + size)
+    v2 = -np.conj(dm) / size
+    g4 = np.pi * ((dm - di) * (dm - dj) * v2 * v2).real
+    dz = np.sqrt(v2 * (-12.0 * half_mu / np.where(g4 > 0.0, g4, np.nan)))
+    ds = dz.imag / tau_r.imag
+    t, s = wrap_unit(np.array([_HP_T[m] + dz.real - ds * tau_r.real, _HP_S[m] + ds]))[0]
+    return t, s, m, g4
 
 
-def _extra_roots(tori: list[Torus], tau_r, seeds, tol: float):
-    """z0 of each (k, t, s, m) in seeds, the pitchfork seed (t, s) at half
-    period m of the reduced torus of tori[k], of modulus _at(tau_r, k):
-    one damped Newton run serves every seed.  Returns the roots (t, s) on
-    the reduced tori, folded to the representative of their orbit
+def _extra_roots(tori: list[Torus], tau_r, k, t0, s0, m, tol: float):
+    """z0 of the reduced torus of tori[j], of modulus _at(tau_r, j), for
+    each j in k, from the pitchfork seeds (t0, s0) at their half periods
+    m: one damped Newton run serves every seed.  Returns the roots (t, s)
+    on the reduced tori, folded to the representative of their orbit
     {z, -z}, and per seed None or the error: Unconverged where Newton
     misses |grad G| <= tol / 2, CountViolation where it reaches a half
     period.
     """
-    k, t0, s0, m = (np.array(x) for x in zip(*seeds))
     # |grad G| = |r| / (2 pi), kept at half of tol; polish three decades
     # past the target, so that z0 is a root to rounding and not anywhere
-    # inside the tolerance
+    # inside the tolerance: toward the rhombic cusp r is flat along Re z,
+    # and a stop at 1e-2 of the target left z0 at 0.5+9.32i 3.5e-3 off
+    # its line Re z = 1/2 (1.0e-6 at 1e-3)
     r_target = np.pi * tol
-    t, s, rn = damped_newton(t0, s0, _at(tau_r, k), r_target * 1e-3)
+    t, s, rn = damped_newton(t0, s0, _at(tau_r, k), r_target * POLISH)
     t, s = _fold(wrap_unit(t)[0], wrap_unit(s)[0])
     at_hp = np.full(t.size, -1)
     for h, (tc, sc) in enumerate(_HP_COORDS):
         at_hp[(np.abs(wrap_unit(t - tc)[0]) < HP_MERGE_TOL)
               & (np.abs(wrap_unit(s - sc)[0]) < HP_MERGE_TOL)] = h
-    errors: list = [None] * len(seeds)
+    errors: list = [None] * t.size
     for j in np.flatnonzero(~(np.isfinite(rn) & (rn <= r_target) & (at_hp < 0))).tolist():
-        torus = tori[seeds[j][0]]
+        torus = tori[k[j]]
         name = (f"the pitchfork seed (t, s) = ({t0[j]:.6f}, {s0[j]:.6f}) at half period "
                 f"{m[j] + 1} of the reduced torus tau_r = {torus.tau_r}")
         if at_hp[j] < 0:
@@ -382,23 +444,26 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
         out[live[k]] = Unconverged(f"{n_inside[k]} half-period Hessian determinants lie "
                                    f"within their error bounds at tau = {tori[k].tau}; "
                                    "their signs cannot decide the count")
-    seeds = []
-    for k in (ok & ~morse & (n_inside == 0)).nonzero()[0].tolist():
-        try:
-            seeds.append((k, *_pitchfork_seed(tori[k].reduced, hp, k)))
-        except Unconverged as exc:
-            out[live[k]] = exc
     # the tori with a set, in order: the morse ones and the seeds ones
     # whose Newton found z0 on the reduced torus, at (zt, zs)
     found = (ok & morse).nonzero()[0]
-    if seeds:
-        zt, zs, errors = _extra_roots(tori, tau_r, seeds, tol)
-        for (k, *_), exc in zip(seeds, errors):
+    k = (ok & ~morse & (n_inside == 0)).nonzero()[0]
+    if k.size:
+        t0, s0, m, g4 = _pitchfork_seeds(hp, k, _at(tau_r, k))
+        seeded = g4 > 0.0
+        for j in (~seeded).nonzero()[0].tolist():
+            out[live[k[j]]] = Unconverged(
+                f"no pitchfork seed at half period {m[j] + 1}: G_vvvv = {g4[j]:.3e} is not "
+                f"positive on the reduced torus tau_r = {tori[k[j]].tau_r}")
+        k, t0, s0, m = k[seeded], t0[seeded], s0[seeded], m[seeded]
+    if k.size:
+        zt, zs, errors = _extra_roots(tori, tau_r, k, t0, s0, m, tol)
+        for j, exc in zip(k.tolist(), errors):
             if exc is not None:
-                out[live[k]] = exc
+                out[live[j]] = exc
         fine = np.array([exc is None for exc in errors])
         zt, zs = zt[fine], zs[fine]
-        found = np.sort(np.concatenate([found, np.array([x[0] for x in seeds])[fine]]))
+        found = np.sort(np.concatenate([found, k[fine]]))
     n = found.size
     if not n:
         return out, None
@@ -486,8 +551,9 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     route (see the module docstring) on their reduced tori, and every
     pass serves all of them.  One null sum decides the routes and gives
     the half period rows of all of them, or a torus its Unconverged off
-    the gap identities.  Every seeds torus then gets its pitchfork seed,
-    and one Newton runs for all the seeds.  Last, one pass over the half
+    the gap identities.  The pitchfork seeds of every seeds torus are
+    then one set of array expressions, and one Newton runs for all the
+    seeds.  Last, one pass over the half
     periods and z0 of every set gives z0's row and checks |grad G| <= tol
     at every point and the half-period det signs, and the sets, carried
     back to their tori (_carried) as arrays, are checked for the Morse

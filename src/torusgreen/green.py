@@ -89,12 +89,12 @@ class GreenEval:
 
 
 def _reduced_pass(t, s, tau_r, reads=theta.ALL):
-    """s' and (log|theta1|, L1, L2) at (t, s) on Z + tau_r Z, wrapped, from
-    a theta._eval pass that reads reads (None where it does not)."""
+    """s' and (log|theta1|, L1, L2, L3) at (t, s) on Z + tau_r Z, wrapped,
+    from a theta._eval pass that reads reads (None where it does not)."""
     tr, _ = wrap_unit(t)
     sr, _ = wrap_unit(s)
-    lm, _, L1, L2, _ = theta._eval(tr + sr * tau_r, tau_r, reads)
-    return sr, lm, L1, L2
+    lm, _, L1, L2, L3 = theta._eval(tr + sr * tau_r, tau_r, reads)
+    return sr, lm, L1, L2, L3
 
 
 def _value(lm, sr, b_r):
@@ -119,7 +119,7 @@ def _pass(z, torus, reads):
     moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
     tau_r = torus.tau_r if isinstance(torus, Torus) else torus
     t, s = _split(torus.reduced_point(z) if moved else z, tau_r)
-    sr, lm, L1, L2 = _reduced_pass(t, s, tau_r, reads)
+    sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
     return moved, tau_r.imag, _value(lm, sr, tau_r.imag), sr, L1, L2
@@ -222,7 +222,7 @@ def _factors(lam: complex) -> tuple[float, ...]:
     return k.real, k.imag, k2.real, k2.imag, m ** 2, m ** 4, math.log(m) / (4.0 * math.pi)
 
 
-def residual_and_jacobian(t, s, tau_r, value: bool = False):
+def residual_and_jacobian(t, s, tau_r, value: bool | None = False):
     """Vectorized critical residual plus its (t, s) Jacobian on a reduced
     torus.
 
@@ -230,13 +230,17 @@ def residual_and_jacobian(t, s, tau_r, value: bool = False):
     per point.  The residual is invariant under integer shifts of (t, s),
     so the coordinates are wrapped first; it is A1 = L1 + 2 pi i s.
     Returns (r, dr_dt, dr_ds) with dr_dt = L2 and dr_ds = tau_r L2 +
-    2 pi i, and with value G - C there as well, evaluate's value to the
-    bit at the same (t, s), from the same pass.  Lattice hits yield non
+    2 pi i.  value=True adds G - C there, evaluate's value to the bit at
+    the same (t, s), from the same pass; value=None adds L3 instead, so
+    that r's second derivative along (dt, ds) is L3 (dt + tau_r ds)^2 (the
+    third-order step of critical.damped_newton).  Lattice hits yield non
     finite entries rather than an exception; the Newton loop treats those
     as rejected steps.
     """
-    sr, lm, L1, L2 = _reduced_pass(t, s, tau_r)
+    sr, lm, L1, L2, L3 = _reduced_pass(t, s, tau_r)
     out = L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
+    if value is None:
+        return (*out, L3)
     return (*out, _value(lm, sr, np.imag(tau_r))) if value else out
 
 

@@ -19,8 +19,9 @@ JSON has a reference too: the plain recursive serializer that the
 package's single-join one replaced.  Routes that left the package live
 here for the tests that compare with them: the developing map f and f'
 of the 8 pi construction from sigma and wp; the census of one torus,
-multi-start Newton from a seed grid with the package's damped Newton,
-the second route to the count and to z0, against which the sign rule and
+multi-start Newton from a seed grid with a second-order damped Newton of
+its own (the package's before its third-order step), the second route
+to the count and to z0, against which the sign rule and
 the pitchfork seed are checked; the mean field check one grid row at a
 time, which the package's walk in blocks of rows must equal field for
 field; the Weierstrass invariants from a theta pass of their own at the
@@ -824,14 +825,81 @@ def _orbit_reps(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps_t), np.array(reps_s)
 
 
+def damped_newton(t, s, tau_r, r_stop):
+    """Second-order damped Newton on the critical residual from the seeds
+    (t, s) on reduced tori of modulus tau_r, one for every seed or one per
+    seed: the census's own solver, so that the census does not share the
+    package's third-order one that it checks.
+
+    Each step is halved up to 12 times until it lowers |r|; a seed that
+    cannot improve even then is retired, and a seed stops once
+    |r| <= r_stop (scalar, or per seed) or after 60 steps.  Every seed
+    keeps its own count of steps and halvings, and one residual pass
+    serves the next trial point of every seed.  Returns the final
+    (t, s, |r|) arrays, unwrapped; lattice hits show up as non finite |r|.
+    """
+    from torusgreen import green
+
+    def at(index):
+        return tau_r if np.ndim(tau_r) == 0 else tau_r[index]
+
+    t = np.array(t, dtype=float)
+    s = np.array(s, dtype=float)
+    r_stop = np.broadcast_to(r_stop, t.shape)
+    r, rt, rs = green.residual_and_jacobian(t, s, tau_r)
+    rn = np.abs(r)
+    live = np.isfinite(rn)
+    steps = np.zeros(t.size, dtype=int)      # Newton steps begun
+    tries = np.zeros(t.size, dtype=int)      # rejected trials of the current step
+    scale = np.ones(t.size)
+    dt = np.zeros(t.size)
+    ds = np.zeros(t.size)
+    due = np.flatnonzero(live)               # seeds due a new Newton direction
+    while True:
+        stop = (rn[due] <= r_stop[due]) | (steps[due] == 60)
+        live[due[stop]] = False
+        due = due[~stop]
+        det = rt.real[due] * rs.imag[due] - rs.real[due] * rt.imag[due]
+        bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
+        det = np.where(bad, 1.0, det)
+        dt[due] = np.where(bad, 0.0, (r.real[due] * rs.imag[due] - rs.real[due] * r.imag[due]) / det)
+        ds[due] = np.where(bad, 0.0, (rt.real[due] * r.imag[due] - r.real[due] * rt.imag[due]) / det)
+        scale[due] = 1.0
+        tries[due] = 0
+        steps[due] += 1
+        idx = np.flatnonzero(live)
+        t_try = t[idx] - scale[idx] * dt[idx]
+        s_try = s[idx] - scale[idx] * ds[idx]
+        # a step under the float spacing cannot lower |r|: the seed is stuck
+        moved = (t_try != t[idx]) | (s_try != s[idx])
+        live[idx[~moved]] = False
+        idx, t_try, s_try = idx[moved], t_try[moved], s_try[moved]
+        if idx.size == 0:
+            return t, s, rn
+        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, at(idx))
+        rn2 = np.abs(r2)
+        ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
+        due = idx[ok]
+        t[due] = t_try[ok]
+        s[due] = s_try[ok]
+        r[due] = r2[ok]
+        rt[due] = rt2[ok]
+        rs[due] = rs2[ok]
+        rn[due] = rn2[ok]
+        poor = idx[~ok]
+        scale[poor] *= 0.5
+        tries[poor] += 1
+        live[poor[tries[poor] == 12]] = False
+
+
 def _multi_start(torus, n_grid: int, tol: float):
-    """The extra orbit representatives that damped Newton reaches on the
+    """The extra orbit representatives that damped_newton reaches on the
     reduced torus from an n_grid x n_grid seed grid outside
     EXCLUSION_RADIUS of the lattice point, carried to the (t, s) of torus
     through z = lam (t' + s' tau_r), their _rows from one evaluate pass on
     torus, less the gradient plateau roots, and the number of seeds that
     did not converge."""
-    from torusgreen import critical, green
+    from torusgreen import green
     from torusgreen.lattice import lattice_gap, split_coords
 
     tau_r = torus.tau_r
@@ -841,7 +909,7 @@ def _multi_start(torus, n_grid: int, tol: float):
     # polish three decades past the acceptance target: near a degeneracy
     # threshold the residual valley is flat enough that stopping exactly at
     # the target scatters one root across several merge cells
-    t, s, rn = critical.damped_newton(t[keep], s[keep], tau_r, r_target * 1e-3)
+    t, s, rn = damped_newton(t[keep], s[keep], tau_r, r_target * 1e-3)
     converged = np.isfinite(rn) & (rn <= r_target)
     # to the given basis through the plane, not through the frame matrix
     z = torus.lam * (t[converged] + s[converged] * tau_r)
@@ -858,10 +926,9 @@ def census(torus, tol: float = 1e-12):
     """The critical set of torus from a 24x24 seed grid, and a 48x48 check
     grid where a seed failed: the count's second route, which counts the
     extra orbits multi-start Newton finds instead of reading the
-    half-period signs, run with the package's damped Newton on the
-    reduced torus and a half-period pass of its own on torus.  Grids that
-    disagree raise NoConvergence, more than one extra orbit
-    CountViolation."""
+    half-period signs, run with damped_newton on the reduced torus and a
+    half-period pass of its own on torus.  Grids that disagree raise
+    NoConvergence, more than one extra orbit CountViolation."""
     from torusgreen import critical, green
     from torusgreen.errors import CountViolation
 

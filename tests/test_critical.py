@@ -412,6 +412,87 @@ def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
     assert abs(cs.extra.coords.t - z0.t) <= 1e-12 and abs(cs.extra.coords.s - z0.s) <= 1e-12
 
 
+def _second_order_step(t, s, tau_r):
+    """The Newton step (dt, ds) at (t, s) by the 2x2 solve of the (t, s)
+    Jacobian that the steps were made of while they were second order, its
+    third-order correction (dct, dcs), the same solve applied to
+    L3 dz^2 / 2 with dz = dt + tau_r ds, and the size of that correction
+    against the step in the plane."""
+    r, rt, rs = green.residual_and_jacobian(np.array([t]), np.array([s]), tau_r)
+    l3 = green.residual_and_jacobian(np.array([t]), np.array([s]), tau_r, None)[3]
+    det = rt.real * rs.imag - rs.real * rt.imag
+
+    def solve(w):
+        return ((w.real * rs.imag - rs.real * w.imag) / det,
+                (rt.real * w.imag - w.real * rt.imag) / det)
+
+    dt, ds = solve(r)
+    dz = dt + tau_r * ds
+    dct, dcs = solve(0.5 * l3 * dz * dz)
+    return dt[0], ds[0], dct[0], dcs[0], abs(dct[0] + tau_r * dcs[0]) / abs(dz[0])
+
+
+@pytest.mark.parametrize("far", [True, False], ids=["far seed", "pitchfork seed"])
+def test_a_step_takes_its_correction_only_where_it_is_small(far, hex_torus, monkeypatch):
+    # next to the lattice point the quadratic model of r fails and the
+    # correction is most of the step: the first trial is the Newton step
+    # alone, t - dt, which it was when every step was second order; from
+    # the hexagonal torus's pitchfork seed the correction is small, and
+    # the trial is t - dt - dct, to rounding
+    tau = hex_torus.tau_r
+    if far:
+        t0, s0 = 0.1, 0.05
+    else:
+        (t0,), (s0,), _, _ = critical._pitchfork_seeds(
+            green.half_period_rows([hex_torus])[0], np.array([0]), tau)
+    dt, ds, dct, dcs, share = _second_order_step(t0, s0, tau)
+    assert (share > critical._CUBIC_SHARE) == far
+    assert min(abs(dct), abs(dcs)) > 1e-3
+    trials = []
+    real = green.residual_and_jacobian
+
+    def spy(t, s, on, value=False):
+        trials.append((float(np.ravel(t)[0]), float(np.ravel(s)[0])))
+        return real(t, s, on, value)
+
+    monkeypatch.setattr(green, "residual_and_jacobian", spy)
+    critical.damped_newton(np.array([t0]), np.array([s0]), tau, 1e-3)
+    want = (t0 - dt, s0 - ds) if far else (t0 - dt - dct, s0 - ds - dcs)
+    assert trials[0] == (t0, s0)
+    assert abs(trials[1][0] - want[0]) <= 1e-15 and abs(trials[1][1] - want[1]) <= 1e-15
+
+
+def test_every_newton_root_meets_the_polish_target(hex_torus, monkeypatch):
+    # one Newton run serves the seeds of the criterion 7 8x8 scan's 5-cells,
+    # of 200 random tori, of the hexagonal torus and of five-point tori at
+    # the rhombic cusp and near the real axis: it ends every seed at
+    # |r| <= POLISH times its target pi tol, not merely inside the tolerance
+    tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)]
+    tori += list(lattice.random_tori(200, seed=31)) + [hex_torus] + [
+        lattice.make_torus(tau) for tau in (0.3 + 0.8j, 0.5 + 5j, 0.5 + 8j,
+                                            0.17668935183106604 + 2.3164145156627625e-07j)]
+    runs = []
+    real = critical.damped_newton
+
+    def kept(t, s, tau_r, r_stop):
+        out = real(t, s, tau_r, r_stop)
+        runs.append((out[2], r_stop))
+        return out
+
+    monkeypatch.setattr(critical, "damped_newton", kept)
+    sets = critical.find_critical_sets(tori)
+    (rn, r_stop), = runs
+    assert r_stop == math.pi * critical.DEFAULT_TOL * critical.POLISH
+    assert rn.size == sum(cs.route == "seeds" for cs in sets) > 20
+    assert np.all(rn <= r_stop)
+
+
+def test_the_hexagonal_z0_is_a_third_to_a_few_ulps(hex_torus):
+    # z0 of the hexagonal torus is (1 + tau)/3, at t = s = 1/3
+    p = critical.find_critical_points(hex_torus).extra
+    assert max(abs(p.coords.t - 1 / 3), abs(p.coords.s - 1 / 3)) <= 4 * math.ulp(1 / 3)
+
+
 @pytest.fixture(scope="module")
 def criterion_7_census_tori():
     # the cells of criterion 7's 40x40 scan whose smallest half-period
@@ -606,7 +687,8 @@ def _newton_ends_at(monkeypatch, t, s, rn):
 def test_a_seed_whose_newton_misses_is_unconverged(monkeypatch):
     # the seed, Newton and the message live on the reduced torus
     T = lattice.make_torus(0.5 + 0.3j)
-    t, s, m = critical._pitchfork_seed(T.reduced, green.half_period_rows([T])[0], 0)
+    t, s, m, _ = critical._pitchfork_seeds(green.half_period_rows([T])[0], np.array([0]), T.tau_r)
+    (t,), (s,), (m,) = t, s, m
     _newton_ends_at(monkeypatch, t, s, 1e-10)
     with pytest.raises(Unconverged) as info:
         critical.find_critical_points(T)
@@ -736,10 +818,11 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
     # form (2 passes while a pass at the half periods gave them, 3 while the
     # invariants summed the half periods again)
     ("i", "morse", 1),
-    # plus 6 Newton trials from the one seed, the final pass taking in z0
+    # plus 4 Newton passes from the one seed, the final pass taking in z0
     # (13 passes over 290 points from the 55 fixed seeds, then 10, then 9
-    # with the half-period pass, then 8 with a pass of its own at z0)
-    ("0.5+0.8660254037844386i", "seeds", 7),
+    # with the half-period pass, then 8 with a pass of its own at z0, then
+    # 7 while the steps were second order)
+    ("0.5+0.8660254037844386i", "seeds", 5),
 ], ids=["square", "hex"])
 def test_critical_command_pass_budget(tau, route, budget, theta_passes, capsys):
     assert cli.run(["critical", f"--tau={tau}"]) == 0

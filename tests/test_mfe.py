@@ -97,16 +97,17 @@ def test_the_map_sits_at_the_extra_point_of_the_critical_set(hex_map):
 
 
 def test_solution_8pi_costs_the_critical_set_and_one_pass(theta_passes):
-    # the critical set of the hexagonal torus makes 7 passes (9 while a
+    # the critical set of the hexagonal torus makes 5 passes (9 while a
     # pass at the half periods gave its invariants, 8 while z0 had a pass
-    # of its own); the map adds one, at z0 and 2 z0
+    # of its own, 7 while Newton's steps were second order); the map adds
+    # one, at z0 and 2 z0
     T = lattice.make_torus(HEX_TAU)
     critical.find_critical_points(T)
     critical_set = len(theta_passes)
     weier._invariants_cached.cache_clear()
     theta_passes.clear()
     mfe.solution_8pi(T)
-    assert (critical_set, len(theta_passes), theta_passes[-1]) == (7, 8, 2)
+    assert (critical_set, len(theta_passes), theta_passes[-1]) == (5, 6, 2)
 
 
 def test_solution_4pi_costs_one_pass(theta_passes):

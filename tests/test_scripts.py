@@ -49,11 +49,12 @@ def test_stage_timing_prints_one_row_per_stage():
     rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
             if line.startswith("| ") and not line.startswith("| stage")]
     assert [row[0].strip() for row in rows] == [
-        "null sum", "Newton", "final pass", "finishing", "flip edges", "JSON", "rest", "total"]
+        "null sum", "pitchfork seeds", "Newton", "final pass", "finishing", "flip edges", "JSON",
+        "rest", "total"]
     assert all(len(row) == 6 for row in rows)
     # the scan makes every stage; the critical call has no flip edges
     assert all(float(row[1]) > 0.0 for row in rows)
-    assert [float(row[4]) > 0.0 for row in rows] == [True] * 4 + [False] + [True] * 3
+    assert [float(row[4]) > 0.0 for row in rows] == [True] * 5 + [False] + [True] * 3
     assert rows[-1][3].strip() == rows[-1][5].strip() == "100.0%"
 
 
@@ -63,7 +64,7 @@ def test_pass_counts_prints_one_row_per_call():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith("| `")]
-    assert len(rows) == 13
+    assert len(rows) == 14
     # the square torus takes the morse route: the null sum writes the half
     # periods in closed form, the final pass is the one pass, and the
     # ranking reads the same sum from the invariants record (2 passes while
@@ -71,54 +72,61 @@ def test_pass_counts_prints_one_row_per_call():
     # them again; 2 null sums while the ranking summed its own)
     assert rows[0] == "| `critical --tau=i` | 0 | 1 | 3 | 1 | 1 |"
     # the seeds route adds Newton from one pitchfork seed, and the final
-    # pass takes in z0: 7 passes on the hexagonal torus (13 over 290 points
+    # pass takes in z0: 5 passes on the hexagonal torus (13 over 290 points
     # from the 55 fixed seeds, then 10, then 9 with the half-period pass,
-    # then 8 with a pass of its own at z0), 5 at 0.3+0.8i
-    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 7 | 10 | 1 | 1 |"
+    # then 8 with a pass of its own at z0, then 7 with second-order steps),
+    # 5 at 0.3+0.8i, whose second trial ends at |r| = 4.7e-15, just above the
+    # polish target 3.1e-15
+    assert rows[1] == "| `critical --tau=0.5+0.8660254037844386i` | 0 | 5 | 8 | 1 | 1 |"
     assert rows[2] == "| `critical --tau=0.3+0.8i` | 0 | 5 | 8 | 1 | 1 |"
     # near the cusp and at the degenerate torus of b1 the signs decide as
     # well (0.0608i made 8 passes with the census's 24x24 grid, then 3, then 2)
     assert rows[3] == "| `critical --tau=0.0608i` | 0 | 1 | 3 | 1 | 1 |"
     assert rows[4] == "| `critical --tau=0.5+0.7047615813326655i` | 0 | 1 | 3 | 1 | 1 |"
     # at the rhombic cusp, where the multi-start grid's 699 Newton passes
-    # ended in CountViolation (exit 3), then 9 passes, then 8, then 7
-    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 6 | 9 | 1 | 1 |"
+    # ended in CountViolation (exit 3), then 9 passes, then 8, then 7, then
+    # 6 with second-order steps
+    assert rows[5] == "| `critical --tau=0.5+5i` | 0 | 5 | 8 | 1 | 1 |"
     # a five-point torus near the real axis, whose Newton in the given
-    # frame's (t, s) stalled (exit 3); on its reduced torus, 6 passes (7
-    # while z0 had a pass of its own)
+    # frame's (t, s) stalled (exit 3); on its reduced torus, 5 passes (7
+    # while z0 had a pass of its own, 6 with second-order steps)
     assert rows[6] == ("| `critical --tau=0.17668935183106604+2.3164145156627625e-07i` "
-                       "| 0 | 6 | 9 | 1 | 1 |")
+                       "| 0 | 5 | 8 | 1 | 1 |")
     # the scan's 64 cells and its flip edges' 14 midpoints each take one
     # null sum for their half periods (10 passes over 492 points while a
     # pass at the half periods did, 8 over 258 while z0 had a pass of its
-    # own)
-    assert rows[7] == "| `scan --region=0.0,0.1,0.5,2.0 --grid=8x8` | 0 | 7 | 248 | 2 | 78 |"
+    # own, 7 over 248 with second-order steps)
+    assert rows[7] == "| `scan --region=0.0,0.1,0.5,2.0 --grid=8x8` | 0 | 5 | 237 | 2 | 78 |"
+    # criterion 7's scan: two chunks of cells, each with its Newton run and
+    # final pass (14 passes over 6250 points with second-order steps)
+    assert rows[8] == "| `scan --region=0.0,0.1,0.5,2.0 --grid=40x40` | 0 | 10 | 6002 | 3 | 1739 |"
     # the 4 pi construction (1 pass: its period path and probes together,
     # after the doubled torus's null sum; 5 while the path's three segments,
     # the probes and the invariants each had a pass) and verify_solution's 32
     # rows in 2 blocks of one u call and one green_rel call each (70
     # passes by rows, 17 in blocks of 4 rows)
-    assert rows[8] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 5 | 19582 | 1 | 1 |"
+    assert rows[9] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 5 | 19582 | 1 | 1 |"
     # a torus outside the fundamental domain, built and checked on its
     # reduced torus: the same construction pass and 4 blocks of 2 at 64^2
     # (76797 points on the given cell, whose exclusion disks cut more; 33
     # passes in blocks of 4 rows)
-    assert rows[9] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 77814 | 1 | 1 |"
-    # the critical set's 7 passes, one at z0 and 2 z0 and 2 blocks of 2
+    assert rows[10] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 77814 | 1 | 1 |"
+    # the critical set's 5 passes, one at z0 and 2 z0 and 2 blocks of 2
     # (29 while the map took z0 as an argument, checked its residual,
     # polished it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4
-    # rows; 13 while the critical set had a pass of its own at z0); the
-    # map's invariants are the critical set's null sum (2 sums while the
+    # rows; 13 while the critical set had a pass of its own at z0; 12 over
+    # 26406 points while Newton's steps were second order); the map's
+    # invariants are the critical set's null sum (2 sums while the
     # half-period rows summed their own)
-    assert rows[10] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 12 | 26406 | 1 | 1 |")
+    assert rows[11] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
+                       "| 0 | 10 | 26404 | 1 | 1 |")
     # Newton from b = 1/2 to both thresholds, one null sum a step and no
     # pass (107 passes by bracket and bisection, then one pass a step); one
     # null sum at b = 0.7 and one at b = 1/2 for the functional equation
     # (5 passes and 2 real series calls, then 2 passes)
-    assert rows[11].startswith("| `thresholds` | 0 | 0 | 0 | ")
-    assert int(rows[11].split("|")[5]) <= 16
-    assert rows[12] == "| `inequalities --b=0.7` | 0 | 0 | 0 | 2 | 2 |"
+    assert rows[12].startswith("| `thresholds` | 0 | 0 | 0 | ")
+    assert int(rows[12].split("|")[5]) <= 16
+    assert rows[13] == "| `inequalities --b=0.7` | 0 | 0 | 0 | 2 | 2 |"
     assert all(row.split("|")[2].strip() == "0" for row in rows)
 
 
