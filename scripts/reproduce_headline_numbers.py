@@ -51,10 +51,10 @@ def main():
           f"|wp''(z0)| = {abs(weier.wp(z0, T_hex, order=2)):.1e}, "
           f"|g2| = {abs(weier.invariants(T_hex).g2):.1e}")
 
-    section("Half period comparison (one pass read three ways)")
+    section("Half period comparison (final pass against the null sum)")
     for tau in (1j, 0.5 + 0.75j, 0.5 + 0.3j, 0.13 + 0.92j):
         T = lattice.make_torus(tau)
-        cmpr = critical.compare_half_periods(T, critical.find_critical_points(T))
+        cmpr = critical.compare_half_periods(critical.find_critical_points(T))
         rank = " > ".join("=".join(str(i + 1) for i in grp)
                           for grp in cmpr.ranking)
         print(f"  tau = {tau}:  G ordering {rank}  "

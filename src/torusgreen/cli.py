@@ -201,7 +201,7 @@ def _cmd_critical(args) -> tuple[dict, dict]:
         "points": [_point_dict(p) for p in cs.points],
         "tolerance": args.tol,
     }
-    comparison = critical.compare_half_periods(torus, cs)
+    comparison = critical.compare_half_periods(cs)
     diagnostics = {
         "half_period_ranking": [list(group) for group in comparison.ranking],
         "ranking_ties": list(comparison.ties),

@@ -34,9 +34,15 @@ step third order (damped_newton).  One final pass, through
 residual_and_jacobian, sums the half periods at their exact coordinates
 and each root at t + s tau_r, where evaluate sums it: it gives z0's row,
 |grad G| = |r| / (2 pi) at every point, and a second route at the half
-periods, through dr_dt = L2 to the determinants, whose signs outside
-both bounds must agree with the null sum's (Unconverged otherwise).  So
-a morse torus costs one pass, and a seeds torus adds its Newton trials.
+periods, theta1's z-series against the null sum.  Its determinants,
+from dr_dt = L2, must agree in sign with the null sum's outside both
+bounds, and its G - C must give the pairwise differences
+G(w_i/2) - G(w_j/2) of the null sum's closed form,
+(log|theta_j(0)| - log|theta_i(0)|) / 2 pi, to TIE_TOL; the largest
+disagreement is the set's route_deviation.  Both comparisons run on the
+reduced torus, where the carry-back shift of G cancels in the
+differences.  So a morse torus costs one pass, and a seeds torus adds
+its Newton trials.
 
 Every pass runs on the reduced tori (Torus.reduced).  A batch is
 finished as arrays (_solve): the rows are carried back to their tori
@@ -52,7 +58,8 @@ steps.  find_critical_points is the batch of one torus.
 Failures stay typed.  Unconverged: the null sum misses Jacobi's gap
 identities, the two routes to a determinant's sign disagree, no seed
 (G_vvvv <= 0), Newton misses the residual target from it, or a point
-misses |grad G| <= tol in the final pass.
+misses |grad G| <= tol in the final pass.  InconsistentComparison: the
+two routes to the half-period differences of G disagree past TIE_TOL.
 CountViolation marks an evaluation bug: Newton reaches a half period
 where the signs force five, z0 is not a Min outside its bound, or
 unbalanced Morse labels, where a Degenerate half period has index +1 (a
@@ -62,13 +69,12 @@ saddle merged with the pair of minima).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import green, theta, weier
+from . import green, theta
 from .errors import (
     CountViolation,
     InconsistentComparison,
@@ -135,6 +141,7 @@ class CriticalSet:
     points: tuple[CriticalPoint, ...]
     total_count: int
     route: str                     # "morse" (signs alone) or "seeds" (Newton)
+    route_deviation: float         # the final pass against the null sum (module docstring)
 
     @property
     def extra(self) -> CriticalPoint | None:
@@ -149,7 +156,7 @@ def damped_newton(t, s, tau_r, r_stop):
     reduced tori of modulus tau_r, one for every seed or one per seed.
 
     The steps are third order where they can be.  Every residual pass
-    sums L3 as well (green.residual_and_jacobian with value=None), and
+    sums L3 as well (green.residual_and_jacobian), and
     r's second derivative along a step (dt, ds) is L3 dz^2, with
     dz = dt + tau_r ds.  So the Newton step d = -J^-1 r takes the
     correction -J^-1 (L3 dz^2 / 2) (Chebyshev's method) where that
@@ -168,7 +175,7 @@ def damped_newton(t, s, tau_r, r_stop):
     """
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
-    r, l2, _, l3 = green.residual_and_jacobian(t, s, tau_r, None)
+    r, l2, l3, _ = green.residual_and_jacobian(t, s, tau_r)
     rn = np.abs(r)
     # each seed's last accepted point t + i s and |r|
     out = t + 1j * s, rn
@@ -196,7 +203,7 @@ def damped_newton(t, s, tau_r, r_stop):
                 break
             p_try = p_try[moved]
             idx, p, rn, q, steps, *damped = live
-        r, l2, _, l3 = green.residual_and_jacobian(p_try.real, p_try.imag, frame[0], None)
+        r, l2, l3, _ = green.residual_and_jacobian(p_try.real, p_try.imag, frame[0])
         rn_try = np.abs(r)
         ok = rn_try <= rn * (1.0 - 1e-4)
         steps = steps + ok
@@ -409,6 +416,7 @@ class _Sets:
     s: list[float]
     cols: np.ndarray               # _columns in the given frame, a column a point
     morse: np.ndarray              # index into _MORSE of each point
+    deviation: np.ndarray          # CriticalSet.route_deviation of each set
 
 
 def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
@@ -479,7 +487,7 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
         tz, sz = green._split(zt + zs * on_z0, on_z0)
         t, s = np.concatenate([t, tz]), np.concatenate([s, sz])
     on = _at(tau_r, found[cell])
-    r, l2, _, value = green.residual_and_jacobian(t, s, on, value=True)
+    r, l2, _, value = green.residual_and_jacobian(t, s, on)
     # |grad G| = |r| / (2 pi), and the Hessian from dr_dt = L2, evaluate's,
     # which at the half periods is a second route to the determinants: a
     # sign opposite to the null sum's outside both bounds fails the torus
@@ -487,6 +495,10 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
     det2 = hessian.det[:3 * n].reshape(-1, 3)
     split = ((np.abs(det2) > bound[:3 * n].reshape(-1, 3)) & ~inside[found]
              & ((det2 > 0.0) != (det[found] > 0.0))).any(axis=1)
+    # and to G - C: the differences of the pairs (1, 3), (2, 3) and (1, 2)
+    # against the null sum's, past TIE_TOL an InconsistentComparison
+    gap = value[:3 * n].reshape(-1, 3) - hp.value_rel.reshape(-1, 3)[found]
+    deviation = np.abs(gap[:, [0, 1, 0]] - gap[:, [2, 2, 1]]).max(axis=1)
     # the sets on their own tori: rows, Morse labels and z0's coordinates
     set_tori = [tori[k] for k in found.tolist()]
     cols = _columns(hp)[:, _half_period_index(set_tori, found)]
@@ -518,7 +530,7 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
     not_min = np.bincount(cell, is_z0 & (code != 0), n) > 0
     for j, k in enumerate(found.tolist()):
         out[live[k]] = j
-    bad = split | ~(worst <= tol) | (balance != -1) | not_min
+    bad = split | ~(worst <= tol) | ~(deviation <= TIE_TOL) | (balance != -1) | not_min
     for j in bad.nonzero()[0].tolist():
         torus, e = set_tori[j], extra[j]
         route = "morse" if e < 0 else "seeds"
@@ -529,6 +541,10 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
         elif not worst[j] <= tol:
             exc = Unconverged(f"reduced-frame |grad G| = {worst[j]:.3e} above tol {tol} on the "
                               f"{route} route at tau = {torus.tau}")
+        elif not deviation[j] <= TIE_TOL:
+            exc = InconsistentComparison(
+                f"the final pass and the null sum give differences of G between half periods "
+                f"{deviation[j]:.3e} apart, above TIE_TOL {TIE_TOL}, at tau = {torus.tau}")
         elif balance[j] != -1:
             exc = CountViolation(
                 f"#min - #saddle = {balance[j]} among the {3 if e < 0 else 5} critical points "
@@ -540,7 +556,7 @@ def _solve(tori: list[Torus], tol: float) -> tuple[list, _Sets | None]:
                 f"{_MORSE[code[3 * n + e]].value}, not a Min outside its det_bound, at "
                 f"tau = {torus.tau}")
         out[live[found[j]]] = exc
-    return out, _Sets(extra, zt, zs, cols, code)
+    return out, _Sets(extra, zt, zs, cols, code, deviation)
 
 
 def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | TorusGreenError]:
@@ -553,12 +569,12 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     the half period rows of all of them, or a torus its Unconverged off
     the gap identities.  The pitchfork seeds of every seeds torus are
     then one set of array expressions, and one Newton runs for all the
-    seeds.  Last, one pass over the half
-    periods and z0 of every set gives z0's row and checks |grad G| <= tol
-    at every point and the half-period det signs, and the sets, carried
-    back to their tori (_carried) as arrays, are checked for the Morse
-    balance.  A torus gets the same result, to the bit, as alone.  Only a
-    bad tol raises.
+    seeds.  Last, one pass over the half periods and z0 of every set
+    gives z0's row and checks |grad G| <= tol at every point, and the
+    half-period det signs and differences of G against the null sum's,
+    and the sets, carried back to their tori (_carried) as arrays, are
+    checked for the Morse balance.  A torus gets the same result, to the
+    bit, as alone.  Only a bad tol raises.
     """
     out, sets = _solve(tori, tol)
     if sets is None:
@@ -566,6 +582,7 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
     n = len(sets.extra)
     g, xx, xy, yy, det = sets.cols[:5].tolist()
     code = sets.morse.tolist()
+    deviation = sets.deviation.tolist()
 
     def point(i, t, s, kind, torus):
         return CriticalPoint(coords=LatticeCoords(t, s), z=t + s * torus.tau, kind=kind,
@@ -579,7 +596,7 @@ def find_critical_sets(tori, tol: float = DEFAULT_TOL) -> list[CriticalSet | Tor
         if e >= 0:
             points.append(point(3 * n + e, sets.t[e], sets.s[e], Kind.EXTRA_PAIR, torus))
         return CriticalSet(points=tuple(points), total_count=3 + 2 * (e >= 0),
-                           route="morse" if e < 0 else "seeds")
+                           route="morse" if e < 0 else "seeds", route_deviation=deviation[j])
 
     return [critical_set(torus, x) if isinstance(x, int) else x for torus, x in zip(tori, out)]
 
@@ -605,12 +622,14 @@ def find_critical_points(torus: Torus, tol: float = DEFAULT_TOL) -> CriticalSet:
 
 @dataclass(frozen=True)
 class HalfPeriodComparison:
-    """Total order of G over the half periods, from one pass read three ways.
+    """Total order of G over the half periods of a critical set.
 
     ranking lists half period indices (0, 1, 2) from largest G downward,
     grouped so that tied points share a group, in index order:
     ((0,), (1, 2)) means G(w1/2) > G(w2/2) = G(w3/2).  ties holds the
-    consecutive pairs of each group.
+    consecutive pairs of each group.  max_formula_deviation is the set's
+    route_deviation: the two routes to the differences of G were
+    compared when the set was found.
     """
 
     values: tuple[float, float, float]
@@ -619,55 +638,12 @@ class HalfPeriodComparison:
     max_formula_deviation: float
 
 
-def _sign_with_tie(x: float, tol: float) -> int:
-    if abs(x) <= tol:
-        return 0
-    return 1 if x > 0 else -1
-
-
-def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
-    """Order G over the three half periods: one null sum, read three ways.
-
-    (a) the direct green_rel values, (b) the closed form differences
-    G(w_i/2) - G(w_j/2) = (log|theta_j(0)| - log|theta_i(0)|) / 2 pi of
-    the half periods' theta nulls, summed in log form to keep relative
-    precision at the cusp, and (c) the order of |wp| at the half periods.
-    (a) and (b) read one null sum (the rows of cs are its closed form),
-    so they check the frame algebra only; e_i + e_j + e_k = 0 and
-    Jacobi's gaps |e_i - e_k| = pi^2 |theta|^4, which that sum checks,
-    make (c) the order of (b).  Disagreement beyond TIE_TOL raises
-    InconsistentComparison.
-
-    The direct values are the g_rel of the half-period points of cs, the
-    critical set of torus, and the theta nulls come from weier.invariants,
-    whose record holds the sum that cs read where cs was found alone.
-    """
-    inv = weier.invariants(torus)
+def compare_half_periods(cs: CriticalSet) -> HalfPeriodComparison:
+    """Order G over the three half periods of the critical set cs, by the
+    g_rel of its half-period points; values within TIE_TOL are tied.  The
+    order needs no check of its own: find_critical_sets held the null
+    sum's differences of G against the final pass's to TIE_TOL."""
     g = tuple(p.g_rel for p in cs.points[:3])
-    e = (inv.e1, inv.e2, inv.e3)
-    nulls = inv.log_abs_nulls
-    formula = {(i, j): (nulls[j] - nulls[i]) / (2 * math.pi)
-               for i, j in ((0, 2), (1, 2), (0, 1))}
-    m = tuple(abs(x) for x in e)
-    scale = max(m)
-    dev = 0.0
-    for (i, j), f in formula.items():
-        direct = g[i] - g[j]
-        dev = max(dev, abs(direct - f))
-        sd = _sign_with_tie(direct, TIE_TOL)
-        sf = _sign_with_tie(f, TIE_TOL)
-        sw = _sign_with_tie(m[i] - m[j], TIE_TOL * max(1.0, scale))
-        for other, name in ((sf, "log-ratio formula"), (sw, "|wp| criterion")):
-            if sd != other and sd != 0 and other != 0:
-                raise InconsistentComparison(
-                    f"half periods {i + 1} vs {j + 1} at tau = {torus.tau}: direct "
-                    f"difference {direct:.3e} disagrees with the {name}"
-                )
-            if (sd == 0) != (other == 0) and abs(direct) > 10 * TIE_TOL:
-                raise InconsistentComparison(
-                    f"half periods {i + 1} vs {j + 1} at tau = {torus.tau}: tie "
-                    f"status disagrees with the {name}"
-                )
     order = sorted(range(3), key=g.__getitem__, reverse=True)
     groups = [[order[0]]]
     for k in order[1:]:
@@ -681,5 +657,5 @@ def compare_half_periods(torus: Torus, cs: CriticalSet) -> HalfPeriodComparison:
         values=g,
         ranking=ranking,
         ties=tuple(pair for grp in ranking for pair in zip(grp, grp[1:])),
-        max_formula_deviation=dev,
+        max_formula_deviation=cs.route_deviation,
     )

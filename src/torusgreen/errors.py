@@ -42,7 +42,7 @@ class CountViolation(ConsistencyError):
 
 
 class InconsistentComparison(ConsistencyError):
-    """Independent orderings of the half period values disagree."""
+    """Independent routes to the half period values of G disagree."""
 
 
 class NoExtraCriticalPoint(DomainError):

@@ -33,7 +33,9 @@ tau_r and carried back by the weight 1/2 law of eta, so everything holds
 on all of the upper half plane.  A batch on several reduced tori shares
 one pass; half_period_rows writes the half-period rows in closed form
 from the theta-null sum, where L2 = -A_k = theta_j''(0) / theta_j(0); a
-lone torus reads that sum from its weier.invariants record.
+lone torus reads that sum from its weier.invariants record, so that
+the Weierstrass passes of that torus (the 8 pi developing map of a
+reduced torus, selftest's identities) share it.
 """
 
 from __future__ import annotations
@@ -111,13 +113,12 @@ def _split(z, tau_r) -> tuple[np.ndarray, np.ndarray]:
     return z.real - s * np.real(tau_r), s
 
 
-def _pass(z, torus, reads):
+def _pass(z, torus: Torus, reads):
     """The pass of evaluate at z, on the reduced torus at z / lam
-    (Torus.reduced_point) when torus is a Torus: whether that moves z,
-    b_r, G - C there, s' and (L1, L2).  Raises PoleAtLattice at lattice
-    points."""
-    moved = isinstance(torus, Torus) and torus.mat != ((1, 0), (0, 1))
-    tau_r = torus.tau_r if isinstance(torus, Torus) else torus
+    (Torus.reduced_point): whether that moves z, b_r, G - C there, s' and
+    (L1, L2).  Raises PoleAtLattice at lattice points."""
+    moved = torus.mat != ((1, 0), (0, 1))
+    tau_r = torus.tau_r
     t, s = _split(torus.reduced_point(z) if moved else z, tau_r)
     sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads)
     if np.isneginf(lm).any():
@@ -125,16 +126,14 @@ def _pass(z, torus, reads):
     return moved, tau_r.imag, _value(lm, sr, tau_r.imag), sr, L1, L2
 
 
-def evaluate(z, torus) -> GreenEval:
+def evaluate(z, torus: Torus) -> GreenEval:
     """G - C(tau), its gradient and its Hessian at z from one theta pass.
 
-    torus is a Torus, or the modulus tau_r of points on reduced tori
-    (lam = 1), one for all of z or one per point.  The pass sums on the
-    reduced torus at z / lam (Torus.reduced_point), and carried takes it
-    back.  Everything is taken at the canonical cell representative and
-    computed on a flat array, so a point gives the same bits alone as
-    inside a batch.  det_bound is the error bound of the determinant
-    (C_DET).  Raises PoleAtLattice at lattice points.
+    The pass sums on the reduced torus at z / lam (Torus.reduced_point),
+    and carried takes it back.  Everything is taken at the canonical cell
+    representative and computed on a flat array, so a point gives the same
+    bits alone as inside a batch.  det_bound is the error bound of the
+    determinant (C_DET).  Raises PoleAtLattice at lattice points.
     """
     moved, b_r, value, sr, L1, L2 = _pass(z, torus, theta.ALL)
 
@@ -168,9 +167,10 @@ def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
     one null sum, and the gap failures of weier.reduced_nulls.  G is even
     about each half period, so its gradient is 0; G - C is -log|theta_j(0)|
     / 2 pi (j = 2, 4, 3), |q|^(-1/4) of |theta1| cancelling y^2 / 2 b_r.
-    A lone torus reads its sum from the record of weier.invariants, where
-    the ranking of its critical set and its Weierstrass passes read it
-    again; where that record fails, the batch sum gives the same failure."""
+    A lone torus reads its sum from the record of weier.invariants, which
+    its Weierstrass passes read again (module docstring), so that one sum
+    serves both; where that record fails, the batch sum gives the same
+    failure."""
     inv = None
     if len(tori) == 1:
         with contextlib.suppress(Unconverged):
@@ -222,26 +222,22 @@ def _factors(lam: complex) -> tuple[float, ...]:
     return k.real, k.imag, k2.real, k2.imag, m ** 2, m ** 4, math.log(m) / (4.0 * math.pi)
 
 
-def residual_and_jacobian(t, s, tau_r, value: bool | None = False):
-    """Vectorized critical residual plus its (t, s) Jacobian on a reduced
-    torus.
+def residual_and_jacobian(t, s, tau_r):
+    """Vectorized critical residual, its derivatives and G - C on a
+    reduced torus, from one theta pass.
 
     (t, s) are coordinates on Z + tau_r Z, with tau_r one modulus or one
     per point.  The residual is invariant under integer shifts of (t, s),
     so the coordinates are wrapped first; it is A1 = L1 + 2 pi i s.
-    Returns (r, dr_dt, dr_ds) with dr_dt = L2 and dr_ds = tau_r L2 +
-    2 pi i.  value=True adds G - C there, evaluate's value to the bit at
-    the same (t, s), from the same pass; value=None adds L3 instead, so
-    that r's second derivative along (dt, ds) is L3 (dt + tau_r ds)^2 (the
-    third-order step of critical.damped_newton).  Lattice hits yield non
-    finite entries rather than an exception; the Newton loop treats those
-    as rejected steps.
+    Returns (r, L2, L3, G - C): dr_dt = L2, dr_ds = tau_r L2 + 2 pi i,
+    r's second derivative along (dt, ds) is L3 (dt + tau_r ds)^2 (the
+    third-order step of critical.damped_newton), and G - C is evaluate's
+    value to the bit at the same (t, s) (critical's final pass).  Lattice
+    hits yield non finite entries rather than an exception; the Newton
+    loop treats those as rejected steps.
     """
     sr, lm, L1, L2, L3 = _reduced_pass(t, s, tau_r)
-    out = L1 + (2j * np.pi) * sr, L2, L2 * tau_r + 2j * np.pi
-    if value is None:
-        return (*out, L3)
-    return (*out, _value(lm, sr, np.imag(tau_r))) if value else out
+    return L1 + (2j * np.pi) * sr, L2, L3, _value(lm, sr, np.imag(tau_r))
 
 
 # ---------------------------------------------------------------------------

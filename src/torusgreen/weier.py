@@ -14,11 +14,10 @@ theta2(0) theta3(0) theta4(0) normalizes sigma_r, and Jacobi's gap
 identities, e1 - e2 = pi^2 theta3(0)^4 and its two companions, check the
 sum at run time.  invariants carries them back, cached per torus: the
 roots as e_r / lam^2, permuted as the matrix permutes the half periods
-mod 2 (Torus.half_period_perm), the nulls with weight 1/2, and eta1 by
-linearity of the quasi period map; eta2 is the Legendre relation.  The
-record keeps the reduced sum as well, from which a lone torus's
-critical set writes its half-period rows, so the set, the ranking of its
-half periods and its Weierstrass passes share one sum.
+mod 2 (Torus.half_period_perm), and eta1 by linearity of the quasi
+period map; eta2 is the Legendre relation.  The record keeps the reduced
+sum as well, from which a lone torus's critical set writes its
+half-period rows, so the set and its Weierstrass passes share one sum.
 
 evaluate gives sigma, zeta, p and p' from one theta1 series pass, or
 only those its caller reads (log|sigma| alone, or with zeta); sigma,
@@ -50,12 +49,12 @@ class EllipticInvariants:
 
     log_theta1_prime is log theta1'(0) at the reduced modulus tau_r, the
     normalization of sigma_r; its imaginary part is not reduced mod 2 pi.
-    log_abs_nulls holds log|theta2(0)|, log|theta4(0)| and
-    log|theta3(0)| at tau, and a holds A_k = e_k + eta1, in the order of
-    the half periods 1/2, tau/2 and (1+tau)/2.  a_r and log_abs_nulls_r
-    are the same at tau_r, in the order of 1/2, tau_r/2 and (1+tau_r)/2,
-    as the null sum gave them: the half-period rows of a lone torus's
-    critical set (green.half_period_rows).
+    a holds A_k = e_k + eta1 in the order of the half periods 1/2, tau/2
+    and (1+tau)/2.  a_r is the same at tau_r, in the order of 1/2,
+    tau_r/2 and (1+tau_r)/2, and log_abs_nulls_r holds log|theta2(0)|,
+    log|theta4(0)| and log|theta3(0)| there, as the null sum gave them:
+    the half-period rows of a lone torus's critical set
+    (green.half_period_rows).
     """
 
     e1: complex
@@ -66,7 +65,6 @@ class EllipticInvariants:
     g2: complex
     g3: complex
     log_theta1_prime: complex
-    log_abs_nulls: tuple[float, float, float]
     a: tuple[complex, complex, complex]
     a_r: tuple[complex, complex, complex]
     log_abs_nulls_r: tuple[float, float, float]
@@ -111,7 +109,6 @@ def _invariants_cached(torus: Torus) -> EllipticInvariants:
     a_k = a_r[perm] / (lam * lam) + TWO_PI_I * c / lam
     return EllipticInvariants(e1, e2, e3, eta1, eta2, g2, g3,
                               complex(math.log(math.pi) + log_nulls.sum()),
-                              tuple((log_nulls.real[perm] - 0.5 * math.log(abs(lam))).tolist()),
                               tuple(a_k.tolist()), tuple(a_r.tolist()), tuple(log_nulls.real.tolist()))
 
 

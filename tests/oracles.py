@@ -225,7 +225,7 @@ def invariants_at_reduced_half_periods(torus) -> dict:
     return {"e1": e1, "e2": e2, "e3": e3, "eta1": eta1,
             "eta2": eta1 * torus.tau - 2j * math.pi,
             "log_theta1_prime": complex(math.log(math.pi) + log_nulls.sum()),
-            "log_abs_nulls": tuple((log_nulls.real[perm] - 0.5 * math.log(abs(lam))).tolist())}
+            "log_abs_nulls_r": tuple(log_nulls.real.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +846,8 @@ def damped_newton(t, s, tau_r, r_stop):
     t = np.array(t, dtype=float)
     s = np.array(s, dtype=float)
     r_stop = np.broadcast_to(r_stop, t.shape)
-    r, rt, rs = green.residual_and_jacobian(t, s, tau_r)
+    r, rt, _, _ = green.residual_and_jacobian(t, s, tau_r)
+    rs = tau_r * rt + 2j * np.pi
     rn = np.abs(r)
     live = np.isfinite(rn)
     steps = np.zeros(t.size, dtype=int)      # Newton steps begun
@@ -876,7 +877,8 @@ def damped_newton(t, s, tau_r, r_stop):
         idx, t_try, s_try = idx[moved], t_try[moved], s_try[moved]
         if idx.size == 0:
             return t, s, rn
-        r2, rt2, rs2 = green.residual_and_jacobian(t_try, s_try, at(idx))
+        r2, rt2, _, _ = green.residual_and_jacobian(t_try, s_try, at(idx))
+        rs2 = at(idx) * rt2 + 2j * np.pi
         rn2 = np.abs(r2)
         ok = np.isfinite(rn2) & (rn2 <= rn[idx] * (1.0 - 1e-4) + 1e-300)
         due = idx[ok]
@@ -943,8 +945,9 @@ def census(torus, tol: float = 1e-12):
     if ts.size:
         points.append(critical_point(torus, (ts[0].item(), ss[0].item()),
                                      critical.Kind.EXTRA_PAIR, extra_rows[0]))
+    # one route to the half-period values: none to compare it with
     return critical.CriticalSet(points=tuple(points), total_count=3 + 2 * ts.size,
-                                route="census")
+                                route="census", route_deviation=math.nan)
 
 
 def fd_gradient(fun, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:

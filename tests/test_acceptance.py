@@ -159,7 +159,7 @@ def test_criterion_06_three_way_comparison():
     worst_dev = 0.0
     ties_seen = 0
     for T in tori:
-        cmpr = critical.compare_half_periods(T, critical.find_critical_points(T))
+        cmpr = critical.compare_half_periods(critical.find_critical_points(T))
         worst_dev = max(worst_dev, cmpr.max_formula_deviation)
         ties_seen += len(cmpr.ties)
         flat = sorted(i for grp in cmpr.ranking for i in grp)

@@ -195,10 +195,10 @@ def test_scan_diagnostics_count_routes_and_group_errors_by_type(capsys, monkeypa
 
     first = lattice.make_torus(0.475 + 0.65j).tau_r
 
-    def failing_at_first_cell(t, s, tau_r, value=False):
+    def failing_at_first_cell(t, s, tau_r):
         # one final pass checks every cell of the scan on its reduced
         # torus; the points of the first cell, a 3-cell, read NaN there
-        r, *rest = real(t, s, tau_r, value)
+        r, *rest = real(t, s, tau_r)
         return np.where(np.abs(tau_r - first) < 1e-12, np.nan, r), *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", failing_at_first_cell)

@@ -389,11 +389,11 @@ def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
     calls = []
     real, real_rows = green.residual_and_jacobian, green.half_period_rows
 
-    def spy(t, s, on, value=False):
-        # Newton's trials read no value; the final pass does
-        if value:
-            calls.append(list(zip(np.ravel(t).tolist(), np.ravel(s).tolist())))
-        return real(t, s, on, value)
+    passes = []
+
+    def spy(t, s, on):
+        passes.append(list(zip(np.ravel(t).tolist(), np.ravel(s).tolist())))
+        return real(t, s, on)
 
     def spy_rows(tori):
         calls.append(tori)
@@ -405,10 +405,13 @@ def test_the_seeds_route_evaluates_each_point_once(hex_torus, monkeypatch):
     cs = critical.find_critical_points(hex_torus)
     assert (cs.total_count, cs.route) == (5, "seeds")
     # the hexagonal torus is its own reduced torus; z0 is summed where
-    # evaluate sums it, at t + s tau_r
+    # evaluate sums it, at t + s tau_r; the final pass is the last after
+    # Newton's trials
     assert hex_torus.mat == ((1, 0), (0, 1))
     z0_at = [tuple(float(x[0]) for x in green._split(cs.extra.z, hex_torus.tau_r))]
-    assert calls == [[hex_torus], [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5), *z0_at]]
+    assert calls == [[hex_torus]]
+    assert passes[-1] == [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5), *z0_at]
+    assert all(len(p) == 1 for p in passes[:-1])
     assert abs(cs.extra.coords.t - z0.t) <= 1e-12 and abs(cs.extra.coords.s - z0.s) <= 1e-12
 
 
@@ -418,8 +421,8 @@ def _second_order_step(t, s, tau_r):
     third-order correction (dct, dcs), the same solve applied to
     L3 dz^2 / 2 with dz = dt + tau_r ds, and the size of that correction
     against the step in the plane."""
-    r, rt, rs = green.residual_and_jacobian(np.array([t]), np.array([s]), tau_r)
-    l3 = green.residual_and_jacobian(np.array([t]), np.array([s]), tau_r, None)[3]
+    r, rt, l3, _ = green.residual_and_jacobian(np.array([t]), np.array([s]), tau_r)
+    rs = tau_r * rt + 2j * np.pi
     det = rt.real * rs.imag - rs.real * rt.imag
 
     def solve(w):
@@ -451,9 +454,9 @@ def test_a_step_takes_its_correction_only_where_it_is_small(far, hex_torus, monk
     trials = []
     real = green.residual_and_jacobian
 
-    def spy(t, s, on, value=False):
+    def spy(t, s, on):
         trials.append((float(np.ravel(t)[0]), float(np.ravel(s)[0])))
-        return real(t, s, on, value)
+        return real(t, s, on)
 
     monkeypatch.setattr(green, "residual_and_jacobian", spy)
     critical.damped_newton(np.array([t0]), np.array([s0]), tau, 1e-3)
@@ -521,6 +524,10 @@ def test_a_batch_of_census_tori_equals_each_torus_alone(run, monkeypatch, hex_to
     alone = [critical.find_critical_points(torus) for torus in tori]
     assert [cs.route for cs in alone] == ["morse"] * 10 + ["seeds"] * 2
     assert [cs.total_count for cs in alone] == [oracles.census(T).total_count for T in tori]
+    # the sets compare their route_deviation too, which the two routes put
+    # at rounding, not at 0 throughout
+    assert max(cs.route_deviation for cs in alone) <= 1e-15
+    assert any(cs.route_deviation > 0.0 for cs in alone)
     monkeypatch.setattr(theta, "_RUN", run)
     assert critical.find_critical_sets(tori) == alone
     assert critical.find_critical_sets(tori[::-1]) == alone[::-1]
@@ -634,8 +641,8 @@ def test_a_point_off_the_critical_equation_is_unconverged(square_torus, monkeypa
     # the final pass reads |grad G| = |r| / (2 pi) at every point
     real = green.residual_and_jacobian
 
-    def off(t, s, torus, value=False):
-        r, *rest = real(t, s, torus, value)
+    def off(t, s, torus):
+        r, *rest = real(t, s, torus)
         return r + 1e-9, *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", off)
@@ -739,7 +746,7 @@ def test_the_rhombic_cusp_has_five_points(b, dual):
 
 
 def _compare(T):
-    return critical.compare_half_periods(T, critical.find_critical_points(T))
+    return critical.compare_half_periods(critical.find_critical_points(T))
 
 
 def test_compare_half_periods_square():
@@ -784,15 +791,52 @@ def test_compare_half_periods_formula_agreement_random():
             assert vals[a] >= vals[b] - critical.TIE_TOL
 
 
-def test_compare_half_periods_catches_a_wrong_direct_value():
-    # the direct G values and the theta null differences are two routes; a
-    # direct value moved at one half period must break the comparison
+def test_a_final_pass_off_the_null_sum_is_an_inconsistent_comparison(capsys, monkeypatch):
+    # G - C of the final pass at the half period tau_r/2, moved by 1e-6,
+    # disagrees with the null sum's closed form in two of the three
+    # differences; the critical command exits 3 with the typed error.
+    # Only the final pass reads G - C
     torus = lattice.make_torus(0.13 + 0.92j)
-    cs = critical.find_critical_points(torus)
-    points = list(cs.points)
-    points[1] = dataclasses.replace(points[1], g_rel=points[1].g_rel - 0.05)
-    with pytest.raises(InconsistentComparison, match="log-ratio formula"):
-        critical.compare_half_periods(torus, dataclasses.replace(cs, points=tuple(points)))
+    real = green.residual_and_jacobian
+
+    def off(t, s, on):
+        r, l2, l3, value = real(t, s, on)
+        return r, l2, l3, value + 1e-6 * ((np.asarray(t) == 0.0) & (np.asarray(s) == 0.5))
+
+    monkeypatch.setattr(green, "residual_and_jacobian", off)
+    with pytest.raises(InconsistentComparison, match="1.000e-06 apart, above TIE_TOL"):
+        critical.find_critical_points(torus)
+    assert cli.run(["critical", "--tau=0.13+0.92i"]) == 3
+    assert "InconsistentComparison" in capsys.readouterr().err
+
+
+def _sign_with_tie(x, tol):
+    return 0 if abs(x) <= tol else (1 if x > 0 else -1)
+
+
+@pytest.mark.parametrize("tau", [T.tau for T in RANDOM_TORI] + [
+    0.5 + 5j, 0.5 + 8j, 200j,
+    # the critical lines of scripts/cli_snapshot.py
+    1j, complex(0.5, math.sqrt(3) / 2), 0.5 + 0.3j, 0.5 + 0.5j, 0.5 + 0.8j, 0.13 + 0.92j,
+    0.3333333333333333 + 0.003j, 0.089j, 0.5 + 0.7047615813326655j,
+    0.17668935183106604 + 2.3164145156627625e-07j])
+def test_the_ranking_is_the_order_of_abs_wp_at_the_half_periods(tau):
+    # e_i + e_j + e_k = 0 and Jacobi's gaps |e_i - e_k| = pi^2 |theta|^4
+    # make the order of G at the half periods the order of |wp| there, a
+    # third route to the ranking; ties within TIE_TOL for G and within
+    # TIE_TOL max(1, max |e_k|) for |e_k| decide nothing, and a tie on one
+    # route only is allowed up to 10 TIE_TOL in G
+    T = lattice.make_torus(tau)
+    g = _compare(T).values
+    inv = weier.invariants(T)
+    m = (abs(inv.e1), abs(inv.e2), abs(inv.e3))
+    scale = max(m)
+    for i, j in ((0, 2), (1, 2), (0, 1)):
+        direct = _sign_with_tie(g[i] - g[j], critical.TIE_TOL)
+        by_wp = _sign_with_tie(m[i] - m[j], critical.TIE_TOL * max(1.0, scale))
+        assert direct == by_wp or 0 in (direct, by_wp), (tau, i, j)
+        assert (direct == 0) == (by_wp == 0) or abs(g[i] - g[j]) <= 10 * critical.TIE_TOL, \
+            (tau, i, j)
 
 
 @pytest.mark.parametrize("tau", [1j, complex(0.5, math.sqrt(3) / 2), 0.13 + 0.92j, 0.5 + 0.75j])
@@ -808,7 +852,7 @@ def test_compare_half_periods_reads_the_critical_set(tau, monkeypatch):
         return real(z, torus)
 
     monkeypatch.setattr(green, "evaluate", counted)
-    cmpr = critical.compare_half_periods(T, cs)
+    cmpr = critical.compare_half_periods(cs)
     assert calls == []
     assert cmpr.values == tuple(p.g_rel for p in cs.points[:3])
 

@@ -293,7 +293,7 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
         assert c.count == 3
         assert _same_cell(c, critical.find_critical_points(lattice.make_torus(c.tau)))
 
-    def bug(t, s, tau_r, value=False):
+    def bug(t, s, tau_r):
         return 1 / 0
 
     # the final pass, which every cell with a set makes
@@ -375,14 +375,38 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
 
     target_r = lattice.make_torus(target).tau_r
 
-    def broken(t, s, tau_r, value=False):
-        r, *rest = real(t, s, tau_r, value)
+    def broken(t, s, tau_r):
+        r, *rest = real(t, s, tau_r)
         return np.where(tau_r == target_r, np.nan, r), *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", broken)
     cells = moduli.scan(SHIFTED_REGION, 8, 8)
     failed = [c for c in cells if c.error is not None]
     assert [c.tau for c in failed] == [target]
+    assert _same_cell(failed[0], _alone(target))
+    assert [c for c in cells if c.tau != target] == [c for c in before if c.tau != target]
+
+
+def test_a_cell_whose_final_pass_leaves_the_null_sum_fails_alone(monkeypatch):
+    # G - C 1e-6 off at half period 1/2 of one seeds cell's reduced torus,
+    # in the final pass that every cell of the scan shares: that cell
+    # fails with InconsistentComparison, as alone, and the others come out
+    # as before
+    before = moduli.scan(SHIFTED_REGION, 8, 8)
+    target = next(c.tau for c in before if c.route == "seeds")
+    target_r = lattice.make_torus(target).tau_r
+    real = green.residual_and_jacobian
+
+    def off(t, s, tau_r):
+        r, l2, l3, value = real(t, s, tau_r)
+        at = (np.asarray(tau_r) == target_r) & (np.asarray(t) == 0.5) & (np.asarray(s) == 0.0)
+        return r, l2, l3, value + 1e-6 * at
+
+    monkeypatch.setattr(green, "residual_and_jacobian", off)
+    cells = moduli.scan(SHIFTED_REGION, 8, 8)
+    failed = [c for c in cells if c.error is not None]
+    assert [c.tau for c in failed] == [target]
+    assert failed[0].error.startswith("InconsistentComparison: the final pass and the null sum")
     assert _same_cell(failed[0], _alone(target))
     assert [c for c in cells if c.tau != target] == [c for c in before if c.tau != target]
 
