@@ -14,7 +14,10 @@ point or modulus, in nanoseconds.  Beside them it gives the minor page
 faults of the process (resource.getrusage ru_minflt) per 1024 points,
 over all reps of the kernel's cells with one modulus: faults that the
 heap takes again each time the allocator has given memory back between
-calls.  The inputs are fixed, so two checkouts can be compared on one
+calls.  A third table sets 1024 points with the four neighbours of
+mfe.verify_solution's stencil (offsets, 5120 values from the series of
+1024 points) beside 5120 plain points, for the value and for the value
+and L1.  The inputs are fixed, so two checkouts can be compared on one
 host:
 
     python3 scripts/kernel_timing.py --reps 9
@@ -40,6 +43,9 @@ READS = (("value", theta.LOG_MAG), ("value, L1", theta.LOG_MAG_L1), ("full", the
 NULL_SIZES = (1, 1024)
 # the hexagonal torus, which the package sums at as it stands
 TAU = 0.5 + 0.8660254037844386j
+# the stencil of mfe.verify_solution at 64^2, on 1024 points against 5120
+STENCIL = np.array([1.0, -1.0, 1j, -1j]) / 4096.0
+STENCIL_POINTS = 1024
 
 
 def inputs(n: int):
@@ -70,6 +76,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cells = [(theta._eval, *case, reads) for n in SIZES for _, reads in READS for case in inputs(n)]
     cells += [(theta.nulls, inputs(n)[1][1]) for n in NULL_SIZES]
+    stencil_reads = READS[:2]
+    centres = inputs(STENCIL_POINTS)[0][0]
+    cells += [cell for _, reads in stencil_reads for cell in (
+        (theta._eval, inputs(STENCIL_POINTS * (1 + STENCIL.size))[0][0], TAU, reads),
+        (theta._eval, centres, TAU, reads, STENCIL))]
     for fn, *case in cells:
         fn(*case)
     best = [float("inf")] * len(cells)
@@ -96,6 +107,17 @@ def main(argv=None) -> int:
     print("|---:|---:|---:|")
     for n, s in zip(NULL_SIZES, best[2 * len(rows):]):
         print(f"| {n} | {s * 1e6:.1f} | {s * 1e9 / n:.0f} |")
+    print()
+    print(f"### theta._eval with neighbour rows (fastest of {args.reps} reps)")
+    print()
+    print("| values | points | reads | us/call | ns/value |")
+    print("|---:|---|---|---:|---:|")
+    values = STENCIL_POINTS * (1 + STENCIL.size)
+    stencil_best = iter(best[2 * len(rows) + len(NULL_SIZES):])
+    for name, _ in stencil_reads:
+        for points in (f"{values} plain", f"{STENCIL_POINTS} + {STENCIL.size} neighbours each"):
+            s = next(stencil_best)
+            print(f"| {values} | {points} | {name} | {s * 1e6:.1f} | {s * 1e9 / values:.0f} |")
     return 0
 
 

@@ -4,8 +4,9 @@
 Every theta series pass goes through theta._eval, and every sum of the
 theta-null series (the half-period constants and rows) through
 theta.nulls; weier binds both by import, so wrapping both bindings of
-each counts the passes and the points they sum, and the null sums and
-the moduli they sum at.  Each call runs in-process with the invariants
+each counts the passes and the points they sum, the neighbour rows they
+add (a point times its offsets, each a weighted sum over the terms of
+its point's series), and the null sums and the moduli they sum at.  Each call runs in-process with the invariants
 cache emptied first, so the counts depend on the code alone, never on
 the machine or the order of the calls.  Prints a Markdown table, e.g.
 for a CI step summary:
@@ -44,17 +45,20 @@ CALLS = (
 )
 
 
-def count_passes(argv) -> tuple[int, int, int, int, int]:
-    """(exit code, theta passes, points summed, null sums, moduli summed)
-    of one CLI call."""
+def count_passes(argv) -> tuple[int, int, int, int, int, int]:
+    """(exit code, theta passes, points summed, neighbour rows, null sums,
+    moduli summed) of one CLI call."""
     sizes = {"_eval": [], "nulls": []}
+    rows = []
     originals = [(module, name, getattr(module, name))
                  for module in (theta, weier) for name in sizes]
 
     def counting(real, name):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             sizes[name].append(np.size(args[0]))
-            return real(*args)
+            offsets = args[3] if len(args) > 3 else kwargs.get("offsets")
+            rows.append(0 if offsets is None else np.size(args[0]) * np.size(offsets))
+            return real(*args, **kwargs)
         return wrapper
 
     weier._invariants_cached.cache_clear()
@@ -66,20 +70,22 @@ def count_passes(argv) -> tuple[int, int, int, int, int]:
     finally:
         for module, name, real in originals:
             setattr(module, name, real)
-    return (code, len(sizes["_eval"]), sum(sizes["_eval"]),
+    return (code, len(sizes["_eval"]), sum(sizes["_eval"]), sum(rows),
             len(sizes["nulls"]), sum(sizes["nulls"]))
 
 
 def main() -> int:
     print("### Theta series passes and null sums per CLI call")
     print()
-    print("| call | exit | passes | points | null sums | moduli |")
+    print("| call | exit | passes | points (+ neighbour rows) | null sums | moduli |")
     print("|---|---:|---:|---:|---:|---:|")
     worst = 0
     for argv in CALLS:
-        code, *counts = count_passes(argv)
+        code, passes, points, rows, *nulls = count_passes(argv)
         worst = max(worst, code)
-        print(f"| `{' '.join(argv)}` | {code} | " + " | ".join(map(str, counts)) + " |")
+        points = f"{points} + {rows}" if rows else str(points)
+        print(f"| `{' '.join(argv)}` | {code} | {passes} | {points} | "
+              + " | ".join(map(str, nulls)) + " |")
     return 1 if worst else 0
 
 

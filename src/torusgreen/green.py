@@ -33,9 +33,9 @@ tau_r and carried back by the weight 1/2 law of eta, so everything holds
 on all of the upper half plane.  A batch on several reduced tori shares
 one pass; half_period_rows writes the half-period rows in closed form
 from the theta-null sum, where L2 = -A_k = theta_j''(0) / theta_j(0); a
-lone torus reads that sum from its weier.invariants record, so that
-the Weierstrass passes of that torus (the 8 pi developing map of a
-reduced torus, selftest's identities) share it.
+lone torus reads that sum from the weier.invariants record of its
+reduced torus, so that the Weierstrass passes there (the 8 pi
+developing map, which runs on the reduced torus) share it.
 """
 
 from __future__ import annotations
@@ -90,12 +90,14 @@ class GreenEval:
     det_bound: float       # |hessian.det - det Hess G| stays below this
 
 
-def _reduced_pass(t, s, tau_r, reads=theta.ALL):
+def _reduced_pass(t, s, tau_r, reads=theta.ALL, offsets=None):
     """s' and (log|theta1|, L1, L2, L3) at (t, s) on Z + tau_r Z, wrapped,
-    from a theta._eval pass that reads reads (None where it does not)."""
+    from a theta._eval pass that reads reads (None where it does not), on
+    the rows of its offsets if any."""
     tr, _ = wrap_unit(t)
     sr, _ = wrap_unit(s)
-    lm, _, L1, L2, L3 = theta._eval(tr + sr * tau_r, tau_r, reads)
+    lm, _, L1, L2, L3 = theta._eval(tr + sr * tau_r, tau_r, reads, offsets)
+    sr = sr if offsets is None else sr + np.r_[0.0, offsets.imag / tau_r.imag][:, None]
     return sr, lm, L1, L2, L3
 
 
@@ -113,14 +115,15 @@ def _split(z, tau_r) -> tuple[np.ndarray, np.ndarray]:
     return z.real - s * np.real(tau_r), s
 
 
-def _pass(z, torus: Torus, reads):
+def _pass(z, torus: Torus, reads, offsets=None):
     """The pass of evaluate at z, on the reduced torus at z / lam
     (Torus.reduced_point): whether that moves z, b_r, G - C there, s' and
-    (L1, L2).  Raises PoleAtLattice at lattice points."""
+    (L1, L2), on rows with offsets.  Raises PoleAtLattice at lattice points."""
     moved = torus.mat != ((1, 0), (0, 1))
     tau_r = torus.tau_r
     t, s = _split(torus.reduced_point(z) if moved else z, tau_r)
-    sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads)
+    offsets = None if offsets is None else np.asarray(offsets, dtype=complex) / torus.lam
+    sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads, offsets)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
     return moved, tau_r.imag, _value(lm, sr, tau_r.imag), sr, L1, L2
@@ -167,14 +170,14 @@ def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
     one null sum, and the gap failures of weier.reduced_nulls.  G is even
     about each half period, so its gradient is 0; G - C is -log|theta_j(0)|
     / 2 pi (j = 2, 4, 3), |q|^(-1/4) of |theta1| cancelling y^2 / 2 b_r.
-    A lone torus reads its sum from the record of weier.invariants, which
-    its Weierstrass passes read again (module docstring), so that one sum
-    serves both; where that record fails, the batch sum gives the same
-    failure."""
+    A lone torus reads its sum from the weier.invariants record of its
+    reduced torus, which its Weierstrass passes read again (module
+    docstring), so that one sum serves both; where that record fails, the
+    batch sum gives the same failure."""
     inv = None
     if len(tori) == 1:
         with contextlib.suppress(Unconverged):
-            inv = weier.invariants(tori[0])
+            inv = weier.invariants(tori[0].reduced)
     if inv is None:
         a_r, log_nulls, failed = weier.reduced_nulls(tori)
         a_r, log_abs = a_r.ravel(), log_nulls.real.ravel()
@@ -186,11 +189,12 @@ def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
     return GreenEval(-log_abs / (2.0 * np.pi), (zero, zero), hessian, bound), failed
 
 
-def green_rel(z, torus: Torus):
+def green_rel(z, torus: Torus, offsets=None):
     """G(z) - C(tau), doubly periodic by construction: evaluate's value,
-    to the bit, from a pass that reads log|theta1| alone."""
-    moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG)
-    value = theta._scalarize(value.reshape(np.shape(z)))
+    to the bit, from a pass that reads log|theta1| alone; with offsets (of
+    theta._eval once over lam), at z + offsets[j - 1] on leading rows j."""
+    moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG, offsets)
+    value = theta._scalarize(value.reshape(value.shape[:-1] + np.shape(z)))
     return value + _factors(torus.lam)[-1] if moved else value
 
 

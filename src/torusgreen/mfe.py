@@ -27,12 +27,12 @@ and the two zetas on the doubled torus at 4 pi, sigma(z0 -+ z) and
 sigma(z) at 8 pi, where f'/f = wp'(z0) / (wp(z) - wp(z0)) is read as
 sigma(2 z0) sigma(z)^2 / (sigma(z0)^2 sigma(z0 + z) sigma(z - z0)): the
 difference of wp values cancels toward the rhombic cusp.
-verify_solution hands u a block of _BLOCK_ROWS grid rows, their stencil
-offsets and their period shifts as one array, so a block costs two theta
-passes, one for u and one for G, and a 64^2 grid 8 of them.  Each pass
-sums only what its reader reads: log|sigma| for the 8 pi u, log|sigma|
-and zeta for the 4 pi u, and G - C for G (theta._eval's reads).  Its
-report is one reduction over the whole grid.
+verify_solution makes three passes a block of _BLOCK_ROWS grid rows, 12
+on 64^2: u at the kept points, with their stencil neighbours as rows of
+the pass (theta._eval's offsets), u at the rest and the period shifts,
+and G with the neighbour rows.  Each pass sums only what its reader
+reads: log|sigma| for the 8 pi u, log|sigma| and zeta for the 4 pi u,
+and G - C for G (theta._eval's reads).  Its report is one reduction.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from .lattice import Torus, lattice_gap, make_torus, near_lattice, wrap_unit
 RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
 _LATTICE_HIT_TOL = 1e-11
-# grid rows per u call of verify_solution: a row adds about 0.17 MB to
-# the peak memory of an 8 pi check on 64^2 (tracemalloc; 0.42 MB while
-# every pass summed every output), and at 16 rows the fixed cost of a
-# call is small against its points
+# grid rows per block of verify_solution: a row adds about 0.07 MB to
+# the peak memory of an 8 pi check on 64^2 (tracemalloc; 0.10 MB while
+# the neighbours were points, 0.42 MB while every pass summed every
+# output), and at 16 rows the fixed cost of a call is small
 _BLOCK_ROWS = 16
 
 
@@ -150,12 +150,20 @@ def _u_from_logs(c1: float, lam: float, log_abs_fp, log_abs_f) -> np.ndarray:
             - 2.0 * np.logaddexp(0.0, 2.0 * lam + 2.0 * np.asarray(log_abs_f)))
 
 
+def _rows(flat, offsets):
+    """flat, and with offsets flat + offsets[j - 1] as rows (theta._eval)."""
+    return flat if offsets is None else np.concatenate([flat[None], flat + offsets[:, None]])
+
+
 def _evaluator(core, special):
     """u(z), z scalar or array, from one core call (u by the formulas at a
     flat array).  special(flat) gives the mask where the formulas are not
     used as written, the points core evaluates for it, and the rule that
-    turns core's values there into u on the mask."""
-    def evaluator(z):
+    turns core's values there into u on the mask.  With theta._eval's
+    offsets, u at z + offsets[j - 1] is row j of a leading axis, row 0
+    with the bits of a plain call, from one core pass; a point with a
+    special stencil point takes all its rows from one plain call."""
+    def plain(z):
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(z).ravel()
         hit, extra, rule = special(flat)
@@ -166,6 +174,18 @@ def _evaluator(core, special):
         u[hit] = rule(vals[pts.size - extra.size:])
         u = u.reshape(np.atleast_1d(z).shape)
         return float(u[0]) if z.ndim == 0 else u
+
+    def evaluator(z, offsets=None):
+        if offsets is None:
+            return plain(z)
+        z, offsets = (np.asarray(x, dtype=complex) for x in (z, offsets))
+        pts = _rows(z.reshape(-1), offsets)
+        hit = special(pts.ravel())[0].reshape(pts.shape).any(axis=0)
+        u = np.empty(pts.shape)
+        if not hit.all():
+            u[:, ~hit] = core(pts[0, ~hit], offsets)
+        u[:, hit] = plain(pts[:, hit])
+        return u.reshape(pts.shape[:1] + z.shape)
 
     return evaluator
 
@@ -192,13 +212,16 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     u_branch = (c1 + 2.0 * lam
                 + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
 
-    def core(flat):
-        # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z)
+    def core(flat, offsets=None):
+        # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z);
+        # on rows (d, -d, ...), sigma(z0 - z) at z + d is the row of -d
         n = flat.size
         lm = weier.evaluate(np.concatenate([z0 - flat, z0 + flat, flat]), dm.torus,
-                            theta.LOG_MAG).sigma.log_mag
-        la_f = 2.0 * (dm.zeta_z0 * flat).real + lm[:n] - lm[n:2 * n]
-        la_gamma = la_gamma0 + 2.0 * lm[2 * n:] - lm[:n] - lm[n:2 * n]
+                            theta.LOG_MAG, offsets).sigma.log_mag
+        swap = None if offsets is None else np.r_[0, 1 + (np.arange(offsets.size) ^ 1)]
+        minus = lm[..., :n] if swap is None else lm[swap, :n]
+        la_f = 2.0 * (dm.zeta_z0 * _rows(flat, offsets)).real + minus - lm[..., n:2 * n]
+        la_gamma = la_gamma0 + 2.0 * lm[..., 2 * n:] - minus - lm[..., n:2 * n]
         return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
 
     def special(flat):
@@ -273,16 +296,16 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     inv_d = weier.invariants(doubled)
     kappa = inv_d.eta1 + 0.5 * inv_d.eta2
 
-    def parts(z, reads=theta.ALL):
+    def parts(z, reads=theta.ALL, offsets=None):
         """(log|f|, arg f) before the f0 normalization, and g, at a flat
-        array z from one Weierstrass pass over z - bp and z - a; arg f is
-        None unless the pass reads ALL."""
+        array z (on the rows of offsets) from one Weierstrass pass over
+        z - bp and z - a; arg f is None unless the pass reads ALL."""
         n = z.size
-        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled, reads)
+        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled, reads, offsets)
         lm, ar = ev.sigma.log_mag, ev.sigma.arg
-        log_mag = (kappa * z).real + lm[:n] - lm[n:]
+        log_mag = (kappa * _rows(z, offsets)).real + lm[..., :n] - lm[..., n:]
         arg = None if ar is None else (kappa * z).imag + ar[:n] - ar[n:]
-        return log_mag, arg, -ev.zeta[n:] + ev.zeta[:n] + kappa
+        return log_mag, arg, -ev.zeta[..., n:] + ev.zeta[..., :n] + kappa
 
     # Im tau >= sqrt(3) / 2 keeps the semicircle 0.6 from the pole at 1/2 + tau
     nodes, integral = _period_path(0.25)
@@ -317,8 +340,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     c1 = math.log(8.0 / RHO_4PI)
     pole_classes = (a, bp)
 
-    def core(flat):
-        la_f, _, gv = parts(flat, theta.LOG_MAG_L1)
+    def core(flat, offsets=None):
+        la_f, _, gv = parts(flat, theta.LOG_MAG_L1, offsets)
         la_f = la_f + log_f0
         with np.errstate(divide="ignore"):
             la_fp = np.log(np.abs(gv)) + la_f
@@ -396,26 +419,24 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     h = 1.0 / (64.0 * grid_n)
     gg = (np.arange(grid_n) + 0.5) / grid_n - 0.5
 
+    stencil = np.array([h, -h, 1j * h, -1j * h])
     res, lit, per, mass = [], [], [], []
     for r0 in range(0, grid_n, _BLOCK_ROWS):
         grid = gg + gg[r0:r0 + _BLOCK_ROWS, None] * tau
         keep = lattice_gap(grid, tau) > excl_radius
         z = grid[keep]
-        offsets = np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])
-        u_all = u(np.concatenate([grid.ravel(), offsets, z + 1.0, z + tau]))
-        n, m = grid.size, z.size
-        mass.append(np.exp(u_all[:n]))
-        if m:
-            uc = u_all[:n][keep.ravel()]
-            u_off = u_all[n:n + 4 * m].reshape(4, m)
-            g = green.green_rel(np.concatenate([offsets, z]), torus).reshape(5, m)
-            w_off = u_off + rho * g[:4]
-            w_c = uc + rho * g[4]
-            lap_w = (np.sum(w_off, axis=0) - 4.0 * w_c) / (h * h)
-            res.append(np.abs(lap_w - rho / area + rho * np.exp(uc)))
-            lap_u = (np.sum(u_off, axis=0) - 4.0 * uc) / (h * h)
-            lit.append(np.abs(lap_u + rho * np.exp(uc)))
-            per.append(np.abs(u_all[n + 4 * m:].reshape(2, m) - uc))
+        u_grid = np.empty(grid.shape)
+        u_grid[~keep], shifted = np.split(u(np.concatenate([grid[~keep], z + 1.0, z + tau])),
+                                          [grid.size - z.size])
+        if z.size:
+            us = u(z, stencil)
+            u_grid[keep] = us[0]
+            w = us + rho * green.green_rel(z, torus, stencil)
+            lap_w, lap_u = ((np.sum(x[1:], axis=0) - 4.0 * x[0]) / (h * h) for x in (w, us))
+            res.append(np.abs(lap_w - rho / area + rho * np.exp(us[0])))
+            lit.append(np.abs(lap_u + rho * np.exp(us[0])))
+            per.append(np.abs(shifted.reshape(2, -1) - us[0]))
+        mass.append(np.exp(u_grid.ravel()))
     if not res:
         raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
     res = np.concatenate(res)

@@ -41,7 +41,9 @@ those need and gets their bits of a full pass.  It always sums a flat
 array, so a point gives the same bits alone as inside a batch, and sums
 it in runs of at most _RUN points, each finished into its outputs before
 the next, so the series of a pass of any size works in about half a
-megabyte.  A
+megabyte.  A pass can add the values at a stencil's offsets of every
+point: the term n at z + d is the term at z times e^((2n+1) pi i d), so
+a neighbour is a weighted sum over the terms of its centre's pass.  A
 batch may carry one tau per point (the tori of a moduli scan): it runs
 to the largest term count among them, each point's terms past its own
 count are exact zeros, and its factors in tau alone are formed per point
@@ -155,7 +157,7 @@ def _q_powers(tau: complex, nterms: int):
     return rows
 
 
-def _series(z0, tau, nterms: int, reads: int = ALL):
+def _series(z0, tau, nterms: int, reads: int = ALL, turns=None):
     """theta1 at reduced arguments and its z derivative moments about i pi.
 
     z0 is a 1-D array with -Im(tau)/2 <= Im z0 <= 0, tau one modulus or an
@@ -191,6 +193,8 @@ def _series(z0, tau, nterms: int, reads: int = ALL):
     the rows past reads are not summed.  Every product and sum keeps its
     order for every point and every reads, so a point gives the same bits
     alone as inside a batch, and a row the same bits whatever rows follow.
+    With the weights turns of _neighbour_rows it also returns their even
+    and odd sums over the same terms, each (reads, pair, point).
     """
     z0 = np.asarray(z0, dtype=complex)
     if isinstance(tau, np.ndarray):
@@ -217,28 +221,44 @@ def _series(z0, tau, nterms: int, reads: int = ALL):
         np.multiply(prev, row, row)
     # np.einsum without optimize runs its own loops, never BLAS, and
     # accumulates along (k, half) in order for every point
-    sums = np.einsum("ik,kj->ij", _WEIGHTS[nterms][reads],
-                     terms[1:].view(float).reshape(2 * nterms, -1))
-    return sums.view(complex) * _PHASES[reads]
+    flat = terms[1:].view(float).reshape(2 * nterms, -1)
+    sums = np.einsum("ik,kj->ij", _WEIGHTS[nterms][reads], flat).view(complex) * _PHASES[reads]
+    if turns is None:
+        return sums
+    pairs = np.einsum("ik,kj->ij", turns, flat).view(complex).reshape(reads, 2, -1, z0.size)
+    pairs *= _PHASES[reads][:, :, None, None]
+    return sums, pairs[:, 0], pairs[:, 1]
 
 
-def _run(z, tau, nterms: int, reads: int):
+def _run(z, tau, nterms: int, reads: int, rows=None):
     """_eval's outputs at a flat run z of at most _RUN points, tau one
-    modulus or one per point of the run."""
+    modulus or one per point of the run, and rows (_neighbour_rows)."""
     t, s, m, n = split_coords(z, tau)
     # theta1 is odd: sum at -z0 where Im z0 > 0, so the largest term of the
     # series at the summed point is always n = 0; L1 and L3 are odd too
     flip = s > 0.0
     z0 = t + s * tau
     np.negative(z0, z0, where=flip)
-    th = _series(z0, tau, nterms, reads)
+    if rows is None:
+        th = _series(z0, tau, nterms, reads)
+    else:
+        weights, factor, shift = rows
+        centre, even, odd = _series(z0, tau, nterms, reads, weights)
+        # a flipped point's neighbour at z + d is -theta1 at z0 - d, E - i O
+        np.negative(odd, odd, where=flip)
+        th = np.empty((reads, 1 + 2 * factor.size, z0.size), dtype=complex)
+        th[:, 0] = centre
+        np.multiply(odd, factor, th[:, 1::2])
+        np.subtract(even, th[:, 1::2], th[:, 2::2])
+        th[:, 1::2] += even
+        s = s + shift
     arg = L1 = L2 = L3 = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_mag = np.log(np.abs(th[0]))
         if reads > LOG_MAG:
             r1, *r23 = th[1:] / th[0]
             # L1 and, where reads is ALL, L3 in one array, negated at once
-            odd = np.empty((1 + (reads == ALL), z0.size), dtype=complex)
+            odd = np.empty((1 + (reads == ALL),) + r1.shape, dtype=complex)
             L1 = np.add(r1, 1j * np.pi, odd[0])
         if reads == ALL:
             r2, r3 = r23
@@ -248,8 +268,8 @@ def _run(z, tau, nterms: int, reads: int):
     if reads > LOG_MAG:
         np.negative(odd, odd, where=flip)
     if np.count_nonzero(n):
-        # the translation factor; where n == 0 it adds exact zeros, so a
-        # point gets the same bits whichever branch its run takes
+        # the translation factor (a neighbour's at its s); where n == 0 it
+        # adds exact zeros, so a point gets the same bits in either branch
         log_mag = log_mag + (np.pi * np.imag(tau)) * n * (n + 2.0 * s)
         if arg is not None:
             arg = arg + np.pi * (n - n * (np.real(tau) * n + 2.0 * (t + s * np.real(tau))))
@@ -259,14 +279,16 @@ def _run(z, tau, nterms: int, reads: int):
     hit = z0 == 0.0
     if np.count_nonzero(hit):
         # exactly reduced lattice points: the sum is an exact zero in theory
-        # but roundoff leaves ~1e-16 debris, so snap to the sentinel
+        # but roundoff leaves ~1e-16 debris, so snap centres to the sentinel
+        if rows is not None:
+            hit = hit & (np.arange(th.shape[1]) == 0)[:, None]
         nan = complex(np.nan, np.nan)
         out = tuple(None if x is None else np.where(hit, v, x)
                     for v, x in zip((-np.inf, 0.0, nan, nan, nan), out))
     return out
 
 
-def _eval(z, tau, reads: int = ALL):
+def _eval(z, tau, reads: int = ALL, offsets=None):
     """Wrap z, run the series, reattach the translation factor in log space.
 
     tau is one modulus, or one per point of z (same shape): each point
@@ -277,6 +299,16 @@ def _eval(z, tau, reads: int = ALL):
     or ALL; the outputs it leaves out are None and are never summed, and
     those it names get the bits of a pass that reads ALL.  Raises
     UnreducedModulus for Im tau < 1/2: callers sum in a reduced frame.
+
+    offsets (d1, -d1, d2, -d2, ...), each real or imaginary, adds rows on
+    one modulus for LOG_MAG or LOG_MAG_L1: a leading axis, row 0 the centre
+    with the bits of a pass without offsets, row j z + offsets[j - 1], a
+    weighted sum over the centre's terms (_neighbour_rows) translated at
+    its own s.  The first term left out, e^(-pi b (K^2 + K) + 2 pi K y) of
+    n = 0 at |Im z0| = y with K terms a side, is at most e^(-pi b K^2 +
+    2 pi K |Im d|) there; _term_count_z spares two terms, pi b (K'^2 - K')
+    >= 43.8 at K' = K - 2, and K^2 - K/2 - (K'^2 - K') = 9K/2 - 6 > 0, so
+    |Im d| <= b/4, checked, keeps that below e^(-43.8).
     """
     # always evaluate a 1-D array: numpy's scalar complex products round
     # differently from its array loops, and a point must give the same bits
@@ -294,15 +326,39 @@ def _eval(z, tau, reads: int = ALL):
         raise UnreducedModulus(f"theta series asked for at tau = {low}, below Im tau = 1/2")
     _check_im(high.imag)
     nterms = _term_count_z(low.imag)
+    rows = None if offsets is None else _neighbour_rows(offsets, tau, nterms, reads, per_point)
     z = z.reshape(-1)
     # runs of at most _RUN points, each taken from z to its outputs before
     # the next, bound the working set of a pass whatever its size; a point
     # gets the same bits in any run
-    runs = [_run(z[a:a + _RUN], tau[a:a + _RUN] if per_point else tau, nterms, reads)
+    runs = [_run(z[a:a + _RUN], tau[a:a + _RUN] if per_point else tau, nterms, reads, rows)
             for a in range(0, max(z.size, 1), _RUN)]
     out = runs[0] if len(runs) == 1 else tuple(
-        None if x[0] is None else np.concatenate(x) for x in zip(*runs))
-    return out if len(shape) == 1 else tuple(None if x is None else x.reshape(shape) for x in out)
+        None if x[0] is None else np.concatenate(x, axis=-1) for x in zip(*runs))
+    return out if len(shape) == 1 and rows is None else tuple(
+        None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
+
+
+def _neighbour_rows(offsets, tau, nterms: int, reads: int, per_point):
+    """_run's weights, O factors and s shifts for _eval's offsets: theta1
+    at z0 +- d is E +- i O, the series at z0 with the terms n = k and -1-k
+    weighted by cos((2k+1) pi d) and +-sin((2k+1) pi d), real for a real d
+    and real or i times real for an imaginary one (O's factor i or -1), so
+    a pair +-d costs two real weighted sums on the float view."""
+    d = np.asarray(offsets, dtype=complex).reshape(-1)
+    pairs = d[::2]
+    if per_point or reads > LOG_MAG_L1 or not np.array_equal(d[1::2], -pairs) \
+            or np.any(d.real * d.imag) or not np.abs(d.imag).max(initial=0.0) <= tau.imag / 4.0:
+        raise ValueError(f"neighbour rows take one modulus, reads up to LOG_MAG_L1 and offsets "
+                         f"(d1, -d1, ...), real or imaginary, |Im| <= Im tau / 4: {offsets}")
+    arc = np.pi * (2.0 * _K[:nterms] + 1.0) * pairs[:, None]
+    sin = np.sin(arc)
+    even_odd = np.repeat([np.cos(arc).real, sin.real + sin.imag], 2, axis=2)
+    # the term n = -1-k turns by e^(-(2k+1) pi i d)
+    even_odd[1, :, 1::2] *= -1.0
+    weights = (_WEIGHTS[nterms][reads][:, None, None] * even_odd).reshape(-1, 2 * nterms)
+    return (weights, np.where(pairs.imag == 0.0, 1j, -1.0)[:, None],
+            np.concatenate([[0.0], d.imag / tau.imag])[:, None])
 
 
 # the null series sum q^(m^2/4) e^(i pi m z) over odd m (theta2) and even m

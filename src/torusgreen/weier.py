@@ -17,7 +17,8 @@ roots as e_r / lam^2, permuted as the matrix permutes the half periods
 mod 2 (Torus.half_period_perm), and eta1 by linearity of the quasi
 period map; eta2 is the Legendre relation.  The record keeps the reduced
 sum as well, from which a lone torus's critical set writes its
-half-period rows, so the set and its Weierstrass passes share one sum.
+half-period rows, reading the record of its reduced torus, so the set
+and the Weierstrass passes there (the 8 pi map) share one sum.
 
 evaluate gives sigma, zeta, p and p' from one theta1 series pass, or
 only those its caller reads (log|sigma| alone, or with zeta); sigma,
@@ -53,8 +54,8 @@ class EllipticInvariants:
     and (1+tau)/2.  a_r is the same at tau_r, in the order of 1/2,
     tau_r/2 and (1+tau_r)/2, and log_abs_nulls_r holds log|theta2(0)|,
     log|theta4(0)| and log|theta3(0)| there, as the null sum gave them:
-    the half-period rows of a lone torus's critical set
-    (green.half_period_rows).
+    the half-period rows of a lone torus's critical set, read from its
+    reduced torus's record (green.half_period_rows).
     """
 
     e1: complex
@@ -129,7 +130,7 @@ class WeierEval:
     p_prime: complex | None
 
 
-def evaluate(z, torus: Torus, reads: int = ALL) -> WeierEval:
+def evaluate(z, torus: Torus, reads: int = ALL, offsets=None) -> WeierEval:
     """sigma, zeta, p and p' at z from one theta series pass.
 
     With Lk the k-th log derivative of theta1 at w = z / lam on tau_r and
@@ -147,7 +148,8 @@ def evaluate(z, torus: Torus, reads: int = ALL) -> WeierEval:
     flat array, so a point gives the same bits alone as inside a batch.
     Where z / lam is exactly a lattice point sigma is the log_mag = -inf
     sentinel and the rest is NaN; the single-quantity readers below raise
-    PoleAtLattice there instead.
+    PoleAtLattice there instead.  offsets (theta._eval's once over lam)
+    adds rows z + offsets[j - 1] on a leading axis, each at its own w.
     """
     inv = invariants(torus)
     lam = torus.lam
@@ -155,12 +157,15 @@ def evaluate(z, torus: Torus, reads: int = ALL) -> WeierEval:
     eta1_r = lam * (lam * inv.eta1 - TWO_PI_I * torus.mat[1][0])
     z = np.asarray(z, dtype=complex)
     w = z.reshape(-1) * k1
-    lm, ar, L1, L2, L3 = _eval(w, torus.tau_r, reads)
+    d = None if offsets is None else np.asarray(offsets, dtype=complex).reshape(-1, 1) * k1
+    lm, ar, L1, L2, L3 = _eval(w, torus.tau_r, reads, d)
+    if d is not None:
+        w = np.concatenate([w[None], w + d])
     quad = 0.5 * eta1_r * w * w
     lp = inv.log_theta1_prime - cmath.log(lam)
 
     def out(x):
-        return _scalarize(x.reshape(z.shape))
+        return _scalarize(x.reshape(x.shape[:-1] + z.shape))
 
     return WeierEval(
         sigma=LogComplex(out(lm + quad.real - lp.real), None if ar is None else out(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusgreen import critical, lattice, mfe, theta, weier
+from torusgreen import cli, critical, green, lattice, mfe, theta, weier
 from torusgreen.errors import InvalidInput, NoExtraCriticalPoint
 
 # f, f'/f and f' of a developing map, from the reference routes
@@ -194,10 +194,11 @@ def test_rho_8pi_passes_its_check_toward_the_rhombic_cusp(b):
 
 
 def test_verification_detects_corrupted_solution(hex_solution):
+    # the stand-in shifts u by 0.01 on every route, its stencil rows too
     sol = hex_solution
     bad = mfe.MfeSolution(
-        rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam,
-        c1=sol.c1, reduced_evaluator=lambda z: sol.reduced_evaluator(z) + 0.01,
+        rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam, c1=sol.c1,
+        reduced_evaluator=lambda z, offsets=None: sol.reduced_evaluator(z, offsets) + 0.01,
     )
     rep = mfe.verify_solution(bad, grid_n=32)
     assert rep.max_residual > 1e-3
@@ -353,8 +354,11 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
 def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
-    # one u call and one green_rel call per block of 16 rows (8 and 10
-    # blocks of 4 rows before); 37 rows leave a last block of five rows
+    # per block of 16 rows, one u call with the stencil's neighbour rows on
+    # the kept points, one plain u call on the excluded points and the
+    # period shifts, and one green_rel call with the neighbour rows (2 while
+    # u and green_rel each took the neighbours as points of their passes;
+    # 8 and 10 blocks of 4 rows before); 37 rows leave a last block of five
     sol = _solution(rho, tau)
     passes = []
 
@@ -370,7 +374,7 @@ def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
     for grid_n, blocks in ((32, 2), (37, 3)):
         passes.clear()
         mfe.verify_solution(sol, grid_n=grid_n)
-        assert len(passes) == 2 * blocks
+        assert len(passes) == 3 * blocks
 
 
 # 0.5 + 0.3i and -0.31 + 0.42i lie outside the fundamental domain; only the
@@ -381,7 +385,30 @@ def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
 @pytest.mark.parametrize("grid_n", [32, 37, 64])
 def test_block_walk_equals_the_row_by_row_reference(rho, tau, grid_n):
     sol = _solution(rho, tau)
-    assert mfe.verify_solution(sol, grid_n) == oracles.verify_solution_by_rows(sol, grid_n)
+    _assert_report_matches(mfe.verify_solution(sol, grid_n),
+                           oracles.verify_solution_by_rows(sol, grid_n), sol)
+
+
+def _assert_report_matches(rep, ref, sol):
+    """rep, the block walk, against ref, the row-by-row reference, which
+    sums u and G at every stencil point by a pass of its own.  The centres,
+    the period shifts and the whole grid share their bits with it, so the
+    count, the periodicity and the mass agree exactly.  The four neighbours
+    of a point come off the terms of its centre's pass instead, so w =
+    u + rho G there differs by rounding alone: with each value within 8 ulps
+    of max|w| on either route, a Laplacian (four neighbours over h^2), and
+    so each residual, moves by at most 4 * 2 * 8 eps max|w| / h^2."""
+    exact = ("n_points", "periodicity_1", "periodicity_tau", "total_mass", "grid_n", "h",
+             "excl_radius")
+    assert [getattr(rep, k) for k in exact] == [getattr(ref, k) for k in exact]
+    tau = sol.torus.tau_r
+    gg = (np.arange(rep.grid_n) + 0.5) / rep.grid_n - 0.5
+    grid = (gg + gg[:, None] * tau).ravel()
+    z = grid[lattice.lattice_gap(grid, tau) > rep.excl_radius]
+    w = np.abs(sol.reduced_evaluator(z)) + sol.rho * np.abs(green.green_rel(z, sol.torus.reduced))
+    bound = 64.0 * np.finfo(float).eps * np.max(w) / rep.h ** 2
+    for k in ("max_residual", "mean_residual", "literal_max_residual"):
+        assert abs(getattr(rep, k) - getattr(ref, k)) <= bound, k
 
 
 def test_the_given_cell_check_keeps_its_old_numbers():
@@ -412,7 +439,7 @@ def test_block_walk_keeps_rows_that_the_exclusion_empties(rho, tau):
     assert empty and any(kept[i - i % mfe._BLOCK_ROWS:i - i % mfe._BLOCK_ROWS + mfe._BLOCK_ROWS]
                          for i in empty)
     rep = mfe.verify_solution(sol, grid_n, radius)
-    assert rep == oracles.verify_solution_by_rows(sol, grid_n, radius)
+    _assert_report_matches(rep, oracles.verify_solution_by_rows(sol, grid_n, radius), sol)
     assert rep.n_points == sum(kept)
 
 
@@ -467,3 +494,72 @@ def test_evaluator_hit_tests_are_the_lattice_gap_masks(rho, tau):
             z = _hit_inputs(lattice_tau, a)[0] - b
             np.testing.assert_array_equal(lattice.near_lattice(z, lattice_tau, tol),
                                           lattice.lattice_gap(z, lattice_tau) < tol)
+
+
+def test_the_check_keeps_every_verdict_of_the_direct_route():
+    # both solutions over 20 random tori (24 of them; 8 pi residuals of
+    # 9.96e-5 and 4.3e-3 among them): the block walk, whose neighbours come
+    # off their centres' passes, and the row-by-row reference, which sums
+    # every stencil point directly, agree on every max_residual <= 1e-4
+    # verdict
+    verdicts = []
+    for torus in lattice.random_tori(20, 29):
+        sols = [mfe.solution_4pi(torus)[0]]
+        if critical.find_critical_points(torus).extra is not None:
+            sols.append(mfe.solution_8pi(torus))
+        for sol in sols:
+            rep, ref = mfe.verify_solution(sol), oracles.verify_solution_by_rows(sol)
+            _assert_report_matches(rep, ref, sol)
+            verdicts.append((rep.max_residual <= 1e-4, ref.max_residual <= 1e-4))
+    assert len(verdicts) == 24 and all(a == b for a, b in verdicts)
+    assert verdicts.count((False, False)) == 1
+
+
+@pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("4pi", -0.31 + 0.42j), ("8pi", HEX_TAU),
+                                     ("8pi", 0.5 + 0.3j)])
+def test_u_stencil_rows_match_plain_calls(rho, tau):
+    # row 0 of a stencil call is the plain call to the bit and row j the
+    # plain call at z + d_j to 1e-12 of max(1, |u|): the kernel's 1e-14 on
+    # each of the up to six log|sigma| that u sums, each up to ~10 |u| on
+    # translated points.  A point with a stencil point at a special point
+    # (within 1e-9 of z0 at 8 pi, 1e-11 of a pole class at 4 pi) takes
+    # every row from plain calls, to the bit
+    sol = _solution(rho, tau)
+    u, tau_r = sol.reduced_evaluator, sol.torus.tau_r
+    h = 1.0 / 4096.0
+    stencil = np.array([h, -h, 1j * h, -1j * h])
+    rng = np.random.default_rng(61)
+    z = rng.uniform(-0.5, 0.5, 60) + rng.uniform(-0.5, 0.5, 60) * tau_r
+    z = np.concatenate([z, z + 1.0 - 2.0 * tau_r])
+    if rho == "8pi":
+        # z + h lies 5e-10 from z0, where u takes its branch-point rule
+        special = mfe.developing_map_8pi(sol.torus).z0 - h + 5e-10
+    else:
+        # z + h lies 4e-12 from the pole class of -1/2 on the doubled torus
+        special = -0.5 - h + 4e-12
+    z = np.concatenate([z, [special]])
+    rows = u(z, stencil)
+    assert rows.shape == (5,) + z.shape
+    np.testing.assert_array_equal(rows[0], u(z))
+    for j, d in enumerate(stencil):
+        plain = u(z + d)
+        assert np.all(np.abs(rows[j + 1] - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain))), d
+    np.testing.assert_array_equal(rows[:, -1], [u(z[-1])] + [u(z[-1] + d) for d in stencil])
+    np.testing.assert_array_equal(u(z[:3].reshape(3, 1), stencil), rows[:, :3, None])
+
+
+def test_an_unreduced_torus_sums_its_nulls_once_for_8pi(monkeypatch, capsys):
+    # the critical set's half-period rows read the invariants record of the
+    # reduced torus, where the developing map reads it again (2 sums while
+    # the rows read the record of the given torus)
+    sums = []
+    real = weier.nulls
+
+    def counted(tau):
+        sums.append(tau.size)
+        return real(tau)
+
+    monkeypatch.setattr(weier, "nulls", counted)
+    weier._invariants_cached.cache_clear()
+    assert cli.run(["mfe", "--rho=8pi", "--tau=0.5+0.3i", "--grid=32x32"]) == 0
+    assert sums == [1]

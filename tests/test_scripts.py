@@ -23,14 +23,15 @@ def test_script_exits_0(argv):
 def test_kernel_timing_prints_one_row_per_batch_size():
     # the kernel's table, a row per batch size and reader kind with the
     # minor page faults per 1024 points last, then the null sum's at 1 and
-    # at 1024 moduli
+    # at 1024 moduli, then 5120 plain points beside 1024 points with four
+    # neighbour rows each, for the value and for the value and L1
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_timing.py"), "--reps", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    kernel, nulls = ([line.split("|")[1:-1] for line in table.splitlines()
-                      if line.startswith("| ") and line[2].isdigit()]
-                     for table in proc.stdout.split("###")[1:])
+    kernel, nulls, stencil = ([line.split("|")[1:-1] for line in table.splitlines()
+                               if line.startswith("| ") and line[2].isdigit()]
+                              for table in proc.stdout.split("###")[1:])
     assert [(int(row[0]), row[1].strip()) for row in kernel] == [
         (n, reads) for n in (1, 3, 14, 192, 1024, 4096) for reads in ("value", "value, L1", "full")]
     assert [int(row[0]) for row in nulls] == [1, 1024]
@@ -38,6 +39,10 @@ def test_kernel_timing_prints_one_row_per_batch_size():
     assert all(float(cell) > 0.0 for row in kernel for cell in row[2:6])
     assert all(float(row[6]) >= 0.0 for row in kernel)
     assert all(float(cell) > 0.0 for row in nulls for cell in row[1:])
+    assert [(int(row[0]), row[1].strip(), row[2].strip()) for row in stencil] == [
+        (5120, points, reads) for reads in ("value", "value, L1")
+        for points in ("5120 plain", "1024 + 4 neighbours each")]
+    assert all(float(cell) > 0.0 for row in stencil for cell in row[3:])
 
 
 def test_stage_timing_prints_one_row_per_stage():
@@ -103,23 +108,29 @@ def test_pass_counts_prints_one_row_per_call():
     # the 4 pi construction (1 pass: its period path and probes together,
     # after the doubled torus's null sum; 5 while the path's three segments,
     # the probes and the invariants each had a pass) and verify_solution's 32
-    # rows in 2 blocks of one u call and one green_rel call each (70
-    # passes by rows, 17 in blocks of 4 rows)
-    assert rows[9] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 5 | 19582 | 1 | 1 |"
+    # rows in 2 blocks of 3 calls: u with the stencil's neighbour rows on
+    # the kept points, plain u on the rest and the period shifts, and
+    # green_rel with the neighbour rows.  The neighbours are weighted sums
+    # over their centres' terms, 4 rows a point, no series points of their
+    # own (5 passes over 19582 points while they were points; 70 passes by
+    # rows, 17 in blocks of 4 rows)
+    assert rows[9] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 7 | 7438 + 12144 | 1 | 1 |"
     # a torus outside the fundamental domain, built and checked on its
-    # reduced torus: the same construction pass and 4 blocks of 2 at 64^2
-    # (76797 points on the given cell, whose exclusion disks cut more; 33
-    # passes in blocks of 4 rows)
-    assert rows[10] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 77814 | 1 | 1 |"
-    # the critical set's 5 passes, one at z0 and 2 z0 and 2 blocks of 2
-    # (29 while the map took z0 as an argument, checked its residual,
-    # polished it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4
-    # rows; 13 while the critical set had a pass of its own at z0; 12 over
-    # 26406 points while Newton's steps were second order); the map's
-    # invariants are the critical set's null sum (2 sums while the
-    # half-period rows summed their own)
+    # reduced torus: the same construction pass and 4 blocks of 3 at 64^2
+    # (9 passes over 77814 points while the neighbours were points; 76797
+    # points on the given cell, whose exclusion disks cut more; 33 passes
+    # in blocks of 4 rows)
+    assert rows[10] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 13 | 28902 + 48912 | 1 | 1 |"
+    # the critical set's 5 passes, one at z0 and 2 z0 and 2 blocks of 3
+    # (10 passes over 26404 points while the neighbours were points; 29
+    # while the map took z0 as an argument, checked its residual, polished
+    # it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4 rows; 13
+    # while the critical set had a pass of its own at z0; 12 over 26406
+    # points while Newton's steps were second order); the map's invariants
+    # are the critical set's null sum (2 sums while the half-period rows
+    # summed their own)
     assert rows[11] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 10 | 26404 | 1 | 1 |")
+                       "| 0 | 12 | 10180 + 16224 | 1 | 1 |")
     # Newton from b = 1/2 to both thresholds, one null sum a step and no
     # pass (107 passes by bracket and bisection, then one pass a step); one
     # null sum at b = 0.7 and one at b = 1/2 for the functional equation

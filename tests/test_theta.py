@@ -405,3 +405,95 @@ def test_series_past_max_im_tau_raise_invalid_input():
                  lambda: moduli.verify_fundamental_inequalities([math.inf])):
         with pytest.raises(InvalidInput, match=f"above {b}"):
             call()
+
+
+# the stencil of mfe.verify_solution at 64^2, and moduli from the
+# hexagonal torus to Im tau = 40 with the doubled hexagonal torus of the
+# 4 pi solution
+STENCIL_H = 1.0 / 4096.0
+STENCIL = np.array([STENCIL_H, -STENCIL_H, 1j * STENCIL_H, -1j * STENCIL_H])
+STENCIL_TAUS = (0.5 + 0.5 * math.sqrt(3) * 1j, 1j, 0.31 + 1.07j, -0.2 + 2.5j, 0.5 + 5j,
+                -0.2 + 40j, 1.0 + math.sqrt(3) * 1j)
+
+
+def _stencil_points(tau, rng):
+    """Points in the cell on both sides of s = 0 (flipped and not), within
+    2h of s = 0 and of the cell edges s, t = +-1/2, and translates of all of
+    them by up to 3 periods; none near a lattice point, where theta1's
+    relative error is eps over its size on either route."""
+    h = 2.0 * STENCIL_H / tau.imag
+    t = rng.uniform(-0.5, 0.5, 40)
+    s = rng.uniform(-0.5, 0.5, 40)
+    s_near = np.array([-h, -h / 4, -0.0, 0.0, h / 3, h, 0.5 - h, 0.5 - h / 5, -0.5, -0.5 + h])
+    t_near = rng.uniform(0.1, 0.4, s_near.size) * rng.choice([-1.0, 1.0], s_near.size)
+    t_edge = np.array([-0.5, -0.5 + h / 2, 0.5 - h, 0.5 - h / 7])
+    s_edge = rng.uniform(0.1, 0.4, 4)
+    cell = np.concatenate([t + s * tau, t_near + s_near * tau, t_edge + s_edge * tau])
+    return np.concatenate([cell, cell + 3.0 * tau - 2.0, cell - tau + 1.0, -cell + 2.0 * tau])
+
+
+@pytest.mark.parametrize("tau", STENCIL_TAUS)
+def test_neighbour_rows_match_direct_passes(tau):
+    # row j of a pass with offsets is theta1 at z + offsets[j - 1], as a pass
+    # of its own there gives it, to 1e-14 (log|theta1|) and 2e-13 (L1) of
+    # max(1, |x|); row 0 is the pass without offsets to the bit
+    z = _stencil_points(tau, np.random.default_rng(53))
+    for reads in (theta.LOG_MAG, theta.LOG_MAG_L1):
+        rows = theta._eval(z, tau, reads, STENCIL)
+        centre = theta._eval(z, tau, reads)
+        for got, want in zip(rows, centre):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == (5,) + z.shape
+                np.testing.assert_array_equal(got[0], want)
+        for j, d in enumerate(STENCIL):
+            direct = theta._eval(z + d, tau, reads)
+            # log|theta1| (output 0) and L1 (output 2)
+            for k, bound in ((0, 1e-14), (2, 2e-13)):
+                if direct[k] is not None:
+                    err = np.abs(rows[k][j + 1] - direct[k])
+                    assert np.all(err <= bound * np.maximum(1.0, np.abs(direct[k]))), (d, k)
+
+
+def test_neighbour_rows_of_a_lattice_point_are_its_neighbours():
+    # the centre snaps to the -inf sentinel, its neighbours do not: theta1
+    # there cancels to O(h), so both routes hold eps / h relative
+    tau = 0.31 + 1.07j
+    z = np.array([0.0, 1.0 + tau, -2.0 * tau])
+    lm, _, L1, *_ = theta._eval(z, tau, theta.LOG_MAG_L1, STENCIL)
+    assert np.isneginf(lm[0]).all() and np.isnan(L1[0]).all()
+    for j, d in enumerate(STENCIL):
+        direct = theta._eval(z + d, tau, theta.LOG_MAG_L1)
+        np.testing.assert_allclose(lm[j + 1], direct[0], rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(L1[j + 1], direct[2], rtol=1e-11)
+
+
+def test_neighbour_rows_give_the_same_bits_alone_and_in_a_batch(monkeypatch):
+    # the neighbour sums run over the terms in one order for every point,
+    # in runs of any length, like the centre's
+    tau = 0.31 + 1.07j
+    z = _stencil_points(tau, np.random.default_rng(59))
+    whole = theta._eval(z, tau, theta.LOG_MAG_L1, STENCIL)
+    for k in (0, 7, 45, z.size - 1):
+        alone = theta._eval(z[k], tau, theta.LOG_MAG_L1, STENCIL)
+        assert alone[0].shape == (5,)
+        np.testing.assert_array_equal(alone[0], whole[0][:, k])
+        np.testing.assert_array_equal(alone[2], whole[2][:, k])
+    monkeypatch.setattr(theta, "_RUN", 7)
+    for w, g in zip(whole, theta._eval(z, tau, theta.LOG_MAG_L1, STENCIL)):
+        np.testing.assert_array_equal(w, g)
+
+
+def test_neighbour_rows_refuse_what_their_tail_bound_does_not_cover():
+    # one modulus, the moments of L1 at most, offsets in pairs (d, -d), each
+    # real or imaginary, and |Im d| <= Im tau / 4, where the spare terms of
+    # the count bound the tail
+    tau = 1j
+    assert np.isfinite(theta._eval(0.2, tau, theta.LOG_MAG, [0.25j, -0.25j])[0]).all()
+    for call in (lambda: theta._eval(0.2, tau, theta.LOG_MAG, [0.26j, -0.26j]),
+                 lambda: theta._eval(0.2, tau, theta.ALL, STENCIL),
+                 lambda: theta._eval(0.2, tau, theta.LOG_MAG, [1e-3 + 1e-3j, -1e-3 - 1e-3j]),
+                 lambda: theta._eval(0.2, tau, theta.LOG_MAG, STENCIL[[0, 2, 1, 3]]),
+                 lambda: theta._eval(np.array([0.2]), np.array([tau]), theta.LOG_MAG, STENCIL)):
+        with pytest.raises(ValueError, match="neighbour rows"):
+            call()
