@@ -26,13 +26,19 @@ pass over the point sets it needs: sigma(z - (1/2 + tau)), sigma(z + 1/2)
 and the two zetas on the doubled torus at 4 pi, sigma(z0 -+ z) and
 sigma(z) at 8 pi, where f'/f = wp'(z0) / (wp(z) - wp(z0)) is read as
 sigma(2 z0) sigma(z)^2 / (sigma(z0)^2 sigma(z0 + z) sigma(z - z0)): the
-difference of wp values cancels toward the rhombic cusp.
-verify_solution makes three passes a block of _BLOCK_ROWS grid rows, 12
-on 64^2: u at the kept points, with their stencil neighbours as rows of
-the pass (theta._eval's offsets), u at the rest and the period shifts,
-and G with the neighbour rows.  Each pass sums only what its reader
-reads: log|sigma| for the 8 pi u, log|sigma| and zeta for the 4 pi u,
-and G - C for G (theta._eval's reads).  Its report is one reduction.
+difference of wp values cancels toward the rhombic cusp.  u at z + 1
+and z + tau comes off the same pass: sigma(w + lam) = +-e^(eta_lam
+(w + lam/2)) sigma(w) and zeta(w + lam) = zeta(w) + eta_lam (Legendre's
+law, weier.translate) move each sigma set by its lattice translate, and
+on the doubled torus z + tau swaps the two sets (z + tau - bp = (z - a)
+- 1, z + tau - a = (z - bp) + 1 + 2 tau).
+verify_solution makes two passes a block of _BLOCK_ROWS grid rows, 8 on
+64^2: u at every grid point, with the stencil neighbours of each as rows
+of the pass (theta._eval's offsets) and its period shifts as rows by
+Legendre's law, and G at the kept points with the neighbour rows.  Each
+pass sums only what its reader reads: log|sigma| for the 8 pi u,
+log|sigma| and zeta for the 4 pi u, and G - C for G (theta._eval's
+reads).  Its report is one reduction.
 """
 
 from __future__ import annotations
@@ -52,10 +58,14 @@ RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
 _LATTICE_HIT_TOL = 1e-11
 # grid rows per block of verify_solution: a row adds about 0.07 MB to
-# the peak memory of an 8 pi check on 64^2 (tracemalloc; 0.10 MB while
+# the peak memory of an 8 pi check on 64^2 (tracemalloc, 8 to 32 rows;
+# 0.06 MB while the period shifts were points of a pass, 0.10 MB while
 # the neighbours were points, 0.42 MB while every pass summed every
-# output), and at 16 rows the fixed cost of a call is small
+# output), and at 16 rows the fixed cost of a call is small; the peak at
+# 16 rows is 1.40 MB at 8 pi and 1.51 MB at 4 pi on -0.368 + 0.916i
 _BLOCK_ROWS = 16
+# the lattice coordinates (m, n) of the periods 1 and tau, a row each
+_PERIOD_M, _PERIOD_N = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
 
 def _polar(log_mag: float, arg: float) -> complex:
@@ -155,37 +165,43 @@ def _rows(flat, offsets):
     return flat if offsets is None else np.concatenate([flat[None], flat + offsets[:, None]])
 
 
-def _evaluator(core, special):
+def _evaluator(core, special, tau):
     """u(z), z scalar or array, from one core call (u by the formulas at a
     flat array).  special(flat) gives the mask where the formulas are not
     used as written, the points core evaluates for it, and the rule that
     turns core's values there into u on the mask.  With theta._eval's
     offsets, u at z + offsets[j - 1] is row j of a leading axis, row 0
-    with the bits of a plain call, from one core pass; a point with a
-    special stencil point takes all its rows from one plain call."""
-    def plain(z):
+    with the bits of a plain call; with periods, two rows more, u at z + 1
+    and z + tau, which core forms from the centre's Weierstrass values by
+    Legendre's law (weier.translate) and sums no series for.  A point with
+    a special point among its rows takes every row as a plain value: those
+    points join the same core call as centres, whose row 0 is read."""
+    def evaluator(z, offsets=None, periods=False):
         z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z).ravel()
-        hit, extra, rule = special(flat)
-        pts = np.concatenate([flat[~hit], extra])
-        vals = core(pts) if pts.size else pts.real
-        u = np.empty(flat.shape, dtype=float)
-        u[~hit] = vals[:pts.size - extra.size]
-        u[hit] = rule(vals[pts.size - extra.size:])
-        u = u.reshape(np.atleast_1d(z).shape)
-        return float(u[0]) if z.ndim == 0 else u
-
-    def evaluator(z, offsets=None):
-        if offsets is None:
-            return plain(z)
-        z, offsets = (np.asarray(x, dtype=complex) for x in (z, offsets))
-        pts = _rows(z.reshape(-1), offsets)
-        hit = special(pts.ravel())[0].reshape(pts.shape).any(axis=0)
+        flat = z.reshape(-1)
+        if offsets is not None:
+            offsets = np.asarray(offsets, dtype=complex)
+        pts = np.atleast_2d(_rows(flat, offsets))
+        if periods:
+            pts = np.concatenate([pts, [flat + 1.0, flat + tau]])
+        rows = offsets is not None or periods
+        alone = (special(pts.ravel())[0].reshape(pts.shape).any(axis=0) if rows
+                 else np.ones(flat.shape, dtype=bool))
+        lone = pts[:, alone].ravel()
+        hit, extra, rule = special(lone)
+        centres = np.concatenate([pts[0, ~alone], lone[~hit], extra])
+        vals = (np.atleast_2d(core(centres, offsets, periods)) if centres.size
+                else np.empty((pts.shape[0], 0)))
+        n, m = np.count_nonzero(~alone), centres.size - extra.size
         u = np.empty(pts.shape)
-        if not hit.all():
-            u[:, ~hit] = core(pts[0, ~hit], offsets)
-        u[:, hit] = plain(pts[:, hit])
-        return u.reshape(pts.shape[:1] + z.shape)
+        u[:, ~alone] = vals[:, :n]
+        plain = np.empty(lone.shape)
+        plain[~hit] = vals[0, n:m]
+        plain[hit] = rule(vals[0, m:])
+        u[:, alone] = plain.reshape(pts.shape[0], -1)
+        if rows:
+            return u.reshape(pts.shape[:1] + z.shape)
+        return float(u[0, 0]) if z.ndim == 0 else u[0].reshape(z.shape)
 
     return evaluator
 
@@ -212,17 +228,29 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     u_branch = (c1 + 2.0 * lam
                 + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
 
-    def core(flat, offsets=None):
+    def u_at(zs, minus, plus, at_z):
+        # u from log|sigma| at z0 - z, z0 + z and z
+        la_f = 2.0 * (dm.zeta_z0 * zs).real + minus - plus
+        la_gamma = la_gamma0 + 2.0 * at_z - minus - plus
+        return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
+
+    def core(flat, offsets=None, periods=False):
         # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z);
         # on rows (d, -d, ...), sigma(z0 - z) at z + d is the row of -d
         n = flat.size
-        lm = weier.evaluate(np.concatenate([z0 - flat, z0 + flat, flat]), dm.torus,
-                            theta.LOG_MAG, offsets).sigma.log_mag
+        w = np.concatenate([z0 - flat, z0 + flat, flat])
+        lm = weier.evaluate(w, dm.torus, theta.LOG_MAG, offsets).sigma.log_mag
         swap = None if offsets is None else np.r_[0, 1 + (np.arange(offsets.size) ^ 1)]
         minus = lm[..., :n] if swap is None else lm[swap, :n]
-        la_f = 2.0 * (dm.zeta_z0 * _rows(flat, offsets)).real + minus - lm[..., n:2 * n]
-        la_gamma = la_gamma0 + 2.0 * lm[..., 2 * n:] - minus - lm[..., n:2 * n]
-        return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
+        u = u_at(_rows(flat, offsets), minus, lm[..., n:2 * n], lm[..., 2 * n:])
+        if not periods:
+            return u
+        # at z + lam, sigma(z0 - z) moves by -lam and the other two by lam
+        lm0 = np.atleast_2d(lm)[0]
+        moved = (weier.translate(lm0[k], None, w[k], sign * _PERIOD_M, sign * _PERIOD_N,
+                                 dm.torus)[0]
+                 for k, sign in ((np.s_[:n], -1.0), (np.s_[n:2 * n], 1.0), (np.s_[2 * n:], 1.0)))
+        return np.concatenate([np.atleast_2d(u), u_at(np.array([flat + 1.0, flat + tau]), *moved)])
 
     def special(flat):
         at_zero, at_pole = (near_lattice(flat - w, tau, 1e-9) for w in (z0, -z0))
@@ -231,7 +259,7 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
             [at_zero[hit], at_pole[hit]], [u_branch, u_branch - 4.0 * lam], -np.inf)
 
     return MfeSolution(rho=RHO_8PI, torus=torus, branch=dm.branch, lam=float(lam),
-                       c1=c1, reduced_evaluator=_evaluator(core, special))
+                       c1=c1, reduced_evaluator=_evaluator(core, special, tau))
 
 
 @lru_cache(maxsize=None)
@@ -296,16 +324,29 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     inv_d = weier.invariants(doubled)
     kappa = inv_d.eta1 + 0.5 * inv_d.eta2
 
-    def parts(z, reads=theta.ALL, offsets=None):
+    def parts(z, reads=theta.ALL, offsets=None, periods=False):
         """(log|f|, arg f) before the f0 normalization, and g, at a flat
-        array z (on the rows of offsets) from one Weierstrass pass over
-        z - bp and z - a; arg f is None unless the pass reads ALL."""
+        array z (on the rows of offsets, and at z + 1 and z + tau with
+        periods) from one Weierstrass pass over z - bp and z - a; arg f is
+        None unless the pass reads ALL."""
         n = z.size
-        ev = weier.evaluate(np.concatenate([z - bp, z - a]), doubled, reads, offsets)
-        lm, ar = ev.sigma.log_mag, ev.sigma.arg
+        w = np.concatenate([z - bp, z - a])
+        ev = weier.evaluate(w, doubled, reads, offsets)
+        lm, ar, zt = ev.sigma.log_mag, ev.sigma.arg, ev.zeta
         log_mag = (kappa * _rows(z, offsets)).real + lm[..., :n] - lm[..., n:]
         arg = None if ar is None else (kappa * z).imag + ar[:n] - ar[n:]
-        return log_mag, arg, -ev.zeta[..., n:] + ev.zeta[..., :n] + kappa
+        g = -zt[..., n:] + zt[..., :n] + kappa
+        if periods:
+            # z + 1 moves both sets by 1 on the doubled lattice; z + tau takes
+            # z - bp to (z - a) - 1 and z - a to (z - bp) + 1 + 2 tau
+            sets = [np.atleast_2d(x)[0].reshape(2, n) for x in (lm, zt, w)]
+            (lm_b, zt_b), (lm_a, zt_a) = (
+                weier.translate(*sets, _PERIOD_M - _PERIOD_N, 0.0, doubled),
+                weier.translate(*(x[::-1] for x in sets), 1.0, _PERIOD_N, doubled))
+            log_mag = np.concatenate([np.atleast_2d(log_mag), (
+                kappa * np.array([z + 1.0, z + tau])).real + lm_b - lm_a])
+            g = np.concatenate([np.atleast_2d(g), -zt_a + zt_b + kappa])
+        return log_mag, arg, g
 
     # Im tau >= sqrt(3) / 2 keeps the semicircle 0.6 from the pole at 1/2 + tau
     nodes, integral = _period_path(0.25)
@@ -340,8 +381,8 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     c1 = math.log(8.0 / RHO_4PI)
     pole_classes = (a, bp)
 
-    def core(flat, offsets=None):
-        la_f, _, gv = parts(flat, theta.LOG_MAG_L1, offsets)
+    def core(flat, offsets=None, periods=False):
+        la_f, _, gv = parts(flat, theta.LOG_MAG_L1, offsets, periods)
         la_f = la_f + log_f0
         with np.errstate(divide="ignore"):
             la_fp = np.log(np.abs(gv)) + la_f
@@ -360,7 +401,7 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
                 lambda v: 0.5 * (v[:k] + v[k:]))
 
     sol = MfeSolution(rho=RHO_4PI, torus=torus, branch=None, lam=0.0,
-                      c1=c1, reduced_evaluator=_evaluator(core, special))
+                      c1=c1, reduced_evaluator=_evaluator(core, special, tau))
     diag = FourPiDiagnostics(period_integral=period_integral, c_prime=c_prime,
                              c_tau=c_mult)
     return sol, diag
@@ -402,7 +443,11 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
 
     Periodicity deviations are honest measurements: the evaluators never
     wrap, so u(z + 1) - u(z) and u(z + tau) - u(z) probe the multiplier
-    structure of the developing map rather than any reduction code.
+    structure of the developing map rather than any reduction code.  u at
+    z + lam takes the centre's sigma values moved by Legendre's law
+    together with the formula's own terms at z + lam (2 Re(zeta(z0) z) at
+    8 pi, kappa z at 4 pi), so a multiplier off the unit circle shows as
+    it would from a pass at z + lam, and the two agree to rounding.
     Total mass integrates rho e^u over the full cell by the midpoint rule
     (the integrand vanishes polynomially at the source, so no exclusion
     is needed) and should come out near rho.
@@ -422,21 +467,17 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     stencil = np.array([h, -h, 1j * h, -1j * h])
     res, lit, per, mass = [], [], [], []
     for r0 in range(0, grid_n, _BLOCK_ROWS):
-        grid = gg + gg[r0:r0 + _BLOCK_ROWS, None] * tau
+        grid = (gg + gg[r0:r0 + _BLOCK_ROWS, None] * tau).ravel()
         keep = lattice_gap(grid, tau) > excl_radius
-        z = grid[keep]
-        u_grid = np.empty(grid.shape)
-        u_grid[~keep], shifted = np.split(u(np.concatenate([grid[~keep], z + 1.0, z + tau])),
-                                          [grid.size - z.size])
-        if z.size:
-            us = u(z, stencil)
-            u_grid[keep] = us[0]
-            w = us + rho * green.green_rel(z, torus, stencil)
+        rows = u(grid, stencil, periods=True)
+        mass.append(np.exp(rows[0]))
+        if np.any(keep):
+            us = rows[:5, keep]
+            w = us + rho * green.green_rel(grid[keep], torus, stencil)
             lap_w, lap_u = ((np.sum(x[1:], axis=0) - 4.0 * x[0]) / (h * h) for x in (w, us))
             res.append(np.abs(lap_w - rho / area + rho * np.exp(us[0])))
             lit.append(np.abs(lap_u + rho * np.exp(us[0])))
-            per.append(np.abs(shifted.reshape(2, -1) - us[0]))
-        mass.append(np.exp(u_grid.ravel()))
+            per.append(np.abs(rows[5:, keep] - us[0]))
     if not res:
         raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
     res = np.concatenate(res)

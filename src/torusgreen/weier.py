@@ -23,9 +23,11 @@ and the Weierstrass passes there (the 8 pi map) share one sum.
 evaluate gives sigma, zeta, p and p' from one theta1 series pass, or
 only those its caller reads (log|sigma| alone, or with zeta); sigma,
 zeta and wp read from it, and zeta and wp raise PoleAtLattice where it
-has a pole.  The classical lattice sum is kept out of the library on
-purpose: at the accuracy this package works to it converges hopelessly
-slowly, and it survives only as an independent oracle in the test suite.
+has a pole.  translate moves log|sigma| and zeta to a lattice translate
+of their argument by Legendre's law, with no pass.  The classical
+lattice sum is kept out of the library on purpose: at the accuracy this
+package works to it converges hopelessly slowly, and it survives only as
+an independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -174,6 +176,18 @@ def evaluate(z, torus: Torus, reads: int = ALL, offsets=None) -> WeierEval:
         p=None if L2 is None else out((-L2 - eta1_r) * (k1 * k1)),
         p_prime=None if L3 is None else out(-L3 * (k1 * k1 * k1)),
     )
+
+
+def translate(log_abs_sigma, zeta, w, m, n, torus: Torus):
+    """log|sigma| and zeta at w + lam, lam = m + n tau, from their values
+    at w, by Legendre's law: sigma(w + lam) = +-e^(eta_lam (w + lam/2))
+    sigma(w) and zeta(w + lam) = zeta(w) + eta_lam, eta_lam = m eta1 +
+    n eta2.  m and n broadcast against w; zeta may be None (then None).
+    No series is summed: a lattice translate costs a few products."""
+    inv = invariants(torus)
+    eta = m * inv.eta1 + n * inv.eta2
+    log_abs_sigma = log_abs_sigma + (eta * (w + 0.5 * (m + n * torus.tau))).real
+    return log_abs_sigma, None if zeta is None else zeta + eta
 
 
 def _guarded(z, torus: Torus, what: str) -> WeierEval:

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,11 +196,13 @@ def test_rho_8pi_passes_its_check_toward_the_rhombic_cusp(b):
 
 
 def test_verification_detects_corrupted_solution(hex_solution):
-    # the stand-in shifts u by 0.01 on every route, its stencil rows too
+    # the stand-in shifts u by 0.01 on every route, its stencil and period
+    # rows too
     sol = hex_solution
     bad = mfe.MfeSolution(
         rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam, c1=sol.c1,
-        reduced_evaluator=lambda z, offsets=None: sol.reduced_evaluator(z, offsets) + 0.01,
+        reduced_evaluator=lambda z, offsets=None, periods=False:
+            sol.reduced_evaluator(z, offsets, periods) + 0.01,
     )
     rep = mfe.verify_solution(bad, grid_n=32)
     assert rep.max_residual > 1e-3
@@ -354,11 +358,13 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
 def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
-    # per block of 16 rows, one u call with the stencil's neighbour rows on
-    # the kept points, one plain u call on the excluded points and the
-    # period shifts, and one green_rel call with the neighbour rows (2 while
-    # u and green_rel each took the neighbours as points of their passes;
-    # 8 and 10 blocks of 4 rows before); 37 rows leave a last block of five
+    # per block of 16 rows, one u call on every grid point with the
+    # stencil's neighbour rows and the period rows, and one green_rel call
+    # on the kept points with the neighbour rows (3 while the excluded
+    # points and the period shifts took a plain u call of their own; 2
+    # while u and green_rel each took the neighbours as points of their
+    # passes; 8 and 10 blocks of 4 rows before); 37 rows leave a last
+    # block of five
     sol = _solution(rho, tau)
     passes = []
 
@@ -374,7 +380,7 @@ def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
     for grid_n, blocks in ((32, 2), (37, 3)):
         passes.clear()
         mfe.verify_solution(sol, grid_n=grid_n)
-        assert len(passes) == 3 * blocks
+        assert len(passes) == 2 * blocks
 
 
 # 0.5 + 0.3i and -0.31 + 0.42i lie outside the fundamental domain; only the
@@ -391,15 +397,16 @@ def test_block_walk_equals_the_row_by_row_reference(rho, tau, grid_n):
 
 def _assert_report_matches(rep, ref, sol):
     """rep, the block walk, against ref, the row-by-row reference, which
-    sums u and G at every stencil point by a pass of its own.  The centres,
-    the period shifts and the whole grid share their bits with it, so the
-    count, the periodicity and the mass agree exactly.  The four neighbours
-    of a point come off the terms of its centre's pass instead, so w =
-    u + rho G there differs by rounding alone: with each value within 8 ulps
-    of max|w| on either route, a Laplacian (four neighbours over h^2), and
-    so each residual, moves by at most 4 * 2 * 8 eps max|w| / h^2."""
-    exact = ("n_points", "periodicity_1", "periodicity_tau", "total_mass", "grid_n", "h",
-             "excl_radius")
+    sums u and G at every stencil point and u at both period shifts by a
+    pass of its own.  The centres and the whole grid share their bits with
+    it, so the count and the mass agree exactly.  The four neighbours of a
+    point come off the terms of its centre's pass instead, so w = u + rho G
+    there differs by rounding alone: with each value within 8 ulps of
+    max|w| on either route, a Laplacian (four neighbours over h^2), and so
+    each residual, moves by at most 4 * 2 * 8 eps max|w| / h^2.  The period
+    shifts come off the centre's sigma values by Legendre's law, so the
+    periodicity moves by rounding alone too (_period_row_bound)."""
+    exact = ("n_points", "total_mass", "grid_n", "h", "excl_radius")
     assert [getattr(rep, k) for k in exact] == [getattr(ref, k) for k in exact]
     tau = sol.torus.tau_r
     gg = (np.arange(rep.grid_n) + 0.5) / rep.grid_n - 0.5
@@ -409,6 +416,26 @@ def _assert_report_matches(rep, ref, sol):
     bound = 64.0 * np.finfo(float).eps * np.max(w) / rep.h ** 2
     for k in ("max_residual", "mean_residual", "literal_max_residual"):
         assert abs(getattr(rep, k) - getattr(ref, k)) <= bound, k
+    for k in ("periodicity_1", "periodicity_tau"):
+        assert abs(getattr(rep, k) - getattr(ref, k)) <= _period_row_bound(sol), k
+
+
+def _period_row_bound(sol):
+    """How far u at z + 1 and z + tau, from the centre's sigma values by
+    Legendre's law, may lie from u summed there directly.  With tau
+    reduced (|tau| >= 1) and eta that of the map's lattice (the doubled one
+    at 4 pi), every sigma argument at z + lam, lam = 1 or tau, has
+    |eta| |w|^2 / 2 below S = 2 max|eta| (1 + |tau|)^2, and so have the
+    translation factor and Legendre's term |eta_lam| |w + lam/2| that
+    either route adds to its log|sigma|.  With each log|sigma| within 8
+    ulps of S on either route, and u a sum of log|sigma| (and of log|g| at
+    4 pi, off differences of zetas below S) with coefficients of total at
+    most 16, u moves by at most 2 * 16 * 8 eps S."""
+    tau = sol.torus.tau_r
+    inv = weier.invariants(lattice.make_torus(2.0 * tau) if sol.rho == RHO_4PI
+                           else sol.torus.reduced)
+    scale = 2.0 * max(abs(inv.eta1), abs(inv.eta2)) * (1.0 + abs(tau)) ** 2
+    return 256.0 * np.finfo(float).eps * scale
 
 
 def test_the_given_cell_check_keeps_its_old_numbers():
@@ -546,6 +573,95 @@ def test_u_stencil_rows_match_plain_calls(rho, tau):
         assert np.all(np.abs(rows[j + 1] - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain))), d
     np.testing.assert_array_equal(rows[:, -1], [u(z[-1])] + [u(z[-1] + d) for d in stencil])
     np.testing.assert_array_equal(u(z[:3].reshape(3, 1), stencil), rows[:, :3, None])
+
+
+# the hexagonal torus, one unreduced five-point torus, one unreduced
+# three-point torus (4 pi only) and one toward the rhombic cusp, where the
+# eta_lam (w + lam/2) of Legendre's law reach ~100
+PERIOD_ROW_TORI = [("4pi", HEX_TAU), ("4pi", 0.5 + 0.3j), ("4pi", -0.31 + 0.42j),
+                   ("4pi", 0.5 + 8j), ("8pi", HEX_TAU), ("8pi", 0.5 + 0.3j), ("8pi", 0.5 + 8j)]
+
+
+@pytest.mark.parametrize("rho,tau", PERIOD_ROW_TORI)
+def test_u_period_rows_match_plain_calls(rho, tau):
+    # the period rows sum no series at z + 1 and z + tau: they come off the
+    # centre's sigma values (and zetas at 4 pi) by Legendre's law, within
+    # rounding of the plain calls there, and keep their bits beside the
+    # stencil's rows, which keep theirs
+    sol = _solution(rho, tau)
+    u, tau_r = sol.reduced_evaluator, sol.torus.tau_r
+    rng = np.random.default_rng(67)
+    z = rng.uniform(-0.5, 0.5, 80) + rng.uniform(-0.5, 0.5, 80) * tau_r
+    rows = u(z, periods=True)
+    assert rows.shape == (3,) + z.shape
+    np.testing.assert_array_equal(rows[0], u(z))
+    bound = _period_row_bound(sol)
+    for row, lam in zip(rows[1:], (1.0, tau_r)):
+        assert np.max(np.abs(row - u(z + lam))) <= bound, lam
+    h = 1.0 / 4096.0
+    stencil = np.array([h, -h, 1j * h, -1j * h])
+    both = u(z, stencil, periods=True)
+    np.testing.assert_array_equal(both[:5], u(z, stencil))
+    np.testing.assert_array_equal(both[5:], rows[1:])
+    np.testing.assert_array_equal(u(z[:3].reshape(3, 1), periods=True), rows[:, :3, None])
+
+
+@pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("4pi", -0.31 + 0.42j), ("8pi", HEX_TAU),
+                                     ("8pi", 0.5 + 0.3j)])
+def test_a_special_point_takes_the_plain_route_for_its_period_rows(rho, tau):
+    # a stencil point within 1e-9 of z0 (8 pi) or 1e-11 of a pole class
+    # (4 pi), and centres whose z + 1 and z + tau come as near them, take
+    # every row, the period rows too, from plain calls, to the bit
+    sol = _solution(rho, tau)
+    u, tau_r = sol.reduced_evaluator, sol.torus.tau_r
+    h = 1.0 / 4096.0
+    stencil = np.array([h, -h, 1j * h, -1j * h])
+    if rho == "8pi":
+        z0 = mfe.developing_map_8pi(sol.torus).z0
+        special = [z0 - h + 5e-10, -z0 - 1.0 + 3e-10, z0 - tau_r - 4e-10j]
+    else:
+        special = [-0.5 - h + 4e-12, 0.5 + tau_r - 1.0 + 3e-12, 0.5 + 2e-12j]
+    z = np.concatenate([[0.1 + 0.2j, -0.3 + 0.1 * tau_r], special])
+    rows = u(z, stencil, periods=True)
+    for k in range(2, z.size):
+        want = [u(z[k])] + [u(z[k] + d) for d in stencil] + [u(z[k] + 1.0), u(z[k] + tau_r)]
+        np.testing.assert_array_equal(rows[:, k], want)
+    assert np.all(np.isfinite(rows[:, :2]))
+
+
+def test_periodicity_sees_a_broken_multiplier(monkeypatch):
+    # z0 moved 1e-6 off the critical point: f then picks up multipliers of
+    # modulus e^(eps_lam), eps_lam = -2 Re(eta_lam 1e-6), across the periods,
+    # and u(z + lam) - u(z) = 2 eps_lam (1 - |F|^2) / (1 + |F|^2), F = e^lam f,
+    # which nears 2 |eps_lam| where |f| is small, by z0.  Both routes read
+    # it, and agree to rounding
+    T = lattice.make_torus(HEX_TAU)
+    real = mfe.developing_map_8pi(T)
+    monkeypatch.setattr(mfe, "developing_map_8pi",
+                        lambda torus: dataclasses.replace(real, z0=real.z0 + 1e-6))
+    sol = mfe.solution_8pi(T)
+    inv = weier.invariants(T)
+    rep, ref = mfe.verify_solution(sol), oracles.verify_solution_by_rows(sol)
+    for k, eta in (("periodicity_1", inv.eta1), ("periodicity_tau", inv.eta2)):
+        want = 4.0 * abs(eta.real) * 1e-6
+        assert 0.9 * want <= getattr(rep, k) <= want * (1.0 + 1e-6), k
+        assert abs(getattr(rep, k) - getattr(ref, k)) <= _period_row_bound(sol), k
+
+
+@pytest.mark.parametrize("rho,peak_mb", [("4pi", 1.44), ("8pi", 1.33)])
+def test_a_64_check_stays_in_its_memory(rho, peak_mb):
+    # tracemalloc's peak over a 64^2 check, caches warm: the period rows
+    # add rows of u, never theta-level rows, and hold it within 10 % of
+    # its 1.44 and 1.33 MB while the period shifts were points of a pass
+    sol = _solution(rho, -0.368 + 0.916j)
+    mfe.verify_solution(sol, 64)
+    tracemalloc.start()
+    try:
+        mfe.verify_solution(sol, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * peak_mb * 1e6
 
 
 def test_an_unreduced_torus_sums_its_nulls_once_for_8pi(monkeypatch, capsys):

@@ -305,6 +305,27 @@ def test_sigma_quasi_periodicity():
         assert abs(lhs.value - rhs) < 1e-12 * abs(rhs)
 
 
+@pytest.mark.parametrize("tau", [complex(0.5, math.sqrt(3) / 2), 0.5 + 0.3j,
+                                 2.0 * lattice.make_torus(-0.31 + 0.42j).tau_r, 0.5 + 8j])
+def test_translate_matches_evaluate_at_the_translate(tau):
+    # Legendre's law from the values at w against a pass at w + m + n tau:
+    # log|sigma| to 1e-14 of the law's term eta_lam (w + lam/2) (at least 1),
+    # zeta to 1e-13 of max(1, |zeta|); an unreduced torus, the doubled
+    # lattice of a 4 pi map and one toward the rhombic cusp among them
+    T = lattice.make_torus(tau)
+    inv = weier.invariants(T)
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-0.5, 0.5, 50) + rng.uniform(-0.5, 0.5, 50) * tau
+    ev = weier.evaluate(w, T, theta.LOG_MAG_L1)
+    for m, n in ((1, 0), (0, 1), (-1, 0), (1, 1), (-2, 3)):
+        log_abs, zeta = weier.translate(ev.sigma.log_mag, ev.zeta, w, m, n, T)
+        want = weier.evaluate(w + m + n * tau, T)
+        term = np.abs((m * inv.eta1 + n * inv.eta2) * (w + 0.5 * (m + n * tau)))
+        assert np.all(np.abs(log_abs - want.sigma.log_mag) <= 1e-14 * np.maximum(1.0, term))
+        assert np.all(np.abs(zeta - want.zeta) <= 1e-13 * np.maximum(1.0, np.abs(want.zeta)))
+    assert weier.translate(ev.sigma.log_mag, None, w, 1, 0, T)[1] is None
+
+
 def test_sigma_is_odd():
     T = lattice.make_torus(0.5 + 0.8j)
     z = 0.31 - 0.12j
