@@ -309,6 +309,8 @@ def _cmd_mfe(args) -> tuple[dict, dict]:
     nx, ny = args.grid or (64, 64)
     if nx != ny:
         raise InvalidInput(f"verification grid {nx}x{ny} is not square")
+    if args.rho == "4pi" and args.lam != 0.0:
+        raise InvalidInput(f"lambda {args.lam} given at 4pi, whose solution has no scaling family")
     torus = make_torus(args.tau)
     if args.rho == "8pi":
         sol = mfe.solution_8pi(torus, lam=args.lam)

@@ -7,9 +7,9 @@ The mean zero Green function of -Laplace on C/(Z + Z tau) splits as
 with y the height of the canonical cell representative and b = Im tau.
 evaluate gives G - C(tau), its gradient and its Hessian from one theta
 series pass (green_rel is its value, from a pass that sums log|theta1|
-alone); the module also holds the critical
-point residual of the solver and the constant C(tau) = (1/2 pi)
-log|eta(tau)| (Kronecker limit formula).
+alone, and the test oracle of mfe.verify_solution's closed form); the
+module also holds the critical point residual of the solver and the
+constant C(tau) = (1/2 pi) log|eta(tau)| (Kronecker limit formula).
 
 G depends on the lattice only: with the reduced frame of lattice.Torus,
 G_tau(z) = G_tau_r(z / lam).  So every pass runs on a reduced torus
@@ -90,14 +90,12 @@ class GreenEval:
     det_bound: float       # |hessian.det - det Hess G| stays below this
 
 
-def _reduced_pass(t, s, tau_r, reads=theta.ALL, offsets=None):
+def _reduced_pass(t, s, tau_r, reads=theta.ALL):
     """s' and (log|theta1|, L1, L2, L3) at (t, s) on Z + tau_r Z, wrapped,
-    from a theta._eval pass that reads reads (None where it does not), on
-    the rows of its offsets if any."""
+    from a theta._eval pass that reads reads (None where it does not)."""
     tr, _ = wrap_unit(t)
     sr, _ = wrap_unit(s)
-    lm, _, L1, L2, L3 = theta._eval(tr + sr * tau_r, tau_r, reads, offsets)
-    sr = sr if offsets is None else sr + np.r_[0.0, offsets.imag / tau_r.imag][:, None]
+    lm, _, L1, L2, L3 = theta._eval(tr + sr * tau_r, tau_r, reads)
     return sr, lm, L1, L2, L3
 
 
@@ -115,15 +113,14 @@ def _split(z, tau_r) -> tuple[np.ndarray, np.ndarray]:
     return z.real - s * np.real(tau_r), s
 
 
-def _pass(z, torus: Torus, reads, offsets=None):
+def _pass(z, torus: Torus, reads):
     """The pass of evaluate at z, on the reduced torus at z / lam
     (Torus.reduced_point): whether that moves z, b_r, G - C there, s' and
-    (L1, L2), on rows with offsets.  Raises PoleAtLattice at lattice points."""
+    (L1, L2).  Raises PoleAtLattice at lattice points."""
     moved = torus.mat != ((1, 0), (0, 1))
     tau_r = torus.tau_r
     t, s = _split(torus.reduced_point(z) if moved else z, tau_r)
-    offsets = None if offsets is None else np.asarray(offsets, dtype=complex) / torus.lam
-    sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads, offsets)
+    sr, lm, L1, L2, _ = _reduced_pass(t, s, tau_r, reads)
     if np.isneginf(lm).any():
         raise PoleAtLattice("Green function diverges at lattice points")
     return moved, tau_r.imag, _value(lm, sr, tau_r.imag), sr, L1, L2
@@ -189,12 +186,11 @@ def half_period_rows(tori: list[Torus]) -> tuple[GreenEval, dict]:
     return GreenEval(-log_abs / (2.0 * np.pi), (zero, zero), hessian, bound), failed
 
 
-def green_rel(z, torus: Torus, offsets=None):
+def green_rel(z, torus: Torus):
     """G(z) - C(tau), doubly periodic by construction: evaluate's value,
-    to the bit, from a pass that reads log|theta1| alone; with offsets (of
-    theta._eval once over lam), at z + offsets[j - 1] on leading rows j."""
-    moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG, offsets)
-    value = theta._scalarize(value.reshape(value.shape[:-1] + np.shape(z)))
+    to the bit, from a pass that reads log|theta1| alone."""
+    moved, _, value, *_ = _pass(z, torus, theta.LOG_MAG)
+    value = theta._scalarize(value.reshape(np.shape(z)))
     return value + _factors(torus.lam)[-1] if moved else value
 
 

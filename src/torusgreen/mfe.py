@@ -32,13 +32,11 @@ and z + tau comes off the same pass: sigma(w + lam) = +-e^(eta_lam
 law, weier.translate) move each sigma set by its lattice translate, and
 on the doubled torus z + tau swaps the two sets (z + tau - bp = (z - a)
 - 1, z + tau - a = (z - bp) + 1 + 2 tau).
-verify_solution makes two passes a block of _BLOCK_ROWS grid rows, 8 on
-64^2: u at every grid point, with the stencil neighbours of each as rows
-of the pass (theta._eval's offsets) and its period shifts as rows by
-Legendre's law, and G at the kept points with the neighbour rows.  Each
-pass sums only what its reader reads: log|sigma| for the 8 pi u,
-log|sigma| and zeta for the 4 pi u, and G - C for G (theta._eval's
-reads).  Its report is one reduction.
+verify_solution makes one pass a block of _BLOCK_ROWS grid rows, 4 on
+64^2: u at every grid point, with the stencil neighbours of each
+(theta._eval's offsets) and its period shifts as rows, and the
+compensated field v from the log|theta1| rows of the same pass, which
+sums only what u reads.  Its report is one reduction.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import critical, green, theta, weier
+from . import critical, theta, weier
 from .errors import ConstructionInconsistent, InvalidInput, NoExtraCriticalPoint
 from .lattice import Torus, lattice_gap, make_torus, near_lattice, wrap_unit
 
@@ -62,7 +60,7 @@ _LATTICE_HIT_TOL = 1e-11
 # 0.06 MB while the period shifts were points of a pass, 0.10 MB while
 # the neighbours were points, 0.42 MB while every pass summed every
 # output), and at 16 rows the fixed cost of a call is small; the peak at
-# 16 rows is 1.40 MB at 8 pi and 1.51 MB at 4 pi on -0.368 + 0.916i
+# 16 rows is 1.34 MB at 8 pi and 1.45 MB at 4 pi on -0.368 + 0.916i
 _BLOCK_ROWS = 16
 # the lattice coordinates (m, n) of the periods 1 and tau, a row each
 _PERIOD_M, _PERIOD_N = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
@@ -160,48 +158,40 @@ def _u_from_logs(c1: float, lam: float, log_abs_fp, log_abs_f) -> np.ndarray:
             - 2.0 * np.logaddexp(0.0, 2.0 * lam + 2.0 * np.asarray(log_abs_f)))
 
 
-def _rows(flat, offsets):
-    """flat, and with offsets flat + offsets[j - 1] as rows (theta._eval)."""
-    return flat if offsets is None else np.concatenate([flat[None], flat + offsets[:, None]])
+def _rows(flat, stencil):
+    """flat, and with a stencil flat + stencil[j - 1] as rows (theta._eval's offsets)."""
+    return flat if stencil is None else np.concatenate([flat[None], flat + stencil[:, None]])
 
 
 def _evaluator(core, special, tau):
     """u(z), z scalar or array, from one core call (u by the formulas at a
     flat array).  special(flat) gives the mask where the formulas are not
     used as written, the points core evaluates for it, and the rule that
-    turns core's values there into u on the mask.  With theta._eval's
-    offsets, u at z + offsets[j - 1] is row j of a leading axis, row 0
-    with the bits of a plain call; with periods, two rows more, u at z + 1
-    and z + tau, which core forms from the centre's Weierstrass values by
-    Legendre's law (weier.translate) and sums no series for.  A point with
-    a special point among its rows takes every row as a plain value: those
-    points join the same core call as centres, whose row 0 is read."""
-    def evaluator(z, offsets=None, periods=False):
+    turns core's values there into u on the mask.  With a stencil array
+    (theta._eval's offsets) it returns rows on a leading axis: u at z,
+    z + stencil[j - 1], z + 1 and z + tau (by Legendre's law), row 0 with
+    the bits of a plain call, and v (verify_solution) at z and
+    z + stencil[j - 1].  A point with a special point among its rows of u
+    takes every row of u as a plain value: those points join the same
+    core call as centres, whose row 0 is read; v needs no rule."""
+    def evaluator(z, stencil=None):
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        if offsets is not None:
-            offsets = np.asarray(offsets, dtype=complex)
-        pts = np.atleast_2d(_rows(flat, offsets))
-        if periods:
-            pts = np.concatenate([pts, [flat + 1.0, flat + tau]])
-        rows = offsets is not None or periods
-        alone = (special(pts.ravel())[0].reshape(pts.shape).any(axis=0) if rows
-                 else np.ones(flat.shape, dtype=bool))
+        pts = flat[None] if stencil is None else np.concatenate(
+            [_rows(flat, stencil), [flat + 1.0, flat + tau]])
+        alone = special(pts.ravel())[0].reshape(pts.shape).any(axis=0)
         lone = pts[:, alone].ravel()
         hit, extra, rule = special(lone)
-        centres = np.concatenate([pts[0, ~alone], lone[~hit], extra])
-        vals = (np.atleast_2d(core(centres, offsets, periods)) if centres.size
-                else np.empty((pts.shape[0], 0)))
-        n, m = np.count_nonzero(~alone), centres.size - extra.size
-        u = np.empty(pts.shape)
-        u[:, ~alone] = vals[:, :n]
-        plain = np.empty(lone.shape)
-        plain[~hit] = vals[0, n:m]
+        centres = np.concatenate([flat, lone, extra])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals, v = core(centres, stencil)
+        n, m = flat.size, centres.size - extra.size
+        u, plain = vals[:, :n], vals[0, n:m]
         plain[hit] = rule(vals[0, m:])
         u[:, alone] = plain.reshape(pts.shape[0], -1)
-        if rows:
-            return u.reshape(pts.shape[:1] + z.shape)
-        return float(u[0, 0]) if z.ndim == 0 else u[0].reshape(z.shape)
+        if stencil is None:
+            return float(u[0, 0]) if z.ndim == 0 else u[0].reshape(z.shape)
+        return u.reshape(pts.shape[:1] + z.shape), v[:, :n].reshape(v.shape[:1] + z.shape)
 
     return evaluator
 
@@ -211,10 +201,10 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
 
     c1 = log(8 / rho) = -log(pi).  u blows up like 4 log|z| at the source
     and, as lam grows, concentrates its mass near z0 while staying exactly
-    doubly periodic for every lam.  A non-finite lam is InvalidInput.
+    doubly periodic for every lam.  InvalidInput unless 2 lam is finite.
     """
-    if not math.isfinite(lam):
-        raise InvalidInput(f"lambda {lam} is not finite")
+    if not math.isfinite(2.0 * lam):
+        raise InvalidInput(f"lambda {lam} does not have a finite 2 lambda")
     dm = developing_map_8pi(torus)
     c1 = math.log(8.0 / RHO_8PI)
     z0 = dm.z0
@@ -227,6 +217,8 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
     # makes u_lam(-z) = u_-lam(z), so u(-z0) = u(z0) - 4 lam
     u_branch = (c1 + 2.0 * lam
                 + 2.0 * (2.0 * (dm.zeta_z0 * z0).real - dm.log_abs_sigma_2z0))
+    # v's linear term (verify_solution): 2 Re(zeta(z0) z) less the eta1 terms
+    c_v = 2.0 * (dm.zeta_z0 - weier.invariants(dm.torus).eta1 * z0)
 
     def u_at(zs, minus, plus, at_z):
         # u from log|sigma| at z0 - z, z0 + z and z
@@ -234,23 +226,23 @@ def solution_8pi(torus: Torus, lam: float = 0.0) -> MfeSolution:
         la_gamma = la_gamma0 + 2.0 * at_z - minus - plus
         return _u_from_logs(c1, lam, la_gamma + la_f, la_f)
 
-    def core(flat, offsets=None, periods=False):
+    def core(flat, stencil=None):
         # one Weierstrass pass over sigma(z0 - z), sigma(z0 + z) and sigma(z);
         # on rows (d, -d, ...), sigma(z0 - z) at z + d is the row of -d
         n = flat.size
         w = np.concatenate([z0 - flat, z0 + flat, flat])
-        lm = weier.evaluate(w, dm.torus, theta.LOG_MAG, offsets).sigma.log_mag
-        swap = None if offsets is None else np.r_[0, 1 + (np.arange(offsets.size) ^ 1)]
-        minus = lm[..., :n] if swap is None else lm[swap, :n]
-        u = u_at(_rows(flat, offsets), minus, lm[..., n:2 * n], lm[..., 2 * n:])
-        if not periods:
-            return u
+        ev = weier.evaluate(w, dm.torus, theta.LOG_MAG, stencil)
+        lm, lt, zs = ev.sigma.log_mag, ev.log_abs_theta1, _rows(flat, stencil)
+        if stencil is None:
+            return u_at(zs, lm[:n], lm[n:2 * n], lm[2 * n:])[None], None
+        swap, d = np.r_[0, 1 + (np.arange(stencil.size) ^ 1)], (c_v * zs).real
+        u = u_at(zs, lm[swap, :n], lm[:, n:2 * n], lm[:, 2 * n:])
         # at z + lam, sigma(z0 - z) moves by -lam and the other two by lam
-        lm0 = np.atleast_2d(lm)[0]
-        moved = (weier.translate(lm0[k], None, w[k], sign * _PERIOD_M, sign * _PERIOD_N,
+        moved = (weier.translate(lm[0, k], None, w[k], sign * _PERIOD_M, sign * _PERIOD_N,
                                  dm.torus)[0]
                  for k, sign in ((np.s_[:n], -1.0), (np.s_[n:2 * n], 1.0), (np.s_[2 * n:], 1.0)))
-        return np.concatenate([np.atleast_2d(u), u_at(np.array([flat + 1.0, flat + tau]), *moved)])
+        return (np.concatenate([u, u_at(np.array([flat + 1.0, flat + tau]), *moved)]),
+                -2.0 * np.logaddexp(2.0 * lt[:, n:2 * n] - d, 2.0 * (lam + lt[swap, :n]) + d))
 
     def special(flat):
         at_zero, at_pole = (near_lattice(flat - w, tau, 1e-9) for w in (z0, -z0))
@@ -324,35 +316,35 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     inv_d = weier.invariants(doubled)
     kappa = inv_d.eta1 + 0.5 * inv_d.eta2
 
-    def parts(z, reads=theta.ALL, offsets=None, periods=False):
-        """(log|f|, arg f) before the f0 normalization, and g, at a flat
-        array z (on the rows of offsets, and at z + 1 and z + tau with
-        periods) from one Weierstrass pass over z - bp and z - a; arg f is
-        None unless the pass reads ALL."""
+    def parts(z, reads=theta.ALL, stencil=None):
+        """(log|f|, arg f) before the f0 normalization, g, and log|theta1| of
+        the two sets, at a flat array z (with a stencil, on its rows, and
+        log|f| and g at z + 1 and z + tau too) from one Weierstrass pass
+        over z - bp and z - a; arg f is None unless the pass reads ALL."""
         n = z.size
         w = np.concatenate([z - bp, z - a])
-        ev = weier.evaluate(w, doubled, reads, offsets)
+        ev = weier.evaluate(w, doubled, reads, stencil)
         lm, ar, zt = ev.sigma.log_mag, ev.sigma.arg, ev.zeta
-        log_mag = (kappa * _rows(z, offsets)).real + lm[..., :n] - lm[..., n:]
+        log_mag = (kappa * _rows(z, stencil)).real + lm[..., :n] - lm[..., n:]
         arg = None if ar is None else (kappa * z).imag + ar[:n] - ar[n:]
         g = -zt[..., n:] + zt[..., :n] + kappa
-        if periods:
+        if stencil is not None:
             # z + 1 moves both sets by 1 on the doubled lattice; z + tau takes
             # z - bp to (z - a) - 1 and z - a to (z - bp) + 1 + 2 tau
-            sets = [np.atleast_2d(x)[0].reshape(2, n) for x in (lm, zt, w)]
+            sets = [x[0].reshape(2, n) for x in (lm, zt)] + [w.reshape(2, n)]
             (lm_b, zt_b), (lm_a, zt_a) = (
                 weier.translate(*sets, _PERIOD_M - _PERIOD_N, 0.0, doubled),
                 weier.translate(*(x[::-1] for x in sets), 1.0, _PERIOD_N, doubled))
-            log_mag = np.concatenate([np.atleast_2d(log_mag), (
+            log_mag = np.concatenate([log_mag, (
                 kappa * np.array([z + 1.0, z + tau])).real + lm_b - lm_a])
-            g = np.concatenate([np.atleast_2d(g), -zt_a + zt_b + kappa])
-        return log_mag, arg, g
+            g = np.concatenate([g, -zt_a + zt_b + kappa])
+        return log_mag, arg, g, ev.log_abs_theta1
 
     # Im tau >= sqrt(3) / 2 keeps the semicircle 0.6 from the pole at 1/2 + tau
     nodes, integral = _period_path(0.25)
     probe = 0.231 + 0.413 * tau
     probe2 = -0.127 + 0.291 * tau
-    lm, ar, g = parts(np.concatenate(
+    lm, ar, g, _ = parts(np.concatenate(
         [[probe, probe + tau, probe2, probe2 + tau, probe + 1.0], nodes]))
     period_integral = integral(g[5:])
     dev = min(abs(period_integral - 1j * math.pi), abs(period_integral + 1j * math.pi))
@@ -381,12 +373,18 @@ def solution_4pi(torus: Torus) -> tuple[MfeSolution, FourPiDiagnostics]:
     c1 = math.log(8.0 / RHO_4PI)
     pole_classes = (a, bp)
 
-    def core(flat, offsets=None, periods=False):
-        la_f, _, gv = parts(flat, theta.LOG_MAG_L1, offsets, periods)
+    # v's linear term (verify_solution): Re(kappa z) + log f0 and the eta1 terms
+    c_v = inv_d.eta1 * (a - bp) + kappa
+    d_v = log_f0 - 0.5 * (inv_d.eta1 * (a - bp) * (a + bp)).real
+
+    def core(flat, stencil=None):
+        la_f, _, gv, lt = parts(flat, theta.LOG_MAG_L1, stencil)
         la_f = la_f + log_f0
-        with np.errstate(divide="ignore"):
-            la_fp = np.log(np.abs(gv)) + la_f
-        return _u_from_logs(c1, 0.0, la_fp, la_f)
+        u = _u_from_logs(c1, 0.0, np.log(np.abs(gv)) + la_f, la_f)
+        if stencil is None:
+            return u[None], None
+        d, n = (c_v * _rows(flat, stencil)).real + d_v, flat.size
+        return u, -2.0 * np.logaddexp(2.0 * lt[:, n:] - d, 2.0 * lt[:, :n] + d)
 
     def special(flat):
         # exact hits on the pole and zero classes of f (both lie over the
@@ -435,11 +433,16 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     the reduced torus, so that no field of the report depends on the frame.
 
     The PDE residual is evaluated in compensated form: the stencil is
-    applied to w = u + rho G_rel, whose Laplacian away from the lattice
-    is exactly rho/area - rho e^u, so the truncation error involves the
-    fourth derivatives of the smooth field w instead of those of the
-    singular u.  The literal stencil on u is reported alongside; inside
-    a few h of the exclusion disks it is dominated by the log singularity.
+    applied to v = -2 log(|D|^2 + e^(2 lam) |N|^2), f = N / D: u + rho G_rel
+    less rho y^2 / 2b and a harmonic quadratic, as the log|theta1(z)| in
+    u's log|f'/f| cancels that of rho G.  So v is smooth, with Laplacian
+    -rho e^u, and the truncation error involves its fourth derivatives
+    instead of those of the singular u.  log|N| and log|D| are the u
+    pass's log|theta1| rows at the zero and pole sets of f, plus and minus
+    half a real linear term; log|sigma| rows would add Re(eta1 w^2 / 2),
+    about 240 at 0.5 + 8i, and round v past the residual there.  The
+    literal stencil on u is reported alongside; inside a few h of the
+    exclusion disks it is dominated by the log singularity.
 
     Periodicity deviations are honest measurements: the evaluators never
     wrap, so u(z + 1) - u(z) and u(z + tau) - u(z) probe the multiplier
@@ -456,9 +459,7 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
         raise InvalidInput(f"grid_n {grid_n} below 32")
     if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
         raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
-    torus = sol.torus.reduced
-    tau = torus.tau
-    area = torus.area
+    tau = sol.torus.tau_r
     rho = sol.rho
     u = sol.reduced_evaluator
     h = 1.0 / (64.0 * grid_n)
@@ -469,20 +470,19 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     for r0 in range(0, grid_n, _BLOCK_ROWS):
         grid = (gg + gg[r0:r0 + _BLOCK_ROWS, None] * tau).ravel()
         keep = lattice_gap(grid, tau) > excl_radius
-        rows = u(grid, stencil, periods=True)
+        rows, v = u(grid, stencil)
         mass.append(np.exp(rows[0]))
         if np.any(keep):
             us = rows[:5, keep]
-            w = us + rho * green.green_rel(grid[keep], torus, stencil)
-            lap_w, lap_u = ((np.sum(x[1:], axis=0) - 4.0 * x[0]) / (h * h) for x in (w, us))
-            res.append(np.abs(lap_w - rho / area + rho * np.exp(us[0])))
-            lit.append(np.abs(lap_u + rho * np.exp(us[0])))
+            for out, x in ((res, v[:, keep]), (lit, us)):
+                out.append(np.abs((np.sum(x[1:], axis=0) - 4.0 * x[0]) / (h * h)
+                                  + rho * np.exp(us[0])))
             per.append(np.abs(rows[5:, keep] - us[0]))
     if not res:
         raise InvalidInput(f"excl_radius {excl_radius} leaves no grid point to check")
     res = np.concatenate(res)
     per = np.concatenate(per, axis=1)
-    cell = area / (grid_n * grid_n)
+    cell = tau.imag / (grid_n * grid_n)
     return ResidualReport(
         max_residual=float(np.max(res)),
         mean_residual=float(np.sum(res)) / res.size,

@@ -35,8 +35,8 @@ One kernel, _eval, returns log|theta1|, arg theta1 and the logarithmic z
 derivatives L1, L2, L3 from one series pass; theta1, the Weierstrass
 layer and the Green function (green.evaluate, green.residual_and_jacobian)
 all read from it.  A caller that reads less says so (reads: LOG_MAG for
-log|theta1| alone, as green_rel and the 8 pi solution's u do, LOG_MAG_L1
-for it and L1, as the 4 pi u does), and the pass sums only the moments
+log|theta1| alone, as green_rel and mfe's 8 pi u and v do, LOG_MAG_L1
+for it and L1, as the 4 pi ones do), and the pass sums only the moments
 those need and gets their bits of a full pass.  It always sums a flat
 array, so a point gives the same bits alone as inside a batch, and sums
 it in runs of at most _RUN points, each finished into its outputs before

@@ -122,14 +122,15 @@ def invariants(torus: Torus) -> EllipticInvariants:
 
 @dataclass(frozen=True)
 class WeierEval:
-    """sigma (log form), zeta, p and p' at z; scalars for one point,
-    arrays shaped like z for a batch.  A pass that reads less leaves the
-    rest None (evaluate)."""
+    """sigma (log form), zeta, p and p' at z, and the log|theta1| they come
+    from; scalars for one point, arrays shaped like z for a batch.  A pass
+    that reads less leaves the rest None (evaluate)."""
 
     sigma: LogComplex
     zeta: complex | None
     p: complex | None
     p_prime: complex | None
+    log_abs_theta1: float
 
 
 def evaluate(z, torus: Torus, reads: int = ALL, offsets=None) -> WeierEval:
@@ -175,6 +176,7 @@ def evaluate(z, torus: Torus, reads: int = ALL, offsets=None) -> WeierEval:
         zeta=None if L1 is None else out((L1 + eta1_r * w) * k1),
         p=None if L2 is None else out((-L2 - eta1_r) * (k1 * k1)),
         p_prime=None if L3 is None else out(-L3 * (k1 * k1 * k1)),
+        log_abs_theta1=out(lm),
     )
 
 

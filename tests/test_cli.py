@@ -329,6 +329,13 @@ def test_domain_error_exit(capsys):
      "--lambda=nan"),
     ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
      "--lambda=inf"),
+    # 2 lambda overflows, and the residuals read NaN
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
+     "--lambda=1e308"),
+    ("mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i", "--grid=32x32",
+     "--lambda=-1e308"),
+    # the 4pi solution is unique: a lambda there was echoed and ignored
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32", "--lambda=2"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x32", "--exclusion-radius=5"),
     ("mfe", "--rho=4pi", "--tau=i", "--grid=32x64"),
     ("critical", "--tau=i", "--tol=1e-3"),

@@ -195,15 +195,28 @@ def test_rho_8pi_passes_its_check_toward_the_rhombic_cusp(b):
     assert rep.periodicity_1 <= 1e-9 and rep.periodicity_tau <= 1e-9
 
 
+@pytest.mark.parametrize("rho,bound", [("4pi", 1e-5), ("8pi", 2e-5)])
+def test_the_check_reads_its_residual_toward_the_rhombic_cusp(rho, bound):
+    # v from log|theta1| rows carries no term of the size of eta1 z^2 / 2;
+    # u + rho G read 4.69e-5 (4 pi) and 4.30e-5 (8 pi) at 128^2, where this
+    # reads 3.87e-6 and 8.82e-6
+    rep = mfe.verify_solution(_solution(rho, 0.5 + 10j), 128)
+    assert rep.max_residual <= bound
+
+
 def test_verification_detects_corrupted_solution(hex_solution):
     # the stand-in shifts u by 0.01 on every route, its stencil and period
-    # rows too
+    # rows too, and leaves the rows of v as they are
     sol = hex_solution
-    bad = mfe.MfeSolution(
-        rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam, c1=sol.c1,
-        reduced_evaluator=lambda z, offsets=None, periods=False:
-            sol.reduced_evaluator(z, offsets, periods) + 0.01,
-    )
+
+    def shifted(z, stencil=None):
+        if stencil is None:
+            return sol.reduced_evaluator(z) + 0.01
+        rows, v = sol.reduced_evaluator(z, stencil)
+        return rows + 0.01, v
+
+    bad = mfe.MfeSolution(rho=sol.rho, torus=sol.torus, branch=sol.branch, lam=sol.lam,
+                          c1=sol.c1, reduced_evaluator=shifted)
     rep = mfe.verify_solution(bad, grid_n=32)
     assert rep.max_residual > 1e-3
 
@@ -300,7 +313,8 @@ def test_rho_4pi_contour_clears_the_pole_at_half_plus_tau(tau):
     assert abs(diag.c_prime + 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+# 2 lambda overflows at +-1e308, and u read NaN there
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_scaling_parameter_must_be_finite(lam):
     T = lattice.make_torus(HEX_TAU)
     with pytest.raises(InvalidInput):
@@ -357,14 +371,14 @@ def test_evaluator_gives_the_same_bits_inside_a_batch(rho, tau):
 
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("8pi", HEX_TAU)])
-def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
+def test_verification_costs_one_theta_pass_per_block(monkeypatch, rho, tau):
     # per block of 16 rows, one u call on every grid point with the
-    # stencil's neighbour rows and the period rows, and one green_rel call
-    # on the kept points with the neighbour rows (3 while the excluded
-    # points and the period shifts took a plain u call of their own; 2
-    # while u and green_rel each took the neighbours as points of their
-    # passes; 8 and 10 blocks of 4 rows before); 37 rows leave a last
-    # block of five
+    # stencil's neighbour rows and the period rows, whose log|theta1| rows
+    # give v as well (2 while a green_rel call on the kept points with the
+    # neighbour rows gave G; 3 while the excluded points and the period
+    # shifts took a plain u call of their own; 2 while u and green_rel each
+    # took the neighbours as points of their passes; 8 and 10 blocks of 4
+    # rows before); 37 rows leave a last block of five
     sol = _solution(rho, tau)
     passes = []
 
@@ -380,7 +394,7 @@ def test_verification_costs_two_theta_passes_per_block(monkeypatch, rho, tau):
     for grid_n, blocks in ((32, 2), (37, 3)):
         passes.clear()
         mfe.verify_solution(sol, grid_n=grid_n)
-        assert len(passes) == 2 * blocks
+        assert len(passes) == blocks
 
 
 # 0.5 + 0.3i and -0.31 + 0.42i lie outside the fundamental domain; only the
@@ -400,12 +414,19 @@ def _assert_report_matches(rep, ref, sol):
     sums u and G at every stencil point and u at both period shifts by a
     pass of its own.  The centres and the whole grid share their bits with
     it, so the count and the mass agree exactly.  The four neighbours of a
-    point come off the terms of its centre's pass instead, so w = u + rho G
-    there differs by rounding alone: with each value within 8 ulps of
-    max|w| on either route, a Laplacian (four neighbours over h^2), and so
-    each residual, moves by at most 4 * 2 * 8 eps max|w| / h^2.  The period
-    shifts come off the centre's sigma values by Legendre's law, so the
-    periodicity moves by rounding alone too (_period_row_bound)."""
+    point come off the terms of its centre's pass instead, so the literal
+    residual moves by rounding alone: with each value within 8 ulps of
+    max|w|, w = |u| + rho |G|, on either route, a Laplacian (four
+    neighbours over h^2) moves by at most 4 * 2 * 8 eps max|w| / h^2.  The
+    block walk's compensated field v is u + rho G less quadratics the
+    stencil annihilates, in closed form, so its residual differs from
+    u + rho G's by rounding alone as well: the same 64 eps max|w| / h^2
+    counts the centre's weight 4 with the neighbours' and 4 ulps of max|w|
+    a value on either route.  Over the block-walk tori, the 24 random ones,
+    0.5 + 3i and 0.5 + 8i, the largest gap is 0.44 of it, at 0.5 + 8i at
+    4 pi on 64^2, where the reference's sigma rows round the most.  The
+    period shifts come off the centre's sigma values by Legendre's law, so
+    the periodicity moves by rounding alone too (_period_row_bound)."""
     exact = ("n_points", "total_mass", "grid_n", "h", "excl_radius")
     assert [getattr(rep, k) for k in exact] == [getattr(ref, k) for k in exact]
     tau = sol.torus.tau_r
@@ -565,14 +586,65 @@ def test_u_stencil_rows_match_plain_calls(rho, tau):
         # z + h lies 4e-12 from the pole class of -1/2 on the doubled torus
         special = -0.5 - h + 4e-12
     z = np.concatenate([z, [special]])
-    rows = u(z, stencil)
-    assert rows.shape == (5,) + z.shape
+    rows, v = u(z, stencil)
+    assert rows.shape == (7,) + z.shape and v.shape == (5,) + z.shape
     np.testing.assert_array_equal(rows[0], u(z))
     for j, d in enumerate(stencil):
         plain = u(z + d)
         assert np.all(np.abs(rows[j + 1] - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain))), d
-    np.testing.assert_array_equal(rows[:, -1], [u(z[-1])] + [u(z[-1] + d) for d in stencil])
-    np.testing.assert_array_equal(u(z[:3].reshape(3, 1), stencil), rows[:, :3, None])
+    np.testing.assert_array_equal(rows[:5, -1], [u(z[-1])] + [u(z[-1] + d) for d in stencil])
+    both = u(z[:3].reshape(3, 1), stencil)
+    np.testing.assert_array_equal(both[0], rows[:, :3, None])
+    np.testing.assert_array_equal(both[1], v[:, :3, None])
+
+
+@pytest.mark.parametrize("rho,tau", [
+    ("4pi", 1j), ("4pi", -0.31 + 0.42j), ("4pi", 0.5 + 8j), ("8pi", HEX_TAU),
+    ("8pi", 0.5 + 0.3j), ("8pi", 0.5 + 8j),
+])
+def test_v_rows_are_u_plus_rho_g_less_its_quadratics(rho, tau):
+    # v = -2 log(|D|^2 + e^(2 lambda) |N|^2) is u + rho G_rel less
+    # rho y^2 / 2b and a harmonic quadratic, which the stencil annihilates
+    # (a constant at 8 pi, a constant and 2 pi y at 4 pi): a fit of 1, x,
+    # y, x^2 - y^2 and xy to v + rho y^2 / 2b - u - rho G takes it up to
+    # rounding, at every row of the stencil call
+    sol = _solution(rho, tau)
+    tau_r = sol.torus.tau_r
+    rng = np.random.default_rng(71)
+    z = rng.uniform(-0.45, 0.45, 300) + rng.uniform(-0.45, 0.45, 300) * tau_r
+    z = z[lattice.lattice_gap(z, tau_r) > 0.1]
+    h = 1.0 / 4096.0
+    stencil = np.array([h, -h, 1j * h, -1j * h])
+    rows, v = sol.reduced_evaluator(z, stencil)
+    zs = np.concatenate([z[None], z + stencil[:, None]])
+    g = sol.rho * green.green_rel(zs, sol.torus.reduced)
+    quad = sol.rho * zs.imag ** 2 / (2.0 * tau_r.imag)
+    diff = (v + quad - rows[:5] - g).ravel()
+    x, y = zs.real.ravel(), zs.imag.ravel()
+    basis = np.stack([np.ones(x.size), x, y, x * x - y * y, x * y], axis=1)
+    fit = basis @ np.linalg.lstsq(basis, diff, rcond=None)[0]
+    scale = np.max(np.abs(v) + quad + np.abs(rows[:5]) + np.abs(g))
+    assert np.max(np.abs(fit - diff)) <= 64.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("rho,lam", [("4pi", 0.0), ("8pi", 0.0), ("8pi", 1.5)])
+def test_v_rows_are_finite_at_the_special_points(rho, lam):
+    # |D|^2 + e^(2 lambda) |N|^2 has no zero: v needs no rule at the zero
+    # and pole of f (+-z0 at 8 pi, a = -1/2 and bp = 1/2 + tau on the
+    # doubled torus at 4 pi) or at the lattice, and is continuous there
+    T = lattice.make_torus(HEX_TAU)
+    sol = mfe.solution_4pi(T)[0] if rho == "4pi" else mfe.solution_8pi(T, lam)
+    if rho == "8pi":
+        z0 = mfe.developing_map_8pi(T).z0
+        special = np.array([z0, -z0, 0.0])
+    else:
+        special = np.array([-0.5, 0.5 + HEX_TAU, 0.0])
+    h = 1.0 / 4096.0
+    stencil = np.array([h, -h, 1j * h, -1j * h])
+    v = sol.reduced_evaluator(special, stencil)[1]
+    assert np.all(np.isfinite(v))
+    near = sol.reduced_evaluator(special + 1e-7, stencil)[1]
+    assert np.max(np.abs(v - near)) <= 1e-5
 
 
 # the hexagonal torus, one unreduced five-point torus, one unreduced
@@ -586,24 +658,21 @@ PERIOD_ROW_TORI = [("4pi", HEX_TAU), ("4pi", 0.5 + 0.3j), ("4pi", -0.31 + 0.42j)
 def test_u_period_rows_match_plain_calls(rho, tau):
     # the period rows sum no series at z + 1 and z + tau: they come off the
     # centre's sigma values (and zetas at 4 pi) by Legendre's law, within
-    # rounding of the plain calls there, and keep their bits beside the
-    # stencil's rows, which keep theirs
+    # rounding of the plain calls there, the last two rows of u of the
+    # stencil call
     sol = _solution(rho, tau)
     u, tau_r = sol.reduced_evaluator, sol.torus.tau_r
     rng = np.random.default_rng(67)
     z = rng.uniform(-0.5, 0.5, 80) + rng.uniform(-0.5, 0.5, 80) * tau_r
-    rows = u(z, periods=True)
-    assert rows.shape == (3,) + z.shape
-    np.testing.assert_array_equal(rows[0], u(z))
-    bound = _period_row_bound(sol)
-    for row, lam in zip(rows[1:], (1.0, tau_r)):
-        assert np.max(np.abs(row - u(z + lam))) <= bound, lam
     h = 1.0 / 4096.0
     stencil = np.array([h, -h, 1j * h, -1j * h])
-    both = u(z, stencil, periods=True)
-    np.testing.assert_array_equal(both[:5], u(z, stencil))
-    np.testing.assert_array_equal(both[5:], rows[1:])
-    np.testing.assert_array_equal(u(z[:3].reshape(3, 1), periods=True), rows[:, :3, None])
+    rows = u(z, stencil)[0]
+    assert rows.shape == (7,) + z.shape
+    np.testing.assert_array_equal(rows[0], u(z))
+    bound = _period_row_bound(sol)
+    for row, lam in zip(rows[5:], (1.0, tau_r)):
+        assert np.max(np.abs(row - u(z + lam))) <= bound, lam
+    np.testing.assert_array_equal(u(z[:3].reshape(3, 1), stencil)[0], rows[:, :3, None])
 
 
 @pytest.mark.parametrize("rho,tau", [("4pi", 1j), ("4pi", -0.31 + 0.42j), ("8pi", HEX_TAU),
@@ -622,11 +691,14 @@ def test_a_special_point_takes_the_plain_route_for_its_period_rows(rho, tau):
     else:
         special = [-0.5 - h + 4e-12, 0.5 + tau_r - 1.0 + 3e-12, 0.5 + 2e-12j]
     z = np.concatenate([[0.1 + 0.2j, -0.3 + 0.1 * tau_r], special])
-    rows = u(z, stencil, periods=True)
+    rows, v = u(z, stencil)
     for k in range(2, z.size):
         want = [u(z[k])] + [u(z[k] + d) for d in stencil] + [u(z[k] + 1.0), u(z[k] + tau_r)]
         np.testing.assert_array_equal(rows[:, k], want)
-    assert np.all(np.isfinite(rows[:, :2]))
+        # v needs no rule: its rows are the pass's rows, as at any point
+        plain = np.array([u(z[k] + d, stencil)[1][0] for d in (0.0, *stencil)])
+        assert np.all(np.abs(v[:, k] - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain)))
+    assert np.all(np.isfinite(rows[:, :2])) and np.all(np.isfinite(v))
 
 
 def test_periodicity_sees_a_broken_multiplier(monkeypatch):

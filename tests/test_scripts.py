@@ -108,24 +108,28 @@ def test_pass_counts_prints_one_row_per_call():
     # the 4 pi construction (1 pass: its period path and probes together,
     # after the doubled torus's null sum; 5 while the path's three segments,
     # the probes and the invariants each had a pass) and verify_solution's 32
-    # rows in 2 blocks of 2 calls: u on every grid point with the stencil's
+    # rows in 2 blocks of 1 call: u on every grid point with the stencil's
     # neighbour rows (the period shifts come off the centres' sigma and zeta
-    # values by Legendre's law, no series point), and green_rel on the kept
-    # points with the neighbour rows.  The neighbours are weighted sums over
-    # their centres' terms, 4 rows a point, no series points of their own
-    # (7 passes over 7438 points while the excluded points and the period
-    # shifts had a plain u call a block; 5 passes over 19582 points while
-    # the neighbours were points; 70 passes by rows, 17 in blocks of 4 rows)
-    assert rows[9] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 5 | 3390 + 12240 | 1 | 1 |"
+    # values by Legendre's law, no series point), whose log|theta1| rows give
+    # the compensated field v in closed form.  The neighbours are weighted
+    # sums over their centres' terms, 4 rows a point, no series points of
+    # their own (5 passes over 3390 points while a green_rel call on the
+    # kept points with the neighbour rows gave G; 7 passes over 7438 points
+    # while the excluded points and the period shifts had a plain u call a
+    # block; 5 passes over 19582 points while the neighbours were points; 70
+    # passes by rows, 17 in blocks of 4 rows)
+    assert rows[9] == "| `mfe --rho=4pi --tau=i --grid=32x32` | 0 | 3 | 2378 + 8192 | 1 | 1 |"
     # a torus outside the fundamental domain, built and checked on its
-    # reduced torus: the same construction pass and 4 blocks of 2 at 64^2
-    # (13 passes over 28902 points while the period shifts were points of a
+    # reduced torus: the same construction pass and 4 blocks of 1 at 64^2
+    # (9 passes over 12598 points while green_rel gave G; 13 passes over
+    # 28902 points while the period shifts were points of a
     # pass; 9 passes over 77814 points while the neighbours were points; 76797
     # points on the given cell, whose exclusion disks cut more; 33 passes
     # in blocks of 4 rows)
-    assert rows[10] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 9 | 12598 + 49072 | 1 | 1 |"
-    # the critical set's 5 passes, one at z0 and 2 z0 and 2 blocks of 2
-    # (12 passes over 10180 points while the period shifts were points of a
+    assert rows[10] == "| `mfe --rho=4pi --tau=-0.31+0.42i` | 0 | 5 | 8522 + 32768 | 1 | 1 |"
+    # the critical set's 5 passes, one at z0 and 2 z0 and 2 blocks of 1
+    # (10 passes over 4096 points while green_rel gave G; 12 passes over
+    # 10180 points while the period shifts were points of a
     # pass; 10 passes over 26404 points while the neighbours were points; 29
     # while the map took z0 as an argument, checked its residual, polished
     # it by Newton and summed sigma(2 z0) alone; 25 in blocks of 4 rows; 13
@@ -134,7 +138,7 @@ def test_pass_counts_prints_one_row_per_call():
     # are the critical set's null sum (2 sums while the half-period rows
     # summed their own)
     assert rows[11] == ("| `mfe --rho=8pi --tau=0.5+0.8660254037844386i --grid=32x32` "
-                       "| 0 | 10 | 4096 + 16344 | 1 | 1 |")
+                       "| 0 | 8 | 3082 + 12288 | 1 | 1 |")
     # Newton from b = 1/2 to both thresholds, one null sum a step and no
     # pass (107 passes by bracket and bisection, then one pass a step); one
     # null sum at b = 0.7 and one at b = 1/2 for the functional equation
