@@ -13,11 +13,13 @@ the time spent in its functions less that of the stages they call:
 - Newton: critical.damped_newton, every residual pass of the seeds;
 - final pass: green.residual_and_jacobian outside Newton, the one pass
   over the half periods and z0 of every set;
-- finishing: critical._solve and its readers (moduli.scan builds its
-  cells, critical.find_critical_sets its CriticalSets): routes, seeds,
-  the carry back, the Morse labels and the checks;
+- finishing: critical._solve and its readers (moduli.scan reads its
+  columns off the sets, critical.find_critical_sets builds its
+  CriticalSets): routes, seeds, the carry back, the Morse labels and the
+  checks;
 - flip edges: moduli.flip_edges, its own null sum included;
-- JSON: cli.canonical_json;
+- JSON: cli.canonical_json, and cli._scan_rows, which writes a scan's
+  cell and edge rows;
 - rest: the remainder of cli.run (argument parsing, the tori of the
   scan's grid, the half-period ranking of `critical`).
 
@@ -63,6 +65,7 @@ WRAPPED = (
     (moduli, "make_torus", "rest"),
     (moduli, "flip_edges", "flip edges"),
     (cli, "canonical_json", "JSON"),
+    (cli, "_scan_rows", "JSON"),
     (cli, "run", "rest"),
 )
 OPAQUE = {"Newton", "flip edges", "JSON"}

@@ -35,7 +35,7 @@ from .mfe import (
 )
 from .moduli import (
     InequalityReport,
-    ScanCell,
+    Scan,
     ThresholdReport,
     flip_edges,
     functional_equation_residual,
@@ -56,7 +56,7 @@ __all__ = [
     "MfeSolution",
     "Morse",
     "ResidualReport",
-    "ScanCell",
+    "Scan",
     "ThresholdReport",
     "Torus",
     "TorusGreenError",

@@ -98,6 +98,10 @@ def _fmt_float(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
+class _Encoded(str):
+    """Text that is already canonical JSON: _canonical appends it as it is."""
+
+
 def _dict(obj, out: list) -> None:
     out.append("{")
     for i, key in enumerate(sorted(obj)):
@@ -119,8 +123,8 @@ def _canonical(obj, out: list) -> None:
     """Append the parts of obj's canonical JSON to out.
 
     The common exact types of a report come first; int, bool and the
-    subclasses of the others (np.float64, ...) take the isinstance chain
-    below.
+    subclasses of the others (np.float64, _Encoded, ...) take the
+    isinstance chain below.
     """
     tp = type(obj)
     if tp is float:
@@ -143,6 +147,8 @@ def _canonical(obj, out: list) -> None:
         out.append(_fmt_float(obj))
     elif isinstance(obj, complex):
         _dict({"re": obj.real, "im": obj.imag}, out)
+    elif tp is _Encoded:
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
@@ -212,61 +218,60 @@ def _cmd_critical(args) -> tuple[dict, dict]:
     return results, diagnostics
 
 
+# a scan's cell and edge rows, their keys sorted; %.16e is _fmt_float of
+# a finite value: tau, and the extra point of a 5-cell
+_CELL_5 = '{"count":5,"error":null,"extra_s":%.16e,"extra_t":%.16e,"tau":{"im":%.16e,"re":%.16e}}'
+_CELL = '{"count":%d,"error":%s,"extra_s":null,"extra_t":null,"tau":{"im":%.16e,"re":%.16e}}'
+_EDGE = ('{"count_high":%d,"count_low":%d,"degenerate_half_period":%d,'
+         '"midpoint":{"im":%.16e,"re":%.16e},"min_abs_det":%s,'
+         '"tau_high":{"im":%.16e,"re":%.16e},"tau_low":{"im":%.16e,"re":%.16e}}')
+
+
+def _scan_rows(scan, edges) -> tuple[_Encoded, _Encoded]:
+    """A scan report's "cells" and "flip_edges", each as _Encoded text of one
+    % format a row: the bytes canonical_json writes for the rows as dicts."""
+    cells = [_CELL_5 % (s, t, im, re_) if count == 5 else
+             _CELL % (count, "null" if error is None else encode_basestring(error), im, re_)
+             for re_, im, count, t, s, error in zip(
+                 scan.tau.real.tolist(), scan.tau.imag.tolist(), scan.count.tolist(),
+                 scan.extra_t.tolist(), scan.extra_s.tolist(), scan.error)]
+    rows = [_EDGE % (e.count_high, e.count_low, e.degenerate_half_period, e.midpoint.imag,
+                     e.midpoint.real, _fmt_float(e.min_abs_det), e.tau_high.imag,
+                     e.tau_high.real, e.tau_low.imag, e.tau_low.real) for e in edges]
+    return _Encoded("[" + ",".join(cells) + "]"), _Encoded("[" + ",".join(rows) + "]")
+
+
 def _cmd_scan(args) -> tuple[dict, dict]:
     nx, ny = args.grid
-    cells = moduli.scan(args.region, nx, ny)
-    edges = moduli.flip_edges(cells, nx, ny)
+    scan = moduli.scan(args.region, nx, ny)
+    cells, edges = _scan_rows(scan, moduli.flip_edges(scan))
     results = {
         "region": list(args.region),
         "nx": nx,
         "ny": ny,
-        "cells": [
-            {
-                "tau": c.tau,
-                "count": c.count,
-                "extra_t": None if c.extra_point is None else c.extra_point.t,
-                "extra_s": None if c.extra_point is None else c.extra_point.s,
-                "error": c.error,
-            }
-            for c in cells
-        ],
-        "flip_edges": [
-            {
-                "tau_low": e.tau_low,
-                "tau_high": e.tau_high,
-                "midpoint": e.midpoint,
-                "count_low": e.count_low,
-                "count_high": e.count_high,
-                "degenerate_half_period": e.degenerate_half_period,
-                "min_abs_det": e.min_abs_det,
-            }
-            for e in edges
-        ],
+        "cells": cells,
+        "flip_edges": edges,
     }
-    routes = {"morse": 0, "seeds": 0}
     errors: dict[str, list[int]] = {}
-    for k, c in enumerate(cells):
-        if c.error is None:
-            routes[c.route] += 1
-        else:
-            errors.setdefault(c.error.partition(":")[0], []).append(k)
+    for k, error in enumerate(scan.error):
+        if error is not None:
+            errors.setdefault(error.partition(":")[0], []).append(k)
     diagnostics = {
         "error_cells": sum(len(v) for v in errors.values()),
         "error_cells_by_type": errors,
-        "counts_seen": sorted({c.count for c in cells if c.error is None}),
-        "routes": routes,
+        "counts_seen": sorted(set(scan.count.tolist()) - {0}),
+        "routes": {"morse": scan.route.count("morse"), "seeds": scan.route.count("seeds")},
     }
     return results, diagnostics
 
 
 def _scan_csv(args) -> str:
     nx, ny = args.grid
-    cells = moduli.scan(args.region, nx, ny)
-    lines = ["re_tau,im_tau,count,extra_t,extra_s"]
-    for c in cells:
-        et = "" if c.extra_point is None else f"{c.extra_point.t:.16e}"
-        es = "" if c.extra_point is None else f"{c.extra_point.s:.16e}"
-        lines.append(f"{c.tau.real:.16e},{c.tau.imag:.16e},{c.count},{et},{es}")
+    scan = moduli.scan(args.region, nx, ny)
+    lines = ["re_tau,im_tau,count,extra_t,extra_s"] + [
+        "%.16e,%.16e,%d,%.16e,%.16e" % row if row[2] == 5 else "%.16e,%.16e,%d,," % row[:3]
+        for row in zip(scan.tau.real.tolist(), scan.tau.imag.tolist(), scan.count.tolist(),
+                       scan.extra_t.tolist(), scan.extra_s.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -50,7 +50,7 @@ finished as arrays (_solve): the rows are carried back to their tori
 array, and the Morse labels and checks read from columns; only the
 messages of failing tori and z0's exact map on a torus with a matrix
 stay per torus.  find_critical_sets builds CriticalSets from the
-columns, and moduli.scan its cells.  A torus gets the same bits in a
+columns, and moduli.scan its columns.  A torus gets the same bits in a
 batch as alone: each point is summed at its own tau_r, a seed is formed
 from its torus's rows alone, and each Newton seed keeps its own count of
 steps.  find_critical_points is the batch of one torus.

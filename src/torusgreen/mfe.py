@@ -62,6 +62,11 @@ _LATTICE_HIT_TOL = 1e-11
 # output), and at 16 rows the fixed cost of a call is small; the peak at
 # 16 rows is 1.34 MB at 8 pi and 1.45 MB at 4 pi on -0.368 + 0.916i
 _BLOCK_ROWS = 16
+# |total_mass / rho - 1| allowed: 4 x K_1(x) at x = 2 pi, 0.0248, is the midpoint
+# rule's miss (k = 2 pi / H aliased onto 0 four times) on a bubble 8 d^2 / (d^2 +
+# |z|^2)^2, of mass transform k d K_1(k d), as wide as the grid step (d = H).
+# lambda = 0 reads at most 1.7e-3 (0.5 + 10i at 64^2); a missed bubble reads 1
+_MASS_TOL = 0.025
 # the lattice coordinates (m, n) of the periods 1 and tau, a row each
 _PERIOD_M, _PERIOD_N = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 
@@ -453,7 +458,8 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     it would from a pass at z + lam, and the two agree to rounding.
     Total mass integrates rho e^u over the full cell by the midpoint rule
     (the integrand vanishes polynomially at the source, so no exclusion
-    is needed) and should come out near rho.
+    is needed); off rho by more than _MASS_TOL of rho, the grid misses u's
+    bubble (a large lambda) and InvalidInput names lambda and the grid.
     """
     if grid_n < 32:
         raise InvalidInput(f"grid_n {grid_n} below 32")
@@ -483,13 +489,17 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     res = np.concatenate(res)
     per = np.concatenate(per, axis=1)
     cell = tau.imag / (grid_n * grid_n)
+    total_mass = rho * cell * float(np.sum(np.concatenate(mass)))
+    if not abs(total_mass / rho - 1.0) <= _MASS_TOL:
+        raise InvalidInput(f"total mass {total_mass:.6e} is off rho = {rho:.6e} by over {_MASS_TOL}"
+                           f" of it: the {grid_n}x{grid_n} grid misses u at lambda = {sol.lam!r}")
     return ResidualReport(
         max_residual=float(np.max(res)),
         mean_residual=float(np.sum(res)) / res.size,
         literal_max_residual=float(np.max(np.concatenate(lit))),
         periodicity_1=float(np.max(per[0])),
         periodicity_tau=float(np.max(per[1])),
-        total_mass=rho * cell * float(np.sum(np.concatenate(mass))),
+        total_mass=total_mass,
         grid_n=grid_n,
         h=h,
         excl_radius=excl_radius,

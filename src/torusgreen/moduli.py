@@ -11,8 +11,8 @@ minimum of the Green function and no extra pair exists.  The scan
 classifies a rectangle of moduli into three point and five point tori,
 with one batch solve of critical.find_critical_sets per chunk of
 SCAN_CHUNK cells, so each theta series pass serves a whole chunk, and
-reports the empirical boundary as the set of grid edges where the count
-flips.
+returns its cells as columns (Scan); flip_edges reports the empirical
+boundary, the grid edges where the count flips, by array comparisons.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import critical, green, theta, weier
 from .errors import InvalidInput, TorusGreenError, Unconverged
-from .lattice import LatticeCoords, make_torus
+from .lattice import make_torus
 
 SCAN_CHUNK = 1024      # cells per critical.find_critical_sets call of a scan
 # ulps of |A_k| that bound each A_k = e_k + eta1, and so the products of
@@ -49,18 +49,19 @@ class ThresholdReport:
 
 
 @dataclass(frozen=True)
-class ScanCell:
-    """One classified modulus and the critical point route that decided it.
+class Scan:
+    """An nx by ny scan's cells as columns, row major from the bottom row up:
+    count 0 (route None, error "ExceptionName: message"), 3 (route "morse")
+    or 5 (route "seeds", extra point at extra_t, extra_s; NaN elsewhere)."""
 
-    error holds "ExceptionName: message" if the cell could not be
-    classified, in which case count is 0 and route is None.
-    """
-
-    tau: complex
-    count: int
-    extra_point: LatticeCoords | None
-    route: str | None              # CriticalSet.route: "morse" or "seeds"
-    error: str | None = None
+    nx: int
+    ny: int
+    tau: np.ndarray                # complex
+    count: np.ndarray              # int
+    extra_t: np.ndarray
+    extra_s: np.ndarray
+    route: list[str | None]
+    error: list[str | None]
 
 
 @dataclass(frozen=True)
@@ -225,47 +226,59 @@ def functional_equation_residual(b: float) -> float:
     return abs(f_dual + 2.0 * b + 4.0 * b * b * f_b)
 
 
-def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> list[ScanCell]:
+def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> Scan:
     """Classify an nx by ny grid of cell center moduli inside region.
 
-    region is (re_min, im_min, re_max, im_max); cells are ordered row
+    region is (re_min, im_min, re_max, im_max); the Scan's columns run row
     major from the bottom row up, left to right, so output is byte stable
     across runs.  The cells go to the batch solve of
     critical.find_critical_sets (critical._solve) in chunks of
-    SCAN_CHUNK, so every theta pass serves a whole chunk, and each cell
-    is built from its count, route and z0's coordinates, with no
-    CriticalPoint, and records the route that decided it, with the same
-    result as a find_critical_points call of its own.  The solve answers
-    for every torus, so a package failure (TorusGreenError) lands in its
-    own cell and the scan goes on; any exception it raises is a bug and
-    propagates.
+    SCAN_CHUNK, so every theta pass serves a whole chunk, and each cell's
+    count, route and extra point are read off the solve's sets, with no
+    CriticalPoint, with the same result as a find_critical_points call of
+    its own.  The solve answers for every torus, so a package failure
+    (TorusGreenError) lands in its own cell and the scan goes on; any
+    exception it raises is a bug and propagates.
     """
     re0, im0, re1, im1 = region
     if not (all(map(math.isfinite, region)) and im0 > 0.0 and im1 > im0 and re1 > re0):
         raise InvalidInput(f"region {region} is not a rectangle in the upper half plane")
     if not (1 <= nx <= 512 and 1 <= ny <= 512):
         raise InvalidInput(f"grid {nx}x{ny} outside [1, 512]^2")
-    dx = (re1 - re0) / nx
-    dy = (im1 - im0) / ny
-    tori = [make_torus(complex(re0 + (i + 0.5) * dx, im0 + (j + 0.5) * dy))
-            for j in range(ny) for i in range(nx)]
-    cells = []
-    for lo in range(0, len(tori), SCAN_CHUNK):
-        chunk = tori[lo:lo + SCAN_CHUNK]
-        out, sets = critical._solve(chunk, critical.DEFAULT_TOL)
-        for torus, x in zip(chunk, out):
+    n = nx * ny
+    tau = np.empty(n, dtype=complex)
+    tau.real = np.tile(re0 + (np.arange(nx) + 0.5) * ((re1 - re0) / nx), ny)
+    tau.imag = np.repeat(im0 + (np.arange(ny) + 0.5) * ((im1 - im0) / ny), nx)
+    tori = [make_torus(t) for t in tau.tolist()]
+    count, extra_t, extra_s = [0] * n, [math.nan] * n, [math.nan] * n
+    route, error = [None] * n, [None] * n
+    for lo in range(0, n, SCAN_CHUNK):
+        out, sets = critical._solve(tori[lo:lo + SCAN_CHUNK], critical.DEFAULT_TOL)
+        for k, x in enumerate(out, lo):
             if isinstance(x, TorusGreenError):
-                cells.append(ScanCell(tau=torus.tau, count=0, extra_point=None, route=None,
-                                      error=f"{type(x).__name__}: {x}"))
+                error[k] = f"{type(x).__name__}: {x}"
             elif (e := sets.extra[x]) < 0:
-                cells.append(ScanCell(tau=torus.tau, count=3, extra_point=None, route="morse"))
+                count[k], route[k] = 3, "morse"
             else:
-                cells.append(ScanCell(tau=torus.tau, count=5, route="seeds",
-                                      extra_point=LatticeCoords(sets.t[e], sets.s[e])))
-    return cells
+                count[k], route[k], extra_t[k], extra_s[k] = 5, "seeds", sets.t[e], sets.s[e]
+    return Scan(nx=nx, ny=ny, tau=tau, count=np.array(count), extra_t=np.array(extra_t),
+                extra_s=np.array(extra_s), route=route, error=error)
 
 
-def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
+def _flip_pairs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) flat cells of each edge of an ny by nx count grid across
+    which 3 meets 5, row major by the low cell, right neighbour first:
+    counts are 0, 3 or 5, so only those multiply to 15, and edge[j, i]
+    holds the right and the upper edge of cell (i, j) in that order."""
+    ny, nx = count.shape
+    edge = np.zeros((ny, nx, 2), dtype=bool)
+    edge[:, :-1, 0] = count[:, :-1] * count[:, 1:] == 15
+    edge[:-1, :, 1] = count[:-1] * count[1:] == 15
+    low, upper = np.divmod(np.flatnonzero(edge), 2)
+    return low, low + np.where(upper, nx, 1)
+
+
+def flip_edges(scan: Scan) -> list[FlipEdge]:
     """Grid edges where the count flips between 3 and 5.
 
     For each edge the nearly degenerate half period is identified at the
@@ -274,24 +287,16 @@ def flip_edges(cells: list[ScanCell], nx: int, ny: int) -> list[FlipEdge]:
     The half periods of every midpoint are evaluated in one null sum and
     carried back as the critical sets are (critical._carried).
     """
-    pairs = []
-    for j in range(ny):
-        for i in range(nx):
-            a = cells[j * nx + i]
-            for (i2, j2) in ((i + 1, j), (i, j + 1)):
-                if i2 >= nx or j2 >= ny:
-                    continue
-                bcell = cells[j2 * nx + i2]
-                if a.count == 0 or bcell.count == 0 or a.count == bcell.count:
-                    continue
-                pairs.append((a, bcell))
-    if not pairs:
+    low, high = _flip_pairs(scan.count.reshape(scan.ny, scan.nx))
+    if not low.size:
         return []
-    tori = [make_torus(0.5 * (a.tau + bcell.tau)) for a, bcell in pairs]
+    tau_low, tau_high = scan.tau[low].tolist(), scan.tau[high].tolist()
+    tori = [make_torus(0.5 * (a + b)) for a, b in zip(tau_low, tau_high)]
     at = critical._half_period_index(tori, np.arange(len(tori)))
     cols = critical._columns(green.half_period_rows(tori)[0])[:, at]
     d = np.abs(critical._carried(tori, cols, at // 3)[4]).reshape(-1, 3)
-    return [FlipEdge(tau_low=a.tau, tau_high=bcell.tau, midpoint=torus.tau, count_low=a.count,
-                     count_high=bcell.count, degenerate_half_period=k + 1, min_abs_det=dk)
-            for (a, bcell), torus, k, dk in zip(pairs, tori, d.argmin(axis=1).tolist(),
-                                                 d.min(axis=1).tolist())]
+    return [FlipEdge(tau_low=a, tau_high=b, midpoint=torus.tau, count_low=ca, count_high=cb,
+                     degenerate_half_period=k + 1, min_abs_det=dk)
+            for a, b, torus, ca, cb, k, dk in zip(
+                tau_low, tau_high, tori, scan.count[low].tolist(), scan.count[high].tolist(),
+                d.argmin(axis=1).tolist(), d.min(axis=1).tolist())]

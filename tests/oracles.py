@@ -28,7 +28,10 @@ field; the Weierstrass invariants from a theta pass of their own at the
 reduced half periods, before the theta-null sum gave them; and, on the
 rhombic line, the two real theta series, the five point stencil of
 e1 + eta1 and the bracketed bisection for b0 and b1, the second route of
-moduli's closed form.  The oracles raise their own error types.
+moduli's closed form; and a scan report's rows as dicts, and its flip
+edges from a loop over the grid, which the CLI's row formats and
+moduli's array comparisons replaced.  The oracles raise their own error
+types.
 """
 
 from __future__ import annotations
@@ -1108,3 +1111,45 @@ def canonical_json_reference(obj) -> str:
     buf = io.StringIO()
     _canonical_reference(obj, buf)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# scan reports: a dict per cell and per flip edge, and the grid loop of
+# the flip edges
+
+
+def scan_rows_reference(scan, edges) -> tuple[list, list]:
+    """The "cells" and "flip_edges" lists of a scan report as one dict a
+    row, built from the Scan's columns, for canonical JSON to write: the
+    CLI's builder while the cells were objects."""
+    cells = [{"tau": tau, "count": count,
+              "extra_t": None if math.isnan(t) else t,
+              "extra_s": None if math.isnan(s) else s,
+              "error": error}
+             for tau, count, t, s, error in zip(scan.tau.tolist(), scan.count.tolist(),
+                                                scan.extra_t.tolist(), scan.extra_s.tolist(),
+                                                scan.error)]
+    rows = [{"tau_low": e.tau_low, "tau_high": e.tau_high, "midpoint": e.midpoint,
+             "count_low": e.count_low, "count_high": e.count_high,
+             "degenerate_half_period": e.degenerate_half_period,
+             "min_abs_det": e.min_abs_det}
+            for e in edges]
+    return cells, rows
+
+
+def flip_pairs_reference(count, nx: int, ny: int) -> list[tuple[int, int]]:
+    """The (low, high) cells of each grid edge whose counts differ, neither
+    0, of a row major grid: the scan's loop over the cells, each with its
+    right neighbour and then its upper one."""
+    pairs = []
+    for j in range(ny):
+        for i in range(nx):
+            a = count[j * nx + i]
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if i2 >= nx or j2 >= ny:
+                    continue
+                b = count[j2 * nx + i2]
+                if a == 0 or b == 0 or a == b:
+                    continue
+                pairs.append((j * nx + i, j2 * nx + i2))
+    return pairs

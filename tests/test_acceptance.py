@@ -176,22 +176,22 @@ def test_criterion_07_moduli_scan():
     start = time.perf_counter()
     region = (0.0, 0.1, 0.5, 2.0)
     nx = ny = 40
-    cells = moduli.scan(region, nx, ny)
-    edges = moduli.flip_edges(cells, nx, ny)
+    scan = moduli.scan(region, nx, ny)
+    edges = moduli.flip_edges(scan)
     elapsed = time.perf_counter() - start
-    counts = {c.count for c in cells}
+    counts = set(scan.count.tolist())
     all_ok = counts <= {3, 5}
 
     dx = 0.5 / nx
     dy = 1.9 / ny
 
-    def cell_of(tau):
+    def count_of(tau):
         i = min(nx - 1, int((tau.real - 0.0) / dx))
         j = min(ny - 1, int((tau.imag - 0.1) / dy))
-        return cells[j * nx + i]
+        return scan.count[j * nx + i]
 
-    hex_cell = cell_of(complex(0.5, math.sqrt(3) / 2))
-    mid_cell = cell_of(0.5 + 0.5j)
+    hex_count = count_of(complex(0.5, math.sqrt(3) / 2))
+    mid_count = count_of(0.5 + 0.5j)
     thr = moduli.thresholds()
     # flips on the rightmost column, compared with the threshold heights
     right = [e for e in edges
@@ -199,12 +199,12 @@ def test_criterion_07_moduli_scan():
              and abs(e.tau_low.real - e.tau_high.real) < 1e-12]
     near_b0 = any(abs(e.midpoint.imag - thr.b0) <= dy for e in right)
     near_b1 = any(abs(e.midpoint.imag - thr.b1) <= dy for e in right)
-    ok = (all_ok and hex_cell.count == 5 and mid_cell.count == 3
+    ok = (all_ok and hex_count == 5 and mid_count == 3
           and near_b0 and near_b1 and elapsed < 120.0)
     assert _line(7, ok,
                  f"1600 cells in {elapsed:.1f}s on one core (budget 120s), "
                  f"counts seen {sorted(counts)}, hex cell count "
-                 f"{hex_cell.count}, (1+i)/2 cell count {mid_cell.count}, "
+                 f"{hex_count}, (1+i)/2 cell count {mid_count}, "
                  f"rhombic flips within one cell of b0/b1: {near_b0}/{near_b1}")
 
 

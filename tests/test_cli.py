@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torusgreen import cli, critical, lattice
+from torusgreen import cli, critical, lattice, moduli
 from torusgreen.errors import CountViolation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +126,64 @@ def test_canonical_json_rejects_what_the_reference_rejects(bad):
     for serialize in (cli.canonical_json, oracles.canonical_json_reference):
         with pytest.raises(TypeError, match="cannot serialize"):
             serialize(bad)
+
+
+_ERROR_TEXTS = ['InvalidInput: a "quoted" path\\to\\it',
+                "Unconverged: \u00e9t\u00e9 \u7aef \U0001f600",
+                "CountViolation: tab\tnewline\ncontrol\x01\x1f del\x7f", "Unconverged: "]
+
+
+def _synthetic_scan(nx: int, ny: int, seed: int):
+    """A Scan of random columns: counts 0, 3 and 5, taus of every size,
+    extra points with -0.0 and subnormals, and the error texts above."""
+    rng = np.random.default_rng(seed)
+    n = nx * ny
+    count = rng.choice([0, 3, 5], size=n)
+    tau = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+           + 1j * 10.0 ** rng.uniform(-300, 300, n))
+    extra = rng.choice([-0.0, 0.0, 5e-324, -0.5, 1 / 3, 0.49999999999999994], size=(2, n))
+    extra[:, count != 5] = math.nan
+    errors = iter(_ERROR_TEXTS * n)
+    return moduli.Scan(nx=nx, ny=ny, tau=tau, count=count, extra_t=extra[0], extra_s=extra[1],
+                       route=[{0: None, 3: "morse", 5: "seeds"}[c] for c in count.tolist()],
+                       error=[next(errors) if c == 0 else None for c in count.tolist()])
+
+
+def _assert_rows_match_the_reference(scan, edges):
+    cells, rows = cli._scan_rows(scan, edges)
+    ref_cells, ref_rows = oracles.scan_rows_reference(scan, edges)
+    assert cells == cli.canonical_json(ref_cells)
+    assert rows == cli.canonical_json(ref_rows)
+    # canonical_json writes the encoded rows as they are, inside a report
+    report = {"results": {"cells": cells, "flip_edges": rows, "nx": scan.nx}}
+    ref = {"results": {"cells": ref_cells, "flip_edges": ref_rows, "nx": scan.nx}}
+    assert cli.canonical_json(report) == oracles.canonical_json_reference(ref)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (8, 8)])
+def test_scan_rows_are_the_canonical_json_of_the_dict_rows(nx, ny):
+    scan = _synthetic_scan(nx, ny, seed=100 * nx + ny)
+    dets = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 2.5]
+    edges = [moduli.FlipEdge(tau_low=complex(scan.tau[k]), tau_high=complex(scan.tau[-1 - k]),
+                             midpoint=complex(0.5 * (scan.tau[k] + scan.tau[-1 - k])),
+                             count_low=3 + 2 * (k % 2), count_high=5 - 2 * (k % 2),
+                             degenerate_half_period=1 + k % 3, min_abs_det=det)
+             for k, det in enumerate(dets[:scan.count.size])]
+    _assert_rows_match_the_reference(scan, edges)
+    # a scan with no flip edge writes an empty list
+    _assert_rows_match_the_reference(scan, [])
+    assert cli._scan_rows(scan, [])[1] == "[]"
+
+
+def test_scan_rows_of_workload_scans_match_the_dict_rows():
+    # 8x8 scans of criterion 7's rectangle, shifted by under half a cell
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        ox, oy = rng.uniform(-0.4, 0.4, 2) * (0.5 / 8, 1.9 / 8)
+        scan = moduli.scan((ox, 0.1 + oy, 0.5 + ox, 2.0 + oy), 8, 8)
+        edges = moduli.flip_edges(scan)
+        assert edges and set(scan.count.tolist()) == {3, 5}
+        _assert_rows_match_the_reference(scan, edges)
 
 
 # -------------------------------------------------------------- subcommands
@@ -355,6 +413,19 @@ def test_out_of_range_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "domain error (InvalidInput)" in err
+
+
+@pytest.mark.parametrize("lam", ["50", "1e300"])
+def test_a_bubble_between_grid_points_exits_2(capsys, lam):
+    # u_lambda's mass sits within about e^(-lambda) of z0, so e^u reads 0
+    # at every grid point and v is harmonic there: the check read
+    # max_residual 72 and total_mass 4.3e-39 at lambda = 50, and 0.0 and
+    # 0.0 at 1e300, and exited 0.  The mass must come out near rho
+    code, out, err = run_cli(capsys, "mfe", "--rho=8pi", "--tau=0.5+0.8660254037844386i",
+                             "--grid=32x32", f"--lambda={lam}")
+    assert (code, out) == (2, "")
+    assert "domain error (InvalidInput): total mass" in err
+    assert f"lambda = {float(lam)!r}" in err and "32x32 grid" in err
 
 
 @pytest.mark.parametrize("argv", [

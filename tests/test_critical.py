@@ -261,8 +261,8 @@ def _calibration_tori():
     cusp = [complex(re, b) for re in (0.0, 0.5)
             for b in (*np.linspace(0.02, 0.1, 5), *np.linspace(2.5, 6.0, 5))]
     farey = [1 / 3 + 0.003j, 0.25 + 0.004j, 0.4 + 0.002j]
-    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
-    edges = {tau for e in moduli.flip_edges(cells, 40, 40) for tau in (e.tau_low, e.tau_high)}
+    scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
+    edges = {tau for e in moduli.flip_edges(scan) for tau in (e.tau_low, e.tau_high)}
     # 120 digits absorb the cancellation of mp_hessian_det down to b = 0.002;
     # 200 give the same errors
     return [(tau, 120) for tau in cusp + farey] + [(tau, 40) for tau in sorted(
@@ -470,7 +470,7 @@ def test_every_newton_root_meets_the_polish_target(hex_torus, monkeypatch):
     # of 200 random tori, of the hexagonal torus and of five-point tori at
     # the rhombic cusp and near the real axis: it ends every seed at
     # |r| <= POLISH times its target pi tol, not merely inside the tolerance
-    tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)]
+    tori = [lattice.make_torus(tau) for tau in moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8).tau.tolist()]
     tori += list(lattice.random_tori(200, seed=31)) + [hex_torus] + [
         lattice.make_torus(tau) for tau in (0.3 + 0.8j, 0.5 + 5j, 0.5 + 8j,
                                             0.17668935183106604 + 2.3164145156627625e-07j)]
@@ -501,7 +501,8 @@ def criterion_7_census_tori():
     # the cells of criterion 7's 40x40 scan whose smallest half-period
     # |det| * b^2 is under 1e-6, the absolute margin that once sent them
     # to the census; det * b^2 is the same on the reduced torus
-    tori = [lattice.make_torus(c.tau) for c in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)]
+    tori = [lattice.make_torus(tau)
+            for tau in moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40).tau.tolist()]
     det = green.half_period_rows(tori)[0].hessian.det
     b_r = np.array([T.tau_r.imag for T in tori])
     near = np.abs(det).reshape(-1, 3).min(axis=1) * b_r ** 2 < 1e-6

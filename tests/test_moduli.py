@@ -214,28 +214,27 @@ def test_lambda_circle_residual_on_and_off_the_line():
 
 def test_scan_classifies_rhombic_strip():
     # a 1 x 6 column along Re tau = 1/2 crossing both thresholds
-    cells = moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6)
-    assert len(cells) == 6
-    counts = [c.count for c in cells]
+    scan = moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6)
+    assert (scan.nx, scan.ny) == (1, 6)
+    assert all(len(col) == 6 for col in (scan.tau, scan.count, scan.extra_t, scan.extra_s,
+                                         scan.route, scan.error))
     # centers at b = 0.3, ..., 0.8; only 0.3 is below b0 and only 0.8 above b1
-    assert counts == [5, 3, 3, 3, 3, 5]
-    for c in cells:
-        assert c.error is None
-        if c.count == 5:
-            assert c.extra_point is not None
-        else:
-            assert c.extra_point is None
+    assert scan.count.tolist() == [5, 3, 3, 3, 3, 5]
+    assert scan.error == [None] * 6
+    # a 5-cell has its extra point, and the others NaN
+    for col in (scan.extra_t, scan.extra_s):
+        assert np.isfinite(col).tolist() == (scan.count == 5).tolist()
 
 
 def test_scan_is_deterministic_and_ordered():
     region = (0.1, 0.6, 0.45, 1.0)
     a = moduli.scan(region, 3, 2)
     b = moduli.scan(region, 3, 2)
-    assert [c.tau for c in a] == [c.tau for c in b]
-    assert [c.count for c in a] == [c.count for c in b]
+    assert a.tau.tolist() == b.tau.tolist()
+    assert a.count.tolist() == b.count.tolist()
     # row major from the bottom row up
-    assert a[0].tau.imag == a[1].tau.imag == a[2].tau.imag < a[3].tau.imag
-    assert a[0].tau.real < a[1].tau.real < a[2].tau.real
+    assert a.tau[0].imag == a.tau[1].imag == a.tau[2].imag < a.tau[3].imag
+    assert a.tau[0].real < a.tau[1].real < a.tau[2].real
 
 
 def test_scan_validates_inputs():
@@ -264,8 +263,7 @@ def test_input_checks_raise_invalid_input(call):
 
 
 def test_flip_edges_straddle_thresholds():
-    cells = moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6)
-    edges = moduli.flip_edges(cells, 1, 6)
+    edges = moduli.flip_edges(moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6))
     assert len(edges) == 2
     mids = sorted(e.midpoint.imag for e in edges)
     assert abs(mids[0] - B0_FROZEN) < 0.1
@@ -275,23 +273,46 @@ def test_flip_edges_straddle_thresholds():
         # on the rhombic line the merge always happens at the half period 1/2
         assert e.degenerate_half_period == 1
     # refining toward the threshold drives the midpoint determinant down
-    fine = moduli.scan((0.4995, B0_FROZEN - 0.01, 0.5005, B0_FROZEN + 0.01), 1, 2)
-    fine_edges = moduli.flip_edges(fine, 1, 2)
+    fine_edges = moduli.flip_edges(moduli.scan((0.4995, B0_FROZEN - 0.01, 0.5005,
+                                                B0_FROZEN + 0.01), 1, 2))
     assert len(fine_edges) == 1
     assert fine_edges[0].min_abs_det < 0.02
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (12, 12)])
+def test_flip_pairs_are_the_pairs_of_the_grid_loop(nx, ny):
+    # random count grids of {0, 3, 5}: the array comparisons give the
+    # loop's pairs in its order, row major by the low cell, the right
+    # neighbour before the upper one
+    rng = np.random.default_rng(10 * nx + ny)
+    for _ in range(25):
+        count = rng.choice([0, 3, 5], size=nx * ny, p=rng.dirichlet([1.0, 1.0, 1.0]))
+        low, high = moduli._flip_pairs(count.reshape(ny, nx))
+        assert (list(zip(low.tolist(), high.tolist()))
+                == oracles.flip_pairs_reference(count.tolist(), nx, ny))
+
+
+def test_flip_edges_of_criterion_7_follow_the_grid_loop():
+    scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
+    pairs = oracles.flip_pairs_reference(scan.count.tolist(), 40, 40)
+    assert len(pairs) > 40
+    assert [(e.tau_low, e.tau_high, e.count_low, e.count_high)
+            for e in moduli.flip_edges(scan)] == [
+        (scan.tau[a], scan.tau[b], scan.count[a], scan.count[b]) for a, b in pairs]
 
 
 def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     # near the cusp at 1/8 the first two cells reduce to Im tau_r = 1250,
     # past theta.MAX_IM_TAU: their InvalidInput stays in their own cells,
     # and the two cells beside them come out as they do alone
-    cells = moduli.scan((0.12499, 2e-6, 0.12503, 3e-6), 4, 1)
-    for c in cells[:2]:
-        assert (c.count, c.route, c.extra_point) == (0, None, None)
-        assert c.error.startswith("InvalidInput: theta series asked for at Im tau = 12"), c.error
-    for c in cells[2:]:
-        assert c.count == 3
-        assert _same_cell(c, critical.find_critical_points(lattice.make_torus(c.tau)))
+    scan = moduli.scan((0.12499, 2e-6, 0.12503, 3e-6), 4, 1)
+    for k in range(2):
+        assert (scan.count[k], scan.route[k], _extra(scan, k)) == (0, None, None)
+        error = scan.error[k]
+        assert error.startswith("InvalidInput: theta series asked for at Im tau = 12"), error
+    for k in range(2, 4):
+        assert scan.count[k] == 3
+        assert _same_cell(scan, k, critical.find_critical_points(lattice.make_torus(scan.tau[k])))
 
     def bug(t, s, tau_r):
         return 1 / 0
@@ -307,20 +328,21 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     ((0.4995, 0.2, 0.5005, 0.9), 1, 14),     # the rhombic column across b0 and b1
 ], ids=["criterion 7 rectangle 12x12", "rhombic column"])
 def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
-    cells = moduli.scan(region, nx, ny)
-    for c in cells:
-        torus = lattice.make_torus(c.tau)
+    scan = moduli.scan(region, nx, ny)
+    for k, tau in enumerate(scan.tau.tolist()):
+        torus = lattice.make_torus(tau)
         cs = oracles.census(torus)
-        assert c.error is None
-        assert c.count == cs.total_count, c.tau
+        assert scan.error[k] is None
+        assert scan.count[k] == cs.total_count, tau
         if cs.extra is None:
-            assert c.extra_point is None
+            assert _extra(scan, k) is None
             continue
-        assert abs(c.extra_point.t - cs.extra.coords.t) <= 1e-12, c.tau
-        assert abs(c.extra_point.s - cs.extra.coords.s) <= 1e-12, c.tau
-        gx, gy = green.evaluate(c.extra_point.t + c.extra_point.s * c.tau, torus).grad
+        t, s = _extra(scan, k)
+        assert abs(t - cs.extra.coords.t) <= 1e-12, tau
+        assert abs(s - cs.extra.coords.s) <= 1e-12, tau
+        gx, gy = green.evaluate(t + s * tau, torus).grad
         assert math.hypot(gx, gy) <= 1e-12
-    assert {c.route for c in cells} == {"morse", "seeds"}
+    assert set(scan.route) == {"morse", "seeds"}
 
 
 # the first scan of the benchmark's seed 21: cells at Re tau < 0 and one whose
@@ -328,14 +350,27 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
 SHIFTED_REGION = (-0.01477138761073364, 0.072105648501117, 0.48522861238926634, 1.972105648501117)
 
 
-def _same_cell(cell, cs):
-    """A scan cell equals the critical set of its torus, found alone."""
+def _extra(scan, k):
+    """The extra point (t, s) of cell k of a scan, or None."""
+    t, s = scan.extra_t[k], scan.extra_s[k]
+    return None if math.isnan(t) and math.isnan(s) else (t, s)
+
+
+def _cells(scan, keep):
+    """The cells of a scan where keep is true, each as a tuple of its columns."""
+    return [(scan.tau[k], scan.count[k], _extra(scan, k), scan.route[k], scan.error[k])
+            for k in np.flatnonzero(keep)]
+
+
+def _same_cell(scan, k, cs):
+    """Cell k of a scan equals the critical set of its torus, found alone."""
     if isinstance(cs, TorusGreenError):
-        return (cell.count, cell.route, cell.error) == (0, None, f"{type(cs).__name__}: {cs}")
+        return ((scan.count[k], scan.route[k], scan.error[k])
+                == (0, None, f"{type(cs).__name__}: {cs}"))
     extra = cs.extra
-    return (cell.error is None and cell.count == cs.total_count and cell.route == cs.route
-            and (cell.extra_point is None if extra is None
-                 else (cell.extra_point.t, cell.extra_point.s) == (extra.coords.t, extra.coords.s)))
+    return (scan.error[k] is None and scan.count[k] == cs.total_count
+            and scan.route[k] == cs.route
+            and _extra(scan, k) == (None if extra is None else (extra.coords.t, extra.coords.s)))
 
 
 def _alone(tau):
@@ -356,13 +391,13 @@ def _alone(tau):
 def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny, routes):
     # a scan classifies its cells together, one theta pass serving all of
     # them; every cell must still be bit for bit the torus alone
-    cells = moduli.scan(region, nx, ny)
-    for c in cells:
-        assert _same_cell(c, _alone(c.tau)), c.tau
-    assert {c.route for c in cells} == routes
+    scan = moduli.scan(region, nx, ny)
+    for k, tau in enumerate(scan.tau.tolist()):
+        assert _same_cell(scan, k, _alone(tau)), tau
+    assert set(scan.route) == routes
     if region[1] < 1e-3:
-        assert max(max(abs(x) for row in lattice.make_torus(c.tau).mat for x in row)
-                   for c in cells if c.count == 5) > 100
+        assert max(max(abs(x) for row in lattice.make_torus(tau).mat for x in row)
+                   for tau in scan.tau[scan.count == 5].tolist()) > 100
 
 
 def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
@@ -370,7 +405,7 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
     # and the final pass; its error must be its own, and every other
     # cell must come out as before
     before = moduli.scan(SHIFTED_REGION, 8, 8)
-    target = next(c.tau for c in before if c.route == "seeds")
+    target = before.tau[before.route.index("seeds")]
     real = green.residual_and_jacobian
 
     target_r = lattice.make_torus(target).tau_r
@@ -380,11 +415,11 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
         return np.where(tau_r == target_r, np.nan, r), *rest
 
     monkeypatch.setattr(green, "residual_and_jacobian", broken)
-    cells = moduli.scan(SHIFTED_REGION, 8, 8)
-    failed = [c for c in cells if c.error is not None]
-    assert [c.tau for c in failed] == [target]
-    assert _same_cell(failed[0], _alone(target))
-    assert [c for c in cells if c.tau != target] == [c for c in before if c.tau != target]
+    scan = moduli.scan(SHIFTED_REGION, 8, 8)
+    failed = [k for k, error in enumerate(scan.error) if error is not None]
+    assert scan.tau[failed].tolist() == [target]
+    assert _same_cell(scan, failed[0], _alone(target))
+    assert _cells(scan, scan.tau != target) == _cells(before, before.tau != target)
 
 
 def test_a_cell_whose_final_pass_leaves_the_null_sum_fails_alone(monkeypatch):
@@ -393,7 +428,7 @@ def test_a_cell_whose_final_pass_leaves_the_null_sum_fails_alone(monkeypatch):
     # fails with InconsistentComparison, as alone, and the others come out
     # as before
     before = moduli.scan(SHIFTED_REGION, 8, 8)
-    target = next(c.tau for c in before if c.route == "seeds")
+    target = before.tau[before.route.index("seeds")]
     target_r = lattice.make_torus(target).tau_r
     real = green.residual_and_jacobian
 
@@ -403,12 +438,13 @@ def test_a_cell_whose_final_pass_leaves_the_null_sum_fails_alone(monkeypatch):
         return r, l2, l3, value + 1e-6 * at
 
     monkeypatch.setattr(green, "residual_and_jacobian", off)
-    cells = moduli.scan(SHIFTED_REGION, 8, 8)
-    failed = [c for c in cells if c.error is not None]
-    assert [c.tau for c in failed] == [target]
-    assert failed[0].error.startswith("InconsistentComparison: the final pass and the null sum")
-    assert _same_cell(failed[0], _alone(target))
-    assert [c for c in cells if c.tau != target] == [c for c in before if c.tau != target]
+    scan = moduli.scan(SHIFTED_REGION, 8, 8)
+    failed = [k for k, error in enumerate(scan.error) if error is not None]
+    assert scan.tau[failed].tolist() == [target]
+    assert scan.error[failed[0]].startswith(
+        "InconsistentComparison: the final pass and the null sum")
+    assert _same_cell(scan, failed[0], _alone(target))
+    assert _cells(scan, scan.tau != target) == _cells(before, before.tau != target)
 
 
 def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
@@ -423,9 +459,9 @@ def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
         return real(z, *args)
 
     monkeypatch.setattr(theta, "_eval", counted)
-    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)
-    edges = moduli.flip_edges(cells, 8, 8)
-    assert edges and {c.route for c in cells} == {"morse", "seeds"}
+    scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)
+    edges = moduli.flip_edges(scan)
+    assert edges and set(scan.route) == {"morse", "seeds"}
     assert len(passes) <= 64
 
 
@@ -444,10 +480,10 @@ def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
         return real(z, *args)
 
     monkeypatch.setattr(theta, "_eval", counted)
-    cells = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)
-    low = [c for c in cells if c.tau.imag < b0]
-    assert len(low) == 30 and cells[0].tau.imag == pytest.approx(0.0345)
-    assert all((c.count, c.route, c.error) == (5, "seeds", None) for c in low)
+    scan = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)
+    low = np.flatnonzero(scan.tau.imag < b0)
+    assert len(low) == 30 and scan.tau[0].imag == pytest.approx(0.0345)
+    assert all((scan.count[k], scan.route[k], scan.error[k]) == (5, "seeds", None) for k in low)
     assert len(passes) <= 20
 
 
@@ -455,9 +491,9 @@ def test_scan_routes_on_the_rhombic_column():
     # b = 0.3 is below b0, so all half periods are saddles and the seeds
     # locate z0; b = 0.4 and b = 0.6 sit between the thresholds, where the
     # signs decide 3
-    cells = moduli.scan((0.4995, 0.25, 0.5005, 0.65), 1, 4)
-    assert [c.count for c in cells] == [5, 3, 3, 3]
-    assert [c.route for c in cells] == ["seeds", "morse", "morse", "morse"]
+    scan = moduli.scan((0.4995, 0.25, 0.5005, 0.65), 1, 4)
+    assert scan.count.tolist() == [5, 3, 3, 3]
+    assert scan.route == ["seeds", "morse", "morse", "morse"]
 
 
 def test_a_five_cell_whose_newton_misses_fails_alone(monkeypatch):
@@ -472,15 +508,14 @@ def test_a_five_cell_whose_newton_misses_fails_alone(monkeypatch):
         critical.find_critical_points(lattice.make_torus(hex_tau))
     # a scan of two cells, classified in one batch: the failure reaches the
     # hexagonal cell and not the 3-cell below it (b0 < b < b1)
-    cells = moduli.scan((0.4995, hex_tau.imag - 0.3, 0.5005, hex_tau.imag + 0.1), 1, 2)
-    assert (cells[0].count, cells[0].route, cells[0].error) == (3, "morse", None)
-    assert (cells[1].count, cells[1].route) == (0, None)
-    assert cells[1].error == f"Unconverged: {info.value}"
+    scan = moduli.scan((0.4995, hex_tau.imag - 0.3, 0.5005, hex_tau.imag + 0.1), 1, 2)
+    assert (scan.count[0], scan.route[0], scan.error[0]) == (3, "morse", None)
+    assert (scan.count[1], scan.route[1]) == (0, None)
+    assert scan.error[1] == f"Unconverged: {info.value}"
 
 
 def test_flip_edges_batched_determinants_match_scalar_calls():
-    cells = moduli.scan((0.0, 0.1, 0.5, 2.0), 6, 6)
-    edges = moduli.flip_edges(cells, 6, 6)
+    edges = moduli.flip_edges(moduli.scan((0.0, 0.1, 0.5, 2.0), 6, 6))
     assert edges
     for e in edges:
         # each midpoint's null sum alone, its reduced torus's rows carried
