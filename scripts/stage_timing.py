@@ -17,7 +17,9 @@ the time spent in its functions less that of the stages they call:
   columns off the sets, critical.find_critical_sets builds its
   CriticalSets): routes, seeds, the carry back, the Morse labels and the
   checks;
-- flip edges: moduli.flip_edges, its own null sum included;
+- flip edges: moduli.flip_edges, the make_torus calls of the edge
+  midpoints and their one null sum, read as |det| / |lam|^4 with no
+  carry back of the other rows;
 - JSON: cli.canonical_json, and cli._scan_rows, which writes a scan's
   cell and edge rows;
 - rest: the remainder of cli.run (argument parsing, the tori of the

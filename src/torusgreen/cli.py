@@ -228,16 +228,18 @@ _EDGE = ('{"count_high":%d,"count_low":%d,"degenerate_half_period":%d,'
 
 
 def _scan_rows(scan, edges) -> tuple[_Encoded, _Encoded]:
-    """A scan report's "cells" and "flip_edges", each as _Encoded text of one
-    % format a row: the bytes canonical_json writes for the rows as dicts."""
+    """A scan report's "cells" and "flip_edges" (moduli.Flips), each as _Encoded
+    text of one % format a row: the bytes canonical_json writes for the rows as dicts."""
     cells = [_CELL_5 % (s, t, im, re_) if count == 5 else
              _CELL % (count, "null" if error is None else encode_basestring(error), im, re_)
              for re_, im, count, t, s, error in zip(
                  scan.tau.real.tolist(), scan.tau.imag.tolist(), scan.count.tolist(),
                  scan.extra_t.tolist(), scan.extra_s.tolist(), scan.error)]
-    rows = [_EDGE % (e.count_high, e.count_low, e.degenerate_half_period, e.midpoint.imag,
-                     e.midpoint.real, _fmt_float(e.min_abs_det), e.tau_high.imag,
-                     e.tau_high.real, e.tau_low.imag, e.tau_low.real) for e in edges]
+    rows = [_EDGE % (ch, cl, k, m.imag, m.real, _fmt_float(d), th.imag, th.real, tl.imag, tl.real)
+            for ch, cl, k, m, d, th, tl in zip(
+                scan.count[edges.high].tolist(), scan.count[edges.low].tolist(),
+                edges.half_period.tolist(), edges.midpoint.tolist(), edges.min_abs_det.tolist(),
+                scan.tau[edges.high].tolist(), scan.tau[edges.low].tolist())]
     return _Encoded("[" + ",".join(cells) + "]"), _Encoded("[" + ",".join(rows) + "]")
 
 
@@ -252,6 +254,7 @@ def _cmd_scan(args) -> tuple[dict, dict]:
         "cells": cells,
         "flip_edges": edges,
     }
+    count = scan.count.tolist()
     errors: dict[str, list[int]] = {}
     for k, error in enumerate(scan.error):
         if error is not None:
@@ -259,8 +262,8 @@ def _cmd_scan(args) -> tuple[dict, dict]:
     diagnostics = {
         "error_cells": sum(len(v) for v in errors.values()),
         "error_cells_by_type": errors,
-        "counts_seen": sorted(set(scan.count.tolist()) - {0}),
-        "routes": {"morse": scan.route.count("morse"), "seeds": scan.route.count("seeds")},
+        "counts_seen": sorted(set(count) - {0}),
+        "routes": {"morse": count.count(3), "seeds": count.count(5)},
     }
     return results, diagnostics
 

@@ -27,8 +27,9 @@ evaluate returns that bound, C_DET eps ((2 pi/b_r)|L2| + |L2|^2) /
 (4 pi^2), next to det, so a caller trusts the sign of det only outside
 it.  By the Legendre relation the critical residual zeta(z) - t eta1 -
 s eta2 is A1, so the solver (residual_and_jacobian) needs no quasi
-periods.  carried, the one place where the covariance laws of G are
-written, takes a pass back to any other torus.  C(tau) is summed at
+periods.  carried, where the covariance laws of G are written, takes a
+pass back to any other torus; moduli.flip_edges, which needs |det| alone,
+divides it by |lam|^4 itself.  C(tau) is summed at
 tau_r and carried back by the weight 1/2 law of eta, so everything holds
 on all of the upper half plane.  A batch on several reduced tori shares
 one pass; half_period_rows writes the half-period rows in closed form

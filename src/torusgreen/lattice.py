@@ -36,10 +36,6 @@ class Torus:
         return self.tau.imag
 
     @property
-    def area(self) -> float:
-        return self.tau.imag
-
-    @property
     def half_periods(self) -> tuple[complex, complex, complex]:
         return (0.5, self.tau / 2.0, (1.0 + self.tau) / 2.0)
 

@@ -56,12 +56,11 @@ RHO_8PI = 8.0 * math.pi
 RHO_4PI = 4.0 * math.pi
 _LATTICE_HIT_TOL = 1e-11
 # grid rows per block of verify_solution: a row adds about 0.07 MB to
-# the peak memory of an 8 pi check on 64^2 (tracemalloc, 8 to 32 rows;
-# 0.06 MB while the period shifts were points of a pass, 0.10 MB while
-# the neighbours were points, 0.42 MB while every pass summed every
-# output), and at 16 rows the fixed cost of a call is small; the peak at
-# 16 rows is 1.34 MB at 8 pi and 1.45 MB at 4 pi on -0.368 + 0.916i
+# the peak memory of an 8 pi check on 64^2 (tracemalloc, 8 to 32 rows),
+# and at 16 rows the fixed cost of a call is small; the peak at 16 rows
+# is 1.34 MB at 8 pi and 1.45 MB at 4 pi on -0.368 + 0.916i
 _BLOCK_ROWS = 16
+MAX_GRID_N = 1024      # largest grid_n: a block then takes about 18 MB, 0.07 MB per 64 points
 # |total_mass / rho - 1| allowed: 4 x K_1(x) at x = 2 pi, 0.0248, is the midpoint
 # rule's miss (k = 2 pi / H aliased onto 0 four times) on a bubble 8 d^2 / (d^2 +
 # |z|^2)^2, of mass transform k d K_1(k d), as wide as the grid step (d = H).
@@ -461,8 +460,8 @@ def verify_solution(sol: MfeSolution, grid_n: int = 64,
     is needed); off rho by more than _MASS_TOL of rho, the grid misses u's
     bubble (a large lambda) and InvalidInput names lambda and the grid.
     """
-    if grid_n < 32:
-        raise InvalidInput(f"grid_n {grid_n} below 32")
+    if not 32 <= grid_n <= MAX_GRID_N:
+        raise InvalidInput(f"grid_n {grid_n} outside [32, {MAX_GRID_N}]")
     if not (math.isfinite(excl_radius) and excl_radius >= 0.02):
         raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
     tau = sol.torus.tau_r

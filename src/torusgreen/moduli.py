@@ -12,7 +12,8 @@ classifies a rectangle of moduli into three point and five point tori,
 with one batch solve of critical.find_critical_sets per chunk of
 SCAN_CHUNK cells, so each theta series pass serves a whole chunk, and
 returns its cells as columns (Scan); flip_edges reports the empirical
-boundary, the grid edges where the count flips, by array comparisons.
+boundary, the grid edges where the count flips, by array comparisons, as
+columns too (Flips), with each midpoint's smallest half-period |det|.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class ThresholdReport:
 @dataclass(frozen=True)
 class Scan:
     """An nx by ny scan's cells as columns, row major from the bottom row up:
-    count 0 (route None, error "ExceptionName: message"), 3 (route "morse")
-    or 5 (route "seeds", extra point at extra_t, extra_s; NaN elsewhere)."""
+    count 0 (error "ExceptionName: message"), 3 (critical's morse route) or
+    5 (its seeds route, extra point at extra_t, extra_s; NaN elsewhere)."""
 
     nx: int
     ny: int
@@ -60,21 +61,20 @@ class Scan:
     count: np.ndarray              # int
     extra_t: np.ndarray
     extra_s: np.ndarray
-    route: list[str | None]
     error: list[str | None]
 
 
 @dataclass(frozen=True)
-class FlipEdge:
-    """A grid edge across which the critical point count changes."""
+class Flips:
+    """A scan's flip edges as columns, an edge an entry: the flat cells low
+    and high of the Scan that it joins, its midpoint, and the half period
+    (1 for 1/2, 2 for tau/2, 3 for (1+tau)/2) of the smallest |det| there."""
 
-    tau_low: complex
-    tau_high: complex
-    midpoint: complex
-    count_low: int
-    count_high: int
-    degenerate_half_period: int
-    min_abs_det: float
+    low: np.ndarray                # int
+    high: np.ndarray               # int
+    midpoint: np.ndarray           # complex
+    half_period: np.ndarray        # int, 1 to 3
+    min_abs_det: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> Scan:
     across runs.  The cells go to the batch solve of
     critical.find_critical_sets (critical._solve) in chunks of
     SCAN_CHUNK, so every theta pass serves a whole chunk, and each cell's
-    count, route and extra point are read off the solve's sets, with no
+    count and extra point are read off the solve's sets, with no
     CriticalPoint, with the same result as a find_critical_points call of
     its own.  The solve answers for every torus, so a package failure
     (TorusGreenError) lands in its own cell and the scan goes on; any
@@ -251,18 +251,18 @@ def scan(region: tuple[float, float, float, float], nx: int, ny: int) -> Scan:
     tau.imag = np.repeat(im0 + (np.arange(ny) + 0.5) * ((im1 - im0) / ny), nx)
     tori = [make_torus(t) for t in tau.tolist()]
     count, extra_t, extra_s = [0] * n, [math.nan] * n, [math.nan] * n
-    route, error = [None] * n, [None] * n
+    error = [None] * n
     for lo in range(0, n, SCAN_CHUNK):
         out, sets = critical._solve(tori[lo:lo + SCAN_CHUNK], critical.DEFAULT_TOL)
         for k, x in enumerate(out, lo):
             if isinstance(x, TorusGreenError):
                 error[k] = f"{type(x).__name__}: {x}"
             elif (e := sets.extra[x]) < 0:
-                count[k], route[k] = 3, "morse"
+                count[k] = 3
             else:
-                count[k], route[k], extra_t[k], extra_s[k] = 5, "seeds", sets.t[e], sets.s[e]
+                count[k], extra_t[k], extra_s[k] = 5, sets.t[e], sets.s[e]
     return Scan(nx=nx, ny=ny, tau=tau, count=np.array(count), extra_t=np.array(extra_t),
-                extra_s=np.array(extra_s), route=route, error=error)
+                extra_s=np.array(extra_s), error=error)
 
 
 def _flip_pairs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,25 +278,24 @@ def _flip_pairs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, low + np.where(upper, nx, 1)
 
 
-def flip_edges(scan: Scan) -> list[FlipEdge]:
+def flip_edges(scan: Scan) -> Flips:
     """Grid edges where the count flips between 3 and 5.
 
     For each edge the nearly degenerate half period is identified at the
-    edge midpoint as the one with the smallest Hessian determinant, which
-    is the half period the extra pair merges into across the boundary.
-    The half periods of every midpoint are evaluated in one null sum and
-    carried back as the critical sets are (critical._carried).
+    edge midpoint as the one with the smallest Hessian |det|, which is the
+    half period the extra pair merges into across the boundary.  The half
+    periods of every midpoint are summed in one null sum on its reduced
+    torus (green.half_period_rows), put in its own order by its matrix
+    (Torus.half_period_perm) and carried back by the one law of
+    green.carried that |det| needs, division by |lam|^4.
     """
     low, high = _flip_pairs(scan.count.reshape(scan.ny, scan.nx))
+    midpoint = 0.5 * (scan.tau[low] + scan.tau[high])
     if not low.size:
-        return []
-    tau_low, tau_high = scan.tau[low].tolist(), scan.tau[high].tolist()
-    tori = [make_torus(0.5 * (a + b)) for a, b in zip(tau_low, tau_high)]
-    at = critical._half_period_index(tori, np.arange(len(tori)))
-    cols = critical._columns(green.half_period_rows(tori)[0])[:, at]
-    d = np.abs(critical._carried(tori, cols, at // 3)[4]).reshape(-1, 3)
-    return [FlipEdge(tau_low=a, tau_high=b, midpoint=torus.tau, count_low=ca, count_high=cb,
-                     degenerate_half_period=k + 1, min_abs_det=dk)
-            for a, b, torus, ca, cb, k, dk in zip(
-                tau_low, tau_high, tori, scan.count[low].tolist(), scan.count[high].tolist(),
-                d.argmin(axis=1).tolist(), d.min(axis=1).tolist())]
+        return Flips(low, high, midpoint, np.zeros(0, dtype=int), np.zeros(0))
+    tori = [make_torus(tau) for tau in midpoint.tolist()]
+    det = green.half_period_rows(tori)[0].hessian.det.reshape(-1, 3)
+    perm = np.array([torus.half_period_perm for torus in tori])
+    lam4 = np.array([abs(torus.lam) ** 4 for torus in tori])
+    d = np.abs(np.take_along_axis(det, perm, axis=1)) / lam4[:, None]
+    return Flips(low, high, midpoint, d.argmin(axis=1) + 1, d.min(axis=1))

@@ -25,6 +25,7 @@ from .errors import InvalidInput
 from .lattice import Torus, make_torus, random_tori, split_coords
 
 SEED = 20260822   # seeds the random sample of run_all
+MAX_SAMPLES = 100_000   # run_all builds n_samples // 8 tori one by one
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ _CHECKS = (
 
 def run_all(n_samples: int = 200) -> SelftestReport:
     """Evaluate every identity over n_samples randomized (z, tau)."""
-    if n_samples < 1:
-        raise InvalidInput(f"sample count {n_samples} below 1")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise InvalidInput(f"sample count {n_samples} outside [1, {MAX_SAMPLES}]")
     n_tori = max(8, n_samples // 8)
     tori = random_tori(n_tori, SEED)
     # the frame check runs outside the fundamental domain: at -1/tau_r where

@@ -697,7 +697,7 @@ def verify_solution_by_rows(sol, grid_n: int = 64, excl_radius: float = 0.05,
         raise InvalidInput(f"excl_radius {excl_radius} is not a finite radius of at least 0.02")
     torus = sol.torus if given_cell else sol.torus.reduced
     tau = torus.tau
-    area = torus.area
+    area = torus.b
     rho = sol.rho
     u = sol.evaluator if given_cell else sol.reduced_evaluator
     h = 1.0 / (64.0 * grid_n)
@@ -1120,8 +1120,9 @@ def canonical_json_reference(obj) -> str:
 
 def scan_rows_reference(scan, edges) -> tuple[list, list]:
     """The "cells" and "flip_edges" lists of a scan report as one dict a
-    row, built from the Scan's columns, for canonical JSON to write: the
-    CLI's builder while the cells were objects."""
+    row, built from the columns of the Scan and of its moduli.Flips, for
+    canonical JSON to write: the CLI's builder while cells and edges were
+    objects."""
     cells = [{"tau": tau, "count": count,
               "extra_t": None if math.isnan(t) else t,
               "extra_s": None if math.isnan(s) else s,
@@ -1129,11 +1130,13 @@ def scan_rows_reference(scan, edges) -> tuple[list, list]:
              for tau, count, t, s, error in zip(scan.tau.tolist(), scan.count.tolist(),
                                                 scan.extra_t.tolist(), scan.extra_s.tolist(),
                                                 scan.error)]
-    rows = [{"tau_low": e.tau_low, "tau_high": e.tau_high, "midpoint": e.midpoint,
-             "count_low": e.count_low, "count_high": e.count_high,
-             "degenerate_half_period": e.degenerate_half_period,
-             "min_abs_det": e.min_abs_det}
-            for e in edges]
+    tau, count = scan.tau.tolist(), scan.count.tolist()
+    rows = [{"tau_low": tau[low], "tau_high": tau[high], "midpoint": mid,
+             "count_low": count[low], "count_high": count[high],
+             "degenerate_half_period": k, "min_abs_det": det}
+            for low, high, mid, k, det in zip(edges.low.tolist(), edges.high.tolist(),
+                                              edges.midpoint.tolist(), edges.half_period.tolist(),
+                                              edges.min_abs_det.tolist())]
     return cells, rows
 
 

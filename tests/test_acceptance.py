@@ -194,11 +194,11 @@ def test_criterion_07_moduli_scan():
     mid_count = count_of(0.5 + 0.5j)
     thr = moduli.thresholds()
     # flips on the rightmost column, compared with the threshold heights
-    right = [e for e in edges
-             if abs(e.midpoint.real - (0.5 - dx / 2)) < 1e-12
-             and abs(e.tau_low.real - e.tau_high.real) < 1e-12]
-    near_b0 = any(abs(e.midpoint.imag - thr.b0) <= dy for e in right)
-    near_b1 = any(abs(e.midpoint.imag - thr.b1) <= dy for e in right)
+    right = [mid for mid, low, high in zip(edges.midpoint.tolist(), scan.tau[edges.low].tolist(),
+                                           scan.tau[edges.high].tolist())
+             if abs(mid.real - (0.5 - dx / 2)) < 1e-12 and abs(low.real - high.real) < 1e-12]
+    near_b0 = any(abs(mid.imag - thr.b0) <= dy for mid in right)
+    near_b1 = any(abs(mid.imag - thr.b1) <= dy for mid in right)
     ok = (all_ok and hex_count == 5 and mid_count == 3
           and near_b0 and near_b1 and elapsed < 120.0)
     assert _line(7, ok,

@@ -145,7 +145,6 @@ def _synthetic_scan(nx: int, ny: int, seed: int):
     extra[:, count != 5] = math.nan
     errors = iter(_ERROR_TEXTS * n)
     return moduli.Scan(nx=nx, ny=ny, tau=tau, count=count, extra_t=extra[0], extra_s=extra[1],
-                       route=[{0: None, 3: "morse", 5: "seeds"}[c] for c in count.tolist()],
                        error=[next(errors) if c == 0 else None for c in count.tolist()])
 
 
@@ -163,16 +162,16 @@ def _assert_rows_match_the_reference(scan, edges):
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (8, 8)])
 def test_scan_rows_are_the_canonical_json_of_the_dict_rows(nx, ny):
     scan = _synthetic_scan(nx, ny, seed=100 * nx + ny)
-    dets = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 2.5]
-    edges = [moduli.FlipEdge(tau_low=complex(scan.tau[k]), tau_high=complex(scan.tau[-1 - k]),
-                             midpoint=complex(0.5 * (scan.tau[k] + scan.tau[-1 - k])),
-                             count_low=3 + 2 * (k % 2), count_high=5 - 2 * (k % 2),
-                             degenerate_half_period=1 + k % 3, min_abs_det=det)
-             for k, det in enumerate(dets[:scan.count.size])]
+    dets = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 2.5])
+    low = np.arange(min(dets.size, scan.count.size))
+    high = scan.count.size - 1 - low
+    edges = moduli.Flips(low=low, high=high, midpoint=0.5 * (scan.tau[low] + scan.tau[high]),
+                         half_period=1 + low % 3, min_abs_det=dets[low])
     _assert_rows_match_the_reference(scan, edges)
     # a scan with no flip edge writes an empty list
-    _assert_rows_match_the_reference(scan, [])
-    assert cli._scan_rows(scan, [])[1] == "[]"
+    none = moduli.Flips(low[:0], high[:0], edges.midpoint[:0], low[:0], dets[:0])
+    _assert_rows_match_the_reference(scan, none)
+    assert cli._scan_rows(scan, none)[1] == "[]"
 
 
 def test_scan_rows_of_workload_scans_match_the_dict_rows():
@@ -182,7 +181,7 @@ def test_scan_rows_of_workload_scans_match_the_dict_rows():
         ox, oy = rng.uniform(-0.4, 0.4, 2) * (0.5 / 8, 1.9 / 8)
         scan = moduli.scan((ox, 0.1 + oy, 0.5 + ox, 2.0 + oy), 8, 8)
         edges = moduli.flip_edges(scan)
-        assert edges and set(scan.count.tolist()) == {3, 5}
+        assert edges.low.size and set(scan.count.tolist()) == {3, 5}
         _assert_rows_match_the_reference(scan, edges)
 
 
@@ -407,6 +406,10 @@ def test_domain_error_exit(capsys):
     ("inequalities", "--b=-1"),
     ("selftest", "--samples=0"),
     ("selftest", "--samples=-3"),
+    # past the upper bounds: checked before the grid or the tori are made
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=1025x1025"),
+    ("mfe", "--rho=4pi", "--tau=i", "--grid=1000000x1000000"),
+    ("selftest", "--samples=100001"),
 ], ids=" ".join)
 def test_out_of_range_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

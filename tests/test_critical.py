@@ -262,7 +262,8 @@ def _calibration_tori():
             for b in (*np.linspace(0.02, 0.1, 5), *np.linspace(2.5, 6.0, 5))]
     farey = [1 / 3 + 0.003j, 0.25 + 0.004j, 0.4 + 0.002j]
     scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
-    edges = {tau for e in moduli.flip_edges(scan) for tau in (e.tau_low, e.tau_high)}
+    flips = moduli.flip_edges(scan)
+    edges = set(scan.tau[np.concatenate([flips.low, flips.high])].tolist())
     # 120 digits absorb the cancellation of mp_hessian_det down to b = 0.002;
     # 200 give the same errors
     return [(tau, 120) for tau in cusp + farey] + [(tau, 40) for tau in sorted(

@@ -217,7 +217,7 @@ def test_scan_classifies_rhombic_strip():
     scan = moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6)
     assert (scan.nx, scan.ny) == (1, 6)
     assert all(len(col) == 6 for col in (scan.tau, scan.count, scan.extra_t, scan.extra_s,
-                                         scan.route, scan.error))
+                                         scan.error))
     # centers at b = 0.3, ..., 0.8; only 0.3 is below b0 and only 0.8 above b1
     assert scan.count.tolist() == [5, 3, 3, 3, 3, 5]
     assert scan.error == [None] * 6
@@ -263,20 +263,21 @@ def test_input_checks_raise_invalid_input(call):
 
 
 def test_flip_edges_straddle_thresholds():
-    edges = moduli.flip_edges(moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6))
-    assert len(edges) == 2
-    mids = sorted(e.midpoint.imag for e in edges)
+    scan = moduli.scan((0.4995, 0.25, 0.5005, 0.85), 1, 6)
+    edges = moduli.flip_edges(scan)
+    assert edges.low.size == 2
+    mids = sorted(edges.midpoint.imag.tolist())
     assert abs(mids[0] - B0_FROZEN) < 0.1
     assert abs(mids[1] - B1_FROZEN) < 0.1
-    for e in edges:
-        assert {e.count_low, e.count_high} == {3, 5}
-        # on the rhombic line the merge always happens at the half period 1/2
-        assert e.degenerate_half_period == 1
+    for low, high in zip(edges.low, edges.high):
+        assert {scan.count[low], scan.count[high]} == {3, 5}
+    # on the rhombic line the merge always happens at the half period 1/2
+    assert edges.half_period.tolist() == [1, 1]
     # refining toward the threshold drives the midpoint determinant down
     fine_edges = moduli.flip_edges(moduli.scan((0.4995, B0_FROZEN - 0.01, 0.5005,
                                                 B0_FROZEN + 0.01), 1, 2))
-    assert len(fine_edges) == 1
-    assert fine_edges[0].min_abs_det < 0.02
+    assert fine_edges.low.size == 1
+    assert fine_edges.min_abs_det[0] < 0.02
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (12, 12)])
@@ -296,9 +297,9 @@ def test_flip_edges_of_criterion_7_follow_the_grid_loop():
     scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 40, 40)
     pairs = oracles.flip_pairs_reference(scan.count.tolist(), 40, 40)
     assert len(pairs) > 40
-    assert [(e.tau_low, e.tau_high, e.count_low, e.count_high)
-            for e in moduli.flip_edges(scan)] == [
-        (scan.tau[a], scan.tau[b], scan.count[a], scan.count[b]) for a, b in pairs]
+    edges = moduli.flip_edges(scan)
+    assert list(zip(edges.low.tolist(), edges.high.tolist())) == pairs
+    assert edges.midpoint.tolist() == [0.5 * (scan.tau[a] + scan.tau[b]) for a, b in pairs]
 
 
 def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
@@ -307,7 +308,7 @@ def test_scan_records_package_errors_and_raises_bugs(monkeypatch):
     # and the two cells beside them come out as they do alone
     scan = moduli.scan((0.12499, 2e-6, 0.12503, 3e-6), 4, 1)
     for k in range(2):
-        assert (scan.count[k], scan.route[k], _extra(scan, k)) == (0, None, None)
+        assert (scan.count[k], _extra(scan, k)) == (0, None)
         error = scan.error[k]
         assert error.startswith("InvalidInput: theta series asked for at Im tau = 12"), error
     for k in range(2, 4):
@@ -342,10 +343,10 @@ def test_scan_agrees_with_the_census_in_every_cell(region, nx, ny):
         assert abs(s - cs.extra.coords.s) <= 1e-12, tau
         gx, gy = green.evaluate(t + s * tau, torus).grad
         assert math.hypot(gx, gy) <= 1e-12
-    assert set(scan.route) == {"morse", "seeds"}
+    assert set(scan.count.tolist()) == {3, 5}
 
 
-# the first scan of the benchmark's seed 21: cells at Re tau < 0 and one whose
+# the first scan of the benchmark's seed 21: cells at Re tau_r < 0 and one whose
 # smallest half-period |det| * b^2 is under 1e-6
 SHIFTED_REGION = (-0.01477138761073364, 0.072105648501117, 0.48522861238926634, 1.972105648501117)
 
@@ -358,18 +359,17 @@ def _extra(scan, k):
 
 def _cells(scan, keep):
     """The cells of a scan where keep is true, each as a tuple of its columns."""
-    return [(scan.tau[k], scan.count[k], _extra(scan, k), scan.route[k], scan.error[k])
+    return [(scan.tau[k], scan.count[k], _extra(scan, k), scan.error[k])
             for k in np.flatnonzero(keep)]
 
 
 def _same_cell(scan, k, cs):
     """Cell k of a scan equals the critical set of its torus, found alone."""
     if isinstance(cs, TorusGreenError):
-        return ((scan.count[k], scan.route[k], scan.error[k])
-                == (0, None, f"{type(cs).__name__}: {cs}"))
+        return (scan.count[k], scan.error[k]) == (0, f"{type(cs).__name__}: {cs}")
     extra = cs.extra
     return (scan.error[k] is None and scan.count[k] == cs.total_count
-            and scan.route[k] == cs.route
+            and cs.route == {3: "morse", 5: "seeds"}[cs.total_count]
             and _extra(scan, k) == (None if extra is None else (extra.coords.t, extra.coords.s)))
 
 
@@ -380,21 +380,21 @@ def _alone(tau):
         return exc
 
 
-@pytest.mark.parametrize("region, nx, ny, routes", [
-    ((0.0, 0.1, 0.5, 2.0), 12, 12, {"morse", "seeds"}),
-    ((0.4995, 0.2, 0.5005, 0.9), 1, 14, {"morse", "seeds"}),
-    (SHIFTED_REGION, 8, 8, {"morse", "seeds"}),
+@pytest.mark.parametrize("region, nx, ny", [
+    ((0.0, 0.1, 0.5, 2.0), 12, 12),
+    ((0.4995, 0.2, 0.5005, 0.9), 1, 14),
+    (SHIFTED_REGION, 8, 8),
     # near the real axis: five-point cells whose matrices have entries in
     # the hundreds, carried back as arrays
-    ((0.1, 1e-5, 0.2, 1e-4), 8, 8, {"morse", "seeds"}),
+    ((0.1, 1e-5, 0.2, 1e-4), 8, 8),
 ], ids=["criterion 7 rectangle 12x12", "rhombic column", "shifted 8x8", "near-axis 8x8"])
-def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny, routes):
+def test_scan_cells_equal_the_tori_classified_one_by_one(region, nx, ny):
     # a scan classifies its cells together, one theta pass serving all of
     # them; every cell must still be bit for bit the torus alone
     scan = moduli.scan(region, nx, ny)
     for k, tau in enumerate(scan.tau.tolist()):
         assert _same_cell(scan, k, _alone(tau)), tau
-    assert set(scan.route) == routes
+    assert set(scan.count.tolist()) == {3, 5}
     if region[1] < 1e-3:
         assert max(max(abs(x) for row in lattice.make_torus(tau).mat for x in row)
                    for tau in scan.tau[scan.count == 5].tolist()) > 100
@@ -405,7 +405,7 @@ def test_a_cell_that_fails_inside_a_scan_fails_as_it_does_alone(monkeypatch):
     # and the final pass; its error must be its own, and every other
     # cell must come out as before
     before = moduli.scan(SHIFTED_REGION, 8, 8)
-    target = before.tau[before.route.index("seeds")]
+    target = before.tau[before.count.tolist().index(5)]
     real = green.residual_and_jacobian
 
     target_r = lattice.make_torus(target).tau_r
@@ -428,7 +428,7 @@ def test_a_cell_whose_final_pass_leaves_the_null_sum_fails_alone(monkeypatch):
     # fails with InconsistentComparison, as alone, and the others come out
     # as before
     before = moduli.scan(SHIFTED_REGION, 8, 8)
-    target = before.tau[before.route.index("seeds")]
+    target = before.tau[before.count.tolist().index(5)]
     target_r = lattice.make_torus(target).tau_r
     real = green.residual_and_jacobian
 
@@ -461,7 +461,7 @@ def test_an_8x8_scan_makes_at_most_64_theta_passes(monkeypatch):
     monkeypatch.setattr(theta, "_eval", counted)
     scan = moduli.scan((0.0, 0.1, 0.5, 2.0), 8, 8)
     edges = moduli.flip_edges(scan)
-    assert edges and set(scan.route) == {"morse", "seeds"}
+    assert edges.low.size and set(scan.count.tolist()) == {3, 5}
     assert len(passes) <= 64
 
 
@@ -483,7 +483,7 @@ def test_a_rhombic_column_scan_shares_its_census_passes(monkeypatch):
     scan = moduli.scan((0.4995, 0.03, 0.5005, 0.3), 1, 30)
     low = np.flatnonzero(scan.tau.imag < b0)
     assert len(low) == 30 and scan.tau[0].imag == pytest.approx(0.0345)
-    assert all((scan.count[k], scan.route[k], scan.error[k]) == (5, "seeds", None) for k in low)
+    assert all((scan.count[k], scan.error[k]) == (5, None) for k in low)
     assert len(passes) <= 20
 
 
@@ -493,7 +493,9 @@ def test_scan_routes_on_the_rhombic_column():
     # signs decide 3
     scan = moduli.scan((0.4995, 0.25, 0.5005, 0.65), 1, 4)
     assert scan.count.tolist() == [5, 3, 3, 3]
-    assert scan.route == ["seeds", "morse", "morse", "morse"]
+    # a 5-cell is its torus's seeds route and a 3-cell its morse route
+    assert ([critical.find_critical_points(lattice.make_torus(tau)).route
+             for tau in scan.tau.tolist()] == ["seeds", "morse", "morse", "morse"])
 
 
 def test_a_five_cell_whose_newton_misses_fails_alone(monkeypatch):
@@ -509,23 +511,32 @@ def test_a_five_cell_whose_newton_misses_fails_alone(monkeypatch):
     # a scan of two cells, classified in one batch: the failure reaches the
     # hexagonal cell and not the 3-cell below it (b0 < b < b1)
     scan = moduli.scan((0.4995, hex_tau.imag - 0.3, 0.5005, hex_tau.imag + 0.1), 1, 2)
-    assert (scan.count[0], scan.route[0], scan.error[0]) == (3, "morse", None)
-    assert (scan.count[1], scan.route[1]) == (0, None)
+    assert (scan.count[0], scan.error[0]) == (3, None)
+    assert scan.count[1] == 0
     assert scan.error[1] == f"Unconverged: {info.value}"
 
 
 def test_flip_edges_batched_determinants_match_scalar_calls():
-    edges = moduli.flip_edges(moduli.scan((0.0, 0.1, 0.5, 2.0), 6, 6))
-    assert edges
-    for e in edges:
-        # each midpoint's null sum alone, its reduced torus's rows carried
-        # back by the law of the critical sets, det / |lam|^4
-        torus = lattice.make_torus(e.midpoint)
-        rows = oracles.rows(green.half_period_rows([torus])[0])
-        dets = [abs(rows[j].hessian.det) / abs(torus.lam) ** 4 for j in torus.half_period_perm]
-        k = min(range(3), key=dets.__getitem__)
-        assert e.degenerate_half_period == k + 1
-        assert e.min_abs_det == dets[k]
-        # and the given frame's own pass there, within its error bound
-        ev = green.evaluate(torus.half_periods[k], torus)
-        assert abs(e.min_abs_det - abs(ev.hessian.det)) <= ev.det_bound
+    # the second scan's midpoints reach |lam| = 0.30, carried back by
+    # 1/|lam|^4 = 120
+    for region, n, lam_min in (((0.0, 0.1, 0.5, 2.0), 6, 0.49), (SHIFTED_REGION, 8, 0.30)):
+        edges = moduli.flip_edges(moduli.scan(region, n, n))
+        tori = [lattice.make_torus(mid) for mid in edges.midpoint.tolist()]
+        assert tori and round(min(abs(torus.lam) for torus in tori), 2) == lam_min
+        for torus, k, det in zip(tori, edges.half_period.tolist(), edges.min_abs_det.tolist()):
+            _assert_flip_determinant(torus, k, det)
+
+
+def _assert_flip_determinant(torus, k, det):
+    """An edge's half period k and min_abs_det det at its midpoint's torus."""
+    # the midpoint's null sum alone, its reduced torus's rows carried back
+    # by the law of the critical sets, det / |lam|^4
+    rows = oracles.rows(green.half_period_rows([torus])[0])
+    dets = [abs(rows[j].hessian.det) / abs(torus.lam) ** 4 for j in torus.half_period_perm]
+    assert k == 1 + min(range(3), key=dets.__getitem__)
+    assert det == dets[k - 1]
+    # and the given frame's own pass at each of the three half periods,
+    # within its error bound: k's |det| is det, and none is below it
+    evs = [green.evaluate(hp, torus) for hp in torus.half_periods]
+    assert abs(det - abs(evs[k - 1].hessian.det)) <= evs[k - 1].det_bound
+    assert all(abs(ev.hessian.det) + ev.det_bound >= det for ev in evs)
